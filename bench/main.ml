@@ -96,7 +96,7 @@ let microbench_tests () =
   let md5 =
     let bytes = Dufs.Fid.to_bytes (Dufs.Fid.make ~client_id:7L ~counter:9L) in
     Test.make ~name:"headline: md5 of a 16-byte fid"
-      (Staged.stage (fun () -> ignore (Dufs.Md5.digest bytes)))
+      (Staged.stage (fun () -> ignore (Zk.Md5.digest bytes)))
   in
   (* The simulator substrate: schedule+dispatch one event. *)
   let engine_event =

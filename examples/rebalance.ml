@@ -71,4 +71,4 @@ let grow ~label strategy =
 let () =
   grow ~label:"MD5 mod N (paper §IV-F)" Dufs.Mapping.Md5_mod;
   grow ~label:"consistent hashing (paper §VII)"
-    (Dufs.Mapping.Consistent (Dufs.Consistent_hash.create [ 0; 1 ]))
+    (Dufs.Mapping.Consistent (Zk.Consistent_hash.create [ 0; 1 ]))

@@ -47,7 +47,7 @@ let mount ~coord ~backends ?client_id ?(layout = Physical.default_layout)
     if
       List.exists
         (fun node -> node < 0 || node >= Array.length backends)
-        (Consistent_hash.nodes ring)
+        (Zk.Consistent_hash.nodes ring)
     then invalid_arg "Client.mount: ring node outside the backend range");
   let client_id =
     match client_id with Some id -> id | None -> coord.Zk_client.session_id

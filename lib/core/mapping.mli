@@ -9,7 +9,7 @@
 
 type strategy =
   | Md5_mod                      (** the paper's mapping *)
-  | Consistent of Consistent_hash.t
+  | Consistent of Zk.Consistent_hash.t
 
 (** [md5_mod ~backends fid] is [MD5(fid) mod backends], in [0, backends).
     @raise Invalid_argument if [backends < 1]. *)

@@ -74,7 +74,7 @@ let plan_add_backend ~coord ~strategy ~backends_before ?(zroot = "/dufs") () =
   let new_strategy =
     match strategy with
     | Mapping.Md5_mod -> Mapping.Md5_mod
-    | Mapping.Consistent ring -> Mapping.Consistent (Consistent_hash.add_node ring n)
+    | Mapping.Consistent ring -> Mapping.Consistent (Zk.Consistent_hash.add_node ring n)
   in
   let new_locate fid = Mapping.locate new_strategy ~backends:(n + 1) fid in
   Result.map

@@ -22,6 +22,8 @@ type config = {
 
 val default_tree : tree
 
+(** @raise Invalid_argument if [procs < 1], or if the shared tree (no
+    [unique_working_dirs]) has no leaves: [fan_out < 1] or [depth < 1]. *)
 val config :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->

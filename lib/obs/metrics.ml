@@ -78,6 +78,9 @@ let histogram ?(lo = 1e-7) ?(hi = 100.) ?(buckets = 300) t name =
 let names t = List.rev t.order
 let find t name = Hashtbl.find_opt t.table name
 
+let counter_opt t name =
+  match find t name with Some (Counter c) -> Some c | _ -> None
+
 let summary_opt t name =
   match find t name with Some (Summary s) -> Some s | _ -> None
 

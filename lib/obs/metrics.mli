@@ -35,6 +35,7 @@ val histogram :
 val names : t -> string list
 
 (** Lookup without creating. *)
+val counter_opt : t -> string -> Simkit.Stat.Counter.t option
 val summary_opt : t -> string -> Simkit.Stat.Summary.t option
 
 val histogram_opt : t -> string -> Simkit.Stat.Histogram.t option

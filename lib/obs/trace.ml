@@ -96,22 +96,31 @@ let is_real w = w != no_wspan
 
 let phases = [ "queue-wait"; "propose"; "persist"; "ack"; "commit" ]
 
+let dropped_name op = "zk." ^ op ^ ".dropped"
+
 let finish_write t ~op w ~now =
-  if
-    t.on && is_real w
-    (* every stamp present and monotone; a retry or fail-over can leave a
-       span half-stamped, and a half-stamped span is not honest data *)
-    && w.w_sent >= 0.
-    && w.w_batch >= w.w_sent
-    && w.w_proposed >= w.w_batch +. w.w_persist
-    && w.w_quorum >= w.w_proposed
-    && now >= w.w_quorum
-  then begin
-    let base = "zk." ^ op in
-    record_span t (base ^ ".total") (now -. w.w_sent);
-    record_span t (base ^ ".queue-wait") (w.w_batch -. w.w_sent);
-    record_span t (base ^ ".propose") (w.w_proposed -. w.w_batch -. w.w_persist);
-    record_span t (base ^ ".persist") w.w_persist;
-    record_span t (base ^ ".ack") (w.w_quorum -. w.w_proposed);
-    record_span t (base ^ ".commit") (now -. w.w_quorum)
-  end
+  if t.on && is_real w then
+    if
+      (* every stamp present and monotone; a retry or fail-over can leave
+         a span half-stamped (for example a write that fails after its
+         retries), and a half-stamped span is not honest data *)
+      w.w_sent >= 0.
+      && w.w_batch >= w.w_sent
+      && w.w_proposed >= w.w_batch +. w.w_persist
+      && w.w_quorum >= w.w_proposed
+      && now >= w.w_quorum
+    then begin
+      let base = "zk." ^ op in
+      record_span t (base ^ ".total") (now -. w.w_sent);
+      record_span t (base ^ ".queue-wait") (w.w_batch -. w.w_sent);
+      record_span t (base ^ ".propose") (w.w_proposed -. w.w_batch -. w.w_persist);
+      record_span t (base ^ ".persist") w.w_persist;
+      record_span t (base ^ ".ack") (w.w_quorum -. w.w_proposed);
+      record_span t (base ^ ".commit") (now -. w.w_quorum)
+    end
+    else Stat.Counter.incr (Metrics.counter t.metrics (dropped_name op))
+
+let dropped t ~op =
+  match Metrics.counter_opt t.metrics (dropped_name op) with
+  | Some c -> Stat.Counter.value c
+  | None -> 0

@@ -72,6 +72,11 @@ val is_real : wspan -> bool
 val phases : string list
 
 (** [finish_write t ~op w ~now] records [zk.<op>.total] and the five
-    [zk.<op>.<phase>] spans. Skips silently when the trace is off or the
-    span is missing stamps / non-monotone (e.g. a retried write). *)
+    [zk.<op>.<phase>] spans. A real span missing stamps or non-monotone
+    (for example a write that failed after its retries) records no phases and bumps
+    the [zk.<op>.dropped] counter instead. Does nothing when the trace is
+    off or [w] is {!no_wspan}. *)
 val finish_write : t -> op:string -> wspan -> now:float -> unit
+
+(** Spans of [op] that {!finish_write} dropped as half-stamped. *)
+val dropped : t -> op:string -> int

@@ -265,15 +265,15 @@ let ablation_mapping () =
         let moved = List.filter (fun fid -> before fid <> after fid) fids in
         float_of_int (List.length moved) /. float_of_int (List.length fids)
       in
-      let ring = Dufs.Consistent_hash.create (List.init n Fun.id) in
-      let ring' = Dufs.Consistent_hash.add_node ring n in
+      let ring = Zk.Consistent_hash.create (List.init n Fun.id) in
+      let ring' = Zk.Consistent_hash.add_node ring n in
       let ch_imbalance =
         Dufs.Mapping.imbalance
-          (fun fid -> Dufs.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
+          (fun fid -> Zk.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
           ~backends:n fids
       in
       let ch_moved =
-        Dufs.Consistent_hash.relocated ~before:ring ~after:ring'
+        Zk.Consistent_hash.relocated ~before:ring ~after:ring'
           (List.map Dufs.Fid.to_bytes fids)
       in
       Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "MD5 mod N (paper)" n md5_imbalance

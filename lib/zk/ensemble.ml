@@ -1969,7 +1969,8 @@ let submit t ~server ~cep ~rng ~attempts ~rid txn =
     submit_attempts t ~server ~cep ~rng ~attempt:0 ~attempts ~rid ~span txn
   in
   (* finish_write rejects half-stamped spans, so a retried or failed-over
-     write drops out of the breakdown instead of skewing it *)
+     write drops out of the breakdown instead of skewing it; it counts
+     what it drops under zk.<op>.dropped *)
   Obs.Trace.finish_write t.trace ~op:(txn_label txn) span
     ~now:(Engine.now t.engine);
   result

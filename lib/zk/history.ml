@@ -160,19 +160,15 @@ let outcome_to_string = function
   | Undetermined -> "?"
 
 let digest t =
-  let ctx = Md5.init () in
+  let b = Buffer.create 4096 in
   List.iter
     (fun r ->
-      Md5.update ctx
-        (Printf.sprintf "%d|%d|%d|%s|%s|%.17g|%.17g|%s\n" r.r_client
-           r.r_session r.r_seq r.r_path (kind_to_string r.r_kind) r.r_invoke
-           r.r_return
-           (outcome_to_string r.r_outcome)))
+      Printf.bprintf b "%d|%d|%d|%s|%s|%.17g|%.17g|%s\n" r.r_client
+        r.r_session r.r_seq r.r_path (kind_to_string r.r_kind) r.r_invoke
+        r.r_return
+        (outcome_to_string r.r_outcome))
     (List.rev t.recs);
-  let raw = Md5.finalize ctx in
-  String.concat ""
-    (List.init (String.length raw) (fun i ->
-         Printf.sprintf "%02x" (Char.code raw.[i])))
+  Md5.hex (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Register checker (Wing & Gong)                                      *)

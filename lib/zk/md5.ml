@@ -1,151 +1,8 @@
-(* RFC 1321. State is four 32-bit words; input is consumed in 64-byte
-   blocks, little-endian. *)
+(* RFC 1321 via the stdlib: [Digest] is MD5, computed in C. *)
 
-type ctx = {
-  mutable a : int32;
-  mutable b : int32;
-  mutable c : int32;
-  mutable d : int32;
-  buf : Bytes.t;          (* partial block *)
-  mutable buf_len : int;
-  mutable total : int64;  (* bytes absorbed *)
-  x : int32 array;        (* decoded block scratch *)
-}
+let digest = Digest.string
+let hex s = Digest.to_hex (Digest.string s)
 
-(* Per-round left-rotation amounts. *)
-let s =
-  [| 7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22;
-     5;  9; 14; 20; 5;  9; 14; 20; 5;  9; 14; 20; 5;  9; 14; 20;
-     4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23;
-     6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21 |]
-
-(* K[i] = floor(2^32 * |sin(i + 1)|). *)
-let k =
-  Array.init 64 (fun i ->
-      Int64.to_int32
-        (Int64.of_float (Float.of_int 4294967296 *. Float.abs (sin (float_of_int (i + 1))))))
-
-let init () =
-  { a = 0x67452301l;
-    b = 0xefcdab89l;
-    c = 0x98badcfel;
-    d = 0x10325476l;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0L;
-    x = Array.make 16 0l }
-
-let rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
-
-let process_block ctx block off =
-  let x = ctx.x in
-  for i = 0 to 15 do
-    let base = off + (4 * i) in
-    let byte j = Int32.of_int (Char.code (Bytes.get block (base + j))) in
-    x.(i) <-
-      Int32.logor (byte 0)
-        (Int32.logor
-           (Int32.shift_left (byte 1) 8)
-           (Int32.logor (Int32.shift_left (byte 2) 16) (Int32.shift_left (byte 3) 24)))
-  done;
-  let a = ref ctx.a and b = ref ctx.b and c = ref ctx.c and d = ref ctx.d in
-  for i = 0 to 63 do
-    let f, g =
-      if i < 16 then (Int32.logor (Int32.logand !b !c) (Int32.logand (Int32.lognot !b) !d), i)
-      else if i < 32 then
-        (Int32.logor (Int32.logand !d !b) (Int32.logand (Int32.lognot !d) !c),
-         ((5 * i) + 1) mod 16)
-      else if i < 48 then (Int32.logxor !b (Int32.logxor !c !d), ((3 * i) + 5) mod 16)
-      else (Int32.logxor !c (Int32.logor !b (Int32.lognot !d)), (7 * i) mod 16)
-    in
-    let tmp = !d in
-    d := !c;
-    c := !b;
-    let sum = Int32.add (Int32.add !a f) (Int32.add k.(i) x.(g)) in
-    b := Int32.add !b (rotl sum s.(i));
-    a := tmp
-  done;
-  ctx.a <- Int32.add ctx.a !a;
-  ctx.b <- Int32.add ctx.b !b;
-  ctx.c <- Int32.add ctx.c !c;
-  ctx.d <- Int32.add ctx.d !d
-
-let update ctx ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Md5.update: bad range";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
-  let pos = ref off and remaining = ref len in
-  (* top up a partial block first *)
-  if ctx.buf_len > 0 then begin
-    let take = min !remaining (64 - ctx.buf_len) in
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  while !remaining >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx ctx.buf 0;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit_string s !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
-  end
-
-let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* padding: 0x80, zeros, then the 64-bit little-endian bit count *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let padding = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set padding (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * i)) 0xFFL)))
-  done;
-  (* bypass the length accounting: feed the padding directly *)
-  let feed = Bytes.to_string padding in
-  let total_before = ctx.total in
-  update ctx feed;
-  ctx.total <- total_before;
-  let out = Bytes.create 16 in
-  let put i (w : int32) =
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical w (8 * j)) 0xFFl)))
-    done
-  in
-  put 0 ctx.a;
-  put 1 ctx.b;
-  put 2 ctx.c;
-  put 3 ctx.d;
-  Bytes.to_string out
-
-let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
-
-let hex_of_raw raw =
-  let buf = Buffer.create 32 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buf
-
-let hex s = hex_of_raw (digest s)
-
-let to_int raw =
-  let byte i = Char.code raw.[i] in
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor byte i
-  done;
-  !v land max_int
+(* The low 62 bits of the big-endian first 8 bytes. Stored FID
+   placements depend on exactly these bits. *)
+let to_int raw = Int64.to_int (String.get_int64_be raw 0) land max_int

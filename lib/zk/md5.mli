@@ -1,19 +1,9 @@
-(** MD5 message digest (RFC 1321), implemented from scratch.
+(** MD5 message digest (RFC 1321).
 
-    DUFS uses MD5 only as the uniform hash inside its deterministic
-    mapping function (§IV-F); implementing it in-repo keeps the mapping
-    fully specified and testable against the RFC vectors. *)
-
-type ctx
-
-val init : unit -> ctx
-
-(** Absorb [len] bytes of [s] starting at [off] (defaults: whole string). *)
-val update : ctx -> ?off:int -> ?len:int -> string -> unit
-
-(** Finish and return the 16-byte raw digest. The context must not be
-    reused afterwards. *)
-val finalize : ctx -> string
+    DUFS uses MD5 as the uniform hash inside its deterministic mapping
+    function (§IV-F) and the WAL uses it as its record checksum. The
+    bytes come from the stdlib's [Digest]; the RFC vectors in the test
+    suite pin the algorithm. *)
 
 (** One-shot digest: 16 raw bytes. *)
 val digest : string -> string

@@ -93,44 +93,47 @@ let create () =
 
 (* {2 Record encoding} *)
 
-let enc_str b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
+let field b s =
+  Buffer.add_char b ' ';
   Buffer.add_string b s
 
 let enc_op b op =
   (match op with
    | Txn.Create { path; data; ephemeral_owner; sequential } ->
      Buffer.add_string b "C ";
-     enc_str b path;
+     Ztree.add_len_str b path;
      Buffer.add_char b ' ';
-     enc_str b data;
-     Buffer.add_string b (Printf.sprintf " %Ld %d" ephemeral_owner
-                            (if sequential then 1 else 0))
+     Ztree.add_len_str b data;
+     field b (Int64.to_string ephemeral_owner);
+     field b (if sequential then "1" else "0")
    | Txn.Delete { path; expected_version } ->
      Buffer.add_string b "D ";
-     enc_str b path;
-     Buffer.add_string b (Printf.sprintf " %d" expected_version)
+     Ztree.add_len_str b path;
+     field b (string_of_int expected_version)
    | Txn.Set_data { path; data; expected_version } ->
      Buffer.add_string b "S ";
-     enc_str b path;
+     Ztree.add_len_str b path;
      Buffer.add_char b ' ';
-     enc_str b data;
-     Buffer.add_string b (Printf.sprintf " %d" expected_version)
+     Ztree.add_len_str b data;
+     field b (string_of_int expected_version)
    | Txn.Check { path; expected_version } ->
      Buffer.add_string b "K ";
-     enc_str b path;
-     Buffer.add_string b (Printf.sprintf " %d" expected_version));
+     Ztree.add_len_str b path;
+     field b (string_of_int expected_version));
   Buffer.add_char b '\n'
 
 let encode ~epoch (e : entry) =
   let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "W1 %d %Ld %Lx %Ld %Ld %s %d\n" epoch e.e_zxid
-       (Int64.bits_of_float e.e_time)
-       e.e_rsession e.e_rcxid
-       (match e.e_close with None -> "-" | Some o -> Int64.to_string o)
-       (List.length e.e_txn));
+  Buffer.add_string b "W1";
+  field b (string_of_int epoch);
+  field b (Int64.to_string e.e_zxid);
+  Buffer.add_char b ' ';
+  Ztree.add_float_bits b e.e_time;
+  field b (Int64.to_string e.e_rsession);
+  field b (Int64.to_string e.e_rcxid);
+  field b (match e.e_close with None -> "-" | Some o -> Int64.to_string o);
+  field b (string_of_int (List.length e.e_txn));
+  Buffer.add_char b '\n';
   List.iter (enc_op b) e.e_txn;
   Buffer.contents b
 

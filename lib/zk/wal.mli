@@ -31,6 +31,11 @@ val create : unit -> t
 
 (** {2 Appending} *)
 
+(** The checksummed payload of one record (layout in DESIGN.md §12):
+    a ["W1 <epoch> <zxid> <time-bits-hex> <rsession> <rcxid> <close|->
+    <n>"] header line, then one line per op. *)
+val encode : epoch:int -> entry -> string
+
 (** Append a checksummed record. [start] is when the device write was
     issued, [done_at] when it (and its fsync) completes; a power-off
     before [done_at] loses the record — torn if the write was already

@@ -503,25 +503,50 @@ let fingerprint t =
      <len>:<path><len>:<data> v cv sq cz mz pz <ctime-bits> <mtime-bits> eo\n
    Children sets are reconstructed from the node paths themselves. *)
 
+let add_len_str b s =
+  Buffer.add_string b (string_of_int (String.length s));
+  Buffer.add_char b ':';
+  Buffer.add_string b s
+
+(* [Printf "%Lx"] of the IEEE bits: lowercase, no leading zeros. *)
+let add_float_bits b f =
+  let v = Int64.bits_of_float f in
+  let nibble i = Int64.to_int (Int64.shift_right_logical v (4 * i)) land 0xf in
+  let top = ref 15 in
+  while !top > 0 && nibble !top = 0 do decr top done;
+  for i = !top downto 0 do
+    Buffer.add_char b "0123456789abcdef".[nibble i]
+  done
+
 let serialize t =
   let buf = Buffer.create (4096 + (64 * Hashtbl.length t.nodes)) in
-  Buffer.add_string buf (Printf.sprintf "ZTREEv1 %Ld\n" t.last_zxid);
-  Buffer.add_string buf (Printf.sprintf "%d\n" (Hashtbl.length t.nodes));
-  let paths = Hashtbl.fold (fun path _ acc -> path :: acc) t.nodes [] in
-  let add_str s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
+  let field s =
+    Buffer.add_char buf ' ';
     Buffer.add_string buf s
   in
+  Buffer.add_string buf "ZTREEv1";
+  field (Int64.to_string t.last_zxid);
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (string_of_int (Hashtbl.length t.nodes));
+  Buffer.add_char buf '\n';
+  let paths = Hashtbl.fold (fun path _ acc -> path :: acc) t.nodes [] in
   List.iter
     (fun path ->
       let n = Hashtbl.find t.nodes path in
-      add_str path;
-      add_str n.data;
-      Buffer.add_string buf
-        (Printf.sprintf " %d %d %d %Ld %Ld %Ld %Lx %Lx %Ld\n" n.version n.cversion
-           n.seq_counter n.czxid n.mzxid n.pzxid (Int64.bits_of_float n.ctime)
-           (Int64.bits_of_float n.mtime) n.ephemeral_owner))
+      add_len_str buf path;
+      add_len_str buf n.data;
+      field (string_of_int n.version);
+      field (string_of_int n.cversion);
+      field (string_of_int n.seq_counter);
+      field (Int64.to_string n.czxid);
+      field (Int64.to_string n.mzxid);
+      field (Int64.to_string n.pzxid);
+      Buffer.add_char buf ' ';
+      add_float_bits buf n.ctime;
+      Buffer.add_char buf ' ';
+      add_float_bits buf n.mtime;
+      field (Int64.to_string n.ephemeral_owner);
+      Buffer.add_char buf '\n')
     (List.sort String.compare paths);
   Buffer.contents buf
 

@@ -141,3 +141,14 @@ val serialize : t -> string
 
 (** Rebuild a tree from [serialize] output. *)
 val deserialize : string -> (t, string) result
+
+(** {2 Field encoders}
+
+    Shared with the WAL record format, which is ZTREE-style. *)
+
+(** ["<len>:<s>"]: a length-prefixed string, so no escaping is needed. *)
+val add_len_str : Buffer.t -> string -> unit
+
+(** The float's IEEE-754 bits in lowercase hex without leading zeros
+    (the text [Printf "%Lx"] gives). *)
+val add_float_bits : Buffer.t -> float -> unit

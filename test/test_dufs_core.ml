@@ -2,10 +2,10 @@
    mapping function, consistent hashing, physical layout and metadata
    encoding. *)
 
-module Md5 = Dufs.Md5
+module Md5 = Zk.Md5
 module Fid = Dufs.Fid
 module Mapping = Dufs.Mapping
-module Consistent_hash = Dufs.Consistent_hash
+module Consistent_hash = Zk.Consistent_hash
 module Physical = Dufs.Physical
 module Meta = Dufs.Meta
 
@@ -36,52 +36,35 @@ let test_digest_length () =
   check_int "raw digest is 16 bytes" 16 (String.length (Md5.digest "anything"));
   check_int "hex digest is 32 chars" 32 (String.length (Md5.hex "anything"))
 
+(* Lengths around the 64-byte block and 56-byte padding boundary,
+   pinned to the digests of the hand-rolled RFC 1321 implementation this
+   module replaced: the stdlib computes the same bytes. *)
+let block_boundary_digests =
+  [ (0, "d41d8cd98f00b204e9800998ecf8427e");
+    (1, "9dd4e461268c8034f5c8564e155c67a6");
+    (55, "04364420e25c512fd958a70738aa8f72");
+    (56, "668a72d5ba17f08e62dabcafad6db14b");
+    (57, "693037871c4a9d3d8685018905cb530a");
+    (63, "7dc2ca208106a2f703567bdff99d8981");
+    (64, "c1bb4f81d892b2d57947682aeb252456");
+    (65, "1bc932052302d074bdec39795fe00cf6");
+    (119, "ab347a5f68c8a443cfcddc633f12c24f");
+    (120, "fb98667f98096de92620b64f46e1c5b5");
+    (127, "a0b28c1da68705c2ff883fe279b72753");
+    (128, "d69cb61a6ee87200676eb0d4b90edbcb");
+    (1000, "398533d48111e9f664b1f64cb10c4b63") ]
+
 let test_block_boundaries () =
-  (* lengths around the 64-byte block and 56-byte padding boundary *)
   List.iter
-    (fun n ->
-      let s = String.make n 'x' in
-      let direct = Md5.digest s in
-      let ctx = Md5.init () in
-      Md5.update ctx s;
-      check_string
-        (Printf.sprintf "one-shot = incremental at length %d" n)
-        direct (Md5.finalize ctx))
-    [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 1000 ]
-
-let test_incremental_chunking () =
-  let s = String.init 333 (fun i -> Char.chr (i mod 256)) in
-  let direct = Md5.digest s in
-  let ctx = Md5.init () in
-  let rec feed off =
-    if off < String.length s then begin
-      let len = min 7 (String.length s - off) in
-      Md5.update ctx ~off ~len s;
-      feed (off + len)
-    end
-  in
-  feed 0;
-  check_string "chunked = one-shot" direct (Md5.finalize ctx)
-
-let test_update_range_validation () =
-  let ctx = Md5.init () in
-  Alcotest.check_raises "bad range" (Invalid_argument "Md5.update: bad range")
-    (fun () -> Md5.update ctx ~off:5 ~len:10 "short")
+    (fun (n, expected) ->
+      check_string (Printf.sprintf "md5 of %d x's" n) expected
+        (Md5.hex (String.make n 'x')))
+    block_boundary_digests
 
 let prop_md5_deterministic =
   QCheck2.Test.make ~name:"md5 deterministic and 128-bit" ~count:300
     QCheck2.Gen.string (fun s ->
       Md5.digest s = Md5.digest s && String.length (Md5.digest s) = 16)
-
-let prop_md5_incremental_split =
-  QCheck2.Test.make ~name:"md5 split at any point = one-shot" ~count:300
-    QCheck2.Gen.(pair string (int_range 0 1000))
-    (fun (s, k) ->
-      let k = if String.length s = 0 then 0 else k mod (String.length s + 1) in
-      let ctx = Md5.init () in
-      Md5.update ctx ~off:0 ~len:k s;
-      Md5.update ctx ~off:k ~len:(String.length s - k) s;
-      Md5.finalize ctx = Md5.digest s)
 
 let test_to_int_nonnegative () =
   List.iter
@@ -155,6 +138,38 @@ let test_mapping_deterministic () =
   check_int "same result every time"
     (Mapping.md5_mod ~backends:4 fid)
     (Mapping.md5_mod ~backends:4 fid)
+
+(* The FID -> back-end placement is a stored-data format: every client
+   must keep finding files where earlier clients put them. Pinned over
+   64 fixed FIDs to the hand-rolled MD5's placements. *)
+let golden_fids =
+  List.init 64 (fun i ->
+      Fid.make
+        ~client_id:(Int64.of_int ((i mod 7 * 0x1000193) + 1))
+        ~counter:(Int64.of_int (i * 37)))
+
+let golden_placements =
+  [ ( 2,
+      [ 0; 0; 0; 1; 0; 1; 1; 1; 1; 0; 0; 1; 0; 1; 1; 0; 1; 1; 1; 1; 0; 0;
+        0; 1; 1; 1; 1; 1; 1; 1; 0; 1; 1; 1; 1; 0; 0; 0; 0; 0; 1; 1; 0; 0;
+        0; 1; 1; 0; 0; 0; 0; 1; 0; 0; 0; 0; 1; 1; 1; 0; 1; 0; 0; 1 ] );
+    ( 3,
+      [ 2; 1; 2; 2; 0; 2; 1; 1; 0; 0; 1; 0; 0; 0; 1; 1; 2; 1; 0; 1; 2; 2;
+        1; 2; 0; 0; 0; 2; 2; 1; 2; 1; 1; 1; 0; 0; 0; 0; 0; 0; 1; 1; 2; 0;
+        2; 1; 2; 1; 2; 1; 1; 0; 2; 0; 1; 1; 2; 2; 0; 0; 1; 1; 2; 1 ] );
+    ( 8,
+      [ 6; 6; 6; 3; 4; 1; 5; 7; 7; 2; 4; 5; 6; 1; 7; 4; 1; 3; 5; 7; 4; 4;
+        0; 5; 7; 1; 1; 5; 5; 5; 6; 5; 5; 5; 3; 2; 2; 4; 2; 0; 7; 7; 6; 0;
+        4; 5; 3; 6; 4; 4; 0; 3; 2; 2; 6; 6; 3; 5; 7; 6; 5; 0; 2; 3 ] ) ]
+
+let test_mapping_golden_placements () =
+  List.iter
+    (fun (backends, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "md5_mod ~backends:%d" backends)
+        expected
+        (List.map (Mapping.md5_mod ~backends) golden_fids))
+    golden_placements
 
 let test_mapping_rejects_zero_backends () =
   Alcotest.check_raises "zero backends"
@@ -374,19 +389,10 @@ let prop_meta_roundtrip =
 (* {2 Extra edges} *)
 
 let test_md5_large_input () =
-  (* multi-megabyte input exercises the block loop; value cross-checked
-     against the incremental path rather than an external oracle *)
+  (* multi-megabyte input exercises the block loop; pinned to the
+     hand-rolled implementation's digest *)
   let s = String.init (3 * 1024 * 1024) (fun i -> Char.chr (i mod 251)) in
-  let ctx = Md5.init () in
-  let half = String.length s / 2 in
-  Md5.update ctx ~off:0 ~len:half s;
-  Md5.update ctx ~off:half ~len:(String.length s - half) s;
-  check_string "3 MiB split = one-shot" (Md5.hex s)
-    (let buf = Buffer.create 32 in
-     String.iter
-       (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-       (Md5.finalize ctx);
-     Buffer.contents buf)
+  check_string "3 MiB digest" "b9e8be962fa541bad8cd7e526acd4ffc" (Md5.hex s)
 
 let test_fid_compare_total_order () =
   let a = Fid.make ~client_id:1L ~counter:5L in
@@ -428,12 +434,8 @@ let () =
         [ Alcotest.test_case "RFC 1321 vectors" `Quick test_rfc_vectors;
           Alcotest.test_case "digest length" `Quick test_digest_length;
           Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
-          Alcotest.test_case "incremental chunking" `Quick test_incremental_chunking;
-          Alcotest.test_case "update range validation" `Quick
-            test_update_range_validation;
           Alcotest.test_case "to_int nonnegative" `Quick test_to_int_nonnegative;
-          qc prop_md5_deterministic;
-          qc prop_md5_incremental_split ] );
+          qc prop_md5_deterministic ] );
       ( "fid",
         [ Alcotest.test_case "hex roundtrip" `Quick test_fid_hex_roundtrip;
           Alcotest.test_case "of_hex rejects garbage" `Quick
@@ -444,6 +446,8 @@ let () =
       ( "mapping",
         [ Alcotest.test_case "range" `Quick test_mapping_range;
           Alcotest.test_case "deterministic" `Quick test_mapping_deterministic;
+          Alcotest.test_case "golden placements" `Quick
+            test_mapping_golden_placements;
           Alcotest.test_case "rejects zero backends" `Quick
             test_mapping_rejects_zero_backends;
           Alcotest.test_case "fairness" `Quick test_mapping_fairness;

@@ -113,7 +113,74 @@ let test_runner_counts_errors () =
 
 let test_workload_validation () =
   Alcotest.check_raises "procs < 1" (Invalid_argument "Workload.config: procs < 1")
-    (fun () -> ignore (Workload.config ~procs:0 ()))
+    (fun () -> ignore (Workload.config ~procs:0 ()));
+  Alcotest.check_raises "leafless shared tree"
+    (Invalid_argument "Workload.config: shared tree needs fan_out >= 1 and depth >= 1")
+    (fun () ->
+      ignore (Workload.config ~tree:{ Workload.fan_out = 10; depth = 0 } ~procs:1 ()))
+
+(* The list-based placement [Workload.place] used to evaluate on every
+   op: build the whole skeleton, keep the paths [depth] slashes deep, and
+   take leaf [(proc + item) mod #leaves]. Kept as the reference the
+   arithmetic placement must reproduce path for path. *)
+let reference_path (cfg : Workload.config) ~proc ~item ~prefix =
+  let tree = cfg.Workload.tree in
+  let leaves =
+    if cfg.Workload.unique_working_dirs then [ "/proc" ^ string_of_int proc ]
+    else begin
+      let rec level parents depth acc =
+        if depth = 0 then List.rev acc
+        else begin
+          let children =
+            List.concat_map
+              (fun parent ->
+                List.init tree.Workload.fan_out (fun i ->
+                    (if parent = "/" then "" else parent) ^ "/t" ^ string_of_int i))
+              parents
+          in
+          level children (depth - 1) (List.rev_append children acc)
+        end
+      in
+      List.filter
+        (fun p -> List.length (String.split_on_char '/' p) - 1 = tree.Workload.depth)
+        (level [ "/" ] tree.Workload.depth [])
+    end
+  in
+  let leaf = List.nth leaves ((proc + item) mod List.length leaves) in
+  Printf.sprintf "%s/%s.%d.%d" leaf prefix proc item
+
+let test_placement_matches_reference () =
+  let configs =
+    [ ("10x2", Workload.config ~procs:128 ());
+      ("3x3", Workload.config ~tree:{ Workload.fan_out = 3; depth = 3 } ~procs:128 ());
+      ("1x1", Workload.config ~tree:{ Workload.fan_out = 1; depth = 1 } ~procs:128 ());
+      ("unique", Workload.config ~unique_working_dirs:true ~procs:128 ()) ]
+  in
+  List.iter
+    (fun (label, cfg) ->
+      for proc = 0 to 127 do
+        for item = 0 to 11 do
+          let check prefix actual =
+            let expected = reference_path cfg ~proc ~item ~prefix in
+            if actual <> expected then
+              Alcotest.failf "%s proc %d item %d: %s, expected %s" label proc item
+                actual expected
+          in
+          check "dir.mdtest" (Workload.dir_path cfg ~proc ~item);
+          check "file.mdtest" (Workload.file_path cfg ~proc ~item)
+        done
+      done;
+      (* and the exported leaf list is the reference's *)
+      let parents =
+        List.init 12 (fun item ->
+            Fuselike.Fspath.parent (reference_path cfg ~proc:0 ~item ~prefix:"x"))
+      in
+      List.iter
+        (fun p ->
+          check_bool (label ^ ": " ^ p ^ " is a listed leaf") true
+            (List.mem p (Workload.leaves_for cfg ~proc:0)))
+        parents)
+    configs
 
 let test_workload_spread_over_leaves () =
   let cfg = Workload.config ~procs:3 ~dirs_per_proc:50 ~files_per_proc:0 () in
@@ -171,6 +238,8 @@ let () =
       ( "workload",
         [ Alcotest.test_case "validation" `Quick test_workload_validation;
           Alcotest.test_case "spread over leaves" `Quick test_workload_spread_over_leaves;
+          Alcotest.test_case "placement matches the list-based reference" `Quick
+            test_placement_matches_reference;
           Alcotest.test_case "unique mode isolates" `Quick
             test_unique_mode_isolates_procs ] );
       ( "report",

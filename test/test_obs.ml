@@ -96,7 +96,15 @@ let test_finish_write_rejects_half_stamped () =
   let w = Trace.wspan t ~now:1.0 in
   (* only w_sent stamped: a write that timed out mid-flight *)
   Trace.finish_write t ~op:"create" w ~now:2.0;
-  check_int "half-stamped span dropped" 0 (Trace.span_count t "zk.create.total")
+  check_int "half-stamped span dropped" 0 (Trace.span_count t "zk.create.total");
+  check_int "and counted" 1 (Trace.dropped t ~op:"create");
+  (* a write begun while tracing was off carries the shared dummy: it was
+     never traced, so nothing is dropped *)
+  Trace.finish_write t ~op:"create" Trace.no_wspan ~now:2.0;
+  check_int "untraced span not counted" 1 (Trace.dropped t ~op:"create");
+  Trace.disable t;
+  Trace.finish_write t ~op:"create" w ~now:2.0;
+  check_int "nothing counted while off" 1 (Trace.dropped t ~op:"create")
 
 (* {2 End-to-end: ensemble + client, traced vs untraced} *)
 
@@ -172,6 +180,44 @@ let test_phase_telescoping () =
   check_bool "some batching happened (max_batch=8, 4 writers)" true
     (match Stat.Summary.max batch with Some m -> m >= 1. | None -> false)
 
+(* A leader crash that also takes the quorum: the clients retry every
+   write until its attempts run out. Each such span is half-stamped, so
+   it must be counted as dropped rather than silently lost, while the
+   writes acknowledged before the crash are traced as usual. *)
+let test_crash_retry_counts_dropped_spans () =
+  let engine = Engine.create () in
+  let cfg =
+    { (Zk.Ensemble.default_config ~servers:3) with
+      Zk.Ensemble.max_batch = 8;
+      election_timeout = 0.2;
+      request_timeout = 0.3 }
+  in
+  let trace = Trace.create () in
+  Trace.enable trace;
+  let ensemble = Zk.Ensemble.start ~trace engine cfg in
+  let failed = ref 0 in
+  for proc = 0 to 3 do
+    Process.spawn engine (fun () ->
+        let s = Zk.Ensemble.session ensemble ~server:(proc mod 3) () in
+        for i = 0 to 9 do
+          (if proc = 0 && i = 3 then
+             match Zk.Ensemble.leader_id ensemble with
+             | Some l ->
+               Zk.Ensemble.crash ensemble l;
+               Zk.Ensemble.crash ensemble ((l + 1) mod 3)
+             | None -> Alcotest.fail "no leader mid-run");
+          match s.Zk.Zk_client.create (Printf.sprintf "/c%d_%d" proc i) ~data:"" with
+          | Ok _ -> ()
+          | Error _ -> incr failed
+        done)
+  done;
+  Engine.run engine;
+  let dropped = Trace.dropped trace ~op:"create" in
+  check_bool "writes failed after retrying" true (!failed > 0);
+  check_int "every failed write's span counted as dropped" !failed dropped;
+  check_int "every create either traced or counted" 40
+    (Trace.span_count trace "zk.create.total" + dropped)
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -189,4 +235,6 @@ let () =
         [ Alcotest.test_case "tracing preserves determinism" `Quick
             test_tracing_preserves_determinism;
           Alcotest.test_case "phases telescope to op latency" `Quick
-            test_phase_telescoping ] ) ]
+            test_phase_telescoping;
+          Alcotest.test_case "crash-leader retries counted as dropped" `Quick
+            test_crash_retry_counts_dropped_spans ] ) ]

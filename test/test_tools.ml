@@ -257,7 +257,7 @@ let test_rebalance_md5_grow () =
   check_bool "clean after rebalance" true (Fsck.is_clean report)
 
 let test_rebalance_consistent_moves_less () =
-  let ring = Dufs.Consistent_hash.create [ 0; 1 ] in
+  let ring = Zk.Consistent_hash.create [ 0; 1 ] in
   let strategy = Mapping.Consistent ring in
   let _, coord, _, fs, mount_ops = make ~backends:2 ~strategy () in
   populate fs;
@@ -522,7 +522,7 @@ let test_cache_dufs_end_to_end () =
 (* {2 Client strategy selection} *)
 
 let test_client_consistent_strategy_placement () =
-  let ring = Dufs.Consistent_hash.create [ 0; 1; 2 ] in
+  let ring = Zk.Consistent_hash.create [ 0; 1; 2 ] in
   let _, _, client, fs, mount_ops = make ~backends:3 ~strategy:(Mapping.Consistent ring) () in
   for i = 0 to 59 do
     ok_fs "create" (fs.Vfs.create (Printf.sprintf "/f%02d" i) ~mode:0o644)
@@ -536,11 +536,11 @@ let test_client_consistent_strategy_placement () =
   let gen = Fid.Gen.create ~client_id:1234L in
   let fid = Fid.Gen.next gen in
   check_int "locate follows the ring"
-    (Dufs.Consistent_hash.lookup ring (Fid.to_bytes fid))
+    (Zk.Consistent_hash.lookup ring (Fid.to_bytes fid))
     (Client.locate client fid)
 
 let test_client_rejects_bad_ring () =
-  let ring = Dufs.Consistent_hash.create [ 0; 5 ] in
+  let ring = Zk.Consistent_hash.create [ 0; 5 ] in
   Alcotest.check_raises "node out of range"
     (Invalid_argument "Client.mount: ring node outside the backend range") (fun () ->
       let service = Zk.Zk_local.create () in

@@ -41,6 +41,43 @@ let entry z =
     e_rcxid = z;
     e_close = None }
 
+(* The record payload is the checksummed on-disk format: its bytes, and
+   so every checksum and every deterministic bit-rot pick, must not move.
+   Pinned over each op kind (ephemeral and sequential creates included),
+   a negative time and a session close. *)
+let test_encode_golden_bytes () =
+  let e1 =
+    { Wal.e_zxid = 0x1_0000_002aL;
+      e_txn =
+        [ Txn.Create
+            { path = "/dufs/a"; data = "v1|d|755|0|"; ephemeral_owner = 0L;
+              sequential = false };
+          Txn.Create
+            { path = "/locks/l-"; data = ""; ephemeral_owner = 0x5eedL;
+              sequential = true };
+          Txn.Delete { path = "/dufs/old"; expected_version = -1 };
+          Txn.Set_data { path = "/dufs/a"; data = "x y\nz"; expected_version = 3 };
+          Txn.Check { path = "/dufs"; expected_version = 0 } ];
+      e_time = 1.5;
+      e_rsession = 7L;
+      e_rcxid = 12L;
+      e_close = None }
+  in
+  let e2 =
+    { Wal.e_zxid = 9L; e_txn = []; e_time = -0.25; e_rsession = -3L; e_rcxid = 0L;
+      e_close = Some 42L }
+  in
+  check_string "ops record"
+    "W1 3 4294967338 3ff8000000000000 7 12 - 5\n\
+     C 7:/dufs/a 11:v1|d|755|0| 0 0\n\
+     C 9:/locks/l- 0: 24301 1\n\
+     D 9:/dufs/old -1\n\
+     S 7:/dufs/a 5:x y\nz 3\n\
+     K 5:/dufs 0\n"
+    (Wal.encode ~epoch:3 e1);
+  check_string "close record" "W1 0 9 bfd0000000000000 -3 0 42 0\n"
+    (Wal.encode ~epoch:0 e2)
+
 let replay_zxids r = List.map (fun e -> e.Wal.e_zxid) r.Wal.rc_replay
 
 let test_power_off_drops_unfsynced_tail () =
@@ -347,7 +384,9 @@ let test_double_restart_is_idempotent () =
 let () =
   Alcotest.run "wal"
     [ ( "log-model",
-        [ Alcotest.test_case "power-off drops the un-fsynced tail" `Quick
+        [ Alcotest.test_case "record encoding golden bytes" `Quick
+            test_encode_golden_bytes;
+          Alcotest.test_case "power-off drops the un-fsynced tail" `Quick
             test_power_off_drops_unfsynced_tail;
           Alcotest.test_case "truncate at the first bad checksum" `Quick
             test_truncate_at_first_bad_checksum;

@@ -556,6 +556,32 @@ let test_snapshot_rejects_garbage () =
       | Error _ -> ())
     [ ""; "nonsense"; "ZTREEv1 abc\n1\n"; "ZTREEv1 5\n"; "ZTREEv1 5\n2\n1:/0: 0 0 0 1 1 1 0 0 0\n" ]
 
+(* The snapshot payload is what the WAL checksums and what a restarted
+   server reads back, so its bytes are a stored format: pinned here for a
+   tree with a sequential child, an ephemeral, a rewritten node and
+   non-integral timestamps. *)
+let test_snapshot_golden_bytes () =
+  let tree = Ztree.create () in
+  let apply zxid time op = ignore (ok_or_fail "apply" (Ztree.apply tree ~zxid ~time [ op ])) in
+  apply 1L 0.5 (Txn.Create { path = "/a"; data = "root-a"; ephemeral_owner = 0L; sequential = false });
+  apply 2L 1.25 (Txn.Create { path = "/a/s-"; data = ""; ephemeral_owner = 0L; sequential = true });
+  apply 3L 2.0 (Txn.Create { path = "/a/e"; data = "eph"; ephemeral_owner = 99L; sequential = false });
+  apply 4L 3.75 (Txn.Set_data { path = "/a"; data = "new\ndata"; expected_version = 0 });
+  check_string "serialized bytes"
+    "ZTREEv1 4\n4\n1:/0: 0 1 1 0 0 1 0 0 0\n\
+     2:/a8:new\ndata 1 2 2 1 4 3 3fe0000000000000 400e000000000000 0\n\
+     4:/a/e3:eph 0 0 0 3 3 3 4000000000000000 4000000000000000 99\n\
+     15:/a/s-00000000000: 0 0 0 2 2 2 3ff4000000000000 3ff4000000000000 0\n"
+    (Ztree.serialize tree)
+
+let prop_float_bits_match_printf =
+  QCheck2.Test.make ~name:"add_float_bits is Printf %Lx of the bits" ~count:1000
+    QCheck2.Gen.(oneof [ float; map Int64.float_of_bits int64 ])
+    (fun f ->
+      let b = Buffer.create 16 in
+      Ztree.add_float_bits b f;
+      Buffer.contents b = Printf.sprintf "%Lx" (Int64.bits_of_float f))
+
 let prop_snapshot_roundtrip =
   let gen_ops =
     QCheck2.Gen.(
@@ -672,6 +698,8 @@ let () =
           Alcotest.test_case "restored tree keeps working" `Quick
             test_snapshot_restored_tree_keeps_working;
           Alcotest.test_case "rejects garbage" `Quick test_snapshot_rejects_garbage;
+          Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
+          qc prop_float_bits_match_printf;
           qc prop_snapshot_roundtrip ] );
       ( "memory-model",
         [ Alcotest.test_case "per-znode slope" `Quick test_memory_model_slope ] ) ]
