@@ -151,3 +151,17 @@ let emit_json ~path points =
     points;
   output_string oc "]\n";
   close_out oc
+
+(* {2 Experiment gates} *)
+
+let expect ok fmt = Printf.ksprintf (fun m -> if ok then [] else [ m ]) fmt
+
+let gate ~experiment = function
+  | [] -> Printf.printf "\n  gate: %s — every check passed\n%!" experiment
+  | failures ->
+    List.iter (Printf.printf "  GATE FAIL: %s\n") failures;
+    flush stdout;
+    failwith
+      (Printf.sprintf "%s: %d check(s) failed: %s" experiment
+         (List.length failures)
+         (String.concat "; " failures))

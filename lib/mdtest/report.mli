@@ -78,3 +78,19 @@ val latency_of_runner : Runner.latency -> latency_stats
     @raise Invalid_argument on NaN/infinite values — a bench file is
     either honest JSON or an error, never silently poisoned. *)
 val emit_json : path:string -> bench_point list -> unit
+
+(** {2 Experiment gates}
+
+    Every experiment states its acceptance checks as a pure
+    function from its results to a list of failure messages (empty =
+    pass), then hands that list to {!gate} — the one place a run is
+    failed, so a failing run names every broken check at once. *)
+
+(** [expect ok fmt ...] is [[]] when [ok], else the one formatted
+    failure message. *)
+val expect : bool -> ('a, unit, string, string list) format4 -> 'a
+
+(** [gate ~experiment failures] prints every failure and raises
+    [Failure] once, naming them all; prints a pass line when the list
+    is empty. *)
+val gate : experiment:string -> string list -> unit

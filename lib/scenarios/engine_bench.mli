@@ -16,9 +16,9 @@
       profile.
 
     Each mix is fully seeded and allocation-profiled: [run_data] also
-    re-runs every mix once and fails if the replay digest (executed
-    events, final virtual clock) differs — engine speed work is gated on
-    determinism. Wall time comes from a [bechamel] monotonic-clock OLS
+    re-runs every mix once and records whether the replay digest
+    (executed events, final virtual clock) agrees — engine speed work is
+    gated on determinism. Wall time comes from a [bechamel] monotonic-clock OLS
     fit over whole-mix runs. *)
 
 type result = {
@@ -31,19 +31,25 @@ type result = {
   minor_words_per_event : float;
       (** minor-heap allocation per event — the zero-alloc-quiet-path
           regression meter *)
+  deterministic : bool;      (** a second run replayed the same digest *)
 }
 
 (** Mix names in execution order. *)
 val mix_names : string list
 
 (** Run every mix at [events] target events (default 1_000_000) with a
-    [quota_s]-second bechamel quota per mix (default 2.0).
-    @raise Failure if any mix's replay digest differs between runs. *)
+    [quota_s]-second bechamel quota per mix (default 2.0). *)
 val run_data : ?events:int -> ?quota_s:float -> unit -> result list
+
+(** One mix's gate failures (empty = pass): a deterministic replay, at
+    least the [events] requested, and at least 250 000 wall-clock
+    events/sec. *)
+val check : events:int -> result -> string list
 
 (** [run ()] prints the table; with [json_path] also writes the
     BENCH_pr6.json artifact: one [engine-<mix>] point per mix whose
     [ops_per_sec] is wall-clock events/sec and whose [phases] block
     carries [events_executed], [ns_per_event], [virtual_s] and
-    [minor_words_per_event]. *)
+    [minor_words_per_event]. Fails through {!Mdtest.Report.gate} when
+    any mix fails {!check}. *)
 val run : ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit

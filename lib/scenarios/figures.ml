@@ -841,6 +841,33 @@ let quorum_breakdown trace op =
     in
     Some (Obs.Trace.span_count trace (base ^ ".total"), total, phases)
 
+(* Quorum phases must tile each traced write: per op, every phase mean
+   finite and non-negative, and their sum within 5% of the measured
+   mean latency. *)
+let breakdown_failures ~ctx trace =
+  List.concat_map
+    (fun op ->
+      match quorum_breakdown trace op with
+      | None -> []
+      | Some (_count, total, phases) ->
+        let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
+        Report.expect
+          (Float.abs (sum -. total) <= 0.05 *. total)
+          "%s, zk.%s: phase sum %.6g vs total %.6g" ctx op sum total
+        @ List.concat_map
+            (fun (p, m) ->
+              Report.expect
+                (Float.is_finite m && m >= 0.)
+                "%s, zk.%s: phase %s = %g" ctx op p m)
+            phases)
+    zk_write_ops
+
+let profile_check runs =
+  List.concat_map
+    (fun (procs, (r : Systems.profile_run)) ->
+      breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) r.Systems.trace)
+    runs
+
 let summary_line label (s : Simkit.Stat.Summary.t) =
   match Simkit.Stat.Summary.max s with
   | None -> Printf.printf "  %-28s (no samples)\n" label
@@ -857,7 +884,6 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
         (procs, Systems.mdtest_profiled ~spec:profile_spec ~procs ()))
       procs_list
   in
-  let coverage_failures = ref [] in
   List.iter
     (fun (procs, (r : Systems.profile_run)) ->
       let trace = r.Systems.trace in
@@ -892,12 +918,7 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
             let coverage = 100. *. sum /. total in
             Printf.printf "  %-8s %8d %10.3g" op count total;
             List.iter (fun (_, m) -> Printf.printf " %10.3g" m) phases;
-            Printf.printf " %10.3g %8.2f%%\n" sum coverage;
-            if Float.abs (sum -. total) > 0.05 *. total then
-              coverage_failures :=
-                Printf.sprintf "%d procs, zk.%s: phase sum %.6g vs total %.6g"
-                  procs op sum total
-                :: !coverage_failures)
+            Printf.printf " %10.3g %8.2f%%\n" sum coverage)
         zk_write_ops;
       print_newline ();
       (match Obs.Trace.span_mean trace "zk.read.total" with
@@ -928,14 +949,7 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
           summary_line (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
         r.Systems.backend_stations)
     runs;
-  (match !coverage_failures with
-   | [] ->
-     Printf.printf
-       "\n  check: quorum phase sums within 5%% of measured op latency — OK\n%!"
-   | failures ->
-     List.iter (Printf.printf "  COVERAGE FAIL: %s\n") (List.rev failures);
-     failwith "profile: quorum phase sums diverge from measured op latency");
-  match json_path with
+  (match json_path with
   | None -> ()
   | Some path ->
     let points =
@@ -990,7 +1004,8 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
         runs
     in
     Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
+    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+  Report.gate ~experiment:"profile" (profile_check runs)
 
 (* {2 Sharded coordination: N independent ZAB leaders}
 
@@ -1057,6 +1072,28 @@ let shard_stats_of (r : Systems.sharded_profile_run) =
            queue_wait_mean_s = shard_queue_wait_mean r.Systems.trace i })
        r.Systems.per_shard_znodes)
 
+(* Per-shard accounting must balance exactly on every run (a surplus is
+   a doubled apply or leaked stub, a deficit a lost write), and every
+   shard must actually have served writes. *)
+let sharding_check data =
+  List.concat_map
+    (fun ((shards, servers, max_batch, procs), (r : Systems.sharded_profile_run)) ->
+      let ctx =
+        Printf.sprintf "%s procs=%d"
+          (sharding_config_label ~shards ~servers ~max_batch)
+          procs
+      in
+      let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router in
+      Report.expect
+        (r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes)
+        "%s: logical znodes %d, expected %d" ctx r.Systems.logical_znodes_at_stat
+        r.Systems.expected_logical_znodes
+      @ Report.expect
+          (Array.for_all (fun w -> w > 0) writes)
+          "%s: a shard committed no writes (%s)" ctx
+          (String.concat " " (Array.to_list (Array.map string_of_int writes))))
+    data
+
 let sharding ?procs_list ?topologies ?batches ?json_path () =
   let data = sharding_data ?procs_list ?topologies ?batches () in
   let label_of (shards, servers, max_batch, _) =
@@ -1093,7 +1130,6 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
     "Sharding — leader queue-wait per create (mean seconds) and per-shard balance";
   Printf.printf "  %-44s %6s %12s %14s  %s\n" "config" "procs" "create_qw_s"
     "znodes@stat" "per-shard [znodes qw_s]";
-  let accounting_failures = ref [] in
   List.iter
     (fun (key, (r : Systems.sharded_profile_run)) ->
       let _, _, _, procs = key in
@@ -1109,22 +1145,8 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
           Printf.printf " [%d: %d %.3g]" i n
             (Option.value ~default:Float.nan (shard_queue_wait_mean trace i)))
         r.Systems.per_shard_znodes;
-      print_newline ();
-      if r.Systems.logical_znodes_at_stat <> r.Systems.expected_logical_znodes
-      then
-        accounting_failures :=
-          Printf.sprintf "%s procs=%d: logical znodes %d, expected %d"
-            (label_of key) procs r.Systems.logical_znodes_at_stat
-            r.Systems.expected_logical_znodes
-          :: !accounting_failures)
+      print_newline ())
     data;
-  (match !accounting_failures with
-   | [] ->
-     Printf.printf
-       "\n  check: per-shard znode accounting exact on every run — OK\n"
-   | failures ->
-     List.iter (Printf.printf "  ACCOUNTING FAIL: %s\n") (List.rev failures);
-     failwith "sharding: per-shard znode accounting does not balance");
   (* headline ratios at the largest scale: most shards vs single
      ensemble, both batched (the strongest baseline) *)
   let max_procs = List.fold_left (fun a ((_, _, _, p), _) -> max a p) 0 data in
@@ -1152,7 +1174,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
        sharding_phases
    | _ -> ());
   flush stdout;
-  match json_path with
+  (match json_path with
   | None -> ()
   | Some path ->
     let points =
@@ -1209,7 +1231,8 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
         data
     in
     Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
+    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+  Report.gate ~experiment:"sharding" (sharding_check data)
 
 (* {2 Chaos — randomized network fault schedules + linearizability oracle} *)
 
@@ -1226,6 +1249,25 @@ let percentile sorted q =
   | n ->
     let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) idx))
+
+(* One chaos schedule's verdict: a clean, non-empty history and a
+   recovery after heal. Shared by [chaos] and [pipeline]'s sweep. *)
+let chaos_run_check (r : Systems.chaos_run) =
+  let ctx = Printf.sprintf "shards=%d seed=%Ld" r.Systems.shards r.Systems.seed in
+  List.concat
+    [ Report.expect (r.Systems.violations = [])
+        "%s: %d linearizability violations" ctx
+        (List.length r.Systems.violations);
+      Report.expect (r.Systems.checked > 0)
+        "%s: empty history, the checker saw nothing" ctx;
+      Report.expect
+        (Float.is_finite r.Systems.recovery_s)
+        "%s: never recovered after heal" ctx ]
+
+let chaos_check ~deterministic results =
+  List.concat_map chaos_run_check results
+  @ Report.expect deterministic
+      "identical seed produced a different history"
 
 let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
     ?(registers = 6) ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12)
@@ -1283,7 +1325,6 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
     Array.sort compare a;
     a
   in
-  let all_recovered = Array.length recoveries = List.length results in
   Printf.printf
     "\ntotal: %d ops checked, %d violations; recovery p50=%.2fs p95=%.2fs \
      max=%.2fs (%d/%d runs recovered); seed %Ld re-run digest %s\n%!"
@@ -1340,11 +1381,7 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
      in
      Report.emit_json ~path points;
      Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
-  if not all_recovered then failwith "chaos: a run never recovered after heal";
-  if not deterministic then
-    failwith "chaos: identical seed produced a different history";
-  if total_violations > 0 then
-    failwith "chaos: linearizability violations found"
+  Report.gate ~experiment:"chaos" (chaos_check ~deterministic results)
 
 let chaos_smoke ?json_path () =
   chaos
@@ -1363,10 +1400,9 @@ let sessions_smoke ?json_path () = Sessions_bench.smoke ?json_path ()
    runs (Systems.mdtest_reshard). Three configurations per process
    count: the no-split baseline (to_shards = shards, exactly
    comparable), the live 2->4 split, and — at the smallest process
-   count — a 4->2 merge. The driver enforces the run's own invariants
-   (zero client errors, exact logical census, zero linearizability
-   violations, remainder-only migration) so a regression fails the
-   bench run itself, not just the CI gate downstream. *)
+   count — a 4->2 merge. The experiment's gate ([reshard_check])
+   enforces the run's own invariants, so a regression fails the bench run
+   itself. *)
 
 let reshard_servers = 4 (* per shard; the 2-shard baseline matches the
                            (2, 4) sharding topology above *)
@@ -1387,6 +1423,76 @@ let reshard_shard_stats (r : Systems.reshard_run) =
            dedup_hits = hits.(i);
            queue_wait_mean_s = None })
        r.Systems.per_shard_znodes)
+
+let reshard_p99 (r : Systems.reshard_run) =
+  Option.map
+    (fun l -> l.Runner.p99)
+    (Runner.latency_of r.Systems.results Runner.File_create)
+
+(* Migration pressure may raise a split's file-create p99, but by no
+   more than this factor over the no-split baseline at the same scale. *)
+let reshard_max_p99_ratio = 12.
+
+(* A split or merge must finish without controller errors inside a
+   non-empty migration window, move a bounded-load remainder (some keys,
+   never a near-full rehash), and keep file-create p99 within
+   [reshard_max_p99_ratio] of the no-split [base]line at the same scale. *)
+let reshard_move_check ~ctx ~base (r : Systems.reshard_run) =
+  match r.Systems.reshard with
+  | None -> [ ctx ^ ": controller never finished" ]
+  | Some st ->
+    let total = st.Zk.Reshard.keys_total
+    and migrated = st.Zk.Reshard.keys_migrated in
+    List.concat
+      [ Report.expect (st.Zk.Reshard.errors = 0) "%s: %d controller errors" ctx
+          st.Zk.Reshard.errors;
+        Report.expect
+          (migrated > 0 && migrated < total)
+          "%s: migrated %d of %d keys, not a bounded-load remainder" ctx
+          migrated total;
+        Report.expect
+          (float_of_int migrated <= 0.9 *. float_of_int total)
+          "%s: migrated %d of %d keys, a near-full rehash" ctx migrated total;
+        Report.expect (r.Systems.reshard_window > 0.)
+          "%s: empty migration window" ctx;
+        (match (base, reshard_p99 r) with
+         | Some b, Some p when b > 0. ->
+           Report.expect
+             (p <= reshard_max_p99_ratio *. b)
+             "%s: file-create p99 %.2fms > %.0fx baseline %.2fms" ctx
+             (p *. 1e3) reshard_max_p99_ratio (b *. 1e3)
+         | _ -> [ ctx ^ ": no file-create p99 pair against the baseline" ]) ]
+
+(* Every run: zero client errors, an exact logical census, and a
+   non-empty linearizable history; splits and merges also pass
+   [reshard_move_check]. *)
+let reshard_check runs =
+  List.concat_map
+    (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
+      let ctx =
+        Printf.sprintf "reshard %d->%d shards @%d procs" shards to_shards procs
+      in
+      let base =
+        List.find_map
+          (fun ((s, t, p), b) ->
+            if s = t && p = procs then reshard_p99 b else None)
+          runs
+      in
+      List.concat
+        [ Report.expect (r.Systems.results.Runner.errors = 0)
+            "%s: %d client op errors" ctx r.Systems.results.Runner.errors;
+          Report.expect
+            (r.Systems.logical_znodes_at_stat
+             = r.Systems.expected_logical_znodes)
+            "%s: census %d <> expected %d" ctx r.Systems.logical_znodes_at_stat
+            r.Systems.expected_logical_znodes;
+          Report.expect (r.Systems.violations = [])
+            "%s: %d linearizability violations" ctx
+            (List.length r.Systems.violations);
+          Report.expect (r.Systems.history_checked > 0)
+            "%s: oracle checked 0 ops" ctx;
+          (if to_shards = shards then [] else reshard_move_check ~ctx ~base r) ])
+    runs
 
 let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   Report.print_header
@@ -1409,16 +1515,10 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   in
   Printf.printf "%-14s %5s %12s %12s %9s %13s %7s %5s\n" "config" "procs"
     "create/s" "p99 (ms)" "window" "migrated" "stubs" "viol";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   List.iter
     (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
       let label = Printf.sprintf "%d->%d shards" shards to_shards in
-      let p99_ms =
-        match Runner.latency_of r.Systems.results Runner.File_create with
-        | Some l -> l.Runner.p99 *. 1e3
-        | None -> 0.
-      in
+      let p99_ms = Option.fold ~none:0. ~some:(fun p -> p *. 1e3) (reshard_p99 r) in
       let migrated =
         match r.Systems.reshard with
         | Some st ->
@@ -1429,27 +1529,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       Printf.printf "%-14s %5d %12.0f %12.2f %8.2fs %13s %7d %5d\n" label procs
         (Runner.rate r.Systems.results Runner.File_create)
         p99_ms r.Systems.reshard_window migrated r.Systems.live_stubs_at_stat
-        (List.length r.Systems.violations);
-      let ctx = Printf.sprintf "reshard %s @%d procs" label procs in
-      if r.Systems.results.Runner.errors > 0 then
-        fail "%s: %d client op errors" ctx r.Systems.results.Runner.errors;
-      if r.Systems.logical_znodes_at_stat <> r.Systems.expected_logical_znodes
-      then
-        fail "%s: census %d <> expected %d" ctx r.Systems.logical_znodes_at_stat
-          r.Systems.expected_logical_znodes;
-      if r.Systems.violations <> [] then
-        fail "%s: %d linearizability violations" ctx
-          (List.length r.Systems.violations);
-      if r.Systems.history_checked = 0 then fail "%s: oracle checked 0 ops" ctx;
-      match r.Systems.reshard with
-      | None ->
-        if to_shards <> shards then fail "%s: controller never finished" ctx
-      | Some st ->
-        if st.Zk.Reshard.errors > 0 then
-          fail "%s: %d controller errors" ctx st.Zk.Reshard.errors;
-        if not (st.keys_migrated > 0 && st.keys_migrated < st.keys_total) then
-          fail "%s: migrated %d of %d keys — not a bounded-load remainder" ctx
-            st.keys_migrated st.keys_total)
+        (List.length r.Systems.violations))
     runs;
   flush stdout;
   (match json_path with
@@ -1498,9 +1578,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
     in
     Report.emit_json ~path points;
     Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
-  match !failures with
-  | [] -> ()
-  | fs -> failwith ("reshard: " ^ String.concat "; " (List.rev fs))
+  Report.gate ~experiment:"reshard" (reshard_check runs)
 
 let reshard_smoke ?json_path () = reshard ~procs_list:[ 64 ] ?json_path ()
 
@@ -1531,6 +1609,45 @@ let pipeline_variants =
 let pipeline_config_label name =
   Printf.sprintf "pipeline=%s|zk=8|backends=2xLustre" name
 
+let qw_ack phases =
+  List.fold_left
+    (fun acc (p, m) -> if p = "queue-wait" || p = "ack" then acc +. m else acc)
+    0. phases
+
+(* (stop-and-wait, pipelined, % better) create queue-wait + ack of the
+   two batch16 variants at [procs]; [None] if either is missing. *)
+let pipeline_improvement runs ~procs =
+  let qa name =
+    Option.bind (List.assoc_opt (name, procs) runs)
+      (fun (r : Systems.profile_run) ->
+        Option.map
+          (fun (_, _, phases) -> qw_ack phases)
+          (quorum_breakdown r.Systems.trace "create"))
+  in
+  match (qa "batch16-w1", qa "batch16-w8") with
+  | Some base, Some piped when base > 0. ->
+    Some (base, piped, 100. *. (base -. piped) /. base)
+  | _ -> None
+
+let pipeline_check ~min_improvement ~deterministic runs chaos_results =
+  let max_procs = List.fold_left (fun acc ((_, p), _) -> max acc p) 0 runs in
+  List.concat_map
+    (fun ((name, procs), (r : Systems.profile_run)) ->
+      let ctx = Printf.sprintf "%s @%d procs" name procs in
+      breakdown_failures ~ctx r.Systems.trace
+      @ Report.expect
+          (quorum_breakdown r.Systems.trace "create" <> None)
+          "%s: no traced creates" ctx)
+    runs
+  @ (match pipeline_improvement runs ~procs:max_procs with
+     | Some (_, _, impr) ->
+       Report.expect (impr >= min_improvement)
+         "queue-wait+ack improved only %.1f%% (< %.0f%%)" impr min_improvement
+     | None ->
+       [ Printf.sprintf "missing the %d-proc batch16 runs for the improvement gate"
+           max_procs ])
+  @ chaos_check ~deterministic chaos_results
+
 let pipeline ?(procs_list = [ 64; 128; 256 ])
     ?(chaos_runs = chaos_runs_default) ?(min_improvement = 30.) ?json_path ()
     =
@@ -1539,8 +1656,6 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
        "Write pipeline — windowed ZAB proposals (window=%d) vs stop-and-wait, \
         traced mdtest over DUFS 2xLustre/8zk"
        pipeline_window);
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let runs =
     List.concat_map
       (fun procs ->
@@ -1560,62 +1675,27 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   Printf.printf "%-12s %5s %10s %9s" "config" "procs" "create/s" "total_s";
   List.iter (fun p -> Printf.printf " %9s" p) Obs.Trace.phases;
   Printf.printf " %9s %9s\n" "qw+ack" "coverage";
-  let qw_ack = Hashtbl.create 16 in
   List.iter
     (fun ((name, procs), (r : Systems.profile_run)) ->
-      let trace = r.Systems.trace in
-      List.iter
-        (fun op ->
-          match quorum_breakdown trace op with
-          | None -> ()
-          | Some (_count, total, phases) ->
-            let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
-            if Float.abs (sum -. total) > 0.05 *. total then
-              fail "%s @%d procs, zk.%s: phase sum %.6g vs total %.6g" name
-                procs op sum total;
-            List.iter
-              (fun (p, m) ->
-                if not (Float.is_finite m) || m < 0. then
-                  fail "%s @%d procs, zk.%s: phase %s = %g" name procs op p m)
-              phases)
-        zk_write_ops;
-      match quorum_breakdown trace "create" with
-      | None -> fail "%s @%d procs: no traced creates" name procs
+      match quorum_breakdown r.Systems.trace "create" with
+      | None -> ()
       | Some (_count, total, phases) ->
         let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
-        let qa =
-          List.fold_left
-            (fun acc (p, m) ->
-              if p = "queue-wait" || p = "ack" then acc +. m else acc)
-            0. phases
-        in
-        Hashtbl.replace qw_ack (name, procs) qa;
         Printf.printf "%-12s %5d %10.0f %9.3g" name procs
           (Runner.rate r.Systems.results Runner.File_create)
           total;
         List.iter (fun (_, m) -> Printf.printf " %9.3g" m) phases;
-        Printf.printf " %9.3g %8.2f%%\n%!" qa (100. *. sum /. total))
+        Printf.printf " %9.3g %8.2f%%\n%!" (qw_ack phases) (100. *. sum /. total))
     runs;
   let max_procs = List.fold_left max 0 procs_list in
-  let qa_of name = Hashtbl.find_opt qw_ack (name, max_procs) in
-  let improvement = ref Float.nan in
-  let qa_base = ref Float.nan and qa_piped = ref Float.nan in
-  (match (qa_of "batch16-w1", qa_of "batch16-w8") with
-   | Some base, Some piped when base > 0. ->
-     let impr = 100. *. (base -. piped) /. base in
-     improvement := impr;
-     qa_base := base;
-     qa_piped := piped;
-     Printf.printf
-       "\n  create queue-wait+ack @%d procs: stop-and-wait %.3g s -> \
-        pipelined %.3g s (%.1f%% better; gate: >= %.0f%%)\n"
-       max_procs base piped impr min_improvement;
-     if impr < min_improvement then
-       fail "queue-wait+ack improved only %.1f%% (< %.0f%%)" impr
-         min_improvement
-   | _ ->
-     fail "missing the %d-proc batch16 runs for the improvement gate"
-       max_procs);
+  let improvement = pipeline_improvement runs ~procs:max_procs in
+  Option.iter
+    (fun (base, piped, impr) ->
+      Printf.printf
+        "\n  create queue-wait+ack @%d procs: stop-and-wait %.3g s -> \
+         pipelined %.3g s (%.1f%% better; gate: >= %.0f%%)\n"
+        max_procs base piped impr min_improvement)
+    improvement;
   (* The chaos sweep: the same seeded schedules as the PR 5 oracle, but
      with the proposal window open on every shard's ensemble. *)
   Printf.printf
@@ -1647,11 +1727,6 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
             Printf.printf "      VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
               v.Zk.History.v_path v.Zk.History.v_detail)
           r.Systems.violations;
-        if r.Systems.violations <> [] then
-          fail "chaos shards=%d seed=%Ld: %d violations" shards seed
-            (List.length r.Systems.violations);
-        if not (Float.is_finite r.Systems.recovery_s) then
-          fail "chaos shards=%d seed=%Ld never recovered" shards seed;
         r)
       chaos_runs
   in
@@ -1660,8 +1735,6 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   let deterministic =
     again.Systems.digest = (List.hd chaos_results).Systems.digest
   in
-  if not deterministic then
-    fail "chaos seed %Ld re-run digest differs under the pipeline" seed0;
   let total_violations =
     List.fold_left
       (fun acc r -> acc + List.length r.Systems.violations)
@@ -1750,6 +1823,9 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
              ())
          chaos_results
      in
+     let qa_base, qa_piped, impr =
+       Option.value ~default:(Float.nan, Float.nan, Float.nan) improvement
+     in
      let summary =
        Report.point ~experiment:"pipeline-summary" ~procs:max_procs
          ~config:
@@ -1758,9 +1834,9 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
               pipeline_window pipeline_chaos_window)
          ~ops_per_sec:0.
          ~phases:
-           [ ("qw_ack_baseline_s", !qa_base);
-             ("qw_ack_pipelined_s", !qa_piped);
-             ("improvement_pct", !improvement);
+           [ ("qw_ack_baseline_s", qa_base);
+             ("qw_ack_pipelined_s", qa_piped);
+             ("improvement_pct", impr);
              ("min_improvement_pct", min_improvement);
              ("chaos_runs", float_of_int (List.length chaos_results));
              ("violations_total", float_of_int total_violations);
@@ -1771,9 +1847,8 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
      Report.emit_json ~path points;
      Printf.printf "\nwrote %s (%d bench points)\n%!" path
        (List.length points));
-  match !failures with
-  | [] -> ()
-  | fs -> failwith ("pipeline: " ^ String.concat "; " (List.rev fs))
+  Report.gate ~experiment:"pipeline"
+    (pipeline_check ~min_improvement ~deterministic runs chaos_results)
 
 (* The CI variant: one scale, two chaos schedules. The 30% acceptance
    bar is measured on the full run's 256-proc point; the smoke run keeps
@@ -1834,6 +1909,48 @@ let durability_plan ~servers ~seed ~flavor =
   @ storage
   @ [ ev (t_crash +. outage) Restart_all_down ]
 
+(* WAL records truncated across the torn-tail and bit-rot schedules. *)
+let torn_truncations results =
+  List.fold_left
+    (fun acc (r : Systems.durability_run) ->
+      match r.Systems.d_label with
+      | "torn-tail" | "wal-bit-rot" | "torn+snap-rot" ->
+        acc + r.Systems.d_wal_truncated
+      | _ -> acc)
+    0 results
+
+(* Every schedule recovers with agreeing replicas, a non-empty audit and
+   zero oracle violations; across the sweep the torn/bit-rot schedules
+   truncate something (the storage faults have teeth), recovery is
+   mostly local (WAL replay dominates leader diff-sync), and the first
+   schedule replays bit-identically. *)
+let durability_check ~deterministic results =
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let replayed = total (fun r -> r.Systems.d_wal_replayed)
+  and diff = total (fun r -> r.Systems.d_transfer_diff_txns) in
+  List.concat_map
+    (fun (r : Systems.durability_run) ->
+      let ctx = Printf.sprintf "seed=%Ld %s" r.Systems.d_seed r.Systems.d_label in
+      List.concat
+        [ Report.expect r.Systems.d_recovered
+            "%s: whole-cluster power failure never recovered" ctx;
+          Report.expect r.Systems.d_trees_agree
+            "%s: recovered replicas disagree" ctx;
+          Report.expect (r.Systems.d_violations = [])
+            "%s: %d linearizability violations" ctx
+            (List.length r.Systems.d_violations);
+          Report.expect (r.Systems.d_durability_violations = [])
+            "%s: %d acked writes lost or unacked writes resurrected" ctx
+            (List.length r.Systems.d_durability_violations);
+          Report.expect (r.Systems.d_audited > 0)
+            "%s: the durability oracle audited 0 registers" ctx ])
+    results
+  @ Report.expect (torn_truncations results > 0)
+      "torn/bit-rot schedules truncated nothing (no teeth)"
+  @ Report.expect (diff < replayed)
+      "recovery not mostly local (diff-sync %d >= WAL replay %d)" diff replayed
+  @ Report.expect deterministic "identical seed produced a different history"
+
 let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     ?(procs = 64) ?(reg_clients = 8) ?(ops_per_client = 50)
     ?(dirs_per_proc = 12) ?(files_per_proc = 12) ?json_path () =
@@ -1893,17 +2010,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
     List.length
       (List.filter (fun (r : Systems.durability_run) -> r.Systems.d_trees_agree) results)
   in
-  let truncating_flavor (r : Systems.durability_run) =
-    match r.Systems.d_label with
-    | "torn-tail" | "wal-bit-rot" | "torn+snap-rot" -> true
-    | _ -> false
-  in
-  let truncated_torn =
-    List.fold_left
-      (fun acc r ->
-        if truncating_flavor r then acc + r.Systems.d_wal_truncated else acc)
-      0 results
-  in
+  let truncated_torn = torn_truncations results in
   let replayed_total = total (fun r -> r.Systems.d_wal_replayed) in
   let diff_total = total (fun r -> r.Systems.d_transfer_diff_txns) in
   let recoveries_total = total (fun r -> r.Systems.d_recoveries) in
@@ -1993,20 +2100,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
      in
      Report.emit_json ~path points;
      Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
-  if recovered_runs < List.length results then
-    failwith "durability: a power-failure schedule never recovered";
-  if agree_runs < List.length results then
-    failwith "durability: recovered replicas disagree";
-  if lin_violations > 0 then
-    failwith "durability: linearizability violations found";
-  if dur_violations > 0 then
-    failwith "durability: acked writes lost or unacked writes resurrected";
-  if truncated_torn = 0 then
-    failwith "durability: torn/bit-rot schedules truncated nothing (no teeth)";
-  if diff_total >= replayed_total then
-    failwith "durability: recovery not mostly local (diff-sync >= WAL replay)";
-  if not deterministic then
-    failwith "durability: identical seed produced a different history"
+  Report.gate ~experiment:"durability" (durability_check ~deterministic results)
 
 let durability_smoke ?json_path () =
   durability

@@ -121,9 +121,14 @@ val profile_spec : Systems.dufs_spec
     wait-vs-service split. With [json_path], also writes the points (the
     BENCH_pr3.json artifact): mdtest points carry the latency block,
     [zk-<op>-breakdown] points carry the phase durations.
-    @raise Failure if any op's phase sum diverges more than 5% from its
-    measured mean latency. *)
+    @raise Failure (through {!Mdtest.Report.gate}) if {!profile_check}
+    reports any failure. *)
 val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
+
+(** The profile gate, per [(procs, run)]: every traced write kind's
+    quorum phases finite, non-negative, and summing to within 5% of its
+    measured mean latency. *)
+val profile_check : (int * Systems.profile_run) list -> string list
 
 (** {2 Sharded coordination — N independent ZAB leaders}
 
@@ -132,8 +137,7 @@ val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
     8-server ensemble vs 2x4 vs 4x2 shards, unbatched and batched.
     Every run is span-traced, so the same run yields throughput, the
     create queue-wait breakdown, per-shard queue-wait/balance, and the
-    per-shard znode accounting (checked exact — the run fails on any
-    surplus or deficit). With [json_path] writes the BENCH_pr4.json
+    per-shard znode accounting ({!sharding_check} fails the run). With [json_path] writes the BENCH_pr4.json
     artifact: [mdtest-*] points with latency blocks,
     [zk-create-breakdown] points with phase durations, and
     [sharding-znode-accounting] points whose [shards] block records the
@@ -157,6 +161,11 @@ val sharding :
   unit ->
   unit
 
+(** The sharding gate over {!sharding_data}'s runs: the logical znode
+    census exact on every run, and every shard committed writes. *)
+val sharding_check :
+  ((int * int * int * int) * Systems.sharded_profile_run) list -> string list
+
 (** {2 Chaos — randomized network fault schedules + linearizability
     oracle}
 
@@ -171,9 +180,8 @@ val sharding :
     counters in the [phases] block; [recovery_s = -1] means the run
     never recovered) plus a [chaos-summary] point with totals and
     recovery percentiles.
-    @raise Failure on any linearizability violation, on a run that
-    never recovers after the closing heal, or if the re-run digest
-    differs (the run is then not seed-deterministic). *)
+    @raise Failure (through {!Mdtest.Report.gate}) if {!chaos_check}
+    reports any failure. *)
 val chaos :
   ?runs:(int * int64) list ->
   ?clients:int ->
@@ -185,6 +193,11 @@ val chaos :
   unit ->
   unit
 
+(** The chaos gate: every run has a non-empty history, no
+    linearizability violation and a recovery after the closing heal,
+    and the re-run of the first schedule was [deterministic]. *)
+val chaos_check : deterministic:bool -> Systems.chaos_run list -> string list
+
 (** The CI variant: 2 fixed schedules (1-shard and 4-shard) at 64
     client processes over a shorter window — the BENCH_pr5_smoke.json
     artifact. Same failure conditions as {!chaos}. *)
@@ -194,7 +207,7 @@ val chaos_smoke : ?json_path:string -> unit -> unit
 
     Delegates to {!Engine_bench.run}: three seeded mixes (timer-heavy,
     mailbox-heavy, net-fault-heavy) of ~[events] engine events each,
-    timed with bechamel and replay-gated. With [json_path] writes the
+    timed with bechamel and gated by {!Engine_bench.check}. With [json_path] writes the
     BENCH_pr6.json artifact. *)
 val engine :
   ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit
@@ -204,8 +217,9 @@ val engine :
     Delegates to {!Sessions_bench.run}: lease vs per-znode-watch
     coherence over mdtest-stat and readdir-storm read sweeps with a
     mid-sweep writer, observer read scaling, and the server-state
-    accounting (watch tables vs lease tables). With [json_path] writes
-    the BENCH_pr7.json artifact. *)
+    accounting (watch tables vs lease tables), gated by
+    {!Sessions_bench.check}. With [json_path] writes the BENCH_pr7.json
+    artifact. *)
 val sessions : ?json_path:string -> unit -> unit
 
 (** The CI variant: 1k sessions, both coherence modes — the
@@ -218,12 +232,17 @@ val sessions_smoke : ?json_path:string -> unit -> unit
     2->4 split fired at the file-create barrier, and (at the smallest
     process count) a 4->2 merge — all through
     {!Systems.mdtest_reshard}, with the linearizability oracle on a
-    slice of the client sessions. Fails if any run reports client
-    errors, an inexact logical census, oracle violations, or a
-    migration that is not a proper bounded-load remainder. With
+    slice of the client sessions, gated by {!reshard_check}. With
     [json_path] writes the BENCH_pr8.json artifact. *)
 val reshard :
   ?procs_list:int list -> ?max_batch:int -> ?json_path:string -> unit -> unit
+
+(** The reshard gate, per [((shards, to_shards, procs), run)]: no client
+    or controller errors, an exact logical census, a non-empty
+    linearizable history; for a split or merge, a non-empty migration
+    window moving some but at most 90% of the keys, and a file-create
+    p99 at most 12x the no-split baseline's at the same [procs]. *)
+val reshard_check : ((int * int * int) * Systems.reshard_run) list -> string list
 
 (** The CI variant: 64 processes only — the BENCH_pr8_smoke.json
     artifact. Same failure conditions as {!reshard}. *)
@@ -243,11 +262,8 @@ val reshard_smoke : ?json_path:string -> unit -> unit
     schedule, and a [pipeline-summary] point carrying the
     queue-wait + ack improvement of the pipelined configuration over
     the window = 1 baseline at the largest scale.
-    @raise Failure if any phase is non-finite or negative, any op's
-    phase sum diverges more than 5% from its measured mean latency, the
-    improvement falls short of [min_improvement] percent (default 30),
-    any chaos schedule reports a violation or fails to recover, or the
-    re-run schedule's digest differs. *)
+    @raise Failure (through {!Mdtest.Report.gate}) if {!pipeline_check}
+    reports any failure. *)
 val pipeline :
   ?procs_list:int list ->
   ?chaos_runs:(int * int64) list ->
@@ -255,6 +271,19 @@ val pipeline :
   ?json_path:string ->
   unit ->
   unit
+
+(** The pipeline gate over the [((variant, procs), run)] profiles and
+    the chaos sweep: every run's breakdown passes {!profile_check}'s
+    tiling test and has traced creates, the pipelined create
+    queue-wait + ack at the largest scale beats the window = 1 baseline
+    by at least [min_improvement] percent (default 30), and the sweep
+    passes {!chaos_check}. *)
+val pipeline_check :
+  min_improvement:float ->
+  deterministic:bool ->
+  ((string * int) * Systems.profile_run) list ->
+  Systems.chaos_run list ->
+  string list
 
 (** The CI variant: 64 processes, 2 chaos schedules, 10% improvement
     floor — the BENCH_pr9_smoke.json artifact. *)
@@ -271,11 +300,8 @@ val pipeline_smoke : ?json_path:string -> unit -> unit
     schedule (WAL/snapshot/recovery counters in [phases], dotted
     [wal.*]/[snap.*]/[recovery.*]/[transfer.*] keys) plus a
     [durability-summary] point.
-    @raise Failure if any schedule fails to recover, recovered replicas
-    disagree, any linearizability or durability-oracle violation is
-    found, the torn/bit-rot schedules truncate nothing, leader
-    diff-syncs ship at least as many transactions as local WAL replay
-    recovered, or the re-run digest differs. *)
+    @raise Failure (through {!Mdtest.Report.gate}) if
+    {!durability_check} reports any failure. *)
 val durability :
   ?seeds:int64 list ->
   ?procs:int ->
@@ -286,6 +312,14 @@ val durability :
   ?json_path:string ->
   unit ->
   unit
+
+(** The durability gate: every schedule recovers with agreeing
+    replicas, audits at least one register and finds no linearizability
+    or durability-oracle violation; the torn/bit-rot schedules truncate
+    something; leader diff-syncs ship fewer transactions than local WAL
+    replay recovered; and the re-run was [deterministic]. *)
+val durability_check :
+  deterministic:bool -> Systems.durability_run list -> string list
 
 (** The CI variant: 4 schedules (power-failure, torn-tail, WAL bit-rot,
     snapshot-rot) at 16 processes — the BENCH_pr10_smoke.json artifact.

@@ -31,6 +31,7 @@ let coherence_name = function Watches -> "watches" | Leases -> "leases"
    every case so the accounting gate can pin the exact count. *)
 let n_dirs = 512
 let n_files = 16
+let expected_znodes = 1 + n_dirs + (n_dirs * n_files)
 
 (* Client-side CPU per cache-served op: without it a warm pass takes
    zero virtual time and "ops/sec" is a division by zero. 1 us is the
@@ -273,6 +274,33 @@ let print_case (r : case_result) =
     r.readdir.cold_s r.readdir.warm_s r.watch_table_total r.lease_entries_total
     r.violations
 
+(* The gate: an exact znode census, a non-empty clean history, and the
+   server-state claim itself — lease mode holds one lease per session
+   (one working directory each) and no watches, while the watch baseline
+   really carries per-znode watches (else the comparison is vacuous). *)
+let check (r : case_result) =
+  let ctx = Printf.sprintf "%s/%d sessions" (coherence_name r.mode) r.sessions in
+  List.concat
+    [ Report.expect (r.znodes = expected_znodes) "%s: %d znodes, expected %d"
+        ctx r.znodes expected_znodes;
+      Report.expect (r.violations = 0) "%s: %d history violations" ctx
+        r.violations;
+      Report.expect (r.history_checked > 0)
+        "%s: empty history, the checker saw nothing" ctx;
+      (match r.mode with
+       | Leases ->
+         Report.expect (r.watch_table_total = 0)
+           "%s: lease mode armed %d watches" ctx r.watch_table_total
+         @ Report.expect (r.lease_entries_total = r.sessions)
+             "%s: %d lease entries, expected one per session (%d)" ctx
+             r.lease_entries_total r.sessions
+       | Watches ->
+         Report.expect (r.watch_table_total >= r.sessions)
+           "%s: watch mode armed only %d watches for %d sessions" ctx
+           r.watch_table_total r.sessions
+         @ Report.expect (r.lease_entries_total = 0)
+             "%s: watch mode granted %d leases" ctx r.lease_entries_total) ]
+
 let default_cases =
   (* lease coherence scaling with session count (observers fixed) ... *)
   [ (1_000, 2, Leases);
@@ -305,6 +333,7 @@ let run ?(cases = default_cases) ?json_path () =
    | Some path ->
      Report.emit_json ~path (List.concat_map points_of results);
      Printf.printf "  wrote %s\n%!" path);
+  Report.gate ~experiment:"sessions" (List.concat_map check results);
   results
 
 let smoke ?json_path () = ignore (run ~cases:smoke_cases ?json_path ())

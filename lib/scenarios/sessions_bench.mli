@@ -43,9 +43,19 @@ val run_case :
   sessions:int -> observers:int -> mode:coherence -> seed:int64 -> unit ->
   case_result
 
+(** The znodes every case's namespace holds: root, dirs, files. *)
+val expected_znodes : int
+
+(** One case's gate failures (empty = pass): exact znode census, zero
+    history violations over a non-empty history, lease mode holding one
+    lease per session and no watches, watch mode holding at least one
+    watch per session and no leases. *)
+val check : case_result -> string list
+
 (** [run ?cases ?json_path ()] — each case is
     [(sessions, observers, coherence)]; two {!Mdtest.Report.bench_point}s
-    (stat, readdir) per case land in [json_path]. *)
+    (stat, readdir) per case land in [json_path]. Fails through
+    {!Mdtest.Report.gate} when any case fails {!check}. *)
 val run :
   ?cases:(int * int * coherence) list -> ?json_path:string -> unit ->
   case_result list

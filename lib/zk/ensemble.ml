@@ -19,7 +19,6 @@ type config = {
   request_timeout : float;
   load_factor : float;
   max_batch : int;
-  batch_delay : float;
   seed : int64;
   retry_backoff : float;
   retry_backoff_cap : float;
@@ -48,7 +47,6 @@ let default_config ~servers =
     request_timeout = 2.0;
     load_factor = 1.0;
     max_batch = 1;
-    batch_delay = 0.;
     seed = 1L;
     retry_backoff = 0.;
     retry_backoff_cap = 1.;
@@ -686,12 +684,12 @@ let is_batchable = function
   | Write _ | Close_session _ -> true
   | _ -> false
 
-let drain_batch ?(wait = true) t (s : server) first =
+let drain_batch t (s : server) first =
   let rec drain acc n =
-    if n >= t.cfg.max_batch then (acc, n)
+    if n >= t.cfg.max_batch then acc
     else
       match Mailbox.take_head_if s.inbox is_batchable with
-      | None -> (acc, n)
+      | None -> acc
       | Some (Write { txn; rid; origin; reply; span }) ->
         drain ((txn, rid, origin, reply, span, None) :: acc) (n + 1)
       | Some (Close_session { owner; rid; origin; reply; span }) ->
@@ -699,22 +697,9 @@ let drain_batch ?(wait = true) t (s : server) first =
           ((build_session_cleanup s owner, rid, origin, reply, span, Some owner)
            :: acc)
           (n + 1)
-      | Some _ -> (acc, n)
+      | Some _ -> acc
   in
-  let acc, n = drain [ first ] 1 in
-  let acc, _ =
-    if wait && n < t.cfg.max_batch && t.cfg.batch_delay > 0. then begin
-      (* wait a beat for stragglers to fill the batch. The pipelined
-         leader never waits here ([wait = false]): sleeping would stall
-         the main loop that the pipeline exists to keep draining, and
-         under backlog the coalescing queue already gathers stragglers
-         for exactly as long as the window is busy. *)
-      Process.sleep t.cfg.batch_delay;
-      drain acc n
-    end
-    else (acc, n)
-  in
-  List.rev acc
+  List.rev (drain [ first ] 1)
 
 (* The exactly-once gate. A request id the leader has already applied is
    answered from the dedup table (no new zxid, nothing re-applied); one
@@ -1202,11 +1187,9 @@ let handle t (s : server) msg =
   | Write { txn; rid; origin; reply; span } ->
     if s.role = Leader then begin
       if failing_fast t s then refuse_fast t s ~origin ~reply
-      else if pipelined t then
-        leader_enqueue_batch t s
-          (drain_batch ~wait:false t s (txn, rid, origin, reply, span, None))
       else
-        leader_handle_batch t s (drain_batch t s (txn, rid, origin, reply, span, None))
+        (if pipelined t then leader_enqueue_batch else leader_handle_batch)
+          t s (drain_batch t s (txn, rid, origin, reply, span, None))
     end
     else begin
       Process.sleep (svc t t.cfg.rpc_cpu);
@@ -1217,12 +1200,8 @@ let handle t (s : server) msg =
       if failing_fast t s then refuse_fast t s ~origin ~reply
       else
         let txn = build_session_cleanup s owner in
-        if pipelined t then
-          leader_enqueue_batch t s
-            (drain_batch ~wait:false t s (txn, rid, origin, reply, span, Some owner))
-        else
-          leader_handle_batch t s
-            (drain_batch t s (txn, rid, origin, reply, span, Some owner))
+        (if pipelined t then leader_enqueue_batch else leader_handle_batch)
+          t s (drain_batch t s (txn, rid, origin, reply, span, Some owner))
     end
     else begin
       Process.sleep (svc t t.cfg.rpc_cpu);
@@ -1454,7 +1433,6 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
   if cfg.max_batch < 1 then invalid_arg "Ensemble.start: max_batch < 1";
   if cfg.max_inflight_batches < 1 then
     invalid_arg "Ensemble.start: max_inflight_batches < 1";
-  if cfg.batch_delay < 0. then invalid_arg "Ensemble.start: batch_delay < 0";
   if cfg.retry_backoff < 0. then invalid_arg "Ensemble.start: retry_backoff < 0";
   if cfg.session_timeout <= 0. then
     invalid_arg "Ensemble.start: session_timeout <= 0";

@@ -50,9 +50,6 @@ type config = {
           the follower fan-out once for the whole batch, while every txn
           keeps its own zxid, result and reply. [1] (the default) is the
           classic one-txn-per-round ZAB pipeline. *)
-  batch_delay : float;
-      (** seconds the leader waits for stragglers when a drained batch is
-          still short of [max_batch]; [0.] (the default) never waits. *)
   seed : int64;
       (** seeds the ensemble's network and the per-session retry-jitter
           streams; identical seeds reproduce identical schedules *)
@@ -95,8 +92,8 @@ type config = {
           lands), piggybacks the commit frontier on later proposals and
           replies instead of separate Commit rounds while the pipeline
           is busy, and coalesces queued writes into open batches (up to
-          [max_batch]) for exactly as long as the window is full —
-          [batch_delay] is never slept. Commits still apply strictly in
+          [max_batch]) for exactly as long as the window is full.
+          Commits still apply strictly in
           zxid order. [1] (the default) is the classic stop-and-wait
           leader, bit-for-bit: no proposer process is spawned and every
           event fires exactly as without the pipeline. *)

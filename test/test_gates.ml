@@ -1,0 +1,230 @@
+(* The experiment gates: each experiment's checks are a pure function
+   from its results to failure messages, and Report.gate fails the run once,
+   naming every failure. Every test feeds a passing result (which must
+   yield no failure) and a doctored copy (whose failure must be named). *)
+
+module Report = Mdtest.Report
+module Runner = Mdtest.Runner
+module Systems = Scenarios.Systems
+module Figures = Scenarios.Figures
+module Sessions_bench = Scenarios.Sessions_bench
+
+let contains ~needle s =
+  let n = String.length needle and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
+let passes label failures =
+  Alcotest.(check (list string)) (label ^ ": the passing result passes") []
+    failures
+
+let names label ~needle failures =
+  if not (List.exists (contains ~needle) failures) then
+    Alcotest.failf "%s: no failure names %S in [%s]" label needle
+      (String.concat "; " failures)
+
+(* {2 Report.gate} *)
+
+let test_gate_reports_every_failure () =
+  Report.gate ~experiment:"clean" [];
+  let failures =
+    List.concat
+      [ Report.expect true "never shown";
+        Report.expect false "first check %d" 1;
+        Report.expect false "second check %s" "two" ]
+  in
+  Alcotest.(check (list string)) "expect keeps only the failed checks"
+    [ "first check 1"; "second check two" ] failures;
+  match Report.gate ~experiment:"demo" failures with
+  | () -> Alcotest.fail "gate passed a failing run"
+  | exception Failure msg ->
+    names "gate message" ~needle:"demo" [ msg ];
+    names "gate message" ~needle:"first check 1" [ msg ];
+    names "gate message" ~needle:"second check two" [ msg ]
+
+(* {2 Sessions} *)
+
+let case mode =
+  let leases = mode = Sessions_bench.Leases in
+  { Sessions_bench.sessions = 1_000;
+    observers = 2;
+    mode;
+    stat = { Sessions_bench.cold_s = 1.; warm_s = 0.01 };
+    readdir = { Sessions_bench.cold_s = 0.5; warm_s = 0.01 };
+    stat_reads = 16_000;
+    readdir_reads = 1_000;
+    hits = 16_000;
+    misses = 17_000;
+    invalidations = 64;
+    watch_releases = 0;
+    watch_table_total = (if leases then 0 else 16_999);
+    lease_entries_total = (if leases then 1_000 else 0);
+    leases_granted = (if leases then 1_000 else 0);
+    leases_renewed = 0;
+    leases_revoked = 0;
+    observer_reads = 11_000;
+    voter_reads = 6_000;
+    znodes = Sessions_bench.expected_znodes;
+    history_checked = 9_856;
+    violations = 0 }
+
+let test_sessions_watch_mode_holding_leases () =
+  let r = case Sessions_bench.Watches in
+  passes "watch mode" (Sessions_bench.check r);
+  names "watch mode with leases" ~needle:"watch mode granted 3 leases"
+    (Sessions_bench.check { r with lease_entries_total = 3 })
+
+let test_sessions_lease_mode_holding_watches () =
+  let r = case Sessions_bench.Leases in
+  passes "lease mode" (Sessions_bench.check r);
+  names "lease mode with watches" ~needle:"lease mode armed 7 watches"
+    (Sessions_bench.check { r with watch_table_total = 7 })
+
+let test_sessions_wrong_census () =
+  let r = case Sessions_bench.Leases in
+  names "census one short" ~needle:"znodes, expected"
+    (Sessions_bench.check { r with znodes = Sessions_bench.expected_znodes - 1 })
+
+let test_sessions_empty_history () =
+  let r = case Sessions_bench.Watches in
+  names "no checked ops" ~needle:"empty history"
+    (Sessions_bench.check { r with history_checked = 0 })
+
+(* {2 Reshard} *)
+
+let results ~p99 =
+  let l =
+    { Runner.samples = 3_840; mean = p99 /. 4.; p50 = p99 /. 4.;
+      p95 = p99 /. 2.; p99; max = p99 }
+  in
+  { Runner.rates = [ (Runner.File_create, 20_000.) ];
+    latencies = [ (Runner.File_create, l) ];
+    errors = 0;
+    wall = 1. }
+
+let reshard_run ?stats ~p99 ~window () =
+  { Systems.results = results ~p99;
+    router = Zk.Shard_router.local ~shards:2 ();
+    reshard = stats;
+    reshard_window = window;
+    history_recorded = 4_548;
+    history_checked = 4_548;
+    violations = [];
+    per_shard_znodes = [| 2_002; 2_014 |];
+    live_stubs_at_stat = 63;
+    logical_znodes_at_stat = 3_951;
+    expected_logical_znodes = 3_951 }
+
+let split_stats () =
+  let st = Zk.Reshard.fresh_stats () in
+  st.Zk.Reshard.shards_before <- 2;
+  st.Zk.Reshard.shards_after <- 4;
+  st.Zk.Reshard.keys_total <- 3_952;
+  st.Zk.Reshard.keys_migrated <- 2_727;
+  st
+
+(* The no-split baseline and a live 2->4 split at the same scale. *)
+let reshard_pair ?(split_p99 = 0.030) ?(window = 5.87) () =
+  [ ((2, 2, 64), reshard_run ~p99:0.005 ~window:0. ());
+    ( (2, 4, 64),
+      reshard_run ~stats:(split_stats ()) ~p99:split_p99 ~window () ) ]
+
+let test_reshard_p99_above_baseline () =
+  passes "split p99 6x baseline" (Figures.reshard_check (reshard_pair ()));
+  names "split p99 13x baseline" ~needle:"file-create p99"
+    (Figures.reshard_check (reshard_pair ~split_p99:0.065 ()))
+
+let test_reshard_empty_window () =
+  names "zero-length migration" ~needle:"empty migration window"
+    (Figures.reshard_check (reshard_pair ~window:0. ()))
+
+(* {2 Chaos} *)
+
+let chaos_run =
+  { Systems.seed = 11L;
+    shards = 1;
+    recorded = 2_000;
+    checked = 1_945;
+    undetermined_ops = 3;
+    violations = [];
+    digest = "d";
+    recovery_s = 0.6;
+    faults_fired = 8;
+    ops_ok = 1_997;
+    ops_err = 3;
+    dedup_hits = 2;
+    dedup_evictions = 0;
+    sessions_expired = 0;
+    writes_failed_fast = 0;
+    stale_reads_served = 0;
+    writes_committed = 900 }
+
+let test_chaos_zero_ops_checked () =
+  passes "chaos" (Figures.chaos_check ~deterministic:true [ chaos_run ]);
+  names "nothing checked" ~needle:"empty history"
+    (Figures.chaos_check ~deterministic:true [ { chaos_run with checked = 0 } ])
+
+(* {2 Durability} *)
+
+let durability_run =
+  { Systems.d_seed = 2L;
+    d_label = "torn-tail";
+    d_results = results ~p99:0.01;
+    d_mdtest_errors = 0;
+    d_recorded = 240;
+    d_checked = 240;
+    d_undetermined = 0;
+    d_audited = 8;
+    d_violations = [];
+    d_durability_violations = [];
+    d_digest = "d";
+    d_recovered = true;
+    d_trees_agree = true;
+    d_faults_fired = 7;
+    d_reg_ok = 240;
+    d_reg_err = 0;
+    d_wal_appended = 5_000;
+    d_wal_replayed = 4_000;
+    d_wal_truncated = 12;
+    d_wal_tail_dropped = 1;
+    d_snap_loads = 5;
+    d_snap_fallbacks = 0;
+    d_recoveries = 5;
+    d_recovery_time_total = 0.05;
+    d_recovery_time_max = 0.02;
+    d_wal_tail_commits = 0;
+    d_transfer_diff_txns = 40;
+    d_transfer_snaps = 0 }
+
+let test_durability_zero_registers_audited () =
+  passes "durability"
+    (Figures.durability_check ~deterministic:true [ durability_run ]);
+  names "nothing audited" ~needle:"audited 0 registers"
+    (Figures.durability_check ~deterministic:true
+       [ { durability_run with d_audited = 0 } ])
+
+let () =
+  Alcotest.run "gates"
+    [ ( "report",
+        [ Alcotest.test_case "gate names every failure" `Quick
+            test_gate_reports_every_failure ] );
+      ( "sessions",
+        [ Alcotest.test_case "watch mode holding leases" `Quick
+            test_sessions_watch_mode_holding_leases;
+          Alcotest.test_case "lease mode holding watches" `Quick
+            test_sessions_lease_mode_holding_watches;
+          Alcotest.test_case "wrong znode census" `Quick
+            test_sessions_wrong_census;
+          Alcotest.test_case "empty history" `Quick
+            test_sessions_empty_history ] );
+      ( "reshard",
+        [ Alcotest.test_case "p99 above 12x baseline" `Quick
+            test_reshard_p99_above_baseline;
+          Alcotest.test_case "empty migration window" `Quick
+            test_reshard_empty_window ] );
+      ( "chaos",
+        [ Alcotest.test_case "zero ops checked" `Quick
+            test_chaos_zero_ops_checked ] );
+      ( "durability",
+        [ Alcotest.test_case "zero registers audited" `Quick
+            test_durability_zero_registers_audited ] ) ]

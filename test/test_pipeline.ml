@@ -197,29 +197,6 @@ let test_stop_and_wait_never_piggybacks () =
   check_bool "every commit was a standalone fan-out" true
     (Ensemble.commit_fanouts ensemble > 0)
 
-(* {2 Adaptive group commit: batch_delay is never slept} *)
-
-let test_pipeline_ignores_batch_delay () =
-  let run batch_delay =
-    let engine, ensemble =
-      make ~servers:3
-        ~config_adjust:(fun c ->
-          { (windowed ~window:8 ~max_batch:16 c) with batch_delay })
-        ()
-    in
-    create_storm engine ensemble ~procs:8 ~per:10;
-    check_int "all writes committed" 80 (Ensemble.writes_committed ensemble);
-    Engine.now engine
-  in
-  (* the stop-and-wait leader sleeps batch_delay per straggler batch
-     (this workload takes >100 virtual seconds at window = 1 with a 5 s
-     delay); the pipelined leader coalesces by window backpressure
-     instead, so the knob must have no effect at all on its timeline *)
-  let t0 = run 0. and t5 = run 5.0 in
-  check_bool
-    (Printf.sprintf "batch_delay never slept (%.6f = %.6f)" t0 t5)
-    true (t0 = t5)
-
 (* {2 Repropose repair: all stalled entries, one round}
 
    Regression for the head-only repair. 40 single-entry batches are
@@ -374,9 +351,7 @@ let () =
           Alcotest.test_case "persist overlap visible in spans" `Quick
             test_persist_overlap_visible_in_spans;
           Alcotest.test_case "phase telescoping" `Quick
-            test_phase_telescoping_pipelined;
-          Alcotest.test_case "batch_delay never slept" `Quick
-            test_pipeline_ignores_batch_delay ] );
+            test_phase_telescoping_pipelined ] );
       ( "piggybacking",
         [ Alcotest.test_case "busy pipeline piggybacks commits" `Quick
             test_commit_piggybacking;
