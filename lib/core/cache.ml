@@ -93,21 +93,30 @@ type data_entry =
   | Present of string * Zk.Ztree.stat
   | Absent
 
+(* [fills] reference-counts the fills of the path in flight, so
+   concurrent fills share one counter and each sees every invalidation
+   that lands before it returns. *)
+type fence = {
+  mutable fills : int;
+  mutable gen : int;
+}
+
 type t = {
   inner : Zk_client.handle;
   mode : coherence;
   now : unit -> float;
   data : data_entry store;
   kids : string list store;
-  (* Fill fences (the stale re-fill fix): one counter per path, bumped on
-     EVERY invalidation — including when no entry is cached, because the
-     race window is precisely "watch event consumed while the fill's
-     reply is still in flight", when the table has nothing under the
-     path. A fill snapshots the counter before going to the server and
-     stores only if it is unchanged on return. [epoch] is the global sum,
-     fencing bulk fills whose child set is unknown before the reply. *)
-  data_gen : (string, int) Hashtbl.t;
-  kids_gen : (string, int) Hashtbl.t;
+  (* Fill fences (the stale re-fill fix): the race window is "entry's
+     invalidation consumed while a fill's reply is still in flight", when
+     the store has nothing under the path — so a fence exists exactly
+     while a fill of its path is in flight, and every invalidation of
+     the path bumps it. A fill snapshots the fence's counter before going
+     to the server and stores only if it is unchanged on return.
+     [epoch] counts every invalidation, fencing bulk fills whose child
+     set is unknown before the reply. *)
+  data_fences : (string, fence) Hashtbl.t;
+  kids_fences : (string, fence) Hashtbl.t;
   mutable epoch : int;
   mutable hits : int;
   mutable misses : int;
@@ -127,11 +136,35 @@ let lease_expired_hits t = t.lease_expired_hits
 let size t = Hashtbl.length t.data.table + Hashtbl.length t.kids.table
 let queue_length t = Queue.length t.data.order + Queue.length t.kids.order
 
-let gen_of tbl path = Option.value ~default:0 (Hashtbl.find_opt tbl path)
+let open_fences t = Hashtbl.length t.data_fences + Hashtbl.length t.kids_fences
 
-let bump t tbl path =
-  Hashtbl.replace tbl path (gen_of tbl path + 1);
+(* With no fill in flight — the common case — an invalidation costs a
+   length check. *)
+let bump t fences path =
+  if Hashtbl.length fences > 0 then
+    (match Hashtbl.find_opt fences path with
+     | Some fence -> fence.gen <- fence.gen + 1
+     | None -> ());
   t.epoch <- t.epoch + 1
+
+let open_fence fences path =
+  match Hashtbl.find_opt fences path with
+  | Some fence ->
+    fence.fills <- fence.fills + 1;
+    fence
+  | None ->
+    let fence = { fills = 1; gen = 0 } in
+    Hashtbl.replace fences path fence;
+    fence
+
+(* [true] iff no invalidation of [path] landed since [gen] was read. A
+   fill whose process is abandoned mid-visit never closes its fence; the
+   fence then stays open, which costs one small record and never lets a
+   later fill store anything a closed fence would have refused. *)
+let close_fence fences path fence gen =
+  fence.fills <- fence.fills - 1;
+  if fence.fills = 0 then Hashtbl.remove fences path;
+  fence.gen = gen
 
 let count_release t =
   t.watch_releases <- t.watch_releases + 1;
@@ -146,14 +179,14 @@ let release_kids t path cb =
   count_release t
 
 let invalidate_data t path =
-  bump t t.data_gen path;
+  bump t t.data_fences path;
   if Hashtbl.mem t.data.table path then begin
     t.invalidations <- t.invalidations + 1;
     store_remove t.data path
   end
 
 let invalidate_children t path =
-  bump t t.kids_gen path;
+  bump t t.kids_fences path;
   if Hashtbl.mem t.kids.table path then begin
     t.invalidations <- t.invalidations + 1;
     store_remove t.kids path
@@ -165,6 +198,19 @@ let invalidate_mutation t path =
   invalidate_data t path;
   invalidate_children t path;
   invalidate_children t (Zpath.parent path)
+
+(* A multi touches every op's requested path; a sequential create
+   materializes under a different name, which is invalidated too. *)
+let invalidate_txn t txn result =
+  List.iter (fun op -> invalidate_mutation t (Zk.Txn.op_path op)) txn;
+  match result with
+  | Ok items ->
+    List.iter
+      (function
+        | Zk.Txn.Created actual -> invalidate_mutation t actual
+        | Zk.Txn.Deleted | Zk.Txn.Data_set | Zk.Txn.Checked -> ())
+      items
+  | Error _ -> ()
 
 (* The lease revocation channel: one aggregated callback per session,
    dispatching on the changed path — the bulk replacement for the
@@ -195,24 +241,26 @@ let note_expired t =
 
 (* {2 Fills}
 
-   Each fill snapshots the path's fence before the server visit and
-   stores only if no invalidation arrived while the reply was in flight.
+   Each fill opens the path's fence before the server visit and stores
+   only if no invalidation arrived while the reply was in flight.
    A skipped fill releases the watch it armed (best-effort — if the
    invalidation consumed it server-side, the release finds nothing). *)
 
 let fill_get_watches t path =
   let cb (_ : Zk.Ztree.watch_event) = invalidate_data t path in
-  let fence = gen_of t.data_gen path in
+  let fence = open_fence t.data_fences path in
+  let gen = fence.gen in
   let result = t.inner.Zk_client.get_watch path cb in
+  let fresh = close_fence t.data_fences path fence gen in
   (match result with
    | Ok (data, stat) ->
-     if gen_of t.data_gen path = fence then
+     if fresh then
        store_put t.data path
          { value = Present (data, stat); watch = Some cb; lease_until = infinity }
      else release_data t path cb
    | Error Zerror.ZNONODE ->
      (* negative entry; the armed exists-watch fires on creation *)
-     if gen_of t.data_gen path = fence then
+     if fresh then
        store_put t.data path
          { value = Absent; watch = Some cb; lease_until = infinity }
      else release_data t path cb
@@ -223,14 +271,17 @@ let fill_get_watches t path =
   result
 
 let fill_get_leases t path =
-  let fence = gen_of t.data_gen path in
-  match t.inner.Zk_client.lease_get path with
+  let fence = open_fence t.data_fences path in
+  let gen = fence.gen in
+  let result = t.inner.Zk_client.lease_get path in
+  let fresh = close_fence t.data_fences path fence gen in
+  match result with
   | Ok (value, deadline) ->
     let value = match value with
       | Some (data, stat) -> Present (data, stat)
       | None -> Absent
     in
-    if gen_of t.data_gen path = fence then
+    if fresh then
       store_put t.data path { value; watch = None; lease_until = deadline };
     (match value with
      | Present (data, stat) -> Ok (data, stat)
@@ -254,11 +305,13 @@ let cached_get t path =
 
 let fill_children_watches t path =
   let cb (_ : Zk.Ztree.watch_event) = invalidate_children t path in
-  let fence = gen_of t.kids_gen path in
+  let fence = open_fence t.kids_fences path in
+  let gen = fence.gen in
   let result = t.inner.Zk_client.children_watch path cb in
+  let fresh = close_fence t.kids_fences path fence gen in
   (match result with
    | Ok names ->
-     if gen_of t.kids_gen path = fence then
+     if fresh then
        store_put t.kids path
          { value = names; watch = Some cb; lease_until = infinity }
      else release_kids t path cb
@@ -266,10 +319,13 @@ let fill_children_watches t path =
   result
 
 let fill_children_leases t path =
-  let fence = gen_of t.kids_gen path in
-  match t.inner.Zk_client.lease_children path with
+  let fence = open_fence t.kids_fences path in
+  let gen = fence.gen in
+  let result = t.inner.Zk_client.lease_children path in
+  let fresh = close_fence t.kids_fences path fence gen in
+  match result with
   | Ok (names, deadline) ->
-    if gen_of t.kids_gen path = fence then
+    if fresh then
       store_put t.kids path { value = names; watch = None; lease_until = deadline };
     Ok names
   | Error e -> Error e
@@ -397,8 +453,8 @@ let wrap ?(capacity = 4096) ?(coherence = Watches) ?(now = fun () -> 0.)
       now;
       data = store_create capacity;
       kids = store_create capacity;
-      data_gen = Hashtbl.create 16;
-      kids_gen = Hashtbl.create 16;
+      data_fences = Hashtbl.create 8;
+      kids_fences = Hashtbl.create 8;
       epoch = 0;
       hits = 0;
       misses = 0;
@@ -449,21 +505,12 @@ let wrap ?(capacity = 4096) ?(coherence = Watches) ?(now = fun () -> 0.)
   in
   let multi txn =
     let result = inner.Zk_client.multi txn in
-    List.iter (fun op -> invalidate_mutation t (Zk.Txn.op_path op)) txn;
-    (* sequential creates materialize under a different name *)
-    (match result with
-     | Ok items ->
-       List.iter
-         (function
-           | Zk.Txn.Created actual -> invalidate_mutation t actual
-           | Zk.Txn.Deleted | Zk.Txn.Data_set | Zk.Txn.Checked -> ())
-         items
-     | Error _ -> ());
+    invalidate_txn t txn result;
     result
   in
   let multi_async txn callback =
     inner.Zk_client.multi_async txn (fun result ->
-        List.iter (fun op -> invalidate_mutation t (Zk.Txn.op_path op)) txn;
+        invalidate_txn t txn result;
         callback result)
   in
   let handle =

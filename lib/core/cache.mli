@@ -21,9 +21,10 @@
 
     In both modes the session's own mutations evict affected paths
     immediately (read-your-own-writes), entries are bounded by an LRU of
-    [capacity], and fills are fenced by per-path generation counters so
-    an invalidation that lands while a read reply is in flight can never
-    be buried by the stale fill. Evicted or overwritten entries release
+    [capacity], and each fill is fenced by a counter that lives only
+    while a fill of its path is in flight, so an invalidation that lands
+    while a read reply is in flight can never be buried by the stale
+    fill. Evicted or overwritten entries release
     their server-side watch, keeping the server's watch tables bounded
     by live cache contents rather than by everything ever cached. *)
 
@@ -66,3 +67,7 @@ val size : t -> int
     Bounded at ~2× capacity per store by compaction; exposed so tests can
     assert hit-heavy workloads do not grow it without bound. *)
 val queue_length : t -> int
+
+(** Per-path fill fences currently held: one per path with a fill in
+    flight, so zero between fills however many paths were invalidated. *)
+val open_fences : t -> int

@@ -10,29 +10,41 @@ let compare a b =
 
 let to_hex t = Printf.sprintf "%016Lx%016Lx" t.client_id t.counter
 
-let hex_value c =
+(* Digits are accumulated in native ints, 32 bits at a time, so parsing
+   allocates nothing but the result. *)
+let hex_digit c =
   match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
-let parse_u64 s off =
-  let rec go acc i =
-    if i = 16 then Some acc
-    else
-      match hex_value s.[off + i] with
-      | Some v -> go (Int64.logor (Int64.shift_left acc 4) (Int64.of_int v)) (i + 1)
-      | None -> None
-  in
-  go 0L 0
-
-let of_hex s =
-  if String.length s <> 32 then None
+(* the hex digits of [s] from [i] up to [stop] appended to [acc], or -1
+   on a non-digit; a closure-free loop, so a call allocates nothing *)
+let rec hex_acc s acc i stop =
+  if i = stop then acc
   else
-    match parse_u64 s 0, parse_u64 s 16 with
-    | Some client_id, Some counter -> Some { client_id; counter }
-    | _, _ -> None
+    let d = hex_digit (String.unsafe_get s i) in
+    if d < 0 then -1 else hex_acc s ((acc lsl 4) lor d) (i + 1) stop
+
+let hex_digits s i stop =
+  if i < 0 || stop < i || stop > String.length s || stop - i > 15 then -1
+  else hex_acc s 0 i stop
+
+(* the 8 hex digits at [off] as a 32-bit value, or -1 *)
+let parse_u32 s off = hex_acc s 0 off (off + 8)
+
+let u64 hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
+let of_hex_at s pos =
+  if pos < 0 || String.length s - pos <> 32 then None
+  else
+    let a = parse_u32 s pos and b = parse_u32 s (pos + 8)
+    and c = parse_u32 s (pos + 16) and d = parse_u32 s (pos + 24) in
+    if a < 0 || b < 0 || c < 0 || d < 0 then None
+    else Some { client_id = u64 a b; counter = u64 c d }
+
+let of_hex s = of_hex_at s 0
 
 let to_bytes t =
   let bytes = Bytes.create 16 in

@@ -15,7 +15,17 @@ val compare : t -> t -> int
 (** 32 lowercase hex characters: client id (16) then counter (16). *)
 val to_hex : t -> string
 
+(** Inverse of {!to_hex}; upper-case digits are accepted too. *)
 val of_hex : string -> t option
+
+(** [of_hex_at s pos] — {!of_hex} of the suffix of [s] from [pos], read
+    in place. *)
+val of_hex_at : string -> int -> t option
+
+(** [hex_digits s i stop] — the value of the hex digits [s.[i..stop-1]]
+    (either case; none gives 0), or -1 if one is not a hex digit or
+    there are more than 15 of them. Allocates nothing. *)
+val hex_digits : string -> int -> int -> int
 
 (** 16 bytes, big-endian — the input to the mapping function. *)
 val to_bytes : t -> string

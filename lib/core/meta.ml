@@ -35,29 +35,64 @@ let encode t =
   in
   Printf.sprintf "v1|%s|%o|%Lx|%s" kind_tag t.mode (Int64.bits_of_float t.ctime) payload
 
+(* the index of the first '|' at or after [i], or -1 *)
+let next_bar s i = try String.index_from s i '|' with Not_found -> -1
+
+(* whether [s] holds 1 to 21 octal digits from [i] up to [stop]: 21 is
+   the 63 bits [encode] writes for a negative mode *)
+let rec octal_digits s i stop =
+  i = stop
+  || (match String.unsafe_get s i with
+      | '0' .. '7' -> octal_digits s (i + 1) stop
+      | _ -> false)
+
+let is_octal s i stop = stop > i && stop - i <= 21 && octal_digits s i stop
+
+(* the value of those digits, wrapping as [int_of_string "0o..."] does *)
+let rec octal s acc i stop =
+  if i = stop then acc
+  else
+    let d = Char.code (String.unsafe_get s i) - Char.code '0' in
+    octal s ((acc lsl 3) lor d) (i + 1) stop
+
+let field_error what s = Error (Printf.sprintf "Meta.decode: bad %s in %S" what s)
+
+(* Parses what [encode] writes, in place: the fields are found by index,
+   the numbers accumulate in native ints (the ctime bits in two 32-bit
+   halves) and nothing is copied out but a symlink target. Hex digits
+   may be of either case; any other shape (underscores or signs in a
+   number, more than 16 ctime digits, no payload field) is an error. *)
 let decode s =
-  let field_error what = Error (Printf.sprintf "Meta.decode: bad %s in %S" what s) in
-  match String.split_on_char '|' s with
-  | "v1" :: kind_tag :: mode_s :: ctime_s :: rest ->
-    let payload = String.concat "|" rest in
-    let mode = int_of_string_opt ("0o" ^ mode_s) in
-    let ctime =
-      match Int64.of_string_opt ("0x" ^ ctime_s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None
-    in
-    (match mode, ctime with
-     | Some mode, Some ctime ->
-       (match kind_tag with
-        | "d" -> Ok { kind = Dir; mode; ctime }
-        | "f" ->
-          (match Fid.of_hex payload with
-           | Some fid -> Ok { kind = File fid; mode; ctime }
-           | None -> field_error "fid")
-        | "l" -> Ok { kind = Symlink payload; mode; ctime }
-        | _ -> field_error "kind")
-     | _, _ -> field_error "numeric field")
-  | _ -> field_error "layout"
+  let n = String.length s in
+  let kind_end =
+    if n >= 3 && s.[0] = 'v' && s.[1] = '1' && s.[2] = '|' then next_bar s 3 else -1
+  in
+  let mode_end = if kind_end < 0 then -1 else next_bar s (kind_end + 1) in
+  let ctime_end = if mode_end < 0 then -1 else next_bar s (mode_end + 1) in
+  if ctime_end < 0 then field_error "layout" s
+  else
+    let mode_ok = is_octal s (kind_end + 1) mode_end in
+    let ctime_start = mode_end + 1 in
+    let lo_start = Int.max ctime_start (ctime_end - 8) in
+    let hi = Fid.hex_digits s ctime_start lo_start
+    and lo = Fid.hex_digits s lo_start ctime_end in
+    if (not mode_ok) || ctime_end = ctime_start || ctime_end - ctime_start > 16
+       || hi < 0 || lo < 0
+    then field_error "numeric field" s
+    else
+      let ctime =
+        Int64.float_of_bits
+          (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      in
+      let mode = octal s 0 (kind_end + 1) mode_end and payload = ctime_end + 1 in
+      match if kind_end = 4 then s.[3] else '?' with
+      | 'd' -> Ok { kind = Dir; mode; ctime }
+      | 'f' ->
+        (match Fid.of_hex_at s payload with
+         | Some fid -> Ok { kind = File fid; mode; ctime }
+         | None -> field_error "fid" s)
+      | 'l' -> Ok { kind = Symlink (String.sub s payload (n - payload)); mode; ctime }
+      | _ -> field_error "kind" s
 
 let pp fmt t =
   match t.kind with

@@ -1,6 +1,6 @@
 type node = {
   mutable data : string;
-  children : (string, unit) Hashtbl.t;
+  mutable children : (string, node) Hashtbl.t;
   mutable version : int;
   mutable cversion : int;
   mutable seq_counter : int;
@@ -49,9 +49,19 @@ type t = {
    Memory_model is applied. *)
 let znode_overhead_bytes = 192
 
+(* Child sets map name -> node, so listings read children directly. A
+   leaf — most znodes, on every replica — holds this shared empty set,
+   which is never written: [add_child] gives a node its own table when
+   its first child arrives. *)
+let no_children : (string, node) Hashtbl.t = Hashtbl.create 1
+
+let add_child parent name child =
+  if parent.children == no_children then parent.children <- Hashtbl.create 2;
+  Hashtbl.replace parent.children name child
+
 let make_node ~zxid ~time ~data ~ephemeral_owner =
   { data;
-    children = Hashtbl.create 2;
+    children = no_children;
     version = 0;
     cversion = 0;
     seq_counter = 0;
@@ -101,21 +111,18 @@ let children t path =
   match Hashtbl.find_opt t.nodes path with
   | None -> Error Zerror.ZNONODE
   | Some n ->
-    let names = Hashtbl.fold (fun name () acc -> name :: acc) n.children [] in
+    let names = Hashtbl.fold (fun name _ acc -> name :: acc) n.children [] in
     Ok (List.sort String.compare names)
 
 let children_with_data t path =
   match Hashtbl.find_opt t.nodes path with
   | None -> Error Zerror.ZNONODE
   | Some n ->
-    let names = Hashtbl.fold (fun name () acc -> name :: acc) n.children [] in
+    let kids = Hashtbl.fold (fun name child acc -> (name, child) :: acc) n.children [] in
     Ok
-      (List.filter_map
-         (fun name ->
-           match Hashtbl.find_opt t.nodes (Zpath.concat path name) with
-           | Some child -> Some (name, child.data, stat_of_node child)
-           | None -> None)
-         (List.sort String.compare names))
+      (List.map
+         (fun (name, child) -> (name, child.data, stat_of_node child))
+         (List.sort (fun (a, _) (b, _) -> String.compare a b) kids))
 
 (* {2 Watches} *)
 
@@ -320,9 +327,10 @@ let apply_create t ~zxid ~time ~undo ~events
           let node = make_node ~zxid ~time ~data ~ephemeral_owner in
           let saved_cversion = parent.cversion
           and saved_pzxid = parent.pzxid
-          and saved_seq = parent.seq_counter in
+          and saved_seq = parent.seq_counter
+          and saved_children = parent.children in
           Hashtbl.replace t.nodes actual_path node;
-          Hashtbl.replace parent.children name ();
+          add_child parent name node;
           parent.cversion <- parent.cversion + 1;
           parent.seq_counter <- parent.seq_counter + 1;
           parent.pzxid <- zxid;
@@ -336,6 +344,7 @@ let apply_create t ~zxid ~time ~undo ~events
                  forget_ephemeral t ~owner:ephemeral_owner actual_path;
                  Hashtbl.remove t.nodes actual_path;
                  Hashtbl.remove parent.children name;
+                 parent.children <- saved_children;
                  parent.cversion <- saved_cversion;
                  parent.pzxid <- saved_pzxid;
                  parent.seq_counter <- saved_seq)
@@ -376,7 +385,7 @@ let apply_delete t ~zxid ~time:_ ~undo ~events ~path ~expected_version =
                t.bytes <- t.bytes + node_bytes path node;
                record_ephemeral t ~owner:node.ephemeral_owner path;
                Hashtbl.replace t.nodes path node;
-               Hashtbl.replace parent.children name ();
+               add_child parent name node;
                parent.cversion <- saved_cversion;
                parent.pzxid <- saved_pzxid)
              :: !undo);
@@ -613,7 +622,7 @@ let deserialize s =
         in
         let node =
           { data;
-            children = Hashtbl.create 2;
+            children = no_children;
             version = int_field "version" v;
             cversion = int_field "cversion" cv;
             seq_counter = int_field "seq" sq;
@@ -636,10 +645,10 @@ let deserialize s =
     t.bytes <- t.bytes - (znode_overhead_bytes + 1);
     (* rebuild children sets from paths *)
     Hashtbl.iter
-      (fun path _node ->
+      (fun path node ->
         if path <> "/" then begin
           match Hashtbl.find_opt t.nodes (Zpath.parent path) with
-          | Some parent -> Hashtbl.replace parent.children (Zpath.basename path) ()
+          | Some parent -> add_child parent (Zpath.basename path) node
           | None -> fail ("dangling node " ^ path)
         end)
       t.nodes;

@@ -92,6 +92,184 @@ let test_stale_bulk_refill_race_fenced () =
   check_int "next listing sees the concurrent create" 2
     (List.length (zk_ok "re-list" (cached.Zk_client.children_with_data "/d")))
 
+(* {2 Lease-mode fill races}
+
+   The same wire-staged race as above, on the lease path: the server
+   answers and grants the lease, then a concurrent write commits —
+   revoking through the session's aggregated channel — before the reply
+   reaches the cache. Each racing fill may return what the server read
+   but must not store it. *)
+
+(* A lease cache over a session whose read is wrapped by [install]: the
+   wrapper calls [after_read p] between the server's answer for [p] and
+   the reply's return, and the first time [p = path], [write] commits
+   from another session. *)
+let lease_cache_racing ~install ~path ~write =
+  let service = Zk_local.create () in
+  let writer = Zk_local.session service in
+  let raw = Zk_local.session service in
+  ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
+  ignore (zk_ok "seed" (writer.Zk_client.create "/d/a" ~data:"v1"));
+  let raced = ref false in
+  let after_read p =
+    if (not !raced) && p = path then begin
+      raced := true;
+      write writer
+    end
+  in
+  let cache = Cache.wrap ~coherence:Cache.Leases (install raw after_read) in
+  (cache, Cache.handle cache)
+
+let test_lease_get_race_fenced () =
+  let _, cached =
+    lease_cache_racing ~path:"/d/a"
+      ~write:(fun w -> ignore (zk_ok "racing set" (w.Zk_client.set "/d/a" ~data:"v2")))
+      ~install:(fun raw after_read ->
+        { raw with
+          Zk_client.lease_get =
+            (fun p ->
+              let result = raw.Zk_client.lease_get p in
+              after_read p;
+              result) })
+  in
+  check_string "racing fill returns what the server read" "v1"
+    (get_data "racing fill" cached "/d/a");
+  check_string "next read sees the concurrent write" "v2"
+    (get_data "re-read" cached "/d/a");
+  check_string "and the fresh fill is cached normally" "v2"
+    (get_data "cached" cached "/d/a")
+
+let test_lease_children_race_fenced () =
+  let cache, cached =
+    lease_cache_racing ~path:"/d"
+      ~write:(fun w -> ignore (zk_ok "racing create" (w.Zk_client.create "/d/b" ~data:"")))
+      ~install:(fun raw after_read ->
+        { raw with
+          Zk_client.lease_children =
+            (fun p ->
+              let result = raw.Zk_client.lease_children p in
+              after_read p;
+              result) })
+  in
+  check_int "racing listing returns what the server read" 1
+    (List.length (zk_ok "racing fill" (cached.Zk_client.children "/d")));
+  let misses = Cache.misses cache in
+  check_int "next listing sees the concurrent create" 2
+    (List.length (zk_ok "re-list" (cached.Zk_client.children "/d")));
+  check_int "because the racing fill stored nothing" (misses + 1) (Cache.misses cache)
+
+let test_lease_bulk_race_fenced () =
+  let cache, cached =
+    lease_cache_racing ~path:"/d"
+      ~write:(fun w -> ignore (zk_ok "racing create" (w.Zk_client.create "/d/b" ~data:"")))
+      ~install:(fun raw after_read ->
+        { raw with
+          Zk_client.lease_children_with_data =
+            (fun p ->
+              let result = raw.Zk_client.lease_children_with_data p in
+              after_read p;
+              result) })
+  in
+  check_int "racing listing returns what the server read" 1
+    (List.length (zk_ok "racing fill" (cached.Zk_client.children_with_data "/d")));
+  check_int "nothing was warmed" 0 (Cache.size cache);
+  check_int "next listing sees the concurrent create" 2
+    (List.length (zk_ok "re-list" (cached.Zk_client.children_with_data "/d")))
+
+(* Two fills of one path in flight at once (the second issued while the
+   first's reply is still on the wire) share one reference-counted
+   fence. [write_while_both] picks when the write lands: while both are
+   in flight, or after the inner fill has returned but before the outer
+   one has. Either way the outer fill must not store the old value. *)
+let nested_lease_fills ~write_while_both =
+  let service = Zk_local.create () in
+  let writer = Zk_local.session service in
+  let raw = Zk_local.session service in
+  ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
+  ignore (zk_ok "seed" (writer.Zk_client.create "/d/a" ~data:"v1"));
+  let write () = ignore (zk_ok "racing set" (writer.Zk_client.set "/d/a" ~data:"v2")) in
+  let depth = ref 0 and inner = ref None and fences_seen = ref [] in
+  let cache_ref = ref None in
+  let coord =
+    { raw with
+      Zk_client.lease_get =
+        (fun p ->
+          incr depth;
+          let result = raw.Zk_client.lease_get p in
+          let cache = Option.get !cache_ref in
+          fences_seen := Cache.open_fences cache :: !fences_seen;
+          (match !depth with
+           | 1 ->
+             (* the outer fill's reply is in flight: a second fill starts *)
+             inner := Some (get_data "inner fill" (Cache.handle cache) p);
+             if not write_while_both then write ()
+           | _ -> if write_while_both then write ());
+          decr depth;
+          result) }
+  in
+  let cache = Cache.wrap ~coherence:Cache.Leases coord in
+  cache_ref := Some cache;
+  let cached = Cache.handle cache in
+  check_string "outer fill returns what the server read" "v1"
+    (get_data "outer fill" cached "/d/a");
+  check_string "inner fill too" "v1" (Option.get !inner);
+  Alcotest.(check (list int)) "both fills share one fence" [ 1; 1 ] !fences_seen;
+  check_int "no fence outlives its fills" 0 (Cache.open_fences cache);
+  check_string "neither stale fill was kept" "v2" (get_data "re-read" cached "/d/a")
+
+let test_nested_fills_write_while_both () = nested_lease_fills ~write_while_both:true
+let test_nested_fills_write_after_inner () = nested_lease_fills ~write_while_both:false
+
+(* Fences exist only while a fill is in flight: thousands of foreign
+   creates and unlinks under a leased directory — each revoking this
+   cache — leave none behind. *)
+let test_fence_state_bounded () =
+  let service = Zk_local.create () in
+  let writer = Zk_local.session service in
+  ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
+  ignore (zk_ok "seed" (writer.Zk_client.create "/d/a" ~data:""));
+  let cache = Cache.wrap ~coherence:Cache.Leases (Zk_local.session service) in
+  let cached = Cache.handle cache in
+  let revoked_before = Zk.Lease.revoked (Zk_local.leases service) in
+  for i = 0 to 1999 do
+    (* keep both the listing and an entry leased, so every write revokes *)
+    ignore (zk_ok "list" (cached.Zk_client.children "/d"));
+    ignore (zk_ok "get" (cached.Zk_client.get "/d/a"));
+    let path = Printf.sprintf "/d/f%04d" i in
+    ignore (zk_ok "create" (writer.Zk_client.create path ~data:""));
+    ignore (zk_ok "unlink" (writer.Zk_client.delete path))
+  done;
+  check_bool "every write revoked this cache" true
+    (Zk.Lease.revoked (Zk_local.leases service) - revoked_before >= 4000);
+  check_int "no fence is held between fills" 0 (Cache.open_fences cache)
+
+(* {2 Own-write invalidation of sequential names}
+
+   A sequential create materializes under a name the caller did not
+   request. With no revocation arriving (the channel is stubbed out), only
+   the cache's own invalidation can drop a negative entry for that name;
+   [multi] always did, [multi_async] now does too. *)
+
+let test_multi_async_invalidates_sequential_name () =
+  let service = Zk_local.create () in
+  let raw = Zk_local.session service in
+  ignore (zk_ok "mkdir" (raw.Zk_client.create "/q" ~data:""));
+  let coord = { raw with Zk_client.set_invalidation = (fun _ -> ()) } in
+  let cached = Cache.handle (Cache.wrap ~coherence:Cache.Leases coord) in
+  let name = Zk.Zpath.concat "/q" (Zk.Zpath.sequential_name "n-" 0) in
+  (match cached.Zk_client.get name with
+   | Error Zerror.ZNONODE -> ()
+   | Ok _ | Error _ -> Alcotest.fail "expected a cached ZNONODE");
+  let created = ref None in
+  cached.Zk_client.multi_async
+    [ Zk.Txn.Create
+        { path = "/q/n-"; data = "x"; ephemeral_owner = 0L; sequential = true } ]
+    (fun result -> created := Some result);
+  (match !created with
+   | Some (Ok [ Zk.Txn.Created actual ]) -> check_string "actual name" name actual
+   | Some _ | None -> Alcotest.fail "sequential create did not complete");
+  check_string "the client sees its own create" "x" (get_data "own create" cached name)
+
 (* {2 Satellite 2: failed reads release their armed watch}
 
    The server arms the piggybacked watch before the reply is sent; if
@@ -500,7 +678,21 @@ let () =
         [ Alcotest.test_case "stale re-fill race is fenced" `Quick
             test_stale_refill_race_fenced;
           Alcotest.test_case "stale bulk re-fill race is fenced" `Quick
-            test_stale_bulk_refill_race_fenced ] );
+            test_stale_bulk_refill_race_fenced;
+          Alcotest.test_case "lease get race is fenced" `Quick
+            test_lease_get_race_fenced;
+          Alcotest.test_case "lease listing race is fenced" `Quick
+            test_lease_children_race_fenced;
+          Alcotest.test_case "lease bulk listing race is fenced" `Quick
+            test_lease_bulk_race_fenced;
+          Alcotest.test_case "nested fills, write while both in flight" `Quick
+            test_nested_fills_write_while_both;
+          Alcotest.test_case "nested fills, write after the inner returns" `Quick
+            test_nested_fills_write_after_inner;
+          Alcotest.test_case "no fence outlives its fills" `Quick
+            test_fence_state_bounded;
+          Alcotest.test_case "multi_async invalidates the sequential name" `Quick
+            test_multi_async_invalidates_sequential_name ] );
       ( "watch-lifecycle",
         [ Alcotest.test_case "failed read releases its watch" `Quick
             test_failed_read_releases_watch;

@@ -386,6 +386,211 @@ let prop_meta_roundtrip =
           | Error _ -> false)
         metas)
 
+(* {2 Meta decoding equivalence}
+
+   [Meta.decode] parses [encode]'s output in place. The field-splitting
+   decoders it replaced are kept here verbatim as the reference. On
+   encoded metadata both must return the same value. On damaged input
+   the in-place decoder may refuse more (underscores in numbers, an
+   over-long ctime, a missing payload field), but never a string that
+   is [encode]'s output, never accepts what the reference refuses and
+   never decodes to a different value. *)
+
+let reference_fid_of_hex s =
+  let hex_value c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+  in
+  let parse_u64 s off =
+    let rec go acc i =
+      if i = 16 then Some acc
+      else
+        match hex_value s.[off + i] with
+        | Some v -> go (Int64.logor (Int64.shift_left acc 4) (Int64.of_int v)) (i + 1)
+        | None -> None
+    in
+    go 0L 0
+  in
+  if String.length s <> 32 then None
+  else
+    match parse_u64 s 0, parse_u64 s 16 with
+    | Some client_id, Some counter -> Some (Fid.make ~client_id ~counter)
+    | _, _ -> None
+
+let reference_meta_decode s =
+  let field_error what = Error (Printf.sprintf "Meta.decode: bad %s in %S" what s) in
+  match String.split_on_char '|' s with
+  | "v1" :: kind_tag :: mode_s :: ctime_s :: rest ->
+    let payload = String.concat "|" rest in
+    let mode = int_of_string_opt ("0o" ^ mode_s) in
+    let ctime =
+      match Int64.of_string_opt ("0x" ^ ctime_s) with
+      | Some bits -> Some (Int64.float_of_bits bits)
+      | None -> None
+    in
+    (match mode, ctime with
+     | Some mode, Some ctime ->
+       (match kind_tag with
+        | "d" -> Ok { Meta.kind = Meta.Dir; mode; ctime }
+        | "f" ->
+          (match reference_fid_of_hex payload with
+           | Some fid -> Ok { Meta.kind = Meta.File fid; mode; ctime }
+           | None -> field_error "fid")
+        | "l" -> Ok { Meta.kind = Meta.Symlink payload; mode; ctime }
+        | _ -> field_error "kind")
+     | _, _ -> field_error "numeric field")
+  | _ -> field_error "layout"
+
+(* same value, ctime compared by its bits so NaN payloads count *)
+let same_meta (x : Meta.t) (y : Meta.t) =
+  x.mode = y.mode
+  && Int64.equal (Int64.bits_of_float x.ctime) (Int64.bits_of_float y.ctime)
+  &&
+  match x.kind, y.kind with
+  | Meta.Dir, Meta.Dir -> true
+  | Meta.File f, Meta.File g -> Fid.equal f g
+  | Meta.Symlink p, Meta.Symlink q -> String.equal p q
+  | (Meta.Dir | Meta.File _ | Meta.Symlink _), _ -> false
+
+let decode_errors s =
+  List.map
+    (fun what -> Printf.sprintf "Meta.decode: bad %s in %S" what s)
+    [ "layout"; "numeric field"; "kind"; "fid" ]
+
+(* [Meta.decode s] against the reference, as the section comment says *)
+let agrees_with_reference s =
+  match Meta.decode s, reference_meta_decode s with
+  | Ok x, Ok y -> same_meta x y
+  | Ok _, Error _ -> false
+  | Error e, Ok y -> Meta.encode y <> s && List.mem e (decode_errors s)
+  | Error e, Error _ -> List.mem e (decode_errors s)
+
+let show_decoding = function
+  | Ok meta -> Format.asprintf "Ok %a ctime=%Lx" Meta.pp meta
+                 (Int64.bits_of_float meta.Meta.ctime)
+  | Error e -> "Error " ^ e
+
+let gen_encoded_meta =
+  QCheck2.Gen.(
+    let ctime =
+      oneof
+        [ float;
+          map Int64.float_of_bits int64;
+          oneofl [ nan; -.nan; infinity; neg_infinity; max_float; -.max_float;
+                   min_float; -0.; 0.; -1.5; 1e300; -1e-300 ] ]
+    in
+    let mode = oneof [ int_range 0 0o7777; int; oneofl [ 0; max_int; min_int; -1 ] ] in
+    let target = string_size ~gen:(oneofl [ 'a'; '/'; '|'; '0'; ' '; 'f' ]) (int_range 0 12) in
+    let meta =
+      oneof
+        [ map2 (fun mode ctime -> Meta.dir ~mode ~ctime) mode ctime;
+          map3 (fun (client_id, counter) mode ctime ->
+              Meta.file (Fid.make ~client_id ~counter) ~mode ~ctime)
+            (pair int64 int64) mode ctime;
+          map2 (fun target ctime -> Meta.symlink ~target ~ctime) target ctime ]
+    in
+    map Meta.encode meta)
+
+(* a single-byte mutation or a truncation of an encoded string *)
+let gen_damaged_meta =
+  QCheck2.Gen.(
+    gen_encoded_meta >>= fun s ->
+    let n = String.length s in
+    let alphabet =
+      oneof [ oneofl [ '0'; '7'; '8'; '9'; 'a'; 'f'; 'g'; 'A'; 'F'; 'x'; 'o'; '_';
+                       '|'; '-'; '+'; 'v'; '1'; 'd'; 'l' ];
+              char ]
+    in
+    oneof
+      [ map2 (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+          (int_range 0 (n - 1)) alphabet;
+        map (fun len -> String.sub s 0 len) (int_range 0 n) ])
+
+let prop_meta_decode_encoded =
+  QCheck2.Test.make ~name:"decode = reference on encoded metadata" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_encoded_meta (fun s ->
+      match Meta.decode s, reference_meta_decode s with
+      | Ok x, Ok y -> same_meta x y
+      | (Ok _ | Error _), _ -> false)
+
+let prop_meta_decode_damaged =
+  QCheck2.Test.make ~name:"decode agrees with reference on mutated and truncated metadata"
+    ~count:3000 ~print:(Printf.sprintf "%S") gen_damaged_meta agrees_with_reference
+
+let test_meta_decode_pinned_edges () =
+  let fid_hex = "0123456789ABCDEF0123456789abcdef" in
+  let expect (s, want) =
+    let got = Meta.decode s in
+    match want, got with
+    | `Reference, _ ->
+      (match got, reference_meta_decode s with
+       | Ok x, Ok y when same_meta x y -> ()
+       | Error e, Error r when e = r -> ()
+       | _, want ->
+         Alcotest.failf "decode %S: got %s, reference %s" s (show_decoding got)
+           (show_decoding want))
+    | `Refused what, Error e when e = Printf.sprintf "Meta.decode: bad %s in %S" what s -> ()
+    | `Refused what, _ ->
+      Alcotest.failf "decode %S: got %s, want bad %s" s (show_decoding got) what
+  in
+  List.iter expect
+    [ ("v1|f|644|0|" ^ fid_hex, `Reference);
+      ("v1|f|644|0|" ^ String.uppercase_ascii fid_hex, `Reference);
+      ("v1|d|755|3FF0000000000000|", `Reference);
+      ("v1|d|755|0|extra|field", `Reference);
+      ("v1|f|644|0|" ^ fid_hex ^ "|extra", `Reference);
+      ("v1|l|777|0|target|with|pipes|", `Reference);
+      ("v1|d|755|12345678901234567|", `Reference);
+      ("v1|d||0|", `Reference);
+      ("v1|D|755|0|", `Reference);
+      ("v1|dd|755|0|", `Reference);
+      ("v1|d|0o755|0|", `Reference);
+      ("v1|d|755|0x0|", `Reference);
+      ("v1|d|-1|0|", `Reference);
+      ("v1|d|77777777777777777777|ffffffffffffffff|", `Reference);
+      ("v1|d|777777777777777777777|0|", `Reference);
+      ("v1|d|1777777777777777777777|0|", `Reference);
+      (* narrowed: the reference accepts these, [encode] never writes them *)
+      ("v1|d|7_55|0|", `Refused "numeric field");
+      ("v1|d|755|00000000000000000|", `Refused "numeric field");
+      ("v1|d|755|0", `Refused "layout");
+      ("v1|d|755|", `Refused "layout") ]
+
+let test_meta_decode_allocates_little () =
+  (* the in-place parse allocates the result (Ok, record, boxed ctime,
+     File, the FID and its two int64s), not per digit or per field *)
+  let s =
+    Meta.encode
+      (Meta.file (Fid.make ~client_id:0x0123456789abcdefL ~counter:(-2L))
+         ~mode:0o644 ~ctime:1.7e9)
+  in
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Meta.decode s))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check_bool (Printf.sprintf "%.1f words per decode" per_call) true (per_call < 32.)
+
+let prop_fid_of_hex_matches_reference =
+  let hex_char = QCheck2.Gen.oneofl (String.to_seq "0123456789abcdefABCDEF" |> List.of_seq) in
+  let any_char = QCheck2.Gen.(oneof [ hex_char; hex_char; hex_char; char ]) in
+  QCheck2.Test.make ~name:"Fid.of_hex matches the reference parser" ~count:3000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [ string_size ~gen:hex_char (return 32);
+          string_size ~gen:any_char (return 32);
+          string_size ~gen:hex_char (int_range 30 34) ])
+    (fun s ->
+      match Fid.of_hex s, reference_fid_of_hex s with
+      | Some a, Some b -> Fid.equal a b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
 (* {2 Extra edges} *)
 
 let test_md5_large_input () =
@@ -486,4 +691,11 @@ let () =
           Alcotest.test_case "symlink with separators" `Quick
             test_meta_roundtrip_symlink_with_separator;
           Alcotest.test_case "rejects garbage" `Quick test_meta_decode_rejects_garbage;
-          qc prop_meta_roundtrip ] ) ]
+          qc prop_meta_roundtrip ] );
+      ( "meta-decode",
+        [ Alcotest.test_case "pinned edges" `Quick test_meta_decode_pinned_edges;
+          Alcotest.test_case "allocates only the result" `Quick
+            test_meta_decode_allocates_little;
+          qc prop_meta_decode_encoded;
+          qc prop_meta_decode_damaged;
+          qc prop_fid_of_hex_matches_reference ] ) ]

@@ -617,6 +617,119 @@ let prop_snapshot_roundtrip =
         && Ztree.resident_bytes tree = Ztree.resident_bytes restored
       | Error _ -> false)
 
+(* {2 Child sets}
+
+   A leaf holds a shared empty child set that must never be written, and
+   a child set maps each name straight to its node. *)
+
+let children_of tree path = ok_or_fail ("children " ^ path) (Ztree.children tree path)
+
+let num_children tree path =
+  (snd (ok_or_fail ("get " ^ path) (Ztree.get tree path))).Ztree.num_children
+
+let test_leaves_share_no_written_child_set () =
+  let tree = Ztree.create () in
+  ignore (ok_or_fail "a" (apply_one tree ~zxid:1L (create_op "/a")));
+  ignore (ok_or_fail "b" (apply_one tree ~zxid:2L (create_op "/b")));
+  ignore (ok_or_fail "a/x" (apply_one tree ~zxid:3L (create_op ~data:"x" "/a/x")));
+  Alcotest.(check (list string)) "/a has its child" [ "x" ] (children_of tree "/a");
+  Alcotest.(check (list string)) "the other leaf still lists nothing" []
+    (children_of tree "/b");
+  check_int "and counts nothing" 0 (num_children tree "/b");
+  check_int "bulk listing of the leaf is empty" 0
+    (List.length (ok_or_fail "bulk /b" (Ztree.children_with_data tree "/b")));
+  ignore (ok_or_fail "c" (apply_one tree ~zxid:4L (create_op "/c")));
+  Alcotest.(check (list string)) "a later leaf lists nothing" [] (children_of tree "/c");
+  check_int "the new child is a leaf too" 0 (num_children tree "/a/x")
+
+let test_failed_multi_restores_child_sets () =
+  let tree = Ztree.create () in
+  ignore (ok_or_fail "a" (apply_one tree ~zxid:1L (create_op "/a")));
+  ignore (ok_or_fail "b" (apply_one tree ~zxid:2L (create_op "/b")));
+  ignore (ok_or_fail "a/x" (apply_one tree ~zxid:3L (create_op "/a/x")));
+  let fingerprint = Ztree.fingerprint tree in
+  let listing () =
+    List.map (fun path -> (path, children_of tree path, num_children tree path))
+      [ "/"; "/a"; "/b"; "/a/x" ]
+  in
+  let before = listing () in
+  (* creates under a leaf and under a parent, then a failing op *)
+  expect_err "failed creates" Zerror.ZNONODE
+    (Ztree.apply tree ~zxid:4L ~time:1.
+       [ create_op "/b/y"; create_op "/a/z"; create_op "/missing/q" ]);
+  check_bool "creates undone" true (listing () = before);
+  (* a delete of the only child, a create under the leaf, then a failing guard *)
+  expect_err "failed delete" Zerror.ZBADVERSION
+    (Ztree.apply tree ~zxid:5L ~time:1.
+       [ Txn.Delete { path = "/a/x"; expected_version = -1 };
+         create_op "/b/y";
+         Txn.Check { path = "/a"; expected_version = 99 } ]);
+  check_bool "delete and create undone" true (listing () = before);
+  check_int "fingerprint unchanged" fingerprint (Ztree.fingerprint tree);
+  (* the restored sets keep working *)
+  ignore (ok_or_fail "b/w" (apply_one tree ~zxid:6L (create_op "/b/w")));
+  Alcotest.(check (list string)) "/b gains its child" [ "w" ] (children_of tree "/b");
+  Alcotest.(check (list string)) "/a unchanged" [ "x" ] (children_of tree "/a");
+  Alcotest.(check (list string)) "/a/x still a leaf" [] (children_of tree "/a/x")
+
+(* The definition [children_with_data] had before child sets held their
+   nodes: each child's full path rebuilt and looked up in the index. *)
+let children_with_data_by_lookup tree path =
+  Result.map
+    (List.filter_map (fun name ->
+         match Ztree.get tree (Zpath.concat path name) with
+         | Ok (data, stat) -> Some (name, data, stat)
+         | Error _ -> None))
+    (Ztree.children tree path)
+
+let rec all_paths tree path =
+  path
+  :: List.concat_map
+       (fun name -> all_paths tree (Zpath.concat path name))
+       (children_of tree path)
+
+let prop_children_with_data_reads_child_nodes =
+  let gen_path = QCheck2.Gen.(map (fun parts -> "/" ^ String.concat "/" parts)
+                                (list_size (int_range 1 3) (oneofl [ "p"; "q"; "r" ]))) in
+  let gen_op =
+    QCheck2.Gen.(
+      oneof
+        [ map (fun path -> [ create_op ~data:path path ]) gen_path;
+          map (fun path -> [ create_op ~sequential:true (path ^ "-") ]) gen_path;
+          map (fun path -> [ Txn.Delete { path; expected_version = -1 } ]) gen_path;
+          map (fun (path, data) -> [ Txn.Set_data { path; data; expected_version = -1 } ])
+            (pair gen_path (string_size (int_range 0 8)));
+          (* multis that often fail half-way, exercising undo *)
+          map (fun (a, b) -> [ create_op a; Txn.Delete { path = b; expected_version = -1 } ])
+            (pair gen_path gen_path) ])
+  in
+  QCheck2.Test.make
+    ~name:"children_with_data = children + per-path lookup, before and after a snapshot"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 60) gen_op)
+    (fun txns ->
+      let tree = Ztree.create () in
+      List.iteri
+        (fun i txn ->
+          ignore (Ztree.apply tree ~zxid:(Int64.of_int (i + 1)) ~time:(float_of_int i) txn))
+        txns;
+      let agree tree =
+        List.for_all
+          (fun path ->
+            Ztree.children_with_data tree path = children_with_data_by_lookup tree path)
+          (all_paths tree "/")
+      in
+      match Ztree.deserialize (Ztree.serialize tree) with
+      | Error _ -> false
+      | Ok restored ->
+        agree tree && agree restored
+        && Ztree.fingerprint tree = Ztree.fingerprint restored
+        && List.for_all
+             (fun path ->
+               Ztree.children_with_data tree path
+               = Ztree.children_with_data restored path)
+             (all_paths tree "/"))
+
 (* {2 Memory model} *)
 
 let test_memory_model_slope () =
@@ -701,5 +814,11 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
           qc prop_float_bits_match_printf;
           qc prop_snapshot_roundtrip ] );
+      ( "child-sets",
+        [ Alcotest.test_case "leaves share an unwritten empty set" `Quick
+            test_leaves_share_no_written_child_set;
+          Alcotest.test_case "failed multi restores child sets" `Quick
+            test_failed_multi_restores_child_sets;
+          qc prop_children_with_data_reads_child_nodes ] );
       ( "memory-model",
         [ Alcotest.test_case "per-znode slope" `Quick test_memory_model_slope ] ) ]
