@@ -19,8 +19,14 @@ let experiments =
      Scenarios.Figures.ablation_unique);
     ("ablation-async", "synchronous vs pipelined coordination API",
      Scenarios.Figures.ablation_async);
-    ("ablation-cache", "client-side metadata cache with watch invalidation",
-     Scenarios.Figures.ablation_cache);
+    ("ablation-cache", "client-side metadata cache with lease invalidation; \
+                        gated: DUFS+cache within 2% of DUFS on mdtest, hot \
+                        stat loop >= 20x",
+     fun () -> Scenarios.Figures.ablation_cache ());
+    ("ablation-cache-smoke", "ablation-cache at 64 procs, 12 dirs and 12 \
+                              files per proc (CI)",
+     fun () ->
+       Scenarios.Figures.ablation_cache ~procs:64 ~items:12 ~hot_procs:[ 64 ] ());
     ("ablation-giga", "GIGA+ directory indexing vs DUFS vs Lustre",
      Scenarios.Figures.ablation_giga);
     ("ablation-observers", "non-voting observers: reads scale, writes unaffected",
@@ -60,11 +66,11 @@ let experiments =
      fun () ->
        Scenarios.Figures.engine ~events:100_000 ~quota_s:0.5
          ~json_path:"BENCH_pr6_smoke.json" ());
-    ("sessions", "client-cache coherence at 1k-100k sessions: leases vs \
-                  per-znode watches, observer read scaling (writes \
-                  BENCH_pr7.json)",
+    ("sessions", "lease-coherent client caches at 1k-100k sessions: \
+                  server state per working directory, observer read \
+                  scaling (writes BENCH_pr7.json)",
      fun () -> Scenarios.Figures.sessions ~json_path:"BENCH_pr7.json" ());
-    ("sessions-smoke", "sessions at 1k, both coherence modes (CI; writes \
+    ("sessions-smoke", "sessions at 1k, 2 observers (CI; writes \
                         BENCH_pr7_smoke.json)",
      fun () ->
        Scenarios.Figures.sessions_smoke ~json_path:"BENCH_pr7_smoke.json" ());

@@ -2,31 +2,22 @@ module Zk_client = Zk.Zk_client
 module Zerror = Zk.Zerror
 module Zpath = Zk.Zpath
 
-type coherence = Watches | Leases
+type coherence = Leases
 
-(* Every cached value carries its coherence bookkeeping: the fire-once
-   watch callback that guards it (so eviction can release the server-side
-   registration — [Watches] mode only) and the lease deadline before
-   which it may be served locally ([infinity] in [Watches] mode, where
-   entries stay valid until invalidated). *)
+(* Every cached value carries the lease deadline before which it may be
+   served locally. *)
 type 'a entry = {
   value : 'a;
-  watch : (Zk.Ztree.watch_event -> unit) option;
   lease_until : float;
 }
 
 (* Lazy LRU: entries carry a generation; the eviction queue may hold
-   stale (path, generation) pairs which are skipped when popping.
-   [on_drop] fires when the store itself drops a live entry — LRU
-   eviction or overwrite by a fresh fill — so the owner can release the
-   entry's server-side watch. It deliberately does NOT fire on
-   [store_remove] (invalidation): a fired watch is already consumed. *)
+   stale (path, generation) pairs which are skipped when popping. *)
 type 'a store = {
   capacity : int;
   table : (string, 'a entry * int) Hashtbl.t;
   order : (string * int) Queue.t;
   mutable generation : int;
-  mutable on_drop : string -> 'a entry -> unit;
 }
 
 let store_create capacity =
@@ -35,8 +26,7 @@ let store_create capacity =
        per session, so pre-sizing for the capacity would be ~100x waste *)
     table = Hashtbl.create (max 8 (min capacity 64));
     order = Queue.create ();
-    generation = 0;
-    on_drop = (fun _ _ -> ()) }
+    generation = 0 }
 
 let store_find store path = Option.map fst (Hashtbl.find_opt store.table path)
 
@@ -46,9 +36,7 @@ let rec store_evict store =
     | None -> ()
     | Some (path, generation) ->
       (match Hashtbl.find_opt store.table path with
-       | Some (entry, g) when g = generation ->
-         Hashtbl.remove store.table path;
-         store.on_drop path entry
+       | Some (_, g) when g = generation -> Hashtbl.remove store.table path
        | Some _ | None -> ());
       store_evict store
 
@@ -69,9 +57,6 @@ let store_compact store =
   end
 
 let store_put store path entry =
-  (match Hashtbl.find_opt store.table path with
-   | Some (old, _) -> store.on_drop path old
-   | None -> ());
   store.generation <- store.generation + 1;
   Hashtbl.replace store.table path (entry, store.generation);
   Queue.push (path, store.generation) store.order;
@@ -103,7 +88,6 @@ type fence = {
 
 type t = {
   inner : Zk_client.handle;
-  mode : coherence;
   now : unit -> float;
   data : data_entry store;
   kids : string list store;
@@ -121,9 +105,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
-  mutable watch_releases : int;
   mutable lease_expired_hits : int;
-  released_counter : Simkit.Stat.Counter.t option;
   expired_counter : Simkit.Stat.Counter.t option;
   mutable wrapped : Zk_client.handle option;
 }
@@ -131,7 +113,6 @@ type t = {
 let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations
-let watch_releases t = t.watch_releases
 let lease_expired_hits t = t.lease_expired_hits
 let size t = Hashtbl.length t.data.table + Hashtbl.length t.kids.table
 let queue_length t = Queue.length t.data.order + Queue.length t.kids.order
@@ -165,18 +146,6 @@ let close_fence fences path fence gen =
   fence.fills <- fence.fills - 1;
   if fence.fills = 0 then Hashtbl.remove fences path;
   fence.gen = gen
-
-let count_release t =
-  t.watch_releases <- t.watch_releases + 1;
-  Option.iter Simkit.Stat.Counter.incr t.released_counter
-
-let release_data t path cb =
-  t.inner.Zk_client.release_data_watch path cb;
-  count_release t
-
-let release_kids t path cb =
-  t.inner.Zk_client.release_child_watch path cb;
-  count_release t
 
 let invalidate_data t path =
   bump t t.data_fences path;
@@ -213,8 +182,8 @@ let invalidate_txn t txn result =
   | Error _ -> ()
 
 (* The lease revocation channel: one aggregated callback per session,
-   dispatching on the changed path — the bulk replacement for the
-   per-znode watch fan-in. *)
+   dispatching on the changed path, where a per-znode protocol would arm
+   one watch per cached entry. *)
 let on_revocation t (ev : Zk.Ztree.watch_event) =
   match ev.kind with
   | Zk.Ztree.Node_data_changed -> invalidate_data t ev.path
@@ -230,10 +199,7 @@ let on_revocation t (ev : Zk.Ztree.watch_event) =
    it the entry no longer carries any coherence guarantee (the serving
    replica may have died with the lease table) and must be re-fetched —
    which re-grants the lease in the same round trip. *)
-let entry_live t entry =
-  match t.mode with
-  | Watches -> true
-  | Leases -> t.now () < entry.lease_until
+let entry_live t entry = t.now () < entry.lease_until
 
 let note_expired t =
   t.lease_expired_hits <- t.lease_expired_hits + 1;
@@ -242,35 +208,10 @@ let note_expired t =
 (* {2 Fills}
 
    Each fill opens the path's fence before the server visit and stores
-   only if no invalidation arrived while the reply was in flight.
-   A skipped fill releases the watch it armed (best-effort — if the
-   invalidation consumed it server-side, the release finds nothing). *)
+   only if no invalidation arrived while the reply was in flight. The
+   reply's lease deadline becomes the entry's. *)
 
-let fill_get_watches t path =
-  let cb (_ : Zk.Ztree.watch_event) = invalidate_data t path in
-  let fence = open_fence t.data_fences path in
-  let gen = fence.gen in
-  let result = t.inner.Zk_client.get_watch path cb in
-  let fresh = close_fence t.data_fences path fence gen in
-  (match result with
-   | Ok (data, stat) ->
-     if fresh then
-       store_put t.data path
-         { value = Present (data, stat); watch = Some cb; lease_until = infinity }
-     else release_data t path cb
-   | Error Zerror.ZNONODE ->
-     (* negative entry; the armed exists-watch fires on creation *)
-     if fresh then
-       store_put t.data path
-         { value = Absent; watch = Some cb; lease_until = infinity }
-     else release_data t path cb
-   | Error _ ->
-     (* transport failure: nothing was cached, so the armed watch would
-        fire into nothing — release it instead of leaking it *)
-     release_data t path cb);
-  result
-
-let fill_get_leases t path =
+let fill_get t path =
   let fence = open_fence t.data_fences path in
   let gen = fence.gen in
   let result = t.inner.Zk_client.lease_get path in
@@ -281,8 +222,7 @@ let fill_get_leases t path =
       | Some (data, stat) -> Present (data, stat)
       | None -> Absent
     in
-    if fresh then
-      store_put t.data path { value; watch = None; lease_until = deadline };
+    if fresh then store_put t.data path { value; lease_until = deadline };
     (match value with
      | Present (data, stat) -> Ok (data, stat)
      | Absent -> Error Zerror.ZNONODE)
@@ -299,34 +239,16 @@ let cached_get t path =
   | stale ->
     if Option.is_some stale then note_expired t;
     t.misses <- t.misses + 1;
-    (match t.mode with
-     | Watches -> fill_get_watches t path
-     | Leases -> fill_get_leases t path)
+    fill_get t path
 
-let fill_children_watches t path =
-  let cb (_ : Zk.Ztree.watch_event) = invalidate_children t path in
-  let fence = open_fence t.kids_fences path in
-  let gen = fence.gen in
-  let result = t.inner.Zk_client.children_watch path cb in
-  let fresh = close_fence t.kids_fences path fence gen in
-  (match result with
-   | Ok names ->
-     if fresh then
-       store_put t.kids path
-         { value = names; watch = Some cb; lease_until = infinity }
-     else release_kids t path cb
-   | Error _ -> release_kids t path cb);
-  result
-
-let fill_children_leases t path =
+let fill_children t path =
   let fence = open_fence t.kids_fences path in
   let gen = fence.gen in
   let result = t.inner.Zk_client.lease_children path in
   let fresh = close_fence t.kids_fences path fence gen in
   match result with
   | Ok (names, deadline) ->
-    if fresh then
-      store_put t.kids path { value = names; watch = None; lease_until = deadline };
+    if fresh then store_put t.kids path { value = names; lease_until = deadline };
     Ok names
   | Error e -> Error e
 
@@ -339,74 +261,25 @@ let cached_children t path =
   | stale ->
     if Option.is_some stale then note_expired t;
     t.misses <- t.misses + 1;
-    (match t.mode with
-     | Watches -> fill_children_watches t path
-     | Leases -> fill_children_leases t path)
+    fill_children t path
 
 (* Bulk readdir. A hit assembles the listing from the cached child-name
    list plus per-child data entries; a miss fetches everything in one
    server visit and warms those same entries, so a later [get] of any
-   child is already cached. In [Watches] mode the piggybacked watches
-   (child watch on the parent, data watch per child) keep the warmed
-   entries coherent; in [Leases] mode one lease deadline covers the
-   listing and every warmed child. *)
-let fill_bulk_watches t path =
-  let cb (ev : Zk.Ztree.watch_event) =
-    match ev.kind with
-    | Zk.Ztree.Node_children_changed -> invalidate_children t ev.path
-    | Zk.Ztree.Node_data_changed -> invalidate_data t ev.path
-    | Zk.Ztree.Node_created | Zk.Ztree.Node_deleted ->
-      (* the path may be the listed parent (its own deletion reaches us
-         through the child watch) or a warmed child: drop both shapes *)
-      invalidate_data t ev.path;
-      invalidate_children t ev.path
-  in
-  let fence = t.epoch in
-  let result = t.inner.Zk_client.children_with_data_watch path cb in
-  (match result with
-   | Ok entries ->
-     if t.epoch = fence then begin
-       store_put t.kids path
-         { value = List.map (fun (name, _, _) -> name) entries;
-           watch = Some cb;
-           lease_until = infinity };
-       List.iter
-         (fun (name, data, stat) ->
-           store_put t.data (Zpath.concat path name)
-             { value = Present (data, stat); watch = Some cb;
-               lease_until = infinity })
-         entries
-     end
-     else begin
-       (* an invalidation raced the reply: drop the whole warm-up and
-          release every registration this fill armed (consumed ones
-          cancel to nothing) *)
-       release_kids t path cb;
-       List.iter
-         (fun (name, _, _) -> release_data t (Zpath.concat path name) cb)
-         entries
-     end
-   | Error _ ->
-     (* the parent child-watch was armed before the listing was read;
-        per-child data watches (armed only on success, and unknown to a
-        timed-out client) are left to their fire-once consumption *)
-     release_kids t path cb);
-  result
-
-let fill_bulk_leases t path =
+   child is already cached. One lease deadline covers the listing and
+   every warmed child. *)
+let fill_bulk t path =
   let fence = t.epoch in
   match t.inner.Zk_client.lease_children_with_data path with
   | Ok (entries, deadline) ->
     if t.epoch = fence then begin
       store_put t.kids path
         { value = List.map (fun (name, _, _) -> name) entries;
-          watch = None;
           lease_until = deadline };
       List.iter
         (fun (name, data, stat) ->
           store_put t.data (Zpath.concat path name)
-            { value = Present (data, stat); watch = None;
-              lease_until = deadline })
+            { value = Present (data, stat); lease_until = deadline })
         entries
     end;
     Ok entries
@@ -415,9 +288,7 @@ let fill_bulk_leases t path =
 let cached_children_with_data t path =
   let fill () =
     t.misses <- t.misses + 1;
-    match t.mode with
-    | Watches -> fill_bulk_watches t path
-    | Leases -> fill_bulk_leases t path
+    fill_bulk t path
   in
   let assemble names =
     let rec go acc = function
@@ -444,12 +315,11 @@ let cached_children_with_data t path =
   | Some _ -> note_expired t; fill ()
   | None -> fill ()
 
-let wrap ?(capacity = 4096) ?(coherence = Watches) ?(now = fun () -> 0.)
-    ?metrics inner =
+let wrap ?(capacity = 4096) ?coherence:(_ : coherence option) ~now ?metrics
+    inner =
   if capacity < 1 then invalid_arg "Cache.wrap: capacity < 1";
   let t =
     { inner;
-      mode = coherence;
       now;
       data = store_create capacity;
       kids = store_create capacity;
@@ -459,31 +329,14 @@ let wrap ?(capacity = 4096) ?(coherence = Watches) ?(now = fun () -> 0.)
       hits = 0;
       misses = 0;
       invalidations = 0;
-      watch_releases = 0;
       lease_expired_hits = 0;
-      released_counter =
-        Option.map (fun m -> Obs.Metrics.counter m "cache.watch.released") metrics;
       expired_counter =
         Option.map (fun m -> Obs.Metrics.counter m "cache.lease.expired_hit")
           metrics;
       wrapped = None }
   in
-  (* LRU eviction (and overwrite of a live entry) drops state the server
-     still guards with an armed watch: release it, or the server's watch
-     tables grow with every entry this cache has ever held. *)
-  t.data.on_drop <-
-    (fun path entry ->
-      match entry.watch with
-      | Some cb -> release_data t path cb
-      | None -> ());
-  t.kids.on_drop <-
-    (fun path entry ->
-      match entry.watch with
-      | Some cb -> release_kids t path cb
-      | None -> ());
-  (* one aggregated revocation channel per session (lease mode) *)
-  if coherence = Leases then
-    inner.Zk_client.set_invalidation (fun ev -> on_revocation t ev);
+  (* one aggregated revocation channel per session *)
+  inner.Zk_client.set_invalidation (fun ev -> on_revocation t ev);
   let create ?ephemeral ?sequential path ~data =
     let result = inner.Zk_client.create ?ephemeral ?sequential path ~data in
     (match result with
@@ -540,8 +393,6 @@ let wrap ?(capacity = 4096) ?(coherence = Watches) ?(now = fun () -> 0.)
       lease_children = inner.Zk_client.lease_children;
       lease_children_with_data = inner.Zk_client.lease_children_with_data;
       set_invalidation = inner.Zk_client.set_invalidation;
-      release_data_watch = inner.Zk_client.release_data_watch;
-      release_child_watch = inner.Zk_client.release_child_watch;
       sync = inner.Zk_client.sync;
       close = inner.Zk_client.close;
       session_id = inner.Zk_client.session_id }

@@ -3,44 +3,41 @@
     disabled under concurrent update workloads because of consistency
     overhead; a coordination service makes invalidation cheap).
 
-    [wrap] decorates a coordination handle with one of two coherence
-    protocols:
+    [wrap] decorates a coordination handle with lease coherence. Each
+    fill is stamped by the server with a lease deadline on the sim clock
+    and registers one {e session-level} interest per directory, so the
+    server holds no per-znode state for the cache. Within the lease an
+    entry is served locally. Committed changes revoke it early through
+    the session's single aggregated invalidation channel. At the
+    deadline the entry silently expires.
 
-    {ul
-    {- [Watches] (default): each fill registers a fire-once watch on the
-       session's server and the event evicts the entry. Precise, but the
-       server carries one registration per cached entry — O(cached
-       znodes) server state.}
-    {- [Leases]: each fill is stamped by the server with a lease deadline
-       on the sim clock and registers one {e session-level} interest per
-       directory; within the lease the entry is served locally with zero
-       per-znode server state, committed changes revoke early through
-       the session's single aggregated invalidation channel, and at the
-       deadline the entry silently expires (the staleness bound when a
-       server dies with its lease table — DESIGN.md §9).}}
+    The deadline is also the crash contract: a replica that dies takes
+    its lease table with it, so revocations for its sessions stop, and a
+    cached entry may then be stale for at most the lease TTL (DESIGN.md
+    §9).
 
-    In both modes the session's own mutations evict affected paths
-    immediately (read-your-own-writes), entries are bounded by an LRU of
-    [capacity], and each fill is fenced by a counter that lives only
-    while a fill of its path is in flight, so an invalidation that lands
-    while a read reply is in flight can never be buried by the stale
-    fill. Evicted or overwritten entries release
-    their server-side watch, keeping the server's watch tables bounded
-    by live cache contents rather than by everything ever cached. *)
+    The session's own mutations evict affected paths immediately
+    (read-your-own-writes), entries are bounded by an LRU of [capacity],
+    and each fill is fenced by a counter that lives only while a fill of
+    its path is in flight, so an invalidation that lands while a read
+    reply is in flight can never be buried by the stale fill. *)
 
 type t
 
-(** Which coherence protocol guards cached entries. *)
-type coherence = Watches | Leases
+(** The coherence protocol guarding cached entries. Leases are the only
+    one; the type and {!wrap}'s [?coherence] argument remain so existing
+    callers keep compiling, and nothing branches on the value. *)
+type coherence = Leases
 
-(** [wrap ?capacity ?coherence ?now ?metrics handle] — a caching view
+(** [wrap ?capacity ?coherence ~now ?metrics handle] — a caching view
     over [handle]; the returned handle shares the session with the
-    original. [now] must be the sim clock when [coherence = Leases]
-    (lease deadlines are compared against it; the default constant [0.]
-    never expires anything). [metrics] mirrors the release/expiry
-    counters as [cache.watch.released] / [cache.lease.expired_hit]. *)
+    original, and installs the cache's revocation callback through the
+    session's [set_invalidation]. [now] is the clock lease deadlines are
+    compared against: the sim clock, or whatever clock the service
+    stamps deadlines with. [metrics] mirrors the expiry counter as
+    [cache.lease.expired_hit]. *)
 val wrap :
-  ?capacity:int -> ?coherence:coherence -> ?now:(unit -> float) ->
+  ?capacity:int -> ?coherence:coherence -> now:(unit -> float) ->
   ?metrics:Obs.Metrics.t -> Zk.Zk_client.handle -> t
 
 val handle : t -> Zk.Zk_client.handle
@@ -50,11 +47,6 @@ val handle : t -> Zk.Zk_client.handle
 val hits : t -> int
 val misses : t -> int
 val invalidations : t -> int
-
-(** Server-side watch registrations this cache explicitly cancelled
-    (failed fills, LRU evictions, overwrites) — the lifecycle half that
-    keeps {!Zk.Ztree.watch_count} bounded. *)
-val watch_releases : t -> int
 
 (** Cached entries found past their lease deadline (served as misses and
     re-leased in the refill round trip). *)

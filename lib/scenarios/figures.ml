@@ -500,45 +500,83 @@ let cache_stat_rate ~procs ~cached =
   let sessions =
     Array.init procs (fun _ ->
         let s = Zk.Ensemble.session ensemble () in
-        if cached then Dufs.Cache.handle (Dufs.Cache.wrap s) else s)
+        if cached then
+          Dufs.Cache.handle (Dufs.Cache.wrap ~now:(fun () -> Engine.now engine) s)
+        else s)
   in
   Mdtest.Runner.closed_loop engine ~procs ~items:300 (fun ~proc ~item ->
       ignore (sessions.(proc).Zk.Zk_client.get (Printf.sprintf "/hot%d" ((proc + item) mod 10))))
 
-let ablation_cache () =
+type cache_ablation = {
+  mdtest_rows : (Runner.phase * float * float) list;
+  hot_rows : (int * float * float) list;
+}
+
+(* mdtest is scan-once, so the cache must be neutral there: within 2%
+   of uncached DUFS. The hot loop re-references, so the cache must pay
+   off by at least 20x at every scale. *)
+let ablation_cache_check r =
+  List.concat_map
+    (fun (phase, plain, cached) ->
+      Report.expect
+        (Float.abs ((cached /. plain) -. 1.) <= 0.02)
+        "mdtest %s: DUFS+cache %.0f ops/s is not within 2%% of DUFS %.0f ops/s"
+        (phase_series_label phase) cached plain)
+    r.mdtest_rows
+  @ List.concat_map
+      (fun (procs, plain, cached) ->
+        Report.expect
+          (cached /. plain >= 20.)
+          "hot-entry stat loop at %d procs: %.1fx speedup, expected >= 20x"
+          procs (cached /. plain))
+      r.hot_rows
+
+let ablation_cache ?(procs = 256) ?(items = 60) ?(hot_procs = [ 64; 256 ]) () =
   Report.print_header
-    "Ablation — client-side metadata cache with watch invalidation";
+    "Ablation — client-side metadata cache with lease invalidation";
   (* part 1: mdtest is scan-once, so the cache must be neutral there *)
   let spec = { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
   let mdtest_row system phase =
-    Runner.rate (Systems.mdtest system ~procs:256 ()) phase
+    Runner.rate
+      (Systems.mdtest ~dirs_per_proc:items ~files_per_proc:items system ~procs ())
+      phase
   in
-  Printf.printf "mdtest (each entry touched once per phase, 256 procs):\n";
+  Printf.printf "mdtest (each entry touched once per phase, %d procs):\n" procs;
   Printf.printf "  %-14s %14s %14s\n" "phase" "DUFS" "DUFS+cache";
-  List.iter
-    (fun phase ->
-      Printf.printf "  %-14s %14.0f %14.0f\n" (phase_series_label phase)
-        (mdtest_row (Systems.Dufs spec) phase)
-        (mdtest_row (Systems.Dufs_cached spec) phase))
-    [ Runner.Dir_stat; Runner.Dir_create ];
+  let mdtest_rows =
+    List.map
+      (fun phase ->
+        let plain = mdtest_row (Systems.Dufs spec) phase in
+        let cached = mdtest_row (Systems.Dufs_cached spec) phase in
+        Printf.printf "  %-14s %14.0f %14.0f\n" (phase_series_label phase) plain
+          cached;
+        (phase, plain, cached))
+      [ Runner.Dir_stat; Runner.Dir_create ]
+  in
   print_endline
     "  (neutral, as expected: a scan-once workload has no re-references,\n\
-    \   and watch piggybacking makes a cache miss cost exactly one visit)";
+    \   and a leased read costs exactly one visit, like an uncached one)";
   (* part 2: re-reference workload — where client caching pays off *)
   Printf.printf "\nhot-entry stat loop (10 shared dirs re-stat'd 300x per client):\n";
   Printf.printf "  %-8s %16s %16s %10s\n" "procs" "uncached (op/s)" "cached (op/s)"
     "speedup";
-  List.iter
-    (fun procs ->
-      let plain = cache_stat_rate ~procs ~cached:false in
-      let cached = cache_stat_rate ~procs ~cached:true in
-      Printf.printf "  %-8d %16.0f %16.0f %9.1fx\n" procs plain cached (cached /. plain))
-    [ 64; 256 ];
+  let hot_rows =
+    List.map
+      (fun procs ->
+        let plain = cache_stat_rate ~procs ~cached:false in
+        let cached = cache_stat_rate ~procs ~cached:true in
+        Printf.printf "  %-8d %16.0f %16.0f %9.1fx\n" procs plain cached
+          (cached /. plain);
+        (procs, plain, cached))
+      hot_procs
+  in
   print_endline
-    "  (hits are served locally; watches keep remote updates visible — the\n\
-    \   consistency overhead §VI says usually forces client caching off is\n\
-    \   carried by the coordination service instead)";
-  flush stdout
+    "  (hits are served locally; lease revocations keep remote updates\n\
+    \   visible — the consistency overhead §VI says usually forces client\n\
+    \   caching off is carried by the coordination service instead)";
+  flush stdout;
+  Report.gate ~experiment:"ablation-cache"
+    (ablation_cache_check { mdtest_rows; hot_rows })
 
 (* {2 Ablation: synchronous vs pipelined (async) coordination API} *)
 

@@ -67,8 +67,28 @@ val ablation_unique : unit -> unit
     prototype left on the table by using the synchronous API. *)
 val ablation_async : unit -> unit
 
-(** DUFS with vs without the client-side metadata cache. *)
-val ablation_cache : unit -> unit
+(** One ablation-cache run: [(phase, DUFS ops/s, DUFS+cache ops/s)]
+    for mdtest dir-stat and dir-create, and [(procs, uncached ops/s,
+    cached ops/s)] for the hot-entry stat loop. *)
+type cache_ablation = {
+  mdtest_rows : (Mdtest.Runner.phase * float * float) list;
+  hot_rows : (int * float * float) list;
+}
+
+(** The cache ablation's gate failures (empty = pass): every mdtest row
+    has DUFS+cache within ±2% of DUFS (a scan-once workload gains
+    nothing and must lose nothing), and every hot-loop row has a cached
+    speedup of at least 20×. *)
+val ablation_cache_check : cache_ablation -> string list
+
+(** DUFS with vs without the client-side (lease) metadata cache: mdtest
+    dir-stat/dir-create at [procs] (default 256) with [items] dirs and
+    files per proc (default 60), and the hot-entry stat loop at each of
+    [hot_procs] (default [[64; 256]]).
+    @raise Failure (through {!Mdtest.Report.gate}) if
+    {!ablation_cache_check} reports any failure. *)
+val ablation_cache :
+  ?procs:int -> ?items:int -> ?hot_procs:int list -> unit -> unit
 
 (** GIGA+-style directory indexing vs DUFS vs Lustre on a single huge
     directory, and the availability cost of unreplicated partitions. *)
@@ -214,15 +234,14 @@ val engine :
 
 (** {2 Sessions — client-cache coherence at 1k-100k sessions}
 
-    Delegates to {!Sessions_bench.run}: lease vs per-znode-watch
-    coherence over mdtest-stat and readdir-storm read sweeps with a
-    mid-sweep writer, observer read scaling, and the server-state
-    accounting (watch tables vs lease tables), gated by
-    {!Sessions_bench.check}. With [json_path] writes the BENCH_pr7.json
-    artifact. *)
+    Delegates to {!Sessions_bench.run}: lease-coherent caches over
+    mdtest-stat and readdir-storm read sweeps with a mid-sweep writer,
+    observer read scaling, and the server-state accounting (one lease
+    per session, no watches), gated by {!Sessions_bench.check}. With
+    [json_path] writes the BENCH_pr7.json artifact. *)
 val sessions : ?json_path:string -> unit -> unit
 
-(** The CI variant: 1k sessions, both coherence modes — the
+(** The CI variant: 1k sessions, 2 observers — the
     BENCH_pr7_smoke.json artifact. *)
 val sessions_smoke : ?json_path:string -> unit -> unit
 

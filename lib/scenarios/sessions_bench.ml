@@ -10,11 +10,10 @@
    invalidation path runs under load, and the first few sessions are
    recorded through the linearizability checker.
 
-   The server-state argument the sweep exists to make: with per-znode
-   watch coherence the ensemble's watch tables grow O(sessions x cached
-   znodes); with lease coherence the lease tables stay O(sessions x
-   working directories) — here one directory per session — while the
-   watch tables stay empty. *)
+   The server-state argument the sweep exists to make: with lease
+   coherence the lease tables stay O(sessions x working directories) —
+   here one directory per session — while the watch tables stay empty,
+   where per-znode watches would grow O(sessions x cached znodes). *)
 
 module Engine = Simkit.Engine
 module Process = Simkit.Process
@@ -22,10 +21,6 @@ module Mailbox = Simkit.Mailbox
 module Ensemble = Zk.Ensemble
 module Zk_client = Zk.Zk_client
 module Report = Mdtest.Report
-
-type coherence = Watches | Leases
-
-let coherence_name = function Watches -> "watches" | Leases -> "leases"
 
 (* Fixed namespace: 1 root + dirs + dirs*files znodes, identical across
    every case so the accounting gate can pin the exact count. *)
@@ -52,7 +47,6 @@ type phase_times = {
 type case_result = {
   sessions : int;
   observers : int;
-  mode : coherence;
   stat : phase_times;
   readdir : phase_times;
   stat_reads : int;        (* server reads a cold stat pass issues *)
@@ -60,7 +54,6 @@ type case_result = {
   hits : int;
   misses : int;
   invalidations : int;
-  watch_releases : int;
   watch_table_total : int; (* armed watches across all members, post-run *)
   lease_entries_total : int;
   leases_granted : int;
@@ -81,7 +74,7 @@ let zk_ok label = function
   | Error e ->
     failwith (Printf.sprintf "Sessions_bench %s: %s" label (Zk.Zerror.to_string e))
 
-let run_case ~sessions ~observers ~mode ~seed () =
+let run_case ~sessions ~observers ~seed () =
   let engine = Engine.create () in
   let cfg =
     { (Ensemble.default_config ~servers:3) with
@@ -107,12 +100,7 @@ let run_case ~sessions ~observers ~mode ~seed () =
     Process.spawn engine (fun () ->
         let raw = Ensemble.session ensemble () in
         let cache =
-          match mode with
-          | Watches -> Dufs.Cache.wrap ~capacity:64 raw
-          | Leases ->
-            Dufs.Cache.wrap ~capacity:64 ~coherence:Dufs.Cache.Leases
-              ~now:(fun () -> Engine.now engine)
-              raw
+          Dufs.Cache.wrap ~capacity:64 ~now:(fun () -> Engine.now engine) raw
         in
         caches.(i) <- Some cache;
         let h =
@@ -202,7 +190,6 @@ let run_case ~sessions ~observers ~mode ~seed () =
     violations;
   { sessions;
     observers;
-    mode;
     stat;
     readdir;
     stat_reads = sessions * n_files;
@@ -210,7 +197,6 @@ let run_case ~sessions ~observers ~mode ~seed () =
     hits = sum Dufs.Cache.hits;
     misses = sum Dufs.Cache.misses;
     invalidations = sum Dufs.Cache.invalidations;
-    watch_releases = sum Dufs.Cache.watch_releases;
     watch_table_total =
       List.fold_left
         (fun acc id -> acc + Ensemble.watch_table_size ensemble id)
@@ -232,14 +218,15 @@ let run_case ~sessions ~observers ~mode ~seed () =
 
 let points_of (r : case_result) =
   let config =
-    Printf.sprintf "coherence=%s|sessions=%d|servers=3|observers=%d|dirs=%d|files=%d"
-      (coherence_name r.mode) r.sessions r.observers n_dirs n_files
+    (* [coherence=leases] keeps the keys comparable with BENCH_pr7.json,
+       whose points also hold a per-znode watch baseline *)
+    Printf.sprintf "coherence=leases|sessions=%d|servers=3|observers=%d|dirs=%d|files=%d"
+      r.sessions r.observers n_dirs n_files
   in
   let shared =
     [ ("hits", float_of_int r.hits);
       ("misses", float_of_int r.misses);
       ("invalidations", float_of_int r.invalidations);
-      ("watch_releases", float_of_int r.watch_releases);
       ("watch_table_total", float_of_int r.watch_table_total);
       ("lease_entries_total", float_of_int r.lease_entries_total);
       ("leases_granted", float_of_int r.leases_granted);
@@ -268,18 +255,17 @@ let points_of (r : case_result) =
 
 let print_case (r : case_result) =
   Printf.printf
-    "  %-7s %8d %4d | stat %10.3fs cold %10.6fs warm | readdir %8.3fs cold \
+    "  %8d %4d | stat %10.3fs cold %10.6fs warm | readdir %8.3fs cold \
      %8.6fs warm | watches %7d leases %7d | viol %d\n%!"
-    (coherence_name r.mode) r.sessions r.observers r.stat.cold_s r.stat.warm_s
+    r.sessions r.observers r.stat.cold_s r.stat.warm_s
     r.readdir.cold_s r.readdir.warm_s r.watch_table_total r.lease_entries_total
     r.violations
 
 (* The gate: an exact znode census, a non-empty clean history, and the
-   server-state claim itself — lease mode holds one lease per session
-   (one working directory each) and no watches, while the watch baseline
-   really carries per-znode watches (else the comparison is vacuous). *)
+   server-state claim itself — one lease per session (one working
+   directory each) and no watches. *)
 let check (r : case_result) =
-  let ctx = Printf.sprintf "%s/%d sessions" (coherence_name r.mode) r.sessions in
+  let ctx = Printf.sprintf "leases/%d sessions" r.sessions in
   List.concat
     [ Report.expect (r.znodes = expected_znodes) "%s: %d znodes, expected %d"
         ctx r.znodes expected_znodes;
@@ -287,43 +273,31 @@ let check (r : case_result) =
         r.violations;
       Report.expect (r.history_checked > 0)
         "%s: empty history, the checker saw nothing" ctx;
-      (match r.mode with
-       | Leases ->
-         Report.expect (r.watch_table_total = 0)
-           "%s: lease mode armed %d watches" ctx r.watch_table_total
-         @ Report.expect (r.lease_entries_total = r.sessions)
-             "%s: %d lease entries, expected one per session (%d)" ctx
-             r.lease_entries_total r.sessions
-       | Watches ->
-         Report.expect (r.watch_table_total >= r.sessions)
-           "%s: watch mode armed only %d watches for %d sessions" ctx
-           r.watch_table_total r.sessions
-         @ Report.expect (r.lease_entries_total = 0)
-             "%s: watch mode granted %d leases" ctx r.lease_entries_total) ]
+      Report.expect (r.watch_table_total = 0)
+        "%s: lease mode armed %d watches" ctx r.watch_table_total;
+      Report.expect (r.lease_entries_total = r.sessions)
+        "%s: %d lease entries, expected one per session (%d)" ctx
+        r.lease_entries_total r.sessions ]
 
 let default_cases =
-  (* lease coherence scaling with session count (observers fixed) ... *)
-  [ (1_000, 2, Leases);
-    (10_000, 2, Leases);
-    (100_000, 2, Leases);
-    (* ... read capacity scaling with observer count (sessions fixed) ... *)
-    (10_000, 0, Leases);
-    (10_000, 6, Leases);
-    (* ... and the per-znode watch baseline, which is already carrying
-       sessions x files watch registrations at 10k sessions *)
-    (1_000, 2, Watches);
-    (10_000, 2, Watches) ]
+  (* scaling with session count (observers fixed) ... *)
+  [ (1_000, 2);
+    (10_000, 2);
+    (100_000, 2);
+    (* ... and read capacity scaling with observer count (sessions fixed) *)
+    (10_000, 0);
+    (10_000, 6) ]
 
-let smoke_cases = [ (1_000, 2, Leases); (1_000, 2, Watches) ]
+let smoke_cases = [ (1_000, 2) ]
 
 let run ?(cases = default_cases) ?json_path () =
   Report.print_header
     "Sessions: client-cache coherence at 1k-100k sessions (stat + readdir)";
-  Printf.printf "  %-7s %8s %4s\n" "mode" "sessions" "obs";
+  Printf.printf "  %8s %4s\n" "sessions" "obs";
   let results =
     List.map
-      (fun (sessions, observers, mode) ->
-        let r = run_case ~sessions ~observers ~mode ~seed:0x5e55L () in
+      (fun (sessions, observers) ->
+        let r = run_case ~sessions ~observers ~seed:0x5e55L () in
         print_case r;
         r)
       cases

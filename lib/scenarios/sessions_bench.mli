@@ -3,12 +3,8 @@
     readdir-storm read passes — cold (server-bound, observers add
     capacity) then warm (cache-local) — while a writer mutates a slice
     of the namespace between passes and a sample of sessions is recorded
-    through the linearizability checker. Contrasts per-znode watch
-    coherence (server watch tables O(sessions × cached znodes)) with
-    lease coherence (lease tables O(sessions × working dirs), watch
-    tables empty). *)
-
-type coherence = Watches | Leases
+    through the linearizability checker. Pins lease coherence's server
+    state: lease tables O(sessions × working dirs), watch tables empty. *)
 
 type phase_times = {
   mutable cold_s : float;
@@ -18,7 +14,6 @@ type phase_times = {
 type case_result = {
   sessions : int;
   observers : int;
-  mode : coherence;
   stat : phase_times;
   readdir : phase_times;
   stat_reads : int;
@@ -26,7 +21,6 @@ type case_result = {
   hits : int;
   misses : int;
   invalidations : int;
-  watch_releases : int;
   watch_table_total : int;
   lease_entries_total : int;
   leases_granted : int;
@@ -40,25 +34,24 @@ type case_result = {
 }
 
 val run_case :
-  sessions:int -> observers:int -> mode:coherence -> seed:int64 -> unit ->
+  sessions:int -> observers:int -> seed:int64 -> unit ->
   case_result
 
 (** The znodes every case's namespace holds: root, dirs, files. *)
 val expected_znodes : int
 
 (** One case's gate failures (empty = pass): exact znode census, zero
-    history violations over a non-empty history, lease mode holding one
-    lease per session and no watches, watch mode holding at least one
-    watch per session and no leases. *)
+    history violations over a non-empty history, one lease per session
+    and no watches. *)
 val check : case_result -> string list
 
 (** [run ?cases ?json_path ()] — each case is
-    [(sessions, observers, coherence)]; two {!Mdtest.Report.bench_point}s
+    [(sessions, observers)]; two {!Mdtest.Report.bench_point}s
     (stat, readdir) per case land in [json_path]. Fails through
     {!Mdtest.Report.gate} when any case fails {!check}. *)
 val run :
-  ?cases:(int * int * coherence) list -> ?json_path:string -> unit ->
+  ?cases:(int * int) list -> ?json_path:string -> unit ->
   case_result list
 
-(** The CI case list: 1k sessions in both coherence modes. *)
+(** The CI case list: 1k sessions, 2 observers. *)
 val smoke : ?json_path:string -> unit -> unit

@@ -116,7 +116,10 @@ let build_backends engine ~spec =
 let dufs_ops_for_proc ~trace engine ~session_of ~backend_clients ~cached proc =
   let session : Zk.Zk_client.handle = session_of () in
   let coord =
-    if cached then Dufs.Cache.handle (Dufs.Cache.wrap session) else session
+    if cached then
+      Dufs.Cache.handle
+        (Dufs.Cache.wrap ~now:(fun () -> Engine.now engine) session)
+    else session
   in
   let client =
     Dufs.Client.mount ~coord ~backends:(backend_clients proc)

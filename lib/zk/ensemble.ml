@@ -121,10 +121,9 @@ type pbatch = {
   mutable b_open : bool;                 (* still coalescing? *)
 }
 
-(* [Read]/[Release] execute against the serving replica itself, not just
-   its tree: lease reads must grant an interest in the server's lease
-   table in the same atomic step as the read, and watch releases must
-   reach the tree's watch registries. *)
+(* [Read] executes against the serving replica itself, not just its
+   tree: lease reads must grant an interest in the server's lease table
+   in the same atomic step as the read. *)
 type msg =
   | Write of {
       txn : Txn.t;
@@ -134,9 +133,6 @@ type msg =
       span : Obs.Trace.wspan;
     }
   | Read of { exec : server -> unit; refuse : Zerror.t -> unit }
-  | Release of { exec : server -> unit }
-    (* fire-and-forget cancellation of a still-armed fire-once watch
-       (failed fill, cache eviction): no reply, best-effort on faults *)
   | Propose_batch of { epoch : int; entries : entry list; committed_upto : int64 }
     (* one leader->follower round carries a whole group-committed batch;
        a singleton batch is exactly the classic per-txn PROPOSAL.
@@ -1181,9 +1177,6 @@ let handle t (s : server) msg =
         exec s
       end
     end
-  | Release { exec } ->
-    Process.sleep (svc t t.cfg.rpc_cpu);
-    if s.role <> Down then exec s
   | Write { txn; rid; origin; reply; span } ->
     if s.role = Leader then begin
       if failing_fast t s then refuse_fast t s ~origin ~reply
@@ -2111,17 +2104,6 @@ let session t ?server () =
   let lease (srv : server) dir =
     Lease.grant srv.leases ~session:session_id ~dir ~notify
   in
-  (* Fire-and-forget watch cancellation, aimed where reads are served
-     (the home server, or its stand-in while it is down). Best-effort: a
-     watch armed on a different replica by a timed-out retry stays until
-     it fires once — safe, because fire-once callbacks are no-ops after
-     the entry is gone. *)
-  let release exec =
-    if not !expired then begin
-      let target = pick_alive t home in
-      send_from t ~src_ep:cep ~dst:target (Release { exec })
-    end
-  in
   { Zk_client.create;
     get = (fun path -> or_loss (read (fun srv -> Ztree.get srv.tree path)));
     set;
@@ -2191,12 +2173,6 @@ let session t ?server () =
                | Ok entries -> Ok (entries, lease srv path)
                | Error _ as e -> e)));
     set_invalidation = (fun cb -> invalidation := cb);
-    release_data_watch =
-      (fun path cb ->
-        release (fun srv -> ignore (Ztree.cancel_data_watch srv.tree path cb)));
-    release_child_watch =
-      (fun path cb ->
-        release (fun srv -> ignore (Ztree.cancel_child_watch srv.tree path cb)));
     sync = (fun () -> ignore (submit []));
     close;
     session_id }

@@ -517,12 +517,6 @@ let wrap_pool ~stats ~placement ~get ~iter_opened ~set_inval () =
          revocations from every shard its working set spans (including
          shards added by a later reshard) *)
       set_inval;
-    release_data_watch =
-      (fun path cb ->
-        (h (home_of pl path)).Zk_client.release_data_watch path cb);
-    release_child_watch =
-      (fun path cb ->
-        (h (kids_of pl path)).Zk_client.release_child_watch path cb);
     sync = (fun () -> iter_opened (fun s -> s.Zk_client.sync ()));
     close = (fun () -> iter_opened (fun s -> s.Zk_client.close ()));
     session_id = (h 0).Zk_client.session_id }

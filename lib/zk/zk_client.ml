@@ -31,11 +31,6 @@ type handle = {
   lease_children_with_data :
     string -> ((string * string * Ztree.stat) list * float, Zerror.t) result;
   set_invalidation : (Ztree.watch_event -> unit) -> unit;
-  (* {2 Watch release} — cancel a still-armed fire-once watch this
-     session registered (failed fills, cache evictions). Matched by
-     callback identity; best-effort on a faulty network. *)
-  release_data_watch : string -> (Ztree.watch_event -> unit) -> unit;
-  release_child_watch : string -> (Ztree.watch_event -> unit) -> unit;
   sync : unit -> unit;
   close : unit -> unit;
   session_id : int64;

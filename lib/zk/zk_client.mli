@@ -71,12 +71,6 @@ type handle = {
           leased directory) is delivered through it, tagged with the
           changed path and event kind. Client-side only; replaces the
           per-znode watch fan-in. *)
-  release_data_watch : string -> (Ztree.watch_event -> unit) -> unit;
-      (** Fire-and-forget cancellation of a still-armed fire-once data
-          watch this session registered (failed fill, cache eviction) —
-          matched server-side by callback identity. Best-effort under
-          faults: an unreleased duplicate fires once and is then gone. *)
-  release_child_watch : string -> (Ztree.watch_event -> unit) -> unit;
   sync : unit -> unit;
       (** Flush the leader→replica pipeline for this session's server. *)
   close : unit -> unit;

@@ -115,10 +115,6 @@ let session t =
         | Ok entries -> Ok (entries, lease path)
         | Error _ as e -> e);
     set_invalidation = (fun cb -> invalidation := cb);
-    release_data_watch =
-      (fun path cb -> ignore (Ztree.cancel_data_watch t.tree path cb));
-    release_child_watch =
-      (fun path cb -> ignore (Ztree.cancel_child_watch t.tree path cb));
     sync = (fun () -> ());
     close;
     session_id }

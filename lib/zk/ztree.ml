@@ -134,23 +134,6 @@ let add_watch table path callback =
 let watch_data t path callback = add_watch t.data_watches path callback
 let watch_children t path callback = add_watch t.child_watches path callback
 
-(* Remove every registration of [callback] (by physical identity — the
-   client re-registers the same closure on retries, so one cancel must
-   clear all duplicates) on [path]. Returns how many were removed. *)
-let cancel_watch table path callback =
-  match Hashtbl.find_opt table path with
-  | None -> 0
-  | Some callbacks ->
-    let kept = List.filter (fun cb -> cb != callback) !callbacks in
-    let removed = List.length !callbacks - List.length kept in
-    (match kept with
-     | [] -> Hashtbl.remove table path
-     | _ -> callbacks := kept);
-    removed
-
-let cancel_data_watch t path callback = cancel_watch t.data_watches path callback
-let cancel_child_watch t path callback = cancel_watch t.child_watches path callback
-
 let count_watch_table table =
   Hashtbl.fold (fun _ cbs acc -> acc + List.length !cbs) table 0
 

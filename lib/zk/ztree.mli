@@ -65,20 +65,8 @@ val watch_data : t -> string -> (watch_event -> unit) -> unit
 (** Register a fire-once child watch on an existing node. *)
 val watch_children : t -> string -> (watch_event -> unit) -> unit
 
-(** [cancel_data_watch t path cb] removes every registration of [cb]
-    (compared by physical identity — client retries re-register the same
-    closure, so one cancel clears all duplicates) from [path]'s data-watch
-    list. Returns the number of registrations removed. The watch-lifecycle
-    counterpart of fire-once consumption: clients use it to release
-    watches for entries they failed to cache or have evicted. *)
-val cancel_data_watch : t -> string -> (watch_event -> unit) -> int
-
-(** [cancel_child_watch t path cb] — {!cancel_data_watch} for the
-    child-watch registry. *)
-val cancel_child_watch : t -> string -> (watch_event -> unit) -> int
-
 (** Total armed watch registrations (data + child) — the server-side
-    footprint the cache's watch lifecycle must keep bounded. *)
+    per-znode state a lease-coherent client cache never creates. *)
 val watch_count : t -> int
 
 (** [migrate_watches ~from ~into] carries [from]'s armed watch registries

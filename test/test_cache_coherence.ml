@@ -1,10 +1,9 @@
-(* The client cache's coherence machinery: the three watch-lifecycle
-   bugfixes (stale re-fill fencing, watch release on failed reads,
-   watch cancellation on LRU eviction), lease-mode coherence — expiry
-   on the sim clock, the aggregated revocation channel, the TTL
-   staleness bound after a lease-table loss — the observer gap-repair
-   fix, and a qcheck property pinning lease mode to watch mode over
-   random interleavings. *)
+(* The client cache's coherence machinery: fill fencing against
+   revocations that race a read reply, lease coherence — expiry on the
+   sim clock, the aggregated revocation channel, the TTL staleness bound
+   after a lease-table loss — the observer gap-repair fix, and a qcheck
+   property pinning the cache to an uncached session over random
+   interleavings. *)
 
 module Engine = Simkit.Engine
 module Process = Simkit.Process
@@ -25,80 +24,22 @@ let zk_ok label = function
 
 let get_data label h path = fst (zk_ok label (h.Zk_client.get path))
 
-(* {2 Satellite 1: the stale re-fill race}
+(* Zk_local's default clock: constant 0, so a cache compared against it
+   sees no lease expire. *)
+let zero_clock () = 0.
 
-   The window: a fill's read reply is in flight when the entry's watch
-   event is consumed (a concurrent writer committed). The fix fences
-   every fill with a per-path generation snapshot, so the stale reply
-   is dropped instead of being cached with no watch guarding it.
+(* {2 Fill races}
+
+   The window: a fill's read reply is in flight when a revocation of its
+   entry arrives. Every fill is fenced by a per-path counter, so the
+   stale reply is dropped instead of being cached with nothing left to
+   revoke it.
 
    Zk_local is synchronous, so the race is staged by interposing on the
-   wire: the read completes server-side (arming the watch), then the
-   concurrent write lands — firing the just-armed watch — before the
-   old value is handed back to the cache. *)
-
-let test_stale_refill_race_fenced () =
-  let service = Zk_local.create () in
-  let writer = Zk_local.session service in
-  let raw = Zk_local.session service in
-  ignore (zk_ok "seed" (writer.Zk_client.create "/hot" ~data:"v1"));
-  let raced = ref false in
-  let coord =
-    { raw with
-      Zk_client.get_watch =
-        (fun path cb ->
-          let result = raw.Zk_client.get_watch path cb in
-          if (not !raced) && path = "/hot" then begin
-            raced := true;
-            ignore (zk_ok "racing set" (writer.Zk_client.set "/hot" ~data:"v2"))
-          end;
-          result) }
-  in
-  let cache = Cache.wrap coord in
-  let cached = Cache.handle cache in
-  (* the racing fill itself may legally return the old value... *)
-  check_string "racing fill returns what the server read" "v1"
-    (get_data "racing fill" cached "/hot");
-  (* ...but it must NOT have cached it: the next read refetches *)
-  check_string "next read sees the concurrent write" "v2"
-    (get_data "re-read" cached "/hot");
-  check_string "and the fresh fill is cached normally" "v2"
-    (get_data "cached" cached "/hot")
-
-let test_stale_bulk_refill_race_fenced () =
-  (* same race against the bulk readdir fill: the listing's reply is
-     overtaken by a create under the directory *)
-  let service = Zk_local.create () in
-  let writer = Zk_local.session service in
-  let raw = Zk_local.session service in
-  ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
-  ignore (zk_ok "seed" (writer.Zk_client.create "/d/a" ~data:""));
-  let raced = ref false in
-  let coord =
-    { raw with
-      Zk_client.children_with_data_watch =
-        (fun path cb ->
-          let result = raw.Zk_client.children_with_data_watch path cb in
-          if (not !raced) && path = "/d" then begin
-            raced := true;
-            ignore (zk_ok "racing create" (writer.Zk_client.create "/d/b" ~data:""))
-          end;
-          result) }
-  in
-  let cache = Cache.wrap coord in
-  let cached = Cache.handle cache in
-  check_int "racing listing returns what the server read" 1
-    (List.length (zk_ok "racing fill" (cached.Zk_client.children_with_data "/d")));
-  check_int "next listing sees the concurrent create" 2
-    (List.length (zk_ok "re-list" (cached.Zk_client.children_with_data "/d")))
-
-(* {2 Lease-mode fill races}
-
-   The same wire-staged race as above, on the lease path: the server
-   answers and grants the lease, then a concurrent write commits —
-   revoking through the session's aggregated channel — before the reply
-   reaches the cache. Each racing fill may return what the server read
-   but must not store it. *)
+   wire: the server answers and grants the lease, then a concurrent
+   write commits — revoking through the session's aggregated channel —
+   before the reply reaches the cache. Each racing fill may return what
+   the server read but must not store it. *)
 
 (* A lease cache over a session whose read is wrapped by [install]: the
    wrapper calls [after_read p] between the server's answer for [p] and
@@ -117,7 +58,7 @@ let lease_cache_racing ~install ~path ~write =
       write writer
     end
   in
-  let cache = Cache.wrap ~coherence:Cache.Leases (install raw after_read) in
+  let cache = Cache.wrap ~now:zero_clock (install raw after_read) in
   (cache, Cache.handle cache)
 
 let test_lease_get_race_fenced () =
@@ -207,7 +148,7 @@ let nested_lease_fills ~write_while_both =
           decr depth;
           result) }
   in
-  let cache = Cache.wrap ~coherence:Cache.Leases coord in
+  let cache = Cache.wrap ~now:zero_clock coord in
   cache_ref := Some cache;
   let cached = Cache.handle cache in
   check_string "outer fill returns what the server read" "v1"
@@ -228,7 +169,7 @@ let test_fence_state_bounded () =
   let writer = Zk_local.session service in
   ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
   ignore (zk_ok "seed" (writer.Zk_client.create "/d/a" ~data:""));
-  let cache = Cache.wrap ~coherence:Cache.Leases (Zk_local.session service) in
+  let cache = Cache.wrap ~now:zero_clock (Zk_local.session service) in
   let cached = Cache.handle cache in
   let revoked_before = Zk.Lease.revoked (Zk_local.leases service) in
   for i = 0 to 1999 do
@@ -255,7 +196,7 @@ let test_multi_async_invalidates_sequential_name () =
   let raw = Zk_local.session service in
   ignore (zk_ok "mkdir" (raw.Zk_client.create "/q" ~data:""));
   let coord = { raw with Zk_client.set_invalidation = (fun _ -> ()) } in
-  let cached = Cache.handle (Cache.wrap ~coherence:Cache.Leases coord) in
+  let cached = Cache.handle (Cache.wrap ~now:zero_clock coord) in
   let name = Zk.Zpath.concat "/q" (Zk.Zpath.sequential_name "n-" 0) in
   (match cached.Zk_client.get name with
    | Error Zerror.ZNONODE -> ()
@@ -270,85 +211,48 @@ let test_multi_async_invalidates_sequential_name () =
    | Some _ | None -> Alcotest.fail "sequential create did not complete");
   check_string "the client sees its own create" "x" (get_data "own create" cached name)
 
-(* {2 Satellite 2: failed reads release their armed watch}
+(* {2 Failed fills cache nothing}
 
-   The server arms the piggybacked watch before the reply is sent; if
-   the reply is lost (timeout, connection loss) the old code cached
-   nothing and leaked the registration forever. *)
+   The server grants the lease before the reply is sent; if the reply
+   is lost (timeout, connection loss) the cache must store nothing and
+   hold no fence, so the next read goes back to the server. The lease
+   left behind on the server is session-level and expires on its own. *)
 
-let test_failed_read_releases_watch () =
+let test_failed_fill_caches_nothing () =
   let service = Zk_local.create () in
   let writer = Zk_local.session service in
   let raw = Zk_local.session service in
   ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
   ignore (zk_ok "seed" (writer.Zk_client.create "/d/f" ~data:"x"));
+  let lose = ref true in
+  let lost f = if !lose then Error Zerror.ZCONNECTIONLOSS else f in
   let coord =
     { raw with
-      Zk_client.get_watch =
-        (fun path cb ->
-          (* server armed the watch, reply lost on the way back *)
-          ignore (raw.Zk_client.get_watch path cb);
-          Error Zerror.ZCONNECTIONLOSS);
-      children_watch =
-        (fun path cb ->
-          ignore (raw.Zk_client.children_watch path cb);
-          Error Zerror.ZCONNECTIONLOSS) }
+      Zk_client.lease_get = (fun p -> lost (raw.Zk_client.lease_get p));
+      lease_children = (fun p -> lost (raw.Zk_client.lease_children p));
+      lease_children_with_data =
+        (fun p -> lost (raw.Zk_client.lease_children_with_data p)) }
   in
-  let metrics = Obs.Metrics.create () in
-  let cache = Cache.wrap ~metrics coord in
+  let cache = Cache.wrap ~now:zero_clock coord in
   let cached = Cache.handle cache in
-  (match cached.Zk_client.get "/d/f" with
-  | Error Zerror.ZCONNECTIONLOSS -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected the injected transport failure");
-  (match cached.Zk_client.children "/d" with
-  | Error Zerror.ZCONNECTIONLOSS -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected the injected transport failure");
-  check_int "no watch left registered server-side" 0
-    (Ztree.watch_count (Zk_local.tree service));
-  check_int "both releases counted" 2 (Cache.watch_releases cache);
-  check_int "and mirrored into the metrics registry" 2
-    (Simkit.Stat.Counter.value (Obs.Metrics.counter metrics "cache.watch.released"))
+  let expect_loss label = function
+    | Error Zerror.ZCONNECTIONLOSS -> ()
+    | Ok _ | Error _ -> Alcotest.failf "%s: expected the injected loss" label
+  in
+  expect_loss "get" (cached.Zk_client.get "/d/f");
+  expect_loss "children" (cached.Zk_client.children "/d");
+  expect_loss "bulk" (cached.Zk_client.children_with_data "/d");
+  check_int "nothing cached" 0 (Cache.size cache);
+  check_int "no fence left open" 0 (Cache.open_fences cache);
+  lose := false;
+  let misses = Cache.misses cache in
+  check_string "the next read goes to the server" "x" (get_data "get" cached "/d/f");
+  check_int "as a miss" (misses + 1) (Cache.misses cache)
 
-(* {2 Satellite 3: LRU eviction cancels the evicted entry's watch}
+(* {2 Leases: zero per-znode server state}
 
-   Without cancellation the server's watch tables grow with every znode
-   the cache has EVER held — O(workload), not O(capacity). *)
-
-let test_eviction_keeps_server_watch_table_bounded () =
-  let service = Zk_local.create () in
-  let writer = Zk_local.session service in
-  ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
-  for i = 0 to 199 do
-    ignore
-      (zk_ok "seed" (writer.Zk_client.create (Printf.sprintf "/d/f%03d" i) ~data:""))
-  done;
-  let capacity = 8 in
-  let cache = Cache.wrap ~capacity (Zk_local.session service) in
-  let cached = Cache.handle cache in
-  for i = 0 to 199 do
-    ignore (zk_ok "read" (cached.Zk_client.get (Printf.sprintf "/d/f%03d" i)))
-  done;
-  check_int "server watch table tracks live cache contents" capacity
-    (Ztree.watch_count (Zk_local.tree service));
-  check_int "every eviction released its watch" (200 - capacity)
-    (Cache.watch_releases cache);
-  (* overwrite path: re-filling a present entry must not stack watches *)
-  let writer_cache = Cache.wrap ~capacity (Zk_local.session service) in
-  let wc = Cache.handle writer_cache in
-  for _round = 0 to 4 do
-    for i = 0 to 3 do
-      let p = Printf.sprintf "/d/f%03d" i in
-      ignore (zk_ok "read" (wc.Zk_client.get p));
-      ignore (zk_ok "set" (wc.Zk_client.set p ~data:"w"))
-    done
-  done;
-  check_bool "no watch accumulation across refills" true
-    (Ztree.watch_count (Zk_local.tree service) <= 2 * capacity + 4)
-
-(* {2 Lease mode: zero per-znode server state}
-
-   The server-state shape the sessions bench measures: watch coherence
-   is O(cached znodes); lease coherence is O(session working dirs). *)
+   The server-state shape the sessions bench measures: lease coherence
+   is O(session working dirs), not O(cached znodes). *)
 
 let test_lease_mode_server_state_is_per_directory () =
   let service = Zk_local.create () in
@@ -362,7 +266,7 @@ let test_lease_mode_server_state_is_per_directory () =
            (writer.Zk_client.create (Printf.sprintf "/d%d/f%02d" d i) ~data:""))
     done
   done;
-  let cache = Cache.wrap ~coherence:Cache.Leases (Zk_local.session service) in
+  let cache = Cache.wrap ~now:zero_clock (Zk_local.session service) in
   let cached = Cache.handle cache in
   for d = 0 to 3 do
     for i = 0 to 49 do
@@ -383,7 +287,7 @@ let test_lease_revocation_channel () =
   let writer = Zk_local.session service in
   ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
   ignore (zk_ok "seed" (writer.Zk_client.create "/d/f" ~data:"v1"));
-  let cache = Cache.wrap ~coherence:Cache.Leases (Zk_local.session service) in
+  let cache = Cache.wrap ~now:zero_clock (Zk_local.session service) in
   let cached = Cache.handle cache in
   check_string "warm" "v1" (get_data "warm" cached "/d/f");
   check_int "listing warm" 1
@@ -413,7 +317,7 @@ let test_lease_expiry_on_sim_clock () =
   ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
   ignore (zk_ok "seed" (writer.Zk_client.create "/d/f" ~data:"x"));
   let cache =
-    Cache.wrap ~coherence:Cache.Leases ~now:(fun () -> !now)
+    Cache.wrap ~now:(fun () -> !now)
       (Zk_local.session service)
   in
   let cached = Cache.handle cache in
@@ -449,7 +353,7 @@ let test_lease_staleness_bounded_by_ttl () =
   ignore (zk_ok "mkdir" (writer.Zk_client.create "/d" ~data:""));
   ignore (zk_ok "seed" (writer.Zk_client.create "/d/f" ~data:"old"));
   let cache =
-    Cache.wrap ~coherence:Cache.Leases ~now:(fun () -> !now)
+    Cache.wrap ~now:(fun () -> !now)
       (Zk_local.session service)
   in
   let cached = Cache.handle cache in
@@ -576,13 +480,12 @@ let test_partitioned_observer_history_checked () =
   check_bool "the history actually recorded both clients" true
     (Zk.History.recorded history >= 10)
 
-(* {2 Lease-mode ≡ watch-mode (qcheck)}
+(* {2 Lease cache ≡ uncached session (qcheck)}
 
-   Fault-free, both coherence protocols deliver invalidations
-   synchronously at commit time, so a lease-mode cache and a watch-mode
-   cache over the same service must return identical results for every
-   read — across random writes by a third session and clock advances
-   that expire leases mid-sequence. *)
+   Fault-free, revocations arrive synchronously at commit time, so a
+   lease cache must return exactly what an uncached session over the
+   same service returns for every read — across random writes by a
+   third session and clock advances that expire leases mid-sequence. *)
 
 type step =
   | St_create of string * string
@@ -622,9 +525,9 @@ let read_repr label = function
   | Ok s -> label ^ ":" ^ s
   | Error e -> label ^ ":" ^ Zerror.to_string e
 
-let prop_lease_equals_watch =
+let prop_lease_cache_equals_session =
   QCheck2.Test.make
-    ~name:"lease-mode cache ≡ watch-mode cache over random interleavings"
+    ~name:"lease cache ≡ uncached session over random interleavings"
     ~count:300
     ~print:(fun steps -> String.concat "; " (List.map show_step steps))
     QCheck2.Gen.(list_size (int_range 1 40) gen_step)
@@ -632,16 +535,16 @@ let prop_lease_equals_watch =
       let now = ref 0.0 in
       let service = Zk_local.create ~clock:(fun () -> !now) ~lease_ttl:3.0 () in
       let writer = Zk_local.session service in
-      let watch_cache = Cache.wrap (Zk_local.session service) in
+      let raw = Zk_local.session service in
       let lease_cache =
-        Cache.wrap ~coherence:Cache.Leases ~now:(fun () -> !now)
-          (Zk_local.session service)
+        Cache.wrap ~now:(fun () -> !now) (Zk_local.session service)
       in
-      let wh = Cache.handle watch_cache and lh = Cache.handle lease_cache in
+      let lh = Cache.handle lease_cache in
       let read_both label f =
-        let a = f wh and b = f lh in
+        let a = f raw and b = f lh in
         if a <> b then
-          QCheck2.Test.fail_reportf "divergence on %s: watch=%s lease=%s" label a b
+          QCheck2.Test.fail_reportf "divergence on %s: session=%s lease=%s" label
+            a b
       in
       List.iter
         (fun step ->
@@ -675,11 +578,7 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "cache-coherence"
     [ ( "refill-fence",
-        [ Alcotest.test_case "stale re-fill race is fenced" `Quick
-            test_stale_refill_race_fenced;
-          Alcotest.test_case "stale bulk re-fill race is fenced" `Quick
-            test_stale_bulk_refill_race_fenced;
-          Alcotest.test_case "lease get race is fenced" `Quick
+        [ Alcotest.test_case "lease get race is fenced" `Quick
             test_lease_get_race_fenced;
           Alcotest.test_case "lease listing race is fenced" `Quick
             test_lease_children_race_fenced;
@@ -693,11 +592,9 @@ let () =
             test_fence_state_bounded;
           Alcotest.test_case "multi_async invalidates the sequential name" `Quick
             test_multi_async_invalidates_sequential_name ] );
-      ( "watch-lifecycle",
-        [ Alcotest.test_case "failed read releases its watch" `Quick
-            test_failed_read_releases_watch;
-          Alcotest.test_case "eviction bounds the server watch table" `Quick
-            test_eviction_keeps_server_watch_table_bounded ] );
+      ( "lease-lifecycle",
+        [ Alcotest.test_case "failed fill caches nothing" `Quick
+            test_failed_fill_caches_nothing ] );
       ( "leases",
         [ Alcotest.test_case "server state is per working directory" `Quick
             test_lease_mode_server_state_is_per_directory;
@@ -711,4 +608,4 @@ let () =
             test_partitioned_observer_reconverges;
           Alcotest.test_case "observer reads stay linearizable" `Quick
             test_partitioned_observer_history_checked ] );
-      ("equivalence", [ qc prop_lease_equals_watch ]) ]
+      ("equivalence", [ qc prop_lease_cache_equals_session ]) ]

@@ -44,11 +44,9 @@ let test_gate_reports_every_failure () =
 
 (* {2 Sessions} *)
 
-let case mode =
-  let leases = mode = Sessions_bench.Leases in
+let case =
   { Sessions_bench.sessions = 1_000;
     observers = 2;
-    mode;
     stat = { Sessions_bench.cold_s = 1.; warm_s = 0.01 };
     readdir = { Sessions_bench.cold_s = 0.5; warm_s = 0.01 };
     stat_reads = 16_000;
@@ -56,10 +54,9 @@ let case mode =
     hits = 16_000;
     misses = 17_000;
     invalidations = 64;
-    watch_releases = 0;
-    watch_table_total = (if leases then 0 else 16_999);
-    lease_entries_total = (if leases then 1_000 else 0);
-    leases_granted = (if leases then 1_000 else 0);
+    watch_table_total = 0;
+    lease_entries_total = 1_000;
+    leases_granted = 1_000;
     leases_renewed = 0;
     leases_revoked = 0;
     observer_reads = 11_000;
@@ -68,27 +65,50 @@ let case mode =
     history_checked = 9_856;
     violations = 0 }
 
-let test_sessions_watch_mode_holding_leases () =
-  let r = case Sessions_bench.Watches in
-  passes "watch mode" (Sessions_bench.check r);
-  names "watch mode with leases" ~needle:"watch mode granted 3 leases"
-    (Sessions_bench.check { r with lease_entries_total = 3 })
-
 let test_sessions_lease_mode_holding_watches () =
-  let r = case Sessions_bench.Leases in
+  let r = case in
   passes "lease mode" (Sessions_bench.check r);
   names "lease mode with watches" ~needle:"lease mode armed 7 watches"
     (Sessions_bench.check { r with watch_table_total = 7 })
 
 let test_sessions_wrong_census () =
-  let r = case Sessions_bench.Leases in
+  let r = case in
   names "census one short" ~needle:"znodes, expected"
     (Sessions_bench.check { r with znodes = Sessions_bench.expected_znodes - 1 })
 
 let test_sessions_empty_history () =
-  let r = case Sessions_bench.Watches in
+  let r = case in
   names "no checked ops" ~needle:"empty history"
     (Sessions_bench.check { r with history_checked = 0 })
+
+(* {2 Ablation: client cache} *)
+
+let cache_ablation =
+  { Figures.mdtest_rows =
+      [ (Runner.Dir_stat, 158_509., 158_509.);
+        (Runner.Dir_create, 5_473., 5_473.) ];
+    hot_rows = [ (64, 187_573., 5_442_177.); (256, 158_691., 4_726_736.) ] }
+
+let test_cache_ablation_not_neutral () =
+  passes "ablation-cache" (Figures.ablation_cache_check cache_ablation);
+  let with_create cached =
+    { cache_ablation with
+      Figures.mdtest_rows =
+        [ (Runner.Dir_stat, 158_509., 158_509.);
+          (Runner.Dir_create, 5_473., cached) ] }
+  in
+  names "cache 3% slower on dir-create" ~needle:"not within 2% of DUFS"
+    (Figures.ablation_cache_check (with_create 5_300.));
+  names "cache 3% faster on dir-create" ~needle:"not within 2% of DUFS"
+    (Figures.ablation_cache_check (with_create 5_650.))
+
+let test_cache_ablation_small_speedup () =
+  passes "ablation-cache" (Figures.ablation_cache_check cache_ablation);
+  names "19x at 256 procs" ~needle:"at 256 procs: 19.0x speedup"
+    (Figures.ablation_cache_check
+       { cache_ablation with
+         Figures.hot_rows =
+           [ (64, 187_573., 5_442_177.); (256, 158_691., 3_015_129.) ] })
 
 (* {2 Reshard} *)
 
@@ -209,14 +229,17 @@ let () =
         [ Alcotest.test_case "gate names every failure" `Quick
             test_gate_reports_every_failure ] );
       ( "sessions",
-        [ Alcotest.test_case "watch mode holding leases" `Quick
-            test_sessions_watch_mode_holding_leases;
-          Alcotest.test_case "lease mode holding watches" `Quick
+        [ Alcotest.test_case "lease mode holding watches" `Quick
             test_sessions_lease_mode_holding_watches;
           Alcotest.test_case "wrong znode census" `Quick
             test_sessions_wrong_census;
           Alcotest.test_case "empty history" `Quick
             test_sessions_empty_history ] );
+      ( "ablation-cache",
+        [ Alcotest.test_case "cache not neutral on mdtest" `Quick
+            test_cache_ablation_not_neutral;
+          Alcotest.test_case "hot-loop speedup under 20x" `Quick
+            test_cache_ablation_small_speedup ] );
       ( "reshard",
         [ Alcotest.test_case "p99 above 12x baseline" `Quick
             test_reshard_p99_above_baseline;

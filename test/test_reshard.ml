@@ -2,10 +2,11 @@
    tests pin the migration mechanics (remainder-only moves, exact znode
    census through split and merge, stub promotion/demotion, ephemeral
    flattening); simulation tests pin what clients are allowed to observe
-   — a session holding warm cache state (Watches and Leases modes alike)
-   over a directory that migrates mid-lease must not serve stale local
-   reads after the flip, and traffic flowing through the migration
-   window stays linearizable under the history checker. *)
+   — a session holding a warm lease cache over a directory that migrates
+   mid-lease must not serve stale local reads after the flip, raw
+   server-side watches armed on the old owner fire at the flip, and
+   traffic flowing through the migration window stays linearizable
+   under the history checker. *)
 
 module Engine = Simkit.Engine
 module Process = Simkit.Process
@@ -130,15 +131,14 @@ let test_split_rejects_non_growth () =
    The regression: a client warms its cache over a directory, the
    directory migrates to another shard, a writer updates it through the
    new owner — and nothing ever invalidates the old entries, because
-   the watch/lease state guarding them is parked on the old shard,
-   where the write will never arrive. The flip must revoke that state.
-   Checked in both coherence modes, with every client-visible read
-   recorded in the linearizability history. *)
+   the lease state guarding them is parked on the old shard, where the
+   write will never arrive. The flip must revoke that state. Every
+   client-visible read is recorded in the linearizability history. *)
 
 let cfg ~seed =
   { (Ensemble.default_config ~servers:3) with Ensemble.seed; lease_ttl = 30.0 }
 
-let migration_coherence ~coherence () =
+let test_mid_lease_migration_leases () =
   let engine = Engine.create () in
   let t = Router.start engine ~shards:2 (cfg ~seed:41L) in
   let hist = Zk.History.create engine in
@@ -152,9 +152,7 @@ let migration_coherence ~coherence () =
       done;
       ignore (ok "empty dir" (writer.Zk_client.create "/empty" ~data:""));
       let cache =
-        Cache.wrap ~coherence
-          ~now:(fun () -> Engine.now engine)
-          (Router.session t ())
+        Cache.wrap ~now:(fun () -> Engine.now engine) (Router.session t ())
       in
       (* the history sits above the cache, so local serves are checked *)
       let reader = Zk.History.wrap hist ~client:1 (Cache.handle cache) in
@@ -169,7 +167,7 @@ let migration_coherence ~coherence () =
       (match reader.Zk_client.get "/empty/missing" with
       | Error Zerror.ZNONODE -> ()
       | _ -> Alcotest.fail "expected ZNONODE");
-      (* split while every lease / watch above is live *)
+      (* split while every lease above is live *)
       let rs = Reshard.split t ~to_shards:4 () in
       check_int "split: no per-node errors" 0 rs.Reshard.errors;
       check_bool "split moved keys mid-lease" true (rs.Reshard.keys_migrated > 0);
@@ -188,16 +186,8 @@ let migration_coherence ~coherence () =
       done;
       Alcotest.(check (list string)) "cached empty listing refreshed" [ "missing" ]
         (ok "empty after" (reader.Zk_client.children "/empty"));
-      (match coherence with
-      | Cache.Watches ->
-        (* the negative entry's exists-watch on the old owner fired on
-           the flip, so the create through the new owner is visible *)
-        check_string "negative entry revoked on flip" "now"
-          (get_data "negative" reader "/empty/missing")
-      | Cache.Leases ->
-        (* absent children cannot be enumerated at the flip: lease-mode
-           negative entries stay TTL-bounded (DESIGN.md §10) *)
-        ());
+      (* absent children cannot be enumerated at the flip: leased
+         negative entries stay TTL-bounded (DESIGN.md §10) *)
       done_ := true);
   Engine.run engine;
   check_bool "scenario ran to completion" true !done_;
@@ -210,8 +200,61 @@ let migration_coherence ~coherence () =
   check_int "history clean" 0 (List.length violations);
   check_bool "history non-trivial" true (Zk.History.recorded hist > 50)
 
-let test_mid_lease_migration_watches () = migration_coherence ~coherence:Cache.Watches ()
-let test_mid_lease_migration_leases () = migration_coherence ~coherence:Cache.Leases ()
+(* {2 The flip fires server-side watches}
+
+   Watches stay a server feature ({!Zk.Recipes} arms them), so the flip
+   must fire the ones parked on the old owner: a data watch on a child,
+   a child watch on the directory, and an exists-watch on an absent
+   child. Each is armed raw, through a routed session, and each must
+   have fired by the time the split returns — before any write lands
+   through the new owner. Directories the split leaves in place keep
+   their watches armed. *)
+
+let test_split_fires_server_watches () =
+  let engine = Engine.create () in
+  let t = Router.start engine ~shards:2 (cfg ~seed:41L) in
+  let done_ = ref false in
+  Process.spawn engine (fun () ->
+      let writer = Router.session t () in
+      let dirs = List.init 12 (fun d -> Printf.sprintf "/d%02d" d) in
+      List.iter
+        (fun dir ->
+          ignore (ok "mkdir" (writer.Zk_client.create dir ~data:""));
+          ignore (ok "seed" (writer.Zk_client.create (dir ^ "/f") ~data:"v0")))
+        dirs;
+      let h = Router.session t () in
+      let fired = Hashtbl.create 64 in
+      let note kind dir (_ : Zk.Ztree.watch_event) =
+        Hashtbl.replace fired (kind ^ " " ^ dir) ()
+      in
+      List.iter
+        (fun dir ->
+          ignore (ok "get_watch" (h.Zk_client.get_watch (dir ^ "/f") (note "data" dir)));
+          ignore (ok "children_watch" (h.Zk_client.children_watch dir (note "kids" dir)));
+          match h.Zk_client.get_watch (dir ^ "/missing") (note "exists" dir) with
+          | Error Zerror.ZNONODE -> ()
+          | _ -> Alcotest.fail "expected ZNONODE")
+        dirs;
+      let home dir = Router.home_shard t (dir ^ "/f") in
+      let home_before = List.map home dirs in
+      let rs = Reshard.split t ~to_shards:4 () in
+      check_int "split: no per-node errors" 0 rs.Reshard.errors;
+      let moved =
+        List.filteri (fun i dir -> home dir <> List.nth home_before i) dirs
+      in
+      check_bool "split moved some watched directories" true (moved <> []);
+      List.iter
+        (fun dir ->
+          List.iter
+            (fun kind ->
+              let label = kind ^ " " ^ dir in
+              check_bool (label ^ " watch fired at the split")
+                (List.mem dir moved) (Hashtbl.mem fired label))
+            [ "data"; "kids"; "exists" ])
+        dirs;
+      done_ := true);
+  Engine.run engine;
+  check_bool "scenario ran to completion" true !done_
 
 (* {2 Traffic through the migration window}
 
@@ -284,10 +327,10 @@ let () =
             test_local_split_flattens_ephemerals;
           Alcotest.test_case "direction validated" `Quick test_split_rejects_non_growth ] );
       ( "mid-lease",
-        [ Alcotest.test_case "watches mode: no stale serves after flip" `Quick
-            test_mid_lease_migration_watches;
-          Alcotest.test_case "leases mode: no stale serves after flip" `Quick
-            test_mid_lease_migration_leases ] );
+        [ Alcotest.test_case "leases mode: no stale serves after flip" `Quick
+            test_mid_lease_migration_leases;
+          Alcotest.test_case "split fires the old owner's watches" `Quick
+            test_split_fires_server_watches ] );
       ( "live-traffic",
         [ Alcotest.test_case "linearizable through a live split" `Slow
             test_split_under_live_traffic_history_checked ] ) ]

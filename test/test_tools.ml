@@ -377,10 +377,16 @@ let test_rebalance_crash_window_is_recorded_and_repaired () =
 
 module Cache = Dufs.Cache
 
+(* A cache over a fresh session of [service]. Zk_local's default clock
+   is constant 0, so the cache compares lease deadlines against the same
+   clock and no lease expires during a test. *)
+let cache_of ?capacity service =
+  Cache.wrap ?capacity ~now:(fun () -> 0.) (Zk.Zk_local.session service)
+
 let cache_pair () =
   let service = Zk.Zk_local.create () in
   let writer = Zk.Zk_local.session service in
-  let cache = Cache.wrap (Zk.Zk_local.session service) in
+  let cache = cache_of service in
   (writer, cache, Cache.handle cache)
 
 let test_cache_hits_and_misses () =
@@ -400,7 +406,7 @@ let test_cache_remote_invalidation () =
   let writer, cache, cached = cache_pair () in
   ignore (ok_zk "seed" (writer.Zk.Zk_client.create "/n" ~data:"v1"));
   ignore (cached.Zk.Zk_client.get "/n");
-  (* another session updates; the watch evicts our entry *)
+  (* another session updates; the lease revocation evicts our entry *)
   ok_zk "remote set" (writer.Zk.Zk_client.set "/n" ~data:"v2");
   check_bool "invalidated" true (Cache.invalidations cache >= 1);
   (match cached.Zk.Zk_client.get "/n" with
@@ -416,7 +422,7 @@ let test_cache_negative_entries () =
   ignore (cached.Zk.Zk_client.exists "/future");
   check_int "negative entry cached" 1 (Cache.misses cache);
   check_int "negative re-read hits" 1 (Cache.hits cache);
-  (* creation by another session fires the exists-watch *)
+  (* creation by another session revokes the leased negative entry *)
   ignore (ok_zk "create" (writer.Zk.Zk_client.create "/future" ~data:"now"));
   (match cached.Zk.Zk_client.get "/future" with
   | Ok ("now", _) -> ()
@@ -455,7 +461,7 @@ let test_cache_lru_bound () =
   for i = 0 to 9 do
     ignore (ok_zk "mk" (writer.Zk.Zk_client.create (Printf.sprintf "/n%d" i) ~data:""))
   done;
-  let cache = Cache.wrap ~capacity:4 (Zk.Zk_local.session service) in
+  let cache = cache_of ~capacity:4 service in
   let h = Cache.handle cache in
   for i = 0 to 9 do
     ignore (h.Zk.Zk_client.get (Printf.sprintf "/n%d" i))
@@ -474,7 +480,7 @@ let test_cache_queue_stays_bounded () =
   let service = Zk.Zk_local.create () in
   let writer = Zk.Zk_local.session service in
   ignore (ok_zk "seed" (writer.Zk.Zk_client.create "/hot" ~data:"v"));
-  let cache = Cache.wrap ~capacity:8 (Zk.Zk_local.session service) in
+  let cache = cache_of ~capacity:8 service in
   let h = Cache.handle cache in
   for _ = 1 to 1000 do
     match h.Zk.Zk_client.get "/hot" with
@@ -498,7 +504,7 @@ let test_cache_dufs_end_to_end () =
   Array.iter
     (fun ops -> ok_fs "format" (Physical.format Physical.default_layout ops))
     mount_ops;
-  let cache = Cache.wrap (Zk.Zk_local.session service) in
+  let cache = cache_of service in
   let c1 =
     Client.mount ~coord:(Cache.handle cache) ~backends:mount_ops ~client_id:1L ()
   in
