@@ -17,6 +17,14 @@
      min-of-heads sweep, so pathological widths degrade to O(nbuckets)
      per pop, never to wrong order.
 
+   Timers ([schedule_timer]) are ordinary calendar events whose handle
+   remembers the record and its seq; [cancel] unlinks the record from
+   its bucket and recycles it. Recycling stamps a record's seq to -1 and
+   reuse gives it a fresh one, so a handle whose event already fired or
+   was cancelled — even if the record now carries another event — no
+   longer matches and cancels nothing. [cancel] never touches the seq
+   counter, so every other event keeps its (time, seq).
+
    Event records are recycled through a free list and carry a
    monomorphic [fn : Obj.t -> unit] plus its argument instead of a
    fresh closure, so the steady-state schedule/dispatch path allocates
@@ -155,7 +163,8 @@ let alloc_event t =
     ev
   end
 
-let recycle t ev =
+let recycle t (ev : event) =
+  ev.seq <- -1;
   ev.fn <- ignore_obj;
   ev.arg <- obj_unit;
   ev.next <- t.free;
@@ -266,7 +275,8 @@ let cal_schedule t ~time fn arg =
     else begin
       t.ins_count <- 0;
       t.walk_steps <- 0
-    end
+    end;
+  ev
 
 (* Find the earliest calendar event, leaving its window in [t.found_w]
    without unlinking it — the caller commits (or not, when the event
@@ -294,25 +304,47 @@ let rec cal_scan t w tries =
 
 let cal_find t = cal_scan t t.window 0
 
+let shrink_if_sparse t =
+  if t.cal_size * 4 < t.mask + 1 && t.mask + 1 > initial_buckets then
+    resize t ((t.mask + 1) / 2)
+
 (* Unlink [ev], known to be the head of the bucket for window [w]. *)
 let cal_remove_head t ev w =
   let b = w land t.mask in
   Array.unsafe_set t.buckets b ev.next;
   t.window <- w;
   t.cal_size <- t.cal_size - 1;
-  if t.cal_size * 4 < t.mask + 1 && t.mask + 1 > initial_buckets then
-    resize t ((t.mask + 1) / 2)
+  shrink_if_sparse t
+
+(* Unlink [ev] from anywhere in its bucket. Buckets hold ~1-3 events, so
+   finding the predecessor is a short walk. *)
+let rec pred_of prev ev = if prev.next == ev then prev else pred_of prev.next ev
+
+let cal_unlink t ev =
+  let b = idx_of t ev.time land t.mask in
+  let head = Array.unsafe_get t.buckets b in
+  if head == ev then Array.unsafe_set t.buckets b ev.next
+  else begin
+    let prev = pred_of head ev in
+    prev.next <- ev.next;
+    if Array.unsafe_get t.tails b == ev then Array.unsafe_set t.tails b prev
+  end;
+  t.cal_size <- t.cal_size - 1;
+  recycle t ev;
+  shrink_if_sparse t
 
 (* {2 Scheduling} *)
 
 let schedule_obj t ~time fn arg =
-  if time = t.now then nl_push t fn arg else cal_schedule t ~time fn arg
+  if time = t.now then nl_push t fn arg
+  else ignore (cal_schedule t ~time fn arg : event)
 
 let schedule t ~delay run =
   if not (Float.is_finite delay) || delay < 0. then
     invalid_arg (Printf.sprintf "Engine.schedule: bad delay %g" delay);
   if delay = 0. then nl_push t run_thunk (Obj.repr run)
-  else cal_schedule t ~time:(t.now +. delay) run_thunk (Obj.repr run)
+  else
+    ignore (cal_schedule t ~time:(t.now +. delay) run_thunk (Obj.repr run) : event)
 
 let schedule_at t ~time run =
   if not (Float.is_finite time) || time < t.now then
@@ -325,7 +357,18 @@ let schedule_app (type a) t ~delay (fn : a -> unit) (arg : a) =
     invalid_arg (Printf.sprintf "Engine.schedule: bad delay %g" delay);
   let fn : Obj.t -> unit = Obj.magic fn in
   if delay = 0. then nl_push t fn (Obj.repr arg)
-  else cal_schedule t ~time:(t.now +. delay) fn (Obj.repr arg)
+  else ignore (cal_schedule t ~time:(t.now +. delay) fn (Obj.repr arg) : event)
+
+type timer = { event : event; stamp : int (* [event.seq] when armed *) }
+
+let schedule_timer t ~delay run =
+  if not (Float.is_finite delay) || delay <= 0. then
+    invalid_arg (Printf.sprintf "Engine.schedule_timer: bad delay %g" delay);
+  let ev = cal_schedule t ~time:(t.now +. delay) run_thunk (Obj.repr run) in
+  { event = ev; stamp = ev.seq }
+
+let cancel t timer =
+  if timer.event.seq = timer.stamp then cal_unlink t timer.event
 
 (* {2 The run loop} *)
 

@@ -35,6 +35,22 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val schedule_app : t -> delay:float -> ('a -> unit) -> 'a -> unit
 
+(** A pending event that can be withdrawn before it fires. *)
+type timer
+
+(** [schedule_timer t ~delay f] runs [f] at time [now t +. delay], in
+    the same (time, scheduling order) position as [schedule], and
+    returns a handle that {!cancel} accepts.
+    @raise Invalid_argument if [delay] is not positive and finite. *)
+val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
+
+(** [cancel t timer] withdraws the timer's event if it is still pending:
+    it never runs, and it no longer counts in {!pending_events} or,
+    later, in {!executed_events}. Cancelling a timer that already fired
+    or was already cancelled does nothing. The dispatch order of every
+    other event is unchanged. *)
+val cancel : t -> timer -> unit
+
 (** [run t] executes events until the queue is empty or [stop] is called.
     [until] bounds the virtual clock: events scheduled strictly after
     [until] remain pending. When the run drains the queue or reaches the
@@ -45,7 +61,8 @@ val run : ?until:float -> t -> unit
 (** [stop t] makes [run] return after the currently executing event. *)
 val stop : t -> unit
 
-(** Number of events executed since [create]. *)
+(** Number of events executed since [create]; cancelled timers never
+    count. *)
 val executed_events : t -> int
 
 (** Number of events currently pending. *)

@@ -71,6 +71,19 @@ type rid = {
   rcxid : int64;
 }
 
+(* Request ids are pairs of small counters: hash them directly instead
+   of through the generic polymorphic hash. No iteration over these
+   tables depends on their order. *)
+module Rid_tbl = Hashtbl.Make (struct
+  type t = rid
+
+  let equal a b =
+    Int64.equal a.rsession b.rsession && Int64.equal a.rcxid b.rcxid
+
+  let hash r =
+    ((Int64.to_int r.rsession * 65599) + Int64.to_int r.rcxid) land max_int
+end)
+
 (* A committed entry carries [close_of = Some owner] when it is the
    cleanup transaction of a Close_session: every replica that applies it
    also evicts that session's dedup entries (the session can never retry
@@ -175,17 +188,17 @@ and server = {
   mutable role : role;
   mutable epoch : int;
   mutable tree : Ztree.t;
-  log : (int64, Txn.t * float * rid * int64 option) Hashtbl.t
+  log : (Txn.t * float * rid * int64 option) Zxid_tbl.t
     (* committed txns, by zxid *);
   (* request id -> (zxid, result) of every txn this replica has applied:
      the dedup table behind exactly-once writes. Replicated implicitly —
      each replica records entries as it applies the same committed
      sequence — so it survives leader failover. *)
-  applied : (rid, int64 * applied_result) Hashtbl.t;
+  applied : (int64 * applied_result) Rid_tbl.t;
   inbox : msg Mailbox.t;
   (* leader state *)
-  pending : (int64, pending_write) Hashtbl.t;
-  pending_rids : (rid, int64) Hashtbl.t;  (* in-flight request ids *)
+  pending : pending_write Zxid_tbl.t;
+  pending_rids : int64 Rid_tbl.t;  (* in-flight request ids *)
   mutable next_zxid : int64;
   mutable next_commit : int64;
   (* pipelined-leader state (max_inflight_batches > 1; inert otherwise).
@@ -204,8 +217,8 @@ and server = {
   mutable persist_until : float;
   mutable proposer_wake : unit Simkit.Process.waiter option;
   (* follower state *)
-  proposals : (int64, Txn.t * float * rid * int64 option) Hashtbl.t;
-  committed : (int64, unit) Hashtbl.t;
+  proposals : (Txn.t * float * rid * int64 option) Zxid_tbl.t;
+  committed : unit Zxid_tbl.t;
   (* highest zxid this follower knows committed via a piggybacked
      frontier (0L = none this epoch); zxids <= it apply without an
      explicit Commit_batch mark *)
@@ -367,8 +380,8 @@ let debug_dump t =
               | Observer -> "O"
               | Down -> "D")
               s.epoch s.next_zxid s.next_commit s.next_apply
-              (Hashtbl.length s.pending)
-              (Hashtbl.length s.proposals)
+              (Zxid_tbl.length s.pending)
+              (Zxid_tbl.length s.proposals)
               (Mailbox.length s.inbox))
           t.members))
 
@@ -465,12 +478,12 @@ let set_reorder t ~p ~window = Net.set_reorder t.net ~p ~window
    close still answers from the table instead of re-running cleanup. *)
 let evict_session_applied t (s : server) ~keep owner =
   let victims =
-    Hashtbl.fold
+    Rid_tbl.fold
       (fun rid _ acc ->
         if rid.rsession = owner && rid <> keep then rid :: acc else acc)
       s.applied []
   in
-  List.iter (fun rid -> Hashtbl.remove s.applied rid) victims;
+  List.iter (fun rid -> Rid_tbl.remove s.applied rid) victims;
   if s.role = Leader then
     t.dedup_evictions <- t.dedup_evictions + List.length victims
 
@@ -551,12 +564,12 @@ let try_commit t (s : server) =
        the leader's own persisted copy counts toward the quorum (in the
        pipelined path only once its overlapped persist has landed) *)
     let rec take acc =
-      match Hashtbl.find_opt s.pending s.next_commit with
+      match Zxid_tbl.find_opt s.pending s.next_commit with
       | Some pw
         when List.length pw.p_acked + (if pw.p_self_acked then 1 else 0)
              >= quorum t ->
         let zxid = s.next_commit in
-        Hashtbl.remove s.pending zxid;
+        Zxid_tbl.remove s.pending zxid;
         s.next_commit <- Int64.add zxid 1L;
         take ((zxid, pw) :: acc)
       | Some _ | None -> List.rev acc
@@ -592,13 +605,13 @@ let try_commit t (s : server) =
               else
                 (* already applied (state transfer raced ahead): answer
                    from the dedup table rather than re-applying *)
-                match Hashtbl.find_opt s.applied pw.p_rid with
+                match Rid_tbl.find_opt s.applied pw.p_rid with
                 | Some (_, result) -> result
                 | None -> Ok []
             in
-            Hashtbl.replace s.applied pw.p_rid (zxid, result);
-            Hashtbl.remove s.pending_rids pw.p_rid;
-            Hashtbl.replace s.log zxid (pw.p_txn, pw.p_time, pw.p_rid, pw.p_close);
+            Rid_tbl.replace s.applied pw.p_rid (zxid, result);
+            Rid_tbl.remove s.pending_rids pw.p_rid;
+            Zxid_tbl.replace s.log zxid (pw.p_txn, pw.p_time, pw.p_rid, pw.p_close);
             note_close_applied t s ~rid:pw.p_rid pw.p_close;
             wal_applied t s zxid;
             t.commits <- t.commits + 1;
@@ -711,7 +724,7 @@ let dedup_filter t (s : server) batch =
   else
     List.filter
       (fun (_, rid, origin, reply, _, _) ->
-        match Hashtbl.find_opt s.applied rid with
+        match Rid_tbl.find_opt s.applied rid with
         | Some (zxid, result) ->
           t.dedup_hits <- t.dedup_hits + 1;
           if origin = s.id then reply result
@@ -721,9 +734,9 @@ let dedup_filter t (s : server) batch =
                  { epoch = s.epoch; zxid; result; reply; committed_upto = 0L });
           false
         | None -> (
-          match Hashtbl.find_opt s.pending_rids rid with
+          match Rid_tbl.find_opt s.pending_rids rid with
           | Some zxid -> (
-            match Hashtbl.find_opt s.pending zxid with
+            match Zxid_tbl.find_opt s.pending zxid with
             | Some pw ->
               t.dedup_hits <- t.dedup_hits + 1;
               pw.p_origin <- origin;
@@ -744,7 +757,7 @@ let dedup_filter t (s : server) batch =
                 t.follower_peers;
               false
             | None ->
-              Hashtbl.remove s.pending_rids rid;
+              Rid_tbl.remove s.pending_rids rid;
               true)
           | None -> true))
       batch
@@ -755,7 +768,7 @@ let dedup_filter t (s : server) batch =
    queueing behind a stalled quorum (default: queue forever). *)
 let failing_fast t (s : server) =
   t.cfg.fail_fast_after < infinity
-  && Hashtbl.length s.pending > 0
+  && Zxid_tbl.length s.pending > 0
   && Engine.now t.engine -. t.last_commit_at > t.cfg.fail_fast_after
 
 (* A pending commit head older than [request_timeout] is evidence of a
@@ -766,7 +779,7 @@ let failing_fast t (s : server) =
    fault-free schedules untouched (healthy commits finish far inside
    the timeout). *)
 let repropose_stalled_head t (s : server) =
-  match Hashtbl.find_opt s.pending s.next_commit with
+  match Zxid_tbl.find_opt s.pending s.next_commit with
   | Some pw
     when Engine.now t.engine -. pw.p_proposed_at > t.cfg.request_timeout ->
     pw.p_proposed_at <- Engine.now t.engine;
@@ -793,7 +806,7 @@ let repropose_stalled t (s : server) =
   else begin
     let now = Engine.now t.engine in
     let stalled =
-      Hashtbl.fold
+      Zxid_tbl.fold
         (fun zxid pw acc ->
           if now -. pw.p_proposed_at > t.cfg.request_timeout then
             (zxid, pw) :: acc
@@ -888,12 +901,12 @@ let leader_handle_batch t (s : server) batch =
           (fun (txn, rid, origin, reply, span, close) ->
             let zxid = s.next_zxid in
             s.next_zxid <- Int64.add zxid 1L;
-            Hashtbl.replace s.pending zxid
+            Zxid_tbl.replace s.pending zxid
               { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
                 p_reply = reply; p_acked = []; p_proposed_at = time;
                 p_self_acked = true (* persist already paid above *);
                 p_close = close; p_span = span };
-            Hashtbl.replace s.pending_rids rid zxid;
+            Rid_tbl.replace s.pending_rids rid zxid;
             wal_append s ~start:time ~done_at:persisted_at ~zxid ~txn ~time
               ~rid ~close;
             (zxid, txn, time, rid, close))
@@ -963,12 +976,12 @@ let leader_enqueue_batch t (s : server) batch =
       (fun (txn, rid, origin, reply, span, close) ->
         let zxid = s.next_zxid in
         s.next_zxid <- Int64.add zxid 1L;
-        Hashtbl.replace s.pending zxid
+        Zxid_tbl.replace s.pending zxid
           { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
             p_reply = reply; p_acked = []; p_proposed_at = time;
             p_self_acked = false (* counts only after the overlapped persist *);
             p_close = close; p_span = span };
-        Hashtbl.replace s.pending_rids rid zxid;
+        Rid_tbl.replace s.pending_rids rid zxid;
         let entry = (zxid, txn, time, rid, close) in
         let cpu = leader_service t txn in
         (* Queue exposes no tail peek; fold to it — the queue is at most
@@ -1051,7 +1064,7 @@ let rec proposer_loop t (s : server) =
              if s.role = Leader && s.epoch = epoch0 then begin
                List.iter
                  (fun z ->
-                   match Hashtbl.find_opt s.pending z with
+                   match Zxid_tbl.find_opt s.pending z with
                    | Some pw -> pw.p_self_acked <- true
                    | None -> ())
                  zxids;
@@ -1069,21 +1082,21 @@ let rec proposer_loop t (s : server) =
 
 let rec follower_apply_ready t (s : server) =
   if
-    Hashtbl.mem s.committed s.next_apply
+    Zxid_tbl.mem s.committed s.next_apply
     || s.next_apply <= s.commit_frontier
   then
-    match Hashtbl.find_opt s.proposals s.next_apply with
+    match Zxid_tbl.find_opt s.proposals s.next_apply with
     | None -> ()  (* proposal not yet received (cleared by election) *)
     | Some (txn, time, rid, close) ->
       let zxid = s.next_apply in
-      Hashtbl.remove s.committed zxid;
-      Hashtbl.remove s.proposals zxid;
+      Zxid_tbl.remove s.committed zxid;
+      Zxid_tbl.remove s.proposals zxid;
       s.next_apply <- Int64.add zxid 1L;
       if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
+        Rid_tbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
         note_close_applied t s ~rid close
       end;
-      Hashtbl.replace s.log zxid (txn, time, rid, close);
+      Zxid_tbl.replace s.log zxid (txn, time, rid, close);
       wal_applied t s zxid;
       follower_apply_ready t s
 
@@ -1092,16 +1105,16 @@ let rec follower_apply_ready t (s : server) =
    that must be repaired, never skipped (skipping silently diverges the
    observer's tree forever while it keeps serving reads). *)
 let rec observer_apply_ready t (s : server) =
-  match Hashtbl.find_opt s.proposals s.next_apply with
+  match Zxid_tbl.find_opt s.proposals s.next_apply with
   | None -> ()
   | Some (txn, time, rid, close) ->
     let zxid = s.next_apply in
-    Hashtbl.remove s.proposals zxid;
+    Zxid_tbl.remove s.proposals zxid;
     s.next_apply <- Int64.add zxid 1L;
     if Ztree.last_zxid s.tree < zxid then begin
-      Hashtbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
+      Rid_tbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
       note_close_applied t s ~rid close;
-      Hashtbl.replace s.log zxid (txn, time, rid, close);
+      Zxid_tbl.replace s.log zxid (txn, time, rid, close);
       (* observers have no ack round: the inform itself doubles as the
          txn-log append (already committed, so it lands at the frontier) *)
       (match Wal.epoch_at s.wal zxid with
@@ -1116,8 +1129,8 @@ let rec observer_apply_ready t (s : server) =
 (* Commit marks this follower cannot apply yet mean a proposal or an
    earlier commit was lost on the wire: ask the leader to resend. *)
 let request_gap_repair t (s : server) =
-  if Hashtbl.length s.committed > 0 then begin
-    let upto = Hashtbl.fold (fun zxid () acc -> Int64.max zxid acc) s.committed 0L in
+  if Zxid_tbl.length s.committed > 0 then begin
+    let upto = Zxid_tbl.fold (fun zxid () acc -> Int64.max zxid acc) s.committed 0L in
     send t ~src:s.id ~dst:t.leader
       (Fetch { epoch = s.epoch; from_zxid = s.next_apply; upto; who = s.id })
   end
@@ -1137,7 +1150,7 @@ let advance_frontier t (s : server) ~epoch frontier =
       let fresh = ref 0 in
       let z = ref (Int64.add base 1L) in
       while !z <= frontier do
-        if not (Hashtbl.mem s.committed !z) then incr fresh;
+        if not (Zxid_tbl.mem s.committed !z) then incr fresh;
         z := Int64.add !z 1L
       done;
       if !fresh > 0 then
@@ -1213,7 +1226,7 @@ let handle t (s : server) msg =
         s.fresh_at <- persisted_at;
         List.iter
           (fun (zxid, txn, time, rid, close) ->
-            Hashtbl.replace s.proposals zxid (txn, time, rid, close);
+            Zxid_tbl.replace s.proposals zxid (txn, time, rid, close);
             (* log the proposal before acking (ZAB's accept-then-ack);
                re-proposals already logged this epoch are not re-appended
                — the re-ack is idempotent and so is the disk *)
@@ -1239,7 +1252,7 @@ let handle t (s : server) msg =
         let missing = ref false in
         let z = ref s.next_apply in
         while (not !missing) && Int64.compare !z hi < 0 do
-          if not (Hashtbl.mem s.proposals !z) then missing := true;
+          if not (Zxid_tbl.mem s.proposals !z) then missing := true;
           z := Int64.add !z 1L
         done;
         if !missing then
@@ -1262,7 +1275,7 @@ let handle t (s : server) msg =
       Process.sleep (svc t t.cfg.rpc_cpu);
       List.iter
         (fun zxid ->
-          match Hashtbl.find_opt s.pending zxid with
+          match Zxid_tbl.find_opt s.pending zxid with
           | Some pw ->
             if not (List.mem from pw.p_acked) then pw.p_acked <- from :: pw.p_acked
           | None -> ())
@@ -1282,7 +1295,7 @@ let handle t (s : server) msg =
         (svc t (t.cfg.follower_apply *. float_of_int (List.length zxids)));
       if s.role = Follower && epoch = s.epoch then begin
         s.fresh_at <- Engine.now t.engine;
-        List.iter (fun zxid -> Hashtbl.replace s.committed zxid ()) zxids;
+        List.iter (fun zxid -> Zxid_tbl.replace s.committed zxid ()) zxids;
         follower_apply_ready t s;
         flush_deferred s;
         request_gap_repair t s
@@ -1301,7 +1314,7 @@ let handle t (s : server) msg =
         List.iter
           (fun (zxid, txn, time, rid, close) ->
             if zxid >= s.next_apply then
-              Hashtbl.replace s.proposals zxid (txn, time, rid, close))
+              Zxid_tbl.replace s.proposals zxid (txn, time, rid, close))
           entries;
         observer_apply_ready t s;
         let hi =
@@ -1328,12 +1341,12 @@ let handle t (s : server) msg =
         let entries = ref [] and commits = ref [] in
         let z = ref upto in
         while !z >= from_zxid do
-          (match Hashtbl.find_opt s.log !z with
+          (match Zxid_tbl.find_opt s.log !z with
            | Some (txn, time, rid, close) ->
              entries := (!z, txn, time, rid, close) :: !entries;
              commits := !z :: !commits
            | None -> (
-             match Hashtbl.find_opt s.pending !z with
+             match Zxid_tbl.find_opt s.pending !z with
              | Some pw ->
                entries := (!z, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: !entries
              | None -> ()));
@@ -1394,11 +1407,11 @@ let make_server ~now ~lease_ttl id =
     role = Follower;
     epoch = 0;
     tree = Ztree.create ();
-    log = Hashtbl.create 1024;
-    applied = Hashtbl.create 1024;
+    log = Zxid_tbl.create 1024;
+    applied = Rid_tbl.create 1024;
     inbox = Mailbox.create ();
-    pending = Hashtbl.create 64;
-    pending_rids = Hashtbl.create 64;
+    pending = Zxid_tbl.create 64;
+    pending_rids = Rid_tbl.create 64;
     next_zxid = 1L;
     next_commit = 1L;
     prop_queue = Queue.create ();
@@ -1406,8 +1419,8 @@ let make_server ~now ~lease_ttl id =
     inflight_his = [];
     persist_until = 0.;
     proposer_wake = None;
-    proposals = Hashtbl.create 64;
-    committed = Hashtbl.create 64;
+    proposals = Zxid_tbl.create 64;
+    committed = Zxid_tbl.create 64;
     commit_frontier = 0L;
     next_apply = 1L;
     fresh_at = 0.;
@@ -1427,6 +1440,8 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
   if cfg.max_inflight_batches < 1 then
     invalid_arg "Ensemble.start: max_inflight_batches < 1";
   if cfg.retry_backoff < 0. then invalid_arg "Ensemble.start: retry_backoff < 0";
+  if cfg.request_timeout <= 0. then
+    invalid_arg "Ensemble.start: request_timeout <= 0";
   if cfg.session_timeout <= 0. then
     invalid_arg "Ensemble.start: session_timeout <= 0";
   if cfg.lease_ttl <= 0. then invalid_arg "Ensemble.start: lease_ttl <= 0";
@@ -1501,7 +1516,7 @@ let state_transfer t ~from ~target =
     dst_z > src_z
     || (dst_z > 0L
         &&
-        match Hashtbl.find_opt src.log dst_z with
+        match Zxid_tbl.find_opt src.log dst_z with
         | Some (txn, _, _, _) -> (
           match Wal.entry_at dst.wal dst_z with
           | Some e -> e.Wal.e_txn <> txn
@@ -1515,7 +1530,7 @@ let state_transfer t ~from ~target =
     let missing = ref false in
     let z = ref (Int64.add dst_z 1L) in
     while (not !missing) && !z <= src_z do
-      if not (Hashtbl.mem src.log !z) then missing := true;
+      if not (Zxid_tbl.mem src.log !z) then missing := true;
       z := Int64.add !z 1L
     done;
     !missing
@@ -1534,11 +1549,11 @@ let state_transfer t ~from ~target =
       let stale = dst.tree in
       dst.tree <- tree;
       Ztree.migrate_watches ~from:stale ~into:tree;
-      Hashtbl.reset dst.log;
-      Hashtbl.iter (fun zxid entry -> Hashtbl.replace dst.log zxid entry) src.log;
-      Hashtbl.reset dst.applied;
-      Hashtbl.iter
-        (fun rid result -> Hashtbl.replace dst.applied rid result)
+      Zxid_tbl.reset dst.log;
+      Zxid_tbl.iter (fun zxid entry -> Zxid_tbl.replace dst.log zxid entry) src.log;
+      Rid_tbl.reset dst.applied;
+      Rid_tbl.iter
+        (fun rid result -> Rid_tbl.replace dst.applied rid result)
         src.applied;
       t.transfer_snaps <- t.transfer_snaps + 1;
       (* write-through: the installed snapshot supersedes dst's whole
@@ -1550,12 +1565,12 @@ let state_transfer t ~from ~target =
   end;
   let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
   while !zxid <= Ztree.last_zxid src.tree do
-    (match Hashtbl.find_opt src.log !zxid with
+    (match Zxid_tbl.find_opt src.log !zxid with
      | Some (txn, time, rid, close) ->
-       Hashtbl.replace dst.applied rid
+       Rid_tbl.replace dst.applied rid
          (!zxid, apply_txn dst ~zxid:!zxid ~time txn);
        note_close_applied t dst ~rid close;
-       Hashtbl.replace dst.log !zxid (txn, time, rid, close);
+       Zxid_tbl.replace dst.log !zxid (txn, time, rid, close);
        t.transfer_diff_txns <- t.transfer_diff_txns + 1;
        (* write-through: a diff-synced txn lands on dst's disk too *)
        (match Wal.epoch_at dst.wal !zxid with
@@ -1581,10 +1596,10 @@ let crown t (new_leader : server) ~epoch =
         s.awaiting_quorum <- false;
         s.recovered_tail <- [];
         s.disk_synced <- false;
-        Hashtbl.reset s.proposals;
-        Hashtbl.reset s.committed;
-        Hashtbl.reset s.pending;
-        Hashtbl.reset s.pending_rids;
+        Zxid_tbl.reset s.proposals;
+        Zxid_tbl.reset s.committed;
+        Zxid_tbl.reset s.pending;
+        Rid_tbl.reset s.pending_rids;
         (* queued batches and frontiers are epoch-relative state *)
         reset_pipeline_state s;
         if s.id = new_leader.id then s.role <- Leader
@@ -1651,11 +1666,11 @@ let commit_recovered_tail t (s : server) =
       let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
       if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid
+        Rid_tbl.replace s.applied rid
           (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
         note_close_applied t s ~rid e.Wal.e_close
       end;
-      Hashtbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close);
+      Zxid_tbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close);
       wal_applied t s zxid;
       t.wal_tail_commits <- t.wal_tail_commits + 1)
     s.recovered_tail;
@@ -1722,18 +1737,18 @@ let recover_local t (s : server) =
     | None -> Ztree.create ()
   in
   s.tree <- tree;
-  Hashtbl.reset s.log;
-  Hashtbl.reset s.applied;
+  Zxid_tbl.reset s.log;
+  Rid_tbl.reset s.applied;
   List.iter
     (fun (e : Wal.entry) ->
       let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
       if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid
+        Rid_tbl.replace s.applied rid
           (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
         note_close_applied t s ~rid e.Wal.e_close
       end;
-      Hashtbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close))
+      Zxid_tbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close))
     r.Wal.rc_replay;
   (* watches migrate only once the tree is fully rebuilt: comparing
      against the half-replayed tree would fire spurious events for
@@ -1763,8 +1778,8 @@ let crash t id =
   if s.role <> Down then begin
     let was_leader = s.role = Leader in
     s.role <- Down;
-    Hashtbl.reset s.pending;
-    Hashtbl.reset s.pending_rids;
+    Zxid_tbl.reset s.pending;
+    Rid_tbl.reset s.pending_rids;
     reset_pipeline_state s;
     (* a crash loses RAM: whatever sat unprocessed in the inbox is gone,
        held-back replies die with the connection state, and so does the
@@ -1789,8 +1804,8 @@ let restart t id =
   if s.role = Down then begin
     s.role <- (if is_observer_id t id then Observer else Follower);
     s.epoch <- t.members.(t.leader).epoch;
-    Hashtbl.reset s.proposals;
-    Hashtbl.reset s.committed;
+    Zxid_tbl.reset s.proposals;
+    Zxid_tbl.reset s.committed;
     s.commit_frontier <- 0L;
     (* local recovery first, from disk alone: snapshot load + WAL replay.
        Only the genuinely missing remainder is then diff-synced from a
@@ -1804,7 +1819,7 @@ let restart t id =
          Observers do not vote, so they are not re-proposed to. *)
       if not (is_observer_id t id) then begin
         let stalled =
-          Hashtbl.fold (fun zxid pw acc -> (zxid, pw) :: acc) leader.pending []
+          Zxid_tbl.fold (fun zxid pw acc -> (zxid, pw) :: acc) leader.pending []
         in
         match
           List.sort (fun (a, _) (b, _) -> Int64.compare a b) stalled
@@ -1883,15 +1898,21 @@ let transfer_snaps t = t.transfer_snaps
 (* Suspend the calling process until [reply] fires or [timeout] elapses;
    late replies after a timeout are ignored. The reply crosses the
    network from [from] back to the session's endpoint [cep], so it is
-   subject to the same partitions and loss as the request. *)
+   subject to the same partitions and loss as the request. A reply that
+   settles first cancels the timeout, so no dead timer lingers in the
+   event queue. *)
 let await_reply t ~timeout ~from ~cep issue =
   Process.suspend_v (fun resume ->
       let settled = ref false in
       let finish v = if not !settled then begin settled := true; resume v end in
-      Engine.schedule t.engine ~delay:timeout (fun () ->
-          finish (Error Zerror.ZOPERATIONTIMEOUT));
+      let timer =
+        Engine.schedule_timer t.engine ~delay:timeout (fun () ->
+            finish (Error Zerror.ZOPERATIONTIMEOUT))
+      in
       issue (fun result ->
-          Net.send t.net ~src:t.eps.(from) ~dst:cep (fun () -> finish result)))
+          Net.send t.net ~src:t.eps.(from) ~dst:cep (fun () ->
+              Engine.cancel t.engine timer;
+              finish result)))
 
 let pick_alive t preferred =
   if t.members.(preferred).role <> Down then preferred
@@ -2050,8 +2071,10 @@ let session t ?server () =
           callback result
         end
       in
-      Engine.schedule t.engine ~delay:t.cfg.request_timeout (fun () ->
-          finish (Error Zerror.ZOPERATIONTIMEOUT));
+      let timer =
+        Engine.schedule_timer t.engine ~delay:t.cfg.request_timeout (fun () ->
+            finish (Error Zerror.ZOPERATIONTIMEOUT))
+      in
       let target = pick_alive t home in
       send_from t ~src_ep:cep ~dst:target
         (Write
@@ -2062,6 +2085,7 @@ let session t ?server () =
              reply =
                (fun result ->
                  Net.send t.net ~src:t.eps.(target) ~dst:cep (fun () ->
+                     Engine.cancel t.engine timer;
                      finish result)) })
     end
   in

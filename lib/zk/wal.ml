@@ -30,7 +30,16 @@
    [frontier] (ZooKeeper does not persist commits either; we trade its
    log-end recovery for an explicit marker so recovery reproduces the
    applied prefix exactly), the epoch stamp, and records installed by a
-   leader state transfer. *)
+   leader state transfer.
+
+   Bytes are materialised on first read. [append] keeps only the entry;
+   the payload and its MD5 are computed the first time something reads
+   the disk ([record_valid] during recovery and [durable_zxid], or
+   [corrupt]). The entry is immutable, so the bytes are exactly those
+   an eager encode would have produced, and the checksum verifies the
+   same bytes and selects the same records as an eager one. A snapshot
+   payload must be captured when taken (the tree keeps changing), but
+   its MD5 is likewise deferred. *)
 
 type entry = {
   e_zxid : int64;
@@ -44,8 +53,8 @@ type entry = {
 type record = {
   r_entry : entry;
   r_epoch : int;
-  mutable r_payload : string;
-  r_sum : string; (* MD5 of the payload as appended *)
+  mutable r_payload : string; (* "" until materialised *)
+  mutable r_sum : string; (* MD5 of the payload as appended; "" until then *)
   r_start : float; (* device write issued *)
   r_done : float; (* device write (incl. fsync) complete *)
   mutable r_torn : bool; (* partially written: crash mid-append *)
@@ -55,12 +64,12 @@ type snapshot = {
   s_zxid : int64;
   s_epoch : int;
   mutable s_payload : string; (* Ztree.serialize at [s_zxid] *)
-  s_sum : string;
+  mutable s_sum : string; (* "" until first read *)
 }
 
 type t = {
   mutable records : record list; (* newest first (append order reversed) *)
-  by_zxid : (int64, record) Hashtbl.t; (* latest record per zxid *)
+  by_zxid : record Zxid_tbl.t; (* latest record per zxid *)
   mutable snaps : snapshot list; (* newest first; at most two kept *)
   mutable frontier : int64; (* durable apply marker *)
   mutable epoch : int; (* durable epoch stamp *)
@@ -78,7 +87,7 @@ type t = {
 
 let create () =
   { records = [];
-    by_zxid = Hashtbl.create 256;
+    by_zxid = Zxid_tbl.create 256;
     snaps = [];
     frontier = 0L;
     epoch = 0;
@@ -140,21 +149,31 @@ let encode ~epoch (e : entry) =
 (* {2 Appending} *)
 
 let entry_at t zxid =
-  Option.map (fun r -> r.r_entry) (Hashtbl.find_opt t.by_zxid zxid)
+  Option.map (fun r -> r.r_entry) (Zxid_tbl.find_opt t.by_zxid zxid)
 
 let epoch_at t zxid =
-  Option.map (fun r -> r.r_epoch) (Hashtbl.find_opt t.by_zxid zxid)
+  Option.map (fun r -> r.r_epoch) (Zxid_tbl.find_opt t.by_zxid zxid)
 
 let append t ~epoch ~start ~done_at entry =
-  let payload = encode ~epoch entry in
   let r =
-    { r_entry = entry; r_epoch = epoch; r_payload = payload;
-      r_sum = Md5.digest payload; r_start = start; r_done = done_at;
-      r_torn = false }
+    { r_entry = entry; r_epoch = epoch; r_payload = ""; r_sum = "";
+      r_start = start; r_done = done_at; r_torn = false }
   in
   t.records <- r :: t.records;
-  Hashtbl.replace t.by_zxid entry.e_zxid r;
+  Zxid_tbl.replace t.by_zxid entry.e_zxid r;
   t.appended <- t.appended + 1
+
+(* The bytes on the platter, encoded and checksummed on first read. *)
+let record_bytes r =
+  if r.r_sum = "" then begin
+    r.r_payload <- encode ~epoch:r.r_epoch r.r_entry;
+    r.r_sum <- Md5.digest r.r_payload
+  end;
+  r.r_payload
+
+let snapshot_sum s =
+  if s.s_sum = "" then s.s_sum <- Md5.digest s.s_payload;
+  s.s_sum
 
 let note_commit t zxid = if zxid > t.frontier then t.frontier <- zxid
 let note_epoch t epoch = if epoch > t.epoch then t.epoch <- epoch
@@ -164,19 +183,16 @@ let epoch t = t.epoch
 (* {2 Snapshots} *)
 
 let rebuild_index t =
-  Hashtbl.reset t.by_zxid;
+  Zxid_tbl.reset t.by_zxid;
   List.iter
-    (fun r -> Hashtbl.replace t.by_zxid r.r_entry.e_zxid r)
+    (fun r -> Zxid_tbl.replace t.by_zxid r.r_entry.e_zxid r)
     (List.rev t.records)
 
 (* Keep the newest two snapshots (the older one is the bit-rot fallback)
    and prune log records at or below the older snapshot's zxid: recovery
    never replays below the snapshot it loads. *)
 let snapshot t ~zxid ~epoch payload =
-  let s =
-    { s_zxid = zxid; s_epoch = epoch; s_payload = payload;
-      s_sum = Md5.digest payload }
-  in
+  let s = { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } in
   (t.snaps <-
      (match t.snaps with
       | [] -> [ s ]
@@ -198,10 +214,8 @@ let last_snapshot_zxid t =
    overruled (ZooKeeper's TRUNC). *)
 let install_snapshot t ~zxid ~epoch payload =
   t.records <- [];
-  Hashtbl.reset t.by_zxid;
-  t.snaps <-
-    [ { s_zxid = zxid; s_epoch = epoch; s_payload = payload;
-        s_sum = Md5.digest payload } ];
+  Zxid_tbl.reset t.by_zxid;
+  t.snaps <- [ { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } ];
   if zxid > t.frontier then t.frontier <- zxid
 
 (* {2 Storage-fault state} *)
@@ -236,9 +250,11 @@ let corrupt t ~fraction =
   let hit = ref 0 in
   List.iter
     (fun r ->
+      (* the pick needs the as-appended checksum, so read the bytes first *)
+      let payload = record_bytes r in
       if Md5.to_int r.r_sum land 0xFFFF < threshold then begin
-        let i = String.length r.r_payload / 2 in
-        let b = Bytes.of_string r.r_payload in
+        let i = String.length payload / 2 in
+        let b = Bytes.of_string payload in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
         r.r_payload <- Bytes.to_string b;
         incr hit
@@ -250,6 +266,7 @@ let corrupt_snapshot t =
   match t.snaps with
   | [] -> false
   | s :: _ ->
+    ignore (snapshot_sum s : string);
     let i = String.length s.s_payload / 2 in
     let b = Bytes.of_string s.s_payload in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
@@ -297,7 +314,11 @@ type recovered = {
   rc_snap_fallback : bool;
 }
 
-let record_valid r = (not r.r_torn) && Md5.digest r.r_payload = r.r_sum
+let record_valid r =
+  if r.r_torn then false
+  else
+    let payload = record_bytes r in
+    Md5.digest payload = r.r_sum
 
 (* Walk the log in append order, stop at the first unreadable record,
    and resolve zxid rewinds (epoch changes overwriting an uncommitted
@@ -340,7 +361,8 @@ let recover t =
   let rec pick_snap fallback = function
     | [] -> (None, 0L, fallback)
     | s :: rest ->
-      if Md5.digest s.s_payload = s.s_sum then
+      let sum = snapshot_sum s in
+      if Md5.digest s.s_payload = sum then
         (Some s.s_payload, s.s_zxid, fallback)
       else begin
         t.snap_fallbacks <- t.snap_fallbacks + 1;

@@ -39,7 +39,9 @@ val encode : epoch:int -> entry -> string
 (** Append a checksummed record. [start] is when the device write was
     issued, [done_at] when it (and its fsync) completes; a power-off
     before [done_at] loses the record — torn if the write was already
-    in flight, dropped entirely otherwise. *)
+    in flight, dropped entirely otherwise. The record's bytes and
+    checksum are computed on first read (recovery, {!durable_zxid},
+    {!corrupt}); they are the bytes [encode] gives for the entry. *)
 val append : t -> epoch:int -> start:float -> done_at:float -> entry -> unit
 
 (** The durable apply marker: recovery replays records up to it (the

@@ -510,8 +510,22 @@ let add_float_bits b f =
     Buffer.add_char b "0123456789abcdef".[nibble i]
   done
 
+(* Bytes of a node line besides its path and data: two length prefixes,
+   three counters, three zxids, two 16-digit float hexes, the owner, the
+   separators and the newline, at the sizes a typical tree holds. *)
+let line_fixed_bytes = 96
+
 let serialize t =
-  let buf = Buffer.create (4096 + (64 * Hashtbl.length t.nodes)) in
+  let size = ref 64 in
+  let paths =
+    Hashtbl.fold
+      (fun path (n : node) acc ->
+        size :=
+          !size + line_fixed_bytes + String.length path + String.length n.data;
+        path :: acc)
+      t.nodes []
+  in
+  let buf = Buffer.create !size in
   let field s =
     Buffer.add_char buf ' ';
     Buffer.add_string buf s
@@ -521,7 +535,6 @@ let serialize t =
   Buffer.add_char buf '\n';
   Buffer.add_string buf (string_of_int (Hashtbl.length t.nodes));
   Buffer.add_char buf '\n';
-  let paths = Hashtbl.fold (fun path _ acc -> path :: acc) t.nodes [] in
   List.iter
     (fun path ->
       let n = Hashtbl.find t.nodes path in

@@ -63,6 +63,35 @@ let test_replicas_identical_after_many_writes () =
   check_int "every replica holds all nodes" 401
     (Ztree.node_count (Ensemble.tree_of ensemble 4))
 
+(* Every request arms a [request_timeout] timer; a reply that settles
+   first cancels it. So once a fault-free session's writes, reads and
+   async write have all been answered, nothing is left pending and the
+   clock stops at the last reply instead of idling on to a dead
+   timeout. *)
+let test_settled_requests_leave_no_timers () =
+  let engine, ensemble = make ~servers:3 () in
+  let last_reply = ref 0. in
+  let replied () = last_reply := Float.max !last_reply (Engine.now engine) in
+  let async_ok = ref false in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      s.Zk_client.multi_async [ Zk_client.create_op "/async" ~data:"a" ]
+        (fun r ->
+          async_ok := Result.is_ok r;
+          replied ());
+      for i = 0 to 9 do
+        let path = Printf.sprintf "/t%d" i in
+        ignore (ok_or_fail "create" (s.Zk_client.create path ~data:"x"));
+        ignore (ok_or_fail "set" (s.Zk_client.set path ~data:"y"));
+        ignore (ok_or_fail "get" (s.Zk_client.get path));
+        replied ()
+      done);
+  Engine.run engine;
+  check_bool "async write answered" true !async_ok;
+  check_int "no dead timers pending" 0 (Engine.pending_events engine);
+  Alcotest.(check (float 0.)) "clock stops at the last reply" !last_reply
+    (Engine.now engine)
+
 let test_total_order_observed () =
   (* concurrent conflicting creates: exactly one of the two clients wins,
      on every replica — the Fig. 1 consistency scenario *)
@@ -828,8 +857,9 @@ let () =
             test_ephemerals_removed_on_close;
           Alcotest.test_case "reads distributed" `Quick
             test_reads_distributed_across_servers;
-          Alcotest.test_case "single-server ensemble" `Quick test_single_server_ensemble
-        ] );
+          Alcotest.test_case "single-server ensemble" `Quick test_single_server_ensemble;
+          Alcotest.test_case "settled requests leave no timers" `Quick
+            test_settled_requests_leave_no_timers ] );
       ( "faults",
         [ Alcotest.test_case "leader crash and election" `Quick
             test_leader_crash_and_election;

@@ -222,6 +222,163 @@ let prop_matches_reference_heap =
       Ref_engine.run r;
       List.rev !log_e = List.rev !log_r)
 
+(* {2 Timers} *)
+
+let test_cancelled_timer_never_fires () =
+  let e = Engine.create () in
+  let fired = ref false in
+  let timer = Engine.schedule_timer e ~delay:2. (fun () -> fired := true) in
+  Engine.schedule e ~delay:1. (fun () -> Engine.cancel e timer);
+  Engine.run e;
+  check_bool "cancelled timer did not fire" false !fired;
+  check_float "clock stops at the last live event" 1. (Engine.now e);
+  check_int "only the canceller executed" 1 (Engine.executed_events e);
+  check_int "nothing pending" 0 (Engine.pending_events e)
+
+let test_cancel_after_fire_is_noop () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let timer = Engine.schedule_timer e ~delay:1. (fun () -> incr fired) in
+  let later = ref false in
+  Engine.schedule e ~delay:2. (fun () -> later := true);
+  Engine.run ~until:1.5 e;
+  check_int "timer fired once" 1 !fired;
+  Engine.cancel e timer;
+  check_int "later event still pending" 1 (Engine.pending_events e);
+  Engine.run e;
+  check_bool "later event ran" true !later;
+  check_int "timer did not fire again" 1 !fired
+
+(* A fired timer's record goes back to the free list and is reused by
+   the next calendar event; the stale handle must not withdraw it. *)
+let test_stale_handle_after_recycle () =
+  let e = Engine.create () in
+  let timer = Engine.schedule_timer e ~delay:1. ignore in
+  Engine.run e;
+  let fired = ref false in
+  Engine.schedule e ~delay:1. (fun () -> fired := true);
+  let again = Engine.schedule_timer e ~delay:1. ignore in
+  Engine.cancel e timer;
+  check_int "reused records untouched" 2 (Engine.pending_events e);
+  Engine.cancel e again;
+  Engine.cancel e again;
+  check_int "double cancel withdraws once" 1 (Engine.pending_events e);
+  Engine.run e;
+  check_bool "event on the recycled record ran" true !fired
+
+(* Equal-time events share a bucket and append at its tail in O(1);
+   cancelling the tail must move the tail back, or later appends would
+   hang off the withdrawn record and vanish. *)
+let test_cancel_tail_keeps_appends () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at i () = log := i :: !log in
+  Engine.schedule_at e ~time:1. (at 0);
+  Engine.schedule_at e ~time:1. (at 1);
+  let tail = Engine.schedule_timer e ~delay:1. (at 99) in
+  Engine.cancel e tail;
+  Engine.schedule_at e ~time:1. (at 2);
+  Engine.schedule_at e ~time:1. (at 3);
+  let head = Engine.schedule_timer e ~delay:1. (at 98) in
+  Engine.schedule_at e ~time:1. (at 4);
+  Engine.cancel e head;
+  Engine.run e;
+  Alcotest.(check (list int)) "FIFO order without the cancelled timers"
+    [ 0; 1; 2; 3; 4 ] (List.rev !log)
+
+let test_bad_timer_delay_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "zero delay"
+    (Invalid_argument "Engine.schedule_timer: bad delay 0") (fun () ->
+      ignore (Engine.schedule_timer e ~delay:0. ignore))
+
+(* Random mixes of [schedule_at], [schedule_timer] and [cancel]: the pop
+   trace equals the reference engine's with the cancelled events left
+   out, and [pending_events] counts exactly the live events after every
+   step. A second batch of operations runs from inside an event at a
+   random time, so its cancels also meet timers that already fired and
+   records that were recycled. *)
+type timer_op =
+  | At of float  (* absolute time; an offset from now inside the run *)
+  | Timer of float  (* positive delay *)
+  | Cancel of int  (* index into the timers armed so far *)
+
+let prop_timers_match_reference =
+  let gen_op =
+    QCheck2.Gen.(
+      frequency
+        [ ( 3,
+            map (fun t -> At t)
+              (oneof [ float_range 0. 5.; map float_of_int (int_range 0 5) ]) );
+          (3, map (fun d -> Timer d) (oneof [ float_range 0.001 5.; return 1. ]));
+          (2, map (fun i -> Cancel i) (int_range 0 30)) ])
+  in
+  let gen_ops n = QCheck2.Gen.(list_size (int_range 0 n) gen_op) in
+  QCheck2.Test.make ~name:"timers and cancel match the reference heap"
+    ~count:300
+    QCheck2.Gen.(triple (gen_ops 60) (float_range 0. 5.) (gen_ops 20))
+    (fun (ops, at, nested) ->
+      let e = Engine.create () in
+      let log = ref [] and live = ref 0 and exact = ref true in
+      let timers = ref [||] and cancelled = Hashtbl.create 16 in
+      let tag = ref 0 in
+      let apply ~in_run op =
+        let id = !tag in
+        incr tag;
+        let fire () =
+          decr live;
+          log := (Engine.now e, id) :: !log
+        in
+        (match op with
+         | At time ->
+           let time = if in_run then Engine.now e +. time else time in
+           Engine.schedule_at e ~time fire;
+           incr live
+         | Timer delay ->
+           timers := Array.append !timers [| (Engine.schedule_timer e ~delay fire, id) |];
+           incr live
+         | Cancel i when Array.length !timers > 0 ->
+           let timer, tid = !timers.(i mod Array.length !timers) in
+           let fired = List.exists (fun (_, x) -> x = tid) !log in
+           if not (fired || Hashtbl.mem cancelled tid) then begin
+             Hashtbl.replace cancelled tid ();
+             decr live
+           end;
+           Engine.cancel e timer
+         | Cancel _ -> ());
+        if Engine.pending_events e <> !live then exact := false
+      in
+      List.iter (apply ~in_run:false) ops;
+      Engine.schedule_at e ~time:at (fun () ->
+          decr live;
+          List.iter (apply ~in_run:true) nested);
+      incr live;
+      Engine.run e;
+      (* the reference runs every timer and drops the cancelled ones'
+         entries from its trace *)
+      let r = Ref_engine.create () in
+      let rlog = ref [] and rtag = ref 0 in
+      let rapply ~in_run op =
+        let id = !rtag in
+        incr rtag;
+        let fire () =
+          if not (Hashtbl.mem cancelled id) then
+            rlog := (r.Ref_engine.now, id) :: !rlog
+        in
+        match op with
+        | At time ->
+          let time = if in_run then r.Ref_engine.now +. time else time in
+          Ref_engine.schedule_at r ~time fire
+        | Timer delay ->
+          Ref_engine.schedule_at r ~time:(r.Ref_engine.now +. delay) fire
+        | Cancel _ -> ()
+      in
+      List.iter (rapply ~in_run:false) ops;
+      Ref_engine.schedule_at r ~time:at (fun () ->
+          List.iter (rapply ~in_run:true) nested);
+      Ref_engine.run r;
+      !exact && Engine.pending_events e = 0 && List.rev !log = List.rev !rlog)
+
 (* {2 Processes} *)
 
 let test_sleep_advances_time () =
@@ -894,7 +1051,18 @@ let () =
           Alcotest.test_case "run until empty queue" `Quick
             test_run_until_empty_queue;
           qc prop_heap_order;
-          qc prop_matches_reference_heap ] );
+          qc prop_matches_reference_heap;
+          Alcotest.test_case "cancelled timer never fires" `Quick
+            test_cancelled_timer_never_fires;
+          Alcotest.test_case "cancel after fire is a no-op" `Quick
+            test_cancel_after_fire_is_noop;
+          Alcotest.test_case "stale handle after recycle" `Quick
+            test_stale_handle_after_recycle;
+          Alcotest.test_case "cancelling a tail keeps appends" `Quick
+            test_cancel_tail_keeps_appends;
+          Alcotest.test_case "bad timer delay rejected" `Quick
+            test_bad_timer_delay_rejected;
+          qc prop_timers_match_reference ] );
       ( "process",
         [ Alcotest.test_case "sleep advances time" `Quick test_sleep_advances_time;
           Alcotest.test_case "interleaving" `Quick test_interleaving;

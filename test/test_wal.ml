@@ -179,6 +179,125 @@ let test_zxid_rewind_is_trunc () =
   check_bool "the re-proposed record wins its zxid" true
     (Wal.epoch_at w 4L = Some 2)
 
+(* {2 Bytes materialised on first read}
+
+   [append] defers encoding and checksumming until the disk is read.
+   Each scenario runs twice: on a log whose every record was read back
+   ([durable_zxid]) as soon as it was appended, and on a log never read
+   before the fault. Both must select, verify and recover exactly the
+   same records. *)
+
+(* Varied entries: multi-op, sets, closes and non-zero times, so the
+   payloads (and their checksums) differ in more than the zxid. *)
+let varied_entry z =
+  let i = Int64.to_int z in
+  { Wal.e_zxid = z;
+    e_txn =
+      (if i mod 3 = 0 then
+         [ Txn.Set_data
+             { path = Printf.sprintf "/d%d" (i / 3); data = String.make (i mod 7) 'x';
+               expected_version = -1 } ]
+       else
+         [ Txn.Create
+             { path = Printf.sprintf "/n%d" i; data = Printf.sprintf "v1|f|%d" i;
+               ephemeral_owner = Int64.of_int (i mod 2); sequential = i mod 5 = 0 };
+           Txn.Check { path = "/"; expected_version = -1 } ]);
+    e_time = float_of_int i *. 0.125;
+    e_rsession = Int64.of_int (1 + (i mod 4));
+    e_rcxid = z;
+    e_close = (if i mod 11 = 0 then Some 3L else None) }
+
+(* Record [i] (zxid [i]) finishes its device write at [float i]. *)
+let fill ~eager ?(epoch = fun _ -> 1) n =
+  let w = Wal.create () in
+  for i = 1 to n do
+    let z = Int64.of_int i in
+    Wal.append w ~epoch:(epoch i) ~start:(float_of_int i -. 0.5)
+      ~done_at:(float_of_int i) (varied_entry z);
+    if eager then ignore (Wal.durable_zxid w ~now:infinity : int64)
+  done;
+  w
+
+(* Which records verify: record [i] does iff the durable frontier at its
+   own completion time reaches it. *)
+let valid_records w n =
+  List.init n (fun k -> Wal.durable_zxid w ~now:(float_of_int (k + 1)) = Int64.of_int (k + 1))
+
+let test_corrupt_same_records () =
+  let n = 200 and fraction = 0.3 in
+  let eager = fill ~eager:true n and lazy_ = fill ~eager:false n in
+  let hit_eager = Wal.corrupt eager ~fraction in
+  let hit_lazy = Wal.corrupt lazy_ ~fraction in
+  check_int "same number of records rotted" hit_eager hit_lazy;
+  check_bool "bit-rot hit some but not all" true (hit_lazy > 0 && hit_lazy < n);
+  (* the selection is the one an eager checksum of the encoded bytes makes *)
+  let threshold = int_of_float (fraction *. 65536.) in
+  let expected =
+    List.init n (fun k ->
+        let sum = Zk.Md5.digest (Wal.encode ~epoch:1 (varied_entry (Int64.of_int (k + 1)))) in
+        not (Zk.Md5.to_int sum land 0xFFFF < threshold))
+  in
+  Alcotest.(check (list bool)) "eager-read log rots the checksum-selected records"
+    expected (valid_records eager n);
+  Alcotest.(check (list bool)) "never-read log rots the same records" expected
+    (valid_records lazy_ n)
+
+let test_tear_never_read_record () =
+  let w = fill ~eager:false 3 in
+  Wal.note_commit w 3L;
+  check_bool "tail torn" true (Wal.tear_tail w);
+  check_bool "torn record is not durable" true (Wal.durable_zxid w ~now:infinity = 2L);
+  let r = Wal.recover w in
+  check_int "torn record fails verification" 1 r.Wal.rc_truncated;
+  check_bool "replay stops before it" true (replay_zxids r = [ 1L; 2L ])
+
+let test_recover_same_for_eager_and_lazy () =
+  (* epoch 2 rewrites zxids 9.. over an uncommitted suffix; a snapshot
+     prunes the front; power-off tears one record and drops another;
+     bit-rot lands in the middle *)
+  let scenario ~eager =
+    let w = fill ~eager ~epoch:(fun i -> if i <= 10 then 1 else 2) 10 in
+    Wal.snapshot w ~zxid:3L ~epoch:1 "tree-at-3";
+    Wal.snapshot w ~zxid:5L ~epoch:1 "tree-at-5";
+    for i = 9 to 16 do
+      Wal.append w ~epoch:2 ~start:(10. +. float_of_int i)
+        ~done_at:(10.5 +. float_of_int i) (varied_entry (Int64.of_int i));
+      if eager then ignore (Wal.durable_zxid w ~now:infinity : int64)
+    done;
+    Wal.note_epoch w 2;
+    Wal.note_commit w 14L;
+    let rotted = Wal.corrupt w ~fraction:0.05 in
+    Wal.power_off w ~now:26.2;
+    (rotted, Wal.recover w, Wal.records w, Wal.durable_zxid w ~now:infinity)
+  in
+  let rotted_e, r_e, n_e, d_e = scenario ~eager:true in
+  let rotted_l, r_l, n_l, d_l = scenario ~eager:false in
+  check_int "same rot" rotted_e rotted_l;
+  check_bool "same recovered result" true (r_e = r_l);
+  check_int "same surviving records" n_e n_l;
+  check_bool "same durable frontier" true (d_e = d_l);
+  check_bool "the scenario replays and truncates" true
+    (r_l.Wal.rc_replayed > 0 && r_l.Wal.rc_truncated > 0)
+
+let test_corrupt_snapshot_same_ladder () =
+  let scenario ~read_first =
+    let w = fill ~eager:false 10 in
+    Wal.note_commit w 10L;
+    Wal.snapshot w ~zxid:5L ~epoch:1 "tree-at-5";
+    Wal.snapshot w ~zxid:8L ~epoch:1 "tree-at-8";
+    if read_first then begin
+      let r = Wal.recover w in
+      check_bool "clean read loads the newest snapshot" true
+        (r.Wal.rc_snapshot = Some "tree-at-8")
+    end;
+    check_bool "newest snapshot corrupted" true (Wal.corrupt_snapshot w);
+    Wal.recover w
+  in
+  let r_read = scenario ~read_first:true and r_never = scenario ~read_first:false in
+  check_bool "never-read snapshot falls back" true
+    (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some "tree-at-5");
+  check_bool "same ladder either way" true (r_read = r_never)
+
 (* {2 Regression: crash must drop the un-persisted suffix}
 
    The pipelined leader acks a proposal once a quorum is in — and two
@@ -397,7 +516,15 @@ let () =
           Alcotest.test_case "double recovery is idempotent" `Quick
             test_double_recover_is_idempotent;
           Alcotest.test_case "zxid rewind pops the stale suffix" `Quick
-            test_zxid_rewind_is_trunc ] );
+            test_zxid_rewind_is_trunc;
+          Alcotest.test_case "rot hits the same records unread" `Quick
+            test_corrupt_same_records;
+          Alcotest.test_case "tear fails a never-read record" `Quick
+            test_tear_never_read_record;
+          Alcotest.test_case "recovery same for unread logs" `Quick
+            test_recover_same_for_eager_and_lazy;
+          Alcotest.test_case "unread snapshot rot falls back" `Quick
+            test_corrupt_snapshot_same_ladder ] );
       ( "recovery",
         [ Alcotest.test_case "crash drops the un-persisted suffix" `Quick
             test_crash_drops_unpersisted_suffix;
