@@ -37,6 +37,10 @@ let experiments =
      fun () -> Scenarios.Figures.batching ~json_path:"BENCH_pr1.json" ());
     ("faults", "mdtest under fault schedules: fault-free vs faulted (writes BENCH_pr2.json)",
      fun () -> Scenarios.Figures.faults ~json_path:"BENCH_pr2.json" ());
+    ("faults-smoke", "faults at 32 procs, 30 dirs and 30 files per proc (CI; \
+                      writes BENCH_pr2_smoke.json)",
+     fun () ->
+       Scenarios.Figures.faults_smoke ~json_path:"BENCH_pr2_smoke.json" ());
     ("profile", "span-traced mdtest: latency percentiles + quorum phase breakdown (writes BENCH_pr3.json)",
      fun () -> Scenarios.Figures.profile ~json_path:"BENCH_pr3.json" ());
     ("profile-smoke", "profile at 64 procs only (CI; writes BENCH_pr3_smoke.json)",

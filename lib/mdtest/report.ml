@@ -150,7 +150,8 @@ let emit_json ~path points =
       Printf.fprintf oc "}%s\n" (if i < List.length points - 1 then "," else ""))
     points;
   output_string oc "]\n";
-  close_out oc
+  close_out oc;
+  Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
 
 (* {2 Experiment gates} *)
 

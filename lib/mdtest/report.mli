@@ -74,7 +74,8 @@ val point :
 
 val latency_of_runner : Runner.latency -> latency_stats
 
-(** Write [points] to [path] as a JSON array, one object per line.
+(** Write [points] to [path] as a JSON array, one object per line, then
+    print [wrote <path> (<n> bench points)] on stdout.
     @raise Invalid_argument on NaN/infinite values — a bench file is
     either honest JSON or an error, never silently poisoned. *)
 val emit_json : path:string -> bench_point list -> unit

@@ -225,7 +225,6 @@ let run ?(events = 1_000_000) ?quota_s ?json_path () =
             ())
         results
     in
-    Mdtest.Report.emit_json ~path points;
-    Printf.printf "  wrote %s\n%!" path);
+    Mdtest.Report.emit_json ~path points);
   Mdtest.Report.gate ~experiment:"engine"
     (List.concat_map (check ~events) results)

@@ -758,8 +758,7 @@ let batching ?json_path () =
             by_config)
         data
     in
-    Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
+    Report.emit_json ~path points
 
 (* {2 mdtest under declarative fault schedules (failure-path benchmark)} *)
 
@@ -781,73 +780,99 @@ let fault_plans =
      "crash=1@dir-create+0.05;restart=1@dir-create+1.5;\
       crash=2@file-create+0.05;restart=2@file-create+1.5") ]
 
-let faults_data () =
+let faults_data ?(procs = faults_procs) ?(items = 60) () =
   let parse label text =
     match Faults.Faultplan.parse text with
     | Ok plan -> plan
     | Error msg -> failwith (Printf.sprintf "fault plan %s: %s" label msg)
   in
   let run label plan =
-    (label, Systems.mdtest_faulted ~spec:faults_spec ~procs:faults_procs ~plan ())
+    ( label,
+      plan,
+      Systems.dufs_mdtest ~dirs_per_proc:items ~files_per_proc:items ~plan
+        ~spec:faults_spec ~shards:1 ~procs () )
   in
   run "fault-free" []
   :: List.map (fun (label, text) -> run label (parse label text)) fault_plans
 
-let faults ?json_path () =
+(* Every run is error-free with an exact census, every event of its plan
+   fired, and a faulted plan's retried writes were answered from the
+   dedup table (exactly-once, not a second apply). *)
+let faults_check runs =
+  List.concat_map
+    (fun (label, plan, (r : Systems.dufs_run)) ->
+      let events = List.length plan in
+      List.concat
+        [ Report.expect (r.Systems.results.Runner.errors = 0)
+            "%s: %d client op errors" label r.Systems.results.Runner.errors;
+          Report.expect
+            (r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes)
+            "%s: census %d <> expected %d" label r.Systems.logical_znodes_at_stat
+            r.Systems.expected_logical_znodes;
+          Report.expect (r.Systems.faults_fired = events)
+            "%s: %d of %d fault events fired" label r.Systems.faults_fired events;
+          Report.expect (events = 0 || r.Systems.dedup_hits > 0)
+            "%s: no dedup hits under faults" label ])
+    runs
+
+let faults ?(procs = faults_procs) ?items ?json_path () =
   Report.print_header
     (Printf.sprintf
        "Faults — mdtest %d procs over DUFS 2xLustre/5zk while the ensemble \
         crashes and recovers"
-       faults_procs);
+       procs);
   List.iter
     (fun (label, text) -> Printf.printf "  %-20s %s\n" label text)
     fault_plans;
   print_newline ();
-  let data = faults_data () in
+  let data = faults_data ~procs ?items () in
   Printf.printf "%-14s" "ops/sec";
-  List.iter (fun (label, _) -> Printf.printf " %20s" label) data;
+  List.iter (fun (label, _, _) -> Printf.printf " %20s" label) data;
   print_newline ();
   List.iter
     (fun phase ->
       Printf.printf "%-14s" (Runner.phase_to_string phase);
       List.iter
-        (fun (_, (r : Systems.fault_run)) ->
+        (fun (_, _, (r : Systems.dufs_run)) ->
           Printf.printf " %20.0f" (Runner.rate r.Systems.results phase))
         data;
       print_newline ())
     Runner.all_phases;
   print_newline ();
   List.iter
-    (fun (label, (r : Systems.fault_run)) ->
+    (fun (label, _, (r : Systems.dufs_run)) ->
       Printf.printf
         "%-20s errors=%d  dedup_hits=%d  faults_fired=%d  znodes@file-stat=%d \
          (expected %d%s)\n"
         label r.Systems.results.Runner.errors r.Systems.dedup_hits
-        r.Systems.faults_fired r.Systems.znodes_after_create
-        r.Systems.expected_znodes_after_create
-        (if r.Systems.znodes_after_create = r.Systems.expected_znodes_after_create
+        r.Systems.faults_fired r.Systems.logical_znodes_at_stat
+        r.Systems.expected_logical_znodes
+        (if r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes
          then ", exact"
          else ", MISMATCH"))
     data;
   flush stdout;
-  match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.concat_map
-        (fun (label, (r : Systems.fault_run)) ->
-          List.map
-            (fun phase ->
-              Report.point
-                ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                ~procs:faults_procs
-                ~config:(label ^ "|zk=5|backends=2xLustre")
-                ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
-            Runner.all_phases)
-        data
-    in
-    Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path
+        (List.concat_map
+           (fun (label, _, (r : Systems.dufs_run)) ->
+             List.map
+               (fun phase ->
+                 Report.point
+                   ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+                   ~procs
+                   ~config:(label ^ "|zk=5|backends=2xLustre")
+                   ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
+               Runner.all_phases)
+           data))
+    json_path;
+  Report.gate ~experiment:"faults" (faults_check data)
+
+(* The CI variant. At 32 procs and 30 items the file-create phase still
+   outlasts every plan's crash offsets, so each fault lands in the phase
+   its plan names, as in the full run. *)
+let faults_smoke ?json_path () = faults ~procs:32 ~items:30 ?json_path ()
 
 (* {2 Span-trace profile: where inside the stack does an op's time go?}
 
@@ -902,9 +927,51 @@ let breakdown_failures ~ctx trace =
 
 let profile_check runs =
   List.concat_map
-    (fun (procs, (r : Systems.profile_run)) ->
+    (fun (procs, (r : Systems.dufs_run)) ->
       breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) r.Systems.trace)
     runs
+
+(* One [mdtest-<phase>] point per phase that recorded latency samples. *)
+let mdtest_points ~procs ~config results =
+  List.filter_map
+    (fun phase ->
+      Option.map
+        (fun l ->
+          Report.point
+            ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+            ~procs ~config
+            ~ops_per_sec:(Runner.rate results phase)
+            ~latency:(Report.latency_of_runner l) ())
+        (Runner.latency_of results phase))
+    Runner.all_phases
+
+(* One [zk-<op>-breakdown] point per traced write kind in [ops]: the
+   op's latency block and its quorum-phase means. *)
+let breakdown_points ~ops ~procs ~config (r : Systems.dufs_run) =
+  let trace = r.Systems.trace and wall = r.Systems.results.Runner.wall in
+  List.filter_map
+    (fun op ->
+      Option.map
+        (fun (count, total, phases) ->
+          let name = "zk." ^ op ^ ".total" in
+          let q p =
+            Option.value ~default:total (Obs.Trace.span_quantile trace name p)
+          in
+          Report.point
+            ~experiment:("zk-" ^ op ^ "-breakdown")
+            ~procs ~config
+            ~ops_per_sec:(if wall > 0. then float_of_int count /. wall else 0.)
+            ~latency:
+              { Report.samples = count;
+                mean_s = total;
+                p50_s = q 0.5;
+                p95_s = q 0.95;
+                p99_s = q 0.99;
+                max_s =
+                  Option.value ~default:total (Obs.Trace.span_max trace name) }
+            ~phases ())
+        (quorum_breakdown trace op))
+    ops
 
 let summary_line label (s : Simkit.Stat.Summary.t) =
   match Simkit.Stat.Summary.max s with
@@ -919,11 +986,12 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
   let runs =
     List.map
       (fun procs ->
-        (procs, Systems.mdtest_profiled ~spec:profile_spec ~procs ()))
+        ( procs,
+          Systems.dufs_mdtest ~trace:true ~spec:profile_spec ~shards:1 ~procs () ))
       procs_list
   in
   List.iter
-    (fun (procs, (r : Systems.profile_run)) ->
+    (fun (procs, (r : Systems.dufs_run)) ->
       let trace = r.Systems.trace in
       Report.print_header
         (Printf.sprintf
@@ -975,9 +1043,9 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
           | Some s -> summary_line name s
           | None -> ())
         ([ "zk.leader.queue_depth"; "zk.leader.batch_size" ]
-         (* sharded deployments tag per-shard instruments zk.shard<i>.*;
-            list them too so the per-shard queue wait is visible in the
-            same breakdown *)
+         (* every shard tags its instruments zk.shard<i>.*; list them too
+            so the per-shard queue wait is visible in the same
+            breakdown *)
          @ List.filter
              (fun n -> String.length n > 8 && String.sub n 0 8 = "zk.shard")
              (Obs.Metrics.names metrics));
@@ -987,62 +1055,15 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
           summary_line (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
         r.Systems.backend_stations)
     runs;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.concat_map
-        (fun (procs, (r : Systems.profile_run)) ->
-          let client_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config:profile_config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
-          let trace = r.Systems.trace in
-          let wall = r.Systems.results.Runner.wall in
-          let breakdown_points =
-            List.filter_map
-              (fun op ->
-                match quorum_breakdown trace op with
-                | None -> None
-                | Some (count, total, phases) ->
-                  let base = "zk." ^ op in
-                  let q p =
-                    Option.value ~default:total
-                      (Obs.Trace.span_quantile trace (base ^ ".total") p)
-                  in
-                  Some
-                    (Report.point
-                       ~experiment:("zk-" ^ op ^ "-breakdown")
-                       ~procs ~config:profile_config
-                       ~ops_per_sec:
-                         (if wall > 0. then float_of_int count /. wall else 0.)
-                       ~latency:
-                         { Report.samples = count;
-                           mean_s = total;
-                           p50_s = q 0.5;
-                           p95_s = q 0.95;
-                           p99_s = q 0.99;
-                           max_s =
-                             Option.value ~default:total
-                               (Obs.Trace.span_max trace (base ^ ".total")) }
-                       ~phases ()))
-              zk_write_ops
-          in
-          client_points @ breakdown_points)
-        runs
-    in
-    Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path
+        (List.concat_map
+           (fun (procs, (r : Systems.dufs_run)) ->
+             mdtest_points ~procs ~config:profile_config r.Systems.results
+             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config r)
+           runs))
+    json_path;
   Report.gate ~experiment:"profile" (profile_check runs)
 
 (* {2 Sharded coordination: N independent ZAB leaders}
@@ -1079,8 +1100,9 @@ let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
           List.map
             (fun procs ->
               ( (shards, servers, max_batch, procs),
-                Systems.mdtest_sharded_profiled ~spec:(sharding_spec ~servers)
-                  ~shards ~max_batch ~procs () ))
+                Systems.dufs_mdtest ~trace:true
+                  ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
+                  ~spec:(sharding_spec ~servers) ~shards ~procs () ))
             procs_list)
         batches)
     topologies
@@ -1097,7 +1119,9 @@ let shard_queue_wait_mean trace i =
     Some (Simkit.Stat.Summary.mean s)
   | Some _ | None -> None
 
-let shard_stats_of (r : Systems.sharded_profile_run) =
+(* Per-shard balance at the file-stat census; queue waits are [None]
+   on an untraced run. *)
+let shard_stats (r : Systems.dufs_run) =
   let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router
   and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router in
   Array.to_list
@@ -1115,7 +1139,7 @@ let shard_stats_of (r : Systems.sharded_profile_run) =
    shard must actually have served writes. *)
 let sharding_check data =
   List.concat_map
-    (fun ((shards, servers, max_batch, procs), (r : Systems.sharded_profile_run)) ->
+    (fun ((shards, servers, max_batch, procs), (r : Systems.dufs_run)) ->
       let ctx =
         Printf.sprintf "%s procs=%d"
           (sharding_config_label ~shards ~servers ~max_batch)
@@ -1155,7 +1179,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
              { Report.label = sharding_config_label ~shards:s ~servers:v ~max_batch:b;
                points =
                  List.filter_map
-                   (fun ((s', v', b', procs), (r : Systems.sharded_profile_run)) ->
+                   (fun ((s', v', b', procs), (r : Systems.dufs_run)) ->
                      if (s', v', b') = (s, v, b) then
                        Some (procs, Runner.rate r.Systems.results phase)
                      else None)
@@ -1169,7 +1193,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
   Printf.printf "  %-44s %6s %12s %14s  %s\n" "config" "procs" "create_qw_s"
     "znodes@stat" "per-shard [znodes qw_s]";
   List.iter
-    (fun (key, (r : Systems.sharded_profile_run)) ->
+    (fun (key, (r : Systems.dufs_run)) ->
       let _, _, _, procs = key in
       let trace = r.Systems.trace in
       let qw =
@@ -1212,64 +1236,22 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
        sharding_phases
    | _ -> ());
   flush stdout;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.concat_map
-        (fun ((shards, servers, max_batch, procs), (r : Systems.sharded_profile_run)) ->
-          let config = sharding_config_label ~shards ~servers ~max_batch in
-          let mdtest_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
-          let breakdown =
-            match quorum_breakdown r.Systems.trace "create" with
-            | None -> []
-            | Some (count, total, phases) ->
-              let wall = r.Systems.results.Runner.wall in
-              let q p =
-                Option.value ~default:total
-                  (Obs.Trace.span_quantile r.Systems.trace "zk.create.total" p)
-              in
-              [ Report.point ~experiment:"zk-create-breakdown" ~procs ~config
-                  ~ops_per_sec:
-                    (if wall > 0. then float_of_int count /. wall else 0.)
-                  ~latency:
-                    { Report.samples = count;
-                      mean_s = total;
-                      p50_s = q 0.5;
-                      p95_s = q 0.95;
-                      p99_s = q 0.99;
-                      max_s =
-                        Option.value ~default:total
-                          (Obs.Trace.span_max r.Systems.trace "zk.create.total") }
-                  ~phases () ]
-          in
-          let accounting =
-            [ Report.point ~experiment:"sharding-znode-accounting" ~procs
-                ~config:
-                  (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d" config
-                     r.Systems.expected_logical_znodes
-                     r.Systems.live_stubs_at_stat)
-                ~ops_per_sec:0.0
-                ~shards:(shard_stats_of r) () ]
-          in
-          mdtest_points @ breakdown @ accounting)
-        data
-    in
-    Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path
+        (List.concat_map
+           (fun ((shards, servers, max_batch, procs), (r : Systems.dufs_run)) ->
+             let config = sharding_config_label ~shards ~servers ~max_batch in
+             mdtest_points ~procs ~config r.Systems.results
+             @ breakdown_points ~ops:[ "create" ] ~procs ~config r
+             @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
+                   ~config:
+                     (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d"
+                        config r.Systems.expected_logical_znodes
+                        r.Systems.live_stubs_at_stat)
+                   ~ops_per_sec:0.0 ~shards:(shard_stats r) () ])
+           data))
+    json_path;
   Report.gate ~experiment:"sharding" (sharding_check data)
 
 (* {2 Chaos — randomized network fault schedules + linearizability oracle} *)
@@ -1417,8 +1399,7 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
                  ("deterministic", if deterministic then 1. else 0.) ]
              () ]
      in
-     Report.emit_json ~path points;
-     Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+     Report.emit_json ~path points);
   Report.gate ~experiment:"chaos" (chaos_check ~deterministic results)
 
 let chaos_smoke ?json_path () =
@@ -1435,7 +1416,7 @@ let sessions_smoke ?json_path () = Sessions_bench.smoke ?json_path ()
 (* {2 Elastic resharding — live shard split / merge under mdtest}
 
    One controller changes the shard count while the file-create phase
-   runs (Systems.mdtest_reshard). Three configurations per process
+   runs (Systems.dufs_mdtest ~to_shards). Three configurations per process
    count: the no-split baseline (to_shards = shards, exactly
    comparable), the live 2->4 split, and — at the smallest process
    count — a 4->2 merge. The experiment's gate ([reshard_check])
@@ -1449,20 +1430,7 @@ let reshard_config_label ~shards ~to_shards ~max_batch =
   Printf.sprintf "reshard=%d->%d|servers=%d|max_batch=%d|backends=8xLustre"
     shards to_shards reshard_servers max_batch
 
-let reshard_shard_stats (r : Systems.reshard_run) =
-  let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router
-  and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router in
-  Array.to_list
-    (Array.mapi
-       (fun i znodes ->
-         { Report.shard = i;
-           znodes;
-           writes_committed = writes.(i);
-           dedup_hits = hits.(i);
-           queue_wait_mean_s = None })
-       r.Systems.per_shard_znodes)
-
-let reshard_p99 (r : Systems.reshard_run) =
+let reshard_p99 (r : Systems.dufs_run) =
   Option.map
     (fun l -> l.Runner.p99)
     (Runner.latency_of r.Systems.results Runner.File_create)
@@ -1475,7 +1443,7 @@ let reshard_max_p99_ratio = 12.
    non-empty migration window, move a bounded-load remainder (some keys,
    never a near-full rehash), and keep file-create p99 within
    [reshard_max_p99_ratio] of the no-split [base]line at the same scale. *)
-let reshard_move_check ~ctx ~base (r : Systems.reshard_run) =
+let reshard_move_check ~ctx ~base (r : Systems.dufs_run) =
   match r.Systems.reshard with
   | None -> [ ctx ^ ": controller never finished" ]
   | Some st ->
@@ -1506,7 +1474,7 @@ let reshard_move_check ~ctx ~base (r : Systems.reshard_run) =
    [reshard_move_check]. *)
 let reshard_check runs =
   List.concat_map
-    (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
+    (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
       let ctx =
         Printf.sprintf "reshard %d->%d shards @%d procs" shards to_shards procs
       in
@@ -1541,8 +1509,9 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       (fun procs ->
         let go ~shards ~to_shards =
           ( (shards, to_shards, procs),
-            Systems.mdtest_reshard ~max_batch ~spec ~shards ~to_shards ~procs
-              () )
+            Systems.dufs_mdtest ~history_clients:8 ~to_shards
+              ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
+              ~spec ~shards ~procs () )
         in
         [ go ~shards:2 ~to_shards:2 (* no-split baseline *);
           go ~shards:2 ~to_shards:4 (* the live split *) ]
@@ -1554,7 +1523,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   Printf.printf "%-14s %5s %12s %12s %9s %13s %7s %5s\n" "config" "procs"
     "create/s" "p99 (ms)" "window" "migrated" "stubs" "viol";
   List.iter
-    (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
+    (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
       let label = Printf.sprintf "%d->%d shards" shards to_shards in
       let p99_ms = Option.fold ~none:0. ~some:(fun p -> p *. 1e3) (reshard_p99 r) in
       let migrated =
@@ -1570,52 +1539,33 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
         (List.length r.Systems.violations))
     runs;
   flush stdout;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.concat_map
-        (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
-          let config = reshard_config_label ~shards ~to_shards ~max_batch in
-          let mdtest_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
-          let keys_total, keys_migrated, controller_errors =
-            match r.Systems.reshard with
-            | Some st ->
-              (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
-            | None -> (0, 0, 0)
-          in
-          let accounting =
-            [ Report.point ~experiment:"reshard-accounting" ~procs
-                ~config:
-                  (Printf.sprintf
-                     "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
-                     config r.Systems.expected_logical_znodes
-                     r.Systems.logical_znodes_at_stat
-                     r.Systems.live_stubs_at_stat keys_total keys_migrated
-                     (List.length r.Systems.violations) r.Systems.history_checked
-                     r.Systems.history_recorded r.Systems.reshard_window
-                     controller_errors r.Systems.results.Runner.errors)
-                ~ops_per_sec:0.0
-                ~shards:(reshard_shard_stats r) () ]
-          in
-          mdtest_points @ accounting)
-        runs
-    in
-    Report.emit_json ~path points;
-    Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path
+        (List.concat_map
+           (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
+             let config = reshard_config_label ~shards ~to_shards ~max_batch in
+             let keys_total, keys_migrated, controller_errors =
+               match r.Systems.reshard with
+               | Some st ->
+                 (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
+               | None -> (0, 0, 0)
+             in
+             mdtest_points ~procs ~config r.Systems.results
+             @ [ Report.point ~experiment:"reshard-accounting" ~procs
+                   ~config:
+                     (Printf.sprintf
+                        "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
+                        config r.Systems.expected_logical_znodes
+                        r.Systems.logical_znodes_at_stat
+                        r.Systems.live_stubs_at_stat keys_total keys_migrated
+                        (List.length r.Systems.violations)
+                        r.Systems.history_checked r.Systems.history_recorded
+                        r.Systems.reshard_window controller_errors
+                        r.Systems.results.Runner.errors)
+                   ~ops_per_sec:0.0 ~shards:(shard_stats r) () ])
+           runs))
+    json_path;
   Report.gate ~experiment:"reshard" (reshard_check runs)
 
 let reshard_smoke ?json_path () = reshard ~procs_list:[ 64 ] ?json_path ()
@@ -1657,7 +1607,7 @@ let qw_ack phases =
 let pipeline_improvement runs ~procs =
   let qa name =
     Option.bind (List.assoc_opt (name, procs) runs)
-      (fun (r : Systems.profile_run) ->
+      (fun (r : Systems.dufs_run) ->
         Option.map
           (fun (_, _, phases) -> qw_ack phases)
           (quorum_breakdown r.Systems.trace "create"))
@@ -1670,7 +1620,7 @@ let pipeline_improvement runs ~procs =
 let pipeline_check ~min_improvement ~deterministic runs chaos_results =
   let max_procs = List.fold_left (fun acc ((_, p), _) -> max acc p) 0 runs in
   List.concat_map
-    (fun ((name, procs), (r : Systems.profile_run)) ->
+    (fun ((name, procs), (r : Systems.dufs_run)) ->
       let ctx = Printf.sprintf "%s @%d procs" name procs in
       breakdown_failures ~ctx r.Systems.trace
       @ Report.expect
@@ -1705,8 +1655,8 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                 max_inflight_batches = window }
             in
             ( (name, procs),
-              Systems.mdtest_profiled ~config_adjust ~spec:profile_spec ~procs
-                () ))
+              Systems.dufs_mdtest ~trace:true ~config_adjust ~spec:profile_spec
+                ~shards:1 ~procs () ))
           pipeline_variants)
       procs_list
   in
@@ -1714,7 +1664,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   List.iter (fun p -> Printf.printf " %9s" p) Obs.Trace.phases;
   Printf.printf " %9s %9s\n" "qw+ack" "coverage";
   List.iter
-    (fun ((name, procs), (r : Systems.profile_run)) ->
+    (fun ((name, procs), (r : Systems.dufs_run)) ->
       match quorum_breakdown r.Systems.trace "create" with
       | None -> ()
       | Some (_count, total, phases) ->
@@ -1786,57 +1736,12 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   (match json_path with
    | None -> ()
    | Some path ->
-     let mdtest_points =
+     let run_points =
        List.concat_map
-         (fun ((name, procs), (r : Systems.profile_run)) ->
+         (fun ((name, procs), (r : Systems.dufs_run)) ->
            let config = pipeline_config_label name in
-           let client_points =
-             List.filter_map
-               (fun phase ->
-                 match Runner.latency_of r.Systems.results phase with
-                 | None -> None
-                 | Some l ->
-                   Some
-                     (Report.point
-                        ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                        ~procs ~config
-                        ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                        ~latency:(Report.latency_of_runner l) ()))
-               Runner.all_phases
-           in
-           let trace = r.Systems.trace in
-           let wall = r.Systems.results.Runner.wall in
-           let breakdown_points =
-             List.filter_map
-               (fun op ->
-                 match quorum_breakdown trace op with
-                 | None -> None
-                 | Some (count, total, phases) ->
-                   let base = "zk." ^ op in
-                   let q p =
-                     Option.value ~default:total
-                       (Obs.Trace.span_quantile trace (base ^ ".total") p)
-                   in
-                   Some
-                     (Report.point
-                        ~experiment:("zk-" ^ op ^ "-breakdown")
-                        ~procs ~config
-                        ~ops_per_sec:
-                          (if wall > 0. then float_of_int count /. wall
-                           else 0.)
-                        ~latency:
-                          { Report.samples = count;
-                            mean_s = total;
-                            p50_s = q 0.5;
-                            p95_s = q 0.95;
-                            p99_s = q 0.99;
-                            max_s =
-                              Option.value ~default:total
-                                (Obs.Trace.span_max trace (base ^ ".total")) }
-                        ~phases ()))
-               zk_write_ops
-           in
-           client_points @ breakdown_points)
+           mdtest_points ~procs ~config r.Systems.results
+           @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
          runs
      in
      let chaos_points =
@@ -1881,10 +1786,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
              ("deterministic", if deterministic then 1. else 0.) ]
          ()
      in
-     let points = mdtest_points @ chaos_points @ [ summary ] in
-     Report.emit_json ~path points;
-     Printf.printf "\nwrote %s (%d bench points)\n%!" path
-       (List.length points));
+     Report.emit_json ~path (run_points @ chaos_points @ [ summary ]));
   Report.gate ~experiment:"pipeline"
     (pipeline_check ~min_improvement ~deterministic runs chaos_results)
 
@@ -2136,8 +2038,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
                  ("deterministic", if deterministic then 1. else 0.) ]
              () ]
      in
-     Report.emit_json ~path points;
-     Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points));
+     Report.emit_json ~path points);
   Report.gate ~experiment:"durability" (durability_check ~deterministic results)
 
 let durability_smoke ?json_path () =

@@ -118,15 +118,34 @@ val fault_plans : (string * string) list
     sub-quorum leader loss with delayed recovery, and rolling follower
     crash/restart. Parseable with {!Faults.Faultplan.parse}. *)
 
-val faults_data : unit -> (string * Systems.fault_run) list
-(** One {!Systems.mdtest_faulted} run per configuration, headed by the
-    exactly-comparable fault-free baseline (empty plan). *)
+val faults_data :
+  ?procs:int ->
+  ?items:int ->
+  unit ->
+  (string * Faults.Faultplan.t * Systems.dufs_run) list
+(** [(label, plan, run)]: one {!Systems.dufs_mdtest} run per schedule
+    at [procs] (default 64) processes with [items] (default 60) dirs and
+    files each, headed by the exactly-comparable fault-free baseline
+    (empty plan). *)
+
+(** The faults gate, per [(label, plan, run)]: the run is error-free,
+    its logical census is exact, every event of its plan fired, and a
+    non-empty plan produced dedup hits. *)
+val faults_check :
+  (string * Faults.Faultplan.t * Systems.dufs_run) list -> string list
 
 (** Print per-phase rates plus the exactly-once invariants (errors,
-    dedup hits, znode accounting) for each schedule; with [json_path],
+    dedup hits, znode census) for each schedule; with [json_path],
     also write the points in the {!Mdtest.Report.bench_point} schema
-    (the BENCH_pr2.json artifact). *)
-val faults : ?json_path:string -> unit -> unit
+    (the BENCH_pr2.json artifact).
+    @raise Failure (through {!Mdtest.Report.gate}) if {!faults_check}
+    reports any failure. *)
+val faults : ?procs:int -> ?items:int -> ?json_path:string -> unit -> unit
+
+(** The CI variant: 32 processes, 30 dirs and 30 files each — the
+    BENCH_pr2_smoke.json artifact. Same failure conditions as
+    {!faults}. *)
+val faults_smoke : ?json_path:string -> unit -> unit
 
 (** The DUFS stack every profile run traces: 2 Lustre back-ends, 8
     coordination servers. *)
@@ -148,7 +167,7 @@ val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
 (** The profile gate, per [(procs, run)]: every traced write kind's
     quorum phases finite, non-negative, and summing to within 5% of its
     measured mean latency. *)
-val profile_check : (int * Systems.profile_run) list -> string list
+val profile_check : (int * Systems.dufs_run) list -> string list
 
 (** {2 Sharded coordination — N independent ZAB leaders}
 
@@ -169,7 +188,7 @@ val sharding_data :
   ?topologies:(int * int) list ->
   ?batches:int list ->
   unit ->
-  ((int * int * int * int) * Systems.sharded_profile_run) list
+  ((int * int * int * int) * Systems.dufs_run) list
 (** [((shards, servers_per_shard, max_batch, procs), run)] for each
     combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
 
@@ -184,7 +203,7 @@ val sharding :
 (** The sharding gate over {!sharding_data}'s runs: the logical znode
     census exact on every run, and every shard committed writes. *)
 val sharding_check :
-  ((int * int * int * int) * Systems.sharded_profile_run) list -> string list
+  ((int * int * int * int) * Systems.dufs_run) list -> string list
 
 (** {2 Chaos — randomized network fault schedules + linearizability
     oracle}
@@ -250,7 +269,7 @@ val sessions_smoke : ?json_path:string -> unit -> unit
     At each process count: the no-split 2-shard baseline, the live
     2->4 split fired at the file-create barrier, and (at the smallest
     process count) a 4->2 merge — all through
-    {!Systems.mdtest_reshard}, with the linearizability oracle on a
+    {!Systems.dufs_mdtest}, with the linearizability oracle on a
     slice of the client sessions, gated by {!reshard_check}. With
     [json_path] writes the BENCH_pr8.json artifact. *)
 val reshard :
@@ -261,7 +280,7 @@ val reshard :
     linearizable history; for a split or merge, a non-empty migration
     window moving some but at most 90% of the keys, and a file-create
     p99 at most 12x the no-split baseline's at the same [procs]. *)
-val reshard_check : ((int * int * int) * Systems.reshard_run) list -> string list
+val reshard_check : ((int * int * int) * Systems.dufs_run) list -> string list
 
 (** The CI variant: 64 processes only — the BENCH_pr8_smoke.json
     artifact. Same failure conditions as {!reshard}. *)
@@ -300,7 +319,7 @@ val pipeline :
 val pipeline_check :
   min_improvement:float ->
   deterministic:bool ->
-  ((string * int) * Systems.profile_run) list ->
+  ((string * int) * Systems.dufs_run) list ->
   Systems.chaos_run list ->
   string list
 

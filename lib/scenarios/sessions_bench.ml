@@ -305,8 +305,7 @@ let run ?(cases = default_cases) ?json_path () =
   (match json_path with
    | None -> ()
    | Some path ->
-     Report.emit_json ~path (List.concat_map points_of results);
-     Printf.printf "  wrote %s\n%!" path);
+     Report.emit_json ~path (List.concat_map points_of results));
   Report.gate ~experiment:"sessions" (List.concat_map check results);
   results
 

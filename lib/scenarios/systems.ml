@@ -17,8 +17,6 @@ type system =
   | Dufs of dufs_spec
   | Dufs_cached of dufs_spec
   | Dufs_batched of dufs_spec * int
-  | Dufs_sharded of dufs_spec * int * int
-      (* spec (zk_servers = servers PER shard), shard count, max_batch *)
 
 let system_label = function
   | Basic_lustre -> "Basic Lustre"
@@ -36,10 +34,6 @@ let system_label = function
     Printf.sprintf "DUFS+batch%d %dx%s/%dzk" max_batch backends
       (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
       zk_servers
-  | Dufs_sharded ({ zk_servers; backends; backend_kind }, shards, max_batch) ->
-    Printf.sprintf "DUFS+shards%dx%d+batch%d %dx%s" shards zk_servers max_batch
-      backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
 
 let zk_config ?(max_batch = 1) ~servers ~procs () =
   { (Zk.Ensemble.default_config ~servers) with
@@ -56,11 +50,8 @@ let zk_config ?(max_batch = 1) ~servers ~procs () =
       Pfs.Costs.colocated_load_factor ~procs ~nodes:Pfs.Costs.client_nodes
         ~cores:Pfs.Costs.cores_per_node }
 
-(* DUFS stack builder, exposed separately from [build_system] so fault
-   experiments can keep a handle on the ensemble they are crashing, and
-   profile runs can thread a span trace through the whole request path
-   (ensemble quorum phases + client root spans) and read back each
-   back-end metadata station's wait-vs-service split. *)
+(* The formatted back-end mounts: a per-proc client factory, and each
+   back-end metadata station's (wait, hold) time summaries. *)
 let build_backends engine ~spec =
   let { backends; backend_kind; zk_servers = _ } = spec in
   let layout = Dufs.Physical.default_layout in
@@ -111,10 +102,8 @@ let build_backends engine ~spec =
                     (Pfs.Pvfs_sim.hold_summaries mount))
                 mounts)) )
 
-(* Per-proc VFS ops over an arbitrary coordination session factory —
-   shared by the single-ensemble and sharded builders. *)
-let dufs_ops_for_proc ~trace engine ~session_of ~backend_clients ~cached proc =
-  let session : Zk.Zk_client.handle = session_of () in
+(* Per-proc VFS ops over one (routed) coordination session. *)
+let dufs_ops_for_proc ~trace engine ~session ~backend_clients ~cached proc =
   let coord =
     if cached then
       Dufs.Cache.handle
@@ -133,27 +122,19 @@ let dufs_ops_for_proc ~trace engine ~session_of ~backend_clients ~cached proc =
   in
   Dufs.Client.ops client
 
-let build_dufs ?(trace = Obs.Trace.null) engine ~spec ~config ~cached =
-  let ensemble = Zk.Ensemble.start ~trace engine config in
-  let backend_clients, backend_stations = build_backends engine ~spec in
-  let ops_for_proc =
-    dufs_ops_for_proc ~trace engine
-      ~session_of:(fun () -> Zk.Ensemble.session ensemble ())
-      ~backend_clients ~cached
-  in
-  (ensemble, ops_for_proc, backend_stations)
-
-(* The sharded stack: [shards] independent ensembles, each built from
+(* The DUFS stack: [shards] independent ensembles, each built from
    [config] (so [shards * config.servers] coordination servers in
-   total), behind a {!Zk.Shard_router} session per client process. *)
-let build_dufs_sharded ?(trace = Obs.Trace.null) engine ~spec ~config ~shards
-    ~cached =
+   total), behind one {!Zk.Shard_router} session per client process. An
+   unsharded deployment is the one-shard case. [wrap proc] interposes on
+   proc's routed session before the client mounts it. *)
+let build_dufs ?(trace = Obs.Trace.null) ?(wrap = fun _proc s -> s) engine
+    ~spec ~config ~shards ~cached =
   let router = Zk.Shard_router.start ~trace engine ~shards config in
   let backend_clients, backend_stations = build_backends engine ~spec in
-  let ops_for_proc =
+  let ops_for_proc proc =
     dufs_ops_for_proc ~trace engine
-      ~session_of:(fun () -> Zk.Shard_router.session router ())
-      ~backend_clients ~cached
+      ~session:(wrap proc (Zk.Shard_router.session router ()))
+      ~backend_clients ~cached proc
   in
   (router, ops_for_proc, backend_stations)
 
@@ -177,13 +158,7 @@ let build_system engine system ~procs =
     let cached = match sys with Dufs_cached _ -> true | _ -> false in
     let max_batch = match sys with Dufs_batched (_, b) -> b | _ -> 1 in
     let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-    let _, ops_for_proc, _ = build_dufs engine ~spec ~config ~cached in
-    ops_for_proc
-  | Dufs_sharded (spec, shards, max_batch) ->
-    let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-    let _, ops_for_proc, _ =
-      build_dufs_sharded engine ~spec ~config ~shards ~cached:false
-    in
+    let _, ops_for_proc, _ = build_dufs engine ~spec ~config ~shards:1 ~cached in
     ops_for_proc
 
 let cache : (string, Mdtest.Runner.results) Hashtbl.t = Hashtbl.create 64
@@ -208,228 +183,59 @@ let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system
     Hashtbl.replace cache key results;
     results
 
-(* {2 mdtest under a fault schedule} *)
+(* {2 One instrumented mdtest run over the DUFS stack}
 
-type fault_run = {
+   Every option is off by default, so the plain call is the
+   exactly-comparable baseline. The census is sampled at the file-stat
+   barrier: every file create has committed and no removal has begun, so
+   the logical znode population must equal zroot + skeleton + files
+   exactly — a surplus is a doubled apply or a leaked stub, a deficit a
+   lost write. A reshard controller (when [to_shards <> shards]) fires
+   at the file-create barrier, so the split runs while every process is
+   writing; proc 0 waits at the file-stat barrier for it to finish, so
+   the census sees the post-split tree. The first [history_clients]
+   sessions record through {!Zk.History}, so a flip is subject to the
+   linearizability oracle. *)
+
+type dufs_run = {
   results : Mdtest.Runner.results;
-  dedup_hits : int;
-  writes_committed : int;
-  faults_fired : int;
-  znodes_after_create : int;
-  expected_znodes_after_create : int;
-}
-
-let mdtest_faulted ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false)
-    ?(cached = false) ?(config_adjust = fun c -> c) ~spec ~procs ~plan () =
-  let engine = Engine.create () in
-  let config = config_adjust (zk_config ~servers:spec.zk_servers ~procs ()) in
-  let ensemble, ops_for_proc, _ = build_dufs engine ~spec ~config ~cached in
-  let armed = Faults.Faultplan.arm engine ensemble plan in
-  let cfg =
-    Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
-      ~unique_working_dirs:unique ~procs ()
-  in
-  let znodes_after_create = ref 0 in
-  let on_phase phase =
-    (* the file-stat barrier is the moment every file create has
-       committed and no removal has begun: the znode population should
-       equal exactly root + zroot + skeleton + files created — any
-       surplus is a duplicated apply, any deficit a lost write *)
-    (if phase = Mdtest.Runner.File_stat then
-       let id =
-         match Zk.Ensemble.leader_id ensemble with
-         | Some id -> id
-         | None -> List.hd (Zk.Ensemble.alive_ids ensemble)
-       in
-       znodes_after_create :=
-         Zk.Ztree.node_count (Zk.Ensemble.tree_of ensemble id));
-    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  { results;
-    dedup_hits = Zk.Ensemble.dedup_hits ensemble;
-    writes_committed = Zk.Ensemble.writes_committed ensemble;
-    faults_fired = Faults.Faultplan.fired armed;
-    znodes_after_create = !znodes_after_create;
-    expected_znodes_after_create =
-      (* ztree root "/" + the DUFS namespace root znode + skeleton dirs *)
-      2 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc) }
-
-(* {2 mdtest with the span trace enabled (profile runs)} *)
-
-type profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
-  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
-}
-
-let mdtest_profiled ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(config_adjust = fun c -> c) ~spec ~procs () =
-  let engine = Engine.create () in
-  let trace = Obs.Trace.create () in
-  Obs.Trace.enable trace;
-  let config = config_adjust (zk_config ~servers:spec.zk_servers ~procs ()) in
-  let _ensemble, ops_for_proc, backend_stations =
-    build_dufs ~trace engine ~spec ~config ~cached:false
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let results = Mdtest.Runner.run engine cfg ~ops_for_proc in
-  { results; trace; backend_stations }
-
-(* {2 Sharded mdtest runs}
-
-   Shared accounting: at the file-stat barrier every file create has
-   committed and no removal has begun, so the logical znode population
-   (per-shard node counts minus each shard's own root minus live stubs)
-   must equal zroot + skeleton + files exactly — any surplus is a
-   doubled apply or a leaked stub, any deficit a lost write. *)
-
-let expected_logical_znodes cfg ~procs ~files_per_proc =
-  1 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc)
-
-type sharded_profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
   router : Zk.Shard_router.t;
+  trace : Obs.Trace.t;
   backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
-  per_shard_znodes : int array;   (* at the file-stat barrier *)
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-}
-
-let mdtest_sharded_profiled ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(max_batch = 1) ~spec ~shards ~procs () =
-  let engine = Engine.create () in
-  let trace = Obs.Trace.create () in
-  Obs.Trace.enable trace;
-  let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-  let router, ops_for_proc, backend_stations =
-    build_dufs_sharded ~trace engine ~spec ~config ~shards ~cached:false
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
-  let on_phase phase =
-    if phase = Mdtest.Runner.File_stat then begin
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  Zk.Shard_router.publish router (Obs.Trace.metrics trace);
-  { results;
-    trace;
-    router;
-    backend_stations;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc }
-
-type sharded_fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;
-  dedup_hits_by_shard : int array;
-  writes_committed : int;
-  writes_committed_by_shard : int array;
   faults_fired : int;
+  dedup_hits : int;
   per_shard_znodes : int array;
   live_stubs_at_stat : int;
   logical_znodes_at_stat : int;
   expected_logical_znodes : int;
-  router_stats : Zk.Shard_router.stats;
+  reshard : Zk.Reshard.stats option;
+  reshard_window : float;
+  history_recorded : int;
+  history_checked : int;
+  violations : Zk.History.violation list;
 }
 
-let mdtest_sharded_faulted ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(max_batch = 1) ?(config_adjust = fun c -> c) ~spec ~shards ~procs ~plan () =
+let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
+    ?(plan = []) ?(history_clients = 0) ?to_shards ?(config_adjust = Fun.id)
+    ~spec ~shards ~procs () =
   let engine = Engine.create () in
-  let config =
-    config_adjust (zk_config ~max_batch ~servers:spec.zk_servers ~procs ())
+  let tr = if trace then Obs.Trace.create () else Obs.Trace.null in
+  if trace then Obs.Trace.enable tr;
+  let config = config_adjust (zk_config ~servers:spec.zk_servers ~procs ()) in
+  let hist = Zk.History.create engine in
+  let wrap proc s =
+    if proc < history_clients then Zk.History.wrap hist ~client:proc s else s
   in
-  let router, ops_for_proc, _ =
-    build_dufs_sharded engine ~spec ~config ~shards ~cached:false
+  let router, ops_for_proc, backend_stations =
+    build_dufs ~trace:tr ~wrap engine ~spec ~config ~shards ~cached:false
   in
   let armed =
     Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
   in
   let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
-  let on_phase phase =
-    if phase = Mdtest.Runner.File_stat then begin
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end;
-    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  { results;
-    dedup_hits = Zk.Shard_router.dedup_hits router;
-    dedup_hits_by_shard = Zk.Shard_router.dedup_hits_by_shard router;
-    writes_committed = Zk.Shard_router.writes_committed router;
-    writes_committed_by_shard = Zk.Shard_router.writes_committed_by_shard router;
-    faults_fired = Faults.Faultplan.fired armed;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc;
-    router_stats = Zk.Shard_router.stats router }
-
-(* {2 Live resharding under mdtest (elastic split / merge)}
-
-   The controller fires at the file-create barrier, so the split runs
-   while every process is writing: routed ops to migrating keys park at
-   the router and resume against the new owner after the flip. A slice
-   of the client sessions records through {!Zk.History}, so the flip
-   itself is subject to the linearizability oracle. The census is still
-   sampled at the file-stat barrier — proc 0 waits there for the
-   controller to finish first, so the exactness invariant sees the
-   post-split tree. *)
-
-type reshard_run = {
-  results : Mdtest.Runner.results;
-  router : Zk.Shard_router.t;
-  reshard : Zk.Reshard.stats option;  (* [None] on the no-split baseline *)
-  reshard_window : float;             (* sim-seconds, controller start -> done *)
-  history_recorded : int;
-  history_checked : int;
-  violations : Zk.History.violation list;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-}
-
-let mdtest_reshard ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(max_batch = 1)
-    ?(history_clients = 8) ~spec ~shards ~to_shards ~procs () =
-  let engine = Engine.create () in
-  let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-  let router = Zk.Shard_router.start engine ~shards config in
-  let backend_clients, _ = build_backends engine ~spec in
-  let hist = Zk.History.create engine in
-  let next_client = ref 0 in
-  (* one session per process (dufs_ops_for_proc calls this once per
-     proc); the first [history_clients] of them record *)
-  let session_of () =
-    let s = Zk.Shard_router.session router () in
-    let id = !next_client in
-    incr next_client;
-    if id < history_clients then Zk.History.wrap hist ~client:id s else s
-  in
-  let ops_for_proc =
-    dufs_ops_for_proc ~trace:Obs.Trace.null engine ~session_of ~backend_clients
-      ~cached:false
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let reshard_done = ref (to_shards = shards) in
-  let reshard_stats = ref None in
-  let t0 = ref 0. and t1 = ref 0. in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
+  let to_shards = Option.value to_shards ~default:shards in
+  let reshard = ref None and t0 = ref 0. and t1 = ref 0. in
+  let per_shard_znodes = ref [||] and live_stubs = ref 0 and logical = ref 0 in
   let on_phase phase =
     (match phase with
      | Mdtest.Runner.File_create when to_shards <> shards ->
@@ -440,33 +246,36 @@ let mdtest_reshard ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(max_batch = 1)
              else Zk.Reshard.merge router ~to_shards ()
            in
            t1 := Engine.now engine;
-           reshard_stats := Some st;
-           reshard_done := true)
+           reshard := Some st)
+     | Mdtest.Runner.File_stat ->
+       while to_shards <> shards && Option.is_none !reshard do
+         Process.sleep 0.005
+       done;
+       per_shard_znodes := Zk.Shard_router.node_counts router;
+       live_stubs := Zk.Shard_router.live_stubs (Zk.Shard_router.stats router);
+       logical := Zk.Shard_router.logical_population router
      | _ -> ());
-    if phase = Mdtest.Runner.File_stat then begin
-      while not !reshard_done do
-        Process.sleep 0.005
-      done;
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end
+    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
   in
   let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
+  if trace then Zk.Shard_router.publish router (Obs.Trace.metrics tr);
   let violations = Zk.History.check hist in
   { results;
     router;
-    reshard = !reshard_stats;
+    trace = tr;
+    backend_stations;
+    faults_fired = Faults.Faultplan.fired armed;
+    dedup_hits = Zk.Shard_router.dedup_hits router;
+    per_shard_znodes = !per_shard_znodes;
+    live_stubs_at_stat = !live_stubs;
+    logical_znodes_at_stat = !logical;
+    expected_logical_znodes =
+      1 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc);
+    reshard = !reshard;
     reshard_window = !t1 -. !t0;
     history_recorded = Zk.History.recorded hist;
     history_checked = Zk.History.checked_ops hist;
-    violations;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc }
+    violations }
 
 (* {2 Chaos: randomized network-fault schedules with a linearizability
       oracle}
@@ -730,9 +539,10 @@ let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
          has something to corrupt and log pruning actually happens *)
       snapshot_every = 384 }
   in
-  let ensemble, ops_for_proc, _stations =
-    build_dufs engine ~spec ~config ~cached:false
+  let router, ops_for_proc, _stations =
+    build_dufs engine ~spec ~config ~shards:1 ~cached:false
   in
+  let ensemble = (Zk.Shard_router.ensembles router).(0) in
   let hist = Zk.History.create engine in
   let armed = Faults.Faultplan.arm engine ensemble plan in
   let reg_ok = ref 0 and reg_err = ref 0 in

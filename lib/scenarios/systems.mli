@@ -21,11 +21,6 @@ type system =
   | Dufs_batched of dufs_spec * int
       (** DUFS with ZAB group commit: the leader batches up to the given
           [max_batch] queued writes per persist + proposal round *)
-  | Dufs_sharded of dufs_spec * int * int
-      (** DUFS over a {!Zk.Shard_router} deployment:
-          [(spec, shards, max_batch)] with [spec.zk_servers] servers
-          {e per shard}, so [shards * zk_servers] coordination servers
-          in total, each shard its own batched ZAB ensemble *)
 
 val system_label : system -> string
 
@@ -41,31 +36,21 @@ val mdtest :
   unit ->
   Mdtest.Runner.results
 
-(** [build_dufs engine ~spec ~config ~cached] assembles the DUFS stack
-    (ensemble + formatted back-ends + per-proc client factory) and keeps
-    the ensemble visible — fault experiments need it to schedule crashes
-    while the workload runs. The third component is each back-end
-    metadata station's (wait, hold) time summaries. [trace] (default
-    off) threads one span trace through the ensemble's quorum phases and
-    every client's root spans. *)
+(** [build_dufs engine ~spec ~config ~shards ~cached] assembles the DUFS
+    stack: [shards] independent ensembles, each built from [config] (so
+    [shards * config.servers] coordination servers in total), behind one
+    {!Zk.Shard_router} session per client process; an unsharded
+    deployment is the one-shard case. Also returns the per-proc client
+    factory and each back-end metadata station's (wait, hold) time
+    summaries. The router stays visible so fault experiments can crash
+    shards and accounting can read per-shard populations. [trace]
+    (default off) threads one span trace through every shard's quorum
+    phases and every client's root spans. [wrap proc] (default the
+    identity) interposes on proc's routed session before its client
+    mounts it. *)
 val build_dufs :
   ?trace:Obs.Trace.t ->
-  Simkit.Engine.t ->
-  spec:dufs_spec ->
-  config:Zk.Ensemble.config ->
-  cached:bool ->
-  Zk.Ensemble.t
-  * (int -> Fuselike.Vfs.ops)
-  * (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array
-
-(** [build_dufs_sharded engine ~spec ~config ~shards ~cached] — the
-    sharded counterpart of {!build_dufs}: [shards] independent
-    ensembles, each built from [config], behind a {!Zk.Shard_router}
-    session per client process. The router stays visible so fault
-    experiments can crash individual shards and accounting can read
-    per-shard populations. *)
-val build_dufs_sharded :
-  ?trace:Obs.Trace.t ->
+  ?wrap:(int -> Zk.Zk_client.handle -> Zk.Zk_client.handle) ->
   Simkit.Engine.t ->
   spec:dufs_spec ->
   config:Zk.Ensemble.config ->
@@ -75,169 +60,75 @@ val build_dufs_sharded :
   * (int -> Fuselike.Vfs.ops)
   * (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array
 
-(** One mdtest run under a fault schedule, plus the invariants the
-    failure path must preserve. *)
-type fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;          (** retried writes answered exactly-once *)
-  writes_committed : int;
-  faults_fired : int;        (** schedule events that executed *)
-  znodes_after_create : int;
-      (** znode population at the file-stat barrier (all creates
-          committed, no removes yet) *)
-  expected_znodes_after_create : int;
-      (** root + namespace root + skeleton + files created: equality
-          with [znodes_after_create] rules out duplicate or lost
-          applies *)
-}
+(** {2 One instrumented mdtest run over the DUFS stack}
 
-(** [mdtest_faulted ~spec ~procs ~plan ()] — mdtest over DUFS while
-    [plan] crashes and restarts ensemble servers underneath it.
-    [config_adjust] tweaks the ensemble configuration (tests shrink the
-    timeouts); an empty plan gives the exactly-comparable fault-free
-    baseline. Not memoized. *)
-val mdtest_faulted :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?unique:bool ->
-  ?cached:bool ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
-  procs:int ->
-  plan:Faults.Faultplan.t ->
-  unit ->
-  fault_run
+    The census is sampled at the file-stat barrier (every file create
+    committed, no removal begun): per-shard raw node counts, the
+    router's live stub count at that instant, and
+    {!Zk.Shard_router.logical_population}, which must equal
+    [expected_logical_znodes] (namespace root + skeleton + files)
+    exactly — a surplus is a doubled apply or a leaked stub, a deficit
+    a lost write. Per-shard dedup hits and committed writes are read
+    from [router] ({!Zk.Shard_router.dedup_hits_by_shard} and
+    friends). *)
 
-(** One mdtest run with the span trace enabled end to end. *)
-type profile_run = {
+type dufs_run = {
   results : Mdtest.Runner.results;
+  router : Zk.Shard_router.t;
   trace : Obs.Trace.t;
       (** spans recorded during the run: [dufs.<op>] client root spans,
-          [zk.<op>.<phase>] quorum phases, leader queue/batch gauges *)
+          [zk.<op>.<phase>] quorum phases, leader queue/batch gauges and
+          the router's [publish]ed per-shard gauges; {!Obs.Trace.null}
+          (records nothing) on an untraced run *)
   backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
       (** per back-end metadata station: (handler-queue wait, in-service
           hold) time summaries *)
-}
-
-(** [mdtest_profiled ~spec ~procs ()] — mdtest over DUFS with tracing
-    on. Not memoized; the trace belongs to this run alone. Tracing never
-    sleeps or schedules, so throughput equals the untraced run's.
-    [config_adjust] tweaks the ensemble configuration (the write-pipeline
-    bench turns on group commit and proposal pipelining with it). *)
-val mdtest_profiled :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
-  procs:int ->
-  unit ->
-  profile_run
-
-(** {2 Sharded runs}
-
-    Both sharded run types carry the same accounting, sampled at the
-    file-stat barrier (every file create committed, no removal begun):
-    per-shard raw node counts, the router's live stub count at that
-    instant, and the derived logical population
-    [sum (counts - 1) - live_stubs], which must equal
-    [expected_logical_znodes] (zroot + skeleton + files) exactly —
-    a surplus is a doubled apply or leaked stub, a deficit a lost
-    write. *)
-
-(** Sharded mdtest with the span trace enabled end to end ([publish]ed
-    per-shard gauges included). Not memoized. *)
-type sharded_profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
-  router : Zk.Shard_router.t;
-  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-}
-
-val mdtest_sharded_profiled :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?max_batch:int ->
-  spec:dufs_spec ->
-  shards:int ->
-  procs:int ->
-  unit ->
-  sharded_profile_run
-
-(** Sharded mdtest under a fault schedule (see {!mdtest_faulted});
-    the plan may address shards with the [crash=<shard>/<id>] /
-    [crash-leader@shard=<k>] syntax. Untraced. *)
-type sharded_fault_run = {
-  results : Mdtest.Runner.results;
+  faults_fired : int;        (** fault-plan events that executed *)
   dedup_hits : int;
-  dedup_hits_by_shard : int array;
-  writes_committed : int;
-  writes_committed_by_shard : int array;
-  faults_fired : int;
+      (** retried writes answered exactly-once, over all shards *)
   per_shard_znodes : int array;
   live_stubs_at_stat : int;
   logical_znodes_at_stat : int;
   expected_logical_znodes : int;
-  router_stats : Zk.Shard_router.stats;
-}
-
-val mdtest_sharded_faulted :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?max_batch:int ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
-  shards:int ->
-  procs:int ->
-  plan:Faults.Faultplan.t ->
-  unit ->
-  sharded_fault_run
-
-(** {2 Live resharding under mdtest}
-
-    One mdtest run over a sharded deployment whose shard count changes
-    {e while the file-create phase runs}: a controller process spawned
-    at the file-create barrier executes {!Zk.Reshard.split} (or
-    [merge], when [to_shards < shards]), migrating the bounded-load
-    remainder of directory keys under full write traffic. The first
-    [history_clients] client sessions record through {!Zk.History}
-    (wrapped below the DUFS client, so every routed coordination op the
-    oracle can check is checked across the flip). Census fields carry
-    the same exactness contract as the other sharded runs — sampled at
-    the file-stat barrier {e after} the controller finished.
-    [to_shards = shards] is the exactly-comparable no-split baseline
-    ([reshard = None], [reshard_window = 0]). Not memoized. *)
-
-type reshard_run = {
-  results : Mdtest.Runner.results;
-  router : Zk.Shard_router.t;
   reshard : Zk.Reshard.stats option;
-      (** controller counters; [None] on the no-split baseline *)
+      (** controller counters; [None] when the shard count stays *)
   reshard_window : float;
       (** sim-seconds from controller start to completion *)
   history_recorded : int;
   history_checked : int;
   violations : Zk.History.violation list;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
 }
 
-val mdtest_reshard :
+(** [dufs_mdtest ~spec ~shards ~procs ()] runs the six-phase mdtest
+    over a fresh [shards]-shard DUFS stack ({!build_dufs}). Not
+    memoized. Every option defaults off, so the plain call is the
+    exactly-comparable baseline of any variant:
+    - [trace]: span tracing on end to end. Tracing never sleeps or
+      schedules, so throughput equals the untraced run's.
+    - [plan]: a {!Faults.Faultplan} crashing and restarting servers
+      underneath the workload; it may address shards with the
+      [crash=<shard>/<id>] / [crash-leader@shard=<k>] syntax.
+    - [to_shards]: a controller spawned at the file-create barrier runs
+      {!Zk.Reshard.split} (or [merge], when [to_shards < shards]) while
+      every process writes; the census waits for it to finish.
+    - [history_clients]: the first that many client sessions record
+      through {!Zk.History} (below the DUFS client, so every routed
+      coordination op the oracle can check is checked).
+    - [config_adjust] tweaks the ensemble configuration (group commit,
+      proposal window, shorter timeouts). *)
+val dufs_mdtest :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
-  ?max_batch:int ->
+  ?trace:bool ->
+  ?plan:Faults.Faultplan.t ->
   ?history_clients:int ->
+  ?to_shards:int ->
+  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
   spec:dufs_spec ->
   shards:int ->
-  to_shards:int ->
   procs:int ->
   unit ->
-  reshard_run
+  dufs_run
 
 (** {2 Chaos runs — randomized network faults + linearizability oracle}
 

@@ -201,16 +201,20 @@ let migrating p key = Hashtbl.mem p.migrations key
 
 (* Park until the key's migration (if any) completes. Writes park for
    the whole migration; reads only once the copy is frozen — before
-   that the old owner still serves them correctly. *)
+   that the old owner still serves them correctly. With no migration
+   open (every op outside a reshard) nothing can block, so the fast
+   path skips the lookup. *)
 let await p ~write key =
-  let blocked () =
-    match Hashtbl.find_opt p.migrations key with
-    | None -> false
-    | Some m -> write || m.frozen
-  in
-  while blocked () do
-    p.block_hook key
-  done
+  if Hashtbl.length p.migrations > 0 then begin
+    let blocked () =
+      match Hashtbl.find_opt p.migrations key with
+      | None -> false
+      | Some m -> write || m.frozen
+    in
+    while blocked () do
+      p.block_hook key
+    done
+  end
 
 (* {2 The routed handle} *)
 
@@ -229,15 +233,17 @@ let kids_of pl path = place pl path
 let wrap_pool ~stats ~placement ~get ~iter_opened ~set_inval () =
   let pl = placement in
   let home p =
-    await pl ~write:false (key_of p);
-    home_of pl p
+    let key = key_of p in
+    await pl ~write:false key;
+    place pl key
   and kids p =
     await pl ~write:false p;
     kids_of pl p
   in
   let home_w p =
-    await pl ~write:true (key_of p);
-    home_of pl p
+    let key = key_of p in
+    await pl ~write:true key;
+    place pl key
   in
   let h i = (get i : Zk_client.handle) in
   let ( let* ) = Result.bind in
@@ -377,11 +383,7 @@ let wrap_pool ~stats ~placement ~get ~iter_opened ~set_inval () =
     | r -> r
   in
   (* {2 Multi} *)
-  let shard_of_op op =
-    let path = Txn.op_path op in
-    await pl ~write:true (key_of path);
-    home_of pl path
-  in
+  let shard_of_op op = home_w (Txn.op_path op) in
   (* Retry a single-shard multi once after materializing stubs for its
      create parents — same lazy-stub rule as the create path. *)
   let multi_on s txn =

@@ -308,10 +308,10 @@ let test_mdtest_64_procs_survives_leader_crash () =
     { Systems.zk_servers = 5; backends = 2; backend_kind = Systems.Lustre }
   in
   let run =
-    Systems.mdtest_faulted ~dirs_per_proc:40 ~files_per_proc:40
+    Systems.dufs_mdtest ~dirs_per_proc:40 ~files_per_proc:40
       ~config_adjust:(fun c ->
         { c with Ensemble.election_timeout = 0.2; request_timeout = 0.3 })
-      ~spec ~procs:64 ~plan ()
+      ~spec ~shards:1 ~procs:64 ~plan ()
   in
   check_int "mdtest completes error-free" 0
     run.Systems.results.Mdtest.Runner.errors;
@@ -319,9 +319,9 @@ let test_mdtest_64_procs_survives_leader_crash () =
   check_bool "retried writes answered from the dedup table" true
     (run.Systems.dedup_hits > 0);
   check_int "znode population exact: nothing lost, nothing applied twice"
-    run.Systems.expected_znodes_after_create run.Systems.znodes_after_create;
+    run.Systems.expected_logical_znodes run.Systems.logical_znodes_at_stat;
   check_bool "every create committed" true
-    (run.Systems.writes_committed >= 64 * 40)
+    (Zk.Shard_router.writes_committed run.Systems.router >= 64 * 40)
 
 let () =
   Alcotest.run "faults"

@@ -122,18 +122,26 @@ let results ~p99 =
     errors = 0;
     wall = 1. }
 
-let reshard_run ?stats ~p99 ~window () =
+(* A clean one-run record: error-free, exact census, clean history. *)
+let dufs_run ~p99 =
   { Systems.results = results ~p99;
     router = Zk.Shard_router.local ~shards:2 ();
-    reshard = stats;
-    reshard_window = window;
-    history_recorded = 4_548;
-    history_checked = 4_548;
-    violations = [];
+    trace = Obs.Trace.null;
+    backend_stations = [||];
+    faults_fired = 0;
+    dedup_hits = 0;
     per_shard_znodes = [| 2_002; 2_014 |];
     live_stubs_at_stat = 63;
     logical_znodes_at_stat = 3_951;
-    expected_logical_znodes = 3_951 }
+    expected_logical_znodes = 3_951;
+    reshard = None;
+    reshard_window = 0.;
+    history_recorded = 4_548;
+    history_checked = 4_548;
+    violations = [] }
+
+let reshard_run ?stats ~p99 ~window () =
+  { (dufs_run ~p99) with Systems.reshard = stats; reshard_window = window }
 
 let split_stats () =
   let st = Zk.Reshard.fresh_stats () in
@@ -157,6 +165,36 @@ let test_reshard_p99_above_baseline () =
 let test_reshard_empty_window () =
   names "zero-length migration" ~needle:"empty migration window"
     (Figures.reshard_check (reshard_pair ~window:0. ()))
+
+(* {2 Faults} *)
+
+(* The fault-free baseline and the quorum-loss schedule, whose four
+   events all fired and whose retries hit the dedup table. *)
+let faults_runs ?(census = 3_951) ?(fired = 4) () =
+  let text = List.assoc "leader-quorum-loss" Figures.fault_plans in
+  let plan =
+    match Faults.Faultplan.parse text with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.failf "plan: %s" msg
+  in
+  let base = dufs_run ~p99:0.01 in
+  [ ("fault-free", [], base);
+    ( "leader-quorum-loss",
+      plan,
+      { base with
+        Systems.faults_fired = fired;
+        dedup_hits = 64;
+        logical_znodes_at_stat = census } ) ]
+
+let test_faults_passing () = passes "faults" (Figures.faults_check (faults_runs ()))
+
+let test_faults_wrong_census () =
+  names "census one short" ~needle:"census 3950 <> expected 3951"
+    (Figures.faults_check (faults_runs ~census:3_950 ()))
+
+let test_faults_unfired_event () =
+  names "restart never fired" ~needle:"3 of 4 fault events fired"
+    (Figures.faults_check (faults_runs ~fired:3 ()))
 
 (* {2 Chaos} *)
 
@@ -245,6 +283,12 @@ let () =
             test_reshard_p99_above_baseline;
           Alcotest.test_case "empty migration window" `Quick
             test_reshard_empty_window ] );
+      ( "faults",
+        [ Alcotest.test_case "clean schedules pass" `Quick test_faults_passing;
+          Alcotest.test_case "wrong znode census" `Quick
+            test_faults_wrong_census;
+          Alcotest.test_case "unfired fault event" `Quick
+            test_faults_unfired_event ] );
       ( "chaos",
         [ Alcotest.test_case "zero ops checked" `Quick
             test_chaos_zero_ops_checked ] );

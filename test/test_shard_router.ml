@@ -525,10 +525,15 @@ let test_sharded_mdtest_survives_shard_leader_crash () =
     { Systems.zk_servers = 5; backends = 2; backend_kind = Systems.Lustre }
   in
   let run =
-    Systems.mdtest_sharded_faulted ~dirs_per_proc:40 ~files_per_proc:40
+    Systems.dufs_mdtest ~dirs_per_proc:40 ~files_per_proc:40
       ~config_adjust:(fun c ->
         { c with Zk.Ensemble.election_timeout = 0.2; request_timeout = 0.3 })
       ~spec ~shards:2 ~procs:64 ~plan ()
+  in
+  let router = run.Systems.router in
+  let dedup_hits_by_shard = Zk.Shard_router.dedup_hits_by_shard router
+  and writes_committed_by_shard =
+    Zk.Shard_router.writes_committed_by_shard router
   in
   check_int "mdtest completes error-free" 0
     run.Systems.results.Mdtest.Runner.errors;
@@ -536,9 +541,9 @@ let test_sharded_mdtest_survives_shard_leader_crash () =
   check_bool "retried writes answered from the dedup table" true
     (run.Systems.dedup_hits > 0);
   check_bool "the crashed shard produced the dedup hits" true
-    (run.Systems.dedup_hits_by_shard.(1) > 0);
+    (dedup_hits_by_shard.(1) > 0);
   check_int "per-shard dedup sums to the total" run.Systems.dedup_hits
-    (Array.fold_left ( + ) 0 run.Systems.dedup_hits_by_shard);
+    (Array.fold_left ( + ) 0 dedup_hits_by_shard);
   check_int "logical znode population exact"
     run.Systems.expected_logical_znodes run.Systems.logical_znodes_at_stat;
   check_int "per-shard counts compose the logical population"
@@ -546,9 +551,10 @@ let test_sharded_mdtest_survives_shard_leader_crash () =
     (Array.fold_left (fun a n -> a + (n - 1)) 0 run.Systems.per_shard_znodes
     - run.Systems.live_stubs_at_stat);
   check_bool "both shards committed writes" true
-    (Array.for_all (fun w -> w > 0) run.Systems.writes_committed_by_shard);
-  check_int "per-shard writes sum to the total" run.Systems.writes_committed
-    (Array.fold_left ( + ) 0 run.Systems.writes_committed_by_shard)
+    (Array.for_all (fun w -> w > 0) writes_committed_by_shard);
+  check_int "per-shard writes sum to the total"
+    (Zk.Shard_router.writes_committed router)
+    (Array.fold_left ( + ) 0 writes_committed_by_shard)
 
 let () =
   Alcotest.run "shard_router"
