@@ -528,7 +528,10 @@ let wal_append (s : server) ~start ~done_at ~zxid ~txn ~time ~rid ~close =
    distance exceeds the configured cadence. Snapshot writing is modeled
    as free: ZooKeeper serializes fuzzy snapshots from a background
    thread off the commit path, and the simulated persist budget already
-   covers the log append that actually gates each ack. *)
+   covers the log append that actually gates each ack. The tree is
+   frozen now and encoded only if recovery ever reads the snapshot;
+   suspending [Ztree.serialize s.tree] instead would encode a later
+   tree. *)
 let wal_applied t (s : server) zxid =
   Wal.note_commit s.wal zxid;
   if
@@ -537,8 +540,9 @@ let wal_applied t (s : server) zxid =
          (Int64.sub (Wal.frontier s.wal) (Wal.last_snapshot_zxid s.wal))
        >= t.cfg.snapshot_every
   then
+    let img = Ztree.capture s.tree in
     Wal.snapshot s.wal ~zxid:(Ztree.last_zxid s.tree) ~epoch:s.epoch
-      (Ztree.serialize s.tree)
+      (lazy (Ztree.encode img))
 
 (* {2 Deferred replies} *)
 
@@ -1880,6 +1884,7 @@ let wal_truncated t = sum_wal Wal.truncated t
 let wal_tail_dropped t = sum_wal Wal.tail_dropped t
 let snap_loads t = sum_wal Wal.snap_loads t
 let snap_fallbacks t = sum_wal Wal.snap_fallbacks t
+let snap_encodes t = sum_wal Wal.snap_encodes t
 let wal_records t id = Wal.records t.members.(id).wal
 let wal_snapshots t id = Wal.snapshots t.members.(id).wal
 

@@ -312,6 +312,11 @@ val snap_loads : t -> int
     to the older one. *)
 val snap_fallbacks : t -> int
 
+(** Periodic snapshots whose deferred bytes were encoded because
+    something read them (recovery or [corrupt_snapshot]); snapshots
+    nobody reads cost no encode. *)
+val snap_encodes : t -> int
+
 (** Readable WAL records on server [id]'s disk right now. *)
 val wal_records : t -> int -> int
 

@@ -38,8 +38,11 @@
    [corrupt]). The entry is immutable, so the bytes are exactly those
    an eager encode would have produced, and the checksum verifies the
    same bytes and selects the same records as an eager one. A snapshot
-   payload must be captured when taken (the tree keeps changing), but
-   its MD5 is likewise deferred. *)
+   is deferred the same way: the tree keeps changing, so the caller
+   freezes it when the snapshot is taken ([Ztree.capture], cheap) and
+   hands over a suspended encode of that frozen image; the bytes and
+   their MD5 are produced the first time recovery's snapshot ladder or
+   [corrupt_snapshot] reads them. *)
 
 type entry = {
   e_zxid : int64;
@@ -63,7 +66,7 @@ type record = {
 type snapshot = {
   s_zxid : int64;
   s_epoch : int;
-  mutable s_payload : string; (* Ztree.serialize at [s_zxid] *)
+  mutable s_payload : string Lazy.t; (* Ztree.serialize at [s_zxid] *)
   mutable s_sum : string; (* "" until first read *)
 }
 
@@ -83,6 +86,7 @@ type t = {
   mutable tail_dropped : int; (* un-fsynced records dropped at power-off *)
   mutable snap_loads : int;
   mutable snap_fallbacks : int; (* corrupt snapshot skipped for an older one *)
+  mutable snap_encodes : int; (* deferred snapshot payloads materialised *)
 }
 
 let create () =
@@ -98,7 +102,8 @@ let create () =
     truncated = 0;
     tail_dropped = 0;
     snap_loads = 0;
-    snap_fallbacks = 0 }
+    snap_fallbacks = 0;
+    snap_encodes = 0 }
 
 (* {2 Record encoding} *)
 
@@ -171,8 +176,12 @@ let record_bytes r =
   end;
   r.r_payload
 
-let snapshot_sum s =
-  if s.s_sum = "" then s.s_sum <- Md5.digest s.s_payload;
+(* A snapshot's bytes as taken, and their MD5, on first read. *)
+let snapshot_sum t s =
+  if s.s_sum = "" then begin
+    if not (Lazy.is_val s.s_payload) then t.snap_encodes <- t.snap_encodes + 1;
+    s.s_sum <- Md5.digest (Lazy.force s.s_payload)
+  end;
   s.s_sum
 
 let note_commit t zxid = if zxid > t.frontier then t.frontier <- zxid
@@ -190,20 +199,23 @@ let rebuild_index t =
 
 (* Keep the newest two snapshots (the older one is the bit-rot fallback)
    and prune log records at or below the older snapshot's zxid: recovery
-   never replays below the snapshot it loads. *)
+   never replays below the snapshot it loads. The index is pruned in
+   place: the cut is by zxid, so every record of a pruned zxid (of any
+   epoch) goes and every record of a kept zxid stays — removing the
+   pruned zxids leaves exactly the index a rebuild would give. *)
 let snapshot t ~zxid ~epoch payload =
   let s = { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } in
-  (t.snaps <-
-     (match t.snaps with
-      | [] -> [ s ]
-      | newest :: _ -> [ s; newest ]));
-  (match t.snaps with
-   | [ _; older ] ->
-     let n0 = List.length t.records in
-     t.records <-
-       List.filter (fun r -> r.r_entry.e_zxid > older.s_zxid) t.records;
-     if List.length t.records <> n0 then rebuild_index t
-   | _ -> ())
+  match t.snaps with
+  | [] -> t.snaps <- [ s ]
+  | older :: _ ->
+    t.snaps <- [ s; older ];
+    let keep, pruned =
+      List.partition (fun r -> r.r_entry.e_zxid > older.s_zxid) t.records
+    in
+    if pruned <> [] then begin
+      t.records <- keep;
+      List.iter (fun r -> Zxid_tbl.remove t.by_zxid r.r_entry.e_zxid) pruned
+    end
 
 let last_snapshot_zxid t =
   match t.snaps with [] -> 0L | s :: _ -> s.s_zxid
@@ -215,7 +227,9 @@ let last_snapshot_zxid t =
 let install_snapshot t ~zxid ~epoch payload =
   t.records <- [];
   Zxid_tbl.reset t.by_zxid;
-  t.snaps <- [ { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } ];
+  t.snaps <-
+    [ { s_zxid = zxid; s_epoch = epoch; s_payload = Lazy.from_val payload;
+        s_sum = "" } ];
   if zxid > t.frontier then t.frontier <- zxid
 
 (* {2 Storage-fault state} *)
@@ -266,11 +280,11 @@ let corrupt_snapshot t =
   match t.snaps with
   | [] -> false
   | s :: _ ->
-    ignore (snapshot_sum s : string);
-    let i = String.length s.s_payload / 2 in
-    let b = Bytes.of_string s.s_payload in
+    ignore (snapshot_sum t s : string);
+    let b = Bytes.of_string (Lazy.force s.s_payload) in
+    let i = Bytes.length b / 2 in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-    s.s_payload <- Bytes.to_string b;
+    s.s_payload <- Lazy.from_val (Bytes.to_string b);
     true
 
 (* {2 Crash} *)
@@ -361,9 +375,9 @@ let recover t =
   let rec pick_snap fallback = function
     | [] -> (None, 0L, fallback)
     | s :: rest ->
-      let sum = snapshot_sum s in
-      if Md5.digest s.s_payload = sum then
-        (Some s.s_payload, s.s_zxid, fallback)
+      let sum = snapshot_sum t s in
+      let payload = Lazy.force s.s_payload in
+      if Md5.digest payload = sum then (Some payload, s.s_zxid, fallback)
       else begin
         t.snap_fallbacks <- t.snap_fallbacks + 1;
         pick_snap true rest
@@ -430,6 +444,7 @@ let truncated t = t.truncated
 let tail_dropped t = t.tail_dropped
 let snap_loads t = t.snap_loads
 let snap_fallbacks t = t.snap_fallbacks
+let snap_encodes t = t.snap_encodes
 
 (* Highest zxid whose record has completed its device write at [now]
    and verifies — "what would survive a power failure right now". *)

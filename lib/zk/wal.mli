@@ -64,13 +64,20 @@ val epoch_at : t -> int64 -> int option
 
 (** {2 Snapshots} *)
 
-(** Periodic snapshot of the applied tree ([Ztree.serialize] payload at
-    [zxid]). Keeps the newest two (the older is the bit-rot fallback)
-    and prunes log records at or below the older one. *)
-val snapshot : t -> zxid:int64 -> epoch:int -> string -> unit
+(** Periodic snapshot of the applied tree at [zxid]. The payload is the
+    [Ztree.serialize] bytes of the tree at [zxid], suspended: it is
+    forced, and its MD5 taken, only when something first reads the
+    snapshot (the {!recover} ladder or {!corrupt_snapshot}); a snapshot
+    nobody reads is never encoded. The suspension must not read live
+    state — freeze the tree first, as in
+    [let img = Ztree.capture tree in lazy (Ztree.encode img)].
+    Keeps the newest two (the older is the bit-rot fallback) and prunes
+    log records at or below the older one. *)
+val snapshot : t -> zxid:int64 -> epoch:int -> string Lazy.t -> unit
 
 (** Leader-installed snapshot (SNAP state transfer): supersedes the
-    entire local log, ZooKeeper's TRUNC included. *)
+    entire local log, ZooKeeper's TRUNC included. The payload is the
+    bytes the transfer already carries, so nothing is deferred. *)
 val install_snapshot : t -> zxid:int64 -> epoch:int -> string -> unit
 
 val last_snapshot_zxid : t -> int64
@@ -152,6 +159,10 @@ val truncated : t -> int
 val tail_dropped : t -> int
 val snap_loads : t -> int
 val snap_fallbacks : t -> int
+
+(** Deferred snapshot payloads ({!snapshot}) materialised so far. A
+    fault-free run reads no snapshot, so this stays 0. *)
+val snap_encodes : t -> int
 
 (** Highest zxid that would survive a power failure at [now]: its
     record's device write has completed and still verifies. *)

@@ -515,29 +515,40 @@ let add_float_bits b f =
    separators and the newline, at the sizes a typical tree holds. *)
 let line_fixed_bytes = 96
 
-let serialize t =
-  let size = ref 64 in
-  let paths =
-    Hashtbl.fold
-      (fun path (n : node) acc ->
-        size :=
-          !size + line_fixed_bytes + String.length path + String.length n.data;
-        path :: acc)
-      t.nodes []
-  in
+(* A frozen image: every node's path with a copy of its record, so later
+   mutations of the live node do not show through. Paths, data and the
+   boxed zxids/times are immutable and shared with the live tree; child
+   sets are not kept ([deserialize] rebuilds them from paths). A list,
+   not an array: fresh cons cells stay on the minor heap, where an array
+   this size would pay a write barrier per slot. *)
+type image = { i_zxid : int64; i_nodes : (string * node) list }
+
+let capture t =
+  { i_zxid = t.last_zxid;
+    i_nodes =
+      Hashtbl.fold
+        (fun path (n : node) acc -> (path, { n with children = no_children }) :: acc)
+        t.nodes [] }
+
+let encode img =
+  let size = ref 64 and count = ref 0 in
+  List.iter
+    (fun (path, (n : node)) ->
+      incr count;
+      size := !size + line_fixed_bytes + String.length path + String.length n.data)
+    img.i_nodes;
   let buf = Buffer.create !size in
   let field s =
     Buffer.add_char buf ' ';
     Buffer.add_string buf s
   in
   Buffer.add_string buf "ZTREEv1";
-  field (Int64.to_string t.last_zxid);
+  field (Int64.to_string img.i_zxid);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (string_of_int (Hashtbl.length t.nodes));
+  Buffer.add_string buf (string_of_int !count);
   Buffer.add_char buf '\n';
   List.iter
-    (fun path ->
-      let n = Hashtbl.find t.nodes path in
+    (fun (path, (n : node)) ->
       add_len_str buf path;
       add_len_str buf n.data;
       field (string_of_int n.version);
@@ -552,8 +563,10 @@ let serialize t =
       add_float_bits buf n.mtime;
       field (Int64.to_string n.ephemeral_owner);
       Buffer.add_char buf '\n')
-    (List.sort String.compare paths);
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) img.i_nodes);
   Buffer.contents buf
+
+let serialize t = encode (capture t)
 
 exception Bad_snapshot of string
 

@@ -123,8 +123,23 @@ val fingerprint : t -> int
     disk and fuzzy-restore from snapshot + log replay (§IV-I: "it can
     tolerate the failure of all servers by restarting them later"). *)
 
+(** A frozen image of a tree: its last zxid and every node's path, data
+    and stats as they were when captured. *)
+type image
+
+(** [capture t] freezes [t]'s current state in O(nodes) without sorting
+    or formatting. Paths and data are shared with [t] (they are
+    immutable strings); stats are copied, so later mutations of [t]
+    never show through the image. *)
+val capture : t -> image
+
+(** The bytes {!serialize} would have returned at the moment the image
+    was captured: encoding is deferred work, not a different format. *)
+val encode : image -> string
+
 (** Serialize the whole tree (nodes, data, stats, sequence counters) to a
-    self-contained byte string. Watches are not captured. *)
+    self-contained byte string. Watches are not captured.
+    [serialize t = encode (capture t)]. *)
 val serialize : t -> string
 
 (** Rebuild a tree from [serialize] output. *)

@@ -136,8 +136,8 @@ let test_snapshot_fallback_ladder () =
     Wal.append w ~epoch:1 ~start:0. ~done_at:0. (entry (Int64.of_int i))
   done;
   Wal.note_commit w 10L;
-  Wal.snapshot w ~zxid:5L ~epoch:1 "tree-at-5";
-  Wal.snapshot w ~zxid:8L ~epoch:1 "tree-at-8";
+  Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
+  Wal.snapshot w ~zxid:8L ~epoch:1 (Lazy.from_val "tree-at-8");
   check_int "log pruned below the older snapshot" 5 (Wal.records w);
   check_bool "newest snapshot corrupted" true (Wal.corrupt_snapshot w);
   let r = Wal.recover w in
@@ -257,8 +257,8 @@ let test_recover_same_for_eager_and_lazy () =
      bit-rot lands in the middle *)
   let scenario ~eager =
     let w = fill ~eager ~epoch:(fun i -> if i <= 10 then 1 else 2) 10 in
-    Wal.snapshot w ~zxid:3L ~epoch:1 "tree-at-3";
-    Wal.snapshot w ~zxid:5L ~epoch:1 "tree-at-5";
+    Wal.snapshot w ~zxid:3L ~epoch:1 (Lazy.from_val "tree-at-3");
+    Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
     for i = 9 to 16 do
       Wal.append w ~epoch:2 ~start:(10. +. float_of_int i)
         ~done_at:(10.5 +. float_of_int i) (varied_entry (Int64.of_int i));
@@ -283,8 +283,8 @@ let test_corrupt_snapshot_same_ladder () =
   let scenario ~read_first =
     let w = fill ~eager:false 10 in
     Wal.note_commit w 10L;
-    Wal.snapshot w ~zxid:5L ~epoch:1 "tree-at-5";
-    Wal.snapshot w ~zxid:8L ~epoch:1 "tree-at-8";
+    Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
+    Wal.snapshot w ~zxid:8L ~epoch:1 (Lazy.from_val "tree-at-8");
     if read_first then begin
       let r = Wal.recover w in
       check_bool "clean read loads the newest snapshot" true
@@ -296,7 +296,107 @@ let test_corrupt_snapshot_same_ladder () =
   let r_read = scenario ~read_first:true and r_never = scenario ~read_first:false in
   check_bool "never-read snapshot falls back" true
     (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some "tree-at-5");
-  check_bool "same ladder either way" true (r_read = r_never)
+  check_bool "same ladder either way" true (r_read = r_never);
+  (* the same ladder over real tree images, taken the way the ensemble
+     takes them, while the tree keeps changing after each snapshot *)
+  let tree_scenario ~read_first =
+    let w = Wal.create () and tree = Ztree.create () in
+    let serialized = ref [] in
+    for i = 1 to 10 do
+      let e = entry (Int64.of_int i) in
+      Wal.append w ~epoch:1 ~start:0. ~done_at:0. e;
+      ignore (ok_or_fail "apply" (Ztree.apply tree ~zxid:e.Wal.e_zxid ~time:0. e.Wal.e_txn));
+      if i = 5 || i = 8 then begin
+        let img = Ztree.capture tree in
+        Wal.snapshot w ~zxid:e.Wal.e_zxid ~epoch:1 (lazy (Ztree.encode img));
+        serialized := (i, Ztree.serialize tree) :: !serialized
+      end
+    done;
+    Wal.note_commit w 10L;
+    if read_first then begin
+      let r = Wal.recover w in
+      check_bool "clean read loads the tree at 8" true
+        (r.Wal.rc_snapshot = Some (List.assoc 8 !serialized))
+    end;
+    check_bool "newest tree image corrupted" true (Wal.corrupt_snapshot w);
+    (Wal.recover w, List.assoc 5 !serialized)
+  in
+  let r_read, at5 = tree_scenario ~read_first:true in
+  let r_never, _ = tree_scenario ~read_first:false in
+  check_bool "never-read tree image falls back to the tree at 5" true
+    (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some at5);
+  check_bool "same tree ladder either way" true (r_read = r_never)
+
+(* {2 Incremental index pruning}
+
+   A snapshot prunes the zxid index in place instead of rebuilding it.
+   Random logs of appends, snapshots, power-offs and epoch rewinds are
+   checked after every step against a model: for every zxid, the index
+   must name the newest surviving record, exactly what a rebuild from
+   the surviving log would give. Writes are serialised on the device, so
+   completion times rise in append order and the newest records are the
+   ones a power-off cuts. *)
+
+type index_step = Append | Snapshot | Power_off of int | Rewind of int
+
+let prop_index_matches_rebuild =
+  let gen_step =
+    QCheck2.Gen.(
+      frequency
+        [ (6, pure Append);
+          (2, pure Snapshot);
+          (1, map (fun k -> Power_off k) (int_range 0 3));
+          (1, map (fun k -> Rewind k) (int_range 0 4)) ])
+  in
+  QCheck2.Test.make ~name:"zxid index = rebuild from the surviving log after every step"
+    ~count:300 QCheck2.Gen.(list_size (int_range 1 80) gen_step)
+    (fun steps ->
+      let w = Wal.create () in
+      (* model log, newest first: (zxid, epoch, done_at, entry) *)
+      let log = ref [] and snaps = ref [] in
+      let epoch = ref 1 and next = ref 1L and clock = ref 0. and seq = ref 0L in
+      let append () =
+        seq := Int64.add !seq 1L;
+        let e = { (entry !next) with Wal.e_rcxid = !seq } in
+        let start = !clock in
+        clock := start +. 1.;
+        Wal.append w ~epoch:!epoch ~start ~done_at:!clock e;
+        log := (!next, !epoch, !clock, e) :: !log;
+        next := Int64.add !next 1L
+      in
+      let step = function
+        | Append -> append ()
+        | Snapshot ->
+          let zxid = Int64.sub !next 1L in
+          Wal.snapshot w ~zxid ~epoch:!epoch (Lazy.from_val "tree");
+          (match !snaps with
+           | older :: _ -> log := List.filter (fun (z, _, _, _) -> z > older) !log
+           | [] -> ());
+          snaps := zxid :: !snaps
+        | Power_off k ->
+          (* cut [k] writes before the end: the newest is torn in flight
+             (it stays in the log, unreadable), the rest never started *)
+          let now = !clock -. float_of_int k -. 0.5 in
+          Wal.power_off w ~now;
+          log := List.filter (fun (_, _, d, _) -> d -. 1. < now) !log;
+          clock := !clock +. 10.
+        | Rewind k ->
+          (* a new epoch re-proposes from [k] zxids back *)
+          incr epoch;
+          next := Int64.max 1L (Int64.sub !next (Int64.of_int k));
+          append ()
+      in
+      let newest z = List.find_opt (fun (z', _, _, _) -> z' = z) !log in
+      let agrees () =
+        List.for_all
+          (fun i ->
+            let z = Int64.of_int i in
+            match newest z with
+            | None -> Wal.entry_at w z = None && Wal.epoch_at w z = None
+            | Some (_, ep, _, e) -> Wal.entry_at w z = Some e && Wal.epoch_at w z = Some ep)
+          (List.init (Int64.to_int !next + 1) Fun.id)
+      in
+      List.for_all (fun s -> step s; agrees ()) steps)
 
 (* {2 Regression: crash must drop the un-persisted suffix}
 
@@ -500,6 +600,67 @@ let test_double_restart_is_idempotent () =
   check_bool "replica state is a fixed point of recovery" true
     (Ztree.equal_state (Ensemble.tree_of ensemble 2) (Ensemble.tree_of ensemble 0))
 
+(* {2 Snapshots encoded on first read, end to end} *)
+
+let test_fault_free_run_encodes_no_snapshot () =
+  let engine, ensemble =
+    make ~servers:3
+      ~config_adjust:(fun c -> { c with Ensemble.snapshot_every = 8 })
+      ()
+  in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      for i = 0 to 29 do
+        ignore
+          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/f%d" i) ~data:"x"))
+      done;
+      Process.sleep 0.05);
+  Engine.run engine;
+  List.iter
+    (fun id ->
+      check_int (Printf.sprintf "server %d took snapshots" id) 2
+        (Ensemble.wal_snapshots ensemble id))
+    [ 0; 1; 2 ];
+  check_int "no snapshot was ever encoded" 0 (Ensemble.snap_encodes ensemble);
+  check_int "no snapshot was loaded" 0 (Ensemble.snap_loads ensemble)
+
+let test_restart_loads_snapshot_taken_before_the_crash () =
+  let engine, ensemble =
+    make ~servers:3
+      ~config_adjust:(fun c ->
+        { c with Ensemble.snapshot_every = 8; election_timeout = 0.1 })
+      ()
+  in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      let write i =
+        ignore
+          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/c%d" i) ~data:"x"))
+      in
+      for i = 0 to 20 do write i done;
+      Process.sleep 0.05;
+      check_int "nothing encoded before the crash" 0 (Ensemble.snap_encodes ensemble);
+      Ensemble.crash ensemble 2;
+      (* the survivors keep a quorum and move on while server 2 is down *)
+      for i = 21 to 26 do write i done;
+      Process.sleep 0.1;
+      Ensemble.restart ensemble 2;
+      Process.sleep 0.1;
+      for i = 27 to 29 do write i done;
+      Process.sleep 0.05);
+  Engine.run engine;
+  check_int "the restarted server loaded a snapshot" 1 (Ensemble.snap_loads ensemble);
+  check_int "and encoded it on that first read" 1 (Ensemble.snap_encodes ensemble);
+  check_bool "the snapshot predates the crash by some writes" true
+    (Ensemble.wal_replayed ensemble > 0);
+  List.iter
+    (fun id ->
+      check_int
+        (Printf.sprintf "server 2 ends with server %d's fingerprint" id)
+        (Ztree.fingerprint (Ensemble.tree_of ensemble id))
+        (Ztree.fingerprint (Ensemble.tree_of ensemble 2)))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "wal"
     [ ( "log-model",
@@ -524,7 +685,8 @@ let () =
           Alcotest.test_case "recovery same for unread logs" `Quick
             test_recover_same_for_eager_and_lazy;
           Alcotest.test_case "unread snapshot rot falls back" `Quick
-            test_corrupt_snapshot_same_ladder ] );
+            test_corrupt_snapshot_same_ladder;
+          QCheck_alcotest.to_alcotest prop_index_matches_rebuild ] );
       ( "recovery",
         [ Alcotest.test_case "crash drops the un-persisted suffix" `Quick
             test_crash_drops_unpersisted_suffix;
@@ -535,4 +697,9 @@ let () =
           Alcotest.test_case "rotten log resyncs from the leader" `Quick
             test_rotten_log_resyncs_from_leader;
           Alcotest.test_case "double restart is idempotent" `Quick
-            test_double_restart_is_idempotent ] ) ]
+            test_double_restart_is_idempotent ] );
+      ( "deferred-snapshots",
+        [ Alcotest.test_case "fault-free run encodes no snapshot" `Quick
+            test_fault_free_run_encodes_no_snapshot;
+          Alcotest.test_case "restart loads a pre-crash snapshot" `Quick
+            test_restart_loads_snapshot_taken_before_the_crash ] ) ]

@@ -617,6 +617,79 @@ let prop_snapshot_roundtrip =
         && Ztree.resident_bytes tree = Ztree.resident_bytes restored
       | Error _ -> false)
 
+(* A snapshot freezes the tree when taken and is encoded later, after
+   the live tree has moved on. [freeze] takes a snapshot and returns its
+   deferred bytes; whatever ops run before they are read, the bytes must
+   be those [serialize] gave at the moment of freezing. *)
+let prop_frozen_snapshot ~name ~count freeze =
+  let gen_path =
+    QCheck2.Gen.(
+      map (fun parts -> "/" ^ String.concat "/" parts)
+        (list_size (int_range 1 2) (oneofl [ "a"; "b"; "c" ])))
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      oneof
+        [ map (fun (path, data) -> create_op ~data path) (pair gen_path (string_size (int_range 0 6)));
+          map (fun path -> create_op ~sequential:true (path ^ "-")) gen_path;
+          map (fun path -> create_op ~ephemeral:7L path) gen_path;
+          map (fun path -> Txn.Delete { path; expected_version = -1 }) gen_path;
+          map (fun (path, data) -> Txn.Set_data { path; data; expected_version = -1 })
+            (pair gen_path (string_size (int_range 0 6))) ])
+  in
+  let gen_txn =
+    QCheck2.Gen.(
+      oneof
+        [ map (fun op -> [ op ]) gen_op;
+          (* a multi whose last op always fails: the ops before it apply
+             and then roll back *)
+          map (fun ops -> ops @ [ Txn.Check { path = "/missing"; expected_version = 0 } ])
+            (list_size (int_range 1 3) gen_op) ])
+  in
+  QCheck2.Test.make ~name ~count
+    QCheck2.Gen.(pair (list_size (int_range 1 40) gen_txn) (int_bound 40))
+    (fun (txns, k) ->
+      let tree = Ztree.create () in
+      (* apply the txns at indices where [pick i] holds, in order *)
+      let apply_where pick =
+        List.iteri
+          (fun i txn ->
+            if pick i then
+              ignore
+                (Ztree.apply tree ~zxid:(Int64.of_int (i + 1))
+                   ~time:(0.5 *. float_of_int i) txn))
+          txns
+      in
+      apply_where (fun i -> i < k);
+      let deferred = freeze tree in
+      let bytes_k = Ztree.serialize tree and fingerprint_k = Ztree.fingerprint tree in
+      apply_where (fun i -> i >= k);
+      let bytes = deferred () in
+      bytes = bytes_k
+      &&
+      match Ztree.deserialize bytes with
+      | Ok restored -> Ztree.fingerprint restored = fingerprint_k
+      | Error _ -> false)
+
+let prop_capture_stays_frozen =
+  prop_frozen_snapshot ~name:"encode of a capture is serialize at capture time" ~count:300
+    (fun tree ->
+      let img = Ztree.capture tree in
+      fun () -> Ztree.encode img)
+
+(* Suspending [serialize] of the live tree, instead of encoding a
+   capture, encodes whatever tree exists when the bytes are first read:
+   the property above must catch it. *)
+let test_lazy_serialize_is_not_frozen () =
+  let lazy_serialize =
+    prop_frozen_snapshot ~name:"suspended serialize" ~count:300 (fun tree ->
+        let bytes = lazy (Ztree.serialize tree) in
+        fun () -> Lazy.force bytes)
+  in
+  match QCheck2.Test.check_exn ~rand:(Random.State.make [| 19 |]) lazy_serialize with
+  | () -> Alcotest.fail "a suspended serialize passed as a frozen snapshot"
+  | exception QCheck2.Test.Test_fail _ -> ()
+
 (* {2 Child sets}
 
    A leaf holds a shared empty child set that must never be written, and
@@ -813,7 +886,10 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_snapshot_rejects_garbage;
           Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
           qc prop_float_bits_match_printf;
-          qc prop_snapshot_roundtrip ] );
+          qc prop_snapshot_roundtrip;
+          qc prop_capture_stays_frozen;
+          Alcotest.test_case "suspended serialize is not frozen" `Quick
+            test_lazy_serialize_is_not_frozen ] );
       ( "child-sets",
         [ Alcotest.test_case "leaves share an unwritten empty set" `Quick
             test_leaves_share_no_written_child_set;
