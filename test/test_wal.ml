@@ -698,7 +698,7 @@ let () =
             test_rotten_log_resyncs_from_leader;
           Alcotest.test_case "double restart is idempotent" `Quick
             test_double_restart_is_idempotent ] );
-      ( "deferred-snapshots",
+      ( "lazy-snap",
         [ Alcotest.test_case "fault-free run encodes no snapshot" `Quick
             test_fault_free_run_encodes_no_snapshot;
           Alcotest.test_case "restart loads a pre-crash snapshot" `Quick
