@@ -113,10 +113,20 @@ let experiment =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
 
-let run name =
+let host_profile =
+  let doc =
+    "Sample the simulator's host CPU with a SIGPROF timer (1 ms of CPU \
+     per sample) while the experiment runs; print the heaviest self and \
+     inclusive frames and write folded stacks to $(docv). Off by default."
+  in
+  Arg.(value & opt (some string) None & info [ "host-profile" ] ~docv:"FILE" ~doc)
+
+let run name host_profile =
   match List.find_opt (fun (n, _, _) -> n = name) experiments with
   | Some (_, _, f) ->
-    f ();
+    (match host_profile with
+     | None -> f ()
+     | Some file -> Hostprof.profile ~file f);
     `Ok ()
   | None ->
     `Error
@@ -137,6 +147,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "dufs_bench" ~doc ~man)
-    Term.(ret (const run $ experiment))
+    Term.(ret (const run $ experiment $ host_profile))
 
 let () = exit (Cmd.eval cmd)

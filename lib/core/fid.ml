@@ -8,7 +8,25 @@ let compare a b =
   | 0 -> Int64.unsigned_compare a.counter b.counter
   | c -> c
 
-let to_hex t = Printf.sprintf "%016Lx%016Lx" t.client_id t.counter
+let hex_chars = "0123456789abcdef"
+
+(* the 16 lower-case hex digits of [v] into [b] at [off], most
+   significant first, written from its two 32-bit halves in native ints *)
+let put_hex64 b off v =
+  let put_u32 off x =
+    for i = 0 to 7 do
+      Bytes.unsafe_set b (off + i)
+        (String.unsafe_get hex_chars ((x lsr (4 * (7 - i))) land 15))
+    done
+  in
+  put_u32 off (Int64.to_int (Int64.shift_right_logical v 32));
+  put_u32 (off + 8) (Int64.to_int v land 0xFFFF_FFFF)
+
+let to_hex t =
+  let b = Bytes.create 32 in
+  put_hex64 b 0 t.client_id;
+  put_hex64 b 16 t.counter;
+  Bytes.unsafe_to_string b
 
 (* Digits are accumulated in native ints, 32 bits at a time, so parsing
    allocates nothing but the result. *)

@@ -23,17 +23,51 @@ let equal a b =
   | Symlink x, Symlink y -> String.equal x y
   | (Dir | File _ | Symlink _), _ -> false
 
+let hex_chars = "0123456789abcdef"
+
+(* [n]'s digits in base [1 lsl bits], unsigned and without leading zeros,
+   as [Printf]'s [%o] and [%Lx] write them: a negative mode is its 63
+   bits in octal, and the ctime bits are a full unsigned 64-bit value *)
+let add_digits b ~bits n =
+  let rec go n =
+    if n <> 0 then begin
+      go (n lsr bits);
+      Buffer.add_char b (String.unsafe_get hex_chars (n land ((1 lsl bits) - 1)))
+    end
+  in
+  if n = 0 then Buffer.add_char b '0' else go n
+
+let add_hex64 b v =
+  let hi = Int64.to_int (Int64.shift_right_logical v 32)
+  and lo = Int64.to_int v land 0xFFFF_FFFF in
+  if hi = 0 then add_digits b ~bits:4 lo
+  else begin
+    add_digits b ~bits:4 hi;
+    for i = 7 downto 0 do
+      Buffer.add_char b (String.unsafe_get hex_chars ((lo lsr (4 * i)) land 15))
+    done
+  end
+
 (* v1|<kind>|<mode octal>|<ctime bits hex>|<payload>
    payload: FID hex for files, raw target for symlinks (last field, so it
    may contain any character including '|'). *)
 let encode t =
   let kind_tag, payload =
     match t.kind with
-    | Dir -> ("d", "")
-    | File fid -> ("f", Fid.to_hex fid)
-    | Symlink target -> ("l", target)
+    | Dir -> ('d', "")
+    | File fid -> ('f', Fid.to_hex fid)
+    | Symlink target -> ('l', target)
   in
-  Printf.sprintf "v1|%s|%o|%Lx|%s" kind_tag t.mode (Int64.bits_of_float t.ctime) payload
+  let b = Buffer.create (48 + String.length payload) in
+  Buffer.add_string b "v1|";
+  Buffer.add_char b kind_tag;
+  Buffer.add_char b '|';
+  add_digits b ~bits:3 t.mode;
+  Buffer.add_char b '|';
+  add_hex64 b (Int64.bits_of_float t.ctime);
+  Buffer.add_char b '|';
+  Buffer.add_string b payload;
+  Buffer.contents b
 
 (* the index of the first '|' at or after [i], or -1 *)
 let next_bar s i = try String.index_from s i '|' with Not_found -> -1

@@ -12,24 +12,28 @@ let check_layout layout =
      || layout.levels * layout.chars_per_level > 16
   then invalid_arg "Physical: bad layout"
 
-(* Components come from the low end of the hex string: the counter's low
-   digits vary fastest, spreading consecutive creates across the top
-   directories. *)
-let components layout hex =
+(* "/c1/c2/.../<hex>", built in one buffer from one formatting of the
+   FID's hex. Components come from the low end of the hex string: the
+   counter's low digits vary fastest, spreading consecutive creates
+   across the top directories. *)
+let path layout fid =
   check_layout layout;
-  let len = String.length hex in
-  List.init layout.levels (fun i ->
-      let width = layout.chars_per_level in
-      String.sub hex (len - ((i + 1) * width)) width)
+  let hex = Fid.to_hex fid in
+  let len = String.length hex and width = layout.chars_per_level in
+  let dirs = layout.levels * (width + 1) in
+  let b = Bytes.create (dirs + 1 + len) in
+  for i = 0 to layout.levels - 1 do
+    Bytes.set b (i * (width + 1)) '/';
+    Bytes.blit_string hex (len - ((i + 1) * width)) b ((i * (width + 1)) + 1) width
+  done;
+  Bytes.set b dirs '/';
+  Bytes.blit_string hex 0 b (dirs + 1) len;
+  Bytes.unsafe_to_string b
 
 let dir layout fid =
-  let hex = Fid.to_hex fid in
-  "/" ^ String.concat "/" (components layout hex)
-
-let path layout fid =
-  let hex = Fid.to_hex fid in
-  let d = dir layout fid in
-  if d = "/" then "/" ^ hex else d ^ "/" ^ hex
+  let p = path layout fid in
+  if layout.levels = 0 then "/"
+  else String.sub p 0 (layout.levels * (layout.chars_per_level + 1))
 
 let fid_of_path p =
   match String.rindex_opt p '/' with

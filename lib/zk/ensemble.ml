@@ -72,8 +72,8 @@ type rid = {
 }
 
 (* Request ids are pairs of small counters: hash them directly instead
-   of through the generic polymorphic hash. No iteration over these
-   tables depends on their order. *)
+   of through the generic polymorphic hash. Only the in-flight index
+   [pending_rids] uses this table, and nothing iterates over it. *)
 module Rid_tbl = Hashtbl.Make (struct
   type t = rid
 
@@ -193,8 +193,9 @@ and server = {
   (* request id -> (zxid, result) of every txn this replica has applied:
      the dedup table behind exactly-once writes. Replicated implicitly —
      each replica records entries as it applies the same committed
-     sequence — so it survives leader failover. *)
-  applied : (int64 * applied_result) Rid_tbl.t;
+     sequence — so it survives leader failover. One row per session,
+     indexed by cxid: both are dense counters. *)
+  applied : (int64 * applied_result) Zxid_tbl.t Zxid_tbl.t;
   inbox : msg Mailbox.t;
   (* leader state *)
   pending : pending_write Zxid_tbl.t;
@@ -325,6 +326,12 @@ let commit_fanouts t = t.commit_fanouts
 let piggybacked_commits t = t.piggybacked_commits
 let dedup_hits t = t.dedup_hits
 let dedup_evictions t = t.dedup_evictions
+
+let dedup_cxids t id ~session =
+  match Zxid_tbl.find_opt t.members.(id).applied session with
+  | Some row -> List.rev (Zxid_tbl.fold (fun cxid _ acc -> cxid :: acc) row [])
+  | None -> []
+
 let stale_reads_served t = t.stale_served
 let stale_reads_refused t = t.stale_refused
 let writes_failed_fast t = t.failed_fast
@@ -470,22 +477,39 @@ let set_extra_delay t d = Net.set_extra_delay t.net d
 let set_duplicate t p = Net.set_duplicate t.net p
 let set_reorder t ~p ~window = Net.set_reorder t.net ~p ~window
 
-(* {2 Dedup-table bounding} *)
+(* {2 Dedup table} *)
+
+let find_applied (s : server) rid =
+  match Zxid_tbl.find_opt s.applied rid.rsession with
+  | Some row -> Zxid_tbl.find_opt row rid.rcxid
+  | None -> None
+
+let record_applied (s : server) rid result =
+  let row =
+    match Zxid_tbl.find_opt s.applied rid.rsession with
+    | Some row -> row
+    | None ->
+      let row = Zxid_tbl.create 8 in
+      Zxid_tbl.replace s.applied rid.rsession row;
+      row
+  in
+  Zxid_tbl.replace row rid.rcxid result
 
 (* Applying a session's close evicts its dedup entries on this replica:
    a closed session can never retry, so its results are dead weight.
    [keep] is the close txn's own rid — that one entry stays so a retried
    close still answers from the table instead of re-running cleanup. *)
 let evict_session_applied t (s : server) ~keep owner =
-  let victims =
-    Rid_tbl.fold
-      (fun rid _ acc ->
-        if rid.rsession = owner && rid <> keep then rid :: acc else acc)
-      s.applied []
-  in
-  List.iter (fun rid -> Rid_tbl.remove s.applied rid) victims;
-  if s.role = Leader then
-    t.dedup_evictions <- t.dedup_evictions + List.length victims
+  match Zxid_tbl.find_opt s.applied owner with
+  | None -> ()
+  | Some row ->
+    let kept =
+      if keep.rsession = owner then Zxid_tbl.find_opt row keep.rcxid else None
+    in
+    let victims = Zxid_tbl.length row - Bool.to_int (Option.is_some kept) in
+    Zxid_tbl.reset row;
+    Option.iter (Zxid_tbl.replace row keep.rcxid) kept;
+    if s.role = Leader then t.dedup_evictions <- t.dedup_evictions + victims
 
 let note_close_applied t (s : server) ~rid close_of =
   match close_of with
@@ -609,11 +633,11 @@ let try_commit t (s : server) =
               else
                 (* already applied (state transfer raced ahead): answer
                    from the dedup table rather than re-applying *)
-                match Rid_tbl.find_opt s.applied pw.p_rid with
+                match find_applied s pw.p_rid with
                 | Some (_, result) -> result
                 | None -> Ok []
             in
-            Rid_tbl.replace s.applied pw.p_rid (zxid, result);
+            record_applied s pw.p_rid (zxid, result);
             Rid_tbl.remove s.pending_rids pw.p_rid;
             Zxid_tbl.replace s.log zxid (pw.p_txn, pw.p_time, pw.p_rid, pw.p_close);
             note_close_applied t s ~rid:pw.p_rid pw.p_close;
@@ -728,7 +752,7 @@ let dedup_filter t (s : server) batch =
   else
     List.filter
       (fun (_, rid, origin, reply, _, _) ->
-        match Rid_tbl.find_opt s.applied rid with
+        match find_applied s rid with
         | Some (zxid, result) ->
           t.dedup_hits <- t.dedup_hits + 1;
           if origin = s.id then reply result
@@ -804,20 +828,35 @@ let repropose_stalled_head t (s : server) =
    pending entries in zxid order in one round; refreshing each entry's
    [p_proposed_at] rate-limits the resend exactly like the head repair.
    The stop-and-wait path keeps the head-only repair so its recorded
-   replays stay byte-identical. *)
+   replays stay byte-identical.
+
+   The scan runs per leader message, so it is skipped when no entry can
+   be stale. Every [p_proposed_at] is at least its entry's [p_time]: both
+   are stamped with the current time when the entry is built, and the
+   stamp only moves forward. Zxids are assigned in arrival order, so the
+   lowest pending zxid has the smallest [p_time], and if even that entry
+   is younger than the timeout, every entry is. *)
+let may_have_stalled t (s : server) ~now =
+  match Option.bind (Zxid_tbl.min_key s.pending) (Zxid_tbl.find_opt s.pending) with
+  | Some oldest -> now -. oldest.p_time > t.cfg.request_timeout
+  | None -> false
+
 let repropose_stalled t (s : server) =
   if not (pipelined t) then repropose_stalled_head t s
   else begin
     let now = Engine.now t.engine in
     let stalled =
-      Zxid_tbl.fold
-        (fun zxid pw acc ->
-          if now -. pw.p_proposed_at > t.cfg.request_timeout then
-            (zxid, pw) :: acc
-          else acc)
-        s.pending []
+      if not (may_have_stalled t s ~now) then []
+      else
+        Zxid_tbl.fold
+          (fun zxid pw acc ->
+            if now -. pw.p_proposed_at > t.cfg.request_timeout then
+              (zxid, pw) :: acc
+            else acc)
+          s.pending []
     in
-    match List.sort (fun (a, _) (b, _) -> Int64.compare a b) stalled with
+    (* the fold runs in ascending zxid order, so [stalled] is reversed *)
+    match List.rev stalled with
     | [] -> ()
     | stalled ->
       let entries =
@@ -1097,7 +1136,7 @@ let rec follower_apply_ready t (s : server) =
       Zxid_tbl.remove s.proposals zxid;
       s.next_apply <- Int64.add zxid 1L;
       if Ztree.last_zxid s.tree < zxid then begin
-        Rid_tbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
+        record_applied s rid (zxid, apply_txn s ~zxid ~time txn);
         note_close_applied t s ~rid close
       end;
       Zxid_tbl.replace s.log zxid (txn, time, rid, close);
@@ -1116,7 +1155,7 @@ let rec observer_apply_ready t (s : server) =
     Zxid_tbl.remove s.proposals zxid;
     s.next_apply <- Int64.add zxid 1L;
     if Ztree.last_zxid s.tree < zxid then begin
-      Rid_tbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
+      record_applied s rid (zxid, apply_txn s ~zxid ~time txn);
       note_close_applied t s ~rid close;
       Zxid_tbl.replace s.log zxid (txn, time, rid, close);
       (* observers have no ack round: the inform itself doubles as the
@@ -1133,11 +1172,11 @@ let rec observer_apply_ready t (s : server) =
 (* Commit marks this follower cannot apply yet mean a proposal or an
    earlier commit was lost on the wire: ask the leader to resend. *)
 let request_gap_repair t (s : server) =
-  if Zxid_tbl.length s.committed > 0 then begin
-    let upto = Zxid_tbl.fold (fun zxid () acc -> Int64.max zxid acc) s.committed 0L in
+  match Zxid_tbl.max_key s.committed with
+  | Some upto ->
     send t ~src:s.id ~dst:t.leader
       (Fetch { epoch = s.epoch; from_zxid = s.next_apply; upto; who = s.id })
-  end
+  | None -> ()
 
 (* A piggybacked commit frontier arrived: every zxid <= [frontier] is
    committed. Pays the same per-entry apply CPU a Commit_batch would
@@ -1342,6 +1381,10 @@ let handle t (s : server) msg =
       Process.sleep (svc t t.cfg.rpc_cpu);
       if s.role = Leader && epoch = s.epoch then begin
         let upto = Int64.min upto (Int64.sub s.next_zxid 1L) in
+        (* observers only ever see committed state: they are answered
+           with the committed entries of the range as an Inform_batch
+           (the pending tail is not committed and must not reach them) *)
+        let observer = is_observer_id t who in
         let entries = ref [] and commits = ref [] in
         let z = ref upto in
         while !z >= from_zxid do
@@ -1351,20 +1394,14 @@ let handle t (s : server) msg =
              commits := !z :: !commits
            | None -> (
              match Zxid_tbl.find_opt s.pending !z with
-             | Some pw ->
+             | Some pw when not observer ->
                entries := (!z, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: !entries
-             | None -> ()));
+             | Some _ | None -> ()));
           z := Int64.sub !z 1L
         done;
-        if is_observer_id t who then begin
-          (* observers only ever see committed state: answer with the
-             committed entries of the range as an Inform_batch (the
-             pending tail is not committed and must not reach them) *)
-          let committed =
-            List.filter (fun (zxid, _, _, _, _) -> List.mem zxid !commits) !entries
-          in
-          if committed <> [] then
-            send t ~src:s.id ~dst:who (Inform_batch { epoch; entries = committed })
+        if observer then begin
+          if !entries <> [] then
+            send t ~src:s.id ~dst:who (Inform_batch { epoch; entries = !entries })
         end
         else begin
           if !entries <> [] then
@@ -1412,7 +1449,7 @@ let make_server ~now ~lease_ttl id =
     epoch = 0;
     tree = Ztree.create ();
     log = Zxid_tbl.create 1024;
-    applied = Rid_tbl.create 1024;
+    applied = Zxid_tbl.create 64;
     inbox = Mailbox.create ();
     pending = Zxid_tbl.create 64;
     pending_rids = Rid_tbl.create 64;
@@ -1555,9 +1592,10 @@ let state_transfer t ~from ~target =
       Ztree.migrate_watches ~from:stale ~into:tree;
       Zxid_tbl.reset dst.log;
       Zxid_tbl.iter (fun zxid entry -> Zxid_tbl.replace dst.log zxid entry) src.log;
-      Rid_tbl.reset dst.applied;
-      Rid_tbl.iter
-        (fun rid result -> Rid_tbl.replace dst.applied rid result)
+      Zxid_tbl.reset dst.applied;
+      Zxid_tbl.iter
+        (fun session row ->
+          Zxid_tbl.replace dst.applied session (Zxid_tbl.copy row))
         src.applied;
       t.transfer_snaps <- t.transfer_snaps + 1;
       (* write-through: the installed snapshot supersedes dst's whole
@@ -1571,7 +1609,7 @@ let state_transfer t ~from ~target =
   while !zxid <= Ztree.last_zxid src.tree do
     (match Zxid_tbl.find_opt src.log !zxid with
      | Some (txn, time, rid, close) ->
-       Rid_tbl.replace dst.applied rid
+       record_applied dst rid
          (!zxid, apply_txn dst ~zxid:!zxid ~time txn);
        note_close_applied t dst ~rid close;
        Zxid_tbl.replace dst.log !zxid (txn, time, rid, close);
@@ -1670,7 +1708,7 @@ let commit_recovered_tail t (s : server) =
       let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
       if Ztree.last_zxid s.tree < zxid then begin
-        Rid_tbl.replace s.applied rid
+        record_applied s rid
           (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
         note_close_applied t s ~rid e.Wal.e_close
       end;
@@ -1742,13 +1780,13 @@ let recover_local t (s : server) =
   in
   s.tree <- tree;
   Zxid_tbl.reset s.log;
-  Rid_tbl.reset s.applied;
+  Zxid_tbl.reset s.applied;
   List.iter
     (fun (e : Wal.entry) ->
       let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
       if Ztree.last_zxid s.tree < zxid then begin
-        Rid_tbl.replace s.applied rid
+        record_applied s rid
           (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
         note_close_applied t s ~rid e.Wal.e_close
       end;
@@ -1822,19 +1860,16 @@ let restart t id =
          stalled during a quorum outage can reach quorum and commit.
          Observers do not vote, so they are not re-proposed to. *)
       if not (is_observer_id t id) then begin
-        let stalled =
-          Zxid_tbl.fold (fun zxid pw acc -> (zxid, pw) :: acc) leader.pending []
+        (* the fold runs in ascending zxid order: reverse once *)
+        let entries =
+          Zxid_tbl.fold
+            (fun zxid pw acc ->
+              (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: acc)
+            leader.pending []
         in
-        match
-          List.sort (fun (a, _) (b, _) -> Int64.compare a b) stalled
-        with
+        match List.rev entries with
         | [] -> ()
-        | stalled ->
-          let entries =
-            List.map
-              (fun (zxid, pw) -> (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
-              stalled
-          in
+        | entries ->
           send t ~src:t.leader ~dst:id
             (Propose_batch
                { epoch = leader.epoch; entries; committed_upto = 0L })

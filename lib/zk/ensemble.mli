@@ -246,6 +246,11 @@ val dedup_hits : t -> int
     growing leader state without limit. *)
 val dedup_evictions : t -> int
 
+(** [dedup_cxids t id ~session] — the cxids of [session]'s writes that
+    member [id]'s dedup table still answers for, ascending. A closed
+    session keeps only its close's cxid. *)
+val dedup_cxids : t -> int -> session:int64 -> int64 list
+
 (** Reads served by a follower that had not heard from its leader for
     [stale_read_after] (with [serve_stale_reads = true]). *)
 val stale_reads_served : t -> int

@@ -95,11 +95,14 @@ let notify_dir t dir event =
 (* A change to [path] invalidates both the entries cached under its
    parent directory (get/stat fills) and listings of [path] itself
    (children fills) — same union the per-znode protocol covers with its
-   two watch registries. *)
+   two watch registries. A table with no interests returns at once,
+   without computing the parent or hashing either path. *)
 let notify_path t kind path =
-  let event = { Ztree.kind; path } in
-  notify_dir t (Zpath.parent path) event;
-  notify_dir t path event
+  if Hashtbl.length t.interests > 0 then begin
+    let event = { Ztree.kind; path } in
+    notify_dir t (Zpath.parent path) event;
+    notify_dir t path event
+  end
 
 let revoke_txn t txn results =
   List.iter2

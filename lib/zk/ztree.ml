@@ -142,13 +142,16 @@ let watch_count t =
 
 (* Collect the fire-once watches triggered by an event; they are removed
    from the registry now and invoked only after the whole transaction
-   commits. *)
+   commits. An empty registry, the common case on a replica nobody
+   watches, is answered without hashing [path]. *)
 let take_watches table path =
-  match Hashtbl.find_opt table path with
-  | None -> []
-  | Some callbacks ->
-    Hashtbl.remove table path;
-    List.rev !callbacks
+  if Hashtbl.length table = 0 then []
+  else
+    match Hashtbl.find_opt table path with
+    | None -> []
+    | Some callbacks ->
+      Hashtbl.remove table path;
+      List.rev !callbacks
 
 (* Each pending firing remembers its registry and path so that an aborted
    transaction can re-arm the watch instead of silently consuming it. *)

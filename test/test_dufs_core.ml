@@ -632,6 +632,79 @@ let test_meta_encode_is_stable () =
   check_string "dir encoding frozen" "v1|d|755|0|"
     (Meta.encode (Meta.dir ~mode:0o755 ~ctime:0.))
 
+(* {2 Encoders pinned to their Printf references} *)
+
+let reference_fid_hex (fid : Fid.t) =
+  Printf.sprintf "%016Lx%016Lx" fid.client_id fid.counter
+
+let reference_meta_encode (m : Meta.t) =
+  let kind_tag, payload =
+    match m.kind with
+    | Meta.Dir -> ("d", "")
+    | Meta.File fid -> ("f", reference_fid_hex fid)
+    | Meta.Symlink target -> ("l", target)
+  in
+  Printf.sprintf "v1|%s|%o|%Lx|%s" kind_tag m.mode (Int64.bits_of_float m.ctime)
+    payload
+
+let reference_physical_path (layout : Physical.layout) fid =
+  let hex = reference_fid_hex fid in
+  let len = String.length hex and width = layout.chars_per_level in
+  let parts =
+    List.init layout.levels (fun i -> String.sub hex (len - ((i + 1) * width)) width)
+  in
+  let dir = "/" ^ String.concat "/" parts in
+  if dir = "/" then "/" ^ hex else dir ^ "/" ^ hex
+
+let gen_fid =
+  QCheck2.Gen.(
+    map2
+      (fun client_id counter -> Fid.make ~client_id ~counter)
+      (oneof [ ui64; map Int64.of_int small_nat ])
+      (oneof [ ui64; map Int64.of_int small_nat ]))
+
+(* modes and ctimes include the edges [Printf] formats specially: negative
+   modes (63-bit octal), zero, and ctimes from raw bits, NaN payloads and
+   negative zero among them *)
+let gen_encoded_meta =
+  QCheck2.Gen.(
+    let mode = oneof [ int; small_nat; oneofl [ 0; -1; min_int; max_int; 0o755 ] ] in
+    let ctime =
+      oneof
+        [ map Int64.float_of_bits ui64;
+          (* denormals: bits that fit in the low 32 *)
+          map (fun n -> Int64.float_of_bits (Int64.of_int n)) (int_range 0 0xFFFF_FFFF);
+          oneofl [ 0.; -0.; nan; Float.infinity; 1.7e9 ];
+          map (fun lo -> Int64.float_of_bits (Int64.logor 0x7ff0_0000_0000_0000L
+                                                (Int64.of_int (lo + 1))))
+            small_nat ]
+    in
+    let kind =
+      oneof
+        [ return Meta.Dir;
+          map (fun fid -> Meta.File fid) gen_fid;
+          map (fun s -> Meta.Symlink s) string_printable ]
+    in
+    map3 (fun kind mode ctime -> { Meta.kind; mode; ctime }) kind mode ctime)
+
+let prop_meta_encode_matches_printf =
+  QCheck2.Test.make ~name:"Meta.encode writes the Printf reference bytes" ~count:3000
+    ~print:reference_meta_encode gen_encoded_meta (fun m ->
+      String.equal (Meta.encode m) (reference_meta_encode m))
+
+let prop_physical_path_matches_printf =
+  QCheck2.Test.make ~name:"Fid.to_hex and Physical.path match the Printf reference"
+    ~count:2000
+    ~print:(fun (fid, (levels, width)) ->
+      Printf.sprintf "%s levels=%d width=%d" (reference_fid_hex fid) levels width)
+    QCheck2.Gen.(pair gen_fid (pair (int_range 0 4) (int_range 1 4)))
+    (fun (fid, (levels, chars_per_level)) ->
+      let layout = { Physical.levels; chars_per_level } in
+      String.equal (Fid.to_hex fid) (reference_fid_hex fid)
+      && String.equal (Physical.path layout fid) (reference_physical_path layout fid)
+      && String.equal (Physical.dir layout fid)
+           (Filename.dirname (reference_physical_path layout fid)))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dufs-core"
@@ -698,4 +771,6 @@ let () =
             test_meta_decode_allocates_little;
           qc prop_meta_decode_encoded;
           qc prop_meta_decode_damaged;
-          qc prop_fid_of_hex_matches_reference ] ) ]
+          qc prop_fid_of_hex_matches_reference ] );
+      ( "encoders",
+        [ qc prop_meta_encode_matches_printf; qc prop_physical_path_matches_printf ] ) ]

@@ -730,23 +730,57 @@ let test_leader_crash_mid_batch_loses_no_committed_write () =
 let test_close_session_evicts_dedup_entries () =
   (* The exactly-once dedup table is keyed by (session, cxid); entries
      for a closed session can never be hit again, so the applied
-     Close_session must reap them on every replica. *)
-  let engine, ensemble = make () in
+     Close_session must reap them on every replica. It reaps exactly
+     that session's writes, keeps the close's own entry (a retried close
+     still answers from the table), and leaves other sessions alone: a
+     later retry of theirs is still a dedup hit. *)
+  let engine, ensemble = make ~servers:5 ~config_adjust:fast_faults () in
+  let a_id = ref 0L and b_id = ref 0L in
+  let b_retried = ref (Error Zerror.ZCONNECTIONLOSS) in
   Process.spawn engine (fun () ->
-      let s = Ensemble.session ensemble () in
+      let a = Ensemble.session ensemble ~server:1 () in
+      let b = Ensemble.session ensemble ~server:4 () in
+      a_id := a.Zk_client.session_id;
+      b_id := b.Zk_client.session_id;
+      for i = 0 to 1 do
+        ignore
+          (ok_or_fail "create" (b.Zk_client.create (Printf.sprintf "/b%d" i) ~data:""))
+      done;
       for i = 0 to 4 do
         ignore
           (ok_or_fail "create"
-             (s.Zk_client.create (Printf.sprintf "/ev%d" i) ~data:""))
+             (a.Zk_client.create (Printf.sprintf "/ev%d" i) ~data:""))
       done;
       check_int "no evictions while the session lives" 0
         (Ensemble.dedup_evictions ensemble);
-      s.Zk_client.close ());
+      a.Zk_client.close ();
+      (* B's origin dies after forwarding its next create and before the
+         reply returns (the timing of the retried-create test): the
+         retry goes elsewhere and must be answered from B's row *)
+      Engine.schedule engine ~delay:0.0002 (fun () -> Ensemble.crash ensemble 4);
+      b_retried := b.Zk_client.create "/b-retry" ~data:"");
   Engine.run engine;
-  check_bool "closing the session evicted its dedup entries" true
-    (Ensemble.dedup_evictions ensemble > 0);
+  check_int "closing A evicted exactly its five writes" 5
+    (Ensemble.dedup_evictions ensemble);
+  let cxids = Alcotest.(list int64) in
+  List.iter
+    (fun id ->
+      Alcotest.check cxids
+        (Printf.sprintf "server %d keeps only A's close" id)
+        [ 5L ]
+        (Ensemble.dedup_cxids ensemble id ~session:!a_id);
+      Alcotest.check cxids
+        (Printf.sprintf "server %d keeps all of B's writes" id)
+        [ 0L; 1L; 2L ]
+        (Ensemble.dedup_cxids ensemble id ~session:!b_id))
+    [ 0; 1; 2; 3 ];
+  (match !b_retried with
+   | Ok path -> check_string "B's retry returns the original result" "/b-retry" path
+   | Error e -> Alcotest.failf "B's retried create failed: %s" (Zerror.to_string e));
+  check_int "B's retry answered from the dedup table" 1
+    (Ensemble.dedup_hits ensemble);
   check_bool "replicas agree after close" true
-    (all_trees_agree ensemble ~servers:3)
+    (all_trees_agree ensemble ~servers:4)
 
 let test_crash_flushes_queued_inbox () =
   (* A crash loses RAM, including requests sitting unprocessed in the

@@ -826,6 +826,156 @@ let test_memory_model_slope () =
     true
     (per_node > 330. && per_node < 510.)
 
+(* {2 Zxid tables} *)
+
+module Zxid_tbl = Zk.Zxid_tbl
+module I64_map = Map.Make (Int64)
+
+type tbl_op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Push of int * int  (* bind the key [gap] past the front, which moves there *)
+  | Pop  (* remove the lowest key *)
+  | Under of int * int  (* bind the key [d] below the lowest *)
+  | Reset
+  | Walk
+
+let show_tbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Push (gap, v) -> Printf.sprintf "push +%d %d" gap v
+  | Pop -> "pop"
+  | Under (d, v) -> Printf.sprintf "under -%d %d" d v
+  | Reset -> "reset"
+  | Walk -> "walk"
+
+(* Two kinds of run. Sliding runs follow a moving front, as the dense
+   counters the table is built for do: keys bound at the front and
+   removed from the back, so the window compacts in place, with now and
+   then a key just under the lowest one. Scattered runs also land keys
+   below the base, across gaps and thousands apart, which forces growth
+   and re-basing. *)
+let gen_tbl_ops =
+  QCheck2.Gen.(
+    let key =
+      oneof [ int_range 0 64; int_range (-300) 300; int_range 0 6000; int_range 900 1100 ]
+    and push = map2 (fun gap v -> Push (gap, v)) (int_range 1 3) small_nat
+    and under = map2 (fun d v -> Under (d, v)) (int_range 1 4) small_nat in
+    let sliding =
+      frequency
+        [ (10, push); (8, return Pop); (1, under);
+          (2, map (fun k -> Find k) (int_range 0 900)); (1, return Walk) ]
+    and scattered =
+      frequency
+        [ (8, map2 (fun k v -> Replace (k, v)) key small_nat);
+          (5, map (fun k -> Remove k) key);
+          (4, push); (3, return Pop); (1, under);
+          (3, map (fun k -> Find k) key);
+          (1, return Reset);
+          (2, return Walk) ]
+    in
+    oneof
+      [ list_size (int_range 1 400) sliding; list_size (int_range 1 400) scattered ])
+
+(* Run [ops] against a [Map] model, with every key shifted by [offset]
+   (the table must not care where the keys start). After each step the
+   table must agree with the model on length, lookups, both ends and
+   ascending iteration, and its capacity must stay within
+   [max initial (2 * span)] for the widest live span since the last
+   reset. *)
+let zxid_tbl_agrees_with_model (offset, ops) =
+  let initial = 16 in
+  let t = Zxid_tbl.create initial in
+  let model = ref I64_map.empty and peak_span = ref 0 and front = ref 0 in
+  let key k = Int64.add offset (Int64.of_int k) in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_report m) fmt in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | Replace (k, v) ->
+         Zxid_tbl.replace t (key k) v;
+         model := I64_map.add (key k) v !model
+       | Remove k ->
+         Zxid_tbl.remove t (key k);
+         model := I64_map.remove (key k) !model
+       | Push (gap, v) ->
+         front := !front + gap;
+         Zxid_tbl.replace t (key !front) v;
+         model := I64_map.add (key !front) v !model
+       | Pop -> (
+         match I64_map.min_binding_opt !model with
+         | Some (k, _) ->
+           Zxid_tbl.remove t k;
+           model := I64_map.remove k !model
+         | None -> ())
+       | Under (d, v) ->
+         let lowest =
+           match I64_map.min_binding_opt !model with
+           | Some (k, _) -> k
+           | None -> key !front
+         in
+         let k = Int64.sub lowest (Int64.of_int d) in
+         Zxid_tbl.replace t k v;
+         model := I64_map.add k v !model
+       | Find k ->
+         if Zxid_tbl.find_opt t (key k) <> I64_map.find_opt (key k) !model then
+           fail "step %d: find %d disagrees" step k;
+         if Zxid_tbl.mem t (key k) <> I64_map.mem (key k) !model then
+           fail "step %d: mem %d disagrees" step k
+       | Reset ->
+         Zxid_tbl.reset t;
+         model := I64_map.empty;
+         peak_span := 0
+       | Walk ->
+         let walked = ref [] in
+         Zxid_tbl.iter (fun k v -> walked := (k, v) :: !walked) t;
+         if List.rev !walked <> I64_map.bindings !model then
+           fail "step %d: iter is not the ascending bindings" step;
+         let folded = Zxid_tbl.fold (fun k v acc -> (k, v) :: acc) t [] in
+         if folded <> !walked then fail "step %d: fold disagrees with iter" step);
+      let lo = Option.map fst (I64_map.min_binding_opt !model)
+      and hi = Option.map fst (I64_map.max_binding_opt !model) in
+      (match lo, hi with
+       | Some lo, Some hi ->
+         peak_span := max !peak_span (Int64.to_int (Int64.sub hi lo) + 1)
+       | _ -> ());
+      if Zxid_tbl.length t <> I64_map.cardinal !model then
+        fail "step %d (%s): length %d, model %d" step (show_tbl_op op)
+          (Zxid_tbl.length t) (I64_map.cardinal !model);
+      if Zxid_tbl.min_key t <> lo || Zxid_tbl.max_key t <> hi then
+        fail "step %d (%s): ends disagree" step (show_tbl_op op);
+      I64_map.iter
+        (fun k v ->
+          if Zxid_tbl.find_opt t k <> Some v then
+            fail "step %d (%s): lost key %Ld" step (show_tbl_op op) k)
+        !model;
+      if Zxid_tbl.capacity t > max initial (2 * !peak_span) then
+        fail "step %d (%s): capacity %d for a peak span of %d" step (show_tbl_op op)
+          (Zxid_tbl.capacity t) !peak_span)
+    ops;
+  true
+
+let prop_zxid_tbl_model =
+  QCheck2.Test.make ~name:"Zxid_tbl agrees with a Map model" ~count:500
+    ~print:(fun (offset, ops) ->
+      Printf.sprintf "offset %Ld: %s" offset
+        (String.concat "; " (List.map show_tbl_op ops)))
+    QCheck2.Gen.(pair (oneofl [ 0L; 1L; -5_000L; 1_000_000_007L ]) gen_tbl_ops)
+    zxid_tbl_agrees_with_model
+
+let test_zxid_tbl_copy_is_independent () =
+  let t = Zxid_tbl.create 4 in
+  List.iter (fun k -> Zxid_tbl.replace t k (Int64.to_int k)) [ 5L; 6L; 9L ];
+  let c = Zxid_tbl.copy t in
+  Zxid_tbl.remove t 6L;
+  Zxid_tbl.replace c 20L 20;
+  check_bool "copy keeps a key removed from the original" true (Zxid_tbl.mem c 6L);
+  check_bool "original misses a key added to the copy" false (Zxid_tbl.mem t 20L);
+  check_int "original length" 2 (Zxid_tbl.length t);
+  check_int "copy length" 4 (Zxid_tbl.length c)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "zk"
@@ -897,4 +1047,8 @@ let () =
             test_failed_multi_restores_child_sets;
           qc prop_children_with_data_reads_child_nodes ] );
       ( "memory-model",
-        [ Alcotest.test_case "per-znode slope" `Quick test_memory_model_slope ] ) ]
+        [ Alcotest.test_case "per-znode slope" `Quick test_memory_model_slope ] );
+      ( "zxid-tbl",
+        [ qc prop_zxid_tbl_model;
+          Alcotest.test_case "copy is independent" `Quick
+            test_zxid_tbl_copy_is_independent ] ) ]
