@@ -266,6 +266,8 @@ type t = {
      under [zk.<tag>.*] so a sharded deployment's balance is visible. *)
   tag : string;
   members : server array;
+  (* the members' apply-sharing context: one per ensemble *)
+  share : Ztree.share;
   net : Net.t;
   (* server id -> network endpoint; client sessions get their own
      endpoints that follow their home server's partition side *)
@@ -552,9 +554,9 @@ let wal_append (s : server) ~start ~done_at ~zxid ~txn ~time ~rid ~close =
    distance exceeds the configured cadence. Snapshot writing is modeled
    as free: ZooKeeper serializes fuzzy snapshots from a background
    thread off the commit path, and the simulated persist budget already
-   covers the log append that actually gates each ack. The tree is
-   frozen now and encoded only if recovery ever reads the snapshot;
-   suspending [Ztree.serialize s.tree] instead would encode a later
+   covers the log append that actually gates each ack. The snapshot
+   holds the tree's image now and encodes it only if recovery ever reads
+   it; suspending [Ztree.serialize s.tree] instead would encode a later
    tree. *)
 let wal_applied t (s : server) zxid =
   Wal.note_commit s.wal zxid;
@@ -1443,11 +1445,11 @@ let server_loop t s =
   in
   loop ()
 
-let make_server ~now ~lease_ttl id =
+let make_server ~share ~now ~lease_ttl id =
   { id;
     role = Follower;
     epoch = 0;
-    tree = Ztree.create ();
+    tree = Ztree.create ~share ();
     log = Zxid_tbl.create 1024;
     applied = Zxid_tbl.create 64;
     inbox = Mailbox.create ();
@@ -1486,9 +1488,10 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
   if cfg.session_timeout <= 0. then
     invalid_arg "Ensemble.start: session_timeout <= 0";
   if cfg.lease_ttl <= 0. then invalid_arg "Ensemble.start: lease_ttl <= 0";
+  let share = Ztree.share () in
   let members =
     Array.init (cfg.servers + cfg.observers)
-      (make_server ~now:(fun () -> Engine.now engine) ~lease_ttl:cfg.lease_ttl)
+      (make_server ~share ~now:(fun () -> Engine.now engine) ~lease_ttl:cfg.lease_ttl)
   in
   members.(0).role <- Leader;
   for i = cfg.servers to cfg.servers + cfg.observers - 1 do
@@ -1506,7 +1509,7 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
       (fun i -> Net.endpoint net (Printf.sprintf "%ss%d" prefix i))
   in
   let t =
-    { engine; cfg; trace; tag; members; net; eps; session_rng = master;
+    { engine; cfg; trace; tag; members; share; net; eps; session_rng = master;
       leader = 0; next_session = 1L; next_server = 0;
       commits = 0; last_commit_at = Engine.now engine;
       commit_fanouts = 0; piggybacked_commits = 0; dedup_hits = 0;
@@ -1579,31 +1582,28 @@ let state_transfer t ~from ~target =
   if gap > snapshot_transfer_threshold || diverged
      || (gap > 0L && missing_history ())
   then begin
-    let payload = Ztree.serialize src.tree in
-    match Ztree.deserialize payload with
-    | Ok tree ->
-      (* swapping in the snapshot must not orphan the watches armed on
-         the old tree: still-connected sessions (e.g. client caches)
-         rely on them for invalidation. Unchanged watches re-arm on the
-         new tree; watches whose node changed during the gap fire the
-         missed event now. *)
-      let stale = dst.tree in
-      dst.tree <- tree;
-      Ztree.migrate_watches ~from:stale ~into:tree;
-      Zxid_tbl.reset dst.log;
-      Zxid_tbl.iter (fun zxid entry -> Zxid_tbl.replace dst.log zxid entry) src.log;
-      Zxid_tbl.reset dst.applied;
-      Zxid_tbl.iter
-        (fun session row ->
-          Zxid_tbl.replace dst.applied session (Zxid_tbl.copy row))
-        src.applied;
-      t.transfer_snaps <- t.transfer_snaps + 1;
-      (* write-through: the installed snapshot supersedes dst's whole
-         local log (TRUNC + SNAP) *)
-      Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch payload
-    | Error msg ->
-      (* a snapshot failure must not lose the replica: fall back to replay *)
-      ignore msg
+    (* the snapshot is [src]'s image itself: [dst] takes it over and
+       is in lock-step with [src] again. Swapping it in must not orphan
+       the watches armed on the old tree: still-connected sessions
+       (e.g. client caches) rely on them for invalidation. Unchanged
+       watches re-arm on the new tree; watches whose node changed during
+       the gap fire the missed event now. *)
+    let img = Ztree.capture src.tree in
+    let stale = dst.tree in
+    dst.tree <- Ztree.restore ~share:t.share img;
+    Ztree.migrate_watches ~from:stale ~into:dst.tree;
+    Zxid_tbl.reset dst.log;
+    Zxid_tbl.iter (fun zxid entry -> Zxid_tbl.replace dst.log zxid entry) src.log;
+    Zxid_tbl.reset dst.applied;
+    Zxid_tbl.iter
+      (fun session row -> Zxid_tbl.replace dst.applied session (Zxid_tbl.copy row))
+      src.applied;
+    t.transfer_snaps <- t.transfer_snaps + 1;
+    (* write-through: the installed snapshot supersedes dst's whole
+       local log (TRUNC + SNAP); its bytes exist once something reads
+       them *)
+    Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch
+      (lazy (Ztree.encode img))
   end;
   let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
   while !zxid <= Ztree.last_zxid src.tree do
@@ -1773,10 +1773,10 @@ let recover_local t (s : server) =
   let tree =
     match r.Wal.rc_snapshot with
     | Some payload -> (
-      match Ztree.deserialize payload with
+      match Ztree.deserialize ~share:t.share payload with
       | Ok tree -> tree
-      | Error _ -> Ztree.create () (* unreachable: checksum-gated *))
-    | None -> Ztree.create ()
+      | Error _ -> Ztree.create ~share:t.share () (* unreachable: checksum-gated *))
+    | None -> Ztree.create ~share:t.share ()
   in
   s.tree <- tree;
   Zxid_tbl.reset s.log;

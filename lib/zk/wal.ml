@@ -38,11 +38,10 @@
    [corrupt]). The entry is immutable, so the bytes are exactly those
    an eager encode would have produced, and the checksum verifies the
    same bytes and selects the same records as an eager one. A snapshot
-   is deferred the same way: the tree keeps changing, so the caller
-   freezes it when the snapshot is taken ([Ztree.capture], cheap) and
-   hands over a suspended encode of that frozen image; the bytes and
-   their MD5 are produced the first time recovery's snapshot ladder or
-   [corrupt_snapshot] reads them. *)
+   is deferred the same way: the caller takes the tree's immutable image
+   ([Ztree.capture], O(1)) and hands over a suspended encode of it; the
+   bytes and their MD5 are produced the first time recovery's snapshot
+   ladder or [corrupt_snapshot] reads them. *)
 
 type entry = {
   e_zxid : int64;
@@ -227,9 +226,7 @@ let last_snapshot_zxid t =
 let install_snapshot t ~zxid ~epoch payload =
   t.records <- [];
   Zxid_tbl.reset t.by_zxid;
-  t.snaps <-
-    [ { s_zxid = zxid; s_epoch = epoch; s_payload = Lazy.from_val payload;
-        s_sum = "" } ];
+  t.snaps <- [ { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } ];
   if zxid > t.frontier then t.frontier <- zxid
 
 (* {2 Storage-fault state} *)

@@ -69,16 +69,17 @@ val epoch_at : t -> int64 -> int option
     forced, and its MD5 taken, only when something first reads the
     snapshot (the {!recover} ladder or {!corrupt_snapshot}); a snapshot
     nobody reads is never encoded. The suspension must not read live
-    state — freeze the tree first, as in
+    state — take the tree's image first, as in
     [let img = Ztree.capture tree in lazy (Ztree.encode img)].
     Keeps the newest two (the older is the bit-rot fallback) and prunes
     log records at or below the older one. *)
 val snapshot : t -> zxid:int64 -> epoch:int -> string Lazy.t -> unit
 
 (** Leader-installed snapshot (SNAP state transfer): supersedes the
-    entire local log, ZooKeeper's TRUNC included. The payload is the
-    bytes the transfer already carries, so nothing is deferred. *)
-val install_snapshot : t -> zxid:int64 -> epoch:int -> string -> unit
+    entire local log, ZooKeeper's TRUNC included. The payload is
+    suspended as in {!snapshot}: the transfer hands over the leader's
+    image, and its bytes are encoded only if something reads them. *)
+val install_snapshot : t -> zxid:int64 -> epoch:int -> string Lazy.t -> unit
 
 val last_snapshot_zxid : t -> int64
 

@@ -1,14 +1,18 @@
+module Smap = Map.Make (String)
+module Sset = Set.Make (String)
+module Owners = Map.Make (Int64)
+
+(* A znode, never mutated: an update builds a new record and a new
+   binding, and every other node stays shared with the previous state.
+   Children are found in the path map itself (see [fold_children]). *)
 type node = {
-  mutable data : string;
-  mutable children : (string, node) Hashtbl.t;
-  mutable version : int;
-  mutable cversion : int;
-  mutable seq_counter : int;
-  czxid : int64;
-  mutable mzxid : int64;
-  mutable pzxid : int64;
-  ctime : float;
-  mutable mtime : float;
+  data : string;
+  num_kids : int;
+  version : int;
+  cversion : int;
+  seq_counter : int;
+  czxid : int64; mzxid : int64; pzxid : int64;
+  ctime : float; mtime : float;
   ephemeral_owner : int64;
 }
 
@@ -33,13 +37,48 @@ type event_kind =
 
 type watch_event = { kind : event_kind; path : string }
 
+(* The replicated state, as a value: nodes keyed by path, plus the
+   bookkeeping an apply updates with them. *)
+type image = {
+  nodes : node Smap.t;
+  count : int;
+  bytes : int;
+  last_zxid : int64;
+  ephemerals : Sset.t Owners.t; (* owner -> paths *)
+}
+
+(* A watch event an apply raised, with the registry it consumes. *)
+type trigger = Data of watch_event | Child of watch_event
+
+(* One apply: its inputs and its outcome. *)
+type applied = {
+  zxid : int64;
+  time : float;
+  txn : Txn.t;
+  pre : image;
+  post : image; (* [pre] itself when the txn failed *)
+  result : (Txn.result_item list, Zerror.t) result;
+  triggers : trigger list; (* in firing order *)
+}
+
+(* Applies are pure, so members that hold the same pre-state and apply
+   the same (zxid, time, txn) get the same outcome: the first computes
+   it, the rest adopt it. [recent] keeps the last apply per zxid slot;
+   the leader runs ahead of its followers by its whole pipeline, so one
+   slot would be overwritten before they arrive. *)
+type share = {
+  initial : image;
+  recent : applied array;
+  mutable decoded : (string * image) option; (* last snapshot decoded *)
+  mutable adopted : int;
+  mutable computed : int;
+}
+
 type t = {
-  nodes : (string, node) Hashtbl.t;
+  mutable state : image;
+  share : share option;
   data_watches : (string, (watch_event -> unit) list ref) Hashtbl.t;
   child_watches : (string, (watch_event -> unit) list ref) Hashtbl.t;
-  ephemerals : (int64, (string, unit) Hashtbl.t) Hashtbl.t;
-  mutable last_zxid : int64;
-  mutable bytes : int;
 }
 
 (* Heap cost model per znode: node record (~96 B), two hash-table slots
@@ -49,80 +88,94 @@ type t = {
    Memory_model is applied. *)
 let znode_overhead_bytes = 192
 
-(* Child sets map name -> node, so listings read children directly. A
-   leaf — most znodes, on every replica — holds this shared empty set,
-   which is never written: [add_child] gives a node its own table when
-   its first child arrives. *)
-let no_children : (string, node) Hashtbl.t = Hashtbl.create 1
-
-let add_child parent name child =
-  if parent.children == no_children then parent.children <- Hashtbl.create 2;
-  Hashtbl.replace parent.children name child
-
 let make_node ~zxid ~time ~data ~ephemeral_owner =
-  { data;
-    children = no_children;
-    version = 0;
-    cversion = 0;
-    seq_counter = 0;
-    czxid = zxid;
-    mzxid = zxid;
-    pzxid = zxid;
-    ctime = time;
-    mtime = time;
+  { data; num_kids = 0; version = 0; cversion = 0; seq_counter = 0;
+    czxid = zxid; mzxid = zxid; pzxid = zxid; ctime = time; mtime = time;
     ephemeral_owner }
 
-let create () =
-  let t =
-    { nodes = Hashtbl.create 1024;
-      data_watches = Hashtbl.create 64;
-      child_watches = Hashtbl.create 64;
-      ephemerals = Hashtbl.create 16;
-      last_zxid = 0L;
-      bytes = 0 }
+let root_image () =
+  { nodes = Smap.singleton "/" (make_node ~zxid:0L ~time:0. ~data:"" ~ephemeral_owner:0L);
+    count = 1;
+    bytes = 0;
+    last_zxid = 0L;
+    ephemerals = Owners.empty }
+
+let memo_slots = 256
+
+let share () =
+  let initial = root_image () in
+  let vacant =
+    (* zxids start at 1, so no apply matches this slot *)
+    { zxid = 0L; time = 0.; txn = []; pre = initial; post = initial;
+      result = Ok []; triggers = [] }
   in
-  Hashtbl.replace t.nodes "/"
-    (make_node ~zxid:0L ~time:0. ~data:"" ~ephemeral_owner:0L);
-  t
+  { initial; recent = Array.make memo_slots vacant; decoded = None;
+    adopted = 0; computed = 0 }
+
+let adopted sh = sh.adopted
+let computed sh = sh.computed
+
+let restore ?share state =
+  { state; share; data_watches = Hashtbl.create 64; child_watches = Hashtbl.create 64 }
+
+let create ?share () =
+  restore ?share
+    (match share with Some sh -> sh.initial | None -> root_image ())
+
+let capture t = t.state
 
 let stat_of_node (n : node) : stat =
-  { czxid = n.czxid;
-    mzxid = n.mzxid;
-    pzxid = n.pzxid;
-    ctime = n.ctime;
-    mtime = n.mtime;
-    version = n.version;
-    cversion = n.cversion;
-    ephemeral_owner = n.ephemeral_owner;
-    data_length = String.length n.data;
-    num_children = Hashtbl.length n.children }
+  { czxid = n.czxid; mzxid = n.mzxid; pzxid = n.pzxid; ctime = n.ctime;
+    mtime = n.mtime; version = n.version; cversion = n.cversion;
+    ephemeral_owner = n.ephemeral_owner; data_length = String.length n.data;
+    num_children = n.num_kids }
 
 (* {2 Reads} *)
 
+let find t path = Smap.find_opt path t.state.nodes
+
 let get t path =
-  match Hashtbl.find_opt t.nodes path with
+  match find t path with
   | Some n -> Ok (n.data, stat_of_node n)
   | None -> Error Zerror.ZNONODE
 
-let exists t path =
-  Option.map stat_of_node (Hashtbl.find_opt t.nodes path)
+let exists t path = Option.map stat_of_node (find t path)
 
-let children t path =
-  match Hashtbl.find_opt t.nodes path with
+(* [f name child] over [path]'s children, in reverse name order.
+   Siblings' paths compare as their names do, so the children are a
+   range of the path map: one seek, then a walk that steps over each
+   child's own subtree with a seek past [child ^ "/"] ('0' follows '/').
+   The walk stops at the node's child count. *)
+let fold_children f t path =
+  match find t path with
   | None -> Error Zerror.ZNONODE
   | Some n ->
-    let names = Hashtbl.fold (fun name _ acc -> name :: acc) n.children [] in
-    Ok (List.sort String.compare names)
+    let nodes = t.state.nodes in
+    let prefix = if path = "/" then path else path ^ "/" in
+    let plen = String.length prefix in
+    let rec walk seq left acc =
+      if left = 0 then acc
+      else
+        match seq () with
+        | Seq.Nil -> acc
+        | Seq.Cons ((p, child), rest) ->
+          if String.length p = plen then walk rest left acc (* the root *)
+          else (
+            match String.index_from_opt p plen '/' with
+            | None ->
+              walk rest (left - 1)
+                (f (String.sub p plen (String.length p - plen)) child acc)
+            | Some i -> walk (Smap.to_seq_from (String.sub p 0 i ^ "0") nodes) left acc)
+    in
+    Ok (walk (Smap.to_seq_from prefix nodes) n.num_kids [])
+
+let children t path = Result.map List.rev (fold_children (fun name _ acc -> name :: acc) t path)
 
 let children_with_data t path =
-  match Hashtbl.find_opt t.nodes path with
-  | None -> Error Zerror.ZNONODE
-  | Some n ->
-    let kids = Hashtbl.fold (fun name child acc -> (name, child) :: acc) n.children [] in
-    Ok
-      (List.map
-         (fun (name, child) -> (name, child.data, stat_of_node child))
-         (List.sort (fun (a, _) (b, _) -> String.compare a b) kids))
+  Result.map List.rev
+    (fold_children
+       (fun name child acc -> (name, child.data, stat_of_node child) :: acc)
+       t path)
 
 (* {2 Watches} *)
 
@@ -140,10 +193,9 @@ let count_watch_table table =
 let watch_count t =
   count_watch_table t.data_watches + count_watch_table t.child_watches
 
-(* Collect the fire-once watches triggered by an event; they are removed
-   from the registry now and invoked only after the whole transaction
-   commits. An empty registry, the common case on a replica nobody
-   watches, is answered without hashing [path]. *)
+(* Remove and return the fire-once watches on [path], oldest first. An
+   empty registry, the common case on a replica nobody watches, is
+   answered without hashing [path]. *)
 let take_watches table path =
   if Hashtbl.length table = 0 then []
   else
@@ -153,23 +205,30 @@ let take_watches table path =
       Hashtbl.remove table path;
       List.rev !callbacks
 
-(* Each pending firing remembers its registry and path so that an aborted
-   transaction can re-arm the watch instead of silently consuming it. *)
-let trigger acc table kind path =
-  match take_watches table path with
-  | [] -> acc
-  | callbacks ->
-    let event = { kind; path } in
-    List.fold_left (fun acc cb -> (table, cb, event) :: acc) acc callbacks
+(* Every watch a committed txn triggers is taken before any callback
+   runs, then they fire in trigger order. *)
+let fire t triggers =
+  if Hashtbl.length t.data_watches + Hashtbl.length t.child_watches > 0 then
+    List.fold_left
+      (fun due trigger ->
+        let table, event =
+          match trigger with
+          | Data event -> (t.data_watches, event)
+          | Child event -> (t.child_watches, event)
+        in
+        List.fold_left (fun due cb -> (cb, event) :: due) due (take_watches table event.path))
+      [] triggers
+    |> List.rev
+    |> List.iter (fun (cb, event) -> cb event)
 
 (* {2 Watch migration}
 
-   When a replica resyncs from a snapshot it swaps in a freshly
-   deserialized tree, which carries no watch registries. The watches the
-   old tree held belong to still-connected sessions, so they must survive
-   the swap: a watch whose node is identical in both states re-arms on
-   the new tree; a watch whose node changed while the replica was behind
-   fires right away with the event the session missed — ZooKeeper's
+   When a replica resyncs from a snapshot it swaps in a fresh tree,
+   which carries no watch registries. The watches the old tree held
+   belong to still-connected sessions, so they must survive the swap: a
+   watch whose node is identical in both states re-arms on the new tree;
+   a watch whose node changed while the replica was behind fires right
+   away with the event the session missed — ZooKeeper's
    setWatches-on-reconnect behaviour. *)
 
 let drain_watch_table table =
@@ -189,7 +248,7 @@ let migrate_watches ~from ~into =
   in
   List.iter
     (fun (path, callbacks) ->
-      match Hashtbl.find_opt from.nodes path, Hashtbl.find_opt into.nodes path with
+      match find from path, find into path with
       | None, None -> rearm into.data_watches path callbacks
       | Some o, Some n when o.mzxid = n.mzxid && o.version = n.version ->
         rearm into.data_watches path callbacks
@@ -199,7 +258,7 @@ let migrate_watches ~from ~into =
     (drain_watch_table from.data_watches);
   List.iter
     (fun (path, callbacks) ->
-      match Hashtbl.find_opt from.nodes path, Hashtbl.find_opt into.nodes path with
+      match find from path, find into path with
       | None, None -> rearm into.child_watches path callbacks
       | Some o, Some n when o.pzxid = n.pzxid && o.cversion = n.cversion ->
         rearm into.child_watches path callbacks
@@ -247,247 +306,194 @@ let fire_data_watches_under t ~dir =
 
 (* {2 Ephemeral bookkeeping} *)
 
-let record_ephemeral t ~owner path =
-  if owner <> 0L then begin
-    let set =
-      match Hashtbl.find_opt t.ephemerals owner with
-      | Some set -> set
-      | None ->
-        let set = Hashtbl.create 4 in
-        Hashtbl.replace t.ephemerals owner set;
-        set
-    in
-    Hashtbl.replace set path ()
-  end
+(* [op] is [Sset.add] or [Sset.remove]; owner 0 owns nothing. *)
+let ephemeral op ephemerals ~owner path =
+  if owner = 0L then ephemerals
+  else
+    Owners.update owner
+      (fun paths ->
+        let paths = op path (Option.value paths ~default:Sset.empty) in
+        if Sset.is_empty paths then None else Some paths)
+      ephemerals
 
-let forget_ephemeral t ~owner path =
-  if owner <> 0L then
-    match Hashtbl.find_opt t.ephemerals owner with
-    | Some set ->
-      Hashtbl.remove set path;
-      if Hashtbl.length set = 0 then Hashtbl.remove t.ephemerals owner
-    | None -> ()
-
+(* Deepest first, so children are deleted before parents; equal depths
+   by path. *)
 let ephemerals_of t ~owner =
-  match Hashtbl.find_opt t.ephemerals owner with
+  match Owners.find_opt owner t.state.ephemerals with
   | None -> []
-  | Some set ->
-    let paths = Hashtbl.fold (fun path () acc -> path :: acc) set [] in
-    (* deepest first so children are deleted before parents *)
-    List.sort (fun a b -> compare (Zpath.depth b) (Zpath.depth a)) paths
+  | Some paths ->
+    Sset.elements paths
+    |> List.map (fun path -> (Zpath.depth path, path))
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
+    |> List.map snd
 
 (* {2 Transactional application}
 
-   Each op is validated and applied immediately; an undo closure is pushed
-   so that a later op's failure rolls the whole transaction back. Watch
-   events accumulate and fire only on overall success. *)
+   Each op maps a state to a new one; a failed op leaves the txn's
+   pre-state as the outcome, so there is nothing to roll back. Watch
+   triggers accumulate and fire only on overall success. *)
 
 let node_bytes path (n : node) =
   znode_overhead_bytes + String.length path + String.length n.data
 
-let apply_create t ~zxid ~time ~undo ~events
-    ~path ~data ~ephemeral_owner ~sequential =
-  match Zpath.validate path with
+let find_version st path ~expected_version : (node, Zerror.t) result =
+  match Smap.find_opt path st.nodes with
+  | None -> Error Zerror.ZNONODE
+  | Some node when expected_version >= 0 && expected_version <> node.version ->
+    Error Zerror.ZBADVERSION
+  | Some node -> Ok node
+
+(* [parent] after a child was added ([delta = 1]) or removed ([-1]). *)
+let touch_parent st parent_path parent ~zxid ~delta =
+  Smap.add parent_path
+    { parent with
+      num_kids = parent.num_kids + delta;
+      cversion = parent.cversion + 1;
+      seq_counter = parent.seq_counter + max delta 0;
+      pzxid = zxid }
+    st.nodes
+
+let apply_create st ~zxid ~time ~triggers ~path ~data ~ephemeral_owner ~sequential =
+  let parent_path = Zpath.parent path in
+  match Zpath.validate path, Smap.find_opt parent_path st.nodes with
+  | Error e, _ -> Error e
+  | Ok (), _ when path = "/" -> Error Zerror.ZNODEEXISTS
+  | Ok (), None -> Error Zerror.ZNONODE
+  | Ok (), Some parent when parent.ephemeral_owner <> 0L ->
+    Error Zerror.ZNOCHILDRENFOREPHEMERALS
+  | Ok (), Some parent ->
+    (* non-sequential: the created path is [path] itself *)
+    let path =
+      if sequential then
+        Zpath.concat parent_path
+          (Zpath.sequential_name (Zpath.basename path) parent.seq_counter)
+      else path
+    in
+    if Smap.mem path st.nodes then Error Zerror.ZNODEEXISTS
+    else begin
+      let node = make_node ~zxid ~time ~data ~ephemeral_owner in
+      triggers :=
+        Child { kind = Node_children_changed; path = parent_path }
+        :: Data { kind = Node_created; path } :: !triggers;
+      Ok
+        ( { st with
+            nodes = Smap.add path node (touch_parent st parent_path parent ~zxid ~delta:1);
+            count = st.count + 1;
+            bytes = st.bytes + node_bytes path node;
+            ephemerals = ephemeral Sset.add st.ephemerals ~owner:ephemeral_owner path },
+          Txn.Created path )
+    end
+
+let apply_delete st ~zxid ~triggers ~path ~expected_version =
+  match find_version st path ~expected_version with
+  | _ when path = "/" -> Error Zerror.ZBADARGUMENTS
   | Error e -> Error e
-  | Ok () ->
-    if path = "/" then Error Zerror.ZNODEEXISTS
-    else begin
-      let parent_path = Zpath.parent path in
-      match Hashtbl.find_opt t.nodes parent_path with
-      | None -> Error Zerror.ZNONODE
-      | Some parent when parent.ephemeral_owner <> 0L ->
-        Error Zerror.ZNOCHILDRENFOREPHEMERALS
-      | Some parent ->
-        let name =
-          if sequential then
-            Zpath.sequential_name (Zpath.basename path) parent.seq_counter
-          else Zpath.basename path
-        in
-        (* non-sequential: [concat parent name] would rebuild [path]
-           byte for byte — reuse it instead of allocating a copy *)
-        let actual_path =
-          if sequential then Zpath.concat parent_path name else path
-        in
-        if Hashtbl.mem t.nodes actual_path then Error Zerror.ZNODEEXISTS
-        else begin
-          let node = make_node ~zxid ~time ~data ~ephemeral_owner in
-          let saved_cversion = parent.cversion
-          and saved_pzxid = parent.pzxid
-          and saved_seq = parent.seq_counter
-          and saved_children = parent.children in
-          Hashtbl.replace t.nodes actual_path node;
-          add_child parent name node;
-          parent.cversion <- parent.cversion + 1;
-          parent.seq_counter <- parent.seq_counter + 1;
-          parent.pzxid <- zxid;
-          record_ephemeral t ~owner:ephemeral_owner actual_path;
-          t.bytes <- t.bytes + node_bytes actual_path node;
-          (match undo with
-           | None -> ()
-           | Some undo ->
-             undo := (fun () ->
-                 t.bytes <- t.bytes - node_bytes actual_path node;
-                 forget_ephemeral t ~owner:ephemeral_owner actual_path;
-                 Hashtbl.remove t.nodes actual_path;
-                 Hashtbl.remove parent.children name;
-                 parent.children <- saved_children;
-                 parent.cversion <- saved_cversion;
-                 parent.pzxid <- saved_pzxid;
-                 parent.seq_counter <- saved_seq)
-               :: !undo);
-          events :=
-            trigger
-              (trigger !events t.data_watches Node_created actual_path)
-              t.child_watches Node_children_changed parent_path;
-          Ok (Txn.Created actual_path)
-        end
-    end
+  | Ok node when node.num_kids > 0 -> Error Zerror.ZNOTEMPTY
+  | Ok node ->
+    let parent_path = Zpath.parent path in
+    (* The root always exists, so a live node's parent is present. *)
+    let parent = Smap.find parent_path st.nodes in
+    triggers :=
+      Child { kind = Node_children_changed; path = parent_path }
+      :: Child { kind = Node_deleted; path }
+      :: Data { kind = Node_deleted; path } :: !triggers;
+    Ok
+      ( { st with
+          nodes = Smap.remove path (touch_parent st parent_path parent ~zxid ~delta:(-1));
+          count = st.count - 1;
+          bytes = st.bytes - node_bytes path node;
+          ephemerals = ephemeral Sset.remove st.ephemerals ~owner:node.ephemeral_owner path },
+        Txn.Deleted )
 
-let apply_delete t ~zxid ~time:_ ~undo ~events ~path ~expected_version =
-  if path = "/" then Error Zerror.ZBADARGUMENTS
-  else
-    match Hashtbl.find_opt t.nodes path with
-    | None -> Error Zerror.ZNONODE
-    | Some node ->
-      if expected_version >= 0 && expected_version <> node.version then
-        Error Zerror.ZBADVERSION
-      else if Hashtbl.length node.children > 0 then Error Zerror.ZNOTEMPTY
-      else begin
-        let parent_path = Zpath.parent path in
-        let name = Zpath.basename path in
-        (* The root always exists, so a live node's parent is present. *)
-        let parent = Hashtbl.find t.nodes parent_path in
-        let saved_cversion = parent.cversion and saved_pzxid = parent.pzxid in
-        Hashtbl.remove t.nodes path;
-        Hashtbl.remove parent.children name;
-        parent.cversion <- parent.cversion + 1;
-        parent.pzxid <- zxid;
-        forget_ephemeral t ~owner:node.ephemeral_owner path;
-        t.bytes <- t.bytes - node_bytes path node;
-        (match undo with
-         | None -> ()
-         | Some undo ->
-           undo := (fun () ->
-               t.bytes <- t.bytes + node_bytes path node;
-               record_ephemeral t ~owner:node.ephemeral_owner path;
-               Hashtbl.replace t.nodes path node;
-               add_child parent name node;
-               parent.cversion <- saved_cversion;
-               parent.pzxid <- saved_pzxid)
-             :: !undo);
-        events :=
-          trigger
-            (trigger
-               (trigger !events t.data_watches Node_deleted path)
-               t.child_watches Node_deleted path)
-            t.child_watches Node_children_changed parent_path;
-        Ok Txn.Deleted
-      end
+let apply_set st ~zxid ~time ~triggers ~path ~data ~expected_version =
+  Result.map
+    (fun (node : node) ->
+      triggers := Data { kind = Node_data_changed; path } :: !triggers;
+      ( { st with
+          nodes =
+            Smap.add path
+              { node with data; version = node.version + 1; mzxid = zxid; mtime = time }
+              st.nodes;
+          bytes = st.bytes + String.length data - String.length node.data },
+        Txn.Data_set ))
+    (find_version st path ~expected_version)
 
-let apply_set t ~zxid ~time ~undo ~events ~path ~data ~expected_version =
-  match Hashtbl.find_opt t.nodes path with
-  | None -> Error Zerror.ZNONODE
-  | Some node ->
-    if expected_version >= 0 && expected_version <> node.version then
-      Error Zerror.ZBADVERSION
-    else begin
-      let saved_data = node.data
-      and saved_version = node.version
-      and saved_mzxid = node.mzxid
-      and saved_mtime = node.mtime in
-      t.bytes <- t.bytes + String.length data - String.length node.data;
-      node.data <- data;
-      node.version <- node.version + 1;
-      node.mzxid <- zxid;
-      node.mtime <- time;
-      (match undo with
-       | None -> ()
-       | Some undo ->
-         undo := (fun () ->
-             t.bytes <- t.bytes + String.length saved_data
-                        - String.length node.data;
-             node.data <- saved_data;
-             node.version <- saved_version;
-             node.mzxid <- saved_mzxid;
-             node.mtime <- saved_mtime)
-           :: !undo);
-      events := trigger !events t.data_watches Node_data_changed path;
-      Ok Txn.Data_set
-    end
-
-let apply_check t ~path ~expected_version =
-  match Hashtbl.find_opt t.nodes path with
-  | None -> Error Zerror.ZNONODE
-  | Some node ->
-    if expected_version >= 0 && expected_version <> node.version then
-      Error Zerror.ZBADVERSION
-    else Ok Txn.Checked
-
-let apply t ~zxid ~time txn =
-  if zxid <= t.last_zxid then
-    invalid_arg
-      (Printf.sprintf "Ztree.apply: zxid %Ld not beyond %Ld" zxid t.last_zxid);
-  (* A failed op never mutates the tree, so a single-op transaction has
-     nothing to roll back: skip allocating its undo closure entirely.
-     Multi-op transactions record one closure per applied op. *)
-  let undo_log = ref [] in
-  let undo = match txn with [ _ ] -> None | _ -> Some undo_log in
-  let events = ref [] in
-  let rec run acc = function
-    | [] -> Ok (List.rev acc)
-    | op :: rest ->
-      let result =
+let run ~zxid ~time txn pre =
+  let triggers = ref [] in
+  let rec go st items = function
+    | [] -> Ok ({ st with last_zxid = zxid }, List.rev items)
+    | op :: rest -> (
+      match
         match op with
         | Txn.Create { path; data; ephemeral_owner; sequential } ->
-          apply_create t ~zxid ~time ~undo ~events ~path ~data
-            ~ephemeral_owner ~sequential
+          apply_create st ~zxid ~time ~triggers ~path ~data ~ephemeral_owner ~sequential
         | Txn.Delete { path; expected_version } ->
-          apply_delete t ~zxid ~time ~undo ~events ~path ~expected_version
+          apply_delete st ~zxid ~triggers ~path ~expected_version
         | Txn.Set_data { path; data; expected_version } ->
-          apply_set t ~zxid ~time ~undo ~events ~path ~data ~expected_version
+          apply_set st ~zxid ~time ~triggers ~path ~data ~expected_version
         | Txn.Check { path; expected_version } ->
-          apply_check t ~path ~expected_version
-      in
-      (match result with
-       | Ok item -> run (item :: acc) rest
-       | Error _ as e -> e)
+          Result.map (fun _ -> (st, Txn.Checked)) (find_version st path ~expected_version)
+      with
+      | Ok (st, item) -> go st (item :: items) rest
+      | Error e -> Error e)
   in
-  match run [] txn with
-  | Ok items ->
-    t.last_zxid <- zxid;
-    (* Fire watches in registration/processing order, post-commit. *)
-    List.iter (fun (_, cb, event) -> cb event) (List.rev !events);
-    Ok items
-  | Error _ as e ->
-    List.iter (fun rollback -> rollback ()) !undo_log;
-    (* re-arm the watches the aborted ops had taken *)
-    List.iter (fun (table, cb, event) -> add_watch table event.path cb) !events;
-    e
+  match go pre [] txn with
+  | Ok (post, items) ->
+    { zxid; time; txn; pre; post; result = Ok items; triggers = List.rev !triggers }
+  | Error e -> { zxid; time; txn; pre; post = pre; result = Error e; triggers = [] }
+
+(* [txn] applied to [pre]: adopted when the share's slot for [zxid]
+   holds an apply of the same txn at the same time to this very
+   pre-state, computed (and remembered) otherwise. Txns are compared
+   physically first: a WAL-decoded copy is equal, not identical. *)
+let applied share ~zxid ~time txn pre =
+  match share with
+  | None -> run ~zxid ~time txn pre
+  | Some sh ->
+    let slot = Int64.to_int zxid land (memo_slots - 1) in
+    let m = sh.recent.(slot) in
+    if m.pre == pre && Int64.equal m.zxid zxid && Float.equal m.time time
+       && (m.txn == txn || m.txn = txn)
+    then begin
+      sh.adopted <- sh.adopted + 1;
+      m
+    end
+    else begin
+      let m = run ~zxid ~time txn pre in
+      sh.computed <- sh.computed + 1;
+      sh.recent.(slot) <- m;
+      m
+    end
+
+let apply t ~zxid ~time txn =
+  if zxid <= t.state.last_zxid then
+    invalid_arg
+      (Printf.sprintf "Ztree.apply: zxid %Ld not beyond %Ld" zxid t.state.last_zxid);
+  let m = applied t.share ~zxid ~time txn t.state in
+  t.state <- m.post;
+  fire t m.triggers;
+  m.result
 
 (* {2 Introspection} *)
 
-let node_count t = Hashtbl.length t.nodes
-let last_zxid t = t.last_zxid
-let resident_bytes t = t.bytes + znode_overhead_bytes (* root *)
+let node_count t = t.state.count
+let last_zxid t = t.state.last_zxid
+let resident_bytes t = t.state.bytes + znode_overhead_bytes (* root *)
 
 let equal_state a b =
-  Hashtbl.length a.nodes = Hashtbl.length b.nodes
-  && Hashtbl.fold
-       (fun path (n : node) acc ->
-         acc
-         &&
-         match Hashtbl.find_opt b.nodes path with
-         | None -> false
-         | Some m ->
-           n.data = m.data && n.version = m.version && n.cversion = m.cversion
-           && Hashtbl.length n.children = Hashtbl.length m.children)
-       a.nodes true
+  a.state == b.state
+  || a.state.count = b.state.count
+     && Smap.equal
+          (fun (n : node) (m : node) ->
+            n.data = m.data && n.version = m.version && n.cversion = m.cversion
+            && n.num_kids = m.num_kids)
+          a.state.nodes b.state.nodes
 
 let fingerprint t =
-  Hashtbl.fold
+  Smap.fold
     (fun path (n : node) acc ->
       acc lxor Hashtbl.hash (path, n.data, n.version, n.cversion))
-    t.nodes 0
+    t.state.nodes 0
 
 (* {2 Snapshots}
 
@@ -496,7 +502,7 @@ let fingerprint t =
      <n>\n
      then per node (sorted by path for deterministic output):
      <len>:<path><len>:<data> v cv sq cz mz pz <ctime-bits> <mtime-bits> eo\n
-   Children sets are reconstructed from the node paths themselves. *)
+   Child counts are rebuilt from the node paths themselves. *)
 
 let add_len_str b s =
   Buffer.add_string b (string_of_int (String.length s));
@@ -518,40 +524,25 @@ let add_float_bits b f =
    separators and the newline, at the sizes a typical tree holds. *)
 let line_fixed_bytes = 96
 
-(* A frozen image: every node's path with a copy of its record, so later
-   mutations of the live node do not show through. Paths, data and the
-   boxed zxids/times are immutable and shared with the live tree; child
-   sets are not kept ([deserialize] rebuilds them from paths). A list,
-   not an array: fresh cons cells stay on the minor heap, where an array
-   this size would pay a write barrier per slot. *)
-type image = { i_zxid : int64; i_nodes : (string * node) list }
-
-let capture t =
-  { i_zxid = t.last_zxid;
-    i_nodes =
-      Hashtbl.fold
-        (fun path (n : node) acc -> (path, { n with children = no_children }) :: acc)
-        t.nodes [] }
-
+(* The path map is already in path order, and [bytes] already sums the
+   paths and data. *)
 let encode img =
-  let size = ref 64 and count = ref 0 in
-  List.iter
-    (fun (path, (n : node)) ->
-      incr count;
-      size := !size + line_fixed_bytes + String.length path + String.length n.data)
-    img.i_nodes;
-  let buf = Buffer.create !size in
+  let buf =
+    Buffer.create
+      (64 + img.bytes + (img.count * (line_fixed_bytes - znode_overhead_bytes))
+       + znode_overhead_bytes)
+  in
   let field s =
     Buffer.add_char buf ' ';
     Buffer.add_string buf s
   in
   Buffer.add_string buf "ZTREEv1";
-  field (Int64.to_string img.i_zxid);
+  field (Int64.to_string img.last_zxid);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (string_of_int !count);
+  Buffer.add_string buf (string_of_int img.count);
   Buffer.add_char buf '\n';
-  List.iter
-    (fun (path, (n : node)) ->
+  Smap.iter
+    (fun path (n : node) ->
       add_len_str buf path;
       add_len_str buf n.data;
       field (string_of_int n.version);
@@ -566,14 +557,14 @@ let encode img =
       add_float_bits buf n.mtime;
       field (Int64.to_string n.ephemeral_owner);
       Buffer.add_char buf '\n')
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) img.i_nodes);
+    img.nodes;
   Buffer.contents buf
 
-let serialize t = encode (capture t)
+let serialize t = encode t.state
 
 exception Bad_snapshot of string
 
-let deserialize s =
+let decode s =
   let pos = ref 0 in
   let fail msg = raise (Bad_snapshot msg) in
   let read_line () =
@@ -597,72 +588,79 @@ let deserialize s =
       pos := i + 1 + len;
       str
   in
-  try
-    let header = read_line () in
-    let last_zxid =
-      match String.split_on_char ' ' header with
-      | [ "ZTREEv1"; zxid ] ->
-        (match Int64.of_string_opt zxid with
-         | Some z -> z
-         | None -> fail "bad zxid")
-      | _ -> fail "bad header"
-    in
-    let count =
-      match int_of_string_opt (read_line ()) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> fail "bad node count"
-    in
-    let t =
-      { nodes = Hashtbl.create (2 * count);
-        data_watches = Hashtbl.create 64;
-        child_watches = Hashtbl.create 64;
-        ephemerals = Hashtbl.create 16;
-        last_zxid;
-        bytes = 0 }
-    in
-    for _ = 1 to count do
-      let path = read_str () in
-      let data = read_str () in
-      let fields = String.split_on_char ' ' (read_line ()) in
-      match fields with
-      | [ ""; v; cv; sq; cz; mz; pz; ct; mt; eo ] ->
-        let int_field name x =
-          match int_of_string_opt x with Some v -> v | None -> fail ("bad " ^ name)
-        in
-        let i64_field name x =
-          match Int64.of_string_opt x with Some v -> v | None -> fail ("bad " ^ name)
-        in
-        let node =
+  let header = read_line () in
+  let last_zxid =
+    match String.split_on_char ' ' header with
+    | [ "ZTREEv1"; zxid ] ->
+      (match Int64.of_string_opt zxid with Some z -> z | None -> fail "bad zxid")
+    | _ -> fail "bad header"
+  in
+  let count =
+    match int_of_string_opt (read_line ()) with
+    | Some n when n >= 1 -> n
+    | Some _ | None -> fail "bad node count"
+  in
+  let parsed parse name x = match parse x with Some v -> v | None -> fail ("bad " ^ name) in
+  let nodes = ref Smap.empty in
+  for _ = 1 to count do
+    let path = read_str () in
+    let data = read_str () in
+    match String.split_on_char ' ' (read_line ()) with
+    | [ ""; v; cv; sq; cz; mz; pz; ct; mt; eo ] ->
+      nodes :=
+        Smap.add path
           { data;
-            children = no_children;
-            version = int_field "version" v;
-            cversion = int_field "cversion" cv;
-            seq_counter = int_field "seq" sq;
-            czxid = i64_field "czxid" cz;
-            mzxid = i64_field "mzxid" mz;
-            pzxid = i64_field "pzxid" pz;
-            ctime = Int64.float_of_bits (i64_field "ctime" ("0x" ^ ct));
-            mtime = Int64.float_of_bits (i64_field "mtime" ("0x" ^ mt));
-            ephemeral_owner = i64_field "owner" eo }
-        in
-        if Hashtbl.mem t.nodes path then fail "duplicate path";
-        Hashtbl.replace t.nodes path node;
-        record_ephemeral t ~owner:node.ephemeral_owner path;
-        t.bytes <- t.bytes + node_bytes path node
-      | _ -> fail "bad node record"
-    done;
-    if not (Hashtbl.mem t.nodes "/") then fail "no root";
-    (* match live accounting: the root's overhead and path are excluded
-       from [bytes] (counted once in [resident_bytes]), its data is not *)
-    t.bytes <- t.bytes - (znode_overhead_bytes + 1);
-    (* rebuild children sets from paths *)
-    Hashtbl.iter
-      (fun path node ->
+            num_kids = 0;
+            version = parsed int_of_string_opt "version" v;
+            cversion = parsed int_of_string_opt "cversion" cv;
+            seq_counter = parsed int_of_string_opt "seq" sq;
+            czxid = parsed Int64.of_string_opt "czxid" cz;
+            mzxid = parsed Int64.of_string_opt "mzxid" mz;
+            pzxid = parsed Int64.of_string_opt "pzxid" pz;
+            ctime = Int64.float_of_bits (parsed Int64.of_string_opt "ctime" ("0x" ^ ct));
+            mtime = Int64.float_of_bits (parsed Int64.of_string_opt "mtime" ("0x" ^ mt));
+            ephemeral_owner = parsed Int64.of_string_opt "owner" eo }
+          !nodes
+    | _ -> fail "bad node record"
+  done;
+  let nodes = !nodes in
+  if Smap.cardinal nodes < count then fail "duplicate path";
+  if not (Smap.mem "/" nodes) then fail "no root";
+  (* child counts from paths; the root's overhead and path are excluded
+     from [bytes] (counted once in [resident_bytes]), its data is not *)
+  let kids = Hashtbl.create count in
+  let bytes, ephemerals =
+    Smap.fold
+      (fun path node (bytes, ephemerals) ->
         if path <> "/" then begin
-          match Hashtbl.find_opt t.nodes (Zpath.parent path) with
-          | Some parent -> add_child parent (Zpath.basename path) node
-          | None -> fail ("dangling node " ^ path)
-        end)
-      t.nodes;
-    Ok t
-  with Bad_snapshot msg -> Error ("Ztree.deserialize: " ^ msg)
+          let parent = Zpath.parent path in
+          if not (Smap.mem parent nodes) then fail ("dangling node " ^ path);
+          Hashtbl.replace kids parent
+            (1 + Option.value (Hashtbl.find_opt kids parent) ~default:0)
+        end;
+        ( bytes + node_bytes path node,
+          ephemeral Sset.add ephemerals ~owner:node.ephemeral_owner path ))
+      nodes
+      (-(znode_overhead_bytes + 1), Owners.empty)
+  in
+  let nodes =
+    Hashtbl.fold
+      (fun path num_kids nodes ->
+        Smap.add path { (Smap.find path nodes) with num_kids } nodes)
+      kids nodes
+  in
+  { nodes; count; bytes; last_zxid; ephemerals }
+
+(* A member recovering from the bytes another member of its share
+   decoded last adopts that state, so replays after a whole-ensemble
+   restart can share applies again. *)
+let deserialize ?share s =
+  match share with
+  | Some { decoded = Some (bytes, img); _ } when bytes == s || String.equal bytes s ->
+    Ok (restore ?share img)
+  | _ -> (
+    match decode s with
+    | img ->
+      Option.iter (fun sh -> sh.decoded <- Some (s, img)) share;
+      Ok (restore ?share img)
+    | exception Bad_snapshot msg -> Error ("Ztree.deserialize: " ^ msg))

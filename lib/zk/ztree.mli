@@ -1,9 +1,13 @@
 (** The znode data tree — the state machine each replica applies.
 
-    Mutations enter only through {!apply}, which executes one {!Txn.t}
-    atomically (all-or-nothing) at a given zxid, exactly as a ZooKeeper
-    replica applies committed proposals. Reads ({!get}, {!exists},
-    {!children}) are local and never modify the tree.
+    A tree is a mutable holder of an immutable {!image}: nodes keyed by
+    path, each with its child count (a node's children are the range of
+    paths under it). Mutations enter only through
+    {!apply}, which maps the current image to the next one for one
+    {!Txn.t} atomically (all-or-nothing) at a given zxid, exactly as a
+    ZooKeeper replica applies committed proposals. Reads ({!get},
+    {!exists}, {!children}) are local and never modify the tree. Watch
+    registries stay per tree, outside the image.
 
     Semantics follow ZooKeeper: per-node data version / child version /
     czxid / mzxid / pzxid bookkeeping, 10-digit sequential-node suffixes
@@ -33,13 +37,38 @@ type event_kind =
 
 type watch_event = { kind : event_kind; path : string }
 
-val create : unit -> t
+(** The state a tree holds at one instant: a value, never mutated. *)
+type image
+
+(** The apply-sharing context of one ensemble. Members in lock-step hold
+    the same image, so each committed txn needs computing once: the first
+    member to apply it remembers the outcome, and a member that applies
+    the same txn at the same zxid and time to that very image adopts it.
+    The context keeps the last apply per zxid modulo 256 and the last
+    snapshot it decoded; a member that diverged holds a different image
+    and simply computes its own. Contexts never share state with each
+    other. *)
+type share
+
+val share : unit -> share
+
+(** Applies a share's members adopted, and applies they computed. *)
+val adopted : share -> int
+val computed : share -> int
+
+(** A tree holding the share's initial image (the root alone), or a
+    fresh one without a share. *)
+val create : ?share:share -> unit -> t
+
+(** A tree, with no watches, holding [image]. *)
+val restore : ?share:share -> image -> t
 
 (** {2 Replicated mutation} *)
 
 (** [apply t ~zxid ~time txn] applies [txn] atomically. On error the tree
-    is unchanged and no watch fires. [zxid] must be strictly increasing
-    across calls. *)
+    keeps its image (physically) and no watch fires; on success its
+    watches on the touched paths are all taken, then fired in order.
+    [zxid] must be strictly increasing across calls. *)
 val apply :
   t -> zxid:int64 -> time:float -> Txn.t ->
   (Txn.result_item list, Zerror.t) result
@@ -71,7 +100,7 @@ val watch_count : t -> int
 
 (** [migrate_watches ~from ~into] carries [from]'s armed watch registries
     over to [into] — the setWatches-on-reconnect step of a snapshot-based
-    resync, where the receiving replica swaps in a deserialized tree that
+    resync, where the receiving replica swaps in a restored tree that
     has no watches. A watch whose node is unchanged between the two
     states (same mzxid/version for data watches, same pzxid/cversion for
     child watches) re-arms on [into]; a watch whose node was created,
@@ -96,7 +125,7 @@ val fire_data_watches_under : t -> dir:string -> int
 (** {2 Sessions} *)
 
 (** All paths currently owned by [owner], deepest first (safe to delete in
-    order). *)
+    order), paths of equal depth in path order. *)
 val ephemerals_of : t -> owner:int64 -> string list
 
 (** {2 Introspection} *)
@@ -123,18 +152,11 @@ val fingerprint : t -> int
     disk and fuzzy-restore from snapshot + log replay (§IV-I: "it can
     tolerate the failure of all servers by restarting them later"). *)
 
-(** A frozen image of a tree: its last zxid and every node's path, data
-    and stats as they were when captured. *)
-type image
-
-(** [capture t] freezes [t]'s current state in O(nodes) without sorting
-    or formatting. Paths and data are shared with [t] (they are
-    immutable strings); stats are copied, so later mutations of [t]
-    never show through the image. *)
+(** [capture t] is [t]'s image, in O(1): later applies to [t] build new
+    images and never change this one. *)
 val capture : t -> image
 
-(** The bytes {!serialize} would have returned at the moment the image
-    was captured: encoding is deferred work, not a different format. *)
+(** The bytes {!serialize} returns for a tree holding the image. *)
 val encode : image -> string
 
 (** Serialize the whole tree (nodes, data, stats, sequence counters) to a
@@ -142,8 +164,9 @@ val encode : image -> string
     [serialize t = encode (capture t)]. *)
 val serialize : t -> string
 
-(** Rebuild a tree from [serialize] output. *)
-val deserialize : string -> (t, string) result
+(** Rebuild a tree from [serialize] output. With [share], bytes equal to
+    those the share decoded last give that decode's image back. *)
+val deserialize : ?share:share -> string -> (t, string) result
 
 (** {2 Field encoders}
 

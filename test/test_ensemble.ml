@@ -872,6 +872,33 @@ let test_read_throughput_increases_with_servers () =
     (Printf.sprintf "8-server reads (%.0f/s) faster than 1-server (%.0f/s)" r8 r1)
     true (r8 > 2. *. r1)
 
+(* {2 Session close} *)
+
+(* The close txn deletes the session's ephemerals deepest first and,
+   at equal depth, in path order — whatever order they were created
+   in. The watches on the serving replica fire in op order. *)
+let test_close_deletes_ephemerals_in_path_order () =
+  let engine, ensemble = make ~servers:3 () in
+  let fired = ref [] in
+  let paths = [ "/e/c"; "/e/a"; "/z"; "/e/b"; "/y" ] in
+  Process.spawn engine (fun () ->
+      let owner = Ensemble.session ensemble ~server:0 () in
+      let watcher = Ensemble.session ensemble ~server:0 () in
+      ignore (ok_or_fail "dir" (owner.Zk_client.create "/e" ~data:""));
+      List.iter
+        (fun path ->
+          ignore (ok_or_fail path (owner.Zk_client.create ~ephemeral:true path ~data:"")))
+        paths;
+      List.iter
+        (fun path ->
+          watcher.Zk_client.watch_data path (fun ev -> fired := ev.Ztree.path :: !fired))
+        paths;
+      owner.Zk_client.close ();
+      watcher.Zk_client.sync ());
+  Engine.run engine;
+  Alcotest.(check (list string))
+    "deepest first, then by path" [ "/e/a"; "/e/b"; "/e/c"; "/y"; "/z" ] (List.rev !fired)
+
 let () =
   Alcotest.run "ensemble"
     [ ( "replication",
@@ -943,4 +970,7 @@ let () =
         [ Alcotest.test_case "writes slow down with ensemble size" `Quick
             test_write_throughput_decreases_with_servers;
           Alcotest.test_case "reads speed up with ensemble size" `Quick
-            test_read_throughput_increases_with_servers ] ) ]
+            test_read_throughput_increases_with_servers ] );
+      ( "sessions",
+        [ Alcotest.test_case "close deletes ephemerals in path order" `Quick
+            test_close_deletes_ephemerals_in_path_order ] ) ]

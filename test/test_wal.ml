@@ -661,6 +661,53 @@ let test_restart_loads_snapshot_taken_before_the_crash () =
         (Ztree.fingerprint (Ensemble.tree_of ensemble 2)))
     [ 0; 1 ]
 
+(* A SNAP sync hands the leader's image over: the follower holds the
+   very same value, stays in step with it afterwards, and its WAL
+   encodes the installed snapshot only when a restart reads it. *)
+let test_snap_sync_hands_over_the_image () =
+  let engine, ensemble =
+    make ~servers:3
+      ~config_adjust:(fun c ->
+        { c with Ensemble.snapshot_every = 0; election_timeout = 0.1 })
+      ()
+  in
+  let same_image () =
+    Ztree.capture (Ensemble.tree_of ensemble 2)
+    == Ztree.capture (Ensemble.tree_of ensemble 0)
+  in
+  let finished = ref false in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      let write i =
+        ignore
+          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/s%d" i) ~data:"x"))
+      in
+      write 0;
+      Process.sleep 0.05;
+      Ensemble.crash ensemble 2;
+      (* more than the DIFF threshold while server 2 is down *)
+      for i = 1 to 600 do write i done;
+      Process.sleep 0.1;
+      Ensemble.restart ensemble 2;
+      Process.sleep 0.1;
+      check_int "one SNAP sync" 1 (Ensemble.transfer_snaps ensemble);
+      check_bool "server 2 holds the leader's image" true (same_image ());
+      for i = 601 to 610 do write i done;
+      Process.sleep 0.05;
+      check_bool "and stays in step with it" true (same_image ());
+      check_int "the transfer encoded nothing" 0 (Ensemble.snap_encodes ensemble);
+      Ensemble.crash ensemble 2;
+      Process.sleep 0.1;
+      Ensemble.restart ensemble 2;
+      Process.sleep 0.1;
+      finished := true);
+  Engine.run engine;
+  check_bool "the scenario ran to its end" true !finished;
+  check_int "the restart encoded the installed snapshot" 1 (Ensemble.snap_encodes ensemble);
+  check_int "and recovered the leader's state"
+    (Ztree.fingerprint (Ensemble.tree_of ensemble 0))
+    (Ztree.fingerprint (Ensemble.tree_of ensemble 2))
+
 let () =
   Alcotest.run "wal"
     [ ( "log-model",
@@ -702,4 +749,6 @@ let () =
         [ Alcotest.test_case "fault-free run encodes no snapshot" `Quick
             test_fault_free_run_encodes_no_snapshot;
           Alcotest.test_case "restart loads a pre-crash snapshot" `Quick
-            test_restart_loads_snapshot_taken_before_the_crash ] ) ]
+            test_restart_loads_snapshot_taken_before_the_crash;
+          Alcotest.test_case "SNAP sync hands over the image" `Quick
+            test_snap_sync_hands_over_the_image ] ) ]

@@ -642,7 +642,7 @@ let prop_frozen_snapshot ~name ~count freeze =
       oneof
         [ map (fun op -> [ op ]) gen_op;
           (* a multi whose last op always fails: the ops before it apply
-             and then roll back *)
+             and are discarded *)
           map (fun ops -> ops @ [ Txn.Check { path = "/missing"; expected_version = 0 } ])
             (list_size (int_range 1 3) gen_op) ])
   in
@@ -692,8 +692,9 @@ let test_lazy_serialize_is_not_frozen () =
 
 (* {2 Child sets}
 
-   A leaf holds a shared empty child set that must never be written, and
-   a child set maps each name straight to its node. *)
+   A node's children are the range of paths under it in the tree's path
+   map: listings must see exactly the children, of leaves and parents
+   alike, after creates, deletes and failed multis. *)
 
 let children_of tree path = ok_or_fail ("children " ^ path) (Ztree.children tree path)
 
@@ -745,8 +746,8 @@ let test_failed_multi_restores_child_sets () =
   Alcotest.(check (list string)) "/a unchanged" [ "x" ] (children_of tree "/a");
   Alcotest.(check (list string)) "/a/x still a leaf" [] (children_of tree "/a/x")
 
-(* The definition [children_with_data] had before child sets held their
-   nodes: each child's full path rebuilt and looked up in the index. *)
+(* [children_with_data] by definition: each child's full path rebuilt
+   and looked up on its own. *)
 let children_with_data_by_lookup tree path =
   Result.map
     (List.filter_map (fun name ->
@@ -772,7 +773,7 @@ let prop_children_with_data_reads_child_nodes =
           map (fun path -> [ Txn.Delete { path; expected_version = -1 } ]) gen_path;
           map (fun (path, data) -> [ Txn.Set_data { path; data; expected_version = -1 } ])
             (pair gen_path (string_size (int_range 0 8)));
-          (* multis that often fail half-way, exercising undo *)
+          (* multis that often fail half-way *)
           map (fun (a, b) -> [ create_op a; Txn.Delete { path = b; expected_version = -1 } ])
             (pair gen_path gen_path) ])
   in
@@ -976,6 +977,179 @@ let test_zxid_tbl_copy_is_independent () =
   check_int "original length" 2 (Zxid_tbl.length t);
   check_int "copy length" 4 (Zxid_tbl.length c)
 
+(* {2 Shared apply}
+
+   Members of one share that hold the same image adopt each other's
+   applies; a member that lags, diverges or is restored from bytes
+   computes its own. Either way every member must end exactly where a
+   private tree applying the same stream ends. *)
+
+(* The fired watch log of a tree whose data and child watches on every
+   path of [paths] re-arm as they fire. [tree] follows restores. *)
+let watch_everything tree paths =
+  let log = ref [] in
+  let rec arm_data path =
+    Ztree.watch_data !tree path (fun ev ->
+        log := ("data", ev.Ztree.kind, ev.Ztree.path) :: !log;
+        arm_data path)
+  and arm_child path =
+    Ztree.watch_children !tree path (fun ev ->
+        log := ("child", ev.Ztree.kind, ev.Ztree.path) :: !log;
+        arm_child path)
+  in
+  List.iter (fun path -> arm_data path; arm_child path) paths;
+  log
+
+let shared_paths = [ "/a"; "/b"; "/a/x"; "/a/y"; "/b/x"; "/a/x/z" ]
+
+let gen_shared_txn =
+  let open QCheck2.Gen in
+  let path = oneofl shared_paths in
+  let version = oneofl [ -1; 0; 1 ] in
+  let op =
+    frequency
+      [ (4, map (fun p -> create_op ~data:p p) path);
+        (1, map (fun p -> create_op ~sequential:true (p ^ "-s")) path);
+        (2, map2 (fun p o -> create_op ~ephemeral:o p) path (oneofl [ 7L; 9L ]));
+        (3, map2 (fun p v -> Txn.Delete { path = p; expected_version = v }) path version);
+        ( 3,
+          map3
+            (fun p d v -> Txn.Set_data { path = p; data = d; expected_version = v })
+            path (string_size ~gen:(char_range 'a' 'c') (int_range 0 3)) version );
+        (1, map2 (fun p v -> Txn.Check { path = p; expected_version = v }) path version) ]
+  in
+  frequency
+    [ (5, map (fun o -> [ o ]) op);
+      (2, list_size (int_range 2 3) op);
+      (* a multi whose last op always fails *)
+      (1, map (fun ops -> ops @ [ Txn.Check { path = "/none"; expected_version = -1 } ])
+           (list_size (int_range 1 2) op)) ]
+
+(* One step: a txn, then each member's move: 0-4 stay behind, 5-7 catch
+   up, 8 catch up through decoded (equal, not identical) txns, 9 catch
+   up, then restore from its own bytes. *)
+let gen_shared_stream =
+  QCheck2.Gen.(
+    pair (int_range 2 4)
+      (list_size (int_range 1 320) (pair gen_shared_txn (list_repeat 4 (int_bound 9)))))
+
+let decoded_copy (txn : Txn.t) : Txn.t = Marshal.from_string (Marshal.to_string txn []) 0
+
+let prop_shared_apply_matches_private =
+  QCheck2.Test.make ~name:"shared apply = private apply, members lagging and restored"
+    ~count:200 gen_shared_stream (fun (k, steps) ->
+      let steps = Array.of_list steps in
+      let n = Array.length steps in
+      let time i = 0.25 *. float_of_int i in
+      let private_tree = ref (Ztree.create ()) in
+      let private_log = watch_everything private_tree shared_paths in
+      let results = Array.make n (Ok []) in
+      let share = Ztree.share () in
+      let members = Array.init k (fun _ -> ref (Ztree.create ~share ())) in
+      let logs = Array.map (fun m -> watch_everything m shared_paths) members in
+      let next = Array.make k 0 in
+      let ok = ref true in
+      let catch_up j ~upto ~decoded =
+        let m = members.(j) in
+        while next.(j) < upto do
+          let i = next.(j) in
+          let txn = fst steps.(i) in
+          let txn = if decoded then decoded_copy txn else txn in
+          let before = Ztree.capture !m in
+          let r = Ztree.apply !m ~zxid:(Int64.of_int (i + 1)) ~time:(time i) txn in
+          if r <> results.(i) then ok := false;
+          (* a failed multi keeps the very image it started from *)
+          if Result.is_error r && Ztree.capture !m != before then ok := false;
+          next.(j) <- i + 1
+        done
+      in
+      Array.iteri
+        (fun i (txn, moves) ->
+          results.(i) <- Ztree.apply !private_tree ~zxid:(Int64.of_int (i + 1)) ~time:(time i) txn;
+          List.iteri
+            (fun j move ->
+              (* the last member never moves before the end: it lags the
+                 whole stream, past the share's memory when the stream is
+                 long *)
+              if j < k - 1 && move >= 5 then begin
+                catch_up j ~upto:(i + 1) ~decoded:(move = 8);
+                if move = 9 then begin
+                  let m = members.(j) in
+                  let old = !m in
+                  m := Result.get_ok (Ztree.deserialize ~share (Ztree.serialize old));
+                  Ztree.migrate_watches ~from:old ~into:!m
+                end
+              end)
+            moves)
+        steps;
+      Array.iteri (fun j _ -> catch_up j ~upto:n ~decoded:false) members;
+      let bytes = Ztree.serialize !private_tree in
+      !ok
+      && Array.for_all
+           (fun m ->
+             Ztree.serialize !m = bytes
+             && Ztree.fingerprint !m = Ztree.fingerprint !private_tree
+             && Ztree.resident_bytes !m = Ztree.resident_bytes !private_tree
+             && Ztree.node_count !m = Ztree.node_count !private_tree)
+           members
+      && Array.for_all (fun log -> !log = !private_log) logs)
+
+let test_members_in_step_share_one_image () =
+  let share = Ztree.share () in
+  let a = Ztree.create ~share () and b = Ztree.create ~share () in
+  let txns =
+    [ [ create_op "/d" ]; [ create_op ~ephemeral:3L "/d/e" ];
+      [ Txn.Set_data { path = "/d"; data = "x"; expected_version = 0 } ] ]
+  in
+  List.iteri
+    (fun i txn ->
+      let zxid = Int64.of_int (i + 1) in
+      ignore (ok_or_fail "a" (Ztree.apply a ~zxid ~time:1. txn));
+      ignore (ok_or_fail "b" (Ztree.apply b ~zxid ~time:1. txn));
+      check_bool "b adopts a's image" true (Ztree.capture a == Ztree.capture b))
+    txns;
+  check_int "b adopted every apply" 3 (Ztree.adopted share);
+  check_int "a computed every apply" 3 (Ztree.computed share);
+  (* the same zxid and pre-state with another txn, or at another time,
+     is another apply *)
+  let img = Ztree.capture a in
+  let apply_at time txn =
+    let t = Ztree.restore ~share img in
+    ignore (ok_or_fail "apply" (Ztree.apply t ~zxid:4L ~time txn));
+    t
+  in
+  let f = [ create_op "/f" ] in
+  ignore (apply_at 1. f);
+  check_bool "another txn: its own outcome" true
+    (Ztree.exists (apply_at 1. [ create_op "/h" ]) "/f" = None);
+  ignore (apply_at 1. f);
+  check_bool "another time: its own outcome" true
+    (Option.map (fun st -> st.Ztree.ctime) (Ztree.exists (apply_at 2. f) "/f") = Some 2.);
+  (* equal snapshot bytes decode to one image, and decoded txns adopt *)
+  let bytes = Ztree.serialize a in
+  let c = Result.get_ok (Ztree.deserialize ~share bytes) in
+  let d = Result.get_ok (Ztree.deserialize ~share (Bytes.to_string (Bytes.of_string bytes))) in
+  check_bool "equal bytes, one image" true (Ztree.capture c == Ztree.capture d);
+  let txn = [ create_op "/g" ] in
+  ignore (ok_or_fail "c" (Ztree.apply c ~zxid:5L ~time:3. txn));
+  ignore (ok_or_fail "d" (Ztree.apply d ~zxid:5L ~time:3. (decoded_copy txn)));
+  check_bool "a decoded txn adopts" true (Ztree.capture c == Ztree.capture d)
+
+let test_shares_never_cross () =
+  let base = Ztree.create () in
+  ignore (ok_or_fail "base" (Ztree.apply base ~zxid:1L ~time:1. [ create_op "/d" ]));
+  let img = Ztree.capture base in
+  let s1 = Ztree.share () and s2 = Ztree.share () in
+  let a = Ztree.restore ~share:s1 img
+  and a' = Ztree.restore ~share:s1 img
+  and b = Ztree.restore ~share:s2 img in
+  let txn = [ create_op "/d/x" ] in
+  List.iter (fun t -> ignore (ok_or_fail "apply" (Ztree.apply t ~zxid:2L ~time:2. txn))) [ a; a'; b ];
+  check_bool "same share: adopted" true (Ztree.capture a == Ztree.capture a');
+  check_bool "other share: its own apply" true (Ztree.capture a != Ztree.capture b);
+  check_int "nothing adopted across shares" 0 (Ztree.adopted s2);
+  check_bool "same content" true (Ztree.serialize a = Ztree.serialize b)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "zk"
@@ -1051,4 +1225,9 @@ let () =
       ( "zxid-tbl",
         [ qc prop_zxid_tbl_model;
           Alcotest.test_case "copy is independent" `Quick
-            test_zxid_tbl_copy_is_independent ] ) ]
+            test_zxid_tbl_copy_is_independent ] );
+      ( "shared-apply",
+        [ Alcotest.test_case "members in step share one image" `Quick
+            test_members_in_step_share_one_image;
+          Alcotest.test_case "shares never cross" `Quick test_shares_never_cross;
+          qc prop_shared_apply_matches_private ] ) ]
