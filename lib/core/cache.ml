@@ -11,68 +11,84 @@ type 'a entry = {
   lease_until : float;
 }
 
-(* Lazy LRU: entries carry a generation; the eviction queue may hold
-   stale (path, generation) pairs which are skipped when popping. *)
-type 'a store = {
-  capacity : int;
-  table : (string, 'a entry * int) Hashtbl.t;
-  order : (string * int) Queue.t;
-  mutable generation : int;
+(* Exact LRU: a hash table of nodes threaded on a circular doubly-linked
+   list through a sentinel, oldest first ([sentinel.next]) to newest
+   ([sentinel.prev]). A hit is one lookup and an O(1) relink; a put is
+   one lookup, plus an add and the eviction of the list head when full.
+   Each store has its own sentinel, built from a dummy value, so no node
+   ever holds an option. *)
+type 'a node = {
+  key : string;
+  mutable entry : 'a entry;
+  mutable prev : 'a node;
+  mutable next : 'a node;
 }
 
-let store_create capacity =
+type 'a store = {
+  capacity : int;
+  table : (string, 'a node) Hashtbl.t;
+  sentinel : 'a node;
+}
+
+let store_create capacity dummy =
+  let rec sentinel =
+    { key = ""; entry = { value = dummy; lease_until = neg_infinity };
+      prev = sentinel; next = sentinel }
+  in
   { capacity;
     (* small initial tables: a 100k-session sweep allocates two stores
        per session, so pre-sizing for the capacity would be ~100x waste *)
     table = Hashtbl.create (max 8 (min capacity 64));
-    order = Queue.create ();
-    generation = 0 }
+    sentinel }
 
-let store_find store path = Option.map fst (Hashtbl.find_opt store.table path)
+let unlink node =
+  node.prev.next <- node.next;
+  node.next.prev <- node.prev
 
-let rec store_evict store =
-  if Hashtbl.length store.table > store.capacity then
-    match Queue.take_opt store.order with
-    | None -> ()
-    | Some (path, generation) ->
-      (match Hashtbl.find_opt store.table path with
-       | Some (_, g) when g = generation -> Hashtbl.remove store.table path
-       | Some _ | None -> ());
-      store_evict store
+let link_newest store node =
+  let s = store.sentinel in
+  node.prev <- s.prev;
+  node.next <- s;
+  s.prev.next <- node;
+  s.prev <- node
 
-(* Every push can leave one stale pair behind (the entry's previous
-   generation), so a hit-heavy workload grows [order] without bound
-   unless it is periodically rebuilt from the live generations. *)
-let store_compact store =
-  if Queue.length store.order > 2 * store.capacity then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun (path, generation) ->
-        match Hashtbl.find_opt store.table path with
-        | Some (_, g) when g = generation -> Queue.push (path, generation) live
-        | Some _ | None -> ())
-      store.order;
-    Queue.clear store.order;
-    Queue.transfer live store.order
+(* a hit: [node] becomes the newest *)
+let store_touch store node =
+  if store.sentinel.prev != node then begin
+    unlink node;
+    link_newest store node
   end
 
 let store_put store path entry =
-  store.generation <- store.generation + 1;
-  Hashtbl.replace store.table path (entry, store.generation);
-  Queue.push (path, store.generation) store.order;
-  store_evict store;
-  store_compact store
-
-let store_touch store path =
   match Hashtbl.find_opt store.table path with
-  | None -> ()
-  | Some (entry, _) ->
-    store.generation <- store.generation + 1;
-    Hashtbl.replace store.table path (entry, store.generation);
-    Queue.push (path, store.generation) store.order;
-    store_compact store
+  | Some node ->
+    node.entry <- entry;
+    store_touch store node
+  | None ->
+    let rec node = { key = path; entry; prev = node; next = node } in
+    Hashtbl.add store.table path node;
+    link_newest store node;
+    if Hashtbl.length store.table > store.capacity then begin
+      let oldest = store.sentinel.next in
+      unlink oldest;
+      Hashtbl.remove store.table oldest.key
+    end
 
-let store_remove store path = Hashtbl.remove store.table path
+(* whether [path] was cached *)
+let store_remove store path =
+  match Hashtbl.find_opt store.table path with
+  | Some node ->
+    unlink node;
+    Hashtbl.remove store.table path;
+    true
+  | None -> false
+
+(* the keys on the list, oldest first, walked from the sentinel *)
+let store_keys store =
+  let rec walk node acc =
+    if node == store.sentinel then acc else walk node.prev (node.key :: acc)
+  in
+  walk store.sentinel.prev []
 
 type data_entry =
   | Present of string * Zk.Ztree.stat
@@ -115,7 +131,11 @@ let misses t = t.misses
 let invalidations t = t.invalidations
 let lease_expired_hits t = t.lease_expired_hits
 let size t = Hashtbl.length t.data.table + Hashtbl.length t.kids.table
-let queue_length t = Queue.length t.data.order + Queue.length t.kids.order
+let lru_order t = (store_keys t.data, store_keys t.kids)
+
+let queue_length t =
+  let data, kids = lru_order t in
+  List.length data + List.length kids
 
 let open_fences t = Hashtbl.length t.data_fences + Hashtbl.length t.kids_fences
 
@@ -149,17 +169,11 @@ let close_fence fences path fence gen =
 
 let invalidate_data t path =
   bump t t.data_fences path;
-  if Hashtbl.mem t.data.table path then begin
-    t.invalidations <- t.invalidations + 1;
-    store_remove t.data path
-  end
+  if store_remove t.data path then t.invalidations <- t.invalidations + 1
 
 let invalidate_children t path =
   bump t t.kids_fences path;
-  if Hashtbl.mem t.kids.table path then begin
-    t.invalidations <- t.invalidations + 1;
-    store_remove t.kids path
-  end
+  if store_remove t.kids path then t.invalidations <- t.invalidations + 1
 
 (* A mutation on [path] changes its own entry and its parent's child
    list; for deletes, also any cached children list of the node itself. *)
@@ -229,11 +243,11 @@ let fill_get t path =
   | Error e -> Error e
 
 let cached_get t path =
-  match store_find t.data path with
-  | Some entry when entry_live t entry -> (
+  match Hashtbl.find_opt t.data.table path with
+  | Some node when entry_live t node.entry -> (
     t.hits <- t.hits + 1;
-    store_touch t.data path;
-    match entry.value with
+    store_touch t.data node;
+    match node.entry.value with
     | Present (data, stat) -> Ok (data, stat)
     | Absent -> Error Zerror.ZNONODE)
   | stale ->
@@ -253,11 +267,11 @@ let fill_children t path =
   | Error e -> Error e
 
 let cached_children t path =
-  match store_find t.kids path with
-  | Some entry when entry_live t entry ->
+  match Hashtbl.find_opt t.kids.table path with
+  | Some node when entry_live t node.entry ->
     t.hits <- t.hits + 1;
-    store_touch t.kids path;
-    Ok entry.value
+    store_touch t.kids node;
+    Ok node.entry.value
   | stale ->
     if Option.is_some stale then note_expired t;
     t.misses <- t.misses + 1;
@@ -290,27 +304,27 @@ let cached_children_with_data t path =
     t.misses <- t.misses + 1;
     fill_bulk t path
   in
-  let assemble names =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | name :: rest ->
-        (match store_find t.data (Zpath.concat path name) with
-         | Some ({ value = Present (data, stat); _ } as e) when entry_live t e ->
-           go ((name, data, stat) :: acc) rest
-         | Some _ | None -> None)
-    in
-    go [] names
+  (* The listing from the cached child data, or [None] when a child's
+     entry was evicted or expired. Each child's node is found once; on
+     success each becomes the newest, in listing order. *)
+  let rec assemble entries nodes = function
+    | [] ->
+      List.iter (store_touch t.data) (List.rev nodes);
+      Some (List.rev entries)
+    | name :: rest ->
+      (match Hashtbl.find_opt t.data.table (Zpath.concat path name) with
+       | Some ({ entry = { value = Present (data, stat); _ } as e; _ } as node)
+         when entry_live t e ->
+         assemble ((name, data, stat) :: entries) (node :: nodes) rest
+       | Some _ | None -> None)
   in
-  match store_find t.kids path with
-  | Some entry when entry_live t entry -> (
-    match assemble entry.value with
-    | None -> fill ()  (* a child's data entry was evicted or expired *)
+  match Hashtbl.find_opt t.kids.table path with
+  | Some node when entry_live t node.entry -> (
+    match assemble [] [] node.entry.value with
+    | None -> fill ()
     | Some entries ->
       t.hits <- t.hits + 1;
-      store_touch t.kids path;
-      List.iter
-        (fun name -> store_touch t.data (Zpath.concat path name))
-        entry.value;
+      store_touch t.kids node;
       Ok entries)
   | Some _ -> note_expired t; fill ()
   | None -> fill ()
@@ -321,8 +335,8 @@ let wrap ?(capacity = 4096) ?coherence:(_ : coherence option) ~now ?metrics
   let t =
     { inner;
       now;
-      data = store_create capacity;
-      kids = store_create capacity;
+      data = store_create capacity Absent;
+      kids = store_create capacity [];
       data_fences = Hashtbl.create 8;
       kids_fences = Hashtbl.create 8;
       epoch = 0;

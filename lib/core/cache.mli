@@ -55,10 +55,15 @@ val lease_expired_hits : t -> int
 (** Entries currently cached. *)
 val size : t -> int
 
-(** Total length of the lazy-LRU eviction queues, stale pairs included.
-    Bounded at ~2× capacity per store by compaction; exposed so tests can
-    assert hit-heavy workloads do not grow it without bound. *)
+(** Entries on the LRU lists, counted by walking them: equal to {!size}
+    whenever the lists and the tables agree, so at most [capacity] per
+    store. Exposed so tests can assert that hit-heavy workloads do not
+    grow the eviction order without bound. *)
 val queue_length : t -> int
+
+(** [lru_order t] is the cached paths of the data store and of the
+    listing store, each oldest first: the next eviction is the head. *)
+val lru_order : t -> string list * string list
 
 (** Per-path fill fences currently held: one per path with a fill in
     flight, so zero between fills however many paths were invalidated. *)

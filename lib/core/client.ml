@@ -86,10 +86,17 @@ let locate t fid = Mapping.locate t.strategy ~backends:(Array.length t.backends)
    of it grows with the namespace (the client is stateless, §IV-I). *)
 let resident_bytes _t = (10 * 132 * 1024) + (8 * 1024 * 1024)
 
+(* Every op validates its virtual path once, at entry, and passes the
+   normalized path inward: the helpers below take only normalized
+   paths. A relative path is EINVAL, as on every other VFS, so it never
+   reaches [zpath] to name a znode outside the namespace root. *)
+let checked vpath =
+  match Fspath.validate vpath with
+  | Ok () -> Ok (Fspath.normalize vpath)
+  | Error e -> Error e
+
 (* virtual path -> znode path *)
-let zpath t vpath =
-  let vpath = Fspath.normalize vpath in
-  if vpath = "/" then t.zroot else t.zroot ^ vpath
+let zpath t vpath = if vpath = "/" then t.zroot else t.zroot ^ vpath
 
 let backend_for t fid = t.backends.(locate t fid)
 let physical t fid = Physical.path t.layout fid
@@ -104,17 +111,17 @@ let rec classify_missing t vpath =
   else
     match t.coord.Zk_client.get (zpath t parent) with
     | Ok (data, _) ->
-      (match Meta.decode data with
-       | Ok { Meta.kind = Meta.Dir; _ } -> Errno.ENOENT
-       | Ok { Meta.kind = Meta.File _ | Meta.Symlink _; _ } -> Errno.ENOTDIR
-       | Error _ -> Errno.EIO)
+      (match Meta.kind_tag data with
+       | Some Meta.Dir_tag -> Errno.ENOENT
+       | Some (Meta.File_tag | Meta.Symlink_tag) -> Errno.ENOTDIR
+       | None -> Errno.EIO)
     | Error Zerror.ZNONODE -> classify_missing t parent
     | Error e -> errno_of_zerror e
 
 (* Look up a virtual path's metadata: znode data + stat, decoded. *)
 let lookup t vpath =
   match t.coord.Zk_client.get (zpath t vpath) with
-  | Error Zerror.ZNONODE -> Error (classify_missing t (Fspath.normalize vpath))
+  | Error Zerror.ZNONODE -> Error (classify_missing t vpath)
   | Error e -> Error (errno_of_zerror e)
   | Ok (data, stat) ->
     (match Meta.decode data with
@@ -126,8 +133,7 @@ let charge t = t.delay t.overhead
 (* [parent_dir_of t vpath] — the parent must exist and be a directory,
    mirroring the kernel's path-resolution order. *)
 let parent_dir_of t vpath =
-  let parent = Fspath.parent (Fspath.normalize vpath) in
-  let* meta, _stat = lookup t parent in
+  let* meta, _stat = lookup t (Fspath.parent vpath) in
   match meta.Meta.kind with
   | Meta.Dir -> Ok ()
   | Meta.File _ | Meta.Symlink _ -> Error Errno.ENOTDIR
@@ -160,6 +166,7 @@ let symlink_attr (target : string) (meta : Meta.t) (stat : Zk.Ztree.stat) =
    service alone; files redirect to a physical stat on the back-end. *)
 let getattr t vpath =
   charge t;
+  let* vpath = checked vpath in
   let* meta, stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.Dir -> Ok (dir_attr meta stat)
@@ -171,6 +178,7 @@ let access t vpath = Result.map (fun (_ : Inode.attr) -> ()) (getattr t vpath)
 (* Algorithm of Fig. 5. *)
 let mkdir t vpath ~mode =
   charge t;
+  let* vpath = checked vpath in
   let* () = parent_dir_of t vpath in
   let data = Meta.encode (Meta.dir ~mode ~ctime:(t.clock ())) in
   match t.coord.Zk_client.create (zpath t vpath) ~data with
@@ -182,7 +190,7 @@ let rec rmdir_with_retries t ~attempts vpath =
   match meta.Meta.kind with
   | Meta.File _ | Meta.Symlink _ -> Error Errno.ENOTDIR
   | Meta.Dir ->
-    if Fspath.normalize vpath = "/" then Error Errno.EINVAL
+    if vpath = "/" then Error Errno.EINVAL
     else begin
       (* the version guard makes the emptiness check race-free: the
          delete only succeeds against the exact state the lookup judged,
@@ -198,12 +206,14 @@ let rec rmdir_with_retries t ~attempts vpath =
 
 let rmdir t vpath =
   charge t;
+  let* vpath = checked vpath in
   rmdir_with_retries t ~attempts:8 vpath
 
 (* Create the znode first (atomically claiming the name), then the
    physical file; roll the znode back if the back-end fails. *)
 let create_file t vpath ~mode =
   charge t;
+  let* vpath = checked vpath in
   let* () = parent_dir_of t vpath in
   let fid = Fid.Gen.next t.fid_gen in
   let data = Meta.encode (Meta.file fid ~mode ~ctime:(t.clock ())) in
@@ -238,6 +248,7 @@ let create_file t vpath ~mode =
 
 let unlink t vpath =
   charge t;
+  let* vpath = checked vpath in
   let* meta, _stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.Dir -> Error Errno.EISDIR
@@ -255,10 +266,11 @@ let unlink t vpath =
 
 let readdir t vpath =
   charge t;
+  let* vpath = checked vpath in
   (* bulk fetch first: names and payloads arrive in one coordination
      round trip, so listing an N-entry directory costs 1 visit, not N+1 *)
   match t.coord.Zk_client.children_with_data (zpath t vpath) with
-  | Error Zerror.ZNONODE -> Error (classify_missing t (Fspath.normalize vpath))
+  | Error Zerror.ZNONODE -> Error (classify_missing t vpath)
   | Error e -> Error (errno_of_zerror e)
   | Ok [] ->
     (* an empty listing is ambiguous: files and symlinks are leaf znodes
@@ -271,16 +283,16 @@ let readdir t vpath =
     (* children exist, so the znode is a DUFS directory: files and
        symlinks never have children *)
     let kind_of data =
-      match Meta.decode data with
-      | Ok { Meta.kind = Meta.Dir; _ } -> Inode.Directory
-      | Ok { Meta.kind = Meta.File _; _ } -> Inode.Regular
-      | Ok { Meta.kind = Meta.Symlink _; _ } -> Inode.Symlink
-      | Error _ -> Inode.Regular
+      match Meta.kind_tag data with
+      | Some Meta.Dir_tag -> Inode.Directory
+      | Some Meta.File_tag | None -> Inode.Regular
+      | Some Meta.Symlink_tag -> Inode.Symlink
     in
     Ok (List.map (fun (name, data, _) -> { Vfs.name; kind = kind_of data }) entries)
 
 let symlink t ~target vpath =
   charge t;
+  let* vpath = checked vpath in
   let* () = parent_dir_of t vpath in
   let data = Meta.encode (Meta.symlink ~target ~ctime:(t.clock ())) in
   match t.coord.Zk_client.create (zpath t vpath) ~data with
@@ -289,6 +301,7 @@ let symlink t ~target vpath =
 
 let readlink t vpath =
   charge t;
+  let* vpath = checked vpath in
   let* meta, _stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.Symlink target -> Ok target
@@ -358,7 +371,7 @@ let rec rename_with_retries t ~attempts vsrc vdst =
   let* () = parent_dir_of t vdst in
   let* src_meta, src_stat = lookup t vsrc in
   let src_is_dir = match src_meta.Meta.kind with Meta.Dir -> true | _ -> false in
-  if Fspath.normalize vsrc = Fspath.normalize vdst then Ok ()
+  if vsrc = vdst then Ok ()
   else if src_is_dir && Fspath.is_prefix ~prefix:vsrc vdst then Error Errno.EINVAL
   else begin
     let dst_state =
@@ -400,7 +413,9 @@ let rec rename_with_retries t ~attempts vsrc vdst =
 
 let rename t vsrc vdst =
   charge t;
-  if Fspath.normalize vsrc = "/" then Error Errno.EINVAL
+  let* vsrc = checked vsrc in
+  let* vdst = checked vdst in
+  if vsrc = "/" then Error Errno.EINVAL
   else rename_with_retries t ~attempts:8 vsrc vdst
 
 (* {2 Attribute updates} *)
@@ -419,6 +434,7 @@ let rec set_meta_with_retries t ~attempts vpath update =
 
 let chmod t vpath ~mode =
   charge t;
+  let* vpath = checked vpath in
   let* meta, _stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.File fid -> (backend_for t fid).Vfs.chmod (physical t fid) ~mode
@@ -429,6 +445,7 @@ let chmod t vpath ~mode =
 
 let truncate t vpath ~size =
   charge t;
+  let* vpath = checked vpath in
   let* meta, _stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.Dir -> Error Errno.EISDIR
@@ -438,6 +455,7 @@ let truncate t vpath ~size =
 (* {2 Data path} *)
 
 let with_file t vpath f =
+  let* vpath = checked vpath in
   let* meta, _stat = lookup t vpath in
   match meta.Meta.kind with
   | Meta.Dir -> Error Errno.EISDIR

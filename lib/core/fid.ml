@@ -29,13 +29,34 @@ let to_hex t =
   Bytes.unsafe_to_string b
 
 (* Digits are accumulated in native ints, 32 bits at a time, so parsing
-   allocates nothing but the result. *)
+   allocates nothing but the result. Each byte's digit value comes from
+   one load in a 256-byte table, '\255' for a non-digit. *)
+let hex_values =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - Char.code '0')
+      | 'a' .. 'f' -> Char.chr (i - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Char.chr (i - Char.code 'A' + 10)
+      | _ -> '\255')
+
 let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> -1
+  let v = Char.code (String.unsafe_get hex_values (Char.code c)) in
+  if v = 255 then -1 else v
+
+let value_at s i =
+  Char.code (String.unsafe_get hex_values (Char.code (String.unsafe_get s i)))
+
+(* eight bytes a step while all eight are digits (their values or
+   together stay below 16), then one at a time *)
+let rec hex_run s i =
+  if i + 8 <= String.length s
+     && value_at s i lor value_at s (i + 1) lor value_at s (i + 2) lor value_at s (i + 3)
+        lor value_at s (i + 4) lor value_at s (i + 5) lor value_at s (i + 6)
+        lor value_at s (i + 7)
+        < 16
+  then hex_run s (i + 8)
+  else if i < String.length s && value_at s i < 16 then hex_run s (i + 1)
+  else i
 
 (* the hex digits of [s] from [i] up to [stop] appended to [acc], or -1
    on a non-digit; a closure-free loop, so a call allocates nothing *)
@@ -63,6 +84,9 @@ let of_hex_at s pos =
     else Some { client_id = u64 a b; counter = u64 c d }
 
 let of_hex s = of_hex_at s 0
+
+let is_hex_at s pos =
+  pos >= 0 && String.length s - pos = 32 && hex_run s pos = String.length s
 
 let to_bytes t =
   let bytes = Bytes.create 16 in

@@ -22,10 +22,18 @@ val of_hex : string -> t option
     in place. *)
 val of_hex_at : string -> int -> t option
 
+(** [is_hex_at s pos] is [Option.is_some (of_hex_at s pos)], without
+    building the FID. *)
+val is_hex_at : string -> int -> bool
+
 (** [hex_digits s i stop] — the value of the hex digits [s.[i..stop-1]]
     (either case; none gives 0), or -1 if one is not a hex digit or
     there are more than 15 of them. Allocates nothing. *)
 val hex_digits : string -> int -> int -> int
+
+(** [hex_run s i] — the index of the first byte of [s] at or after [i]
+    that is not a hex digit (either case), or the length of [s]. *)
+val hex_run : string -> int -> int
 
 (** 16 bytes, big-endian — the input to the mapping function. *)
 val to_bytes : t -> string

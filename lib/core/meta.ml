@@ -70,17 +70,18 @@ let encode t =
   Buffer.contents b
 
 (* the index of the first '|' at or after [i], or -1 *)
-let next_bar s i = try String.index_from s i '|' with Not_found -> -1
+let rec next_bar s i =
+  if i >= String.length s then -1
+  else if String.unsafe_get s i = '|' then i
+  else next_bar s (i + 1)
 
-(* whether [s] holds 1 to 21 octal digits from [i] up to [stop]: 21 is
-   the 63 bits [encode] writes for a negative mode *)
-let rec octal_digits s i stop =
-  i = stop
-  || (match String.unsafe_get s i with
-      | '0' .. '7' -> octal_digits s (i + 1) stop
-      | _ -> false)
-
-let is_octal s i stop = stop > i && stop - i <= 21 && octal_digits s i stop
+(* the index of the first byte of [s] at or after [i] that is not an
+   octal digit, or the length of [s] *)
+let rec octal_run s i =
+  if i < String.length s
+     && (match String.unsafe_get s i with '0' .. '7' -> true | _ -> false)
+  then octal_run s (i + 1)
+  else i
 
 (* the value of those digits, wrapping as [int_of_string "0o..."] does *)
 let rec octal s acc i stop =
@@ -91,42 +92,83 @@ let rec octal s acc i stop =
 
 let field_error what s = Error (Printf.sprintf "Meta.decode: bad %s in %S" what s)
 
-(* Parses what [encode] writes, in place: the fields are found by index,
-   the numbers accumulate in native ints (the ctime bits in two 32-bit
-   halves) and nothing is copied out but a symlink target. Hex digits
-   may be of either case; any other shape (underscores or signs in a
-   number, more than 16 ctime digits, no payload field) is an error. *)
-let decode s =
+let versioned s = String.length s >= 3 && s.[0] = 'v' && s.[1] = '1' && s.[2] = '|'
+
+(* The index of the bar that ends the ctime field when everything before
+   the payload is as [encode] writes it, the kind field's contents left
+   to the caller; -1 otherwise. One pass: the mode's run of 1 to 21
+   octal digits (21 is the 63 bits [encode] writes for a negative mode)
+   and the ctime's run of 1 to 16 hex digits must each end at a bar. *)
+let header_end s =
   let n = String.length s in
-  let kind_end =
-    if n >= 3 && s.[0] = 'v' && s.[1] = '1' && s.[2] = '|' then next_bar s 3 else -1
-  in
-  let mode_end = if kind_end < 0 then -1 else next_bar s (kind_end + 1) in
-  let ctime_end = if mode_end < 0 then -1 else next_bar s (mode_end + 1) in
-  if ctime_end < 0 then field_error "layout" s
-  else
-    let mode_ok = is_octal s (kind_end + 1) mode_end in
-    let ctime_start = mode_end + 1 in
-    let lo_start = Int.max ctime_start (ctime_end - 8) in
-    let hi = Fid.hex_digits s ctime_start lo_start
-    and lo = Fid.hex_digits s lo_start ctime_end in
-    if (not mode_ok) || ctime_end = ctime_start || ctime_end - ctime_start > 16
-       || hi < 0 || lo < 0
-    then field_error "numeric field" s
-    else
-      let ctime =
+  let kind_end = if versioned s then next_bar s 3 else -1 in
+  let mode_end = if kind_end < 0 then n else octal_run s (kind_end + 1) in
+  let ctime_end = if mode_end >= n then n else Fid.hex_run s (mode_end + 1) in
+  if ctime_end < n && s.[mode_end] = '|' && s.[ctime_end] = '|'
+     && mode_end - kind_end - 1 >= 1 && mode_end - kind_end - 1 <= 21
+     && ctime_end - mode_end - 1 >= 1 && ctime_end - mode_end - 1 <= 16
+  then ctime_end
+  else -1
+
+(* Why [header_end] refused [s]: fewer than four bars from the version
+   on is a bad layout, anything else a bad number. Hex digits may be of
+   either case; underscores or signs in a number, or more than 16 ctime
+   digits, are bad numbers. *)
+let header_error s =
+  let bar_after i = if i < 0 then -1 else next_bar s (i + 1) in
+  if versioned s && bar_after (bar_after (bar_after 2)) >= 0 then
+    field_error "numeric field" s
+  else field_error "layout" s
+
+(* the kind byte of a one-byte kind field, or '?' *)
+let kind_char s = if s.[3] <> '|' && s.[4] = '|' then s.[3] else '?'
+
+(* [kind] with the mode and ctime of a well-formed header: a one-byte
+   kind field, so the mode starts at byte 5; the ctime bits are read in
+   two 32-bit halves *)
+let with_header kind s ctime_end =
+  let mode_end = next_bar s 5 in
+  let lo_start = Int.max (mode_end + 1) (ctime_end - 8) in
+  let hi = Fid.hex_digits s (mode_end + 1) lo_start
+  and lo = Fid.hex_digits s lo_start ctime_end in
+  Ok
+    { kind;
+      mode = octal s 0 5 mode_end;
+      ctime =
         Int64.float_of_bits
-          (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
-      in
-      let mode = octal s 0 (kind_end + 1) mode_end and payload = ctime_end + 1 in
-      match if kind_end = 4 then s.[3] else '?' with
-      | 'd' -> Ok { kind = Dir; mode; ctime }
-      | 'f' ->
-        (match Fid.of_hex_at s payload with
-         | Some fid -> Ok { kind = File fid; mode; ctime }
-         | None -> field_error "fid" s)
-      | 'l' -> Ok { kind = Symlink (String.sub s payload (n - payload)); mode; ctime }
-      | _ -> field_error "kind" s
+          (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)) }
+
+(* Parses what [encode] writes, in place: the fields are found by index,
+   the numbers accumulate in native ints and nothing is copied out but a
+   symlink target. *)
+let decode s =
+  match header_end s with
+  | -1 -> header_error s
+  | ctime_end ->
+    let payload = ctime_end + 1 in
+    (match kind_char s with
+     | 'd' -> with_header Dir s ctime_end
+     | 'f' ->
+       (match Fid.of_hex_at s payload with
+        | Some fid -> with_header (File fid) s ctime_end
+        | None -> field_error "fid" s)
+     | 'l' ->
+       with_header (Symlink (String.sub s payload (String.length s - payload))) s ctime_end
+     | _ -> field_error "kind" s)
+
+type kind_tag = Dir_tag | File_tag | Symlink_tag
+
+(* [decode]'s checks without its values: no FID, boxed ctime, record or
+   symlink target is built *)
+let kind_tag s =
+  let ctime_end = header_end s in
+  if ctime_end < 0 then None
+  else
+    match kind_char s with
+    | 'd' -> Some Dir_tag
+    | 'f' -> if Fid.is_hex_at s (ctime_end + 1) then Some File_tag else None
+    | 'l' -> Some Symlink_tag
+    | _ -> None
 
 let pp fmt t =
   match t.kind with

@@ -26,4 +26,12 @@ val encode : t -> string
 (** [decode s] — [Error] on malformed payloads (never raises). *)
 val decode : string -> (t, string) result
 
+(** The kind a payload decodes to, without its FID or target. *)
+type kind_tag = Dir_tag | File_tag | Symlink_tag
+
+(** [kind_tag s] is the tag of [decode s]'s kind, and [None] exactly
+    when [decode s] is an [Error]. It checks [s] in place and allocates
+    nothing: listings classify their entries with it. *)
+val kind_tag : string -> kind_tag option
+
 val pp : Format.formatter -> t -> unit

@@ -7,20 +7,27 @@
 val max_component : int
 (** Longest accepted component (NAME_MAX equivalent, 255). *)
 
-(** [validate p] is [Ok ()] for a well-formed absolute path. *)
+(** [validate p] is [Ok ()] for a well-formed absolute path: [EINVAL]
+    for a relative or empty path or a ["."]/[".."] component,
+    [ENAMETOOLONG] whenever a component is longer than {!max_component}.
+    Doubled and trailing separators are accepted. *)
 val validate : string -> (unit, Errno.t) result
 
 (** [normalize p] collapses duplicate separators and removes any trailing
-    separator (["/"] stays ["/"]). *)
+    separator (["/"] stays ["/"]). An already normal [p] is returned
+    itself, not a copy. *)
 val normalize : string -> string
 
-(** [split p] is the component list of a normalized path; [split "/"] = []. *)
+(** [split p] is the component list of a normalized path; [split "/"] =
+    [split ""] = []. *)
 val split : string -> string list
 
 (** [join comps] rebuilds an absolute path; [join []] = ["/"]. *)
 val join : string list -> string
 
-(** [parent p] and [basename p]; [parent "/"] = ["/"], [basename "/"] = "". *)
+(** [parent p] and [basename p]; [parent "/"] = [parent ""] = ["/"],
+    [basename "/"] = [basename ""] = "". On a relative path they read
+    its first byte as the root separator. *)
 val parent : string -> string
 
 val basename : string -> string

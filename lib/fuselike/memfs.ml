@@ -47,33 +47,50 @@ let fresh_ino t =
 
 let ( let* ) = Result.bind
 
-(* Resolve a normalized path to its node. Intermediate components must be
-   directories; symlinks are not followed (DUFS resolves them itself, as the
-   paper's prototype does through FUSE). *)
+(* Walk the components of [path] in [i, stop) from [node], by index:
+   doubled and trailing separators are skipped and nothing is split or
+   copied but each component's name for its lookup. Intermediate
+   components must be directories; symlinks are not followed (DUFS
+   resolves them itself, as the paper's prototype does through FUSE). *)
+let rec comp_end path j stop =
+  if j = stop || String.unsafe_get path j = '/' then j else comp_end path (j + 1) stop
+
+let rec walk node path i stop =
+  if i >= stop then Ok node
+  else if String.unsafe_get path i = '/' then walk node path (i + 1) stop
+  else
+    match node.payload with
+    | File _ | Link _ -> Error Errno.ENOTDIR
+    | Dir children ->
+      let j = comp_end path i stop in
+      (match Hashtbl.find_opt children (String.sub path i (j - i)) with
+       | Some child -> walk child path j stop
+       | None -> Error Errno.ENOENT)
+
+(* Resolve a valid path to its node. *)
 let resolve t path =
-  let rec walk node = function
-    | [] -> Ok node
-    | comp :: rest ->
-      (match node.payload with
-       | Dir children ->
-         (match Hashtbl.find_opt children comp with
-          | Some child -> walk child rest
-          | None -> Error Errno.ENOENT)
-       | File _ | Link _ -> Error Errno.ENOTDIR)
-  in
-  let* () = Fspath.validate path in
-  walk t.root (Fspath.split path)
+  match Fspath.validate path with
+  | Ok () -> walk t.root path 0 (String.length path)
+  | Error err -> Error err
+
+(* [e] less [path]'s trailing separators *)
+let rec trim_end path e = if e > 0 && path.[e - 1] = '/' then trim_end path (e - 1) else e
 
 (* Resolve the parent directory of [path] and return its children table
-   together with the final component. *)
+   together with the final component; a path with no final component
+   (["/"], ["//"]) is EINVAL. *)
 let resolve_parent t path =
-  let* () = Fspath.validate path in
-  if path = "/" then Error Errno.EINVAL
-  else
-    let* parent = resolve t (Fspath.parent path) in
-    match parent.payload with
-    | Dir children -> Ok (parent, children, Fspath.basename path)
-    | File _ | Link _ -> Error Errno.ENOTDIR
+  let e = trim_end path (String.length path) in
+  match Fspath.validate path with
+  | Error err -> Error err
+  | Ok () when e = 0 -> Error Errno.EINVAL
+  | Ok () ->
+    let s = String.rindex_from path (e - 1) '/' + 1 in
+    (match walk t.root path 0 s with
+     | Ok ({ payload = Dir children; _ } as parent) ->
+       Ok (parent, children, String.sub path s (e - s))
+     | Ok _ -> Error Errno.ENOTDIR
+     | Error err -> Error err)
 
 let kind_of_node node =
   match node.payload with
@@ -102,6 +119,10 @@ let attr_of_node node =
 let getattr t path =
   let* node = resolve t path in
   Ok (attr_of_node node)
+
+let lookup_parent t path =
+  let* parent, _children, name = resolve_parent t path in
+  Ok (parent.ino, name)
 
 let access t path =
   let* _node = resolve t path in

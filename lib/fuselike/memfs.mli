@@ -15,6 +15,12 @@ val create : clock:(unit -> float) -> unit -> t
 
 val ops : t -> Vfs.ops
 
+(** [lookup_parent t p] is the inode number of [p]'s parent directory and
+    [p]'s final component, resolved as every creating or removing op
+    resolves them: [EINVAL] for an invalid path or one with no final
+    component, [ENOENT] or [ENOTDIR] from the walk. *)
+val lookup_parent : t -> string -> (int64 * string, Errno.t) result
+
 (** Approximate resident bytes: per-node overhead plus file contents.
     Used by the Fig. 11 memory experiment. *)
 val resident_bytes : t -> int

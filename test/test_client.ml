@@ -520,6 +520,34 @@ let prop_oracle_equivalence =
           else true)
         ops_list)
 
+(* {2 Paths that are not absolute}
+
+   A relative or empty path is EINVAL on every op, as on every other
+   VFS, and never names a znode: the znode of ["x"] used to be the
+   namespace root's sibling ["/dufsx"], and [""] raised. *)
+
+let test_relative_paths_einval () =
+  let _, fs, service, _ = make () in
+  let session = Zk.Zk_local.session service in
+  let top () = Result.get_ok (session.Zk.Zk_client.children "/") in
+  let before = top () in
+  List.iter
+    (fun p ->
+      let label op = Printf.sprintf "%s %S" op p in
+      expect_err (label "mkdir") Errno.EINVAL (fs.Vfs.mkdir p ~mode:0o755);
+      expect_err (label "create") Errno.EINVAL (fs.Vfs.create p ~mode:0o644);
+      expect_err (label "unlink") Errno.EINVAL (fs.Vfs.unlink p);
+      expect_err (label "rmdir") Errno.EINVAL (fs.Vfs.rmdir p);
+      expect_err (label "getattr") Errno.EINVAL (fs.Vfs.getattr p);
+      expect_err (label "readdir") Errno.EINVAL (fs.Vfs.readdir p);
+      expect_err (label "symlink") Errno.EINVAL (fs.Vfs.symlink ~target:"/t" p);
+      expect_err (label "rename from") Errno.EINVAL (fs.Vfs.rename p "/y");
+      expect_err (label "rename to") Errno.EINVAL (fs.Vfs.rename "/" p))
+    [ ""; "x"; "x/y" ];
+  Alcotest.(check (list string)) "no znode beside the namespace root" before (top ());
+  Alcotest.(check (list string)) "namespace root still empty" []
+    (Result.get_ok (session.Zk.Zk_client.children "/dufs"))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dufs-client"
@@ -569,4 +597,5 @@ let () =
           Alcotest.test_case "statfs aggregates" `Quick test_statfs_aggregates_backends;
           Alcotest.test_case "client memory bounded" `Quick test_resident_bytes_bounded;
           Alcotest.test_case "mount validation" `Quick test_mount_validation ] );
-      ("oracle", [ qc prop_oracle_equivalence ]) ]
+      ("oracle", [ qc prop_oracle_equivalence ]);
+      ("invalid", [ Alcotest.test_case "relative paths" `Quick test_relative_paths_einval ]) ]

@@ -365,11 +365,14 @@ let test_meta_roundtrip_symlink_with_separator () =
   | Ok _ -> Alcotest.fail "wrong kind"
   | Error e -> Alcotest.fail e
 
+let garbage_metas =
+  [ ""; "v0|d|755|0|"; "v1|z|755|0|"; "v1|d|xyz|0|"; "v1|f|644|0|nothex"; "random" ]
+
 let test_meta_decode_rejects_garbage () =
   List.iter
     (fun s ->
       check_bool (Printf.sprintf "rejects %S" s) true (Result.is_error (Meta.decode s)))
-    [ ""; "v0|d|755|0|"; "v1|z|755|0|"; "v1|d|xyz|0|"; "v1|f|644|0|nothex"; "random" ]
+    garbage_metas
 
 let prop_meta_roundtrip =
   QCheck2.Test.make ~name:"meta encode/decode roundtrip" ~count:300
@@ -520,8 +523,33 @@ let prop_meta_decode_damaged =
   QCheck2.Test.make ~name:"decode agrees with reference on mutated and truncated metadata"
     ~count:3000 ~print:(Printf.sprintf "%S") gen_damaged_meta agrees_with_reference
 
+let pinned_fid_hex = "0123456789ABCDEF0123456789abcdef"
+
+let pinned_metas =
+  let fid_hex = pinned_fid_hex in
+  [ ("v1|f|644|0|" ^ fid_hex, `Reference);
+    ("v1|f|644|0|" ^ String.uppercase_ascii fid_hex, `Reference);
+    ("v1|d|755|3FF0000000000000|", `Reference);
+    ("v1|d|755|0|extra|field", `Reference);
+    ("v1|f|644|0|" ^ fid_hex ^ "|extra", `Reference);
+    ("v1|l|777|0|target|with|pipes|", `Reference);
+    ("v1|d|755|12345678901234567|", `Reference);
+    ("v1|d||0|", `Reference);
+    ("v1|D|755|0|", `Reference);
+    ("v1|dd|755|0|", `Reference);
+    ("v1|d|0o755|0|", `Reference);
+    ("v1|d|755|0x0|", `Reference);
+    ("v1|d|-1|0|", `Reference);
+    ("v1|d|77777777777777777777|ffffffffffffffff|", `Reference);
+    ("v1|d|777777777777777777777|0|", `Reference);
+    ("v1|d|1777777777777777777777|0|", `Reference);
+    (* narrowed: the reference accepts these, [encode] never writes them *)
+    ("v1|d|7_55|0|", `Refused "numeric field");
+    ("v1|d|755|00000000000000000|", `Refused "numeric field");
+    ("v1|d|755|0", `Refused "layout");
+    ("v1|d|755|", `Refused "layout") ]
+
 let test_meta_decode_pinned_edges () =
-  let fid_hex = "0123456789ABCDEF0123456789abcdef" in
   let expect (s, want) =
     let got = Meta.decode s in
     match want, got with
@@ -536,28 +564,7 @@ let test_meta_decode_pinned_edges () =
     | `Refused what, _ ->
       Alcotest.failf "decode %S: got %s, want bad %s" s (show_decoding got) what
   in
-  List.iter expect
-    [ ("v1|f|644|0|" ^ fid_hex, `Reference);
-      ("v1|f|644|0|" ^ String.uppercase_ascii fid_hex, `Reference);
-      ("v1|d|755|3FF0000000000000|", `Reference);
-      ("v1|d|755|0|extra|field", `Reference);
-      ("v1|f|644|0|" ^ fid_hex ^ "|extra", `Reference);
-      ("v1|l|777|0|target|with|pipes|", `Reference);
-      ("v1|d|755|12345678901234567|", `Reference);
-      ("v1|d||0|", `Reference);
-      ("v1|D|755|0|", `Reference);
-      ("v1|dd|755|0|", `Reference);
-      ("v1|d|0o755|0|", `Reference);
-      ("v1|d|755|0x0|", `Reference);
-      ("v1|d|-1|0|", `Reference);
-      ("v1|d|77777777777777777777|ffffffffffffffff|", `Reference);
-      ("v1|d|777777777777777777777|0|", `Reference);
-      ("v1|d|1777777777777777777777|0|", `Reference);
-      (* narrowed: the reference accepts these, [encode] never writes them *)
-      ("v1|d|7_55|0|", `Refused "numeric field");
-      ("v1|d|755|00000000000000000|", `Refused "numeric field");
-      ("v1|d|755|0", `Refused "layout");
-      ("v1|d|755|", `Refused "layout") ]
+  List.iter expect pinned_metas
 
 let test_meta_decode_allocates_little () =
   (* the in-place parse allocates the result (Ok, record, boxed ctime,
@@ -705,6 +712,71 @@ let prop_physical_path_matches_printf =
       && String.equal (Physical.dir layout fid)
            (Filename.dirname (reference_physical_path layout fid)))
 
+(* {2 Listings classify without decoding}
+
+   [Meta.kind_tag] must name the kind [decode] returns and refuse exactly
+   what [decode] refuses. *)
+
+let tag_agrees s =
+  match Meta.kind_tag s, Meta.decode s with
+  | Some Meta.Dir_tag, Ok { Meta.kind = Meta.Dir; _ }
+  | Some Meta.File_tag, Ok { Meta.kind = Meta.File _; _ }
+  | Some Meta.Symlink_tag, Ok { Meta.kind = Meta.Symlink _; _ }
+  | None, Error _ -> true
+  | (Some _ | None), _ -> false
+
+let test_kind_tag_corpus () =
+  let fid = Fid.make ~client_id:0x0123456789abcdefL ~counter:(-2L) in
+  let encoded =
+    List.map Meta.encode
+      [ Meta.dir ~mode:0o751 ~ctime:1234.5;
+        Meta.file fid ~mode:0o640 ~ctime:0.125;
+        Meta.symlink ~target:"/weird|name|with|pipes" ~ctime:9. ]
+  in
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "agrees on %S" s) true (tag_agrees s))
+    (encoded @ garbage_metas @ List.map fst pinned_metas)
+
+let test_kind_tag_allocates_nothing () =
+  let s =
+    Meta.encode
+      (Meta.file (Fid.make ~client_id:7L ~counter:9L) ~mode:0o644 ~ctime:1.7e9)
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Meta.kind_tag s))
+  done;
+  check_bool "no words per call" true (Gc.minor_words () -. before < 100.)
+
+(* byte flips, truncations, an inserted '|' and hex digits changing
+   case, one to three at a time *)
+let gen_mutated_meta =
+  QCheck2.Gen.(
+    let mutate s =
+      let n = String.length s in
+      if n = 0 then return s
+      else
+        oneof
+          [ map2 (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+              (int_range 0 (n - 1)) char;
+            map (fun len -> String.sub s 0 len) (int_range 0 n);
+            map (fun i -> String.sub s 0 i ^ "|" ^ String.sub s i (n - i)) (int_range 0 n);
+            map (fun i ->
+                String.mapi
+                  (fun j c ->
+                    if j < i then c
+                    else if Char.lowercase_ascii c <> c then Char.lowercase_ascii c
+                    else Char.uppercase_ascii c)
+                  s)
+              (int_range 0 n) ]
+    in
+    let rec times k s = if k = 0 then return s else mutate s >>= times (k - 1) in
+    map Meta.encode gen_encoded_meta >>= fun s -> int_range 0 3 >>= fun k -> times k s)
+
+let prop_kind_tag_agrees_with_decode =
+  QCheck2.Test.make ~name:"kind_tag = decode on mutations" ~count:5000
+    ~print:(Printf.sprintf "%S") gen_mutated_meta tag_agrees
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dufs-core"
@@ -773,4 +845,8 @@ let () =
           qc prop_meta_decode_damaged;
           qc prop_fid_of_hex_matches_reference ] );
       ( "encoders",
-        [ qc prop_meta_encode_matches_printf; qc prop_physical_path_matches_printf ] ) ]
+        [ qc prop_meta_encode_matches_printf; qc prop_physical_path_matches_printf ] );
+      ( "meta-kind-tag",
+        [ Alcotest.test_case "agrees on the corpus" `Quick test_kind_tag_corpus;
+          Alcotest.test_case "allocates nothing" `Quick test_kind_tag_allocates_nothing;
+          qc prop_kind_tag_agrees_with_decode ] ) ]

@@ -373,6 +373,210 @@ let prop_memfs_counters_consistent =
       let stats = fs.Vfs.statfs () in
       stats.Vfs.files = files && stats.Vfs.directories = dirs)
 
+(* {2 Fspath against the list-based reference}
+
+   [Ref] is the path algebra as first written: every function normalizes
+   through a buffer and splits into a component list. The single-pass
+   functions must answer exactly as it does, exceptions included, on
+   every input but [""], where the reference raised and the new
+   functions are total. *)
+
+module Ref = struct
+  let normalize p =
+    if p = "" then ""
+    else begin
+      let buf = Buffer.create (String.length p) in
+      let last_slash = ref false in
+      String.iter
+        (fun c ->
+          if c = '/' then begin
+            if not !last_slash then Buffer.add_char buf c;
+            last_slash := true
+          end else begin
+            Buffer.add_char buf c;
+            last_slash := false
+          end)
+        p;
+      let s = Buffer.contents buf in
+      if String.length s > 1 && s.[String.length s - 1] = '/' then
+        String.sub s 0 (String.length s - 1)
+      else s
+    end
+
+  let split p =
+    match normalize p with
+    | "/" -> []
+    | p -> String.split_on_char '/' (String.sub p 1 (String.length p - 1))
+
+  let validate p =
+    if p = "" || p.[0] <> '/' then Error Errno.EINVAL
+    else
+      let ok_component c =
+        c <> "" && c <> "." && c <> ".." && String.length c <= Fspath.max_component
+      in
+      if p = "/" then Ok ()
+      else if List.for_all ok_component (split p) then Ok ()
+      else if List.exists (fun c -> String.length c > Fspath.max_component) (split p)
+      then Error Errno.ENAMETOOLONG
+      else Error Errno.EINVAL
+
+  let parent p =
+    match split p with
+    | [] -> "/"
+    | comps ->
+      let rec drop_last = function
+        | [] | [ _ ] -> []
+        | c :: rest -> c :: drop_last rest
+      in
+      Fspath.join (drop_last comps)
+
+  let basename p =
+    match List.rev (split p) with
+    | [] -> ""
+    | last :: _ -> last
+end
+
+(* strings over '/', 'a', '.' and 'x', with now and then a run of 254 to
+   257 bytes, so components straddle [max_component] *)
+let gen_messy_path =
+  QCheck2.Gen.(
+    let short = string_size ~gen:(oneofl [ '/'; 'a'; '.'; 'x' ]) (int_range 0 10) in
+    let long =
+      map2 (fun c n -> String.make n c) (oneofl [ 'a'; 'x'; '.' ]) (int_range 254 257)
+    in
+    map (String.concat "")
+      (list_size (int_range 0 5) (frequency [ (8, short); (1, long) ])))
+
+let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let test_fspath_empty_is_total () =
+  check_string "normalize" "" (Fspath.normalize "");
+  Alcotest.(check (list string)) "split" [] (Fspath.split "");
+  check_string "parent" "/" (Fspath.parent "");
+  check_string "basename" "" (Fspath.basename "");
+  check_int "depth" 0 (Fspath.depth "");
+  expect_err "validate" Errno.EINVAL (Fspath.validate "");
+  check_bool "the reference raised" true (Result.is_error (outcome Ref.split ""))
+
+let prop_fspath_matches_reference =
+  QCheck2.Test.make ~name:"Fspath = list-based reference" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_messy_path (fun p ->
+      p = ""
+      || (let same f g = outcome f p = outcome g p in
+          same Fspath.normalize Ref.normalize
+          && same Fspath.split Ref.split
+          && same Fspath.parent Ref.parent
+          && same Fspath.basename Ref.basename
+          && same Fspath.validate Ref.validate
+          (* a normal path comes back itself *)
+          && (Ref.normalize p <> p || Fspath.normalize p == p)))
+
+(* {2 Memfs walks against a reference walk}
+
+   A random tree is built from random mkdirs and creates, with the
+   reference deciding which succeed. Random paths, messy ones included,
+   are then resolved by [getattr] (the node) and [lookup_parent] (the
+   parent and the final component) and compared with a walk of the
+   reference's component lists. *)
+
+type tree_op = Mk_dir of string list | Mk_file of string list
+
+let gen_tree =
+  QCheck2.Gen.(
+    let comps = list_size (int_range 1 3) (oneofl [ "a"; "b"; "ab" ]) in
+    list_size (int_range 0 20)
+      (oneof [ map (fun c -> Mk_dir c) comps; map (fun c -> Mk_file c) comps ]))
+
+let gen_walked_path =
+  QCheck2.Gen.(
+    oneof
+      [ string_size ~gen:(oneofl [ '/'; 'a'; 'b'; '.' ]) (int_range 0 9);
+        map (fun p -> p ^ "/") (string_size ~gen:(oneofl [ '/'; 'a'; 'b' ]) (int_range 1 8));
+        map (fun n -> "/a/" ^ String.make n 'b') (int_range 254 257) ])
+
+let prop_memfs_walks_match_reference =
+  QCheck2.Test.make ~name:"walks = reference walk" ~count:300
+    ~print:(fun (tree, paths) ->
+      Printf.sprintf "tree [%s] paths [%s]"
+        (String.concat "; "
+           (List.map
+              (function
+                | Mk_dir c -> "dir /" ^ String.concat "/" c
+                | Mk_file c -> "file /" ^ String.concat "/" c)
+              tree))
+        (String.concat "; " (List.map (Printf.sprintf "%S") paths)))
+    QCheck2.Gen.(pair gen_tree (list_size (int_range 1 20) gen_walked_path))
+    (fun (tree, paths) ->
+      let memfs = Memfs.create ~clock:(fun () -> 0.) () in
+      let fs = Memfs.ops memfs in
+      (* component list -> (is a directory, inode number) *)
+      let nodes = Hashtbl.create 16 in
+      Hashtbl.replace nodes [] (true, 1L);
+      let rec parent_of = function
+        | [] | [ _ ] -> []
+        | c :: rest -> c :: parent_of rest
+      in
+      let built =
+        List.for_all
+          (fun op ->
+            let comps, is_dir =
+              match op with Mk_dir c -> (c, true) | Mk_file c -> (c, false)
+            in
+            let path = Fspath.join comps in
+            let fresh =
+              (match Hashtbl.find_opt nodes (parent_of comps) with
+               | Some (true, _) -> true
+               | Some (false, _) | None -> false)
+              && not (Hashtbl.mem nodes comps)
+            in
+            let result =
+              if is_dir then fs.Vfs.mkdir path ~mode:0o755
+              else fs.Vfs.create path ~mode:0o644
+            in
+            if fresh then
+              Hashtbl.replace nodes comps
+                (is_dir, (Result.get_ok (fs.Vfs.getattr path)).Inode.ino);
+            Result.is_ok result = fresh)
+          tree
+      in
+      (* walk [comps] from the root: every component but the last must be
+         a directory *)
+      let walk comps =
+        let rec go prefix = function
+          | [] -> Ok (Hashtbl.find nodes (List.rev prefix))
+          | c :: rest ->
+            (match Hashtbl.find nodes (List.rev prefix) with
+             | false, _ -> Error Errno.ENOTDIR
+             | true, _ ->
+               if Hashtbl.mem nodes (List.rev (c :: prefix)) then go (c :: prefix) rest
+               else Error Errno.ENOENT)
+        in
+        go [] comps
+      in
+      let expect_node p =
+        match Ref.validate p with
+        | Error e -> Error e
+        | Ok () -> Result.map snd (walk (Ref.split p))
+      in
+      let expect_parent p =
+        match Ref.validate p with
+        | Error e -> Error e
+        | Ok () ->
+          (match List.rev (Ref.split p) with
+           | [] -> Error Errno.EINVAL
+           | name :: rev_parent ->
+             (match walk (List.rev rev_parent) with
+              | Ok (true, ino) -> Ok (ino, name)
+              | Ok (false, _) -> Error Errno.ENOTDIR
+              | Error e -> Error e))
+      in
+      built
+      && List.for_all
+           (fun p ->
+             Result.map (fun a -> a.Inode.ino) (fs.Vfs.getattr p) = expect_node p
+             && Memfs.lookup_parent memfs p = expect_parent p)
+           paths)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "fuselike"
@@ -418,4 +622,8 @@ let () =
           Alcotest.test_case "not_supported" `Quick test_not_supported ] );
       ( "passthrough",
         [ Alcotest.test_case "forwards" `Quick test_passthrough_forwards;
-          Alcotest.test_case "memory flat" `Quick test_passthrough_memory_flat ] ) ]
+          Alcotest.test_case "memory flat" `Quick test_passthrough_memory_flat ] );
+      ( "fspath-oracle",
+        [ Alcotest.test_case "empty path is total" `Quick test_fspath_empty_is_total;
+          qc prop_fspath_matches_reference ] );
+      ("memfs-walk", [ qc prop_memfs_walks_match_reference ]) ]

@@ -311,6 +311,35 @@ let test_mdserver_threads_add_capacity () =
     true
     (four < one /. 2.)
 
+(* {2 Paths that are not absolute}
+
+   The simulators compute a parent lock key before the namespace
+   validates the path; an empty path used to raise there. *)
+
+let expect_einval label = function
+  | Error Errno.EINVAL -> ()
+  | Ok _ -> Alcotest.failf "%s: expected EINVAL, got Ok" label
+  | Error e -> Alcotest.failf "%s: expected EINVAL, got %s" label (Errno.to_string e)
+
+let check_relative_paths ops =
+  List.iter
+    (fun p ->
+      let label op = Printf.sprintf "%s %S" op p in
+      expect_einval (label "mkdir") (ops.Vfs.mkdir p ~mode:0o755);
+      expect_einval (label "create") (ops.Vfs.create p ~mode:0o644);
+      expect_einval (label "unlink") (ops.Vfs.unlink p);
+      expect_einval (label "rmdir") (ops.Vfs.rmdir p);
+      expect_einval (label "getattr") (ops.Vfs.getattr p))
+    [ ""; "x" ]
+
+let test_lustre_relative_paths () =
+  in_sim (fun engine ->
+      check_relative_paths (Lustre.client (Lustre.create engine ()) ~client_id:0))
+
+let test_pvfs_relative_paths () =
+  in_sim (fun engine ->
+      check_relative_paths (Pvfs.client (Pvfs.create engine ()) ~client_id:0))
+
 let () =
   Alcotest.run "pfs"
     [ ( "lustre",
@@ -344,4 +373,7 @@ let () =
         [ Alcotest.test_case "thrash inflates service" `Quick
             test_mdserver_thrash_inflates_service;
           Alcotest.test_case "threads add capacity" `Quick
-            test_mdserver_threads_add_capacity ] ) ]
+            test_mdserver_threads_add_capacity ] );
+      ( "invalid",
+        [ Alcotest.test_case "lustre relative paths" `Quick test_lustre_relative_paths;
+          Alcotest.test_case "pvfs relative paths" `Quick test_pvfs_relative_paths ] ) ]

@@ -487,11 +487,12 @@ let test_cache_queue_stays_bounded () =
     | Ok ("v", _) -> ()
     | _ -> Alcotest.fail "hot entry misread"
   done;
-  (* each of the two stores compacts before exceeding 2x capacity *)
+  (* each of the two stores holds at most its capacity *)
   check_bool
     (Printf.sprintf "queue length %d bounded" (Cache.queue_length cache))
     true
     (Cache.queue_length cache <= 2 * 8 * 2);
+  check_int "queue length = size" (Cache.size cache) (Cache.queue_length cache);
   check_int "still a single miss" 1 (Cache.misses cache);
   check_bool "hits recorded" true (Cache.hits cache >= 999)
 
@@ -558,6 +559,187 @@ let test_client_rejects_bad_ring () =
                   Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ())))
            ~strategy:(Mapping.Consistent ring) ()))
 
+(* {2 Cache against an exact-LRU model}
+
+   The cache wraps a local session whose revocation channel the test
+   holds, so revocations arrive only when a step sends one. The model
+   keeps each store as an association list, oldest first, with the value
+   its fill read from the server, and predicts every hit, miss,
+   invalidation and eviction. The clock stands still, so no lease
+   expires. *)
+
+module Lru = struct
+  type 'a t = { capacity : int; mutable order : (string * 'a) list }
+
+  let create capacity = { capacity; order = [] }
+  let find m p = List.assoc_opt p m.order
+  let keys m = List.map fst m.order
+
+  let remove m p =
+    let present = List.mem_assoc p m.order in
+    m.order <- List.remove_assoc p m.order;
+    present
+
+  let put m p v =
+    ignore (remove m p);
+    m.order <- m.order @ [ (p, v) ];
+    if List.length m.order > m.capacity then m.order <- List.tl m.order
+
+  let touch m p = Option.iter (put m p) (find m p)
+end
+
+type cache_step =
+  | Get of string
+  | Children of string
+  | Bulk of string
+  | Own_create of string
+  | Own_set of string
+  | Own_delete of string
+  | Remote_create of string
+  | Remote_delete of string
+  | Revoke of Zk.Ztree.event_kind * string
+
+let lru_paths = [ "/t"; "/t/a"; "/t/b"; "/t/a/x"; "/t/a/y"; "/t/b/x"; "/t/c" ]
+
+let show_cache_step = function
+  | Get p -> "get " ^ p
+  | Children p -> "children " ^ p
+  | Bulk p -> "bulk " ^ p
+  | Own_create p -> "own-create " ^ p
+  | Own_set p -> "own-set " ^ p
+  | Own_delete p -> "own-delete " ^ p
+  | Remote_create p -> "remote-create " ^ p
+  | Remote_delete p -> "remote-delete " ^ p
+  | Revoke (kind, p) ->
+    (match kind with
+     | Zk.Ztree.Node_created -> "revoke-created "
+     | Zk.Ztree.Node_deleted -> "revoke-deleted "
+     | Zk.Ztree.Node_data_changed -> "revoke-data "
+     | Zk.Ztree.Node_children_changed -> "revoke-children ")
+    ^ p
+
+let gen_cache_step =
+  QCheck2.Gen.(
+    let path = oneofl ("/" :: lru_paths) in
+    let kind =
+      oneofl
+        [ Zk.Ztree.Node_created; Zk.Ztree.Node_deleted; Zk.Ztree.Node_data_changed;
+          Zk.Ztree.Node_children_changed ]
+    in
+    frequency
+      [ (6, map (fun p -> Get p) path);
+        (3, map (fun p -> Children p) path);
+        (3, map (fun p -> Bulk p) path);
+        (1, map (fun p -> Own_create p) path);
+        (1, map (fun p -> Own_set p) path);
+        (1, map (fun p -> Own_delete p) path);
+        (1, map (fun p -> Remote_create p) path);
+        (1, map (fun p -> Remote_delete p) path);
+        (2, map2 (fun k p -> Revoke (k, p)) kind path) ])
+
+let prop_cache_matches_lru_model =
+  QCheck2.Test.make ~name:"cache = exact-LRU model, step by step" ~count:300
+    ~print:(fun (capacity, steps) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat "; " (List.map show_cache_step steps)))
+    QCheck2.Gen.(pair (int_range 3 8) (list_size (int_range 1 60) gen_cache_step))
+    (fun (capacity, steps) ->
+      let service = Zk.Zk_local.create () in
+      let server = Zk.Zk_local.session service in
+      List.iter
+        (fun p -> ignore (server.Zk.Zk_client.create p ~data:""))
+        [ "/t"; "/t/a"; "/t/b"; "/t/a/x" ];
+      let revoke = ref (fun (_ : Zk.Ztree.watch_event) -> ()) in
+      let session = Zk.Zk_local.session service in
+      let cache =
+        Cache.wrap ~capacity ~now:(fun () -> 0.)
+          { session with Zk.Zk_client.set_invalidation = (fun cb -> revoke := cb) }
+      in
+      let h = Cache.handle cache in
+      let data = Lru.create capacity and kids = Lru.create capacity in
+      let hits = ref 0 and misses = ref 0 and invalidations = ref 0 in
+      let drop store p = if Lru.remove store p then incr invalidations in
+      let mutation p =
+        drop data p;
+        drop kids p;
+        drop kids (Zk.Zpath.parent p)
+      in
+      let step = function
+        | Get p ->
+          (match Lru.find data p with
+           | Some _ -> incr hits; Lru.touch data p
+           | None ->
+             incr misses;
+             Lru.put data p (Result.is_ok (server.Zk.Zk_client.get p)));
+          ignore (h.Zk.Zk_client.get p)
+        | Children p ->
+          (match Lru.find kids p with
+           | Some _ -> incr hits; Lru.touch kids p
+           | None ->
+             incr misses;
+             Result.iter (Lru.put kids p) (server.Zk.Zk_client.children p));
+          ignore (h.Zk.Zk_client.children p)
+        | Bulk p ->
+          let live names =
+            List.for_all
+              (fun name -> Lru.find data (Zk.Zpath.concat p name) = Some true)
+              names
+          in
+          (match Lru.find kids p with
+           | Some names when live names ->
+             incr hits;
+             Lru.touch kids p;
+             List.iter (fun name -> Lru.touch data (Zk.Zpath.concat p name)) names
+           | Some _ | None ->
+             incr misses;
+             Result.iter
+               (fun entries ->
+                 Lru.put kids p (List.map (fun (name, _, _) -> name) entries);
+                 List.iter
+                   (fun (name, _, _) -> Lru.put data (Zk.Zpath.concat p name) true)
+                   entries)
+               (server.Zk.Zk_client.children_with_data p));
+          ignore (h.Zk.Zk_client.children_with_data p)
+        | Own_create p ->
+          if Result.is_ok (h.Zk.Zk_client.create p ~data:"") then mutation p
+        | Own_set p ->
+          drop data p;
+          ignore (h.Zk.Zk_client.set p ~data:"v")
+        | Own_delete p ->
+          mutation p;
+          ignore (h.Zk.Zk_client.delete p)
+        | Remote_create p -> ignore (server.Zk.Zk_client.create p ~data:"")
+        | Remote_delete p -> ignore (server.Zk.Zk_client.delete p)
+        | Revoke (kind, p) ->
+          (match kind with
+           | Zk.Ztree.Node_data_changed -> drop data p
+           | Zk.Ztree.Node_created | Zk.Ztree.Node_deleted -> mutation p
+           | Zk.Ztree.Node_children_changed -> drop kids p);
+          !revoke { Zk.Ztree.kind; path = p }
+      in
+      List.for_all
+        (fun s ->
+          step s;
+          let got_data, got_kids = Cache.lru_order cache in
+          let agree =
+            Cache.hits cache = !hits
+            && Cache.misses cache = !misses
+            && Cache.invalidations cache = !invalidations
+            && Cache.size cache = List.length data.order + List.length kids.order
+            && Cache.queue_length cache = Cache.size cache
+            && got_data = Lru.keys data && got_kids = Lru.keys kids
+          in
+          if not agree then
+            QCheck2.Test.fail_reportf
+              "after %s: hits %d/%d misses %d/%d invalidations %d/%d data [%s]/[%s] \
+               listings [%s]/[%s]"
+              (show_cache_step s) (Cache.hits cache) !hits (Cache.misses cache) !misses
+              (Cache.invalidations cache) !invalidations
+              (String.concat " " got_data) (String.concat " " (Lru.keys data))
+              (String.concat " " got_kids) (String.concat " " (Lru.keys kids));
+          agree)
+        steps)
+
 let () =
   Alcotest.run "dufs-tools"
     [ ( "namespace",
@@ -594,4 +776,5 @@ let () =
       ( "strategy",
         [ Alcotest.test_case "consistent placement" `Quick
             test_client_consistent_strategy_placement;
-          Alcotest.test_case "rejects bad ring" `Quick test_client_rejects_bad_ring ] ) ]
+          Alcotest.test_case "rejects bad ring" `Quick test_client_rejects_bad_ring ] );
+      ("cache-lru", [ QCheck_alcotest.to_alcotest prop_cache_matches_lru_model ]) ]
