@@ -138,9 +138,6 @@ let () =
   print_endline "(shapes and ratios are the reproduction target; see EXPERIMENTS.md)";
   hr ();
   Scenarios.Figures.all ();
-  (* re-emits the group-commit comparison as BENCH_pr1.json; the mdtest
-     runs are memoized, so this only pays for the JSON *)
-  Scenarios.Figures.batching ~json_path:"BENCH_pr1.json" ();
   run_microbenches ();
   hr ();
   print_endline "bench complete."

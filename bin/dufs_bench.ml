@@ -11,13 +11,19 @@ let experiments =
     ("headline", "§V-D headline ratios at 256 procs", Scenarios.Figures.headline);
     ("fig11", "memory usage vs directories created",
      fun () -> Scenarios.Figures.fig11 ());
-    ("ablation-mapping", "MD5-mod-N vs consistent hashing",
+    ("ablation-mapping", "MD5-mod-N vs consistent hashing; gated: mod-N \
+                          relocates ~N/(N+1) of FIDs on grow, the ring \
+                          ~1/(N+1), both balanced",
      Scenarios.Figures.ablation_mapping);
-    ("ablation-cmd", "DUFS vs hypothetical Lustre Clustered MDS",
+    ("ablation-cmd", "DUFS vs hypothetical Lustre Clustered MDS; gated: more \
+                      MDSes speed dir-stat and slow dir-create, DUFS beats \
+                      both CMD variants",
      Scenarios.Figures.ablation_cmd);
-    ("ablation-unique", "shared vs unique working directories (mdtest -u)",
+    ("ablation-unique", "shared vs unique working directories (mdtest -u); \
+                         gated: Lustre gains >= 10%, DUFS within 2%",
      Scenarios.Figures.ablation_unique);
-    ("ablation-async", "synchronous vs pipelined coordination API",
+    ("ablation-async", "synchronous vs pipelined coordination API; gated: \
+                        window 16 >= 2.5x window 1 at 1 client, flat at 8",
      Scenarios.Figures.ablation_async);
     ("ablation-cache", "client-side metadata cache with lease invalidation; \
                         gated: DUFS+cache within 2% of DUFS on mdtest, hot \
@@ -27,14 +33,13 @@ let experiments =
                               files per proc (CI)",
      fun () ->
        Scenarios.Figures.ablation_cache ~procs:64 ~items:12 ~hot_procs:[ 64 ] ());
-    ("ablation-giga", "GIGA+ directory indexing vs DUFS vs Lustre",
+    ("ablation-giga", "GIGA+ directory indexing vs DUFS vs Lustre; gated: \
+                       GIGA+ >= 10x both, partly unavailable after a crash",
      Scenarios.Figures.ablation_giga);
-    ("ablation-observers", "non-voting observers: reads scale, writes unaffected",
+    ("ablation-observers", "non-voting observers: reads scale, writes \
+                            unaffected; gated: 3 voters + 4 observers keep \
+                            95% of 7 voters' gets and 3 voters' creates",
      Scenarios.Figures.ablation_observers);
-    ("ablation-faults", "ensemble fault injection timeline",
-     Scenarios.Figures.ablation_faults);
-    ("batching", "ZAB group commit: batched vs unbatched mdtest (writes BENCH_pr1.json)",
-     fun () -> Scenarios.Figures.batching ~json_path:"BENCH_pr1.json" ());
     ("faults", "mdtest under fault schedules: fault-free vs faulted (writes BENCH_pr2.json)",
      fun () -> Scenarios.Figures.faults ~json_path:"BENCH_pr2.json" ());
     ("faults-smoke", "faults at 32 procs, 30 dirs and 30 files per proc (CI; \

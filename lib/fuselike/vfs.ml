@@ -44,6 +44,25 @@ let not_supported =
     statfs =
       (fun () -> { files = 0; directories = 0; symlinks = 0; bytes_used = 0L }) }
 
+let absolute_only ops =
+  let ok p = p <> "" && p.[0] = '/' in
+  let einval = Error Errno.EINVAL in
+  { getattr = (fun p -> if ok p then ops.getattr p else einval);
+    access = (fun p -> if ok p then ops.access p else einval);
+    mkdir = (fun p ~mode -> if ok p then ops.mkdir p ~mode else einval);
+    rmdir = (fun p -> if ok p then ops.rmdir p else einval);
+    create = (fun p ~mode -> if ok p then ops.create p ~mode else einval);
+    unlink = (fun p -> if ok p then ops.unlink p else einval);
+    rename = (fun src dst -> if ok src && ok dst then ops.rename src dst else einval);
+    readdir = (fun p -> if ok p then ops.readdir p else einval);
+    symlink = (fun ~target p -> if ok p then ops.symlink ~target p else einval);
+    readlink = (fun p -> if ok p then ops.readlink p else einval);
+    chmod = (fun p ~mode -> if ok p then ops.chmod p ~mode else einval);
+    truncate = (fun p ~size -> if ok p then ops.truncate p ~size else einval);
+    read = (fun p ~off ~len -> if ok p then ops.read p ~off ~len else einval);
+    write = (fun p ~off data -> if ok p then ops.write p ~off data else einval);
+    statfs = ops.statfs }
+
 let compare_dirent a b = String.compare a.name b.name
 
 let exists ops p = Result.is_ok (ops.getattr p)

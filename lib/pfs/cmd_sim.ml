@@ -86,7 +86,7 @@ let update t ~parent_key ~object_key ~service f =
           ~service:t.cfg.remote_update_service f)
   end
 
-let client t ~client_id:_ =
+let raw_client t ~client_id:_ =
   let cfg = t.cfg in
   let fs = t.fs_ops in
   let parent = Fspath.parent in
@@ -144,3 +144,5 @@ let client t ~client_id:_ =
         Process.sleep (2. *. cfg.net_latency);
         fs.Vfs.write path ~off payload);
     statfs = fs.Vfs.statfs }
+
+let client t ~client_id = Vfs.absolute_only (raw_client t ~client_id)

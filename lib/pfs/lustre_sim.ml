@@ -103,7 +103,7 @@ let data t ~bytes f =
   Process.sleep t.cfg.net_latency;
   result
 
-let client t ~client_id =
+let raw_client t ~client_id =
   let cfg = t.cfg in
   let fs = t.fs_ops in
   { Vfs.getattr =
@@ -158,3 +158,5 @@ let client t ~client_id =
       (fun path ~off payload ->
         data t ~bytes:(String.length payload) (fun () -> fs.Vfs.write path ~off payload));
     statfs = fs.Vfs.statfs }
+
+let client t ~client_id = Vfs.absolute_only (raw_client t ~client_id)

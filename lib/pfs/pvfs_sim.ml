@@ -90,7 +90,7 @@ let data t ~bytes f =
   Process.sleep t.cfg.net_latency;
   result
 
-let client t ~client_id:_ =
+let raw_client t ~client_id:_ =
   let cfg = t.cfg in
   let fs = t.fs_ops in
   { Vfs.getattr =
@@ -146,3 +146,5 @@ let client t ~client_id:_ =
       (fun path ~off payload ->
         data t ~bytes:(String.length payload) (fun () -> fs.Vfs.write path ~off payload));
     statfs = fs.Vfs.statfs }
+
+let client t ~client_id = Vfs.absolute_only (raw_client t ~client_id)

@@ -126,8 +126,6 @@ let mixes ~events =
     ("mailbox", 2048, mailbox_mix ~workers:2048 ~events);
     ("net", 512, net_mix ~flows:512 ~events) ]
 
-let mix_names = [ "timer"; "mailbox"; "net" ]
-
 (* Allocation per event, measured over one whole run. Gc.minor_words is
    a process-global accumulator; single-threaded, so the delta is ours. *)
 let minor_words_of run executed =

@@ -34,9 +34,6 @@ type result = {
   deterministic : bool;      (** a second run replayed the same digest *)
 }
 
-(** Mix names in execution order. *)
-val mix_names : string list
-
 (** Run every mix at [events] target events (default 1_000_000) with a
     [quota_s]-second bechamel quota per mix (default 2.0). *)
 val run_data : ?events:int -> ?quota_s:float -> unit -> result list

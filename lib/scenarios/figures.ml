@@ -5,6 +5,8 @@ module Process = Simkit.Process
 
 let default_procs = [ 16; 64; 128; 256 ]
 let bar_procs = [ 64; 128; 256 ]
+let zk_ok = function Ok _ -> () | Error e -> failwith (Zk.Zerror.to_string e)
+let errno_ok = function Ok () -> () | Error e -> failwith (Fuselike.Errno.to_string e)
 
 (* {2 Fig. 7} *)
 
@@ -195,14 +197,10 @@ let headline () =
 let fig11_data ?(millions = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]) () =
   let zk = Zk.Zk_local.create () in
   let session = Zk.Zk_local.session zk in
-  (match session.Zk.Zk_client.create "/m" ~data:"" with
-   | Ok _ -> ()
-   | Error e -> failwith (Zk.Zerror.to_string e));
+  zk_ok (session.Zk.Zk_client.create "/m" ~data:"");
   let backend = Fuselike.Memfs.create ~clock:(fun () -> 0.) () in
   let backend_ops = Fuselike.Memfs.ops backend in
-  (match Dufs.Physical.format Dufs.Physical.default_layout backend_ops with
-   | Ok () -> ()
-   | Error e -> failwith (Fuselike.Errno.to_string e));
+  errno_ok (Dufs.Physical.format Dufs.Physical.default_layout backend_ops);
   let dufs =
     Dufs.Client.mount ~coord:(Zk.Zk_local.session zk) ~backends:[| backend_ops |] ()
   in
@@ -214,13 +212,8 @@ let fig11_data ?(millions = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]) () =
     (fun m ->
       let target = int_of_float (m *. 1e6) in
       while !created < target do
-        (match
-           session.Zk.Zk_client.create
-             (Printf.sprintf "/m/d%08d" !created)
-             ~data:dir_meta
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Zk.Zerror.to_string e));
+        zk_ok
+          (session.Zk.Zk_client.create (Printf.sprintf "/m/d%08d" !created) ~data:dir_meta);
         incr created
       done;
       ( m,
@@ -240,7 +233,43 @@ let fig11 ?millions () =
     rows;
   flush stdout
 
+(* {2 Extension ablations}: each runs, prints, then gates on a pure
+   [*_check] of the claim its printed footnote makes. *)
+
+(* An ensemble with one session per process and the znode [root]. *)
+let sessions_with_root engine config ~procs root =
+  let ensemble = Zk.Ensemble.start engine config in
+  let sessions = Array.init procs (fun _ -> Zk.Ensemble.session ensemble ()) in
+  Process.spawn engine (fun () -> zk_ok (sessions.(0).Zk.Zk_client.create root ~data:""));
+  Engine.run engine;
+  sessions
+
+let dufs_8zk = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
+
 (* {2 Ablation: mapping strategies} *)
+
+type mapping_row =
+  { n : int; mod_imbalance : float; mod_moved : float;
+    ring_imbalance : float; ring_moved : float }
+
+(* Growing N -> N+1 back-ends, MD5 mod N moves nearly the N/(N+1) of
+   FIDs a fresh hash would, the ring about the 1/(N+1) share the new
+   node takes; both keep the load even. *)
+let ablation_mapping_check rows =
+  List.concat_map
+    (fun r ->
+      let n = float_of_int r.n in
+      List.concat
+        [ Report.expect (r.mod_moved >= 0.95 *. n /. (n +. 1.))
+            "N=%d: MD5 mod N relocated %.1f%% of FIDs, expected >= %.1f%%" r.n
+            (100. *. r.mod_moved) (95. *. n /. (n +. 1.));
+          Report.expect (r.ring_moved <= 1.5 /. (n +. 1.) && r.ring_moved < r.mod_moved)
+            "N=%d: consistent hashing relocated %.1f%% of FIDs, expected <= %.1f%% \
+             and less than MD5 mod N" r.n (100. *. r.ring_moved) (150. /. (n +. 1.));
+          Report.expect (r.mod_imbalance <= 1.3 && r.ring_imbalance <= 1.3)
+            "N=%d: imbalance %.3f (MD5 mod N) / %.3f (consistent hashing), \
+             expected <= 1.3" r.n r.mod_imbalance r.ring_imbalance ])
+    rows
 
 let ablation_mapping () =
   Report.print_header
@@ -252,112 +281,153 @@ let ablation_mapping () =
         List.init 25_000 (fun _ -> Dufs.Fid.Gen.next gen))
       (List.init 8 Fun.id)
   in
-  Printf.printf "%-28s %12s %12s %18s\n" "strategy" "N" "imbalance"
-    "relocated N->N+1";
-  List.iter
-    (fun n ->
-      let md5_imbalance =
-        Dufs.Mapping.imbalance (Dufs.Mapping.md5_mod ~backends:n) ~backends:n fids
-      in
-      let md5_moved =
+  let keys = List.map Dufs.Fid.to_bytes fids in
+  let rows =
+    List.map
+      (fun n ->
         let before = Dufs.Mapping.md5_mod ~backends:n in
         let after = Dufs.Mapping.md5_mod ~backends:(n + 1) in
         let moved = List.filter (fun fid -> before fid <> after fid) fids in
-        float_of_int (List.length moved) /. float_of_int (List.length fids)
-      in
-      let ring = Zk.Consistent_hash.create (List.init n Fun.id) in
-      let ring' = Zk.Consistent_hash.add_node ring n in
-      let ch_imbalance =
-        Dufs.Mapping.imbalance
-          (fun fid -> Zk.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
-          ~backends:n fids
-      in
-      let ch_moved =
-        Zk.Consistent_hash.relocated ~before:ring ~after:ring'
-          (List.map Dufs.Fid.to_bytes fids)
-      in
-      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "MD5 mod N (paper)" n md5_imbalance
-        (100. *. md5_moved);
-      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "consistent hashing (§VII)" n
-        ch_imbalance (100. *. ch_moved))
-    [ 2; 4; 8 ];
-  flush stdout
+        let ring = Zk.Consistent_hash.create (List.init n Fun.id) in
+        { n;
+          mod_imbalance = Dufs.Mapping.imbalance before ~backends:n fids;
+          mod_moved = float_of_int (List.length moved) /. float_of_int (List.length fids);
+          ring_imbalance =
+            Dufs.Mapping.imbalance
+              (fun fid -> Zk.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
+              ~backends:n fids;
+          ring_moved =
+            Zk.Consistent_hash.relocated ~before:ring
+              ~after:(Zk.Consistent_hash.add_node ring n) keys })
+      [ 2; 4; 8 ]
+  in
+  Printf.printf "%-28s %12s %12s %18s\n" "strategy" "N" "imbalance"
+    "relocated N->N+1";
+  List.iter
+    (fun r ->
+      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "MD5 mod N (paper)" r.n
+        r.mod_imbalance (100. *. r.mod_moved);
+      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "consistent hashing (§VII)" r.n
+        r.ring_imbalance (100. *. r.ring_moved))
+    rows;
+  flush stdout;
+  Report.gate ~experiment:"ablation-mapping" (ablation_mapping_check rows)
 
 (* {2 Ablation: DUFS vs hypothetical Lustre Clustered MDS (§VI)} *)
+
+type cmd_row = { procs : int; lustre : float; cmd2 : float; cmd4 : float; dufs : float }
+
+(* More metadata servers shard lookups, so dir-stat rises with the MDS
+   count; more mutations cross servers onto the global lock, so
+   dir-create falls with it. DUFS beats both CMD variants on both. *)
+let ablation_cmd_check data =
+  List.concat_map
+    (fun (phase, rows) ->
+      List.concat_map
+        (fun r ->
+          let at = Printf.sprintf "%s at %d procs" (phase_series_label phase) r.procs in
+          let ordered rel sign =
+            Report.expect (rel r.cmd4 r.cmd2 && rel r.cmd2 r.lustre)
+              "%s: CMD 4 %.0f, CMD 2 %.0f, Basic Lustre %.0f ops/s, expected CMD 4 \
+               %s CMD 2 %s Basic Lustre" at r.cmd4 r.cmd2 r.lustre sign sign
+          in
+          (match phase with
+           | Runner.Dir_stat -> ordered ( > ) ">"
+           | _ -> ordered ( < ) "<")
+          @ Report.expect (r.dufs > Float.max r.cmd2 r.cmd4)
+              "%s: DUFS %.0f ops/s does not beat CMD 2 (%.0f) and CMD 4 (%.0f)" at
+              r.dufs r.cmd2 r.cmd4)
+        rows)
+    data
 
 let ablation_cmd () =
   Report.print_header
     "Ablation — DUFS vs Lustre Clustered MDS (CMD): global-lock cost of \
      cross-server updates";
-  let systems =
-    [ Systems.Basic_lustre;
-      Systems.Lustre_cmd 2;
-      Systems.Lustre_cmd 4;
-      Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } ]
+  let row phase procs =
+    let rate system = Runner.rate (Systems.mdtest system ~procs ()) phase in
+    { procs; lustre = rate Systems.Basic_lustre; cmd2 = rate (Systems.Lustre_cmd 2);
+      cmd4 = rate (Systems.Lustre_cmd 4); dufs = rate dufs_8zk }
+  in
+  let data =
+    List.map (fun phase -> (phase, List.map (row phase) bar_procs))
+      [ Runner.Dir_create; Runner.Dir_stat ]
   in
   List.iter
-    (fun phase ->
-      let series =
-        List.map
-          (fun system ->
-            { Report.label = Systems.system_label system;
-              points =
-                List.map
-                  (fun procs ->
-                    (procs, Runner.rate (Systems.mdtest system ~procs ()) phase))
-                  bar_procs })
-          systems
+    (fun (phase, rows) ->
+      let series system rate =
+        { Report.label = Systems.system_label system;
+          points = List.map (fun r -> (r.procs, rate r)) rows }
       in
       Report.print_figure
-        ~title:
-          (Printf.sprintf "ablation-cmd — %s" (phase_series_label phase))
-        ~x_label:"procs" series)
-    [ Runner.Dir_create; Runner.Dir_stat ];
+        ~title:(Printf.sprintf "ablation-cmd — %s" (phase_series_label phase))
+        ~x_label:"procs"
+        [ series Systems.Basic_lustre (fun r -> r.lustre);
+          series (Systems.Lustre_cmd 2) (fun r -> r.cmd2);
+          series (Systems.Lustre_cmd 4) (fun r -> r.cmd4);
+          series dufs_8zk (fun r -> r.dufs) ])
+    data;
   print_endline
     "  (CMD shards lookups nicely, but ~1/2 of 2-MDS mutations and ~3/4 of\n\
     \   4-MDS mutations cross servers and serialize on the global lock —\n\
     \   the consistency cost §VI predicts; DUFS replaces that lock with\n\
     \   ZooKeeper's totally-ordered broadcast)";
-  flush stdout
+  flush stdout;
+  Report.gate ~experiment:"ablation-cmd" (ablation_cmd_check data)
 
 (* {2 Ablation: shared vs unique working directories (mdtest -u)} *)
+
+type unique_ablation = {
+  lustre_rows : (Runner.phase * float * float) list;
+  dufs_rows : (Runner.phase * float * float) list;
+}
+
+(* Private directories end Lustre's DLM lock ping-pong, so -u gains it
+   at least 10%; znode creates take no directory lock, so DUFS moves by
+   at most 2%. *)
+let ablation_unique_check r =
+  let ratios system ok claim =
+    List.concat_map (fun (phase, shared, unique) ->
+        Report.expect (ok (unique /. shared)) "%s %s: unique/shared %.3f, expected %s"
+          system (phase_series_label phase) (unique /. shared) claim)
+  in
+  ratios "Basic Lustre" (fun x -> x >= 1.10) ">= 1.10" r.lustre_rows
+  @ ratios "DUFS" (fun x -> Float.abs (x -. 1.) <= 0.02) "within 2% of 1" r.dufs_rows
 
 let ablation_unique () =
   Report.print_header
     "Ablation — shared leaf dirs vs unique per-process dirs (mdtest -u), 256 procs";
   Printf.printf "%-22s %-10s %14s %14s\n" "system" "mode" "dir-create/s" "file-create/s";
-  List.iter
-    (fun (system, label) ->
-      List.iter
-        (fun unique ->
-          let r = Systems.mdtest ~unique system ~procs:256 () in
-          Printf.printf "%-22s %-10s %14.0f %14.0f\n" label
-            (if unique then "unique" else "shared")
-            (Runner.rate r Runner.Dir_create)
-            (Runner.rate r Runner.File_create))
-        [ false; true ])
-    [ (Systems.Basic_lustre, "Basic Lustre");
-      ( Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre },
-        "DUFS 2xLustre/8zk" ) ];
+  let rows system label =
+    let shared = Systems.mdtest system ~procs:256 () in
+    let unique = Systems.mdtest ~unique:true system ~procs:256 () in
+    List.iter
+      (fun (mode, r) ->
+        Printf.printf "%-22s %-10s %14.0f %14.0f\n" label mode
+          (Runner.rate r Runner.Dir_create) (Runner.rate r Runner.File_create))
+      [ ("shared", shared); ("unique", unique) ];
+    List.map
+      (fun phase -> (phase, Runner.rate shared phase, Runner.rate unique phase))
+      [ Runner.Dir_create; Runner.File_create ]
+  in
+  let lustre_rows = rows Systems.Basic_lustre "Basic Lustre" in
+  let dufs_rows = rows dufs_8zk "DUFS 2xLustre/8zk" in
   print_endline
     "  (Lustre gains from -u because private directories end the DLM lock\n\
     \   ping-pong; DUFS is indifferent — znode creates take no directory lock)";
-  flush stdout
+  flush stdout;
+  Report.gate ~experiment:"ablation-unique"
+    (ablation_unique_check { lustre_rows; dufs_rows })
 
 (* {2 Ablation: observers — read capacity without quorum cost} *)
 
 let observer_rates ~servers ~observers ~procs =
   let engine = Engine.create () in
-  let ensemble =
-    Zk.Ensemble.start engine
+  let sessions =
+    sessions_with_root engine
       { (Systems.zk_config ~servers ~procs ()) with Zk.Ensemble.observers }
+      ~procs "/obs"
   in
-  let sessions = Array.init procs (fun _ -> Zk.Ensemble.session ensemble ()) in
-  Process.spawn engine (fun () ->
-      match sessions.(0).Zk.Zk_client.create "/obs" ~data:"" with
-      | Ok _ -> ()
-      | Error e -> failwith (Zk.Zerror.to_string e));
-  Engine.run engine;
   let writes =
     Mdtest.Runner.closed_loop engine ~procs ~items:60 (fun ~proc ~item ->
         ignore
@@ -371,116 +441,149 @@ let observer_rates ~servers ~observers ~procs =
   in
   (writes, reads)
 
+(* Observers serve reads but never vote: 3 voters + 4 observers keep 95%
+   of 7 voters' gets/s and of 3 voters' creates/s, while 7 voters pay a
+   larger quorum on every create. *)
+let ablation_observers_check rows =
+  let creates_3, _ = List.assoc (3, 0) rows in
+  let creates_7, gets_7 = List.assoc (7, 0) rows in
+  let creates_obs, gets_obs = List.assoc (3, 4) rows in
+  List.concat
+    [ Report.expect (gets_obs >= 0.95 *. gets_7)
+        "3 voters + 4 observers: %.0f gets/s, below 95%% of 7 voters' %.0f"
+        gets_obs gets_7;
+      Report.expect (creates_obs >= 0.95 *. creates_3)
+        "3 voters + 4 observers: %.0f creates/s, below 95%% of 3 voters' %.0f"
+        creates_obs creates_3;
+      Report.expect (creates_7 < creates_3)
+        "7 voters: %.0f creates/s, not below 3 voters' %.0f" creates_7 creates_3 ]
+
 let ablation_observers () =
   Report.print_header
     "Ablation — non-voting observers: read capacity without quorum cost (256 procs)";
+  let rows =
+    List.map
+      (fun (servers, observers) ->
+        ((servers, observers), observer_rates ~servers ~observers ~procs:256))
+      [ (3, 0); (7, 0); (3, 4) ]
+  in
   Printf.printf "%-28s %14s %14s\n" "ensemble" "creates/s" "gets/s";
   List.iter
-    (fun (label, servers, observers) ->
-      let writes, reads = observer_rates ~servers ~observers ~procs:256 in
-      Printf.printf "%-28s %14.0f %14.0f\n" label writes reads)
-    [ ("3 voters", 3, 0); ("7 voters", 7, 0); ("3 voters + 4 observers", 3, 4) ];
+    (fun ((voters, observers), (writes, reads)) ->
+      Printf.printf "%-28s %14.0f %14.0f\n"
+        (if observers = 0 then Printf.sprintf "%d voters" voters
+         else Printf.sprintf "%d voters + %d observers" voters observers)
+        writes reads)
+    rows;
   print_endline
     "  (observers apply commits and serve reads but never vote: they buy\n\
     \   close to 7-server read capacity at close to 3-server write cost)";
-  flush stdout
+  flush stdout;
+  Report.gate ~experiment:"ablation-observers" (ablation_observers_check rows)
 
 (* {2 Ablation: GIGA+-style directory indexing (§VI)} *)
+
+(* A GIGA+ directory over [servers] holding [files] entries, filled
+   untimed by one client. *)
+let giga_filled engine ~servers ~split_threshold ~files prefix =
+  let t =
+    Gigaplus.Giga.create engine
+      ~config:{ (Gigaplus.Giga.default_config ~servers) with split_threshold } ()
+  in
+  Process.spawn engine (fun () ->
+      let c = Gigaplus.Giga.client t in
+      for i = 0 to files - 1 do
+        ignore (Gigaplus.Giga.create_file c (Printf.sprintf "%s%05d" prefix i))
+      done);
+  Engine.run engine;
+  t
 
 (* All clients hammer ONE directory. Lustre serializes on its MDS + the
    directory's DLM lock; DUFS on the coordination service's write path;
    GIGA+ splits the directory over servers with no shared state. *)
 let giga_single_dir_rate ~procs variant =
   let engine = Engine.create () in
-  let items = 100 in
-  match variant with
-  | `Lustre ->
-    let fs = Pfs.Lustre_sim.create engine () in
-    Process.spawn engine (fun () ->
-        match (Pfs.Lustre_sim.client fs ~client_id:0).Fuselike.Vfs.mkdir "/huge"
-                ~mode:0o755
-        with
-        | Ok () -> ()
-        | Error e -> failwith (Fuselike.Errno.to_string e));
-    Engine.run engine;
-    Mdtest.Runner.closed_loop engine ~procs ~items (fun ~proc ~item ->
-        ignore
-          ((Pfs.Lustre_sim.client fs ~client_id:proc).Fuselike.Vfs.create
-             (Printf.sprintf "/huge/f%d_%d" proc item)
-             ~mode:0o644))
-  | `Dufs ->
-    let ensemble = Zk.Ensemble.start engine (Systems.zk_config ~servers:8 ~procs ()) in
-    let sessions = Array.init procs (fun _ -> Zk.Ensemble.session ensemble ()) in
-    Process.spawn engine (fun () ->
-        match sessions.(0).Zk.Zk_client.create "/huge" ~data:"" with
-        | Ok _ -> ()
-        | Error e -> failwith (Zk.Zerror.to_string e));
-    Engine.run engine;
-    Mdtest.Runner.closed_loop engine ~procs ~items (fun ~proc ~item ->
-        ignore
-          (sessions.(proc).Zk.Zk_client.create
-             (Printf.sprintf "/huge/f%d_%d" proc item)
-             ~data:""))
-  | `Giga servers ->
-    let t =
-      Gigaplus.Giga.create engine
-        ~config:
-          { (Gigaplus.Giga.default_config ~servers) with
-            Gigaplus.Giga.split_threshold = 400 }
-        ()
-    in
-    (* warm past the early single-partition phase, untimed *)
-    Process.spawn engine (fun () ->
-        let c = Gigaplus.Giga.client t in
-        for i = 0 to 7999 do
-          ignore (Gigaplus.Giga.create_file c (Printf.sprintf "warm%05d" i))
-        done);
-    Engine.run engine;
-    let clients = Array.init procs (fun _ -> Gigaplus.Giga.client t) in
-    Mdtest.Runner.closed_loop engine ~procs ~items (fun ~proc ~item ->
-        ignore
-          (Gigaplus.Giga.create_file clients.(proc) (Printf.sprintf "f%d_%d" proc item)))
+  let create =
+    match variant with
+    | `Lustre ->
+      let fs = Pfs.Lustre_sim.create engine () in
+      let clients = Array.init procs (fun id -> Pfs.Lustre_sim.client fs ~client_id:id) in
+      Process.spawn engine (fun () ->
+          errno_ok (clients.(0).Fuselike.Vfs.mkdir "/huge" ~mode:0o755));
+      Engine.run engine;
+      fun proc name ->
+        ignore (clients.(proc).Fuselike.Vfs.create ("/huge/" ^ name) ~mode:0o644)
+    | `Dufs ->
+      let config = Systems.zk_config ~servers:8 ~procs () in
+      let sessions = sessions_with_root engine config ~procs "/huge" in
+      fun proc name ->
+        ignore (sessions.(proc).Zk.Zk_client.create ("/huge/" ^ name) ~data:"")
+    | `Giga servers ->
+      (* warm past the early single-partition phase, untimed *)
+      let t = giga_filled engine ~servers ~split_threshold:400 ~files:8000 "warm" in
+      let clients = Array.init procs (fun _ -> Gigaplus.Giga.client t) in
+      fun proc name -> ignore (Gigaplus.Giga.create_file clients.(proc) name)
+  in
+  Mdtest.Runner.closed_loop engine ~procs ~items:100 (fun ~proc ~item ->
+      create proc (Printf.sprintf "f%d_%d" proc item))
+
+type giga_ablation = {
+  creates : ([ `Lustre | `Dufs | `Giga of int ] * (int * float) list) list;
+  available : float;
+}
+
+(* GIGA+ has no shared state, so 8 servers insert at least as fast as 4,
+   and 4 at least 10x faster than DUFS or Lustre; but its partitions are
+   unreplicated, so one crash leaves part, not all or none, of the
+   directory reachable. *)
+let ablation_giga_check r =
+  let rate variant procs = List.assoc procs (List.assoc variant r.creates) in
+  List.concat_map
+    (fun (procs, _) ->
+      let giga4 = rate (`Giga 4) procs and giga8 = rate (`Giga 8) procs in
+      let best = Float.max (rate `Lustre procs) (rate `Dufs procs) in
+      Report.expect (giga8 >= giga4 && giga4 >= 10. *. best)
+        "%d procs: GIGA+ 8 servers %.0f, 4 servers %.0f creates/s, expected 8 >= 4 \
+         >= 10x the better of DUFS and Lustre (%.0f)" procs giga8 giga4 best)
+    (List.assoc `Lustre r.creates)
+  @ Report.expect (r.available > 0. && r.available < 1.)
+      "availability after losing 1 of 8 GIGA+ servers is %.1f%%, expected \
+       strictly between 0 and 100%%" (100. *. r.available)
 
 let ablation_giga () =
   Report.print_header
     "Ablation — creates in ONE huge directory: GIGA+ indexing vs DUFS vs Lustre";
-  let variants =
-    [ ("Basic Lustre (DLM lock)", `Lustre);
-      ("DUFS 8zk", `Dufs);
-      ("GIGA+ 4 servers", `Giga 4);
-      ("GIGA+ 8 servers", `Giga 8) ]
+  let creates =
+    List.map
+      (fun v -> (v, List.map (fun p -> (p, giga_single_dir_rate ~procs:p v)) [ 64; 256 ]))
+      [ `Lustre; `Dufs; `Giga 4; `Giga 8 ]
   in
+  (* the price §VI points out: unreplicated partitions *)
+  let t =
+    giga_filled (Engine.create ()) ~servers:8 ~split_threshold:200 ~files:10_000 "e"
+  in
+  Gigaplus.Giga.crash_server t 0;
+  let available = Gigaplus.Giga.available_fraction t in
   Printf.printf "%-26s %14s %14s   [creates/s]\n" "system" "64 procs" "256 procs";
   List.iter
-    (fun (label, variant) ->
-      let r64 = giga_single_dir_rate ~procs:64 variant in
-      let r256 = giga_single_dir_rate ~procs:256 variant in
-      Printf.printf "%-26s %14.0f %14.0f\n" label r64 r256)
-    variants;
-  (* the price §VI points out: unreplicated partitions *)
-  let engine = Engine.create () in
-  let t =
-    Gigaplus.Giga.create engine
-      ~config:
-        { (Gigaplus.Giga.default_config ~servers:8) with
-          Gigaplus.Giga.split_threshold = 200 }
-      ()
-  in
-  Process.spawn engine (fun () ->
-      let c = Gigaplus.Giga.client t in
-      for i = 0 to 9999 do
-        ignore (Gigaplus.Giga.create_file c (Printf.sprintf "e%05d" i))
-      done);
-  Engine.run engine;
-  Gigaplus.Giga.crash_server t 0;
+    (fun (variant, points) ->
+      Printf.printf "%-26s"
+        (match variant with
+         | `Lustre -> "Basic Lustre (DLM lock)"
+         | `Dufs -> "DUFS 8zk"
+         | `Giga servers -> Printf.sprintf "GIGA+ %d servers" servers);
+      List.iter (fun (_, rate) -> Printf.printf " %14.0f" rate) points;
+      print_newline ())
+    creates;
   Printf.printf
     "availability after losing 1 of 8 GIGA+ servers: %.1f%% of the directory\n"
-    (100. *. Gigaplus.Giga.available_fraction t);
+    (100. *. available);
   print_endline
     "  (GIGA+ out-scales both on pure insert rate — no shared state — but a\n\
     \   single server loss makes part of the namespace unreachable; DUFS keeps\n\
     \   100% availability while a quorum of coordination servers survives)";
-  flush stdout
+  flush stdout;
+  Report.gate ~experiment:"ablation-giga" (ablation_giga_check { creates; available })
 
 (* {2 Ablation: client-side metadata cache} *)
 
@@ -492,9 +595,7 @@ let cache_stat_rate ~procs ~cached =
   Process.spawn engine (fun () ->
       let s = Zk.Ensemble.session ensemble () in
       for i = 0 to 9 do
-        match s.Zk.Zk_client.create (Printf.sprintf "/hot%d" i) ~data:"" with
-        | Ok _ -> ()
-        | Error e -> failwith (Zk.Zerror.to_string e)
+        zk_ok (s.Zk.Zk_client.create (Printf.sprintf "/hot%d" i) ~data:"")
       done);
   Engine.run engine;
   let sessions =
@@ -612,153 +713,48 @@ let pipelined_create_rate ~servers ~clients ~per_client ~window =
   Engine.run engine;
   float_of_int (clients * per_client) /. !finish_time
 
+(* One synchronous client leaves the write pipeline idle: a window of 16
+   recovers at least 2.5x of it, and a window of 4 loses nothing. Eight
+   clients saturate the pipeline, so the window moves nothing (2%). *)
+let ablation_async_check rows =
+  let rate clients window = List.assoc (clients, window) rows in
+  let saturated = List.map (rate 8) [ 1; 4; 16 ] in
+  let lo = List.fold_left Float.min infinity saturated in
+  let hi = List.fold_left Float.max 0. saturated in
+  List.concat
+    [ Report.expect (rate 1 16 >= 2.5 *. rate 1 1)
+        "1 client: window 16 gives %.2fx window 1's creates/s, expected >= 2.5x"
+        (rate 1 16 /. rate 1 1);
+      Report.expect (rate 1 4 >= rate 1 1)
+        "1 client: window 4 gives %.0f creates/s, below window 1's %.0f" (rate 1 4) (rate 1 1);
+      Report.expect (hi <= 1.02 *. lo)
+        "8 clients: windows 1/4/16 give %.0f to %.0f creates/s, expected within 2%%"
+        lo hi ]
+
 let ablation_async () =
   Report.print_header
     "Ablation — synchronous API (paper §IV-D) vs pipelined async API, creates";
+  let rows =
+    List.concat_map
+      (fun clients ->
+        List.map
+          (fun window ->
+            ( (clients, window),
+              pipelined_create_rate ~servers:8 ~clients ~per_client:200 ~window ))
+          [ 1; 4; 16 ])
+      [ 1; 2; 8 ]
+  in
   Printf.printf "%-34s %10s %14s\n" "configuration" "window" "creates/s";
   List.iter
-    (fun (clients, servers) ->
-      List.iter
-        (fun window ->
-          let rate =
-            pipelined_create_rate ~servers ~clients ~per_client:200 ~window
-          in
-          Printf.printf "%2d clients / %d zk servers %10d %14.0f\n" clients servers
-            window rate)
-        [ 1; 4; 16 ])
-    [ (1, 8); (2, 8); (8, 8) ];
+    (fun ((clients, window), rate) ->
+      Printf.printf "%2d clients / 8 zk servers %10d %14.0f\n" clients window rate)
+    rows;
   print_endline
     "  (few synchronous clients cannot saturate the write pipeline —\n\
     \   async windows recover the throughput that §V needed 64+ processes\n\
     \   to reach)";
-  flush stdout
-
-(* {2 Ablation: ensemble fault injection} *)
-
-let ablation_faults () =
-  Report.print_header
-    "Ablation — ensemble of 5 under leader crash, quorum loss and recovery";
-  let engine = Engine.create () in
-  let cfg =
-    { (Zk.Ensemble.default_config ~servers:5) with
-      Zk.Ensemble.election_timeout = 0.25;
-      request_timeout = 0.4 }
-  in
-  let ensemble = Zk.Ensemble.start engine cfg in
-  let horizon = 12.0 in
-  let completed = ref 0 in
-  let clients = 16 in
-  for proc = 0 to clients - 1 do
-    Process.spawn engine (fun () ->
-        let session = Zk.Ensemble.session ensemble () in
-        let i = ref 0 in
-        while Engine.now engine < horizon do
-          (match
-             session.Zk.Zk_client.create
-               (Printf.sprintf "/flt%d_%d" proc !i)
-               ~data:""
-           with
-          | Ok _ -> incr completed
-          | Error _ -> ());
-          incr i
-        done)
-  done;
-  (* fault schedule: crash leader @2s; crash follower @4s (still quorate);
-     crash another @6s (quorum lost); restart two @8s *)
-  let crash_at time id =
-    Engine.schedule engine ~delay:time (fun () -> Zk.Ensemble.crash ensemble id)
-  in
-  let restart_at time id =
-    Engine.schedule engine ~delay:time (fun () -> Zk.Ensemble.restart ensemble id)
-  in
-  crash_at 2.0 0;
-  crash_at 4.0 1;
-  crash_at 6.0 2;
-  restart_at 8.0 1;
-  restart_at 8.2 2;
-  let window = 0.5 in
-  let rows = ref [] in
-  Process.spawn engine (fun () ->
-      let prev = ref 0 in
-      while Engine.now engine < horizon do
-        Process.sleep window;
-        let now_done = !completed in
-        let rate = float_of_int (now_done - !prev) /. window in
-        prev := now_done;
-        rows :=
-          ( Engine.now engine,
-            rate,
-            Zk.Ensemble.leader_id ensemble,
-            List.length (Zk.Ensemble.alive_ids ensemble) )
-          :: !rows
-      done);
-  Engine.run ~until:(horizon +. 1.) engine;
-  Printf.printf "%-8s %12s %10s %8s\n" "t (s)" "creates/s" "leader" "alive";
-  List.iter
-    (fun (t, rate, leader, alive) ->
-      Printf.printf "%-8.1f %12.0f %10s %8d\n" t rate
-        (match leader with Some id -> string_of_int id | None -> "-")
-        alive)
-    (List.rev !rows);
-  flush stdout
-
-(* {2 ZAB group commit: batched vs unbatched metadata pipeline} *)
-
-let batching_max_batch = 16
-
-let batching_data () =
-  let spec =
-    { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
-  in
-  let configs =
-    [ ("max_batch=1", Systems.Dufs spec);
-      (Printf.sprintf "max_batch=%d" batching_max_batch,
-       Systems.Dufs_batched (spec, batching_max_batch)) ]
-  in
-  List.map
-    (fun phase ->
-      ( phase,
-        List.map
-          (fun (label, system) ->
-            ( label,
-              List.map
-                (fun procs ->
-                  (procs, Runner.rate (Systems.mdtest system ~procs ()) phase))
-                bar_procs ))
-          configs ))
-    [ Runner.File_create; Runner.Dir_stat ]
-
-let batching ?json_path () =
-  let data = batching_data () in
-  List.iter
-    (fun (phase, by_config) ->
-      Report.print_figure
-        ~title:
-          (Printf.sprintf "Group commit — mdtest %s, batched vs unbatched"
-             (Runner.phase_to_string phase))
-        ~x_label:"procs"
-        (List.map (fun (label, points) -> { Report.label; points }) by_config))
-    data;
-  match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.concat_map
-        (fun (phase, by_config) ->
-          List.concat_map
-            (fun (config, points) ->
-              List.map
-                (fun (procs, rate) ->
-                  Report.point
-                    ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                    ~procs
-                    ~config:(config ^ "|zk=8|backends=2xLustre")
-                    ~ops_per_sec:rate ())
-                points)
-            by_config)
-        data
-    in
-    Report.emit_json ~path points
+  flush stdout;
+  Report.gate ~experiment:"ablation-async" (ablation_async_check rows)
 
 (* {2 mdtest under declarative fault schedules (failure-path benchmark)} *)
 
@@ -2060,8 +2056,6 @@ let all () =
   ablation_cache ();
   ablation_giga ();
   ablation_observers ();
-  ablation_faults ();
-  batching ();
   faults ();
   profile ();
   sharding ();

@@ -3,12 +3,6 @@
     in {!Systems}) and prints the same rows/series the paper plots; the
     [*_data] variants return the numbers for tests and EXPERIMENTS.md. *)
 
-(** Client-process counts used on the x-axis (paper: up to 256). *)
-val default_procs : int list
-
-(** Bar-chart process counts (Figs. 8 and 9 use 64/128/256). *)
-val bar_procs : int list
-
 (** {2 Fig. 7 — raw ZooKeeper op throughput vs ensemble size} *)
 
 val fig7_data :
@@ -49,19 +43,54 @@ val fig11_data :
 
 val fig11 : ?millions:float list -> unit -> unit
 
-(** {2 Extension ablations} *)
+(** {2 Extension ablations}
 
-(** MD5-mod-N vs consistent hashing: balance and relocation on grow. *)
+    Each prints its table, then raises [Failure] through
+    {!Mdtest.Report.gate} if its pure [*_check] returns any failure
+    (empty = pass). *)
+
+(** Growing [n] -> [n + 1] back-ends: each strategy's imbalance at [n]
+    and fraction of FIDs relocated. *)
+type mapping_row =
+  { n : int; mod_imbalance : float; mod_moved : float;
+    ring_imbalance : float; ring_moved : float }
+
+(** MD5 mod N relocates >= 0.95·n/(n+1), consistent hashing <= 1.5/(n+1)
+    and less than MD5 mod N; both imbalances <= 1.3. *)
+val ablation_mapping_check : mapping_row list -> string list
+
+(** MD5-mod-N vs consistent hashing over 200k FIDs at N = 2, 4, 8. *)
 val ablation_mapping : unit -> unit
+
+(** ops/s at [procs]: Basic Lustre, CMD with 2 and 4 MDSes, DUFS. *)
+type cmd_row = { procs : int; lustre : float; cmd2 : float; cmd4 : float; dufs : float }
+
+(** Per [(phase, rows)]: dir-stat ranks CMD 4 > CMD 2 > Basic Lustre,
+    any other phase (dir-create) the reverse; DUFS beats both CMDs. *)
+val ablation_cmd_check : (Mdtest.Runner.phase * cmd_row list) list -> string list
 
 (** DUFS vs a hypothetical Lustre Clustered MDS (CMD, §VI): the global
     lock serializing cross-server updates vs ZooKeeper's ordered
-    broadcast. *)
+    broadcast, dir-create and dir-stat at 64–256 procs. *)
 val ablation_cmd : unit -> unit
 
+(** [(phase, shared ops/s, unique ops/s)] per system at 256 procs. *)
+type unique_ablation = {
+  lustre_rows : (Mdtest.Runner.phase * float * float) list;
+  dufs_rows : (Mdtest.Runner.phase * float * float) list;
+}
+
+(** Lustre's unique/shared ratio >= 1.10, DUFS's within ±2% of 1. *)
+val ablation_unique_check : unique_ablation -> string list
+
 (** Shared vs unique working directories (mdtest -u): isolates the DLM
-    lock-contention component of Lustre's decline. *)
+    lock-contention part of Lustre's decline. *)
 val ablation_unique : unit -> unit
+
+(** Over [((clients, window), creates/s)]: at 1 client window 16 >= 2.5×
+    window 1 and window 4 >= window 1; at 8 clients windows 1, 4 and 16
+    are within 2% of each other. *)
+val ablation_async_check : ((int * int) * float) list -> string list
 
 (** Synchronous vs pipelined (async) coordination API: what the paper's
     prototype left on the table by using the synchronous API. *)
@@ -90,26 +119,29 @@ val ablation_cache_check : cache_ablation -> string list
 val ablation_cache :
   ?procs:int -> ?items:int -> ?hot_procs:int list -> unit -> unit
 
-(** GIGA+-style directory indexing vs DUFS vs Lustre on a single huge
+(** Single-directory creates/s per system and procs count, and the
+    reachable fraction of a GIGA+ directory after 1 of its 8 servers
+    crashes. *)
+type giga_ablation = {
+  creates : ([ `Lustre | `Dufs | `Giga of int ] * (int * float) list) list;
+  available : float;
+}
+
+(** At every procs count: GIGA+ 8 servers >= 4 servers >= 10× the better
+    of DUFS and Lustre; 0 < availability < 1. *)
+val ablation_giga_check : giga_ablation -> string list
+
+(** GIGA+-style directory indexing vs DUFS vs Lustre on one huge
     directory, and the availability cost of unreplicated partitions. *)
 val ablation_giga : unit -> unit
 
+(** Over [((voters, observers), (creates/s, gets/s))] for (3, 0), (7, 0)
+    and (3, 4): the observers reach >= 0.95× the gets/s of 7 voters and
+    the creates/s of 3 voters; 7 voters create more slowly than 3. *)
+val ablation_observers_check : ((int * int) * (float * float)) list -> string list
+
 (** Non-voting observers: read scaling without write cost. *)
 val ablation_observers : unit -> unit
-
-(** Throughput timeline across leader crash, quorum loss and recovery. *)
-val ablation_faults : unit -> unit
-
-(** {2 ZAB group commit — batched vs unbatched metadata pipeline} *)
-
-val batching_data :
-  unit -> (Mdtest.Runner.phase * (string * (int * float) list) list) list
-(** [(phase, [(config label, [(procs, ops/s)])])] for mdtest file-create
-    and dir-stat, [max_batch = 1] vs [max_batch = 16]. *)
-
-(** Print the comparison; with [json_path], also write the points in the
-    {!Mdtest.Report.bench_point} schema (the BENCH_pr1.json artifact). *)
-val batching : ?json_path:string -> unit -> unit
 
 (** {2 The failure path — mdtest under declarative fault schedules} *)
 

@@ -16,22 +16,16 @@ type system =
   | Lustre_cmd of int
   | Dufs of dufs_spec
   | Dufs_cached of dufs_spec
-  | Dufs_batched of dufs_spec * int
 
 let system_label = function
   | Basic_lustre -> "Basic Lustre"
   | Basic_pvfs -> "Basic PVFS"
   | Lustre_cmd mds -> Printf.sprintf "Lustre CMD %d MDS" mds
-  | Dufs { zk_servers; backends; backend_kind } ->
-    Printf.sprintf "DUFS %dx%s/%dzk" backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
-      zk_servers
-  | Dufs_cached { zk_servers; backends; backend_kind } ->
-    Printf.sprintf "DUFS+cache %dx%s/%dzk" backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
-      zk_servers
-  | Dufs_batched ({ zk_servers; backends; backend_kind }, max_batch) ->
-    Printf.sprintf "DUFS+batch%d %dx%s/%dzk" max_batch backends
+  | (Dufs { zk_servers; backends; backend_kind }
+    | Dufs_cached { zk_servers; backends; backend_kind }) as sys ->
+    Printf.sprintf "DUFS%s %dx%s/%dzk"
+      (match sys with Dufs_cached _ -> "+cache" | _ -> "")
+      backends
       (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
       zk_servers
 
@@ -54,53 +48,31 @@ let zk_config ?(max_batch = 1) ~servers ~procs () =
    back-end metadata station's (wait, hold) time summaries. *)
 let build_backends engine ~spec =
   let { backends; backend_kind; zk_servers = _ } = spec in
-  let layout = Dufs.Physical.default_layout in
-  match backend_kind with
+  (* one mount: its local ops, its client factory and its stations *)
+  let mount _ =
+    match backend_kind with
     | Lustre ->
-      let mounts =
-        Array.init backends (fun _ ->
-            Pfs.Lustre_sim.create engine ~config:(Pfs.Lustre_sim.backend_config ()) ())
-      in
-      Array.iter
-        (fun mount ->
-          match Dufs.Physical.format layout (Pfs.Lustre_sim.local_ops mount) with
-          | Ok () -> ()
-          | Error e -> failwith (Fuselike.Errno.to_string e))
-        mounts;
-      ( (fun proc ->
-          Array.mapi
-            (fun i mount ->
-              Pfs.Lustre_sim.client mount ~client_id:((proc * backends) + i))
-            mounts),
-        Array.map
-          (fun mount ->
-            (Pfs.Lustre_sim.mds_wait_summary mount,
-             Pfs.Lustre_sim.mds_hold_summary mount))
-          mounts )
+      let m = Pfs.Lustre_sim.create engine ~config:(Pfs.Lustre_sim.backend_config ()) () in
+      ( Pfs.Lustre_sim.local_ops m,
+        (fun client_id -> Pfs.Lustre_sim.client m ~client_id),
+        [| (Pfs.Lustre_sim.mds_wait_summary m, Pfs.Lustre_sim.mds_hold_summary m) |] )
     | Pvfs ->
-      let mounts =
-        Array.init backends (fun _ ->
-            Pfs.Pvfs_sim.create engine ~config:(Pfs.Pvfs_sim.backend_config ()) ())
-      in
-      Array.iter
-        (fun mount ->
-          match Dufs.Physical.format layout (Pfs.Pvfs_sim.local_ops mount) with
-          | Ok () -> ()
-          | Error e -> failwith (Fuselike.Errno.to_string e))
-        mounts;
-      ( (fun proc ->
-          Array.mapi
-            (fun i mount -> Pfs.Pvfs_sim.client mount ~client_id:((proc * backends) + i))
-            mounts),
-        Array.concat
-          (Array.to_list
-             (Array.map
-                (fun mount ->
-                  Array.map2
-                    (fun w h -> (w, h))
-                    (Pfs.Pvfs_sim.wait_summaries mount)
-                    (Pfs.Pvfs_sim.hold_summaries mount))
-                mounts)) )
+      let m = Pfs.Pvfs_sim.create engine ~config:(Pfs.Pvfs_sim.backend_config ()) () in
+      ( Pfs.Pvfs_sim.local_ops m,
+        (fun client_id -> Pfs.Pvfs_sim.client m ~client_id),
+        Array.map2
+          (fun w h -> (w, h))
+          (Pfs.Pvfs_sim.wait_summaries m) (Pfs.Pvfs_sim.hold_summaries m) )
+  in
+  let mounts = Array.init backends mount in
+  Array.iter
+    (fun (ops, _, _) ->
+      match Dufs.Physical.format Dufs.Physical.default_layout ops with
+      | Ok () -> ()
+      | Error e -> failwith (Fuselike.Errno.to_string e))
+    mounts;
+  ( (fun proc -> Array.mapi (fun i (_, client, _) -> client ((proc * backends) + i)) mounts),
+    Array.concat (Array.to_list (Array.map (fun (_, _, stations) -> stations) mounts)) )
 
 (* Per-proc VFS ops over one (routed) coordination session. *)
 let dufs_ops_for_proc ~trace engine ~session ~backend_clients ~cached proc =
@@ -154,10 +126,9 @@ let build_system engine system ~procs =
       Pfs.Cmd_sim.create engine ~config:(Pfs.Cmd_sim.default_config ~mds_count:mds) ()
     in
     fun proc -> Pfs.Cmd_sim.client fs ~client_id:proc
-  | (Dufs spec | Dufs_cached spec | Dufs_batched (spec, _)) as sys ->
+  | (Dufs spec | Dufs_cached spec) as sys ->
     let cached = match sys with Dufs_cached _ -> true | _ -> false in
-    let max_batch = match sys with Dufs_batched (_, b) -> b | _ -> 1 in
-    let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
+    let config = zk_config ~servers:spec.zk_servers ~procs () in
     let _, ops_for_proc, _ = build_dufs engine ~spec ~config ~shards:1 ~cached in
     ops_for_proc
 

@@ -18,9 +18,6 @@ type system =
   | Dufs of dufs_spec
   | Dufs_cached of dufs_spec
       (** DUFS with the client-side metadata cache ({!Dufs.Cache}) *)
-  | Dufs_batched of dufs_spec * int
-      (** DUFS with ZAB group commit: the leader batches up to the given
-          [max_batch] queued writes per persist + proposal round *)
 
 val system_label : system -> string
 

@@ -307,10 +307,6 @@ let trace t = t.trace
 let net t = t.net
 let leader_id t = if t.members.(t.leader).role = Leader then Some t.leader else None
 
-let leader_queue_depth t =
-  let s = t.members.(t.leader) in
-  if s.role = Leader then Mailbox.length s.inbox else 0
-
 let alive_ids t =
   Array.to_list
     (Array.map (fun s -> s.id)
@@ -1920,7 +1916,6 @@ let wal_tail_dropped t = sum_wal Wal.tail_dropped t
 let snap_loads t = sum_wal Wal.snap_loads t
 let snap_fallbacks t = sum_wal Wal.snap_fallbacks t
 let snap_encodes t = sum_wal Wal.snap_encodes t
-let wal_records t id = Wal.records t.members.(id).wal
 let wal_snapshots t id = Wal.snapshots t.members.(id).wal
 
 let durable_zxid t id =

@@ -264,9 +264,6 @@ val writes_failed_fast : t -> int
 (** Sessions declared expired after [session_timeout] of solid failure. *)
 val sessions_expired : t -> int
 
-(** Messages waiting in the current leader's inbox (0 if leaderless). *)
-val leader_queue_depth : t -> int
-
 (** {2 Lease / watch-table introspection}
 
     The sessions bench's server-state argument: with watch coherence the
@@ -321,9 +318,6 @@ val snap_fallbacks : t -> int
     something read them (recovery or [corrupt_snapshot]); snapshots
     nobody reads cost no encode. *)
 val snap_encodes : t -> int
-
-(** Readable WAL records on server [id]'s disk right now. *)
-val wal_records : t -> int -> int
 
 val wal_snapshots : t -> int -> int
 

@@ -21,14 +21,6 @@ let op_path = function
   | Create { path; _ } | Delete { path; _ } | Set_data { path; _ } | Check { path; _ }
     -> path
 
-let op_wire_size = function
-  | Create { path; data; _ } -> 32 + String.length path + String.length data
-  | Delete { path; _ } -> 24 + String.length path
-  | Set_data { path; data; _ } -> 28 + String.length path + String.length data
-  | Check { path; _ } -> 24 + String.length path
-
-let wire_size t = List.fold_left (fun acc op -> acc + op_wire_size op) 16 t
-
 let pp_op fmt = function
   | Create { path; sequential; ephemeral_owner; _ } ->
     Format.fprintf fmt "create%s%s %s"

@@ -28,8 +28,5 @@ type result_item =
 (** Path touched by an op (the requested path, pre-sequential-suffix). *)
 val op_path : op -> string
 
-(** Approximate wire size in bytes, for network cost modelling. *)
-val wire_size : t -> int
-
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -261,6 +261,84 @@ let test_durability_zero_registers_audited () =
     (Figures.durability_check ~deterministic:true
        [ { durability_run with d_audited = 0 } ])
 
+(* {2 The other extension ablations, at the numbers they print} *)
+
+let mapping_rows =
+  [ { Figures.n = 2; mod_imbalance = 1.005; mod_moved = 0.666;
+      ring_imbalance = 1.114; ring_moved = 0.328 };
+    { Figures.n = 4; mod_imbalance = 1.016; mod_moved = 0.800;
+      ring_imbalance = 1.209; ring_moved = 0.171 };
+    { Figures.n = 8; mod_imbalance = 1.031; mod_moved = 0.889;
+      ring_imbalance = 1.198; ring_moved = 0.114 } ]
+
+let test_mapping_ring_moves_like_mod () =
+  passes "ablation-mapping" (Figures.ablation_mapping_check mapping_rows);
+  names "ring relocating like mod-N" ~needle:"N=4: consistent hashing relocated 80.0%"
+    (Figures.ablation_mapping_check
+       (List.map (fun r -> { r with Figures.ring_moved = r.Figures.mod_moved })
+          mapping_rows))
+
+let cmd_rows ~dir_stat_cmd4 =
+  let row procs lustre cmd2 cmd4 dufs = { Figures.procs; lustre; cmd2; cmd4; dufs } in
+  [ ( Runner.Dir_create,
+      [ row 64 5_042. 1_718. 1_137. 6_474.; row 128 4_182. 1_704. 1_137. 6_103.;
+        row 256 3_128. 1_712. 1_133. 5_473. ] );
+    ( Runner.Dir_stat,
+      [ row 64 31_687. 65_244. 136_762. 186_562.;
+        row 128 25_060. 52_722. 107_912. 176_442.;
+        row 256 17_671. 38_190. dir_stat_cmd4 158_509. ] ) ]
+
+let test_cmd_more_mds_slower_stat () =
+  passes "ablation-cmd" (Figures.ablation_cmd_check (cmd_rows ~dir_stat_cmd4:86_578.));
+  names "CMD 4 dir-stat below CMD 2" ~needle:"dir-stat at 256 procs: CMD 4 30000"
+    (Figures.ablation_cmd_check (cmd_rows ~dir_stat_cmd4:30_000.))
+
+let unique_ablation ~dufs_unique_create =
+  { Figures.lustre_rows =
+      [ (Runner.Dir_create, 3_128., 3_637.); (Runner.File_create, 4_580., 5_769.) ];
+    dufs_rows =
+      [ (Runner.Dir_create, 5_473., dufs_unique_create);
+        (Runner.File_create, 5_471., 5_471.) ] }
+
+let test_unique_dufs_gains () =
+  passes "ablation-unique"
+    (Figures.ablation_unique_check (unique_ablation ~dufs_unique_create:5_473.));
+  names "DUFS 5% faster with -u" ~needle:"DUFS dir-create: unique/shared 1.050"
+    (Figures.ablation_unique_check (unique_ablation ~dufs_unique_create:5_746.65))
+
+let async_rows ~one_client_w16 =
+  [ ((1, 1), 2_563.); ((1, 4), 6_693.); ((1, 16), one_client_w16);
+    ((2, 1), 3_530.); ((2, 4), 7_092.); ((2, 16), 7_106.);
+    ((8, 1), 7_080.); ((8, 4), 7_080.); ((8, 16), 7_080.) ]
+
+let test_async_window_does_not_help () =
+  passes "ablation-async" (Figures.ablation_async_check (async_rows ~one_client_w16:7_109.));
+  names "window 16 no better than 1" ~needle:"window 16 gives 1.00x"
+    (Figures.ablation_async_check (async_rows ~one_client_w16:2_563.))
+
+let giga_ablation ~available =
+  { Figures.creates =
+      [ (`Lustre, [ (64, 7_017.); (256, 4_573.) ]);
+        (`Dufs, [ (64, 6_706.); (256, 5_669.) ]);
+        (`Giga 4, [ (64, 232_389.); (256, 239_700.) ]);
+        (`Giga 8, [ (64, 315_738.); (256, 455_354.) ]) ];
+    available }
+
+let test_giga_fully_available () =
+  passes "ablation-giga" (Figures.ablation_giga_check (giga_ablation ~available:0.87));
+  names "nothing lost with a server" ~needle:"is 100.0%"
+    (Figures.ablation_giga_check (giga_ablation ~available:1.))
+
+let observer_rows ~observed_creates =
+  [ ((3, 0), (8_817., 59_035.)); ((7, 0), (6_105., 137_133.));
+    ((3, 4), (observed_creates, 137_133.)) ]
+
+let test_observers_cost_writes () =
+  passes "ablation-observers"
+    (Figures.ablation_observers_check (observer_rows ~observed_creates:8_817.));
+  names "observers at 7-voter write cost" ~needle:"6105 creates/s, below 95%"
+    (Figures.ablation_observers_check (observer_rows ~observed_creates:6_105.))
+
 let () =
   Alcotest.run "gates"
     [ ( "report",
@@ -294,4 +372,21 @@ let () =
             test_chaos_zero_ops_checked ] );
       ( "durability",
         [ Alcotest.test_case "zero registers audited" `Quick
-            test_durability_zero_registers_audited ] ) ]
+            test_durability_zero_registers_audited ] );
+      ( "mapping",
+        [ Alcotest.test_case "ring relocates like mod-N" `Quick
+            test_mapping_ring_moves_like_mod ] );
+      ( "cmd",
+        [ Alcotest.test_case "CMD 4 dir-stat below CMD 2" `Quick
+            test_cmd_more_mds_slower_stat ] );
+      ( "unique",
+        [ Alcotest.test_case "DUFS gains from -u" `Quick test_unique_dufs_gains ] );
+      ( "async",
+        [ Alcotest.test_case "window 16 no help at 1 client" `Quick
+            test_async_window_does_not_help ] );
+      ( "giga",
+        [ Alcotest.test_case "100% available after a crash" `Quick
+            test_giga_fully_available ] );
+      ( "observers",
+        [ Alcotest.test_case "observers cost write throughput" `Quick
+            test_observers_cost_writes ] ) ]

@@ -340,6 +340,63 @@ let test_pvfs_relative_paths () =
   in_sim (fun engine ->
       check_relative_paths (Pvfs.client (Pvfs.create engine ()) ~client_id:0))
 
+let test_cmd_relative_paths () =
+  in_sim (fun engine ->
+      check_relative_paths (Pfs.Cmd_sim.client (Pfs.Cmd_sim.create engine ()) ~client_id:0))
+
+(* A path the filesystem refuses costs no server work: no virtual time,
+   no MDS request, no DLM revoke and no global lock, even with two
+   clients alternating on it (["ab/c"] would otherwise lock ["/b"]).
+   [setup engine] gives the client factory and the counters that must
+   stay 0. *)
+let check_refused_for_free setup =
+  in_sim (fun engine ->
+      let client, counters = setup engine in
+      List.iter
+        (fun p ->
+          for round = 0 to 3 do
+            let ops = client (round mod 2) in
+            let label op = Printf.sprintf "%s %S, client %d" op p (round mod 2) in
+            expect_einval (label "mkdir") (ops.Vfs.mkdir p ~mode:0o755);
+            expect_einval (label "create") (ops.Vfs.create p ~mode:0o644);
+            expect_einval (label "unlink") (ops.Vfs.unlink p);
+            expect_einval (label "rmdir") (ops.Vfs.rmdir p);
+            expect_einval (label "rename from") (ops.Vfs.rename p "/y");
+            expect_einval (label "rename to") (ops.Vfs.rename "/y" p);
+            expect_einval (label "symlink") (ops.Vfs.symlink ~target:"t" p);
+            expect_einval (label "chmod") (ops.Vfs.chmod p ~mode:0o600);
+            expect_einval (label "getattr") (ops.Vfs.getattr p);
+            expect_einval (label "readdir") (ops.Vfs.readdir p);
+            expect_einval (label "write") (ops.Vfs.write p ~off:0 "x")
+          done)
+        [ ""; "x"; "ab/c" ];
+      List.iter (fun (name, count) -> check_int name 0 (count ())) counters;
+      Alcotest.(check (float 0.)) "no virtual time elapsed" 0. (Engine.now engine))
+
+let test_lustre_refused_for_free () =
+  check_refused_for_free (fun engine ->
+      let fs = Lustre.create engine () in
+      ( (fun client_id -> Lustre.client fs ~client_id),
+        [ ("lock revokes", fun () -> Lustre.lock_revokes fs);
+          ("mds requests", fun () -> Lustre.mds_served fs) ] ))
+
+let test_pvfs_refused_for_free () =
+  check_refused_for_free (fun engine ->
+      let fs = Pvfs.create engine () in
+      ( (fun client_id -> Pvfs.client fs ~client_id),
+        [ ("mds requests",
+           fun () -> Array.fold_left ( + ) 0 (Pvfs.served_per_server fs)) ] ))
+
+let test_cmd_refused_for_free () =
+  check_refused_for_free (fun engine ->
+      let config =
+        { (Pfs.Cmd_sim.default_config ~mds_count:4) with Pfs.Cmd_sim.cross_ratio = 1. }
+      in
+      let fs = Pfs.Cmd_sim.create engine ~config () in
+      ( (fun client_id -> Pfs.Cmd_sim.client fs ~client_id),
+        [ ("global lock acquisitions",
+           fun () -> Pfs.Cmd_sim.global_lock_acquisitions fs) ] ))
+
 let () =
   Alcotest.run "pfs"
     [ ( "lustre",
@@ -376,4 +433,9 @@ let () =
             test_mdserver_threads_add_capacity ] );
       ( "invalid",
         [ Alcotest.test_case "lustre relative paths" `Quick test_lustre_relative_paths;
-          Alcotest.test_case "pvfs relative paths" `Quick test_pvfs_relative_paths ] ) ]
+          Alcotest.test_case "pvfs relative paths" `Quick test_pvfs_relative_paths;
+          Alcotest.test_case "cmd relative paths" `Quick test_cmd_relative_paths;
+          Alcotest.test_case "lustre refuses for free" `Quick
+            test_lustre_refused_for_free;
+          Alcotest.test_case "pvfs refuses for free" `Quick test_pvfs_refused_for_free;
+          Alcotest.test_case "cmd refuses for free" `Quick test_cmd_refused_for_free ] ) ]
