@@ -11,35 +11,84 @@ type 'a entry = {
   lease_until : float;
 }
 
-(* Exact LRU: a hash table of nodes threaded on a circular doubly-linked
-   list through a sentinel, oldest first ([sentinel.next]) to newest
-   ([sentinel.prev]). A hit is one lookup and an O(1) relink; a put is
-   one lookup, plus an add and the eviction of the list head when full.
-   Each store has its own sentinel, built from a dummy value, so no node
-   ever holds an option. *)
+(* Exact LRU over an intrusive hash table. Each node is at once a link
+   of a circular doubly-linked list through a sentinel, oldest first
+   ([sentinel.next]) to newest ([sentinel.prev]), and a link of its
+   bucket's chain, and it keeps its key's {!Zpath.hash}. A cache op
+   hashes its path once and passes the hash down; a revocation arrives
+   with its paths' hashes. A probe compares the stored hash before the
+   key, so a miss (most revocation probes miss) rarely reads a string;
+   a removal or an eviction finds the node's chain through the stored
+   hash, never re-hashing. Chains end at the sentinel, built from a
+   dummy value, so no node ever holds an option and a miss answers the
+   sentinel itself. The bucket array is a power of two that starts at
+   one bucket and doubles when the store holds as many nodes as
+   buckets, re-bucketing from the stored hashes: a 100k-session sweep
+   builds two stores per session, so pre-sizing for the capacity would
+   be ~100x waste. *)
 type 'a node = {
   key : string;
+  hash : int;
   mutable entry : 'a entry;
   mutable prev : 'a node;
   mutable next : 'a node;
+  mutable chain : 'a node;
 }
 
 type 'a store = {
   capacity : int;
-  table : (string, 'a node) Hashtbl.t;
+  mutable buckets : 'a node array;
+  mutable size : int;
   sentinel : 'a node;
 }
 
 let store_create capacity dummy =
   let rec sentinel =
-    { key = ""; entry = { value = dummy; lease_until = neg_infinity };
-      prev = sentinel; next = sentinel }
+    { key = ""; hash = -1;
+      entry = { value = dummy; lease_until = neg_infinity };
+      prev = sentinel; next = sentinel; chain = sentinel }
   in
-  { capacity;
-    (* small initial tables: a 100k-session sweep allocates two stores
-       per session, so pre-sizing for the capacity would be ~100x waste *)
-    table = Hashtbl.create (max 8 (min capacity 64));
-    sentinel }
+  { capacity; buckets = Array.make 1 sentinel; size = 0; sentinel }
+
+let bucket store hash = hash land (Array.length store.buckets - 1)
+
+let rec chain_find sentinel key hash node =
+  if node == sentinel || (node.hash = hash && String.equal node.key key) then
+    node
+  else chain_find sentinel key hash node.chain
+
+(* the node cached under [key], or the sentinel *)
+let store_find store key hash =
+  chain_find store.sentinel key hash store.buckets.(bucket store hash)
+
+(* [node] is on the chain after [pred]; reaching the chain's end would
+   mean the table lost it, so fail there rather than loop on the
+   sentinel *)
+let rec chain_unlink_after sentinel pred node =
+  if pred.chain == node then pred.chain <- node.chain
+  else if pred.chain == sentinel then assert false
+  else chain_unlink_after sentinel pred.chain node
+
+let chain_unlink store node =
+  let i = bucket store node.hash in
+  let first = store.buckets.(i) in
+  if first == node then store.buckets.(i) <- node.chain
+  else chain_unlink_after store.sentinel first node
+
+(* walks the LRU list from [node] to the sentinel *)
+let rec rebucket buckets mask sentinel node =
+  if node != sentinel then begin
+    let i = node.hash land mask in
+    node.chain <- buckets.(i);
+    buckets.(i) <- node;
+    rebucket buckets mask sentinel node.next
+  end
+
+let grow store =
+  let n = 2 * Array.length store.buckets in
+  let buckets = Array.make n store.sentinel in
+  rebucket buckets (n - 1) store.sentinel store.sentinel.next;
+  store.buckets <- buckets
 
 let unlink node =
   node.prev.next <- node.next;
@@ -59,29 +108,40 @@ let store_touch store node =
     link_newest store node
   end
 
-let store_put store path entry =
-  match Hashtbl.find_opt store.table path with
-  | Some node ->
+let store_drop store node =
+  unlink node;
+  chain_unlink store node;
+  store.size <- store.size - 1
+
+(* A full store evicts its oldest before adding, so it never holds more
+   than [capacity] nodes. *)
+let store_put store path hash entry =
+  let node = store_find store path hash in
+  if node != store.sentinel then begin
     node.entry <- entry;
     store_touch store node
-  | None ->
-    let rec node = { key = path; entry; prev = node; next = node } in
-    Hashtbl.add store.table path node;
-    link_newest store node;
-    if Hashtbl.length store.table > store.capacity then begin
-      let oldest = store.sentinel.next in
-      unlink oldest;
-      Hashtbl.remove store.table oldest.key
-    end
+  end
+  else begin
+    if store.size = store.capacity then store_drop store store.sentinel.next;
+    if store.size = Array.length store.buckets then grow store;
+    let i = bucket store hash in
+    let rec node =
+      { key = path; hash; entry; prev = node; next = node;
+        chain = store.buckets.(i) }
+    in
+    store.buckets.(i) <- node;
+    store.size <- store.size + 1;
+    link_newest store node
+  end
 
 (* whether [path] was cached *)
-let store_remove store path =
-  match Hashtbl.find_opt store.table path with
-  | Some node ->
-    unlink node;
-    Hashtbl.remove store.table path;
+let store_remove store path hash =
+  let node = store_find store path hash in
+  if node == store.sentinel then false
+  else begin
+    store_drop store node;
     true
-  | None -> false
+  end
 
 (* the keys on the list, oldest first, walked from the sentinel *)
 let store_keys store =
@@ -130,7 +190,7 @@ let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let lease_expired_hits t = t.lease_expired_hits
-let size t = Hashtbl.length t.data.table + Hashtbl.length t.kids.table
+let size t = t.data.size + t.kids.size
 let lru_order t = (store_keys t.data, store_keys t.kids)
 
 let queue_length t =
@@ -140,7 +200,8 @@ let queue_length t =
 let open_fences t = Hashtbl.length t.data_fences + Hashtbl.length t.kids_fences
 
 (* With no fill in flight — the common case — an invalidation costs a
-   length check. *)
+   length check. The fence tables hash the path themselves: probing them
+   by the cache op's hash, as the stores do, measured no faster. *)
 let bump t fences path =
   if Hashtbl.length fences > 0 then
     (match Hashtbl.find_opt fences path with
@@ -167,20 +228,24 @@ let close_fence fences path fence gen =
   if fence.fills = 0 then Hashtbl.remove fences path;
   fence.gen = gen
 
-let invalidate_data t path =
+let invalidate_data t path hash =
   bump t t.data_fences path;
-  if store_remove t.data path then t.invalidations <- t.invalidations + 1
+  if store_remove t.data path hash then t.invalidations <- t.invalidations + 1
 
-let invalidate_children t path =
+let invalidate_children t path hash =
   bump t t.kids_fences path;
-  if store_remove t.kids path then t.invalidations <- t.invalidations + 1
+  if store_remove t.kids path hash then t.invalidations <- t.invalidations + 1
 
-(* A mutation on [path] changes its own entry and its parent's child
-   list; for deletes, also any cached children list of the node itself. *)
+(* A change to [path] changes its own entry and its parent's child list;
+   for deletes, also any cached children list of the node itself. *)
+let invalidate_node t path hash parent parent_hash =
+  invalidate_data t path hash;
+  invalidate_children t path hash;
+  invalidate_children t parent parent_hash
+
 let invalidate_mutation t path =
-  invalidate_data t path;
-  invalidate_children t path;
-  invalidate_children t (Zpath.parent path)
+  let parent = Zpath.parent path in
+  invalidate_node t path (Zpath.hash path) parent (Zpath.hash parent)
 
 (* A multi touches every op's requested path; a sequential create
    materializes under a different name, which is invalidated too. *)
@@ -197,17 +262,17 @@ let invalidate_txn t txn result =
 
 (* The lease revocation channel: one aggregated callback per session,
    dispatching on the changed path, where a per-znode protocol would arm
-   one watch per cached entry. *)
-let on_revocation t (ev : Zk.Ztree.watch_event) =
+   one watch per cached entry. The server derived the path's parent and
+   both hashes. *)
+let on_revocation t (ev : Zk.Lease.revocation) =
   match ev.kind with
-  | Zk.Ztree.Node_data_changed -> invalidate_data t ev.path
+  | Zk.Ztree.Node_data_changed -> invalidate_data t ev.path ev.path_hash
   | Zk.Ztree.Node_created | Zk.Ztree.Node_deleted ->
     (* creation also kills leased negative entries; deletion also kills
        any cached listing of the node itself *)
-    invalidate_data t ev.path;
-    invalidate_children t ev.path;
-    invalidate_children t (Zpath.parent ev.path)
-  | Zk.Ztree.Node_children_changed -> invalidate_children t ev.path
+    invalidate_node t ev.path ev.path_hash ev.parent ev.parent_hash
+  | Zk.Ztree.Node_children_changed ->
+    invalidate_children t ev.path ev.path_hash
 
 (* A leased entry is served locally only before its deadline; at or past
    it the entry no longer carries any coherence guarantee (the serving
@@ -223,9 +288,10 @@ let note_expired t =
 
    Each fill opens the path's fence before the server visit and stores
    only if no invalidation arrived while the reply was in flight. The
-   reply's lease deadline becomes the entry's. *)
+   reply's lease deadline becomes the entry's. A lookup hashes its path
+   once, and the store reuses that hash. *)
 
-let fill_get t path =
+let fill_get t path hash =
   let fence = open_fence t.data_fences path in
   let gen = fence.gen in
   let result = t.inner.Zk_client.lease_get path in
@@ -236,98 +302,109 @@ let fill_get t path =
       | Some (data, stat) -> Present (data, stat)
       | None -> Absent
     in
-    if fresh then store_put t.data path { value; lease_until = deadline };
+    if fresh then store_put t.data path hash { value; lease_until = deadline };
     (match value with
      | Present (data, stat) -> Ok (data, stat)
      | Absent -> Error Zerror.ZNONODE)
   | Error e -> Error e
 
 let cached_get t path =
-  match Hashtbl.find_opt t.data.table path with
-  | Some node when entry_live t node.entry -> (
+  let hash = Zpath.hash path in
+  let node = store_find t.data path hash in
+  if node != t.data.sentinel && entry_live t node.entry then begin
     t.hits <- t.hits + 1;
     store_touch t.data node;
     match node.entry.value with
     | Present (data, stat) -> Ok (data, stat)
-    | Absent -> Error Zerror.ZNONODE)
-  | stale ->
-    if Option.is_some stale then note_expired t;
+    | Absent -> Error Zerror.ZNONODE
+  end
+  else begin
+    if node != t.data.sentinel then note_expired t;
     t.misses <- t.misses + 1;
-    fill_get t path
+    fill_get t path hash
+  end
 
-let fill_children t path =
+let fill_children t path hash =
   let fence = open_fence t.kids_fences path in
   let gen = fence.gen in
   let result = t.inner.Zk_client.lease_children path in
   let fresh = close_fence t.kids_fences path fence gen in
   match result with
   | Ok (names, deadline) ->
-    if fresh then store_put t.kids path { value = names; lease_until = deadline };
+    if fresh then
+      store_put t.kids path hash { value = names; lease_until = deadline };
     Ok names
   | Error e -> Error e
 
 let cached_children t path =
-  match Hashtbl.find_opt t.kids.table path with
-  | Some node when entry_live t node.entry ->
+  let hash = Zpath.hash path in
+  let node = store_find t.kids path hash in
+  if node != t.kids.sentinel && entry_live t node.entry then begin
     t.hits <- t.hits + 1;
     store_touch t.kids node;
     Ok node.entry.value
-  | stale ->
-    if Option.is_some stale then note_expired t;
+  end
+  else begin
+    if node != t.kids.sentinel then note_expired t;
     t.misses <- t.misses + 1;
-    fill_children t path
+    fill_children t path hash
+  end
 
 (* Bulk readdir. A hit assembles the listing from the cached child-name
    list plus per-child data entries; a miss fetches everything in one
    server visit and warms those same entries, so a later [get] of any
    child is already cached. One lease deadline covers the listing and
    every warmed child. *)
-let fill_bulk t path =
+let fill_bulk t path hash =
   let fence = t.epoch in
   match t.inner.Zk_client.lease_children_with_data path with
   | Ok (entries, deadline) ->
     if t.epoch = fence then begin
-      store_put t.kids path
+      store_put t.kids path hash
         { value = List.map (fun (name, _, _) -> name) entries;
           lease_until = deadline };
       List.iter
         (fun (name, data, stat) ->
-          store_put t.data (Zpath.concat path name)
+          let child = Zpath.concat path name in
+          store_put t.data child (Zpath.hash child)
             { value = Present (data, stat); lease_until = deadline })
         entries
     end;
     Ok entries
   | Error e -> Error e
 
+(* The listing of [path] from the cached child data, or [None] when a
+   child's entry was evicted or expired. Each child's node is found
+   once; on success each becomes the newest, in listing order. *)
+let rec assemble t path entries nodes = function
+  | [] ->
+    List.iter (store_touch t.data) (List.rev nodes);
+    Some (List.rev entries)
+  | name :: rest ->
+    let child = Zpath.concat path name in
+    (match store_find t.data child (Zpath.hash child) with
+     | { entry = { value = Present (data, stat); _ } as e; _ } as node
+       when node != t.data.sentinel && entry_live t e ->
+       assemble t path ((name, data, stat) :: entries) (node :: nodes) rest
+     | _ -> None)
+
 let cached_children_with_data t path =
-  let fill () =
-    t.misses <- t.misses + 1;
-    fill_bulk t path
-  in
-  (* The listing from the cached child data, or [None] when a child's
-     entry was evicted or expired. Each child's node is found once; on
-     success each becomes the newest, in listing order. *)
-  let rec assemble entries nodes = function
-    | [] ->
-      List.iter (store_touch t.data) (List.rev nodes);
-      Some (List.rev entries)
-    | name :: rest ->
-      (match Hashtbl.find_opt t.data.table (Zpath.concat path name) with
-       | Some ({ entry = { value = Present (data, stat); _ } as e; _ } as node)
-         when entry_live t e ->
-         assemble ((name, data, stat) :: entries) (node :: nodes) rest
-       | Some _ | None -> None)
-  in
-  match Hashtbl.find_opt t.kids.table path with
-  | Some node when entry_live t node.entry -> (
-    match assemble [] [] node.entry.value with
-    | None -> fill ()
+  let hash = Zpath.hash path in
+  let node = store_find t.kids path hash in
+  if node != t.kids.sentinel && entry_live t node.entry then
+    match assemble t path [] [] node.entry.value with
     | Some entries ->
       t.hits <- t.hits + 1;
       store_touch t.kids node;
-      Ok entries)
-  | Some _ -> note_expired t; fill ()
-  | None -> fill ()
+      Ok entries
+    | None ->
+      t.misses <- t.misses + 1;
+      fill_bulk t path hash
+  else begin
+    if node != t.kids.sentinel then note_expired t;
+    t.misses <- t.misses + 1;
+    fill_bulk t path hash
+  end
 
 let wrap ?(capacity = 4096) ?coherence:(_ : coherence option) ~now ?metrics
     inner =
@@ -362,7 +439,7 @@ let wrap ?(capacity = 4096) ?coherence:(_ : coherence option) ~now ?metrics
   in
   let set ?version path ~data =
     let result = inner.Zk_client.set ?version path ~data in
-    invalidate_data t path;
+    invalidate_data t path (Zpath.hash path);
     result
   in
   let delete ?version path =

@@ -40,27 +40,29 @@ let split p =
 
 (* One scan over the components, doubled and trailing separators
    skipped. A component longer than [max_component] answers at once, as
-   ENAMETOOLONG outranks a ["."] or [".."] seen earlier. *)
+   ENAMETOOLONG outranks a ["."] or [".."] seen earlier. The scan is a
+   top-level function, so validating allocates nothing: every simulated
+   client op validates its path. *)
+let rec validate_from p len start i dotted =
+  if i = len || String.unsafe_get p i = '/' then
+    let n = i - start in
+    if n > max_component then Error Errno.ENAMETOOLONG
+    else
+      let dotted =
+        dotted
+        || (n = 1 && String.unsafe_get p start = '.')
+        || (n = 2 && String.unsafe_get p start = '.'
+            && String.unsafe_get p (start + 1) = '.')
+      in
+      if i < len then validate_from p len (i + 1) (i + 1) dotted
+      else if dotted then Error Errno.EINVAL
+      else Ok ()
+  else validate_from p len start (i + 1) dotted
+
 let validate p =
   let len = String.length p in
-  let rec scan start i dotted =
-    if i = len || String.unsafe_get p i = '/' then
-      let n = i - start in
-      if n > max_component then Error Errno.ENAMETOOLONG
-      else
-        let dotted =
-          dotted
-          || (n = 1 && String.unsafe_get p start = '.')
-          || (n = 2 && String.unsafe_get p start = '.'
-              && String.unsafe_get p (start + 1) = '.')
-        in
-        if i < len then scan (i + 1) (i + 1) dotted
-        else if dotted then Error Errno.EINVAL
-        else Ok ()
-    else scan start (i + 1) dotted
-  in
   if len = 0 || String.unsafe_get p 0 <> '/' then Error Errno.EINVAL
-  else scan 1 1 false
+  else validate_from p len 1 1 false
 
 let join = function
   | [] -> "/"

@@ -44,23 +44,49 @@ let not_supported =
     statfs =
       (fun () -> { files = 0; directories = 0; symlinks = 0; bytes_used = 0L }) }
 
+(* Each op matches on the validation itself, not through a helper that
+   takes the op as a closure, so a valid path costs one scan and
+   allocates nothing. *)
 let absolute_only ops =
-  let ok p = p <> "" && p.[0] = '/' in
-  let einval = Error Errno.EINVAL in
-  { getattr = (fun p -> if ok p then ops.getattr p else einval);
-    access = (fun p -> if ok p then ops.access p else einval);
-    mkdir = (fun p ~mode -> if ok p then ops.mkdir p ~mode else einval);
-    rmdir = (fun p -> if ok p then ops.rmdir p else einval);
-    create = (fun p ~mode -> if ok p then ops.create p ~mode else einval);
-    unlink = (fun p -> if ok p then ops.unlink p else einval);
-    rename = (fun src dst -> if ok src && ok dst then ops.rename src dst else einval);
-    readdir = (fun p -> if ok p then ops.readdir p else einval);
-    symlink = (fun ~target p -> if ok p then ops.symlink ~target p else einval);
-    readlink = (fun p -> if ok p then ops.readlink p else einval);
-    chmod = (fun p ~mode -> if ok p then ops.chmod p ~mode else einval);
-    truncate = (fun p ~size -> if ok p then ops.truncate p ~size else einval);
-    read = (fun p ~off ~len -> if ok p then ops.read p ~off ~len else einval);
-    write = (fun p ~off data -> if ok p then ops.write p ~off data else einval);
+  let valid = Fspath.validate in
+  { getattr =
+      (fun p -> match valid p with Ok () -> ops.getattr p | Error e -> Error e);
+    access =
+      (fun p -> match valid p with Ok () -> ops.access p | Error e -> Error e);
+    mkdir =
+      (fun p ~mode ->
+        match valid p with Ok () -> ops.mkdir p ~mode | Error e -> Error e);
+    rmdir =
+      (fun p -> match valid p with Ok () -> ops.rmdir p | Error e -> Error e);
+    create =
+      (fun p ~mode ->
+        match valid p with Ok () -> ops.create p ~mode | Error e -> Error e);
+    unlink =
+      (fun p -> match valid p with Ok () -> ops.unlink p | Error e -> Error e);
+    rename =
+      (fun src dst ->
+        match valid src, valid dst with
+        | Ok (), Ok () -> ops.rename src dst
+        | Error e, _ | _, Error e -> Error e);
+    readdir =
+      (fun p -> match valid p with Ok () -> ops.readdir p | Error e -> Error e);
+    symlink =
+      (fun ~target p ->
+        match valid p with Ok () -> ops.symlink ~target p | Error e -> Error e);
+    readlink =
+      (fun p -> match valid p with Ok () -> ops.readlink p | Error e -> Error e);
+    chmod =
+      (fun p ~mode ->
+        match valid p with Ok () -> ops.chmod p ~mode | Error e -> Error e);
+    truncate =
+      (fun p ~size ->
+        match valid p with Ok () -> ops.truncate p ~size | Error e -> Error e);
+    read =
+      (fun p ~off ~len ->
+        match valid p with Ok () -> ops.read p ~off ~len | Error e -> Error e);
+    write =
+      (fun p ~off data ->
+        match valid p with Ok () -> ops.write p ~off data | Error e -> Error e);
     statfs = ops.statfs }
 
 let compare_dirent a b = String.compare a.name b.name

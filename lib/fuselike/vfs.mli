@@ -39,9 +39,11 @@ type ops = {
     useful as a base record for partial implementations. *)
 val not_supported : ops
 
-(** [absolute_only ops] refuses a relative or empty path (not a symlink
-    target) with [EINVAL] before calling [ops], by one O(1) test: the
-    simulators' clients use it so such a path costs no server work. *)
+(** [absolute_only ops] refuses every path {!Fspath.validate} refuses
+    (not a symlink target), with that function's errno, before calling
+    [ops]: a relative or empty path or a ["."]/[".."] component is
+    [EINVAL], an over-long component [ENAMETOOLONG]. The simulators'
+    clients use it so such a path costs no server work. *)
 val absolute_only : ops -> ops
 
 val compare_dirent : dirent -> dirent -> int

@@ -12,6 +12,7 @@ let errno_ok = function Ok () -> () | Error e -> failwith (Fuselike.Errno.to_str
 
 let fig7_servers = [ 1; 4; 8 ]
 
+(* [(op, [(servers, [(procs, rate)])])] *)
 let fig7_data ?(procs_list = default_procs) () =
   let runs =
     List.map
@@ -157,10 +158,10 @@ let fig10 () =
 (* {2 Headline ratios (§V-D)} *)
 
 type headline = {
-  dir_create_vs_lustre : float;
-  dir_create_vs_pvfs : float;
-  file_stat_vs_lustre : float;
-  file_stat_vs_pvfs : float;
+  dir_create_vs_lustre : float;  (* paper: 1.9 *)
+  dir_create_vs_pvfs : float;    (* paper: 23 *)
+  file_stat_vs_lustre : float;   (* paper: 1.3 *)
+  file_stat_vs_pvfs : float;     (* paper: 3.0 *)
 }
 
 let headline_data ?(procs = 256) () =
@@ -776,6 +777,9 @@ let fault_plans =
      "crash=1@dir-create+0.05;restart=1@dir-create+1.5;\
       crash=2@file-create+0.05;restart=2@file-create+1.5") ]
 
+(* [(label, plan, run)]: one [Systems.dufs_mdtest] run per schedule at
+   [procs] processes with [items] dirs and files each, headed by the
+   exactly-comparable fault-free baseline (empty plan). *)
 let faults_data ?(procs = faults_procs) ?(items = 60) () =
   let parse label text =
     match Faults.Faultplan.parse text with
@@ -1087,6 +1091,8 @@ let sharding_config_label ~shards ~servers ~max_batch =
   Printf.sprintf "shards=%dx%d|max_batch=%d|backends=8xLustre" shards servers
     max_batch
 
+(* [((shards, servers_per_shard, max_batch, procs), run)] for each
+   combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
 let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
     ?(batches = sharding_batches) () =
   List.concat_map

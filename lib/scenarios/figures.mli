@@ -1,13 +1,11 @@
 (** One driver per table/figure of the paper's evaluation (§V), plus the
     extension ablations. Each [figN] function runs the simulations (memoized
-    in {!Systems}) and prints the same rows/series the paper plots; the
-    [*_data] variants return the numbers for tests and EXPERIMENTS.md. *)
+    in {!Systems}) and prints the same rows/series the paper plots;
+    {!fig11_data} also returns Fig. 11's numbers for tests. Each gated
+    experiment's [*_check] is a pure function of its runs, so tests can
+    exercise a gate without running the experiment. *)
 
 (** {2 Fig. 7 — raw ZooKeeper op throughput vs ensemble size} *)
-
-val fig7_data :
-  ?procs_list:int list -> unit -> (string * (int * (int * float) list) list) list
-(** [(op, [(servers, [(procs, rate)])])] *)
 
 val fig7 : ?procs_list:int list -> unit -> unit
 
@@ -25,14 +23,6 @@ val fig10 : unit -> unit
 
 (** {2 §V-D headline ratios at 256 procs} *)
 
-type headline = {
-  dir_create_vs_lustre : float;  (** paper: 1.9 *)
-  dir_create_vs_pvfs : float;    (** paper: 23 *)
-  file_stat_vs_lustre : float;   (** paper: 1.3 *)
-  file_stat_vs_pvfs : float;     (** paper: 3.0 *)
-}
-
-val headline_data : ?procs:int -> unit -> headline
 val headline : unit -> unit
 
 (** {2 Fig. 11 — memory usage vs created directories} *)
@@ -150,16 +140,6 @@ val fault_plans : (string * string) list
     sub-quorum leader loss with delayed recovery, and rolling follower
     crash/restart. Parseable with {!Faults.Faultplan.parse}. *)
 
-val faults_data :
-  ?procs:int ->
-  ?items:int ->
-  unit ->
-  (string * Faults.Faultplan.t * Systems.dufs_run) list
-(** [(label, plan, run)]: one {!Systems.dufs_mdtest} run per schedule
-    at [procs] (default 64) processes with [items] (default 60) dirs and
-    files each, headed by the exactly-comparable fault-free baseline
-    (empty plan). *)
-
 (** The faults gate, per [(label, plan, run)]: the run is error-free,
     its logical census is exact, every event of its plan fired, and a
     non-empty plan produced dedup hits. *)
@@ -215,15 +195,6 @@ val profile_check : (int * Systems.dufs_run) list -> string list
     per-shard balance ([expected_logical] and [live_stubs] ride in the
     config string for external validation). *)
 
-val sharding_data :
-  ?procs_list:int list ->
-  ?topologies:(int * int) list ->
-  ?batches:int list ->
-  unit ->
-  ((int * int * int * int) * Systems.dufs_run) list
-(** [((shards, servers_per_shard, max_batch, procs), run)] for each
-    combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
-
 val sharding :
   ?procs_list:int list ->
   ?topologies:(int * int) list ->
@@ -232,7 +203,7 @@ val sharding :
   unit ->
   unit
 
-(** The sharding gate over {!sharding_data}'s runs: the logical znode
+(** The sharding gate over the runs of {!sharding}: the logical znode
     census exact on every run, and every shard committed writes. *)
 val sharding_check :
   ((int * int * int * int) * Systems.dufs_run) list -> string list

@@ -286,7 +286,6 @@ type t = {
   mutable dedup_hits : int;
   mutable dedup_evictions : int;
   mutable stale_served : int;
-  mutable stale_refused : int;
   mutable failed_fast : int;
   mutable sessions_expired : int;
   (* fan-out targets, precomputed so the per-batch hot path does not
@@ -331,7 +330,6 @@ let dedup_cxids t id ~session =
   | None -> []
 
 let stale_reads_served t = t.stale_served
-let stale_reads_refused t = t.stale_refused
 let writes_failed_fast t = t.failed_fast
 let sessions_expired t = t.sessions_expired
 
@@ -346,7 +344,6 @@ let sum_leases f t =
 let leases_granted t = sum_leases Lease.granted t
 let leases_renewed t = sum_leases Lease.renewed t
 let leases_revoked t = sum_leases Lease.revoked t
-let leases_expired t = sum_leases Lease.expired t
 
 (* Ownership flip (online resharding): this ensemble is no longer the
    owner of [dir]'s contents, so any coherence state its live members
@@ -369,26 +366,6 @@ let revoke_dir t dir =
         ignore (Lease.revoke_dir s.leases ~children dir)
       end)
     t.members
-
-let debug_dump t =
-  String.concat "\n"
-    (Array.to_list
-       (Array.map
-          (fun s ->
-            Printf.sprintf
-              "  srv%d role=%s epoch=%d next_zxid=%Ld next_commit=%Ld \
-               next_apply=%Ld pending=%d proposals=%d inbox=%d"
-              s.id
-              (match s.role with
-              | Leader -> "L"
-              | Follower -> "F"
-              | Observer -> "O"
-              | Down -> "D")
-              s.epoch s.next_zxid s.next_commit s.next_apply
-              (Zxid_tbl.length s.pending)
-              (Zxid_tbl.length s.proposals)
-              (Mailbox.length s.inbox))
-          t.members))
 
 let quorum t = (t.cfg.servers / 2) + 1
 
@@ -1221,10 +1198,8 @@ let handle t (s : server) msg =
         && t.cfg.stale_read_after < infinity
         && Engine.now t.engine -. s.fresh_at > t.cfg.stale_read_after
       in
-      if stale && not t.cfg.serve_stale_reads then begin
-        t.stale_refused <- t.stale_refused + 1;
+      if stale && not t.cfg.serve_stale_reads then
         refuse Zerror.ZCONNECTIONLOSS
-      end
       else begin
         if stale then t.stale_served <- t.stale_served + 1;
         s.reads <- s.reads + 1;
@@ -1509,7 +1484,7 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
       leader = 0; next_session = 1L; next_server = 0;
       commits = 0; last_commit_at = Engine.now engine;
       commit_fanouts = 0; piggybacked_commits = 0; dedup_hits = 0;
-      dedup_evictions = 0; stale_served = 0; stale_refused = 0; failed_fast = 0;
+      dedup_evictions = 0; stale_served = 0; failed_fast = 0;
       sessions_expired = 0; follower_peers = []; observer_peers = [];
       recoveries = 0; recovery_time_total = 0.; recovery_time_max = 0.;
       wal_tail_commits = 0; transfer_diff_txns = 0; transfer_snaps = 0 }
@@ -2158,7 +2133,7 @@ let session t ?server () =
      callback in the serving replica's lease table, and every committed
      change to a leased directory is pushed through it — one aggregated
      subscription per session, not one watch per cached znode. *)
-  let invalidation = ref (fun (_ : Ztree.watch_event) -> ()) in
+  let invalidation = ref (fun (_ : Lease.revocation) -> ()) in
   let notify event = !invalidation event in
   let lease (srv : server) dir =
     Lease.grant srv.leases ~session:session_id ~dir ~notify

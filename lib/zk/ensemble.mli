@@ -68,7 +68,7 @@ type config = {
   serve_stale_reads : bool;
       (** what a stale follower does with a read: [true] serves it and
           counts it ({!stale_reads_served}); [false] refuses it with
-          ZCONNECTIONLOSS ({!stale_reads_refused}) *)
+          ZCONNECTIONLOSS *)
   fail_fast_after : float;
       (** leader-side graceful degradation under quorum loss: with
           pending writes and no commit for this long, new writes are
@@ -205,9 +205,6 @@ val set_reorder : t -> p:float -> window:float -> unit
 
 val leader_id : t -> int option
 
-(** One line per member — role, epoch, zxid cursors, pending/proposal
-    counts, inbox depth — for diagnosing stalled pipelines in tests. *)
-val debug_dump : t -> string
 val alive_ids : t -> int list
 
 (** Every member id, voters then observers, alive or not. *)
@@ -255,9 +252,6 @@ val dedup_cxids : t -> int -> session:int64 -> int64 list
     [stale_read_after] (with [serve_stale_reads = true]). *)
 val stale_reads_served : t -> int
 
-(** Reads refused by such a follower (with [serve_stale_reads = false]). *)
-val stale_reads_refused : t -> int
-
 (** Writes refused immediately by a stalled leader ([fail_fast_after]). *)
 val writes_failed_fast : t -> int
 
@@ -284,7 +278,6 @@ val leases_granted : t -> int
 
 val leases_renewed : t -> int
 val leases_revoked : t -> int
-val leases_expired : t -> int
 
 (** [revoke_dir t dir] fires, on every live member, the coherence state
     still parked on [dir]: armed child watches on [dir], data watches on

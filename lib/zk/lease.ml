@@ -15,9 +15,17 @@
    the TTL bounds staleness when the server (and this RAM table) is
    lost. *)
 
+type revocation = {
+  kind : Ztree.event_kind;
+  path : string;
+  path_hash : int;
+  parent : string;
+  parent_hash : int;
+}
+
 type interest = {
   mutable deadline : float;
-  notify : Ztree.watch_event -> unit;
+  notify : revocation -> unit;
 }
 
 type t = {
@@ -96,11 +104,17 @@ let notify_dir t dir event =
    parent directory (get/stat fills) and listings of [path] itself
    (children fills) — same union the per-znode protocol covers with its
    two watch registries. A table with no interests returns at once,
-   without computing the parent or hashing either path. *)
+   without computing the parent or hashing either path. The parent and
+   both paths' hashes ride in the event, so none of the sessions revoked
+   derives them again. *)
 let notify_path t kind path =
   if Hashtbl.length t.interests > 0 then begin
-    let event = { Ztree.kind; path } in
-    notify_dir t (Zpath.parent path) event;
+    let parent = Zpath.parent path in
+    let event =
+      { kind; path; path_hash = Zpath.hash path; parent;
+        parent_hash = Zpath.hash parent }
+    in
+    notify_dir t parent event;
     notify_dir t path event
   end
 
@@ -132,16 +146,25 @@ let revoke_dir t ?(children = []) dir =
   | Some sessions ->
     let now = t.now () in
     let fired = ref 0 in
+    let dir_hash = Zpath.hash dir and parent = Zpath.parent dir in
+    let listing =
+      { kind = Ztree.Node_children_changed; path = dir; path_hash = dir_hash;
+        parent; parent_hash = Zpath.hash parent }
+    in
+    let events =
+      List.map
+        (fun child ->
+          { kind = Ztree.Node_data_changed; path = child;
+            path_hash = Zpath.hash child; parent = dir; parent_hash = dir_hash })
+        children
+      @ [ listing ]
+    in
     Hashtbl.iter
       (fun _session (i : interest) ->
         if i.deadline > now then begin
           t.revoked <- t.revoked + 1;
           incr fired;
-          List.iter
-            (fun child ->
-              i.notify { Ztree.kind = Ztree.Node_data_changed; path = child })
-            children;
-          i.notify { Ztree.kind = Ztree.Node_children_changed; path = dir }
+          List.iter i.notify events
         end
         else t.expired <- t.expired + 1)
       sessions;

@@ -19,6 +19,18 @@
 
 type t
 
+(** One early revocation pushed to a session: [kind] of change at [path],
+    [path]'s parent directory, and each path's {!Zpath.hash}. The server
+    derives these once per event, so none of the sessions it revokes
+    derives them again. *)
+type revocation = {
+  kind : Ztree.event_kind;
+  path : string;
+  path_hash : int;
+  parent : string;
+  parent_hash : int;
+}
+
 (** [create ~now ~ttl] — [now] is the sim clock; [ttl] the lease duration
     in virtual seconds. *)
 val create : now:(unit -> float) -> ttl:float -> t
@@ -32,7 +44,7 @@ val ttl : t -> float
     latest registration wins only for brand-new interests; renewals keep
     the existing callback. *)
 val grant :
-  t -> session:int64 -> dir:string -> notify:(Ztree.watch_event -> unit) ->
+  t -> session:int64 -> dir:string -> notify:(revocation -> unit) ->
   float
 
 (** [revoke_txn t txn results] pushes revocations for one successfully

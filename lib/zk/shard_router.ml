@@ -621,6 +621,8 @@ let ensembles t =
       | Local _ -> invalid_arg "Shard_router.ensembles: local deployment")
     t.backends
 
+(* the data tree of shard [i]: its leader's, or the first live
+   replica's while it has no leader *)
 let tree_of_shard t i =
   match t.backends.(i) with
   | Local l -> Zk_local.tree l

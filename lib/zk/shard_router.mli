@@ -217,10 +217,6 @@ val home_shard : t -> string -> int
     @raise Invalid_argument on a {!local} deployment. *)
 val ensembles : t -> Ensemble.t array
 
-(** Current data tree of shard [i] (leader's tree, or the first live
-    replica's if the shard has no leader right now). *)
-val tree_of_shard : t -> int -> Ztree.t
-
 (** Per-shard znode counts (each includes that shard's own root ["/"]
     and any stubs it hosts). *)
 val node_counts : t -> int array

@@ -30,7 +30,7 @@ type handle = {
   lease_children : string -> (string list * float, Zerror.t) result;
   lease_children_with_data :
     string -> ((string * string * Ztree.stat) list * float, Zerror.t) result;
-  set_invalidation : (Ztree.watch_event -> unit) -> unit;
+  set_invalidation : (Lease.revocation -> unit) -> unit;
   sync : unit -> unit;
   close : unit -> unit;
   session_id : int64;

@@ -65,11 +65,11 @@ type handle = {
       (** Leased bulk readdir: one server visit returns every child's
           [(name, data, stat)] plus one lease deadline covering the
           listing and all per-child entries warmed from it. *)
-  set_invalidation : (Ztree.watch_event -> unit) -> unit;
+  set_invalidation : (Lease.revocation -> unit) -> unit;
       (** Install the session's single aggregated invalidation callback:
           every early lease revocation (any committed change under a
           leased directory) is delivered through it, tagged with the
-          changed path and event kind. Client-side only; replaces the
+          changed path, its parent directory and the event kind. Client-side only; replaces the
           per-znode watch fan-in. *)
   sync : unit -> unit;
       (** Flush the leader→replica pipeline for this session's server. *)

@@ -64,7 +64,7 @@ let session t =
   (* One revocation callback per session; lease reads route through it.
      The indirection lets the client install its handler after the
      handle is built. *)
-  let invalidation = ref (fun (_ : Ztree.watch_event) -> ()) in
+  let invalidation = ref (fun (_ : Lease.revocation) -> ()) in
   let notify event = !invalidation event in
   let lease dir = Lease.grant t.leases ~session:session_id ~dir ~notify in
   { Zk_client.create;

@@ -48,3 +48,5 @@ let concat dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
 let depth p = List.length (split p)
 
 let sequential_name base counter = Printf.sprintf "%s%010d" base counter
+
+let hash (p : string) = Hashtbl.hash p

@@ -316,10 +316,14 @@ let test_mdserver_threads_add_capacity () =
    The simulators compute a parent lock key before the namespace
    validates the path; an empty path used to raise there. *)
 
-let expect_einval label = function
-  | Error Errno.EINVAL -> ()
-  | Ok _ -> Alcotest.failf "%s: expected EINVAL, got Ok" label
-  | Error e -> Alcotest.failf "%s: expected EINVAL, got %s" label (Errno.to_string e)
+let expect_errno expected label = function
+  | Error e when e = expected -> ()
+  | Ok _ -> Alcotest.failf "%s: expected %s, got Ok" label (Errno.to_string expected)
+  | Error e ->
+    Alcotest.failf "%s: expected %s, got %s" label (Errno.to_string expected)
+      (Errno.to_string e)
+
+let expect_einval label r = expect_errno Errno.EINVAL label r
 
 let check_relative_paths ops =
   List.iter
@@ -347,29 +351,34 @@ let test_cmd_relative_paths () =
 (* A path the filesystem refuses costs no server work: no virtual time,
    no MDS request, no DLM revoke and no global lock, even with two
    clients alternating on it (["ab/c"] would otherwise lock ["/b"]).
-   [setup engine] gives the client factory and the counters that must
-   stay 0. *)
+   That holds for absolute paths with a ["."] or [".."] component too,
+   and for a component longer than NAME_MAX, whose ENAMETOOLONG outranks
+   the [".."] before it. [setup engine] gives the client factory and the
+   counters that must stay 0. *)
 let check_refused_for_free setup =
   in_sim (fun engine ->
       let client, counters = setup engine in
       List.iter
-        (fun p ->
+        (fun (p, errno) ->
           for round = 0 to 3 do
             let ops = client (round mod 2) in
             let label op = Printf.sprintf "%s %S, client %d" op p (round mod 2) in
-            expect_einval (label "mkdir") (ops.Vfs.mkdir p ~mode:0o755);
-            expect_einval (label "create") (ops.Vfs.create p ~mode:0o644);
-            expect_einval (label "unlink") (ops.Vfs.unlink p);
-            expect_einval (label "rmdir") (ops.Vfs.rmdir p);
-            expect_einval (label "rename from") (ops.Vfs.rename p "/y");
-            expect_einval (label "rename to") (ops.Vfs.rename "/y" p);
-            expect_einval (label "symlink") (ops.Vfs.symlink ~target:"t" p);
-            expect_einval (label "chmod") (ops.Vfs.chmod p ~mode:0o600);
-            expect_einval (label "getattr") (ops.Vfs.getattr p);
-            expect_einval (label "readdir") (ops.Vfs.readdir p);
-            expect_einval (label "write") (ops.Vfs.write p ~off:0 "x")
+            let expect op = expect_errno errno (label op) in
+            expect "mkdir" (ops.Vfs.mkdir p ~mode:0o755);
+            expect "create" (ops.Vfs.create p ~mode:0o644);
+            expect "unlink" (ops.Vfs.unlink p);
+            expect "rmdir" (ops.Vfs.rmdir p);
+            expect "rename from" (ops.Vfs.rename p "/y");
+            expect "rename to" (ops.Vfs.rename "/y" p);
+            expect "symlink" (ops.Vfs.symlink ~target:"t" p);
+            expect "chmod" (ops.Vfs.chmod p ~mode:0o600);
+            expect "getattr" (ops.Vfs.getattr p);
+            expect "readdir" (ops.Vfs.readdir p);
+            expect "write" (ops.Vfs.write p ~off:0 "x")
           done)
-        [ ""; "x"; "ab/c" ];
+        [ ("", Errno.EINVAL); ("x", Errno.EINVAL); ("ab/c", Errno.EINVAL);
+          ("/a/..", Errno.EINVAL); ("/b/./c", Errno.EINVAL);
+          ("/../" ^ String.make 300 'n', Errno.ENAMETOOLONG) ];
       List.iter (fun (name, count) -> check_int name 0 (count ())) counters;
       Alcotest.(check (float 0.)) "no virtual time elapsed" 0. (Engine.now engine))
 

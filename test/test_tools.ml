@@ -637,6 +637,107 @@ let gen_cache_step =
         (1, map (fun p -> Remote_delete p) path);
         (2, map2 (fun k p -> Revoke (k, p)) kind path) ])
 
+(* Runs [steps] against a cache of [capacity] over a local service whose
+   tree holds [tree] (parents first), and against the model; [true] iff
+   they agree after every step. *)
+let cache_agrees_with_model ~capacity ~tree steps =
+  let service = Zk.Zk_local.create () in
+  let server = Zk.Zk_local.session service in
+  List.iter (fun p -> ignore (server.Zk.Zk_client.create p ~data:"")) tree;
+  let revoke = ref (fun (_ : Zk.Lease.revocation) -> ()) in
+  let session = Zk.Zk_local.session service in
+  let cache =
+    Cache.wrap ~capacity ~now:(fun () -> 0.)
+      { session with Zk.Zk_client.set_invalidation = (fun cb -> revoke := cb) }
+  in
+  let h = Cache.handle cache in
+  let data = Lru.create capacity and kids = Lru.create capacity in
+  let hits = ref 0 and misses = ref 0 and invalidations = ref 0 in
+  let drop store p = if Lru.remove store p then incr invalidations in
+  let mutation p =
+    drop data p;
+    drop kids p;
+    drop kids (Zk.Zpath.parent p)
+  in
+  let step = function
+    | Get p ->
+      (match Lru.find data p with
+       | Some _ -> incr hits; Lru.touch data p
+       | None ->
+         incr misses;
+         Lru.put data p (Result.is_ok (server.Zk.Zk_client.get p)));
+      ignore (h.Zk.Zk_client.get p)
+    | Children p ->
+      (match Lru.find kids p with
+       | Some _ -> incr hits; Lru.touch kids p
+       | None ->
+         incr misses;
+         Result.iter (Lru.put kids p) (server.Zk.Zk_client.children p));
+      ignore (h.Zk.Zk_client.children p)
+    | Bulk p ->
+      let live names =
+        List.for_all
+          (fun name -> Lru.find data (Zk.Zpath.concat p name) = Some true)
+          names
+      in
+      (match Lru.find kids p with
+       | Some names when live names ->
+         incr hits;
+         Lru.touch kids p;
+         List.iter (fun name -> Lru.touch data (Zk.Zpath.concat p name)) names
+       | Some _ | None ->
+         incr misses;
+         Result.iter
+           (fun entries ->
+             Lru.put kids p (List.map (fun (name, _, _) -> name) entries);
+             List.iter
+               (fun (name, _, _) -> Lru.put data (Zk.Zpath.concat p name) true)
+               entries)
+           (server.Zk.Zk_client.children_with_data p));
+      ignore (h.Zk.Zk_client.children_with_data p)
+    | Own_create p ->
+      if Result.is_ok (h.Zk.Zk_client.create p ~data:"") then mutation p
+    | Own_set p ->
+      drop data p;
+      ignore (h.Zk.Zk_client.set p ~data:"v")
+    | Own_delete p ->
+      mutation p;
+      ignore (h.Zk.Zk_client.delete p)
+    | Remote_create p -> ignore (server.Zk.Zk_client.create p ~data:"")
+    | Remote_delete p -> ignore (server.Zk.Zk_client.delete p)
+    | Revoke (kind, p) ->
+      (match kind with
+       | Zk.Ztree.Node_data_changed -> drop data p
+       | Zk.Ztree.Node_created | Zk.Ztree.Node_deleted -> mutation p
+       | Zk.Ztree.Node_children_changed -> drop kids p);
+      let parent = Zk.Zpath.parent p in
+      !revoke
+        { Zk.Lease.kind; path = p; path_hash = Zk.Zpath.hash p; parent;
+          parent_hash = Zk.Zpath.hash parent }
+  in
+  List.for_all
+    (fun s ->
+      step s;
+      let got_data, got_kids = Cache.lru_order cache in
+      let agree =
+        Cache.hits cache = !hits
+        && Cache.misses cache = !misses
+        && Cache.invalidations cache = !invalidations
+        && Cache.size cache = List.length data.order + List.length kids.order
+        && Cache.queue_length cache = Cache.size cache
+        && got_data = Lru.keys data && got_kids = Lru.keys kids
+      in
+      if not agree then
+        QCheck2.Test.fail_reportf
+          "after %s: hits %d/%d misses %d/%d invalidations %d/%d data [%s]/[%s] \
+           listings [%s]/[%s]"
+          (show_cache_step s) (Cache.hits cache) !hits (Cache.misses cache) !misses
+          (Cache.invalidations cache) !invalidations
+          (String.concat " " got_data) (String.concat " " (Lru.keys data))
+          (String.concat " " got_kids) (String.concat " " (Lru.keys kids));
+      agree)
+    steps
+
 let prop_cache_matches_lru_model =
   QCheck2.Test.make ~name:"cache = exact-LRU model, step by step" ~count:300
     ~print:(fun (capacity, steps) ->
@@ -644,101 +745,67 @@ let prop_cache_matches_lru_model =
         (String.concat "; " (List.map show_cache_step steps)))
     QCheck2.Gen.(pair (int_range 3 8) (list_size (int_range 1 60) gen_cache_step))
     (fun (capacity, steps) ->
-      let service = Zk.Zk_local.create () in
-      let server = Zk.Zk_local.session service in
-      List.iter
-        (fun p -> ignore (server.Zk.Zk_client.create p ~data:""))
-        [ "/t"; "/t/a"; "/t/b"; "/t/a/x" ];
-      let revoke = ref (fun (_ : Zk.Ztree.watch_event) -> ()) in
-      let session = Zk.Zk_local.session service in
-      let cache =
-        Cache.wrap ~capacity ~now:(fun () -> 0.)
-          { session with Zk.Zk_client.set_invalidation = (fun cb -> revoke := cb) }
-      in
-      let h = Cache.handle cache in
-      let data = Lru.create capacity and kids = Lru.create capacity in
-      let hits = ref 0 and misses = ref 0 and invalidations = ref 0 in
-      let drop store p = if Lru.remove store p then incr invalidations in
-      let mutation p =
-        drop data p;
-        drop kids p;
-        drop kids (Zk.Zpath.parent p)
-      in
-      let step = function
-        | Get p ->
-          (match Lru.find data p with
-           | Some _ -> incr hits; Lru.touch data p
-           | None ->
-             incr misses;
-             Lru.put data p (Result.is_ok (server.Zk.Zk_client.get p)));
-          ignore (h.Zk.Zk_client.get p)
-        | Children p ->
-          (match Lru.find kids p with
-           | Some _ -> incr hits; Lru.touch kids p
-           | None ->
-             incr misses;
-             Result.iter (Lru.put kids p) (server.Zk.Zk_client.children p));
-          ignore (h.Zk.Zk_client.children p)
-        | Bulk p ->
-          let live names =
-            List.for_all
-              (fun name -> Lru.find data (Zk.Zpath.concat p name) = Some true)
-              names
-          in
-          (match Lru.find kids p with
-           | Some names when live names ->
-             incr hits;
-             Lru.touch kids p;
-             List.iter (fun name -> Lru.touch data (Zk.Zpath.concat p name)) names
-           | Some _ | None ->
-             incr misses;
-             Result.iter
-               (fun entries ->
-                 Lru.put kids p (List.map (fun (name, _, _) -> name) entries);
-                 List.iter
-                   (fun (name, _, _) -> Lru.put data (Zk.Zpath.concat p name) true)
-                   entries)
-               (server.Zk.Zk_client.children_with_data p));
-          ignore (h.Zk.Zk_client.children_with_data p)
-        | Own_create p ->
-          if Result.is_ok (h.Zk.Zk_client.create p ~data:"") then mutation p
-        | Own_set p ->
-          drop data p;
-          ignore (h.Zk.Zk_client.set p ~data:"v")
-        | Own_delete p ->
-          mutation p;
-          ignore (h.Zk.Zk_client.delete p)
-        | Remote_create p -> ignore (server.Zk.Zk_client.create p ~data:"")
-        | Remote_delete p -> ignore (server.Zk.Zk_client.delete p)
-        | Revoke (kind, p) ->
-          (match kind with
-           | Zk.Ztree.Node_data_changed -> drop data p
-           | Zk.Ztree.Node_created | Zk.Ztree.Node_deleted -> mutation p
-           | Zk.Ztree.Node_children_changed -> drop kids p);
-          !revoke { Zk.Ztree.kind; path = p }
-      in
-      List.for_all
-        (fun s ->
-          step s;
-          let got_data, got_kids = Cache.lru_order cache in
-          let agree =
-            Cache.hits cache = !hits
-            && Cache.misses cache = !misses
-            && Cache.invalidations cache = !invalidations
-            && Cache.size cache = List.length data.order + List.length kids.order
-            && Cache.queue_length cache = Cache.size cache
-            && got_data = Lru.keys data && got_kids = Lru.keys kids
-          in
-          if not agree then
-            QCheck2.Test.fail_reportf
-              "after %s: hits %d/%d misses %d/%d invalidations %d/%d data [%s]/[%s] \
-               listings [%s]/[%s]"
-              (show_cache_step s) (Cache.hits cache) !hits (Cache.misses cache) !misses
-              (Cache.invalidations cache) !invalidations
-              (String.concat " " got_data) (String.concat " " (Lru.keys data))
-              (String.concat " " got_kids) (String.concat " " (Lru.keys kids));
-          agree)
+      cache_agrees_with_model ~capacity ~tree:[ "/t"; "/t/a"; "/t/b"; "/t/a/x" ]
         steps)
+
+(* A namespace of 41 znodes, parents first: [/t], four directories and
+   nine files in each. *)
+let store_paths =
+  let dirs = List.init 4 (Printf.sprintf "/t/d%d") in
+  ("/t" :: dirs)
+  @ List.concat_map (fun d -> List.init 9 (Printf.sprintf "%s/f%d" d)) dirs
+
+(* The stores' bucket arrays start at one bucket and double as they
+   fill, so capacities 1-8 exercise every re-bucketing up to 8 buckets
+   while gets, listings and revocations add, evict and unlink nodes
+   across 1-40 paths. *)
+let prop_store_matches_lru_model =
+  QCheck2.Test.make ~name:"cache stores = list-LRU model over 1-40 paths"
+    ~count:300
+    ~print:(fun (capacity, n, steps) ->
+      Printf.sprintf "capacity %d, %d paths: %s" capacity n
+        (String.concat "; " (List.map show_cache_step steps)))
+    QCheck2.Gen.(
+      let* capacity = int_range 1 8 in
+      let* n = int_range 1 40 in
+      let path = oneofl (List.filteri (fun i _ -> i < n) store_paths) in
+      let kind =
+        oneofl
+          [ Zk.Ztree.Node_created; Zk.Ztree.Node_deleted;
+            Zk.Ztree.Node_data_changed; Zk.Ztree.Node_children_changed ]
+      in
+      let step =
+        frequency
+          [ (6, map (fun p -> Get p) path);
+            (2, map (fun p -> Children p) path);
+            (2, map (fun p -> Bulk p) path);
+            (3, map2 (fun k p -> Revoke (k, p)) kind path) ]
+      in
+      let+ steps = list_size (int_range 1 120) step in
+      (capacity, n, steps))
+    (fun (capacity, _, steps) ->
+      cache_agrees_with_model ~capacity ~tree:store_paths steps)
+
+(* 100 paths grow a store's bucket array from 1 to 128 buckets, seven
+   doublings; every key must still be found, as a hit, in LRU order. *)
+let test_store_grows () =
+  let service = Zk.Zk_local.create () in
+  let server = Zk.Zk_local.session service in
+  let paths = List.init 100 (Printf.sprintf "/g%03d") in
+  List.iter (fun p -> ignore (server.Zk.Zk_client.create p ~data:"")) paths;
+  let cache = Cache.wrap ~capacity:128 ~now:(fun () -> 0.) server in
+  let h = Cache.handle cache in
+  List.iter (fun p -> ignore (h.Zk.Zk_client.get p)) paths;
+  Alcotest.(check int) "100 misses fill the store" 100 (Cache.misses cache);
+  Alcotest.(check int) "size" 100 (Cache.size cache);
+  List.iter
+    (fun p ->
+      match h.Zk.Zk_client.get p with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "get %s: %s" p (Zk.Zerror.to_string e))
+    paths;
+  Alcotest.(check int) "every key found again" 100 (Cache.hits cache);
+  Alcotest.(check (list string)) "LRU order" paths (fst (Cache.lru_order cache))
 
 let () =
   Alcotest.run "dufs-tools"
@@ -777,4 +844,7 @@ let () =
         [ Alcotest.test_case "consistent placement" `Quick
             test_client_consistent_strategy_placement;
           Alcotest.test_case "rejects bad ring" `Quick test_client_rejects_bad_ring ] );
-      ("cache-lru", [ QCheck_alcotest.to_alcotest prop_cache_matches_lru_model ]) ]
+      ( "cache-lru",
+        [ QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
+          QCheck_alcotest.to_alcotest prop_store_matches_lru_model;
+          Alcotest.test_case "store grows through doublings" `Quick test_store_grows ] ) ]
