@@ -378,8 +378,6 @@ let arm_shards engine ensembles plan =
     plan;
   armed
 
-let arm engine ensemble plan = arm_shards engine [| ensemble |] plan
-
 let notify_phase armed phase =
   match Hashtbl.find_opt armed.by_phase phase with
   | None -> ()

@@ -3,7 +3,7 @@
     A plan is a list of timed crash/restart events. Each event fires at
     an absolute virtual time or at an offset after a named workload
     phase begins (the [?on_phase] hook of {!Mdtest.Runner.run} supplies
-    the phase notifications). [arm] turns the plan into engine events,
+    the phase notifications). [arm_shards] turns the plan into engine events,
     so a benchmark runs unchanged while servers fail underneath it.
 
     Textual grammar ([parse] / [to_string] are inverses on canonical
@@ -103,19 +103,16 @@ type t = event list
 val parse : string -> (t, string) result
 val to_string : t -> string
 
-(** A plan instantiated against one engine + ensemble. *)
+(** A plan instantiated against one engine + deployment. *)
 type armed
 
-(** [arm engine ensemble plan] schedules every [At] event now and holds
-    the [After_phase] events until {!notify_phase} names their phase.
-    Equivalent to [arm_shards] with a one-ensemble deployment. *)
-val arm : Simkit.Engine.t -> Zk.Ensemble.t -> t -> armed
-
-(** [arm_shards engine ensembles plan] arms the plan against a sharded
-    deployment ([ensembles.(s)] is shard [s], e.g.
-    {!Zk.Shard_router.ensembles}). Unqualified actions address shard 0;
-    an event naming a shard the deployment does not have raises
-    [Invalid_argument] at fire time. *)
+(** [arm_shards engine ensembles plan] schedules every [At] event now
+    and holds the [After_phase] events until {!notify_phase} names their
+    phase. [ensembles.(s)] is shard [s] (e.g.
+    {!Zk.Shard_router.ensembles}; an unsharded ensemble [e] is
+    [[| e |]]). Unqualified actions address shard 0; an event naming a
+    shard the deployment does not have raises [Invalid_argument] at
+    fire time. *)
 val arm_shards : Simkit.Engine.t -> Zk.Ensemble.t array -> t -> armed
 
 (** [notify_phase armed name] — a workload phase named [name] is

@@ -1,15 +1,17 @@
 let max_component = 255
 
+(* whether [p] from byte [i] on holds no doubled separator; top-level,
+   so the check allocates nothing on the per-op path *)
+let rec no_double_sep p len i =
+  i >= len
+  || (not (String.unsafe_get p i = '/' && String.unsafe_get p (i - 1) = '/'))
+     && no_double_sep p len (i + 1)
+
 (* whether [p] holds no doubled separator and, past its first byte, no
    trailing one: the common case, which [normalize] returns as is *)
 let is_normal p =
   let len = String.length p in
-  let rec clean i =
-    i >= len
-    || (not (String.unsafe_get p i = '/' && String.unsafe_get p (i - 1) = '/'))
-       && clean (i + 1)
-  in
-  (len < 2 || String.unsafe_get p (len - 1) <> '/') && clean 1
+  (len < 2 || String.unsafe_get p (len - 1) <> '/') && no_double_sep p len 1
 
 let normalize p =
   if is_normal p then p

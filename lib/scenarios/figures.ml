@@ -1256,6 +1256,42 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
     json_path;
   Report.gate ~experiment:"sharding" (sharding_check data)
 
+(* {2 Seed sweeps}
+
+   The fault experiments share one loop: run each seeded point, print
+   its row and then its violations, and run the first point again — the
+   same seed must reproduce a bit-identical history. *)
+
+let seed_sweep ~run ~print ~violations ~digest points =
+  let results =
+    List.map
+      (fun p ->
+        let r = run p in
+        print r;
+        List.iter
+          (fun (v : Zk.History.violation) ->
+            Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
+              v.Zk.History.v_path v.Zk.History.v_detail)
+          (violations r);
+        r)
+      points
+  in
+  let again = run (List.hd points) in
+  (results, digest again = digest (List.hd results))
+
+let digest_verdict deterministic =
+  if deterministic then "identical" else "DIFFERS (nondeterminism!)"
+
+(* A counter of every shard of [router], folded with [op]. *)
+let over_shards router f op init =
+  Array.fold_left (fun acc e -> op acc (f e)) init (Zk.Shard_router.ensembles router)
+
+let shard_sum router f = over_shards router f ( + ) 0
+
+(* A bench point holds finite numbers only; -1 marks one that is
+   missing (a run that never recovered, a sweep with no recovery). *)
+let or_missing x = if Float.is_finite x then x else -1.
+
 (* {2 Chaos — randomized network fault schedules + linearizability oracle} *)
 
 let chaos_servers = 5
@@ -1291,6 +1327,66 @@ let chaos_check ~deterministic results =
   @ Report.expect deterministic
       "identical seed produced a different history"
 
+(* The chaos sweep over [(shards, seed)] points, rows printed by [print]. *)
+let chaos_sweep ~run ~print points =
+  seed_sweep
+    ~run:(fun (shards, seed) -> run ~shards ~seed)
+    ~print
+    ~violations:(fun (r : Systems.chaos_run) -> r.Systems.violations)
+    ~digest:(fun (r : Systems.chaos_run) -> r.Systems.digest)
+    points
+
+(* The finished recoveries of a sweep, sorted. *)
+let chaos_recoveries results =
+  let a =
+    Array.of_list
+      (List.filter Float.is_finite
+         (List.map (fun (r : Systems.chaos_run) -> r.Systems.recovery_s) results))
+  in
+  Array.sort compare a;
+  a
+
+let chaos_points ~clients ~duration ~deterministic results =
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let total_checked = total (fun (r : Systems.chaos_run) -> r.Systems.checked) in
+  let recoveries = chaos_recoveries results in
+  List.map
+    (fun (r : Systems.chaos_run) ->
+      let sum = shard_sum r.Systems.router in
+      Report.point ~experiment:"chaos" ~procs:clients
+        ~config:
+          (Printf.sprintf "seed=%Ld|shards=%d|zk=%d" r.Systems.seed r.Systems.shards
+             chaos_servers)
+        ~ops_per_sec:(float_of_int r.Systems.ops_ok /. duration)
+        ~phases:
+          [ ("violations", float_of_int (List.length r.Systems.violations));
+            ("ops_checked", float_of_int r.Systems.checked);
+            ("ops_recorded", float_of_int r.Systems.recorded);
+            ("undetermined", float_of_int r.Systems.undetermined_ops);
+            ("recovery_s", or_missing r.Systems.recovery_s);
+            ("sessions_expired", float_of_int (sum Zk.Ensemble.sessions_expired));
+            ("dedup_hits", float_of_int (sum Zk.Ensemble.dedup_hits));
+            ("dedup_evictions", float_of_int (sum Zk.Ensemble.dedup_evictions));
+            ("writes_failed_fast", float_of_int (sum Zk.Ensemble.writes_failed_fast));
+            ("stale_reads_served", float_of_int (sum Zk.Ensemble.stale_reads_served)) ]
+        ())
+    results
+  @ [ Report.point ~experiment:"chaos-summary" ~procs:clients
+        ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length results) chaos_servers)
+        ~ops_per_sec:(float_of_int total_checked /. duration)
+        ~phases:
+          [ ( "violations_total",
+              float_of_int
+                (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations)) );
+            ("ops_checked_total", float_of_int total_checked);
+            ("recovery_p50_s", or_missing (percentile recoveries 0.50));
+            ("recovery_p95_s", or_missing (percentile recoveries 0.95));
+            ("recovery_max_s", or_missing (percentile recoveries 1.0));
+            ("runs_recovered", float_of_int (Array.length recoveries));
+            ("runs", float_of_int (List.length results));
+            ("deterministic", if deterministic then 1. else 0.) ]
+        () ]
+
 let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
     ?(registers = 6) ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12)
     ?json_path () =
@@ -1303,105 +1399,36 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
   Printf.printf "%6s %7s %9s %8s %7s %7s %11s %11s %9s %8s\n" "shards" "seed"
     "recorded" "checked" "undet" "expired" "dedup_hits" "evictions" "recovery"
     "violations";
-  let results =
-    List.map
-      (fun (shards, seed) ->
-        let r =
-          Systems.chaos_run ~servers:chaos_servers ~shards ~clients ~registers
-            ~heal_at ~post_heal ~events ~seed ()
-        in
+  let results, deterministic =
+    chaos_sweep
+      ~run:(fun ~shards ~seed ->
+        Systems.chaos_run ~servers:chaos_servers ~shards ~clients ~registers ~heal_at
+          ~post_heal ~events ~seed ())
+      ~print:(fun (r : Systems.chaos_run) ->
+        let sum = shard_sum r.Systems.router in
         Printf.printf "%6d %7Ld %9d %8d %7d %7d %11d %11d %8.2fs %10d\n%!"
-          shards seed r.Systems.recorded r.Systems.checked
-          r.Systems.undetermined_ops r.Systems.sessions_expired
-          r.Systems.dedup_hits r.Systems.dedup_evictions r.Systems.recovery_s
-          (List.length r.Systems.violations);
-        List.iter
-          (fun (v : Zk.History.violation) ->
-            Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
-              v.Zk.History.v_path v.Zk.History.v_detail)
-          r.Systems.violations;
-        r)
+          r.Systems.shards r.Systems.seed r.Systems.recorded r.Systems.checked
+          r.Systems.undetermined_ops (sum Zk.Ensemble.sessions_expired)
+          (sum Zk.Ensemble.dedup_hits) (sum Zk.Ensemble.dedup_evictions)
+          r.Systems.recovery_s
+          (List.length r.Systems.violations))
       runs
   in
-  (* Determinism: the first schedule again, bit-identical history. *)
-  let shards0, seed0 = List.hd runs in
-  let again =
-    Systems.chaos_run ~servers:chaos_servers ~shards:shards0 ~clients ~registers
-      ~heal_at ~post_heal ~events ~seed:seed0 ()
-  in
-  let deterministic = again.Systems.digest = (List.hd results).Systems.digest in
-  let total_checked =
-    List.fold_left (fun acc r -> acc + r.Systems.checked) 0 results
-  in
-  let total_violations =
-    List.fold_left
-      (fun acc r -> acc + List.length r.Systems.violations)
-      0 results
-  in
-  let recoveries =
-    let a =
-      Array.of_list
-        (List.filter Float.is_finite
-           (List.map (fun (r : Systems.chaos_run) -> r.Systems.recovery_s) results))
-    in
-    Array.sort compare a;
-    a
-  in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let recoveries = chaos_recoveries results in
   Printf.printf
     "\ntotal: %d ops checked, %d violations; recovery p50=%.2fs p95=%.2fs \
      max=%.2fs (%d/%d runs recovered); seed %Ld re-run digest %s\n%!"
-    total_checked total_violations (percentile recoveries 0.50)
-    (percentile recoveries 0.95) (percentile recoveries 1.0)
-    (Array.length recoveries) (List.length results)
-    seed0
-    (if deterministic then "identical" else "DIFFERS (nondeterminism!)");
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let duration = heal_at +. post_heal in
-     let points =
-       List.map
-         (fun (r : Systems.chaos_run) ->
-           Report.point ~experiment:"chaos" ~procs:clients
-             ~config:
-               (Printf.sprintf "seed=%Ld|shards=%d|zk=%d" r.Systems.seed
-                  r.Systems.shards chaos_servers)
-             ~ops_per_sec:(float_of_int r.Systems.ops_ok /. duration)
-             ~phases:
-               [ ("violations", float_of_int (List.length r.Systems.violations));
-                 ("ops_checked", float_of_int r.Systems.checked);
-                 ("ops_recorded", float_of_int r.Systems.recorded);
-                 ("undetermined", float_of_int r.Systems.undetermined_ops);
-                 ( "recovery_s",
-                   if Float.is_finite r.Systems.recovery_s then
-                     r.Systems.recovery_s
-                   else -1. );
-                 ("sessions_expired", float_of_int r.Systems.sessions_expired);
-                 ("dedup_hits", float_of_int r.Systems.dedup_hits);
-                 ("dedup_evictions", float_of_int r.Systems.dedup_evictions);
-                 ( "writes_failed_fast",
-                   float_of_int r.Systems.writes_failed_fast );
-                 ( "stale_reads_served",
-                   float_of_int r.Systems.stale_reads_served ) ]
-             ())
-         results
-       @ [ Report.point ~experiment:"chaos-summary" ~procs:clients
-             ~config:
-               (Printf.sprintf "runs=%d|zk=%d" (List.length results)
-                  chaos_servers)
-             ~ops_per_sec:(float_of_int total_checked /. duration)
-             ~phases:
-               [ ("violations_total", float_of_int total_violations);
-                 ("ops_checked_total", float_of_int total_checked);
-                 ("recovery_p50_s", percentile recoveries 0.50);
-                 ("recovery_p95_s", percentile recoveries 0.95);
-                 ("recovery_max_s", percentile recoveries 1.0);
-                 ("runs_recovered", float_of_int (Array.length recoveries));
-                 ("runs", float_of_int (List.length results));
-                 ("deterministic", if deterministic then 1. else 0.) ]
-             () ]
-     in
-     Report.emit_json ~path points);
+    (total (fun (r : Systems.chaos_run) -> r.Systems.checked))
+    (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations))
+    (percentile recoveries 0.50) (percentile recoveries 0.95)
+    (percentile recoveries 1.0) (Array.length recoveries) (List.length results)
+    (snd (List.hd runs)) (digest_verdict deterministic);
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path
+        (chaos_points ~clients ~duration:(heal_at +. post_heal) ~deterministic results))
+    json_path;
   Report.gate ~experiment:"chaos" (chaos_check ~deterministic results)
 
 let chaos_smoke ?json_path () =
@@ -1697,44 +1724,32 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
       Zk.Ensemble.max_batch = 8;
       max_inflight_batches = pipeline_chaos_window }
   in
-  let chaos_go ~shards ~seed =
-    Systems.chaos_run ~servers:chaos_servers ~shards ~clients:chaos_clients
-      ~registers:6 ~heal_at:15. ~post_heal:10. ~events:12
-      ~config_adjust:chaos_adjust ~seed ()
-  in
-  let chaos_results =
-    List.map
-      (fun (shards, seed) ->
-        let r = chaos_go ~shards ~seed in
+  let chaos_results, deterministic =
+    chaos_sweep
+      ~run:(fun ~shards ~seed ->
+        Systems.chaos_run ~servers:chaos_servers ~shards ~clients:chaos_clients
+          ~registers:6 ~heal_at:15. ~post_heal:10. ~events:12
+          ~config_adjust:chaos_adjust ~seed ())
+      ~print:(fun (r : Systems.chaos_run) ->
         Printf.printf
           "    shards=%d seed=%-4Ld checked=%-6d violations=%d \
            recovery=%.2fs\n%!"
-          shards seed r.Systems.checked
+          r.Systems.shards r.Systems.seed r.Systems.checked
           (List.length r.Systems.violations)
-          r.Systems.recovery_s;
-        List.iter
-          (fun (v : Zk.History.violation) ->
-            Printf.printf "      VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
-              v.Zk.History.v_path v.Zk.History.v_detail)
-          r.Systems.violations;
-        r)
+          r.Systems.recovery_s)
       chaos_runs
-  in
-  let shards0, seed0 = List.hd chaos_runs in
-  let again = chaos_go ~shards:shards0 ~seed:seed0 in
-  let deterministic =
-    again.Systems.digest = (List.hd chaos_results).Systems.digest
   in
   let total_violations =
     List.fold_left
-      (fun acc r -> acc + List.length r.Systems.violations)
+      (fun acc (r : Systems.chaos_run) -> acc + List.length r.Systems.violations)
       0 chaos_results
   in
   Printf.printf
     "  chaos total: %d schedules, %d violations; seed %Ld re-run digest %s\n%!"
     (List.length chaos_results)
-    total_violations seed0
-    (if deterministic then "identical" else "DIFFERS (nondeterminism!)");
+    total_violations
+    (snd (List.hd chaos_runs))
+    (digest_verdict deterministic);
   (match json_path with
    | None -> ()
    | Some path ->
@@ -1760,16 +1775,14 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                    float_of_int (List.length r.Systems.violations) );
                  ("ops_checked", float_of_int r.Systems.checked);
                  ("undetermined", float_of_int r.Systems.undetermined_ops);
-                 ( "recovery_s",
-                   if Float.is_finite r.Systems.recovery_s then
-                     r.Systems.recovery_s
-                   else -1. );
-                 ("dedup_hits", float_of_int r.Systems.dedup_hits) ]
+                 ("recovery_s", or_missing r.Systems.recovery_s);
+                 ( "dedup_hits",
+                   float_of_int (shard_sum r.Systems.router Zk.Ensemble.dedup_hits) ) ]
              ())
          chaos_results
      in
      let qa_base, qa_piped, impr =
-       Option.value ~default:(Float.nan, Float.nan, Float.nan) improvement
+       Option.value ~default:(-1., -1., -1.) improvement
      in
      let summary =
        Report.point ~experiment:"pipeline-summary" ~procs:max_procs
@@ -1851,46 +1864,67 @@ let durability_plan ~servers ~seed ~flavor =
   @ storage
   @ [ ev (t_crash +. outage) Restart_all_down ]
 
-(* WAL records truncated across the torn-tail and bit-rot schedules. *)
-let torn_truncations results =
-  List.fold_left
-    (fun acc (r : Systems.durability_run) ->
-      match r.Systems.d_label with
-      | "torn-tail" | "wal-bit-rot" | "torn+snap-rot" ->
-        acc + r.Systems.d_wal_truncated
-      | _ -> acc)
-    0 results
+let durability_spec =
+  { Systems.zk_servers = durability_servers; backends = 4; backend_kind = Systems.Lustre }
+
+let durability_config ~seed c =
+  { c with
+    Zk.Ensemble.seed;
+    request_timeout = 0.5;
+    retry_backoff = 0.05;
+    retry_backoff_cap = 1.0;
+    session_timeout = 8.0;
+    fail_fast_after = 2.0;
+    (* low cadence so schedules cross several snapshots: corrupt-snap
+       has something to corrupt and log pruning actually happens *)
+    snapshot_every = 384 }
+
+(* The register overlay: unconditioned writes with unique values, which
+   the durability oracle can audit (mdtest's own rmdir is
+   version-conditioned, outside the recorded-register model). *)
+let durability_registers ~clients ~ops_per_client =
+  { Systems.clients;
+    registers = 8;
+    mix = Systems.[ (40, Create); (30, Set); (15, Delete); (15, Get) ];
+    stop = `Ops ops_per_client;
+    stride = 6007;
+    think = 0.02 }
+
+let register_audit (r : Systems.dufs_run) =
+  match r.Systems.registers with
+  | Some a -> a
+  | None -> invalid_arg "durability: a run without its register overlay"
+
+let is_torn = function "torn-tail" | "wal-bit-rot" | "torn+snap-rot" -> true | _ -> false
 
 (* Every schedule recovers with agreeing replicas, a non-empty audit and
    zero oracle violations; across the sweep the torn/bit-rot schedules
-   truncate something (the storage faults have teeth), recovery is
-   mostly local (WAL replay dominates leader diff-sync), and the first
-   schedule replays bit-identically. *)
-let durability_check ~deterministic results =
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let replayed = total (fun r -> r.Systems.d_wal_replayed)
-  and diff = total (fun r -> r.Systems.d_transfer_diff_txns) in
+   truncate something ([torn_truncated] WAL records: the storage faults
+   have teeth), recovery is mostly local (WAL-replayed transactions
+   outnumber leader diff-syncs), and the first schedule replays
+   bit-identically. *)
+let durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced runs =
   List.concat_map
-    (fun (r : Systems.durability_run) ->
-      let ctx = Printf.sprintf "seed=%Ld %s" r.Systems.d_seed r.Systems.d_label in
+    (fun ((seed, flavor), (r : Systems.dufs_run)) ->
+      let ctx = Printf.sprintf "seed=%Ld %s" seed flavor in
+      let a = register_audit r in
       List.concat
-        [ Report.expect r.Systems.d_recovered
+        [ Report.expect a.Systems.recovered
             "%s: whole-cluster power failure never recovered" ctx;
-          Report.expect r.Systems.d_trees_agree
-            "%s: recovered replicas disagree" ctx;
-          Report.expect (r.Systems.d_violations = [])
+          Report.expect a.Systems.replicas_agree "%s: recovered replicas disagree" ctx;
+          Report.expect (r.Systems.violations = [])
             "%s: %d linearizability violations" ctx
-            (List.length r.Systems.d_violations);
-          Report.expect (r.Systems.d_durability_violations = [])
+            (List.length r.Systems.violations);
+          Report.expect (a.Systems.durability_violations = [])
             "%s: %d acked writes lost or unacked writes resurrected" ctx
-            (List.length r.Systems.d_durability_violations);
-          Report.expect (r.Systems.d_audited > 0)
+            (List.length a.Systems.durability_violations);
+          Report.expect (a.Systems.audited > 0)
             "%s: the durability oracle audited 0 registers" ctx ])
-    results
-  @ Report.expect (torn_truncations results > 0)
+    runs
+  @ Report.expect (torn_truncated > 0)
       "torn/bit-rot schedules truncated nothing (no teeth)"
-  @ Report.expect (diff < replayed)
-      "recovery not mostly local (diff-sync %d >= WAL replay %d)" diff replayed
+  @ Report.expect (diff_synced < replayed)
+      "recovery not mostly local (diff-sync %d >= WAL replay %d)" diff_synced replayed
   @ Report.expect deterministic "identical seed produced a different history"
 
 let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
@@ -1906,65 +1940,66 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   Printf.printf "%5s %14s %9s %7s %6s %7s %8s %9s %6s %6s %6s %7s %5s %5s\n"
     "seed" "flavor" "recorded" "audited" "undet" "mderr" "replayed" "truncated"
     "snaps" "falls" "diff" "rectime" "lin" "dur";
-  let run_one i seed =
-    let label = durability_flavors.(i mod Array.length durability_flavors) in
-    let plan = durability_plan ~servers:durability_servers ~seed ~flavor:label in
-    let r =
-      Systems.durability_run ~servers:durability_servers ~procs ~reg_clients
-        ~ops_per_client ~dirs_per_proc ~files_per_proc ~plan ~label ~seed ()
-    in
+  let registers = durability_registers ~clients:reg_clients ~ops_per_client in
+  let run (seed, flavor) =
+    let plan = durability_plan ~servers:durability_servers ~seed ~flavor in
+    ( (seed, flavor),
+      Systems.dufs_mdtest ~dirs_per_proc ~files_per_proc ~plan
+        ~config_adjust:(durability_config ~seed) ~registers ~spec:durability_spec
+        ~shards:1 ~procs () )
+  in
+  let restart_max (r : Systems.dufs_run) =
+    over_shards r.Systems.router Zk.Ensemble.recovery_time_max Float.max 0.
+  in
+  let print ((seed, flavor), (r : Systems.dufs_run)) =
+    let a = register_audit r and sum = shard_sum r.Systems.router in
     Printf.printf
       "%5Ld %14s %9d %7d %6d %7d %8d %9d %6d %6d %6d %6.3fs %5d %5d%s\n%!"
-      seed label r.Systems.d_recorded r.Systems.d_audited
-      r.Systems.d_undetermined r.Systems.d_mdtest_errors
-      r.Systems.d_wal_replayed r.Systems.d_wal_truncated
-      r.Systems.d_snap_loads r.Systems.d_snap_fallbacks
-      r.Systems.d_transfer_diff_txns r.Systems.d_recovery_time_max
-      (List.length r.Systems.d_violations)
-      (List.length r.Systems.d_durability_violations)
-      ((if r.Systems.d_recovered then "" else "  NOT-RECOVERED")
-       ^ if r.Systems.d_trees_agree then "" else "  REPLICAS-DISAGREE");
-    List.iter
-      (fun (v : Zk.History.violation) ->
-        Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
-          v.Zk.History.v_path v.Zk.History.v_detail)
-      (r.Systems.d_violations @ r.Systems.d_durability_violations);
-    r
+      seed flavor r.Systems.history_recorded a.Systems.audited
+      r.Systems.history_undetermined r.Systems.results.Runner.errors
+      (sum Zk.Ensemble.wal_replayed) (sum Zk.Ensemble.wal_truncated)
+      (sum Zk.Ensemble.snap_loads) (sum Zk.Ensemble.snap_fallbacks)
+      (sum Zk.Ensemble.transfer_diff_txns) (restart_max r)
+      (List.length r.Systems.violations)
+      (List.length a.Systems.durability_violations)
+      ((if a.Systems.recovered then "" else "  NOT-RECOVERED")
+       ^ if a.Systems.replicas_agree then "" else "  REPLICAS-DISAGREE")
   in
-  let results = List.mapi run_one seeds in
-  (* Determinism: the first schedule again, bit-identical history. *)
-  let again = run_one 0 (List.hd seeds) in
-  let deterministic =
-    again.Systems.d_digest = (List.hd results).Systems.d_digest
+  let results, deterministic =
+    seed_sweep ~run ~print
+      ~violations:(fun (_, (r : Systems.dufs_run)) ->
+        r.Systems.violations @ (register_audit r).Systems.durability_violations)
+      ~digest:(fun (_, (r : Systems.dufs_run)) -> r.Systems.history_digest)
+      (List.mapi
+         (fun i seed -> (seed, durability_flavors.(i mod Array.length durability_flavors)))
+         seeds)
   in
+  let count f = List.length (List.filter f results) in
   let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let total_of f = total (fun (_, (r : Systems.dufs_run)) -> shard_sum r.Systems.router f) in
   let lin_violations =
-    total (fun (r : Systems.durability_run) -> List.length r.Systems.d_violations)
-  in
-  let dur_violations =
-    total (fun (r : Systems.durability_run) ->
-        List.length r.Systems.d_durability_violations)
-  in
-  let recovered_runs =
-    List.length (List.filter (fun (r : Systems.durability_run) -> r.Systems.d_recovered) results)
-  in
-  let agree_runs =
-    List.length
-      (List.filter (fun (r : Systems.durability_run) -> r.Systems.d_trees_agree) results)
-  in
-  let truncated_torn = torn_truncations results in
-  let replayed_total = total (fun r -> r.Systems.d_wal_replayed) in
-  let diff_total = total (fun r -> r.Systems.d_transfer_diff_txns) in
-  let recoveries_total = total (fun r -> r.Systems.d_recoveries) in
+    total (fun (_, (r : Systems.dufs_run)) -> List.length r.Systems.violations)
+  and dur_violations =
+    total (fun (_, r) -> List.length (register_audit r).Systems.durability_violations)
+  and recovered_runs = count (fun (_, r) -> (register_audit r).Systems.recovered)
+  and agree_runs = count (fun (_, r) -> (register_audit r).Systems.replicas_agree)
+  and torn_truncated =
+    total (fun ((_, flavor), (r : Systems.dufs_run)) ->
+        if is_torn flavor then shard_sum r.Systems.router Zk.Ensemble.wal_truncated
+        else 0)
+  and replayed = total_of Zk.Ensemble.wal_replayed
+  and diff_synced = total_of Zk.Ensemble.transfer_diff_txns
+  and recoveries = total_of Zk.Ensemble.recoveries in
   let rec_time_total =
     List.fold_left
-      (fun acc (r : Systems.durability_run) -> acc +. r.Systems.d_recovery_time_total)
+      (fun acc (_, (r : Systems.dufs_run)) ->
+        over_shards r.Systems.router Zk.Ensemble.recovery_time_total ( +. ) acc)
       0. results
+  and rec_time_max =
+    List.fold_left (fun acc (_, r) -> Float.max acc (restart_max r)) 0. results
   in
-  let rec_time_max =
-    List.fold_left
-      (fun acc (r : Systems.durability_run) -> Float.max acc r.Systems.d_recovery_time_max)
-      0. results
+  let per_restart_mean =
+    if recoveries > 0 then rec_time_total /. float_of_int recoveries else 0.
   in
   Printf.printf
     "\ntotal: %d runs (%d recovered, %d replicas-agree), %d lin + %d \
@@ -1972,49 +2007,46 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
      max=%.3fs; wal replayed %d vs leader diff-sync %d txns (+%d SNAP); \
      truncated %d under torn/bit-rot; seed %Ld re-run digest %s\n%!"
     (List.length results) recovered_runs agree_runs lin_violations
-    dur_violations recoveries_total
-    (if recoveries_total > 0 then rec_time_total /. float_of_int recoveries_total
-     else 0.)
-    rec_time_max replayed_total diff_total
-    (total (fun r -> r.Systems.d_transfer_snaps))
-    truncated_torn (List.hd seeds)
-    (if deterministic then "identical" else "DIFFERS (nondeterminism!)");
+    dur_violations recoveries per_restart_mean rec_time_max replayed diff_synced
+    (total_of Zk.Ensemble.transfer_snaps)
+    torn_truncated (List.hd seeds) (digest_verdict deterministic);
   (match json_path with
    | None -> ()
    | Some path ->
+     let flag b = if b then 1. else 0. in
      let points =
        List.map
-         (fun (r : Systems.durability_run) ->
+         (fun ((seed, flavor), (r : Systems.dufs_run)) ->
+           let a = register_audit r in
+           let sum f = float_of_int (shard_sum r.Systems.router f) in
            Report.point ~experiment:"durability" ~procs
              ~config:
-               (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" r.Systems.d_seed
-                  r.Systems.d_label durability_servers)
-             ~ops_per_sec:
-               (Mdtest.Runner.rate r.Systems.d_results Mdtest.Runner.File_create)
+               (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" seed flavor durability_servers)
+             ~ops_per_sec:(Runner.rate r.Systems.results Runner.File_create)
              ~phases:
-               [ ("violations", float_of_int (List.length r.Systems.d_violations));
+               [ ("violations", float_of_int (List.length r.Systems.violations));
                  ( "durability_violations",
-                   float_of_int (List.length r.Systems.d_durability_violations) );
-                 ("ops_recorded", float_of_int r.Systems.d_recorded);
-                 ("registers_audited", float_of_int r.Systems.d_audited);
-                 ("undetermined", float_of_int r.Systems.d_undetermined);
-                 ("mdtest_errors", float_of_int r.Systems.d_mdtest_errors);
-                 ("power_failure_recovered", if r.Systems.d_recovered then 1. else 0.);
-                 ("replicas_agree", if r.Systems.d_trees_agree then 1. else 0.);
-                 ("faults_fired", float_of_int r.Systems.d_faults_fired);
-                 ("wal.appended", float_of_int r.Systems.d_wal_appended);
-                 ("wal.replayed", float_of_int r.Systems.d_wal_replayed);
-                 ("wal.truncated_records", float_of_int r.Systems.d_wal_truncated);
-                 ("wal.tail_dropped", float_of_int r.Systems.d_wal_tail_dropped);
-                 ("wal.tail_commits", float_of_int r.Systems.d_wal_tail_commits);
-                 ("snap.loads", float_of_int r.Systems.d_snap_loads);
-                 ( "snap.corrupt_fallbacks",
-                   float_of_int r.Systems.d_snap_fallbacks );
-                 ("recovery.count", float_of_int r.Systems.d_recoveries);
-                 ("recovery.time_total_s", r.Systems.d_recovery_time_total);
-                 ("recovery.time_max_s", r.Systems.d_recovery_time_max);
-                 ("transfer.diff_txns", float_of_int r.Systems.d_transfer_diff_txns);
-                 ("transfer.snaps", float_of_int r.Systems.d_transfer_snaps) ]
+                   float_of_int (List.length a.Systems.durability_violations) );
+                 ("ops_recorded", float_of_int r.Systems.history_recorded);
+                 ("registers_audited", float_of_int a.Systems.audited);
+                 ("undetermined", float_of_int r.Systems.history_undetermined);
+                 ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
+                 ("power_failure_recovered", flag a.Systems.recovered);
+                 ("replicas_agree", flag a.Systems.replicas_agree);
+                 ("faults_fired", float_of_int r.Systems.faults_fired);
+                 ("wal.appended", sum Zk.Ensemble.wal_appended);
+                 ("wal.replayed", sum Zk.Ensemble.wal_replayed);
+                 ("wal.truncated_records", sum Zk.Ensemble.wal_truncated);
+                 ("wal.tail_dropped", sum Zk.Ensemble.wal_tail_dropped);
+                 ("wal.tail_commits", sum Zk.Ensemble.wal_tail_commits);
+                 ("snap.loads", sum Zk.Ensemble.snap_loads);
+                 ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
+                 ("recovery.count", sum Zk.Ensemble.recoveries);
+                 ( "recovery.time_total_s",
+                   over_shards r.Systems.router Zk.Ensemble.recovery_time_total ( +. ) 0. );
+                 ("recovery.time_max_s", restart_max r);
+                 ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
+                 ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
              ())
          results
        @ [ Report.point ~experiment:"durability-summary" ~procs
@@ -2028,20 +2060,18 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
                  ("durability_violations_total", float_of_int dur_violations);
                  ("power_failures_recovered", float_of_int recovered_runs);
                  ("replicas_agree_runs", float_of_int agree_runs);
-                 ("wal.replayed_total", float_of_int replayed_total);
-                 ("wal.truncated_torn_total", float_of_int truncated_torn);
-                 ("transfer.diff_txns_total", float_of_int diff_total);
-                 ("recovery.count_total", float_of_int recoveries_total);
-                 ( "recovery.per_restart_mean_s",
-                   if recoveries_total > 0 then
-                     rec_time_total /. float_of_int recoveries_total
-                   else 0. );
+                 ("wal.replayed_total", float_of_int replayed);
+                 ("wal.truncated_torn_total", float_of_int torn_truncated);
+                 ("transfer.diff_txns_total", float_of_int diff_synced);
+                 ("recovery.count_total", float_of_int recoveries);
+                 ("recovery.per_restart_mean_s", per_restart_mean);
                  ("recovery.max_s", rec_time_max);
-                 ("deterministic", if deterministic then 1. else 0.) ]
+                 ("deterministic", flag deterministic) ]
              () ]
      in
      Report.emit_json ~path points);
-  Report.gate ~experiment:"durability" (durability_check ~deterministic results)
+  Report.gate ~experiment:"durability"
+    (durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced results)
 
 let durability_smoke ?json_path () =
   durability

@@ -240,6 +240,17 @@ val chaos :
     and the re-run of the first schedule was [deterministic]. *)
 val chaos_check : deterministic:bool -> Systems.chaos_run list -> string list
 
+(** [chaos]'s bench points over [duration] virtual seconds of client
+    load: one [chaos] point per run and the [chaos-summary] point. Every
+    number is finite: [-1] marks a missing recovery time, per run or as
+    a percentile over a sweep in which no run recovered. *)
+val chaos_points :
+  clients:int ->
+  duration:float ->
+  deterministic:bool ->
+  Systems.chaos_run list ->
+  Mdtest.Report.bench_point list
+
 (** The CI variant: 2 fixed schedules (1-shard and 4-shard) at 64
     client processes over a shorter window — the BENCH_pr5_smoke.json
     artifact. Same failure conditions as {!chaos}. *)
@@ -336,9 +347,12 @@ val pipeline_smoke : ?json_path:string -> unit -> unit
     the middle of the file-create phase, cycling through storage-damage
     flavors on one member's disk (none, torn tail, WAL bit-rot,
     snapshot corruption, torn+snapshot, fail-slow + post-restart
-    stall). Each run is a {!Systems.durability_run}; with [json_path]
+    stall). Each run is a {!Systems.dufs_mdtest} with a register
+    overlay; the rows re-run the first schedule to prove a
+    bit-identical history, and WAL, snapshot, recovery and transfer
+    counters are read from the run's ensembles. With [json_path]
     writes the BENCH_pr10.json artifact: one [durability] point per
-    schedule (WAL/snapshot/recovery counters in [phases], dotted
+    schedule (those counters in [phases], dotted
     [wal.*]/[snap.*]/[recovery.*]/[transfer.*] keys) plus a
     [durability-summary] point.
     @raise Failure (through {!Mdtest.Report.gate}) if
@@ -354,13 +368,21 @@ val durability :
   unit ->
   unit
 
-(** The durability gate: every schedule recovers with agreeing
-    replicas, audits at least one register and finds no linearizability
-    or durability-oracle violation; the torn/bit-rot schedules truncate
-    something; leader diff-syncs ship fewer transactions than local WAL
-    replay recovered; and the re-run was [deterministic]. *)
+(** The durability gate over [((seed, flavor), run)] schedules: every
+    run recovers with agreeing replicas, audits at least one register
+    and finds no linearizability or durability-oracle violation; over
+    the sweep the torn/bit-rot schedules truncated [torn_truncated > 0]
+    WAL records, leader diff-syncs shipped fewer transactions
+    ([diff_synced]) than local WAL replay recovered ([replayed]), and
+    the re-run was [deterministic].
+    @raise Invalid_argument on a run without its register overlay. *)
 val durability_check :
-  deterministic:bool -> Systems.durability_run list -> string list
+  deterministic:bool ->
+  torn_truncated:int ->
+  replayed:int ->
+  diff_synced:int ->
+  ((int64 * string) * Systems.dufs_run) list ->
+  string list
 
 (** The CI variant: 4 schedules (power-failure, torn-tail, WAL bit-rot,
     snapshot-rot) at 16 processes — the BENCH_pr10_smoke.json artifact.

@@ -154,6 +154,142 @@ let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system
     Hashtbl.replace cache key results;
     results
 
+(* {2 Register clients and the write probe}
+
+   The fault oracles reason about a few register znodes, one per
+   directory ([/d<k>/r]), so a sharded deployment spreads them across
+   shards (children co-locate with their parent). [clients] processes
+   hammer them through a {!Zk.History} recorder with a weighted op mix
+   and unique data values; a transport failure is undetermined (the
+   client backs off), an expired session is reopened and re-wrapped. *)
+
+type register_op = Create | Set | Delete | Get | Exists | Seq_create
+
+type register_load = {
+  clients : int;
+  registers : int;
+  mix : (int * register_op) list;
+  stop : [ `Deadline of float | `Ops of int ];
+  stride : int;
+  think : float;
+}
+
+type tally = { mutable ok : int; mutable err : int }
+
+let reg_dir k = Printf.sprintf "/d%d" k
+let seq_dir = "/dseq"
+
+let rec pick x = function
+  | [] -> invalid_arg "Systems: empty register mix"
+  | [ (_, op) ] -> op
+  | (w, op) :: rest -> if x < w then op else pick (x - w) rest
+
+(* Spawns the setup (the register directories, committed before any
+   client op) and the clients; client [i] records as
+   [first_client + i] and draws from its own stream, seeded
+   [seed + (i + 1) * stride]. The tally fills in as the run goes. *)
+let spawn_registers engine router hist load ~seed ~first_client =
+  let tally = { ok = 0; err = 0 } in
+  let session () = Zk.Shard_router.session router () in
+  Process.spawn engine (fun () ->
+      let s = session () in
+      let mk p =
+        match s.Zk.Zk_client.create p ~data:"" with
+        | Ok _ -> ()
+        | Error e -> failwith ("register setup " ^ p ^ ": " ^ Zk.Zerror.to_string e)
+      in
+      for k = 0 to load.registers - 1 do
+        mk (reg_dir k)
+      done;
+      if List.exists (fun (_, op) -> op = Seq_create) load.mix then mk seq_dir);
+  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 load.mix in
+  for i = 0 to load.clients - 1 do
+    let client = first_client + i in
+    let rng =
+      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * load.stride)))
+    in
+    Process.spawn engine (fun () ->
+        let h = ref (Zk.History.wrap hist ~client (session ())) in
+        let n = ref 0 and ops = ref 0 in
+        let fresh_data () =
+          incr n;
+          Printf.sprintf "%d.%d" client !n
+        in
+        let going () =
+          match load.stop with
+          | `Deadline t -> Engine.now engine < t
+          | `Ops k -> !ops < k
+        in
+        (* let the setup commits land before the first register op *)
+        Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:load.think);
+        while going () do
+          incr ops;
+          let reg = reg_dir (Simkit.Rng.int rng load.registers) ^ "/r" in
+          let outcome =
+            match pick (Simkit.Rng.int rng total) load.mix with
+            | Create -> Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
+            | Set -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
+            | Delete -> (!h).Zk.Zk_client.delete reg
+            | Get -> Result.map ignore ((!h).Zk.Zk_client.get reg)
+            | Exists -> Result.map ignore ((!h).Zk.Zk_client.exists reg)
+            | Seq_create ->
+              Result.map ignore
+                ((!h).Zk.Zk_client.create ~sequential:true (seq_dir ^ "/s-")
+                   ~data:(fresh_data ()))
+          in
+          (match outcome with
+           | Ok ()
+           | Error
+               (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS | Zk.Zerror.ZNOTEMPTY
+               | Zk.Zerror.ZBADVERSION) ->
+             (* semantic outcome of racing clients: the service answered *)
+             tally.ok <- tally.ok + 1
+           | Error Zk.Zerror.ZSESSIONEXPIRED ->
+             tally.err <- tally.err + 1;
+             h := Zk.History.wrap hist ~client (session ());
+             Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
+           | Error _ ->
+             tally.err <- tally.err + 1;
+             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
+          Process.sleep (Simkit.Rng.exponential rng ~mean:load.think)
+        done;
+        (!h).Zk.Zk_client.close ())
+  done;
+  tally
+
+(* One register directory per shard the registers live on (the lowest
+   index wins), in path order. *)
+let probe_dirs router load =
+  let by_shard = Hashtbl.create 8 in
+  for k = load.registers - 1 downto 0 do
+    Hashtbl.replace by_shard (Zk.Shard_router.home_shard router (reg_dir k ^ "/r")) (reg_dir k)
+  done;
+  List.sort compare (Hashtbl.fold (fun _ dir acc -> dir :: acc) by_shard [])
+
+let probe_attempts = 200
+
+(* From inside a process: commit one fresh write under each of [dirs] in
+   turn, retrying every 0.05 s (reopening an expired session), and give
+   up after [probe_attempts] attempts in all. [true] iff every write
+   committed. *)
+let probe router dirs =
+  let s = ref (Zk.Shard_router.session router ()) in
+  let rec go n = function
+    | [] -> true
+    | _ when n >= probe_attempts -> false
+    | dir :: rest as dirs -> (
+      let n = n + 1 in
+      match (!s).Zk.Zk_client.create (Printf.sprintf "%s/probe%d" dir n) ~data:"" with
+      | Ok _ -> go n rest
+      | Error e ->
+        if e = Zk.Zerror.ZSESSIONEXPIRED then s := Zk.Shard_router.session router ();
+        Process.sleep 0.05;
+        go n dirs)
+  in
+  go 0 dirs
+
+let check_budget = 2_000_000
+
 (* {2 One instrumented mdtest run over the DUFS stack}
 
    Every option is off by default, so the plain call is the
@@ -166,7 +302,20 @@ let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system
    writing; proc 0 waits at the file-stat barrier for it to finish, so
    the census sees the post-split tree. The first [history_clients]
    sessions record through {!Zk.History}, so a flip is subject to the
-   linearizability oracle. *)
+   linearizability oracle. A register overlay runs its clients
+   alongside the mdtest load; after the drained run a probe write shows
+   the service is live, the durability oracle compares each register's
+   home-shard leader tree against the history, and every shard's live
+   replicas must fingerprint equal. *)
+
+type register_audit = {
+  reg_ok : int;
+  reg_err : int;
+  audited : int;
+  durability_violations : Zk.History.violation list;
+  recovered : bool;
+  replicas_agree : bool;
+}
 
 type dufs_run = {
   results : Mdtest.Runner.results;
@@ -183,12 +332,37 @@ type dufs_run = {
   reshard_window : float;
   history_recorded : int;
   history_checked : int;
+  history_undetermined : int;
+  history_digest : string;
   violations : Zk.History.violation list;
+  registers : register_audit option;
 }
+
+(* Every shard has a live replica and its live replicas agree. *)
+let replicas_agree router =
+  Array.for_all
+    (fun e ->
+      match Zk.Ensemble.alive_ids e with
+      | [] -> false
+      | id0 :: rest ->
+        let f0 = Zk.Ztree.fingerprint (Zk.Ensemble.tree_of e id0) in
+        List.for_all (fun id -> Zk.Ztree.fingerprint (Zk.Ensemble.tree_of e id) = f0) rest)
+    (Zk.Shard_router.ensembles router)
+
+(* [path]'s data in its home shard's leader tree; [None] when absent or
+   leaderless. *)
+let recovered_data router path =
+  let e = (Zk.Shard_router.ensembles router).(Zk.Shard_router.home_shard router path) in
+  match Zk.Ensemble.leader_id e with
+  | None -> None
+  | Some id -> (
+    match Zk.Ztree.get (Zk.Ensemble.tree_of e id) path with
+    | Ok (data, _) -> Some data
+    | Error _ -> None)
 
 let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
     ?(plan = []) ?(history_clients = 0) ?to_shards ?(config_adjust = Fun.id)
-    ~spec ~shards ~procs () =
+    ?registers ~spec ~shards ~procs () =
   let engine = Engine.create () in
   let tr = if trace then Obs.Trace.create () else Obs.Trace.null in
   if trace then Obs.Trace.enable tr;
@@ -202,6 +376,14 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
   in
   let armed =
     Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
+  in
+  let overlay =
+    Option.map
+      (fun load ->
+        ( load,
+          spawn_registers engine router hist load ~seed:config.Zk.Ensemble.seed
+            ~first_client:history_clients ))
+      registers
   in
   let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
   let to_shards = Option.value to_shards ~default:shards in
@@ -229,8 +411,30 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
     Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
   in
   let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
+  (* the run drained with every restart recovered; a probe write shows
+     the service is actually live again *)
+  let recovered = ref false in
+  Option.iter
+    (fun (load, _) ->
+      Process.spawn engine (fun () -> recovered := probe router (probe_dirs router load));
+      Engine.run engine)
+    overlay;
   if trace then Zk.Shard_router.publish router (Obs.Trace.metrics tr);
-  let violations = Zk.History.check hist in
+  let violations = Zk.History.check ~max_states:check_budget hist in
+  let registers =
+    Option.map
+      (fun (_, tally) ->
+        let durability_violations =
+          Zk.History.durability_audit hist ~lookup:(recovered_data router)
+        in
+        { reg_ok = tally.ok;
+          reg_err = tally.err;
+          audited = Zk.History.audited_paths hist;
+          durability_violations;
+          recovered = !recovered;
+          replicas_agree = replicas_agree router })
+      overlay
+  in
   { results;
     router;
     trace = tr;
@@ -246,47 +450,42 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
     reshard_window = !t1 -. !t0;
     history_recorded = Zk.History.recorded hist;
     history_checked = Zk.History.checked_ops hist;
-    violations }
+    history_undetermined = Zk.History.undetermined hist;
+    history_digest = Zk.History.digest hist;
+    violations;
+    registers }
 
 (* {2 Chaos: randomized network-fault schedules with a linearizability
       oracle}
 
-   Clients speak to the coordination layer directly (no PFS back-ends —
-   the oracle checks the quorum, not the data path) through a
-   {!Zk.History} recorder, while a seeded {!Faults.Faultplan.chaos}
-   schedule partitions, drops, delays, duplicates and crashes
-   underneath them. Register paths are one-per-directory so a sharded
-   deployment spreads them across shards (children co-locate with
-   their parent). After the closing heal a probe measures how long
-   each shard takes to commit a write again; after the run the
-   Wing–Gong checker searches the recorded history. *)
+   Register clients speak to the coordination layer directly (no PFS
+   back-ends — the oracle checks the quorum, not the data path) while a
+   seeded {!Faults.Faultplan.chaos} schedule partitions, drops, delays,
+   duplicates and crashes underneath them. After the closing heal the
+   probe measures how long every shard takes to commit a write again;
+   after the run the Wing–Gong checker searches the recorded history. *)
 
 type chaos_run = {
   seed : int64;
   shards : int;
+  router : Zk.Shard_router.t;
   recorded : int;
   checked : int;
   undetermined_ops : int;
   violations : Zk.History.violation list;
   digest : string;
-  recovery_s : float;  (** heal → every probed shard committed; nan = never *)
+  recovery_s : float;
   faults_fired : int;
-  ops_ok : int;        (** client ops with a determined outcome *)
-  ops_err : int;       (** transport-failed client ops (undetermined) *)
-  dedup_hits : int;
-  dedup_evictions : int;
-  sessions_expired : int;
-  writes_failed_fast : int;
-  stale_reads_served : int;
-  writes_committed : int;
+  ops_ok : int;
+  ops_err : int;
 }
 
-let chaos_reg_dir k = Printf.sprintf "/d%d" k
-let chaos_seq_dir = "/dseq"
+let chaos_mix =
+  [ (25, Create); (20, Set); (15, Delete); (20, Get); (10, Exists); (10, Seq_create) ]
 
 let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
     ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12) ?(think = 0.05)
-    ?(unsafe_no_dedup = false) ?(config_adjust = fun c -> c) ?plan ~seed () =
+    ?(config_adjust = Fun.id) ?plan ~seed () =
   let engine = Engine.create () in
   let config =
     config_adjust
@@ -298,8 +497,7 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
         session_timeout = 6.0;
         stale_read_after = 1.0;
         serve_stale_reads = true;
-        fail_fast_after = 2.0;
-        unsafe_no_dedup }
+        fail_fast_after = 2.0 }
   in
   let router = Zk.Shard_router.start engine ~shards config in
   let hist = Zk.History.create engine in
@@ -313,119 +511,21 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
   let armed =
     Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
   in
-  let stop = heal_at +. post_heal in
-  let ops_ok = ref 0 and ops_err = ref 0 in
-  (* Setup: the register directories, so each register's children land
-     on that directory's shard. Runs before the chaos window opens. *)
-  Process.spawn engine (fun () ->
-      let s = Zk.Shard_router.session router () in
-      let mk p =
-        match s.Zk.Zk_client.create p ~data:"" with
-        | Ok _ -> ()
-        | Error e -> failwith ("chaos setup " ^ p ^ ": " ^ Zk.Zerror.to_string e)
-      in
-      for k = 0 to registers - 1 do
-        mk (chaos_reg_dir k)
-      done;
-      mk chaos_seq_dir);
-  for i = 0 to clients - 1 do
-    let rng =
-      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 7919)))
-    in
-    Process.spawn engine (fun () ->
-        let h =
-          ref (Zk.History.wrap hist ~client:i (Zk.Shard_router.session router ()))
-        in
-        let n = ref 0 in
-        let fresh_data () =
-          incr n;
-          Printf.sprintf "%d.%d" i !n
-        in
-        (* let the setup commits land before the first register op *)
-        Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
-        while Engine.now engine < stop do
-          let reg =
-            chaos_reg_dir (Simkit.Rng.int rng registers) ^ "/r"
-          in
-          let outcome =
-            match Simkit.Rng.int rng 100 with
-            | x when x < 25 ->
-              Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
-            | x when x < 45 -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
-            | x when x < 60 -> (!h).Zk.Zk_client.delete reg
-            | x when x < 80 -> Result.map ignore ((!h).Zk.Zk_client.get reg)
-            | x when x < 90 -> Result.map ignore ((!h).Zk.Zk_client.exists reg)
-            | _ ->
-              Result.map ignore
-                ((!h).Zk.Zk_client.create ~sequential:true
-                   (chaos_seq_dir ^ "/s-") ~data:(fresh_data ()))
-          in
-          (match outcome with
-           | Ok () -> incr ops_ok
-           | Error
-               (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS | Zk.Zerror.ZNOTEMPTY
-               | Zk.Zerror.ZBADVERSION) ->
-             (* semantic outcome of racing clients: the service answered *)
-             incr ops_ok
-           | Error Zk.Zerror.ZSESSIONEXPIRED ->
-             incr ops_err;
-             h :=
-               Zk.History.wrap hist ~client:i (Zk.Shard_router.session router ());
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
-           | Error _ ->
-             incr ops_err;
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
-          Process.sleep (Simkit.Rng.exponential rng ~mean:think)
-        done;
-        (!h).Zk.Zk_client.close ())
-  done;
-  (* Recovery probe: one representative register directory per shard;
-     recovery is the time from heal until every one of them has
-     committed a fresh write. *)
+  let load =
+    { clients; registers; mix = chaos_mix; stop = `Deadline (heal_at +. post_heal);
+      stride = 7919; think }
+  in
+  let tally = spawn_registers engine router hist load ~seed ~first_client:0 in
   let recovery = ref Float.nan in
   Engine.schedule engine ~delay:heal_at (fun () ->
       Process.spawn engine (fun () ->
-          let by_shard = Hashtbl.create 8 in
-          for k = registers - 1 downto 0 do
-            let dir = chaos_reg_dir k in
-            Hashtbl.replace by_shard
-              (Zk.Shard_router.home_shard router (dir ^ "/r"))
-              dir
-          done;
-          let dirs =
-            List.sort compare
-              (Hashtbl.fold (fun _ dir acc -> dir :: acc) by_shard [])
-          in
-          let s = ref (Zk.Shard_router.session router ()) in
-          let n = ref 0 in
-          List.iter
-            (fun dir ->
-              let rec attempt () =
-                incr n;
-                let path = Printf.sprintf "%s/probe%d" dir !n in
-                match (!s).Zk.Zk_client.create path ~data:"" with
-                | Ok _ -> ()
-                | Error Zk.Zerror.ZSESSIONEXPIRED ->
-                  s := Zk.Shard_router.session router ();
-                  Process.sleep 0.05;
-                  attempt ()
-                | Error _ ->
-                  Process.sleep 0.05;
-                  attempt ()
-              in
-              attempt ())
-            dirs;
-          recovery := Engine.now engine -. heal_at));
+          if probe router (probe_dirs router load) then
+            recovery := Engine.now engine -. heal_at));
   Engine.run engine;
-  let violations = Zk.History.check ~max_states:2_000_000 hist in
-  let sum f =
-    Array.fold_left
-      (fun acc e -> acc + f e)
-      0
-      (Zk.Shard_router.ensembles router)
-  in
+  let violations = Zk.History.check ~max_states:check_budget hist in
   { seed;
     shards;
+    router;
     recorded = Zk.History.recorded hist;
     checked = Zk.History.checked_ops hist;
     undetermined_ops = Zk.History.undetermined hist;
@@ -433,218 +533,8 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
     digest = Zk.History.digest hist;
     recovery_s = !recovery;
     faults_fired = Faults.Faultplan.fired armed;
-    ops_ok = !ops_ok;
-    ops_err = !ops_err;
-    dedup_hits = sum Zk.Ensemble.dedup_hits;
-    dedup_evictions = sum Zk.Ensemble.dedup_evictions;
-    sessions_expired = sum Zk.Ensemble.sessions_expired;
-    writes_failed_fast = sum Zk.Ensemble.writes_failed_fast;
-    stale_reads_served = sum Zk.Ensemble.stale_reads_served;
-    writes_committed = sum Zk.Ensemble.writes_committed }
-
-(* {2 Durability: power-failure and storage-corruption schedules with a
-      durability oracle}
-
-   A 64-proc mdtest runs over the full DUFS stack while the fault plan
-   power-fails the whole coordination ensemble (optionally tearing,
-   bit-rotting or snapshot-corrupting one member's disk during the
-   outage). Alongside the mdtest load, a few register clients issue
-   {e unconditioned} writes with unique data values through a
-   {!Zk.History} recorder — mdtest's own rmdir is version-conditioned
-   and therefore outside the recorded-register model, so the audit runs
-   over the overlay registers the oracle can actually reason about.
-   After the run (engine fully drained: every restart has recovered and
-   re-elected), a probe write confirms the service is live again, the
-   Wing–Gong checker validates the recorded history, and the durability
-   oracle compares the leader's recovered tree against it: acked writes
-   must have survived the power failure, unacked ones may be lost but
-   must not resurrect inconsistently. *)
-
-type durability_run = {
-  d_seed : int64;
-  d_label : string;
-  d_results : Mdtest.Runner.results;
-  d_mdtest_errors : int;
-  d_recorded : int;
-  d_checked : int;
-  d_undetermined : int;
-  d_audited : int;
-  d_violations : Zk.History.violation list;   (* linearizability *)
-  d_durability_violations : Zk.History.violation list;
-  d_digest : string;
-  d_recovered : bool;      (* post-outage probe write committed *)
-  d_trees_agree : bool;    (* all live replicas fingerprint-equal *)
-  d_faults_fired : int;
-  d_reg_ok : int;
-  d_reg_err : int;
-  d_wal_appended : int;
-  d_wal_replayed : int;
-  d_wal_truncated : int;
-  d_wal_tail_dropped : int;
-  d_snap_loads : int;
-  d_snap_fallbacks : int;
-  d_recoveries : int;
-  d_recovery_time_total : float;
-  d_recovery_time_max : float;
-  d_wal_tail_commits : int;
-  d_transfer_diff_txns : int;
-  d_transfer_snaps : int;
-}
-
-let dur_reg_dir k = Printf.sprintf "/dur%d" k
-
-let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
-    ?(registers = 8) ?(ops_per_client = 50) ?(dirs_per_proc = 12)
-    ?(files_per_proc = 12) ?(think = 0.02) ~plan ~label ~seed () =
-  let engine = Engine.create () in
-  let spec = { zk_servers = servers; backends = 4; backend_kind = Lustre } in
-  let config =
-    { (zk_config ~servers ~procs ()) with
-      Zk.Ensemble.seed;
-      request_timeout = 0.5;
-      retry_backoff = 0.05;
-      retry_backoff_cap = 1.0;
-      session_timeout = 8.0;
-      fail_fast_after = 2.0;
-      (* low cadence so schedules cross several snapshots: corrupt-snap
-         has something to corrupt and log pruning actually happens *)
-      snapshot_every = 384 }
-  in
-  let router, ops_for_proc, _stations =
-    build_dufs engine ~spec ~config ~shards:1 ~cached:false
-  in
-  let ensemble = (Zk.Shard_router.ensembles router).(0) in
-  let hist = Zk.History.create engine in
-  let armed = Faults.Faultplan.arm engine ensemble plan in
-  let reg_ok = ref 0 and reg_err = ref 0 in
-  (* Register directories, committed before any client op or fault. *)
-  Process.spawn engine (fun () ->
-      let s = Zk.Ensemble.session ensemble () in
-      for k = 0 to registers - 1 do
-        match s.Zk.Zk_client.create (dur_reg_dir k) ~data:"" with
-        | Ok _ -> ()
-        | Error e ->
-          failwith ("durability setup " ^ dur_reg_dir k ^ ": "
-                    ^ Zk.Zerror.to_string e)
-      done);
-  for i = 0 to reg_clients - 1 do
-    let rng =
-      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 6007)))
-    in
-    Process.spawn engine (fun () ->
-        let h =
-          ref (Zk.History.wrap hist ~client:i (Zk.Ensemble.session ensemble ()))
-        in
-        let n = ref 0 in
-        let fresh_data () =
-          incr n;
-          Printf.sprintf "%d.%d" i !n
-        in
-        Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
-        for _op = 1 to ops_per_client do
-          let reg = dur_reg_dir (Simkit.Rng.int rng registers) ^ "/r" in
-          let outcome =
-            match Simkit.Rng.int rng 100 with
-            | x when x < 40 ->
-              Result.map ignore
-                ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
-            | x when x < 70 -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
-            | x when x < 85 -> (!h).Zk.Zk_client.delete reg
-            | _ -> Result.map ignore ((!h).Zk.Zk_client.get reg)
-          in
-          (match outcome with
-           | Ok () -> incr reg_ok
-           | Error (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS) -> incr reg_ok
-           | Error Zk.Zerror.ZSESSIONEXPIRED ->
-             incr reg_err;
-             h :=
-               Zk.History.wrap hist ~client:i (Zk.Ensemble.session ensemble ());
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
-           | Error _ ->
-             incr reg_err;
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
-          Process.sleep (Simkit.Rng.exponential rng ~mean:think)
-        done;
-        (!h).Zk.Zk_client.close ())
-  done;
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let results =
-    Mdtest.Runner.run
-      ~on_phase:(fun p ->
-        Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string p))
-      engine cfg ~ops_for_proc
-  in
-  (* The run drained with every restart recovered; prove the service is
-     actually live again by committing one more write. *)
-  let recovered = ref false in
-  Process.spawn engine (fun () ->
-      let s = ref (Zk.Ensemble.session ensemble ()) in
-      let attempts = ref 0 in
-      let rec go () =
-        incr attempts;
-        if !attempts <= 200 then
-          match
-            (!s).Zk.Zk_client.create
-              (Printf.sprintf "/dur-probe%d" !attempts) ~data:""
-          with
-          | Ok _ -> recovered := true
-          | Error Zk.Zerror.ZSESSIONEXPIRED ->
-            s := Zk.Ensemble.session ensemble ();
-            Process.sleep 0.05;
-            go ()
-          | Error _ ->
-            Process.sleep 0.05;
-            go ()
-      in
-      go ());
-  Engine.run engine;
-  let violations = Zk.History.check ~max_states:2_000_000 hist in
-  let lookup path =
-    match Zk.Ensemble.leader_id ensemble with
-    | None -> None
-    | Some id -> (
-      match Zk.Ztree.get (Zk.Ensemble.tree_of ensemble id) path with
-      | Ok (data, _) -> Some data
-      | Error _ -> None)
-  in
-  let durability_violations = Zk.History.durability_audit hist ~lookup in
-  let trees_agree =
-    match Zk.Ensemble.alive_ids ensemble with
-    | [] -> false
-    | id0 :: rest ->
-      let f0 = Zk.Ztree.fingerprint (Zk.Ensemble.tree_of ensemble id0) in
-      List.for_all
-        (fun id -> Zk.Ztree.fingerprint (Zk.Ensemble.tree_of ensemble id) = f0)
-        rest
-  in
-  { d_seed = seed;
-    d_label = label;
-    d_results = results;
-    d_mdtest_errors = results.Mdtest.Runner.errors;
-    d_recorded = Zk.History.recorded hist;
-    d_checked = Zk.History.checked_ops hist;
-    d_undetermined = Zk.History.undetermined hist;
-    d_audited = Zk.History.audited_paths hist;
-    d_violations = violations;
-    d_durability_violations = durability_violations;
-    d_digest = Zk.History.digest hist;
-    d_recovered = !recovered;
-    d_trees_agree = trees_agree;
-    d_faults_fired = Faults.Faultplan.fired armed;
-    d_reg_ok = !reg_ok;
-    d_reg_err = !reg_err;
-    d_wal_appended = Zk.Ensemble.wal_appended ensemble;
-    d_wal_replayed = Zk.Ensemble.wal_replayed ensemble;
-    d_wal_truncated = Zk.Ensemble.wal_truncated ensemble;
-    d_wal_tail_dropped = Zk.Ensemble.wal_tail_dropped ensemble;
-    d_snap_loads = Zk.Ensemble.snap_loads ensemble;
-    d_snap_fallbacks = Zk.Ensemble.snap_fallbacks ensemble;
-    d_recoveries = Zk.Ensemble.recoveries ensemble;
-    d_recovery_time_total = Zk.Ensemble.recovery_time_total ensemble;
-    d_recovery_time_max = Zk.Ensemble.recovery_time_max ensemble;
-    d_wal_tail_commits = Zk.Ensemble.wal_tail_commits ensemble;
-    d_transfer_diff_txns = Zk.Ensemble.transfer_diff_txns ensemble;
-    d_transfer_snaps = Zk.Ensemble.transfer_snaps ensemble }
+    ops_ok = tally.ok;
+    ops_err = tally.err }
 
 let zk_raw ~servers ~procs ?(items = 80) () =
   let engine = Engine.create () in

@@ -57,6 +57,38 @@ val build_dufs :
   * (int -> Fuselike.Vfs.ops)
   * (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array
 
+(** {2 Register clients}
+
+    The fault oracles' load: [clients] processes issue a weighted mix of
+    register ops with unique data values on [registers] register znodes,
+    one per directory ([/d<k>/r], so a sharded deployment spreads them),
+    through a {!Zk.History} recorder and routed sessions. A transport
+    failure counts as an error and backs off; an expired session is
+    reopened. Client [i] draws from its own stream, seeded
+    [seed + (i + 1) * stride] from the ensemble seed. *)
+
+type register_op =
+  | Create
+  | Set
+  | Delete
+  | Get
+  | Exists
+  | Seq_create  (** a sequential create under [/dseq] *)
+
+type register_load = {
+  clients : int;
+  registers : int;
+  mix : (int * register_op) list;  (** (weight, op); one draw per op *)
+  stop : [ `Deadline of float | `Ops of int ];
+      (** stop at a virtual time, or after that many ops per client *)
+  stride : int;
+  think : float;  (** mean exponential think time between ops *)
+}
+
+(** The write probe's budget: attempts over all its target directories
+    (one register directory per shard), 0.05 s apart. *)
+val probe_attempts : int
+
 (** {2 One instrumented mdtest run over the DUFS stack}
 
     The census is sampled at the file-stat barrier (every file create
@@ -67,7 +99,21 @@ val build_dufs :
     exactly — a surplus is a doubled apply or a leaked stub, a deficit
     a lost write. Per-shard dedup hits and committed writes are read
     from [router] ({!Zk.Shard_router.dedup_hits_by_shard} and
-    friends). *)
+    friends), and so are WAL, snapshot, recovery and transfer counters
+    ({!Zk.Shard_router.ensembles}). *)
+
+(** What a register overlay's oracles found after the drained run. *)
+type register_audit = {
+  reg_ok : int;   (** register ops the service answered *)
+  reg_err : int;  (** transport-failed register ops (undetermined) *)
+  audited : int;  (** registers the durability oracle could audit *)
+  durability_violations : Zk.History.violation list;
+      (** acked writes lost, or unacked writes resurrected *)
+  recovered : bool;
+      (** the post-run probe committed within {!probe_attempts} *)
+  replicas_agree : bool;
+      (** every shard's live replicas fingerprint equal *)
+}
 
 type dufs_run = {
   results : Mdtest.Runner.results;
@@ -93,7 +139,11 @@ type dufs_run = {
       (** sim-seconds from controller start to completion *)
   history_recorded : int;
   history_checked : int;
-  violations : Zk.History.violation list;
+  history_undetermined : int;
+  history_digest : string;
+      (** {!Zk.History.digest}: equal for two runs of the same seed *)
+  violations : Zk.History.violation list;  (** linearizability *)
+  registers : register_audit option;  (** [None] without an overlay *)
 }
 
 (** [dufs_mdtest ~spec ~shards ~procs ()] runs the six-phase mdtest
@@ -103,8 +153,9 @@ type dufs_run = {
     - [trace]: span tracing on end to end. Tracing never sleeps or
       schedules, so throughput equals the untraced run's.
     - [plan]: a {!Faults.Faultplan} crashing and restarting servers
-      underneath the workload; it may address shards with the
-      [crash=<shard>/<id>] / [crash-leader@shard=<k>] syntax.
+      (or damaging their disks) underneath the workload; it may address
+      shards with the [crash=<shard>/<id>] / [crash-leader@shard=<k>]
+      syntax.
     - [to_shards]: a controller spawned at the file-create barrier runs
       {!Zk.Reshard.split} (or [merge], when [to_shards < shards]) while
       every process writes; the census waits for it to finish.
@@ -112,7 +163,14 @@ type dufs_run = {
       through {!Zk.History} (below the DUFS client, so every routed
       coordination op the oracle can check is checked).
     - [config_adjust] tweaks the ensemble configuration (group commit,
-      proposal window, shorter timeouts). *)
+      proposal window, shorter timeouts, seed).
+    - [registers]: a register overlay. Its clients are spawned after the
+      plan is armed and before mdtest starts, record after the
+      [history_clients] and are seeded from the ensemble seed. After the
+      drained run a bounded probe write commits on every register shard,
+      {!Zk.History.durability_audit} compares each register's home-shard
+      leader tree against the history, and every shard's live replicas
+      are compared ([registers] field of the result). *)
 val dufs_mdtest :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
@@ -121,6 +179,7 @@ val dufs_mdtest :
   ?history_clients:int ->
   ?to_shards:int ->
   ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
+  ?registers:register_load ->
   spec:dufs_spec ->
   shards:int ->
   procs:int ->
@@ -129,36 +188,32 @@ val dufs_mdtest :
 
 (** {2 Chaos runs — randomized network faults + linearizability oracle}
 
-    One seeded schedule: [clients] processes hammer [registers]
-    register znodes (one per directory, so a sharded deployment spreads
-    them) and a sequential-create directory through a {!Zk.History}
-    recorder while a {!Faults.Faultplan.chaos} plan (or the explicit
-    [?plan]) partitions, drops, delays, duplicates and crashes the
-    deployment until [heal_at]; the run continues [post_heal] seconds
-    of healthy traffic, a probe measures per-shard write recovery, and
-    the checker searches the whole recorded history. Identical
-    arguments (seed included) reproduce bit-identical histories —
-    compare [digest]s. [unsafe_no_dedup] exists for the checker's
-    teeth test only. *)
+    One seeded schedule: [clients] register clients (a mix of creates,
+    sets, deletes, reads and sequential creates on [registers]
+    registers) run until [heal_at + post_heal] while a
+    {!Faults.Faultplan.chaos} plan (or the explicit [?plan])
+    partitions, drops, delays, duplicates and crashes the deployment
+    until [heal_at]. At [heal_at] the probe measures per-shard write
+    recovery, and the checker searches the whole recorded history.
+    Identical arguments (seed included) reproduce bit-identical
+    histories — compare [digest]s. Dedup, session and stale-read
+    counters are read from [router]'s ensembles. *)
 
 type chaos_run = {
   seed : int64;
   shards : int;
+  router : Zk.Shard_router.t;
   recorded : int;
   checked : int;
   undetermined_ops : int;
   violations : Zk.History.violation list;
   digest : string;
-  recovery_s : float;  (** heal → every probed shard committed; nan = never *)
+  recovery_s : float;
+      (** heal → every probed shard committed; nan when the probe gave
+          up after {!probe_attempts} *)
   faults_fired : int;
   ops_ok : int;        (** client ops with a determined outcome *)
   ops_err : int;       (** transport-failed client ops (undetermined) *)
-  dedup_hits : int;
-  dedup_evictions : int;
-  sessions_expired : int;
-  writes_failed_fast : int;
-  stale_reads_served : int;
-  writes_committed : int;
 }
 
 val chaos_run :
@@ -170,72 +225,11 @@ val chaos_run :
   ?post_heal:float ->
   ?events:int ->
   ?think:float ->
-  ?unsafe_no_dedup:bool ->
   ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
   ?plan:Faults.Faultplan.t ->
   seed:int64 ->
   unit ->
   chaos_run
-
-(** {2 Durability runs — power failures and storage corruption + oracle}
-
-    One seeded schedule: [procs]-process mdtest runs over the full DUFS
-    stack while [plan] power-fails the coordination ensemble (and
-    optionally tears / bit-rots / snapshot-corrupts one member's disk
-    during the outage — see the {!Faults.Faultplan} storage grammar).
-    Alongside, [reg_clients] processes issue unconditioned register
-    writes with unique data through a {!Zk.History} recorder; after the
-    drained run a probe write proves the service recovered, the
-    Wing–Gong checker validates the history, and
-    {!Zk.History.durability_audit} compares the leader's recovered tree
-    against it. WAL/recovery counters come from the ensemble's
-    stable-storage introspection. *)
-
-type durability_run = {
-  d_seed : int64;
-  d_label : string;              (** schedule flavor, for reports *)
-  d_results : Mdtest.Runner.results;
-  d_mdtest_errors : int;         (** VFS ops failed during the outage *)
-  d_recorded : int;
-  d_checked : int;
-  d_undetermined : int;
-  d_audited : int;               (** registers the oracle could audit *)
-  d_violations : Zk.History.violation list;  (** linearizability *)
-  d_durability_violations : Zk.History.violation list;
-  d_digest : string;
-  d_recovered : bool;            (** post-outage probe write committed *)
-  d_trees_agree : bool;          (** live replicas fingerprint-equal *)
-  d_faults_fired : int;
-  d_reg_ok : int;
-  d_reg_err : int;
-  d_wal_appended : int;
-  d_wal_replayed : int;
-  d_wal_truncated : int;
-  d_wal_tail_dropped : int;
-  d_snap_loads : int;
-  d_snap_fallbacks : int;
-  d_recoveries : int;
-  d_recovery_time_total : float;
-  d_recovery_time_max : float;
-  d_wal_tail_commits : int;
-  d_transfer_diff_txns : int;
-  d_transfer_snaps : int;
-}
-
-val durability_run :
-  ?servers:int ->
-  ?procs:int ->
-  ?reg_clients:int ->
-  ?registers:int ->
-  ?ops_per_client:int ->
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?think:float ->
-  plan:Faults.Faultplan.t ->
-  label:string ->
-  seed:int64 ->
-  unit ->
-  durability_run
 
 (** Raw coordination-service throughput (Fig. 7): closed loop of [items]
     ops per client for each of the four basic operations. Returns

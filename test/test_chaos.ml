@@ -51,6 +51,28 @@ let test_chaos_sharded_clean () =
   check_bool "sharded run recorded ops" true (r.Systems.checked > 200);
   check_bool "sharded run recovered" true (Float.is_finite r.Systems.recovery_s)
 
+(* {2 A shard that never recovers: the probe gives up}
+
+   Two of three servers go down at 1 s and stay down long past the
+   heal: the probe's bounded retries run out first, so the run ends
+   (once the servers return) with no recovery time, which the gate
+   reports as "never recovered after heal". *)
+
+let test_probe_gives_up () =
+  let plan =
+    match Faultplan.parse "crash=1@1;crash=2@1;restart-all@300" with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "plan parse: %s" msg
+  in
+  let r =
+    Systems.chaos_run ~servers:3 ~clients:2 ~registers:2 ~heal_at:2. ~post_heal:1.
+      ~plan ~seed:3L ()
+  in
+  check_bool "no recovery time" true (Float.is_nan r.Systems.recovery_s);
+  check_bool "the gate names it" true
+    (List.mem "shards=1 seed=3: never recovered after heal"
+       (Scenarios.Figures.chaos_check ~deterministic:true [ r ]))
+
 (* {2 The oracle has teeth}
 
    Under a lossy network, client retries are answered by the dedup
@@ -69,7 +91,9 @@ let teeth_run ~unsafe_no_dedup ~seed =
     | Error msg -> Alcotest.failf "parse %S: %s" teeth_plan msg
   in
   Systems.chaos_run ~servers:3 ~shards:1 ~clients:4 ~registers:2 ~heal_at:6.
-    ~post_heal:4. ~think:0.03 ~unsafe_no_dedup ~plan ~seed ()
+    ~post_heal:4. ~think:0.03
+    ~config_adjust:(fun c -> { c with Ensemble.unsafe_no_dedup })
+    ~plan ~seed ()
 
 let test_checker_teeth () =
   (* With dedup on, the same seeds and the same lossy schedule are
@@ -78,7 +102,9 @@ let test_checker_teeth () =
   let honest = List.map (fun seed -> teeth_run ~unsafe_no_dedup:false ~seed) seeds in
   List.iter (no_violations "dedup on") honest;
   check_bool "lossy schedule exercised the dedup table" true
-    (List.exists (fun (r : Systems.chaos_run) -> r.Systems.dedup_hits > 0) honest);
+    (List.exists
+       (fun (r : Systems.chaos_run) -> Zk.Shard_router.dedup_hits r.Systems.router > 0)
+       honest);
   let broken =
     List.map (fun seed -> teeth_run ~unsafe_no_dedup:true ~seed) seeds
   in
@@ -191,7 +217,9 @@ let () =
         [ Alcotest.test_case "seed-deterministic, linearizable, recovers"
             `Quick test_chaos_deterministic_and_clean;
           Alcotest.test_case "4-shard chaos clean" `Quick
-            test_chaos_sharded_clean ] );
+            test_chaos_sharded_clean;
+          Alcotest.test_case "probe gives up on a shard below quorum" `Quick
+            test_probe_gives_up ] );
       ( "oracle",
         [ Alcotest.test_case "teeth: no-dedup double-applies are caught"
             `Quick test_checker_teeth ] );

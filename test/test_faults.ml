@@ -140,7 +140,7 @@ let test_arm_storage_action_reaches_the_wal () =
   let engine = Engine.create () in
   let ensemble = Ensemble.start engine (Ensemble.default_config ~servers:3) in
   let armed =
-    Faultplan.arm engine ensemble
+    Faultplan.arm_shards engine [| ensemble |]
       (plan_of_string "torn-tail=2@0.3;crash=2@0.31;restart=2@0.5")
   in
   Simkit.Process.spawn engine (fun () ->
@@ -269,7 +269,7 @@ let test_arm_shards_rejects_bad_deployments () =
   (* a shard index beyond the deployment is a plan/deployment mismatch
      and must fail loudly at fire time, not silently no-op *)
   let ensemble = Ensemble.start engine (Ensemble.default_config ~servers:3) in
-  ignore (Faultplan.arm engine ensemble (plan_of_string "crash=3/0@0.01"));
+  ignore (Faultplan.arm_shards engine [| ensemble |] (plan_of_string "crash=3/0@0.01"));
   match Engine.run engine with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "out-of-range shard should raise when it fires"
@@ -280,7 +280,7 @@ let test_arm_executes_timed_and_phase_events () =
   let engine = Engine.create () in
   let ensemble = Ensemble.start engine (Ensemble.default_config ~servers:3) in
   let armed =
-    Faultplan.arm engine ensemble (plan_of_string "crash=2@0.01;restart=2@boot+0.05")
+    Faultplan.arm_shards engine [| ensemble |] (plan_of_string "crash=2@0.01;restart=2@boot+0.05")
   in
   Engine.schedule engine ~delay:0.02 (fun () ->
       check_bool "timed crash fired" true

@@ -138,7 +138,10 @@ let dufs_run ~p99 =
     reshard_window = 0.;
     history_recorded = 4_548;
     history_checked = 4_548;
-    violations = [] }
+    history_undetermined = 0;
+    history_digest = "d";
+    violations = [];
+    registers = None }
 
 let reshard_run ?stats ~p99 ~window () =
   { (dufs_run ~p99) with Systems.reshard = stats; reshard_window = window }
@@ -201,6 +204,9 @@ let test_faults_unfired_event () =
 let chaos_run =
   { Systems.seed = 11L;
     shards = 1;
+    router =
+      Zk.Shard_router.start (Simkit.Engine.create ()) ~shards:1
+        (Zk.Ensemble.default_config ~servers:3);
     recorded = 2_000;
     checked = 1_945;
     undetermined_ops = 3;
@@ -209,57 +215,63 @@ let chaos_run =
     recovery_s = 0.6;
     faults_fired = 8;
     ops_ok = 1_997;
-    ops_err = 3;
-    dedup_hits = 2;
-    dedup_evictions = 0;
-    sessions_expired = 0;
-    writes_failed_fast = 0;
-    stale_reads_served = 0;
-    writes_committed = 900 }
+    ops_err = 3 }
 
 let test_chaos_zero_ops_checked () =
   passes "chaos" (Figures.chaos_check ~deterministic:true [ chaos_run ]);
   names "nothing checked" ~needle:"empty history"
     (Figures.chaos_check ~deterministic:true [ { chaos_run with checked = 0 } ])
 
+(* No run recovered: the gate names every run, and the bench points
+   stay finite (a NaN would make Report.emit_json raise before the gate
+   could print). *)
+let test_chaos_none_recovered () =
+  let runs =
+    [ { chaos_run with recovery_s = Float.nan };
+      { chaos_run with Systems.seed = 12L; recovery_s = Float.nan } ]
+  in
+  let failures = Figures.chaos_check ~deterministic:true runs in
+  names "seed 11 unrecovered" ~needle:"seed=11: never recovered after heal" failures;
+  names "seed 12 unrecovered" ~needle:"seed=12: never recovered after heal" failures;
+  List.iter
+    (fun (p : Report.bench_point) ->
+      List.iter
+        (fun (name, v) ->
+          if not (Float.is_finite v) then
+            Alcotest.failf "%s point: %s = %f is not finite" p.Report.experiment name v)
+        p.Report.phases;
+      Alcotest.(check bool) "ops/s finite" true (Float.is_finite p.Report.ops_per_sec))
+    (Figures.chaos_points ~clients:8 ~duration:25. ~deterministic:true runs)
+
 (* {2 Durability} *)
 
 let durability_run =
-  { Systems.d_seed = 2L;
-    d_label = "torn-tail";
-    d_results = results ~p99:0.01;
-    d_mdtest_errors = 0;
-    d_recorded = 240;
-    d_checked = 240;
-    d_undetermined = 0;
-    d_audited = 8;
-    d_violations = [];
-    d_durability_violations = [];
-    d_digest = "d";
-    d_recovered = true;
-    d_trees_agree = true;
-    d_faults_fired = 7;
-    d_reg_ok = 240;
-    d_reg_err = 0;
-    d_wal_appended = 5_000;
-    d_wal_replayed = 4_000;
-    d_wal_truncated = 12;
-    d_wal_tail_dropped = 1;
-    d_snap_loads = 5;
-    d_snap_fallbacks = 0;
-    d_recoveries = 5;
-    d_recovery_time_total = 0.05;
-    d_recovery_time_max = 0.02;
-    d_wal_tail_commits = 0;
-    d_transfer_diff_txns = 40;
-    d_transfer_snaps = 0 }
+  ( (2L, "torn-tail"),
+    { (dufs_run ~p99:0.01) with
+      Systems.history_recorded = 240;
+      history_checked = 240;
+      registers =
+        Some
+          { Systems.reg_ok = 240;
+            reg_err = 0;
+            audited = 8;
+            durability_violations = [];
+            recovered = true;
+            replicas_agree = true } } )
+
+let durability_check =
+  Figures.durability_check ~deterministic:true ~torn_truncated:12 ~replayed:4_000
+    ~diff_synced:40
 
 let test_durability_zero_registers_audited () =
-  passes "durability"
-    (Figures.durability_check ~deterministic:true [ durability_run ]);
+  passes "durability" (durability_check [ durability_run ]);
+  let label, r = durability_run in
   names "nothing audited" ~needle:"audited 0 registers"
-    (Figures.durability_check ~deterministic:true
-       [ { durability_run with d_audited = 0 } ])
+    (durability_check
+       [ ( label,
+           { r with
+             Systems.registers =
+               Option.map (fun a -> { a with Systems.audited = 0 }) r.Systems.registers } ) ])
 
 (* {2 The other extension ablations, at the numbers they print} *)
 
@@ -368,7 +380,8 @@ let () =
           Alcotest.test_case "unfired fault event" `Quick
             test_faults_unfired_event ] );
       ( "chaos",
-        [ Alcotest.test_case "zero ops checked" `Quick
+        [ Alcotest.test_case "no run recovered" `Quick test_chaos_none_recovered;
+          Alcotest.test_case "zero ops checked" `Quick
             test_chaos_zero_ops_checked ] );
       ( "durability",
         [ Alcotest.test_case "zero registers audited" `Quick
