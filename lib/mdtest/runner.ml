@@ -74,14 +74,10 @@ let run ?(on_phase = fun (_ : phase) -> ()) engine cfg ~ops_for_proc =
   let latencies = ref [] in
   let started = ref 0. in
   let finished = ref 0. in
-  (* shared per-phase latency accumulators (all processes feed them) *)
-  let histograms =
-    List.map
-      (fun phase ->
-        ( phase,
-          ( Simkit.Stat.Histogram.create ~lo:1e-6 ~hi:60. ~buckets:240 (),
-            Simkit.Stat.Summary.create () ) ))
-      all_phases
+  (* shared per-phase latency accumulators (all processes feed them):
+     the raw samples, for exact percentiles, and a running summary *)
+  let accumulators =
+    List.map (fun phase -> (phase, (ref [], Simkit.Stat.Summary.create ()))) all_phases
   in
   let proc_body proc =
     let ops = ops_for_proc proc in
@@ -97,12 +93,12 @@ let run ?(on_phase = fun (_ : phase) -> ()) engine cfg ~ops_for_proc =
         if proc = 0 then on_phase phase;
         let t0 = Engine.now engine in
         let items = phase_items cfg phase in
-        let histogram, summary = List.assoc phase histograms in
+        let samples, summary = List.assoc phase accumulators in
         for item = 0 to items - 1 do
           let op_start = Engine.now engine in
           perform cfg ops errors phase ~proc ~item;
           let dt = Engine.now engine -. op_start in
-          Simkit.Stat.Histogram.add histogram dt;
+          samples := dt :: !samples;
           Simkit.Stat.Summary.add summary dt
         done;
         Barrier.await barrier;
@@ -113,13 +109,14 @@ let run ?(on_phase = fun (_ : phase) -> ()) engine cfg ~ops_for_proc =
           match Simkit.Stat.Summary.max summary with
           | None -> ()  (* no samples: no latency row *)
           | Some max ->
+            let pct = Simkit.Stat.percentile (Array.of_list !samples) in
             latencies :=
               ( phase,
                 { samples = Simkit.Stat.Summary.count summary;
                   mean = Simkit.Stat.Summary.mean summary;
-                  p50 = Simkit.Stat.Histogram.quantile histogram 0.5;
-                  p95 = Simkit.Stat.Histogram.quantile histogram 0.95;
-                  p99 = Simkit.Stat.Histogram.quantile histogram 0.99;
+                  p50 = pct 0.5;
+                  p95 = pct 0.95;
+                  p99 = pct 0.99;
                   max } )
               :: !latencies
         end)

@@ -15,8 +15,9 @@ type phase =
 val all_phases : phase list
 val phase_to_string : phase -> string
 
-(** Per-phase operation-latency distribution (virtual seconds). [max] is
-    the exact observed maximum, not a histogram-bucket upper bound. *)
+(** Per-phase operation-latency distribution (virtual seconds). The
+    percentiles are exact nearest-rank ones over the phase's raw samples
+    ({!Simkit.Stat.percentile}); [max] is the largest sample. *)
 type latency = {
   samples : int;
   mean : float;

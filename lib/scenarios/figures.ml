@@ -1301,13 +1301,6 @@ let chaos_runs_default =
   List.map (fun s -> (1, Int64.of_int s)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
   @ List.map (fun s -> (4, Int64.of_int s)) [ 101; 102; 103; 104; 105; 106; 107; 108 ]
 
-let percentile sorted q =
-  match Array.length sorted with
-  | 0 -> Float.nan
-  | n ->
-    let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
 (* One chaos schedule's verdict: a clean, non-empty history and a
    recovery after heal. Shared by [chaos] and [pipeline]'s sweep. *)
 let chaos_run_check (r : Systems.chaos_run) =
@@ -1336,15 +1329,11 @@ let chaos_sweep ~run ~print points =
     ~digest:(fun (r : Systems.chaos_run) -> r.Systems.digest)
     points
 
-(* The finished recoveries of a sweep, sorted. *)
+(* The finished recoveries of a sweep. *)
 let chaos_recoveries results =
-  let a =
-    Array.of_list
-      (List.filter Float.is_finite
-         (List.map (fun (r : Systems.chaos_run) -> r.Systems.recovery_s) results))
-  in
-  Array.sort compare a;
-  a
+  Array.of_list
+    (List.filter Float.is_finite
+       (List.map (fun (r : Systems.chaos_run) -> r.Systems.recovery_s) results))
 
 let chaos_points ~clients ~duration ~deterministic results =
   let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
@@ -1379,9 +1368,9 @@ let chaos_points ~clients ~duration ~deterministic results =
               float_of_int
                 (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations)) );
             ("ops_checked_total", float_of_int total_checked);
-            ("recovery_p50_s", or_missing (percentile recoveries 0.50));
-            ("recovery_p95_s", or_missing (percentile recoveries 0.95));
-            ("recovery_max_s", or_missing (percentile recoveries 1.0));
+            ("recovery_p50_s", or_missing (Simkit.Stat.percentile recoveries 0.50));
+            ("recovery_p95_s", or_missing (Simkit.Stat.percentile recoveries 0.95));
+            ("recovery_max_s", or_missing (Simkit.Stat.percentile recoveries 1.0));
             ("runs_recovered", float_of_int (Array.length recoveries));
             ("runs", float_of_int (List.length results));
             ("deterministic", if deterministic then 1. else 0.) ]
@@ -1421,8 +1410,8 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
      max=%.2fs (%d/%d runs recovered); seed %Ld re-run digest %s\n%!"
     (total (fun (r : Systems.chaos_run) -> r.Systems.checked))
     (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations))
-    (percentile recoveries 0.50) (percentile recoveries 0.95)
-    (percentile recoveries 1.0) (Array.length recoveries) (List.length results)
+    (Simkit.Stat.percentile recoveries 0.50) (Simkit.Stat.percentile recoveries 0.95)
+    (Simkit.Stat.percentile recoveries 1.0) (Array.length recoveries) (List.length results)
     (snd (List.hd runs)) (digest_verdict deterministic);
   Option.iter
     (fun path ->

@@ -123,3 +123,13 @@ module Throughput = struct
     let dt = now -. t.started in
     if dt <= 0. then 0. else float_of_int t.ops /. dt
 end
+
+let percentile samples q =
+  if not (q > 0. && q <= 1.) then invalid_arg "Stat.percentile: q outside (0, 1]";
+  match Array.length samples with
+  | 0 -> Float.nan
+  | n ->
+    let sorted = Array.copy samples in
+    Array.sort Float.compare sorted;
+    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))

@@ -73,3 +73,13 @@ module Throughput : sig
       0. if no time has elapsed. *)
   val rate : t -> now:float -> float
 end
+
+(** [percentile samples q] is the exact nearest-rank percentile: the
+    smallest sample with at least a fraction [q] of all samples at or
+    below it (so [q = 1.] is the maximum). [samples] need not be sorted
+    and is left as it is. [nan] when [samples] is empty — there is no
+    honest value to report. The one percentile of the simulator's
+    reports; [perfbench/stats.ml] keeps its own copy, which raises on an
+    empty input, because the benchmark's code stays frozen.
+    @raise Invalid_argument unless [0 < q <= 1]. *)
+val percentile : float array -> float -> float

@@ -798,6 +798,32 @@ let test_summary_stddev_no_nan () =
   check_bool "stddev finite" true (Float.is_finite sd);
   check_bool "stddev >= 0" true (sd >= 0.)
 
+(* {2 Exact nearest-rank percentile} *)
+
+let test_percentile_ranks () =
+  (* 100 down to 1: unsorted on purpose *)
+  let hundred = Array.init 100 (fun i -> float_of_int (100 - i)) in
+  check_float "p50 of 1..100" 50. (Stat.percentile hundred 0.5);
+  check_float "p99 of 1..100" 99. (Stat.percentile hundred 0.99);
+  check_float "p100 of 1..100" 100. (Stat.percentile hundred 1.0);
+  check_float "p1 of 1..100" 1. (Stat.percentile hundred 0.01);
+  check_float "input left unsorted" 100. hundred.(0);
+  check_float "input left unsorted" 1. hundred.(99)
+
+let test_percentile_one_sample () =
+  List.iter
+    (fun q -> check_float "the sample itself" 7.5 (Stat.percentile [| 7.5 |] q))
+    [ 0.01; 0.5; 0.99; 1.0 ]
+
+let test_percentile_contract () =
+  check_bool "empty input is nan" true (Float.is_nan (Stat.percentile [||] 0.5));
+  List.iter
+    (fun q ->
+      match Stat.percentile [| 1.; 2. |] q with
+      | exception Invalid_argument _ -> ()
+      | v -> Alcotest.failf "q = %g answered %g instead of raising" q v)
+    [ 0.; -0.5; 1.5; Float.nan ]
+
 let test_histogram_overflow_honest () =
   let h = Stat.Histogram.create ~lo:1e-3 ~hi:1. ~buckets:10 () in
   Stat.Histogram.add h 0.5;
@@ -1123,6 +1149,9 @@ let () =
           Alcotest.test_case "summary empty" `Quick test_summary_empty;
           Alcotest.test_case "summary empty min/max" `Quick test_summary_empty_minmax;
           Alcotest.test_case "summary stddev no NaN" `Quick test_summary_stddev_no_nan;
+          Alcotest.test_case "percentile ranks" `Quick test_percentile_ranks;
+          Alcotest.test_case "percentile of one sample" `Quick test_percentile_one_sample;
+          Alcotest.test_case "percentile empty and bad q" `Quick test_percentile_contract;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
           Alcotest.test_case "histogram overflow honest" `Quick
