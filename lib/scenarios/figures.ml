@@ -1320,14 +1320,8 @@ let chaos_check ~deterministic results =
   @ Report.expect deterministic
       "identical seed produced a different history"
 
-(* The chaos sweep over [(shards, seed)] points, rows printed by [print]. *)
-let chaos_sweep ~run ~print points =
-  seed_sweep
-    ~run:(fun (shards, seed) -> run ~shards ~seed)
-    ~print
-    ~violations:(fun (r : Systems.chaos_run) -> r.Systems.violations)
-    ~digest:(fun (r : Systems.chaos_run) -> r.Systems.digest)
-    points
+let chaos_violations (r : Systems.chaos_run) = r.Systems.violations
+let chaos_digest (r : Systems.chaos_run) = r.Systems.digest
 
 (* The finished recoveries of a sweep. *)
 let chaos_recoveries results =
@@ -1366,7 +1360,8 @@ let chaos_points ~clients ~duration ~deterministic results =
         ~phases:
           [ ( "violations_total",
               float_of_int
-                (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations)) );
+                (total (fun (r : Systems.chaos_run) ->
+                     List.length r.Systems.violations)) );
             ("ops_checked_total", float_of_int total_checked);
             ("recovery_p50_s", or_missing (Simkit.Stat.percentile recoveries 0.50));
             ("recovery_p95_s", or_missing (Simkit.Stat.percentile recoveries 0.95));
@@ -1389,8 +1384,8 @@ let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
     "recorded" "checked" "undet" "expired" "dedup_hits" "evictions" "recovery"
     "violations";
   let results, deterministic =
-    chaos_sweep
-      ~run:(fun ~shards ~seed ->
+    seed_sweep ~violations:chaos_violations ~digest:chaos_digest
+      ~run:(fun (shards, seed) ->
         Systems.chaos_run ~servers:chaos_servers ~shards ~clients ~registers ~heal_at
           ~post_heal ~events ~seed ())
       ~print:(fun (r : Systems.chaos_run) ->
@@ -1714,8 +1709,8 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
       max_inflight_batches = pipeline_chaos_window }
   in
   let chaos_results, deterministic =
-    chaos_sweep
-      ~run:(fun ~shards ~seed ->
+    seed_sweep ~violations:chaos_violations ~digest:chaos_digest
+      ~run:(fun (shards, seed) ->
         Systems.chaos_run ~servers:chaos_servers ~shards ~clients:chaos_clients
           ~registers:6 ~heal_at:15. ~post_heal:10. ~events:12
           ~config_adjust:chaos_adjust ~seed ())
@@ -1965,7 +1960,15 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   in
   let count f = List.length (List.filter f results) in
   let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let total_of f = total (fun (_, (r : Systems.dufs_run)) -> shard_sum r.Systems.router f) in
+  (* the sweep's counters, over every run's shards *)
+  let ensembles =
+    List.concat_map
+      (fun (_, (r : Systems.dufs_run)) ->
+        Array.to_list (Zk.Shard_router.ensembles r.Systems.router))
+      results
+  in
+  let over f op init = List.fold_left (fun acc e -> op acc (f e)) init ensembles in
+  let total_of f = over f ( + ) 0 in
   let lin_violations =
     total (fun (_, (r : Systems.dufs_run)) -> List.length r.Systems.violations)
   and dur_violations =
@@ -1974,21 +1977,14 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   and agree_runs = count (fun (_, r) -> (register_audit r).Systems.replicas_agree)
   and torn_truncated =
     total (fun ((_, flavor), (r : Systems.dufs_run)) ->
-        if is_torn flavor then shard_sum r.Systems.router Zk.Ensemble.wal_truncated
-        else 0)
+        if is_torn flavor then shard_sum r.Systems.router Zk.Ensemble.wal_truncated else 0)
   and replayed = total_of Zk.Ensemble.wal_replayed
   and diff_synced = total_of Zk.Ensemble.transfer_diff_txns
-  and recoveries = total_of Zk.Ensemble.recoveries in
-  let rec_time_total =
-    List.fold_left
-      (fun acc (_, (r : Systems.dufs_run)) ->
-        over_shards r.Systems.router Zk.Ensemble.recovery_time_total ( +. ) acc)
-      0. results
-  and rec_time_max =
-    List.fold_left (fun acc (_, r) -> Float.max acc (restart_max r)) 0. results
-  in
+  and recoveries = total_of Zk.Ensemble.recoveries
+  and rec_time_max = over Zk.Ensemble.recovery_time_max Float.max 0. in
   let per_restart_mean =
-    if recoveries > 0 then rec_time_total /. float_of_int recoveries else 0.
+    if recoveries = 0 then 0.
+    else over Zk.Ensemble.recovery_time_total ( +. ) 0. /. float_of_int recoveries
   in
   Printf.printf
     "\ntotal: %d runs (%d recovered, %d replicas-agree), %d lin + %d \
@@ -2032,7 +2028,8 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
                  ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
                  ("recovery.count", sum Zk.Ensemble.recoveries);
                  ( "recovery.time_total_s",
-                   over_shards r.Systems.router Zk.Ensemble.recovery_time_total ( +. ) 0. );
+                   over_shards r.Systems.router Zk.Ensemble.recovery_time_total
+                     ( +. ) 0. );
                  ("recovery.time_max_s", restart_max r);
                  ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
                  ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]

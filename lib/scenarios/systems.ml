@@ -185,10 +185,10 @@ let rec pick x = function
   | (w, op) :: rest -> if x < w then op else pick (x - w) rest
 
 (* Spawns the setup (the register directories, committed before any
-   client op) and the clients; client [i] records as
-   [first_client + i] and draws from its own stream, seeded
-   [seed + (i + 1) * stride]. The tally fills in as the run goes. *)
-let spawn_registers engine router hist load ~seed ~first_client =
+   client op) and the clients; client [c] draws from its own stream,
+   seeded [seed + (c + 1) * stride]. The tally fills in as the run
+   goes. *)
+let spawn_registers engine router hist load ~seed =
   let tally = { ok = 0; err = 0 } in
   let session () = Zk.Shard_router.session router () in
   Process.spawn engine (fun () ->
@@ -203,10 +203,9 @@ let spawn_registers engine router hist load ~seed ~first_client =
       done;
       if List.exists (fun (_, op) -> op = Seq_create) load.mix then mk seq_dir);
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 load.mix in
-  for i = 0 to load.clients - 1 do
-    let client = first_client + i in
+  for client = 0 to load.clients - 1 do
     let rng =
-      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * load.stride)))
+      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((client + 1) * load.stride)))
     in
     Process.spawn engine (fun () ->
         let h = ref (Zk.History.wrap hist ~client (session ())) in
@@ -227,7 +226,8 @@ let spawn_registers engine router hist load ~seed ~first_client =
           let reg = reg_dir (Simkit.Rng.int rng load.registers) ^ "/r" in
           let outcome =
             match pick (Simkit.Rng.int rng total) load.mix with
-            | Create -> Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
+            | Create ->
+              Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
             | Set -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
             | Delete -> (!h).Zk.Zk_client.delete reg
             | Get -> Result.map ignore ((!h).Zk.Zk_client.get reg)
@@ -257,22 +257,19 @@ let spawn_registers engine router hist load ~seed ~first_client =
   done;
   tally
 
-(* One register directory per shard the registers live on (the lowest
-   index wins), in path order. *)
-let probe_dirs router load =
-  let by_shard = Hashtbl.create 8 in
-  for k = load.registers - 1 downto 0 do
-    Hashtbl.replace by_shard (Zk.Shard_router.home_shard router (reg_dir k ^ "/r")) (reg_dir k)
-  done;
-  List.sort compare (Hashtbl.fold (fun _ dir acc -> dir :: acc) by_shard [])
-
 let probe_attempts = 200
 
-(* From inside a process: commit one fresh write under each of [dirs] in
-   turn, retrying every 0.05 s (reopening an expired session), and give
-   up after [probe_attempts] attempts in all. [true] iff every write
-   committed. *)
-let probe router dirs =
+(* From inside a process: commit one fresh write under one register
+   directory per shard the registers live on (the lowest index wins, in
+   path order), retrying every 0.05 s (reopening an expired session),
+   and give up after [probe_attempts] attempts in all. [true] iff every
+   write committed. *)
+let probe router load =
+  let by_shard = Hashtbl.create 8 in
+  for k = load.registers - 1 downto 0 do
+    let dir = reg_dir k in
+    Hashtbl.replace by_shard (Zk.Shard_router.home_shard router (dir ^ "/r")) dir
+  done;
   let s = ref (Zk.Shard_router.session router ()) in
   let rec go n = function
     | [] -> true
@@ -286,7 +283,7 @@ let probe router dirs =
         Process.sleep 0.05;
         go n dirs)
   in
-  go 0 dirs
+  go 0 (List.sort compare (Hashtbl.fold (fun _ dir acc -> dir :: acc) by_shard []))
 
 let check_budget = 2_000_000
 
@@ -309,8 +306,6 @@ let check_budget = 2_000_000
    replicas must fingerprint equal. *)
 
 type register_audit = {
-  reg_ok : int;
-  reg_err : int;
   audited : int;
   durability_violations : Zk.History.violation list;
   recovered : bool;
@@ -377,14 +372,10 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
   let armed =
     Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
   in
-  let overlay =
-    Option.map
-      (fun load ->
-        ( load,
-          spawn_registers engine router hist load ~seed:config.Zk.Ensemble.seed
-            ~first_client:history_clients ))
-      registers
-  in
+  Option.iter
+    (fun load ->
+      ignore (spawn_registers engine router hist load ~seed:config.Zk.Ensemble.seed))
+    registers;
   let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
   let to_shards = Option.value to_shards ~default:shards in
   let reshard = ref None and t0 = ref 0. and t1 = ref 0. in
@@ -415,25 +406,23 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
      the service is actually live again *)
   let recovered = ref false in
   Option.iter
-    (fun (load, _) ->
-      Process.spawn engine (fun () -> recovered := probe router (probe_dirs router load));
+    (fun load ->
+      Process.spawn engine (fun () -> recovered := probe router load);
       Engine.run engine)
-    overlay;
+    registers;
   if trace then Zk.Shard_router.publish router (Obs.Trace.metrics tr);
   let violations = Zk.History.check ~max_states:check_budget hist in
   let registers =
     Option.map
-      (fun (_, tally) ->
+      (fun _ ->
         let durability_violations =
           Zk.History.durability_audit hist ~lookup:(recovered_data router)
         in
-        { reg_ok = tally.ok;
-          reg_err = tally.err;
-          audited = Zk.History.audited_paths hist;
+        { audited = Zk.History.audited_paths hist;
           durability_violations;
           recovered = !recovered;
           replicas_agree = replicas_agree router })
-      overlay
+      registers
   in
   { results;
     router;
@@ -515,11 +504,11 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
     { clients; registers; mix = chaos_mix; stop = `Deadline (heal_at +. post_heal);
       stride = 7919; think }
   in
-  let tally = spawn_registers engine router hist load ~seed ~first_client:0 in
+  let tally = spawn_registers engine router hist load ~seed in
   let recovery = ref Float.nan in
   Engine.schedule engine ~delay:heal_at (fun () ->
       Process.spawn engine (fun () ->
-          if probe router (probe_dirs router load) then
+          if probe router load then
             recovery := Engine.now engine -. heal_at));
   Engine.run engine;
   let violations = Zk.History.check ~max_states:check_budget hist in

@@ -85,10 +85,6 @@ type register_load = {
   think : float;  (** mean exponential think time between ops *)
 }
 
-(** The write probe's budget: attempts over all its target directories
-    (one register directory per shard), 0.05 s apart. *)
-val probe_attempts : int
-
 (** {2 One instrumented mdtest run over the DUFS stack}
 
     The census is sampled at the file-stat barrier (every file create
@@ -104,13 +100,12 @@ val probe_attempts : int
 
 (** What a register overlay's oracles found after the drained run. *)
 type register_audit = {
-  reg_ok : int;   (** register ops the service answered *)
-  reg_err : int;  (** transport-failed register ops (undetermined) *)
   audited : int;  (** registers the durability oracle could audit *)
   durability_violations : Zk.History.violation list;
       (** acked writes lost, or unacked writes resurrected *)
   recovered : bool;
-      (** the post-run probe committed within {!probe_attempts} *)
+      (** the post-run probe write committed on every register shard
+          within its 200 attempts, 0.05 s apart *)
   replicas_agree : bool;
       (** every shard's live replicas fingerprint equal *)
 }
@@ -165,8 +160,9 @@ type dufs_run = {
     - [config_adjust] tweaks the ensemble configuration (group commit,
       proposal window, shorter timeouts, seed).
     - [registers]: a register overlay. Its clients are spawned after the
-      plan is armed and before mdtest starts, record after the
-      [history_clients] and are seeded from the ensemble seed. After the
+      plan is armed and before mdtest starts, record through the same
+      {!Zk.History} as [history_clients] and are seeded from the
+      ensemble seed. After the
       drained run a bounded probe write commits on every register shard,
       {!Zk.History.durability_audit} compares each register's home-shard
       leader tree against the history, and every shard's live replicas
@@ -209,8 +205,8 @@ type chaos_run = {
   violations : Zk.History.violation list;
   digest : string;
   recovery_s : float;
-      (** heal → every probed shard committed; nan when the probe gave
-          up after {!probe_attempts} *)
+      (** heal → every register shard committed a probe write; nan
+          when the probe gave up after 200 attempts, 0.05 s apart *)
   faults_fired : int;
   ops_ok : int;        (** client ops with a determined outcome *)
   ops_err : int;       (** transport-failed client ops (undetermined) *)

@@ -280,7 +280,8 @@ let test_arm_executes_timed_and_phase_events () =
   let engine = Engine.create () in
   let ensemble = Ensemble.start engine (Ensemble.default_config ~servers:3) in
   let armed =
-    Faultplan.arm_shards engine [| ensemble |] (plan_of_string "crash=2@0.01;restart=2@boot+0.05")
+    Faultplan.arm_shards engine [| ensemble |]
+      (plan_of_string "crash=2@0.01;restart=2@boot+0.05")
   in
   Engine.schedule engine ~delay:0.02 (fun () ->
       check_bool "timed crash fired" true

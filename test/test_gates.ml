@@ -248,13 +248,9 @@ let test_chaos_none_recovered () =
 let durability_run =
   ( (2L, "torn-tail"),
     { (dufs_run ~p99:0.01) with
-      Systems.history_recorded = 240;
-      history_checked = 240;
-      registers =
+      Systems.registers =
         Some
-          { Systems.reg_ok = 240;
-            reg_err = 0;
-            audited = 8;
+          { Systems.audited = 8;
             durability_violations = [];
             recovered = true;
             replicas_agree = true } } )
@@ -271,7 +267,8 @@ let test_durability_zero_registers_audited () =
        [ ( label,
            { r with
              Systems.registers =
-               Option.map (fun a -> { a with Systems.audited = 0 }) r.Systems.registers } ) ])
+               Option.map (fun a -> { a with Systems.audited = 0 }) r.Systems.registers
+           } ) ])
 
 (* {2 The other extension ablations, at the numbers they print} *)
 
