@@ -74,10 +74,9 @@ let run ?(on_phase = fun (_ : phase) -> ()) engine cfg ~ops_for_proc =
   let latencies = ref [] in
   let started = ref 0. in
   let finished = ref 0. in
-  (* shared per-phase latency accumulators (all processes feed them):
-     the raw samples, for exact percentiles, and a running summary *)
+  (* shared per-phase latency distributions (all processes feed them) *)
   let accumulators =
-    List.map (fun phase -> (phase, (ref [], Simkit.Stat.Summary.create ()))) all_phases
+    List.map (fun phase -> (phase, Simkit.Stat.Latency.create ())) all_phases
   in
   let proc_body proc =
     let ops = ops_for_proc proc in
@@ -93,23 +92,22 @@ let run ?(on_phase = fun (_ : phase) -> ()) engine cfg ~ops_for_proc =
         if proc = 0 then on_phase phase;
         let t0 = Engine.now engine in
         let items = phase_items cfg phase in
-        let samples, summary = List.assoc phase accumulators in
+        let dist = List.assoc phase accumulators in
         for item = 0 to items - 1 do
           let op_start = Engine.now engine in
           perform cfg ops errors phase ~proc ~item;
-          let dt = Engine.now engine -. op_start in
-          samples := dt :: !samples;
-          Simkit.Stat.Summary.add summary dt
+          Simkit.Stat.Latency.add dist (Engine.now engine -. op_start)
         done;
         Barrier.await barrier;
         if proc = 0 then begin
           let dt = Engine.now engine -. t0 in
           let total = float_of_int (items * procs) in
           rates := (phase, if dt > 0. then total /. dt else 0.) :: !rates;
+          let summary = Simkit.Stat.Latency.summary dist in
           match Simkit.Stat.Summary.max summary with
           | None -> ()  (* no samples: no latency row *)
           | Some max ->
-            let pct = Simkit.Stat.percentile (Array.of_list !samples) in
+            let pct = Simkit.Stat.Latency.quantile dist in
             latencies :=
               ( phase,
                 { samples = Simkit.Stat.Summary.count summary;

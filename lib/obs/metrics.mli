@@ -1,6 +1,7 @@
 (** Named metric registry: counters, gauges, summaries and latency
-    histograms, get-or-created by name, with a single snapshot-to-JSON
-    path shared by every reporter.
+    distributions, get-or-created by name. Reporters read instruments
+    back by name ({!counter_opt}, {!summary_opt}, {!latency_opt}) and
+    format them themselves.
 
     All instruments are plain mutable accumulators from {!Simkit.Stat}:
     recording never allocates beyond the instrument itself and never
@@ -27,9 +28,8 @@ val counter : t -> string -> Simkit.Stat.Counter.t
 val gauge : t -> string -> Gauge.t
 val summary : t -> string -> Simkit.Stat.Summary.t
 
-(** Log-scale histogram, 100 ns .. 100 s by default. *)
-val histogram :
-  ?lo:float -> ?hi:float -> ?buckets:int -> t -> string -> Simkit.Stat.Histogram.t
+(** Every sample kept: exact mean, max and percentiles. *)
+val latency : t -> string -> Simkit.Stat.Latency.t
 
 (** Registered names, in registration order. *)
 val names : t -> string list
@@ -37,11 +37,4 @@ val names : t -> string list
 (** Lookup without creating. *)
 val counter_opt : t -> string -> Simkit.Stat.Counter.t option
 val summary_opt : t -> string -> Simkit.Stat.Summary.t option
-
-val histogram_opt : t -> string -> Simkit.Stat.Histogram.t option
-
-(** Snapshot every instrument as one JSON object keyed by metric name.
-    Empty summaries/histograms omit min/max/quantiles (no fake zeros);
-    non-finite values raise rather than emitting invalid JSON.
-    @raise Invalid_argument on NaN/infinite values. *)
-val to_json : t -> string
+val latency_opt : t -> string -> Simkit.Stat.Latency.t option

@@ -23,38 +23,32 @@ let disable t = t.on <- false
 let enabled t = t.on
 let metrics t = t.metrics
 
-(* Span durations live under two instruments: [<name>] is the latency
-   histogram (p50/p95/p99, overflow-honest max) and [<name>.sum] the
-   exact online summary (mean for critical-path accounting). *)
+(* One latency instrument per span name: every duration kept, so the
+   count, mean, max and percentiles read back are all exact. *)
 
 let record_span t name dur =
-  if t.on then begin
-    Stat.Histogram.add (Metrics.histogram t.metrics name) dur;
-    Stat.Summary.add (Metrics.summary t.metrics (name ^ ".sum")) dur
-  end
+  if t.on then Stat.Latency.add (Metrics.latency t.metrics name) dur
 
 (* Scalar observation (queue depth, batch size): summary only. *)
 let observe t name v =
   if t.on then Stat.Summary.add (Metrics.summary t.metrics name) v
 
+let span t name = Option.map Stat.Latency.summary (Metrics.latency_opt t.metrics name)
+
 let span_count t name =
-  match Metrics.histogram_opt t.metrics name with
-  | Some h -> Stat.Histogram.count h
-  | None -> 0
+  match span t name with Some s -> Stat.Summary.count s | None -> 0
 
 let span_mean t name =
-  match Metrics.summary_opt t.metrics (name ^ ".sum") with
+  match span t name with
   | Some s when Stat.Summary.count s > 0 -> Some (Stat.Summary.mean s)
   | Some _ | None -> None
 
-let span_max t name =
-  match Metrics.summary_opt t.metrics (name ^ ".sum") with
-  | Some s -> Stat.Summary.max s
-  | None -> None
+let span_max t name = Option.bind (span t name) Stat.Summary.max
 
 let span_quantile t name q =
-  match Metrics.histogram_opt t.metrics name with
-  | Some h when Stat.Histogram.count h > 0 -> Some (Stat.Histogram.quantile h q)
+  match Metrics.latency_opt t.metrics name with
+  | Some l when Stat.Summary.count (Stat.Latency.summary l) > 0 ->
+    Some (Stat.Latency.quantile l q)
   | Some _ | None -> None
 
 (* {2 Write-path span context}

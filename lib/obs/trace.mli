@@ -21,23 +21,23 @@ val disable : t -> unit
 val enabled : t -> bool
 val metrics : t -> Metrics.t
 
-(** [record_span t name dur] records one completed span: [name] holds
-    the latency histogram, [name ^ ".sum"] the exact online summary. *)
+(** [record_span t name dur] records one completed span in the
+    {!Simkit.Stat.Latency} instrument registered under [name]. *)
 val record_span : t -> string -> float -> unit
 
 (** Scalar observation (queue depth, batch size, ...): summary only. *)
 val observe : t -> string -> float -> unit
 
-(** {2 Reading spans back} *)
+(** {2 Reading spans back}
+
+    All four read the one instrument under the span's name and are
+    exact; the options are [None] when the span was never recorded. *)
 
 val span_count : t -> string -> int
-
-(** Exact mean from the [.sum] summary; [None] if absent or empty. *)
 val span_mean : t -> string -> float option
-
 val span_max : t -> string -> float option
 
-(** Bucketed quantile from the histogram; [None] if absent or empty. *)
+(** {!Simkit.Stat.percentile} of the recorded durations. *)
 val span_quantile : t -> string -> float -> float option
 
 (** {2 Write-path span context}

@@ -1372,7 +1372,8 @@ let chaos_points ~clients ~duration ~deterministic results =
         () ]
 
 let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
-    ?(registers = 6) ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12)
+    ?(registers = Systems.chaos_registers) ?(heal_at = Systems.chaos_heal_at)
+    ?(post_heal = Systems.chaos_post_heal) ?(events = Systems.chaos_events)
     ?json_path () =
   Report.print_header
     (Printf.sprintf
@@ -1712,7 +1713,6 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
     seed_sweep ~violations:chaos_violations ~digest:chaos_digest
       ~run:(fun (shards, seed) ->
         Systems.chaos_run ~servers:chaos_servers ~shards ~clients:chaos_clients
-          ~registers:6 ~heal_at:15. ~post_heal:10. ~events:12
           ~config_adjust:chaos_adjust ~seed ())
       ~print:(fun (r : Systems.chaos_run) ->
         Printf.printf
@@ -1753,7 +1753,9 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d"
                   r.Systems.seed r.Systems.shards chaos_servers
                   pipeline_chaos_window)
-             ~ops_per_sec:(float_of_int r.Systems.ops_ok /. 25.)
+             ~ops_per_sec:
+               (float_of_int r.Systems.ops_ok
+                /. (Systems.chaos_heal_at +. Systems.chaos_post_heal))
              ~phases:
                [ ( "violations",
                    float_of_int (List.length r.Systems.violations) );

@@ -212,10 +212,12 @@ val sharding_check :
     oracle}
 
     [chaos ()] runs one {!Systems.chaos_run} per [(shards, seed)] entry
-    of [runs] (default: 12 single-shard + 8 four-shard schedules),
-    prints a per-run table (ops recorded/checked, undetermined ops,
-    expired sessions, dedup activity, post-heal recovery time,
-    violations), re-runs the first schedule to prove bit-identical
+    of [runs] (default: 12 single-shard + 8 four-shard schedules; the
+    other options default to the sweep shape {!Systems.chaos_registers},
+    {!Systems.chaos_heal_at}, {!Systems.chaos_post_heal} and
+    {!Systems.chaos_events}), prints a per-run table (ops
+    recorded/checked, undetermined ops, expired sessions, dedup
+    activity, post-heal recovery time, violations), re-runs the first schedule to prove bit-identical
     history digests, and summarizes recovery percentiles. With
     [json_path] writes the BENCH_pr5.json artifact: one [chaos] point
     per run (violations, ops checked, recovery and the degradation

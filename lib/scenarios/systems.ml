@@ -472,8 +472,14 @@ type chaos_run = {
 let chaos_mix =
   [ (25, Create); (20, Set); (15, Delete); (20, Get); (10, Exists); (10, Seq_create) ]
 
-let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
-    ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12) ?(think = 0.05)
+let chaos_registers = 6
+let chaos_heal_at = 15.
+let chaos_post_heal = 10.
+let chaos_events = 12
+
+let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8)
+    ?(registers = chaos_registers) ?(heal_at = chaos_heal_at)
+    ?(post_heal = chaos_post_heal) ?(events = chaos_events) ?(think = 0.05)
     ?(config_adjust = Fun.id) ?plan ~seed () =
   let engine = Engine.create () in
   let config =

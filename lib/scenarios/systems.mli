@@ -195,6 +195,14 @@ val dufs_mdtest :
     histories — compare [digest]s. Dedup, session and stale-read
     counters are read from [router]'s ensembles. *)
 
+(** The full chaos sweep's shape, [chaos_run]'s defaults: 6 registers,
+    heal at 15 s, 10 s after it, 12 fault events. *)
+
+val chaos_registers : int
+val chaos_heal_at : float
+val chaos_post_heal : float
+val chaos_events : int
+
 type chaos_run = {
   seed : int64;
   shards : int;

@@ -12,7 +12,6 @@ type t = {
   mutable names : string array;
   mutable follows : int array;  (* endpoint -> endpoint whose side it shares *)
   mutable count : int;
-  links : (int * int, latency) Hashtbl.t;
   (* fault state *)
   mutable sides : (int, int) Hashtbl.t option;  (* endpoint -> partition group *)
   mutable oneway : (int * int) list;            (* blocked (src, dst) pairs *)
@@ -26,11 +25,10 @@ type t = {
   mutable n_delivered : int;
   mutable n_dropped : int;
   mutable n_duplicated : int;
-  (* Precomputed hop delay for the quiet state: no per-link overrides,
-     no partition/one-way blocks, every probabilistic knob at zero and a
-     [Fixed] default latency. [-1.] whenever any of that is untrue.
-     Lets [send] skip the link lookup (a tuple + option allocation per
-     message) and the whole fault-guard chain on the hot path. *)
+  (* Precomputed hop delay for the quiet state: no partition/one-way
+     blocks, every probabilistic knob at zero and a [Fixed] default
+     latency. [-1.] whenever any of that is untrue. Lets [send] skip the
+     whole fault-guard chain on the hot path. *)
   mutable quiet_fixed : float;
 }
 
@@ -38,8 +36,7 @@ let refresh_quiet t =
   t.quiet_fixed <-
     (match t.default_latency with
      | Fixed d
-       when Hashtbl.length t.links = 0
-            && t.sides = None && t.oneway = []
+       when t.sides = None && t.oneway = []
             && t.drop_p = 0. && t.dup_p = 0. && t.reorder_p = 0. ->
        d +. t.extra_delay
      | Fixed _ | Uniform_lat _ | Exp_lat _ -> -1.)
@@ -52,7 +49,6 @@ let create ?(default_latency = Fixed 0.) ~seed engine =
       names = Array.make 8 "";
       follows = Array.make 8 0;
       count = 0;
-      links = Hashtbl.create 16;
       sides = None;
       oneway = [];
       drop_p = 0.;
@@ -96,12 +92,6 @@ let check t e op =
 let name t e =
   check t e "name";
   t.names.(e)
-
-let set_link_latency t ~src ~dst lat =
-  check t src "set_link_latency";
-  check t dst "set_link_latency";
-  Hashtbl.replace t.links (src, dst) lat;
-  refresh_quiet t
 
 (* A follower chain is one hop deep by construction ([endpoint] only
    lets a fresh endpoint follow an existing one, and servers follow
@@ -170,28 +160,19 @@ let unreachable t src dst =
 (* Each guard below tests its knob before touching the RNG, so a
    network with every fault at rest consumes no randomness at all —
    the fault-free schedule is bit-identical to bare Engine.schedule. *)
-let sample_latency t lat =
-  match lat with
+let sample_latency t =
+  match t.default_latency with
   | Fixed d -> d
   | Uniform_lat (lo, hi) -> Rng.uniform t.rng ~lo ~hi
   | Exp_lat mean -> Rng.exponential t.rng ~mean
 
-let hop_delay t ~src ~dst =
-  let lat =
-    (* the tuple-keyed lookup allocates; skip it while no link has an
-       override, which is every run that never calls set_link_latency *)
-    if Hashtbl.length t.links = 0 then t.default_latency
-    else
-      match Hashtbl.find_opt t.links (src, dst) with
-      | Some lat -> lat
-      | None -> t.default_latency
-  in
+let hop_delay t =
   let jitter =
     if t.reorder_p > 0. && Rng.float t.rng < t.reorder_p then
       Rng.uniform t.rng ~lo:0. ~hi:t.reorder_window
     else 0.
   in
-  sample_latency t lat +. t.extra_delay +. jitter
+  sample_latency t +. t.extra_delay +. jitter
 
 let send t ~src ~dst deliver =
   check t src "send";
@@ -207,12 +188,12 @@ let send t ~src ~dst deliver =
   else if t.drop_p > 0. && Rng.float t.rng < t.drop_p then
     t.n_dropped <- t.n_dropped + 1
   else begin
-    Engine.schedule t.engine ~delay:(hop_delay t ~src ~dst) deliver;
+    Engine.schedule t.engine ~delay:(hop_delay t) deliver;
     t.n_delivered <- t.n_delivered + 1;
     if t.dup_p > 0. && Rng.float t.rng < t.dup_p then begin
       t.n_duplicated <- t.n_duplicated + 1;
       t.n_delivered <- t.n_delivered + 1;
-      Engine.schedule t.engine ~delay:(hop_delay t ~src ~dst) deliver
+      Engine.schedule t.engine ~delay:(hop_delay t) deliver
     end
   end
 

@@ -37,13 +37,10 @@ val endpoint : ?follow:endpoint -> t -> string -> endpoint
 
 val name : t -> endpoint -> string
 
-(** Override the latency model of the directed link [src -> dst]. *)
-val set_link_latency : t -> src:endpoint -> dst:endpoint -> latency -> unit
-
 (** [send t ~src ~dst deliver] delivers [deliver] at the destination
-    after the link's sampled latency, unless the current fault state
-    drops the message. Never raises; dropped messages just vanish
-    (counted in {!dropped}). *)
+    after a latency sampled from the network's model, unless the
+    current fault state drops the message. Never raises; dropped
+    messages just vanish (counted in {!dropped}). *)
 val send : t -> src:endpoint -> dst:endpoint -> (unit -> unit) -> unit
 
 (** {2 Fault state}

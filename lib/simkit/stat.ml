@@ -45,72 +45,6 @@ module Summary = struct
       if v > 0. then sqrt v else 0.
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    log_lo : float;
-    log_step : float;
-    buckets : int array;
-    (* samples above [hi] land here instead of being folded into the top
-       bucket, so tail quantiles cannot silently report [hi] as the max *)
-    mutable overflow : int;
-    mutable count : int;
-    mutable max_seen : float;
-  }
-
-  let create ~lo ~hi ~buckets () =
-    if not (lo > 0. && hi > lo && buckets > 0) then
-      invalid_arg "Histogram.create: need 0 < lo < hi and buckets > 0";
-    { lo;
-      hi;
-      log_lo = log lo;
-      log_step = (log hi -. log lo) /. float_of_int buckets;
-      buckets = Array.make buckets 0;
-      overflow = 0;
-      count = 0;
-      max_seen = Float.neg_infinity }
-
-  let index t x =
-    if x <= t.lo then 0
-    else
-      let i = int_of_float ((log x -. t.log_lo) /. t.log_step) in
-      Stdlib.min i (Array.length t.buckets - 1)
-
-  let add t x =
-    if x > t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let i = index t x in
-      t.buckets.(i) <- t.buckets.(i) + 1
-    end;
-    t.count <- t.count + 1;
-    if x > t.max_seen then t.max_seen <- x
-
-  let count t = t.count
-  let overflow t = t.overflow
-  let max_seen t = if t.count = 0 then None else Some t.max_seen
-
-  let bucket_upper t i = exp (t.log_lo +. (t.log_step *. float_of_int (i + 1)))
-
-  let quantile t q =
-    if t.count = 0 then 0.
-    else begin
-      let target = int_of_float (Float.round (q *. float_of_int t.count)) in
-      let target = Stdlib.max 1 (Stdlib.min t.count target) in
-      let rec scan i acc =
-        if i >= Array.length t.buckets then
-          (* the target falls among overflow samples: the honest answer
-             is the exact observed maximum, not the [hi] clamp *)
-          t.max_seen
-        else
-          let acc = acc + t.buckets.(i) in
-          if acc >= target then Stdlib.min (bucket_upper t i) t.max_seen
-          else scan (i + 1) acc
-      in
-      scan 0 0
-    end
-end
-
 module Throughput = struct
   type t = { started : float; mutable ops : int }
 
@@ -133,3 +67,23 @@ let percentile samples q =
     Array.sort Float.compare sorted;
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
+
+module Latency = struct
+  (* raw samples in [buf.(0 .. count - 1)], doubling when full *)
+  type t = { mutable buf : float array; summary : Summary.t }
+
+  let create () = { buf = [||]; summary = Summary.create () }
+
+  let add t x =
+    let n = Summary.count t.summary in
+    if n = Array.length t.buf then begin
+      let grown = Array.make (Stdlib.max 16 (2 * n)) 0. in
+      Array.blit t.buf 0 grown 0 n;
+      t.buf <- grown
+    end;
+    t.buf.(n) <- x;
+    Summary.add t.summary x
+
+  let summary t = t.summary
+  let quantile t q = percentile (Array.sub t.buf 0 (Summary.count t.summary)) q
+end

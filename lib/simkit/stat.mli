@@ -1,4 +1,6 @@
-(** Measurement helpers: counters, online summaries and latency histograms. *)
+(** Measurement helpers: counters, online summaries, throughput, and
+    one latency distribution that keeps every sample, so its
+    percentiles are exact. *)
 
 module Counter : sig
   type t
@@ -32,34 +34,6 @@ module Summary : sig
   val stddev : t -> float
 end
 
-(** Fixed-bucket log-scale latency histogram with quantile estimation. *)
-module Histogram : sig
-  type t
-
-  (** [create ~lo ~hi ~buckets ()] covers [lo, hi] seconds with
-      logarithmically spaced buckets. Samples below [lo] clamp into the
-      first bucket; samples above [hi] are counted in a separate
-      overflow bucket (see {!overflow}) and the exact observed maximum
-      is tracked, so tail quantiles never silently report [hi].
-      @raise Invalid_argument unless [0 < lo < hi] and [buckets > 0]. *)
-  val create : lo:float -> hi:float -> buckets:int -> unit -> t
-
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** Samples recorded above [hi]. *)
-  val overflow : t -> int
-
-  (** Exact largest sample recorded; [None] when empty. *)
-  val max_seen : t -> float option
-
-  (** [quantile t q] for q in [0,1]; 0. when empty. In-range quantiles
-      report the matching bucket's upper bound (capped at the observed
-      maximum); a quantile that falls among overflow samples reports the
-      exact observed maximum. *)
-  val quantile : t -> float -> float
-end
-
 (** Throughput over an interval of the virtual clock. *)
 module Throughput : sig
   type t
@@ -83,3 +57,21 @@ end
     empty input, because the benchmark's code stays frozen.
     @raise Invalid_argument unless [0 < q <= 1]. *)
 val percentile : float array -> float -> float
+
+(** A latency distribution: every sample, kept in a growable float
+    buffer (one unboxed word each), plus their running {!Summary}. The
+    one distribution type of the simulator's reports — per-phase mdtest
+    latencies and traced spans alike. *)
+module Latency : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> float -> unit
+
+  (** Count, mean and extrema of every sample added so far. *)
+  val summary : t -> Summary.t
+
+  (** [quantile t q] is {!percentile} of the samples: exact, [nan] when
+      empty. @raise Invalid_argument unless [0 < q <= 1]. *)
+  val quantile : t -> float -> float
+end

@@ -5,12 +5,13 @@
 #
 # <parent-tree> is a plain copy of the commit to compare against (for
 # example `git archive <rev> | tar -x -C /tmp/parent`). Both trees are
-# built with dune, then every CI smoke id except engine-smoke (its
-# metrics are host wall-clock) runs once in each, in its own output
-# directory. The script diffs each id's stdout and the BENCH_*_smoke.json
-# it writes, after stripping lines that carry host wall time, and exits
-# non-zero if anything differs or either side's run fails. Outputs stay
-# in [out-dir] (default: a fresh temporary directory) for inspection.
+# built with dune, then every experiment id CI runs except engine-smoke
+# (its metrics are host wall-clock) runs once in each, in its own output
+# directory: the nine other smokes and the six gated ablations CI runs
+# whole. The script diffs each id's stdout and any JSON it writes, after
+# stripping lines that carry host wall time, and exits non-zero if
+# anything differs or either side's run fails. Outputs stay in [out-dir]
+# (default: a fresh temporary directory) for inspection.
 set -u
 
 if [ $# -lt 1 ] || [ ! -d "$1" ]; then
@@ -22,7 +23,10 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 out=${2:-$(mktemp -d)}
 mkdir -p "$out"
 
-ids="profile sharding chaos sessions reshard pipeline durability ablation-cache faults"
+ids="profile-smoke sharding-smoke chaos-smoke sessions-smoke reshard-smoke
+  pipeline-smoke durability-smoke ablation-cache-smoke faults-smoke
+  ablation-mapping ablation-cmd ablation-unique ablation-async ablation-giga
+  ablation-observers"
 
 status=0
 for side in parent here; do
@@ -35,10 +39,10 @@ for side in parent here; do
   for id in $ids; do
     dir="$out/$side/$id"
     rm -rf "$dir" && mkdir -p "$dir"
-    (cd "$dir" && "$tree/_build/default/bin/dufs_bench.exe" "$id-smoke" >stdout.txt 2>stderr.txt)
+    (cd "$dir" && "$tree/_build/default/bin/dufs_bench.exe" "$id" >stdout.txt 2>stderr.txt)
     code=$?
     echo "$code" >"$dir/exit"
-    [ "$code" -eq 0 ] || { echo "$side $id-smoke exited $code" >&2; status=1; }
+    [ "$code" -eq 0 ] || { echo "$side $id exited $code" >&2; status=1; }
   done
 done
 
@@ -61,7 +65,7 @@ for id in $ids; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "smoke-diff: every smoke identical ($ids)"
+  echo "smoke-diff: every run identical ($(echo $ids))"
 else
   echo "smoke-diff: differences found; outputs in $out" >&2
 fi

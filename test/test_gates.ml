@@ -169,6 +169,63 @@ let test_reshard_empty_window () =
   names "zero-length migration" ~needle:"empty migration window"
     (Figures.reshard_check (reshard_pair ~window:0. ()))
 
+(* {2 Profile: quorum phases must tile each traced write} *)
+
+(* A traced run whose create spans record [total] and the five quorum
+   phases [phases] (in {!Obs.Trace.phases} order). *)
+let traced_run ?(total = 0.010) phases =
+  let t = Obs.Trace.create () in
+  Obs.Trace.enable t;
+  Obs.Trace.record_span t "zk.create.total" total;
+  List.iter2
+    (fun p d -> Obs.Trace.record_span t ("zk.create." ^ p) d)
+    Obs.Trace.phases phases;
+  { (dufs_run ~p99:0.01) with Systems.trace = t }
+
+(* queue-wait, propose, persist, ack, commit: sums to 10 ms *)
+let tiling = [ 0.004; 0.0001; 0.00002; 0.0045; 0.00138 ]
+let not_tiling = [ 0.008; 0.0001; 0.00002; 0.0045; 0.00138 ]
+
+let test_profile_phases_not_tiling () =
+  passes "profile" (Figures.profile_check [ (64, traced_run tiling) ]);
+  names "phases 40% over the total" ~needle:"128 procs, zk.create: phase sum 0.014"
+    (Figures.profile_check [ (64, traced_run tiling); (128, traced_run not_tiling) ])
+
+(* {2 Sharding} *)
+
+(* A 2-shard deployment in which each shard of [written] committed one
+   create. *)
+let router_with_writes written =
+  let engine = Simkit.Engine.create () in
+  let router =
+    Zk.Shard_router.start engine ~shards:2 (Zk.Ensemble.default_config ~servers:3)
+  in
+  Simkit.Process.spawn engine (fun () ->
+      List.iter
+        (fun i ->
+          let s = Zk.Shard_router.backend_session router i in
+          match s.Zk.Zk_client.create (Printf.sprintf "/w%d" i) ~data:"" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "shard %d: %s" i (Zk.Zerror.to_string e))
+        written);
+  Simkit.Engine.run engine;
+  router
+
+let sharding_row ?(census = 3_951) written =
+  ( (2, 4, 16, 64),
+    { (dufs_run ~p99:0.01) with
+      Systems.router = router_with_writes written;
+      logical_znodes_at_stat = census } )
+
+let test_sharding_census_mismatch () =
+  passes "sharding" (Figures.sharding_check [ sharding_row [ 0; 1 ] ]);
+  names "census one short" ~needle:"procs=64: logical znodes 3950, expected 3951"
+    (Figures.sharding_check [ sharding_row ~census:3_950 [ 0; 1 ] ])
+
+let test_sharding_idle_shard () =
+  names "shard 1 idle" ~needle:"a shard committed no writes (1 0)"
+    (Figures.sharding_check [ sharding_row [ 0 ] ])
+
 (* {2 Faults} *)
 
 (* The fault-free baseline and the quorum-loss schedule, whose four
@@ -242,6 +299,25 @@ let test_chaos_none_recovered () =
         p.Report.phases;
       Alcotest.(check bool) "ops/s finite" true (Float.is_finite p.Report.ops_per_sec))
     (Figures.chaos_points ~clients:8 ~duration:25. ~deterministic:true runs)
+
+(* {2 Pipeline} *)
+
+(* The two batch16 profiles the improvement gate compares (queue-wait +
+   ack 8.5 ms stop-and-wait, 4.25 ms pipelined: 50% better) and one
+   clean chaos schedule. *)
+let pipeline_runs ?(piped = [ 0.002; 0.0001; 0.00002; 0.00225; 0.00138 ]) () =
+  [ (("batch16-w1", 64), traced_run tiling);
+    (("batch16-w8", 64), traced_run ~total:0.00575 piped) ]
+
+let pipeline_check runs =
+  Figures.pipeline_check ~min_improvement:30. ~deterministic:true runs [ chaos_run ]
+
+let test_pipeline_phases_not_tiling () =
+  passes "pipeline" (pipeline_check (pipeline_runs ()));
+  names "pipelined phases over the total"
+    ~needle:"batch16-w8 @64 procs, zk.create: phase sum"
+    (pipeline_check
+       (pipeline_runs ~piped:[ 0.002; 0.0001; 0.00002; 0.00225; 0.00338 ] ()))
 
 (* {2 Durability} *)
 
@@ -370,6 +446,13 @@ let () =
             test_reshard_p99_above_baseline;
           Alcotest.test_case "empty migration window" `Quick
             test_reshard_empty_window ] );
+      ( "profile",
+        [ Alcotest.test_case "phases not tiling the total" `Quick
+            test_profile_phases_not_tiling ] );
+      ( "sharding",
+        [ Alcotest.test_case "znode census mismatch" `Quick
+            test_sharding_census_mismatch;
+          Alcotest.test_case "shard with zero writes" `Quick test_sharding_idle_shard ] );
       ( "faults",
         [ Alcotest.test_case "clean schedules pass" `Quick test_faults_passing;
           Alcotest.test_case "wrong znode census" `Quick
@@ -380,6 +463,9 @@ let () =
         [ Alcotest.test_case "no run recovered" `Quick test_chaos_none_recovered;
           Alcotest.test_case "zero ops checked" `Quick
             test_chaos_zero_ops_checked ] );
+      ( "pipeline",
+        [ Alcotest.test_case "phases not tiling the total" `Quick
+            test_pipeline_phases_not_tiling ] );
       ( "durability",
         [ Alcotest.test_case "zero registers audited" `Quick
             test_durability_zero_registers_audited ] );

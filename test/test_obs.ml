@@ -1,6 +1,6 @@
-(* The obs layer's contract: get-or-create metric registry with one
-   honest JSON snapshot path, and span tracing that is default-off and
-   — when on — pure accumulator bookkeeping, so a traced run replays the
+(* The obs layer's contract: a get-or-create metric registry, and span
+   tracing that is default-off, allocates nothing while off, and — when
+   on — is pure accumulator bookkeeping, so a traced run replays the
    exact same simulated timeline as an untraced one. *)
 
 module Metrics = Obs.Metrics
@@ -11,11 +11,6 @@ module Stat = Simkit.Stat
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
 
 (* {2 Metrics registry} *)
 
@@ -35,38 +30,9 @@ let test_names_in_registration_order () =
   let m = Metrics.create () in
   ignore (Metrics.summary m "b");
   ignore (Metrics.counter m "a");
-  ignore (Metrics.histogram m "c");
+  ignore (Metrics.latency m "c");
   Alcotest.(check (list string)) "registration order" [ "b"; "a"; "c" ]
     (Metrics.names m)
-
-let test_json_snapshot () =
-  let m = Metrics.create () in
-  Stat.Counter.add (Metrics.counter m "ops") 7;
-  Metrics.Gauge.set (Metrics.gauge m "depth") 3.5;
-  let s = Metrics.summary m "lat.sum" in
-  Stat.Summary.add s 0.25;
-  Stat.Summary.add s 0.75;
-  let h = Metrics.histogram m "lat" in
-  Stat.Histogram.add h 0.25;
-  ignore (Metrics.summary m "empty");
-  let json = Metrics.to_json m in
-  check_bool "counter value present" true
-    (String.length json > 0
-    && contains json "\"value\": 7");
-  check_bool "no NaN anywhere" true (not (contains json "nan"));
-  check_bool "summary mean present" true
-    (contains json "\"mean\": 0.5");
-  check_bool "empty summary omits mean" true
-    (contains json "\"empty\": {\"kind\": \"summary\", \"count\": 0}")
-
-let test_json_rejects_non_finite () =
-  let m = Metrics.create () in
-  Metrics.Gauge.set (Metrics.gauge m "bad") Float.nan;
-  check_bool "non-finite raises" true
-    (try
-       ignore (Metrics.to_json m);
-       false
-     with Invalid_argument _ -> true)
 
 (* {2 Trace basics} *)
 
@@ -81,6 +47,52 @@ let test_trace_off_by_default () =
   Alcotest.check_raises "null trace cannot be enabled"
     (Invalid_argument "Trace.enable: the null trace stays off") (fun () ->
       Trace.enable Trace.null)
+
+let test_span_quantile_exact () =
+  let t = Trace.create () in
+  Trace.record_span t "lat" 1.0;
+  Alcotest.(check (option (float 0.))) "nothing recorded while off" None
+    (Trace.span_quantile t "lat" 0.5);
+  Trace.enable t;
+  Alcotest.(check (option (float 0.))) "never recorded" None
+    (Trace.span_quantile t "lat" 0.5);
+  let rng = Simkit.Rng.create ~seed:42L in
+  let samples = Array.init 5000 (fun _ -> Simkit.Rng.exponential rng ~mean:2e-3) in
+  Array.iter (Trace.record_span t "lat") samples;
+  List.iter
+    (fun q ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "q%g = Stat.percentile" q)
+        (Some (Stat.percentile samples q))
+        (Trace.span_quantile t "lat" q))
+    [ 0.01; 0.5; 0.95; 0.99; 1.0 ];
+  Alcotest.(check (option (float 0.))) "max is the largest sample"
+    (Some (Stat.percentile samples 1.0)) (Trace.span_max t "lat")
+
+(* Words allocated on the minor heap by [f], net of the measurement's
+   own cost. *)
+let minor_words f =
+  let idle = Gc.minor_words () -. Gc.minor_words () in
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before +. idle
+
+let test_off_allocates_nothing () =
+  let disabled = Trace.create () in
+  Trace.enable disabled;
+  Trace.disable disabled;
+  List.iter
+    (fun (label, t) ->
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 1000 do
+              Trace.record_span t "zk.create.total" 1.0;
+              let w = Trace.wspan t ~now:1.0 in
+              Trace.finish_write t ~op:"create" w ~now:2.0
+            done)
+      in
+      Alcotest.(check (float 0.)) (label ^ ": minor words") 0. words)
+    [ ("null", Trace.null); ("disabled", disabled) ]
 
 let test_wspan_allocation_gate () =
   let t = Trace.create () in
@@ -141,7 +153,11 @@ let test_tracing_preserves_determinism () =
     true (untraced = traced);
   check_int "creates all traced" 100 (Trace.span_count trace "zk.create.total");
   check_int "deletes all traced" 100 (Trace.span_count trace "zk.delete.total");
-  check_int "reads all traced" 100 (Trace.span_count trace "zk.read.total")
+  check_int "reads all traced" 100 (Trace.span_count trace "zk.read.total");
+  check_bool "one instrument per span: no .sum twins" true
+    (List.for_all
+       (fun n -> not (String.ends_with ~suffix:".sum" n))
+       (Metrics.names (Trace.metrics trace)))
 
 let test_phase_telescoping () =
   let trace = Trace.create () in
@@ -222,12 +238,11 @@ let () =
   Alcotest.run "obs"
     [ ( "metrics",
         [ Alcotest.test_case "get-or-create" `Quick test_get_or_create;
-          Alcotest.test_case "names ordered" `Quick test_names_in_registration_order;
-          Alcotest.test_case "json snapshot" `Quick test_json_snapshot;
-          Alcotest.test_case "json rejects non-finite" `Quick
-            test_json_rejects_non_finite ] );
+          Alcotest.test_case "names ordered" `Quick test_names_in_registration_order ] );
       ( "trace",
         [ Alcotest.test_case "off by default" `Quick test_trace_off_by_default;
+          Alcotest.test_case "span quantile exact" `Quick test_span_quantile_exact;
+          Alcotest.test_case "off allocates nothing" `Quick test_off_allocates_nothing;
           Alcotest.test_case "wspan allocation gate" `Quick test_wspan_allocation_gate;
           Alcotest.test_case "half-stamped dropped" `Quick
             test_finish_write_rejects_half_stamped ] );

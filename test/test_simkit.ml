@@ -742,20 +742,27 @@ let test_summary_empty () =
   check_float "mean of empty" 0. (Stat.Summary.mean s);
   check_float "stddev of empty" 0. (Stat.Summary.stddev s)
 
-let test_histogram_quantiles () =
-  let h = Stat.Histogram.create ~lo:1e-6 ~hi:1. ~buckets:120 () in
-  for i = 1 to 1000 do
-    Stat.Histogram.add h (float_of_int i *. 1e-4)
-  done;
-  check_int "count" 1000 (Stat.Histogram.count h);
-  let p50 = Stat.Histogram.quantile h 0.5 in
-  check_bool "median near 0.05" true (p50 > 0.04 && p50 < 0.06);
-  let p99 = Stat.Histogram.quantile h 0.99 in
-  check_bool "p99 near 0.099" true (p99 > 0.08 && p99 < 0.12)
+(* 1000 samples: past the buffer's first doublings, added in an order
+   that is not sorted *)
+let test_latency_quantiles () =
+  let l = Stat.Latency.create () in
+  let samples = Array.init 1000 (fun i -> float_of_int ((i * 7919) mod 1000 + 1) *. 1e-4) in
+  Array.iter (Stat.Latency.add l) samples;
+  let s = Stat.Latency.summary l in
+  check_int "count" 1000 (Stat.Summary.count s);
+  check_float "mean" 0.05005 (Stat.Summary.mean s);
+  Alcotest.(check (option (float 1e-12))) "max" (Some 0.1) (Stat.Summary.max s);
+  List.iter
+    (fun q ->
+      check_float (Printf.sprintf "q%g is the exact percentile" q)
+        (Stat.percentile samples q) (Stat.Latency.quantile l q))
+    [ 0.01; 0.5; 0.95; 0.99; 1.0 ];
+  check_float "p50" 0.05 (Stat.Latency.quantile l 0.5)
 
-let test_histogram_empty () =
-  let h = Stat.Histogram.create ~lo:1e-6 ~hi:1. ~buckets:10 () in
-  check_float "quantile of empty" 0. (Stat.Histogram.quantile h 0.5)
+let test_latency_empty () =
+  let l = Stat.Latency.create () in
+  check_int "no samples" 0 (Stat.Summary.count (Stat.Latency.summary l));
+  check_bool "quantile of empty is nan" true (Float.is_nan (Stat.Latency.quantile l 0.5))
 
 let test_throughput () =
   let th = Stat.Throughput.start ~at:10. in
@@ -772,14 +779,6 @@ let test_schedule_at_absolute () =
       Engine.schedule_at e ~time:5. (fun () -> at := Engine.now e));
   Engine.run e;
   check_float "absolute time honored" 5. !at
-
-let test_histogram_clamps_out_of_range () =
-  let h = Stat.Histogram.create ~lo:1e-3 ~hi:1. ~buckets:10 () in
-  Stat.Histogram.add h 1e-9;  (* below lo: clamps to first bucket *)
-  Stat.Histogram.add h 1e9;   (* above hi: clamps to last bucket *)
-  check_int "both counted" 2 (Stat.Histogram.count h);
-  check_bool "low quantile near lo" true (Stat.Histogram.quantile h 0.25 < 3e-3);
-  check_bool "high quantile near hi" true (Stat.Histogram.quantile h 0.99 > 0.5)
 
 let test_summary_empty_minmax () =
   let s = Stat.Summary.create () in
@@ -823,50 +822,6 @@ let test_percentile_contract () =
       | exception Invalid_argument _ -> ()
       | v -> Alcotest.failf "q = %g answered %g instead of raising" q v)
     [ 0.; -0.5; 1.5; Float.nan ]
-
-let test_histogram_overflow_honest () =
-  let h = Stat.Histogram.create ~lo:1e-3 ~hi:1. ~buckets:10 () in
-  Stat.Histogram.add h 0.5;
-  Stat.Histogram.add h 7.25;   (* above hi *)
-  Stat.Histogram.add h 120.;   (* far above hi *)
-  check_int "count includes overflow" 3 (Stat.Histogram.count h);
-  check_int "overflow counted separately" 2 (Stat.Histogram.overflow h);
-  Alcotest.(check (option (float 0.)))
-    "max_seen is the exact observed max" (Some 120.) (Stat.Histogram.max_seen h);
-  (* 2 of 3 samples exceed hi: the upper quantiles land in the overflow
-     region and must report the exact observed max, not hi *)
-  check_float "p99 = observed max, not clamped to hi" 120.
-    (Stat.Histogram.quantile h 0.99);
-  check_float "p67 also in overflow" 120. (Stat.Histogram.quantile h 0.67);
-  (* the in-range sample still answers the low quantile from its bucket,
-     not from the overflow region *)
-  check_bool "p25 stays in range (not overflow)" true
-    (Stat.Histogram.quantile h 0.25 <= 1.0 +. 1e-9)
-
-(* Golden check: bucketed quantiles against the exact sorted-sample
-   quantiles, within one log-bucket of relative error. *)
-let test_histogram_golden_quantiles () =
-  let lo = 1e-6 and hi = 10. and buckets = 300 in
-  let h = Stat.Histogram.create ~lo ~hi ~buckets () in
-  let rng = Rng.create ~seed:42L in
-  let samples = Array.init 5000 (fun _ -> Rng.exponential rng ~mean:2e-3) in
-  Array.iter (Stat.Histogram.add h) samples;
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  (* one bucket spans a ratio of (hi/lo)^(1/buckets); allow two buckets *)
-  let tol = ((hi /. lo) ** (2. /. float_of_int buckets)) +. 0.001 in
-  List.iter
-    (fun q ->
-      let exact = sorted.(int_of_float (q *. float_of_int (Array.length sorted - 1))) in
-      let est = Stat.Histogram.quantile h q in
-      check_bool
-        (Printf.sprintf "q%.2f: est %.6g within tol of exact %.6g" q est exact)
-        true
-        (est <= exact *. tol && est >= exact /. tol))
-    [ 0.5; 0.9; 0.95; 0.99 ];
-  check_float "q1.0 is the exact max"
-    sorted.(Array.length sorted - 1)
-    (Stat.Histogram.quantile h 1.0)
 
 let test_rng_int_rejection () =
   let rng = Rng.create ~seed:9L in
@@ -1152,19 +1107,14 @@ let () =
           Alcotest.test_case "percentile ranks" `Quick test_percentile_ranks;
           Alcotest.test_case "percentile of one sample" `Quick test_percentile_one_sample;
           Alcotest.test_case "percentile empty and bad q" `Quick test_percentile_contract;
-          Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
-          Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
-          Alcotest.test_case "histogram overflow honest" `Quick
-            test_histogram_overflow_honest;
-          Alcotest.test_case "histogram golden quantiles" `Quick
-            test_histogram_golden_quantiles;
+          Alcotest.test_case "latency quantiles" `Quick test_latency_quantiles;
+          Alcotest.test_case "latency empty" `Quick test_latency_empty;
           Alcotest.test_case "rng int rejection sampling" `Quick test_rng_int_rejection;
           Alcotest.test_case "resource wait/hold summaries" `Quick
             test_resource_wait_hold_summaries;
           Alcotest.test_case "throughput" `Quick test_throughput ] );
       ( "edges",
         [ Alcotest.test_case "schedule_at absolute" `Quick test_schedule_at_absolute;
-          Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps_out_of_range;
           Alcotest.test_case "rng uniform and pick" `Quick test_rng_uniform_and_pick;
           Alcotest.test_case "with_slot returns value" `Quick
             test_resource_with_slot_returns_value ] );
