@@ -129,9 +129,16 @@ let host_profile =
 let run name host_profile =
   match List.find_opt (fun (n, _, _) -> n = name) experiments with
   | Some (_, _, f) ->
-    (match host_profile with
-     | None -> f ()
-     | Some file -> Hostprof.profile ~file f);
+    (* the host's peak OCaml heap, on stderr so stdout stays a pure
+       function of the experiment; printed on a failed gate too *)
+    let peak_heap () =
+      Printf.eprintf "host_peak_heap_mb=%d\n%!"
+        ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1_048_576)
+    in
+    Fun.protect ~finally:peak_heap (fun () ->
+        match host_profile with
+        | None -> f ()
+        | Some file -> Hostprof.profile ~file f);
     `Ok ()
   | None ->
     `Error

@@ -945,10 +945,17 @@ let mdtest_points ~procs ~config results =
         (Runner.latency_of results phase))
     Runner.all_phases
 
+(* What a sweep of traced runs keeps of each run once the next one
+   starts: its results and its trace. The run's router, and through it
+   every shard's trees, WAL and sessions, is garbage from then on. *)
+type traced = { results : Runner.results; trace : Obs.Trace.t }
+
+let traced (r : Systems.dufs_run) = { results = r.Systems.results; trace = r.Systems.trace }
+
 (* One [zk-<op>-breakdown] point per traced write kind in [ops]: the
    op's latency block and its quorum-phase means. *)
-let breakdown_points ~ops ~procs ~config (r : Systems.dufs_run) =
-  let trace = r.Systems.trace and wall = r.Systems.results.Runner.wall in
+let breakdown_points ~ops ~procs ~config { results; trace } =
+  let wall = results.Runner.wall in
   List.filter_map
     (fun op ->
       Option.map
@@ -1061,7 +1068,8 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
         (List.concat_map
            (fun (procs, (r : Systems.dufs_run)) ->
              mdtest_points ~procs ~config:profile_config r.Systems.results
-             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config r)
+             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config
+                 (traced r))
            runs))
     json_path;
   Report.gate ~experiment:"profile" (profile_check runs)
@@ -1091,27 +1099,6 @@ let sharding_config_label ~shards ~servers ~max_batch =
   Printf.sprintf "shards=%dx%d|max_batch=%d|backends=8xLustre" shards servers
     max_batch
 
-(* [((shards, servers_per_shard, max_batch, procs), run)] for each
-   combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
-let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
-    ?(batches = sharding_batches) () =
-  List.concat_map
-    (fun (shards, servers) ->
-      List.concat_map
-        (fun max_batch ->
-          List.map
-            (fun procs ->
-              ( (shards, servers, max_batch, procs),
-                Systems.dufs_mdtest ~trace:true
-                  ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
-                  ~spec:(sharding_spec ~servers) ~shards ~procs () ))
-            procs_list)
-        batches)
-    topologies
-
-let sharding_phases =
-  [ Runner.Dir_create; Runner.File_create; Runner.Dir_stat; Runner.File_stat ]
-
 let shard_queue_wait_mean trace i =
   match
     Obs.Metrics.summary_opt (Obs.Trace.metrics trace)
@@ -1136,26 +1123,65 @@ let shard_stats (r : Systems.dufs_run) =
            queue_wait_mean_s = shard_queue_wait_mean r.Systems.trace i })
        r.Systems.per_shard_znodes)
 
+(* What [sharding] keeps of a run: its results and trace, the per-shard
+   balance and the census. *)
+type sharding_run = {
+  run : traced;
+  shards : Report.shard_stat list;
+  logical_znodes_at_stat : int;
+  expected_logical_znodes : int;
+  live_stubs_at_stat : int;
+}
+
+let sharding_run (r : Systems.dufs_run) =
+  { run = traced r;
+    shards = shard_stats r;
+    logical_znodes_at_stat = r.Systems.logical_znodes_at_stat;
+    expected_logical_znodes = r.Systems.expected_logical_znodes;
+    live_stubs_at_stat = r.Systems.live_stubs_at_stat }
+
+(* [((shards, servers_per_shard, max_batch, procs), run)] for each
+   combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
+let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
+    ?(batches = sharding_batches) () =
+  List.concat_map
+    (fun (shards, servers) ->
+      List.concat_map
+        (fun max_batch ->
+          List.map
+            (fun procs ->
+              ( (shards, servers, max_batch, procs),
+                sharding_run
+                  (Systems.dufs_mdtest ~trace:true
+                     ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
+                     ~spec:(sharding_spec ~servers) ~shards ~procs ()) ))
+            procs_list)
+        batches)
+    topologies
+
+let sharding_phases =
+  [ Runner.Dir_create; Runner.File_create; Runner.Dir_stat; Runner.File_stat ]
+
 (* Per-shard accounting must balance exactly on every run (a surplus is
    a doubled apply or leaked stub, a deficit a lost write), and every
    shard must actually have served writes. *)
 let sharding_check data =
   List.concat_map
-    (fun ((shards, servers, max_batch, procs), (r : Systems.dufs_run)) ->
+    (fun ((shards, servers, max_batch, procs), r) ->
       let ctx =
         Printf.sprintf "%s procs=%d"
           (sharding_config_label ~shards ~servers ~max_batch)
           procs
       in
-      let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router in
+      let writes = List.map (fun s -> s.Report.writes_committed) r.shards in
       Report.expect
-        (r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes)
-        "%s: logical znodes %d, expected %d" ctx r.Systems.logical_znodes_at_stat
-        r.Systems.expected_logical_znodes
+        (r.logical_znodes_at_stat = r.expected_logical_znodes)
+        "%s: logical znodes %d, expected %d" ctx r.logical_znodes_at_stat
+        r.expected_logical_znodes
       @ Report.expect
-          (Array.for_all (fun w -> w > 0) writes)
+          (List.for_all (fun w -> w > 0) writes)
           "%s: a shard committed no writes (%s)" ctx
-          (String.concat " " (Array.to_list (Array.map string_of_int writes))))
+          (String.concat " " (List.map string_of_int writes)))
     data
 
 let sharding ?procs_list ?topologies ?batches ?json_path () =
@@ -1181,9 +1207,9 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
              { Report.label = sharding_config_label ~shards:s ~servers:v ~max_batch:b;
                points =
                  List.filter_map
-                   (fun ((s', v', b', procs), (r : Systems.dufs_run)) ->
+                   (fun ((s', v', b', procs), r) ->
                      if (s', v', b') = (s, v, b) then
-                       Some (procs, Runner.rate r.Systems.results phase)
+                       Some (procs, Runner.rate r.run.results phase)
                      else None)
                    data })
            by_config))
@@ -1195,20 +1221,19 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
   Printf.printf "  %-44s %6s %12s %14s  %s\n" "config" "procs" "create_qw_s"
     "znodes@stat" "per-shard [znodes qw_s]";
   List.iter
-    (fun (key, (r : Systems.dufs_run)) ->
+    (fun (key, r) ->
       let _, _, _, procs = key in
-      let trace = r.Systems.trace in
       let qw =
         Option.value ~default:Float.nan
-          (Obs.Trace.span_mean trace "zk.create.queue-wait")
+          (Obs.Trace.span_mean r.run.trace "zk.create.queue-wait")
       in
       Printf.printf "  %-44s %6d %12.3g %7d/%-6d " (label_of key) procs qw
-        r.Systems.logical_znodes_at_stat r.Systems.expected_logical_znodes;
-      Array.iteri
-        (fun i n ->
-          Printf.printf " [%d: %d %.3g]" i n
-            (Option.value ~default:Float.nan (shard_queue_wait_mean trace i)))
-        r.Systems.per_shard_znodes;
+        r.logical_znodes_at_stat r.expected_logical_znodes;
+      List.iter
+        (fun s ->
+          Printf.printf " [%d: %d %.3g]" s.Report.shard s.Report.znodes
+            (Option.value ~default:Float.nan s.Report.queue_wait_mean_s))
+        r.shards;
       print_newline ())
     data;
   (* headline ratios at the largest scale: most shards vs single
@@ -1229,8 +1254,8 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
           max_shards max_batch max_procs);
      List.iter
        (fun phase ->
-         let b = Runner.rate base.Systems.results phase
-         and s = Runner.rate best.Systems.results phase in
+         let b = Runner.rate base.run.results phase
+         and s = Runner.rate best.run.results phase in
          Report.print_ratio
            ~label:(Printf.sprintf "%s: %d shards / 1 ensemble"
                      (Runner.phase_to_string phase) max_shards)
@@ -1242,42 +1267,48 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
     (fun path ->
       Report.emit_json ~path
         (List.concat_map
-           (fun ((shards, servers, max_batch, procs), (r : Systems.dufs_run)) ->
+           (fun ((shards, servers, max_batch, procs), r) ->
              let config = sharding_config_label ~shards ~servers ~max_batch in
-             mdtest_points ~procs ~config r.Systems.results
-             @ breakdown_points ~ops:[ "create" ] ~procs ~config r
+             mdtest_points ~procs ~config r.run.results
+             @ breakdown_points ~ops:[ "create" ] ~procs ~config r.run
              @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
                    ~config:
                      (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d"
-                        config r.Systems.expected_logical_znodes
-                        r.Systems.live_stubs_at_stat)
-                   ~ops_per_sec:0.0 ~shards:(shard_stats r) () ])
+                        config r.expected_logical_znodes r.live_stubs_at_stat)
+                   ~ops_per_sec:0.0 ~shards:r.shards () ])
            data))
     json_path;
   Report.gate ~experiment:"sharding" (sharding_check data)
 
 (* {2 Seed sweeps}
 
-   The fault experiments share one loop: run each seeded point, print
-   its row and then its violations, and run the first point again — the
+   The fault experiments share one loop and one run record: each seeded
+   point is a {!Systems.dufs_mdtest} run with a register overlay. The
+   loop runs each point, prints its row and then its linearizability
+   and durability violations, and runs the first point again — the
    same seed must reproduce a bit-identical history. *)
 
-let seed_sweep ~run ~print ~violations ~digest points =
+let register_audit (r : Systems.dufs_run) =
+  match r.Systems.registers with
+  | Some a -> a
+  | None -> invalid_arg "a fault-sweep run without its register overlay"
+
+let seed_sweep ~run ~print points =
   let results =
     List.map
       (fun p ->
         let r = run p in
-        print r;
+        print p r;
         List.iter
           (fun (v : Zk.History.violation) ->
             Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
               v.Zk.History.v_path v.Zk.History.v_detail)
-          (violations r);
-        r)
+          (r.Systems.violations @ (register_audit r).Systems.durability_violations);
+        (p, r))
       points
   in
   let again = run (List.hd points) in
-  (results, digest again = digest (List.hd results))
+  (results, again.Systems.history_digest = (snd (List.hd results)).Systems.history_digest)
 
 let digest_verdict deterministic =
   if deterministic then "identical" else "DIFFERS (nondeterminism!)"
@@ -1292,27 +1323,87 @@ let shard_sum router f = over_shards router f ( + ) 0
    missing (a run that never recovered, a sweep with no recovery). *)
 let or_missing x = if Float.is_finite x then x else -1.
 
-(* {2 Chaos — randomized network fault schedules + linearizability oracle} *)
+(* {2 Chaos — randomized network fault schedules + linearizability oracle}
 
-let chaos_servers = 5
-let chaos_clients = 8
+   A chaos point is a coordination-only run: the register overlay is
+   the whole load (the oracle checks the quorum, not the data path)
+   while a seeded {!Faults.Faultplan.chaos} schedule partitions, drops,
+   delays, duplicates and crashes underneath it. The probe starts at
+   the closing heal, so it measures how long every shard takes to
+   commit a write again. *)
+
+type chaos_shape = {
+  servers : int;
+  clients : int;
+  registers : int;
+  heal_at : float;
+  post_heal : float;
+  events : int;
+  think : float;
+}
+
+let chaos_shape =
+  { servers = 5; clients = 8; registers = 6; heal_at = 15.; post_heal = 10.;
+    events = 12; think = 0.05 }
+
+let chaos_mix =
+  Systems.[ (25, Create); (20, Set); (15, Delete); (20, Get); (10, Exists); (10, Seq_create) ]
+
+(* Short timeouts and stale reads served, so clients ride out a
+   partition instead of blocking on it. *)
+let chaos_config ~seed c =
+  { c with
+    Zk.Ensemble.seed;
+    request_timeout = 0.5;
+    retry_backoff = 0.05;
+    retry_backoff_cap = 1.0;
+    session_timeout = 6.0;
+    stale_read_after = 1.0;
+    serve_stale_reads = true;
+    fail_fast_after = 2.0 }
+
+let chaos_point ?(shape = chaos_shape) ?(config_adjust = Fun.id) ?plan ~shards ~seed
+    () =
+  let plan =
+    match plan with
+    | Some p -> p
+    | None ->
+      Faults.Faultplan.chaos ~seed:(Int64.add seed 101L) ~servers:shape.servers ~shards
+        ~start:1.0 ~heal_at:shape.heal_at ~events:shape.events ()
+  in
+  Systems.dufs_mdtest ~mdtest:false ~probe_at:shape.heal_at ~plan
+    ~config_adjust:(fun c -> config_adjust (chaos_config ~seed c))
+    ~registers:
+      { Systems.clients = shape.clients;
+        registers = shape.registers;
+        mix = chaos_mix;
+        stop = `Deadline (shape.heal_at +. shape.post_heal);
+        stride = 7919;
+        think = shape.think }
+    ~spec:{ Systems.zk_servers = shape.servers; backends = 0; backend_kind = Systems.Lustre }
+    ~shards ~procs:shape.clients ()
 
 let chaos_runs_default =
   List.map (fun s -> (1, Int64.of_int s)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
   @ List.map (fun s -> (4, Int64.of_int s)) [ 101; 102; 103; 104; 105; 106; 107; 108 ]
 
-(* One chaos schedule's verdict: a clean, non-empty history and a
-   recovery after heal. Shared by [chaos] and [pipeline]'s sweep. *)
-let chaos_run_check (r : Systems.chaos_run) =
-  let ctx = Printf.sprintf "shards=%d seed=%Ld" r.Systems.shards r.Systems.seed in
+(* One chaos schedule's verdict: a clean, non-empty history, no acked
+   write lost and a recovery after heal. Shared by [chaos] and
+   [pipeline]'s sweep. *)
+let chaos_run_check ((shards, seed), (r : Systems.dufs_run)) =
+  let ctx = Printf.sprintf "shards=%d seed=%Ld" shards seed in
+  let a = register_audit r in
   List.concat
     [ Report.expect (r.Systems.violations = [])
         "%s: %d linearizability violations" ctx
         (List.length r.Systems.violations);
-      Report.expect (r.Systems.checked > 0)
+      Report.expect (a.Systems.durability_violations = [])
+        "%s: %d acked writes lost or unacked writes resurrected" ctx
+        (List.length a.Systems.durability_violations);
+      Report.expect (r.Systems.history_checked > 0)
         "%s: empty history, the checker saw nothing" ctx;
       Report.expect
-        (Float.is_finite r.Systems.recovery_s)
+        (Float.is_finite a.Systems.recovery_s)
         "%s: never recovered after heal" ctx ]
 
 let chaos_check ~deterministic results =
@@ -1320,33 +1411,29 @@ let chaos_check ~deterministic results =
   @ Report.expect deterministic
       "identical seed produced a different history"
 
-let chaos_violations (r : Systems.chaos_run) = r.Systems.violations
-let chaos_digest (r : Systems.chaos_run) = r.Systems.digest
+let recovery_s r = (register_audit r).Systems.recovery_s
 
 (* The finished recoveries of a sweep. *)
 let chaos_recoveries results =
-  Array.of_list
-    (List.filter Float.is_finite
-       (List.map (fun (r : Systems.chaos_run) -> r.Systems.recovery_s) results))
+  Array.of_list (List.filter Float.is_finite (List.map (fun (_, r) -> recovery_s r) results))
 
-let chaos_points ~clients ~duration ~deterministic results =
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let total_checked = total (fun (r : Systems.chaos_run) -> r.Systems.checked) in
+let chaos_points ~shape ~deterministic results =
+  let duration = shape.heal_at +. shape.post_heal in
+  let total f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
+  let total_checked = total (fun (r : Systems.dufs_run) -> r.Systems.history_checked) in
   let recoveries = chaos_recoveries results in
   List.map
-    (fun (r : Systems.chaos_run) ->
+    (fun ((shards, seed), (r : Systems.dufs_run)) ->
       let sum = shard_sum r.Systems.router in
-      Report.point ~experiment:"chaos" ~procs:clients
-        ~config:
-          (Printf.sprintf "seed=%Ld|shards=%d|zk=%d" r.Systems.seed r.Systems.shards
-             chaos_servers)
-        ~ops_per_sec:(float_of_int r.Systems.ops_ok /. duration)
+      Report.point ~experiment:"chaos" ~procs:shape.clients
+        ~config:(Printf.sprintf "seed=%Ld|shards=%d|zk=%d" seed shards shape.servers)
+        ~ops_per_sec:(float_of_int (register_audit r).Systems.ops_ok /. duration)
         ~phases:
           [ ("violations", float_of_int (List.length r.Systems.violations));
-            ("ops_checked", float_of_int r.Systems.checked);
-            ("ops_recorded", float_of_int r.Systems.recorded);
-            ("undetermined", float_of_int r.Systems.undetermined_ops);
-            ("recovery_s", or_missing r.Systems.recovery_s);
+            ("ops_checked", float_of_int r.Systems.history_checked);
+            ("ops_recorded", float_of_int r.Systems.history_recorded);
+            ("undetermined", float_of_int r.Systems.history_undetermined);
+            ("recovery_s", or_missing (recovery_s r));
             ("sessions_expired", float_of_int (sum Zk.Ensemble.sessions_expired));
             ("dedup_hits", float_of_int (sum Zk.Ensemble.dedup_hits));
             ("dedup_evictions", float_of_int (sum Zk.Ensemble.dedup_evictions));
@@ -1354,14 +1441,14 @@ let chaos_points ~clients ~duration ~deterministic results =
             ("stale_reads_served", float_of_int (sum Zk.Ensemble.stale_reads_served)) ]
         ())
     results
-  @ [ Report.point ~experiment:"chaos-summary" ~procs:clients
-        ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length results) chaos_servers)
+  @ [ Report.point ~experiment:"chaos-summary" ~procs:shape.clients
+        ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length results) shape.servers)
         ~ops_per_sec:(float_of_int total_checked /. duration)
         ~phases:
           [ ( "violations_total",
               float_of_int
-                (total (fun (r : Systems.chaos_run) ->
-                     List.length r.Systems.violations)) );
+                (total (fun (r : Systems.dufs_run) -> List.length r.Systems.violations))
+            );
             ("ops_checked_total", float_of_int total_checked);
             ("recovery_p50_s", or_missing (Simkit.Stat.percentile recoveries 0.50));
             ("recovery_p95_s", or_missing (Simkit.Stat.percentile recoveries 0.95));
@@ -1371,55 +1458,50 @@ let chaos_points ~clients ~duration ~deterministic results =
             ("deterministic", if deterministic then 1. else 0.) ]
         () ]
 
-let chaos ?(runs = chaos_runs_default) ?(clients = chaos_clients)
-    ?(registers = Systems.chaos_registers) ?(heal_at = Systems.chaos_heal_at)
-    ?(post_heal = Systems.chaos_post_heal) ?(events = Systems.chaos_events)
-    ?json_path () =
+let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) ?json_path () =
   Report.print_header
     (Printf.sprintf
        "Chaos — %d seeded random fault schedules (partitions, loss, delay, \
         duplication, crashes) over %d-server-per-shard ensembles, %d clients; \
         Wing-Gong linearizability check over every recorded history"
-       (List.length runs) chaos_servers clients);
+       (List.length runs) shape.servers shape.clients);
   Printf.printf "%6s %7s %9s %8s %7s %7s %11s %11s %9s %8s\n" "shards" "seed"
     "recorded" "checked" "undet" "expired" "dedup_hits" "evictions" "recovery"
     "violations";
   let results, deterministic =
-    seed_sweep ~violations:chaos_violations ~digest:chaos_digest
-      ~run:(fun (shards, seed) ->
-        Systems.chaos_run ~servers:chaos_servers ~shards ~clients ~registers ~heal_at
-          ~post_heal ~events ~seed ())
-      ~print:(fun (r : Systems.chaos_run) ->
+    seed_sweep
+      ~run:(fun (shards, seed) -> chaos_point ~shape ~shards ~seed ())
+      ~print:(fun (shards, seed) (r : Systems.dufs_run) ->
         let sum = shard_sum r.Systems.router in
-        Printf.printf "%6d %7Ld %9d %8d %7d %7d %11d %11d %8.2fs %10d\n%!"
-          r.Systems.shards r.Systems.seed r.Systems.recorded r.Systems.checked
-          r.Systems.undetermined_ops (sum Zk.Ensemble.sessions_expired)
+        Printf.printf "%6d %7Ld %9d %8d %7d %7d %11d %11d %8.2fs %10d\n%!" shards seed
+          r.Systems.history_recorded r.Systems.history_checked
+          r.Systems.history_undetermined (sum Zk.Ensemble.sessions_expired)
           (sum Zk.Ensemble.dedup_hits) (sum Zk.Ensemble.dedup_evictions)
-          r.Systems.recovery_s
+          (recovery_s r)
           (List.length r.Systems.violations))
       runs
   in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let total f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
   let recoveries = chaos_recoveries results in
   Printf.printf
     "\ntotal: %d ops checked, %d violations; recovery p50=%.2fs p95=%.2fs \
      max=%.2fs (%d/%d runs recovered); seed %Ld re-run digest %s\n%!"
-    (total (fun (r : Systems.chaos_run) -> r.Systems.checked))
-    (total (fun (r : Systems.chaos_run) -> List.length r.Systems.violations))
+    (total (fun (r : Systems.dufs_run) -> r.Systems.history_checked))
+    (total (fun (r : Systems.dufs_run) -> List.length r.Systems.violations))
     (Simkit.Stat.percentile recoveries 0.50) (Simkit.Stat.percentile recoveries 0.95)
     (Simkit.Stat.percentile recoveries 1.0) (Array.length recoveries) (List.length results)
     (snd (List.hd runs)) (digest_verdict deterministic);
   Option.iter
-    (fun path ->
-      Report.emit_json ~path
-        (chaos_points ~clients ~duration:(heal_at +. post_heal) ~deterministic results))
+    (fun path -> Report.emit_json ~path (chaos_points ~shape ~deterministic results))
     json_path;
   Report.gate ~experiment:"chaos" (chaos_check ~deterministic results)
 
 let chaos_smoke ?json_path () =
   chaos
     ~runs:[ (1, 11L); (4, 12L) ]
-    ~clients:64 ~registers:16 ~heal_at:8. ~post_heal:6. ~events:8 ?json_path ()
+    ~shape:
+      { chaos_shape with clients = 64; registers = 16; heal_at = 8.; post_heal = 6.; events = 8 }
+    ?json_path ()
 
 let engine ?events ?quota_s ?json_path () =
   Engine_bench.run ?events ?quota_s ?json_path ()
@@ -1620,11 +1702,10 @@ let qw_ack phases =
    two batch16 variants at [procs]; [None] if either is missing. *)
 let pipeline_improvement runs ~procs =
   let qa name =
-    Option.bind (List.assoc_opt (name, procs) runs)
-      (fun (r : Systems.dufs_run) ->
+    Option.bind (List.assoc_opt (name, procs) runs) (fun r ->
         Option.map
           (fun (_, _, phases) -> qw_ack phases)
-          (quorum_breakdown r.Systems.trace "create"))
+          (quorum_breakdown r.trace "create"))
   in
   match (qa "batch16-w1", qa "batch16-w8") with
   | Some base, Some piped when base > 0. ->
@@ -1634,11 +1715,11 @@ let pipeline_improvement runs ~procs =
 let pipeline_check ~min_improvement ~deterministic runs chaos_results =
   let max_procs = List.fold_left (fun acc ((_, p), _) -> max acc p) 0 runs in
   List.concat_map
-    (fun ((name, procs), (r : Systems.dufs_run)) ->
+    (fun ((name, procs), r) ->
       let ctx = Printf.sprintf "%s @%d procs" name procs in
-      breakdown_failures ~ctx r.Systems.trace
+      breakdown_failures ~ctx r.trace
       @ Report.expect
-          (quorum_breakdown r.Systems.trace "create" <> None)
+          (quorum_breakdown r.trace "create" <> None)
           "%s: no traced creates" ctx)
     runs
   @ (match pipeline_improvement runs ~procs:max_procs with
@@ -1669,8 +1750,9 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                 max_inflight_batches = window }
             in
             ( (name, procs),
-              Systems.dufs_mdtest ~trace:true ~config_adjust ~spec:profile_spec
-                ~shards:1 ~procs () ))
+              traced
+                (Systems.dufs_mdtest ~trace:true ~config_adjust ~spec:profile_spec
+                   ~shards:1 ~procs ()) ))
           pipeline_variants)
       procs_list
   in
@@ -1678,13 +1760,13 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   List.iter (fun p -> Printf.printf " %9s" p) Obs.Trace.phases;
   Printf.printf " %9s %9s\n" "qw+ack" "coverage";
   List.iter
-    (fun ((name, procs), (r : Systems.dufs_run)) ->
-      match quorum_breakdown r.Systems.trace "create" with
+    (fun ((name, procs), r) ->
+      match quorum_breakdown r.trace "create" with
       | None -> ()
       | Some (_count, total, phases) ->
         let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
         Printf.printf "%-12s %5d %10.0f %9.3g" name procs
-          (Runner.rate r.Systems.results Runner.File_create)
+          (Runner.rate r.results Runner.File_create)
           total;
         List.iter (fun (_, m) -> Printf.printf " %9.3g" m) phases;
         Printf.printf " %9.3g %8.2f%%\n%!" (qw_ack phases) (100. *. sum /. total))
@@ -1710,22 +1792,21 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
       max_inflight_batches = pipeline_chaos_window }
   in
   let chaos_results, deterministic =
-    seed_sweep ~violations:chaos_violations ~digest:chaos_digest
+    seed_sweep
       ~run:(fun (shards, seed) ->
-        Systems.chaos_run ~servers:chaos_servers ~shards ~clients:chaos_clients
-          ~config_adjust:chaos_adjust ~seed ())
-      ~print:(fun (r : Systems.chaos_run) ->
+        chaos_point ~config_adjust:chaos_adjust ~shards ~seed ())
+      ~print:(fun (shards, seed) (r : Systems.dufs_run) ->
         Printf.printf
           "    shards=%d seed=%-4Ld checked=%-6d violations=%d \
            recovery=%.2fs\n%!"
-          r.Systems.shards r.Systems.seed r.Systems.checked
+          shards seed r.Systems.history_checked
           (List.length r.Systems.violations)
-          r.Systems.recovery_s)
+          (recovery_s r))
       chaos_runs
   in
   let total_violations =
     List.fold_left
-      (fun acc (r : Systems.chaos_run) -> acc + List.length r.Systems.violations)
+      (fun acc (_, (r : Systems.dufs_run)) -> acc + List.length r.Systems.violations)
       0 chaos_results
   in
   Printf.printf
@@ -1739,29 +1820,28 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
    | Some path ->
      let run_points =
        List.concat_map
-         (fun ((name, procs), (r : Systems.dufs_run)) ->
+         (fun ((name, procs), r) ->
            let config = pipeline_config_label name in
-           mdtest_points ~procs ~config r.Systems.results
+           mdtest_points ~procs ~config r.results
            @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
          runs
      in
      let chaos_points =
        List.map
-         (fun (r : Systems.chaos_run) ->
-           Report.point ~experiment:"pipeline-chaos" ~procs:chaos_clients
+         (fun ((shards, seed), (r : Systems.dufs_run)) ->
+           Report.point ~experiment:"pipeline-chaos" ~procs:chaos_shape.clients
              ~config:
-               (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d"
-                  r.Systems.seed r.Systems.shards chaos_servers
-                  pipeline_chaos_window)
+               (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d" seed shards
+                  chaos_shape.servers pipeline_chaos_window)
              ~ops_per_sec:
-               (float_of_int r.Systems.ops_ok
-                /. (Systems.chaos_heal_at +. Systems.chaos_post_heal))
+               (float_of_int (register_audit r).Systems.ops_ok
+                /. (chaos_shape.heal_at +. chaos_shape.post_heal))
              ~phases:
                [ ( "violations",
                    float_of_int (List.length r.Systems.violations) );
-                 ("ops_checked", float_of_int r.Systems.checked);
-                 ("undetermined", float_of_int r.Systems.undetermined_ops);
-                 ("recovery_s", or_missing r.Systems.recovery_s);
+                 ("ops_checked", float_of_int r.Systems.history_checked);
+                 ("undetermined", float_of_int r.Systems.history_undetermined);
+                 ("recovery_s", or_missing (recovery_s r));
                  ( "dedup_hits",
                    float_of_int (shard_sum r.Systems.router Zk.Ensemble.dedup_hits) ) ]
              ())
@@ -1876,11 +1956,6 @@ let durability_registers ~clients ~ops_per_client =
     stride = 6007;
     think = 0.02 }
 
-let register_audit (r : Systems.dufs_run) =
-  match r.Systems.registers with
-  | Some a -> a
-  | None -> invalid_arg "durability: a run without its register overlay"
-
 let is_torn = function "torn-tail" | "wal-bit-rot" | "torn+snap-rot" -> true | _ -> false
 
 (* Every schedule recovers with agreeing replicas, a non-empty audit and
@@ -1895,7 +1970,8 @@ let durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced runs 
       let ctx = Printf.sprintf "seed=%Ld %s" seed flavor in
       let a = register_audit r in
       List.concat
-        [ Report.expect a.Systems.recovered
+        [ Report.expect
+            (Float.is_finite a.Systems.recovery_s)
             "%s: whole-cluster power failure never recovered" ctx;
           Report.expect a.Systems.replicas_agree "%s: recovered replicas disagree" ctx;
           Report.expect (r.Systems.violations = [])
@@ -1929,15 +2005,14 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   let registers = durability_registers ~clients:reg_clients ~ops_per_client in
   let run (seed, flavor) =
     let plan = durability_plan ~servers:durability_servers ~seed ~flavor in
-    ( (seed, flavor),
-      Systems.dufs_mdtest ~dirs_per_proc ~files_per_proc ~plan
-        ~config_adjust:(durability_config ~seed) ~registers ~spec:durability_spec
-        ~shards:1 ~procs () )
+    Systems.dufs_mdtest ~dirs_per_proc ~files_per_proc ~plan
+      ~config_adjust:(durability_config ~seed) ~registers ~spec:durability_spec
+      ~shards:1 ~procs ()
   in
   let restart_max (r : Systems.dufs_run) =
     over_shards r.Systems.router Zk.Ensemble.recovery_time_max Float.max 0.
   in
-  let print ((seed, flavor), (r : Systems.dufs_run)) =
+  let print (seed, flavor) (r : Systems.dufs_run) =
     let a = register_audit r and sum = shard_sum r.Systems.router in
     Printf.printf
       "%5Ld %14s %9d %7d %6d %7d %8d %9d %6d %6d %6d %6.3fs %5d %5d%s\n%!"
@@ -1948,14 +2023,11 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
       (sum Zk.Ensemble.transfer_diff_txns) (restart_max r)
       (List.length r.Systems.violations)
       (List.length a.Systems.durability_violations)
-      ((if a.Systems.recovered then "" else "  NOT-RECOVERED")
+      ((if Float.is_finite a.Systems.recovery_s then "" else "  NOT-RECOVERED")
        ^ if a.Systems.replicas_agree then "" else "  REPLICAS-DISAGREE")
   in
   let results, deterministic =
     seed_sweep ~run ~print
-      ~violations:(fun (_, (r : Systems.dufs_run)) ->
-        r.Systems.violations @ (register_audit r).Systems.durability_violations)
-      ~digest:(fun (_, (r : Systems.dufs_run)) -> r.Systems.history_digest)
       (List.mapi
          (fun i seed -> (seed, durability_flavors.(i mod Array.length durability_flavors)))
          seeds)
@@ -1975,7 +2047,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
     total (fun (_, (r : Systems.dufs_run)) -> List.length r.Systems.violations)
   and dur_violations =
     total (fun (_, r) -> List.length (register_audit r).Systems.durability_violations)
-  and recovered_runs = count (fun (_, r) -> (register_audit r).Systems.recovered)
+  and recovered_runs = count (fun (_, r) -> Float.is_finite (recovery_s r))
   and agree_runs = count (fun (_, r) -> (register_audit r).Systems.replicas_agree)
   and torn_truncated =
     total (fun ((_, flavor), (r : Systems.dufs_run)) ->
@@ -2018,7 +2090,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
                  ("registers_audited", float_of_int a.Systems.audited);
                  ("undetermined", float_of_int r.Systems.history_undetermined);
                  ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
-                 ("power_failure_recovered", flag a.Systems.recovered);
+                 ("power_failure_recovered", flag (Float.is_finite a.Systems.recovery_s));
                  ("replicas_agree", flag a.Systems.replicas_agree);
                  ("faults_fired", float_of_int r.Systems.faults_fired);
                  ("wal.appended", sum Zk.Ensemble.wal_appended);

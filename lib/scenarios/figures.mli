@@ -181,6 +181,13 @@ val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
     measured mean latency. *)
 val profile_check : (int * Systems.dufs_run) list -> string list
 
+(** What a sweep of traced runs keeps of each run once the next one
+    starts. Dropping the rest drops the run's router, and with it every
+    shard's trees, WAL and sessions. *)
+type traced = { results : Mdtest.Runner.results; trace : Obs.Trace.t }
+
+val traced : Systems.dufs_run -> traced
+
 (** {2 Sharded coordination — N independent ZAB leaders}
 
     mdtest over {!Zk.Shard_router} deployments at a constant total
@@ -203,54 +210,96 @@ val sharding :
   unit ->
   unit
 
+(** What {!sharding} keeps of a run: what it prints, emits and gates
+    on. *)
+type sharding_run = {
+  run : traced;
+  shards : Mdtest.Report.shard_stat list;
+      (** per-shard balance at the file-stat census *)
+  logical_znodes_at_stat : int;
+  expected_logical_znodes : int;
+  live_stubs_at_stat : int;
+}
+
+(** The reduction {!sharding} applies to each run as it finishes. *)
+val sharding_run : Systems.dufs_run -> sharding_run
+
 (** The sharding gate over the runs of {!sharding}: the logical znode
     census exact on every run, and every shard committed writes. *)
-val sharding_check :
-  ((int * int * int * int) * Systems.dufs_run) list -> string list
+val sharding_check : ((int * int * int * int) * sharding_run) list -> string list
 
 (** {2 Chaos — randomized network fault schedules + linearizability
-    oracle}
+    oracle} *)
 
-    [chaos ()] runs one {!Systems.chaos_run} per [(shards, seed)] entry
-    of [runs] (default: 12 single-shard + 8 four-shard schedules; the
-    other options default to the sweep shape {!Systems.chaos_registers},
-    {!Systems.chaos_heal_at}, {!Systems.chaos_post_heal} and
-    {!Systems.chaos_events}), prints a per-run table (ops
+(** A chaos sweep's shape: [clients] register clients (a mix of
+    creates, sets, deletes, reads and sequential creates, [think] mean
+    seconds apart) on [registers] registers over [servers]-server
+    ensembles; a seeded {!Faults.Faultplan.chaos} plan of [events] fault
+    events from 1 s heals at [heal_at], and the clients stop
+    [post_heal] seconds later. *)
+type chaos_shape = {
+  servers : int;
+  clients : int;
+  registers : int;
+  heal_at : float;
+  post_heal : float;
+  events : int;
+  think : float;
+}
+
+(** The full sweep's shape: 5 servers, 8 clients, 6 registers, heal at
+    15 s, 10 s after it, 12 fault events, 50 ms think time. *)
+val chaos_shape : chaos_shape
+
+(** One chaos point: a {!Systems.dufs_mdtest} run with no mdtest whose
+    whole load is [shape]'s register overlay, over [shards] shards with
+    short timeouts and stale reads served, while [plan] (default: the
+    seeded chaos plan of [shape]) runs underneath. The probe starts at
+    [heal_at], so the audit's [recovery_s] is heal → every register
+    shard committed a write. [config_adjust] applies after the chaos
+    settings. Identical arguments reproduce bit-identical histories. *)
+val chaos_point :
+  ?shape:chaos_shape ->
+  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
+  ?plan:Faults.Faultplan.t ->
+  shards:int ->
+  seed:int64 ->
+  unit ->
+  Systems.dufs_run
+
+(** [chaos ()] runs one {!chaos_point} per [(shards, seed)] entry of
+    [runs] (default: 12 single-shard + 8 four-shard schedules) at
+    [shape] (default {!chaos_shape}), prints a per-run table (ops
     recorded/checked, undetermined ops, expired sessions, dedup
-    activity, post-heal recovery time, violations), re-runs the first schedule to prove bit-identical
-    history digests, and summarizes recovery percentiles. With
-    [json_path] writes the BENCH_pr5.json artifact: one [chaos] point
-    per run (violations, ops checked, recovery and the degradation
-    counters in the [phases] block; [recovery_s = -1] means the run
-    never recovered) plus a [chaos-summary] point with totals and
-    recovery percentiles.
+    activity, post-heal recovery time, violations), re-runs the first
+    schedule to prove bit-identical history digests, and summarizes
+    recovery percentiles. With [json_path] writes the BENCH_pr5.json
+    artifact: one [chaos] point per run (violations, ops checked,
+    recovery and the degradation counters in the [phases] block;
+    [recovery_s = -1] means the run never recovered) plus a
+    [chaos-summary] point with totals and recovery percentiles.
     @raise Failure (through {!Mdtest.Report.gate}) if {!chaos_check}
     reports any failure. *)
 val chaos :
-  ?runs:(int * int64) list ->
-  ?clients:int ->
-  ?registers:int ->
-  ?heal_at:float ->
-  ?post_heal:float ->
-  ?events:int ->
-  ?json_path:string ->
-  unit ->
-  unit
+  ?runs:(int * int64) list -> ?shape:chaos_shape -> ?json_path:string -> unit -> unit
 
-(** The chaos gate: every run has a non-empty history, no
-    linearizability violation and a recovery after the closing heal,
-    and the re-run of the first schedule was [deterministic]. *)
-val chaos_check : deterministic:bool -> Systems.chaos_run list -> string list
+(** The chaos gate over [((shards, seed), run)] points: every run has a
+    non-empty history, no linearizability or durability-oracle
+    violation and a recovery after the closing heal, and the re-run of
+    the first schedule was [deterministic].
+    @raise Invalid_argument on a run without its register overlay. *)
+val chaos_check :
+  deterministic:bool -> ((int * int64) * Systems.dufs_run) list -> string list
 
-(** [chaos]'s bench points over [duration] virtual seconds of client
-    load: one [chaos] point per run and the [chaos-summary] point. Every
-    number is finite: [-1] marks a missing recovery time, per run or as
-    a percentile over a sweep in which no run recovered. *)
+(** [chaos]'s bench points over [shape]'s [heal_at + post_heal] virtual
+    seconds of client load: one [chaos] point per run and the
+    [chaos-summary] point. Every number is finite: [-1] marks a missing
+    recovery time, per run or as a percentile over a sweep in which no
+    run recovered. *)
 val chaos_points :
-  clients:int ->
-  duration:float ->
+  shape:chaos_shape ->
   deterministic:bool ->
-  Systems.chaos_run list ->
+  ((int * int64) * Systems.dufs_run) list ->
   Mdtest.Report.bench_point list
 
 (** The CI variant: 2 fixed schedules (1-shard and 4-shard) at 64
@@ -335,8 +384,8 @@ val pipeline :
 val pipeline_check :
   min_improvement:float ->
   deterministic:bool ->
-  ((string * int) * Systems.dufs_run) list ->
-  Systems.chaos_run list ->
+  ((string * int) * traced) list ->
+  ((int * int64) * Systems.dufs_run) list ->
   string list
 
 (** The CI variant: 64 processes, 2 chaos schedules, 10% improvement

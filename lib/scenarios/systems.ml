@@ -174,8 +174,6 @@ type register_load = {
   think : float;
 }
 
-type tally = { mutable ok : int; mutable err : int }
-
 let reg_dir k = Printf.sprintf "/d%d" k
 let seq_dir = "/dseq"
 
@@ -186,10 +184,10 @@ let rec pick x = function
 
 (* Spawns the setup (the register directories, committed before any
    client op) and the clients; client [c] draws from its own stream,
-   seeded [seed + (c + 1) * stride]. The tally fills in as the run
-   goes. *)
+   seeded [seed + (c + 1) * stride]. The count of ops with a determined
+   outcome fills in as the run goes. *)
 let spawn_registers engine router hist load ~seed =
-  let tally = { ok = 0; err = 0 } in
+  let ok = ref 0 in
   let session () = Zk.Shard_router.session router () in
   Process.spawn engine (fun () ->
       let s = session () in
@@ -243,19 +241,16 @@ let spawn_registers engine router hist load ~seed =
                (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS | Zk.Zerror.ZNOTEMPTY
                | Zk.Zerror.ZBADVERSION) ->
              (* semantic outcome of racing clients: the service answered *)
-             tally.ok <- tally.ok + 1
+             incr ok
            | Error Zk.Zerror.ZSESSIONEXPIRED ->
-             tally.err <- tally.err + 1;
              h := Zk.History.wrap hist ~client (session ());
              Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
-           | Error _ ->
-             tally.err <- tally.err + 1;
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
+           | Error _ -> Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
           Process.sleep (Simkit.Rng.exponential rng ~mean:load.think)
         done;
         (!h).Zk.Zk_client.close ())
   done;
-  tally
+  ok
 
 let probe_attempts = 200
 
@@ -287,7 +282,7 @@ let probe router load =
 
 let check_budget = 2_000_000
 
-(* {2 One instrumented mdtest run over the DUFS stack}
+(* {2 One instrumented run over the DUFS stack}
 
    Every option is off by default, so the plain call is the
    exactly-comparable baseline. The census is sampled at the file-stat
@@ -300,15 +295,17 @@ let check_budget = 2_000_000
    the census sees the post-split tree. The first [history_clients]
    sessions record through {!Zk.History}, so a flip is subject to the
    linearizability oracle. A register overlay runs its clients
-   alongside the mdtest load; after the drained run a probe write shows
-   the service is live, the durability oracle compares each register's
-   home-shard leader tree against the history, and every shard's live
-   replicas must fingerprint equal. *)
+   alongside the mdtest load — or, without mdtest, is the whole load;
+   a bounded probe write (from [probe_at], else once the run has
+   drained) shows the service is live, the durability oracle compares
+   each register's home-shard leader tree against the history, and
+   every shard's live replicas must fingerprint equal. *)
 
 type register_audit = {
+  ops_ok : int;
   audited : int;
   durability_violations : Zk.History.violation list;
-  recovered : bool;
+  recovery_s : float;
   replicas_agree : bool;
 }
 
@@ -355,9 +352,9 @@ let recovered_data router path =
     | Ok (data, _) -> Some data
     | Error _ -> None)
 
-let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
-    ?(plan = []) ?(history_clients = 0) ?to_shards ?(config_adjust = Fun.id)
-    ?registers ~spec ~shards ~procs () =
+let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(mdtest = true)
+    ?(trace = false) ?(plan = []) ?(history_clients = 0) ?to_shards
+    ?(config_adjust = Fun.id) ?registers ?probe_at ~spec ~shards ~procs () =
   let engine = Engine.create () in
   let tr = if trace then Obs.Trace.create () else Obs.Trace.null in
   if trace then Obs.Trace.enable tr;
@@ -366,16 +363,29 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
   let wrap proc s =
     if proc < history_clients then Zk.History.wrap hist ~client:proc s else s
   in
+  let spec = if mdtest then spec else { spec with backends = 0 } in
   let router, ops_for_proc, backend_stations =
     build_dufs ~trace:tr ~wrap engine ~spec ~config ~shards ~cached:false
   in
   let armed =
     Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
   in
-  Option.iter
-    (fun load ->
-      ignore (spawn_registers engine router hist load ~seed:config.Zk.Ensemble.seed))
-    registers;
+  let recovery = ref Float.nan in
+  let probe_from t0 load () =
+    if probe router load then recovery := Engine.now engine -. t0
+  in
+  let ops_ok =
+    match registers with
+    | None -> ref 0
+    | Some load ->
+      let ok = spawn_registers engine router hist load ~seed:config.Zk.Ensemble.seed in
+      Option.iter
+        (fun t ->
+          Engine.schedule engine ~delay:t (fun () ->
+              Process.spawn engine (probe_from t load)))
+        probe_at;
+      ok
+  in
   let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
   let to_shards = Option.value to_shards ~default:shards in
   let reshard = ref None and t0 = ref 0. and t1 = ref 0. in
@@ -401,15 +411,19 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
      | _ -> ());
     Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
   in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  (* the run drained with every restart recovered; a probe write shows
-     the service is actually live again *)
-  let recovered = ref false in
-  Option.iter
-    (fun load ->
-      Process.spawn engine (fun () -> recovered := probe router load);
-      Engine.run engine)
-    registers;
+  let results =
+    if mdtest then Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc
+    else (
+      Engine.run engine;
+      { Mdtest.Runner.rates = []; latencies = []; errors = 0; wall = Engine.now engine })
+  in
+  (* without a probe time, the probe starts once the run has drained
+     with every restart recovered *)
+  (match (registers, probe_at) with
+   | Some load, None ->
+     Process.spawn engine (probe_from (Engine.now engine) load);
+     Engine.run engine
+   | _ -> ());
   if trace then Zk.Shard_router.publish router (Obs.Trace.metrics tr);
   let violations = Zk.History.check ~max_states:check_budget hist in
   let registers =
@@ -418,9 +432,10 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
         let durability_violations =
           Zk.History.durability_audit hist ~lookup:(recovered_data router)
         in
-        { audited = Zk.History.audited_paths hist;
+        { ops_ok = !ops_ok;
+          audited = Zk.History.audited_paths hist;
           durability_violations;
-          recovered = !recovered;
+          recovery_s = !recovery;
           replicas_agree = replicas_agree router })
       registers
   in
@@ -434,7 +449,9 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
     live_stubs_at_stat = !live_stubs;
     logical_znodes_at_stat = !logical;
     expected_logical_znodes =
-      1 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc);
+      (if mdtest then
+         1 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc)
+       else 0);
     reshard = !reshard;
     reshard_window = !t1 -. !t0;
     history_recorded = Zk.History.recorded hist;
@@ -443,93 +460,6 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(trace = false)
     history_digest = Zk.History.digest hist;
     violations;
     registers }
-
-(* {2 Chaos: randomized network-fault schedules with a linearizability
-      oracle}
-
-   Register clients speak to the coordination layer directly (no PFS
-   back-ends — the oracle checks the quorum, not the data path) while a
-   seeded {!Faults.Faultplan.chaos} schedule partitions, drops, delays,
-   duplicates and crashes underneath them. After the closing heal the
-   probe measures how long every shard takes to commit a write again;
-   after the run the Wing–Gong checker searches the recorded history. *)
-
-type chaos_run = {
-  seed : int64;
-  shards : int;
-  router : Zk.Shard_router.t;
-  recorded : int;
-  checked : int;
-  undetermined_ops : int;
-  violations : Zk.History.violation list;
-  digest : string;
-  recovery_s : float;
-  faults_fired : int;
-  ops_ok : int;
-  ops_err : int;
-}
-
-let chaos_mix =
-  [ (25, Create); (20, Set); (15, Delete); (20, Get); (10, Exists); (10, Seq_create) ]
-
-let chaos_registers = 6
-let chaos_heal_at = 15.
-let chaos_post_heal = 10.
-let chaos_events = 12
-
-let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8)
-    ?(registers = chaos_registers) ?(heal_at = chaos_heal_at)
-    ?(post_heal = chaos_post_heal) ?(events = chaos_events) ?(think = 0.05)
-    ?(config_adjust = Fun.id) ?plan ~seed () =
-  let engine = Engine.create () in
-  let config =
-    config_adjust
-      { (zk_config ~servers ~procs:clients ()) with
-        Zk.Ensemble.seed;
-        request_timeout = 0.5;
-        retry_backoff = 0.05;
-        retry_backoff_cap = 1.0;
-        session_timeout = 6.0;
-        stale_read_after = 1.0;
-        serve_stale_reads = true;
-        fail_fast_after = 2.0 }
-  in
-  let router = Zk.Shard_router.start engine ~shards config in
-  let hist = Zk.History.create engine in
-  let plan =
-    match plan with
-    | Some p -> p
-    | None ->
-      Faults.Faultplan.chaos ~seed:(Int64.add seed 101L) ~servers ~shards
-        ~start:1.0 ~heal_at ~events ()
-  in
-  let armed =
-    Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
-  in
-  let load =
-    { clients; registers; mix = chaos_mix; stop = `Deadline (heal_at +. post_heal);
-      stride = 7919; think }
-  in
-  let tally = spawn_registers engine router hist load ~seed in
-  let recovery = ref Float.nan in
-  Engine.schedule engine ~delay:heal_at (fun () ->
-      Process.spawn engine (fun () ->
-          if probe router load then
-            recovery := Engine.now engine -. heal_at));
-  Engine.run engine;
-  let violations = Zk.History.check ~max_states:check_budget hist in
-  { seed;
-    shards;
-    router;
-    recorded = Zk.History.recorded hist;
-    checked = Zk.History.checked_ops hist;
-    undetermined_ops = Zk.History.undetermined hist;
-    violations;
-    digest = Zk.History.digest hist;
-    recovery_s = !recovery;
-    faults_fired = Faults.Faultplan.fired armed;
-    ops_ok = tally.ok;
-    ops_err = tally.err }
 
 let zk_raw ~servers ~procs ?(items = 80) () =
   let engine = Engine.create () in

@@ -63,8 +63,7 @@ val build_dufs :
     register ops with unique data values on [registers] register znodes,
     one per directory ([/d<k>/r], so a sharded deployment spreads them),
     through a {!Zk.History} recorder and routed sessions. A transport
-    failure counts as an error and backs off; an expired session is
-    reopened. Client [i] draws from its own stream, seeded
+    failure backs off; an expired session is reopened. Client [i] draws from its own stream, seeded
     [seed + (i + 1) * stride] from the ensemble seed. *)
 
 type register_op =
@@ -85,7 +84,7 @@ type register_load = {
   think : float;  (** mean exponential think time between ops *)
 }
 
-(** {2 One instrumented mdtest run over the DUFS stack}
+(** {2 One instrumented run over the DUFS stack}
 
     The census is sampled at the file-stat barrier (every file create
     committed, no removal begun): per-shard raw node counts, the
@@ -98,14 +97,15 @@ type register_load = {
     friends), and so are WAL, snapshot, recovery and transfer counters
     ({!Zk.Shard_router.ensembles}). *)
 
-(** What a register overlay's oracles found after the drained run. *)
+(** What a register overlay's clients did and its oracles found. *)
 type register_audit = {
+  ops_ok : int;  (** client ops with a determined outcome *)
   audited : int;  (** registers the durability oracle could audit *)
   durability_violations : Zk.History.violation list;
       (** acked writes lost, or unacked writes resurrected *)
-  recovered : bool;
-      (** the post-run probe write committed on every register shard
-          within its 200 attempts, 0.05 s apart *)
+  recovery_s : float;
+      (** probe start → a probe write committed on every register shard;
+          nan when the probe gave up after 200 attempts, 0.05 s apart *)
   replicas_agree : bool;
       (** every shard's live replicas fingerprint equal *)
 }
@@ -143,8 +143,15 @@ type dufs_run = {
 
 (** [dufs_mdtest ~spec ~shards ~procs ()] runs the six-phase mdtest
     over a fresh [shards]-shard DUFS stack ({!build_dufs}). Not
-    memoized. Every option defaults off, so the plain call is the
-    exactly-comparable baseline of any variant:
+    memoized. [procs] client processes share the client nodes with the
+    ensemble (the co-location load factor of {!zk_config}). Every
+    option defaults off, so the plain call is the exactly-comparable
+    baseline of any variant:
+    - [mdtest] (default [true]): [false] runs no mdtest processes and
+      builds no back-end mount, so the register overlay is the whole
+      load (pass its client count as [procs]); [results] then has no
+      phase and [wall] is the drained run's virtual end time, and the
+      census fields are 0. A chaos point is such a run.
     - [trace]: span tracing on end to end. Tracing never sleeps or
       schedules, so throughput equals the untraced run's.
     - [plan]: a {!Faults.Faultplan} crashing and restarting servers
@@ -162,78 +169,30 @@ type dufs_run = {
     - [registers]: a register overlay. Its clients are spawned after the
       plan is armed and before mdtest starts, record through the same
       {!Zk.History} as [history_clients] and are seeded from the
-      ensemble seed. After the
-      drained run a bounded probe write commits on every register shard,
-      {!Zk.History.durability_audit} compares each register's home-shard
-      leader tree against the history, and every shard's live replicas
-      are compared ([registers] field of the result). *)
+      ensemble seed. A bounded probe write must commit on every
+      register shard (see [probe_at]); after the run
+      {!Zk.History.durability_audit} compares each register's
+      home-shard leader tree against the history, and every shard's
+      live replicas are compared ([registers] field of the result).
+    - [probe_at]: start the overlay's probe at this virtual time (a
+      fault plan's closing heal) rather than once the run has drained
+      with every restart recovered. *)
 val dufs_mdtest :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
+  ?mdtest:bool ->
   ?trace:bool ->
   ?plan:Faults.Faultplan.t ->
   ?history_clients:int ->
   ?to_shards:int ->
   ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
   ?registers:register_load ->
+  ?probe_at:float ->
   spec:dufs_spec ->
   shards:int ->
   procs:int ->
   unit ->
   dufs_run
-
-(** {2 Chaos runs — randomized network faults + linearizability oracle}
-
-    One seeded schedule: [clients] register clients (a mix of creates,
-    sets, deletes, reads and sequential creates on [registers]
-    registers) run until [heal_at + post_heal] while a
-    {!Faults.Faultplan.chaos} plan (or the explicit [?plan])
-    partitions, drops, delays, duplicates and crashes the deployment
-    until [heal_at]. At [heal_at] the probe measures per-shard write
-    recovery, and the checker searches the whole recorded history.
-    Identical arguments (seed included) reproduce bit-identical
-    histories — compare [digest]s. Dedup, session and stale-read
-    counters are read from [router]'s ensembles. *)
-
-(** The full chaos sweep's shape, [chaos_run]'s defaults: 6 registers,
-    heal at 15 s, 10 s after it, 12 fault events. *)
-
-val chaos_registers : int
-val chaos_heal_at : float
-val chaos_post_heal : float
-val chaos_events : int
-
-type chaos_run = {
-  seed : int64;
-  shards : int;
-  router : Zk.Shard_router.t;
-  recorded : int;
-  checked : int;
-  undetermined_ops : int;
-  violations : Zk.History.violation list;
-  digest : string;
-  recovery_s : float;
-      (** heal → every register shard committed a probe write; nan
-          when the probe gave up after 200 attempts, 0.05 s apart *)
-  faults_fired : int;
-  ops_ok : int;        (** client ops with a determined outcome *)
-  ops_err : int;       (** transport-failed client ops (undetermined) *)
-}
-
-val chaos_run :
-  ?servers:int ->
-  ?shards:int ->
-  ?clients:int ->
-  ?registers:int ->
-  ?heal_at:float ->
-  ?post_heal:float ->
-  ?events:int ->
-  ?think:float ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  ?plan:Faults.Faultplan.t ->
-  seed:int64 ->
-  unit ->
-  chaos_run
 
 (** Raw coordination-service throughput (Fig. 7): closed loop of [items]
     ops per client for each of the four basic operations. Returns

@@ -12,12 +12,13 @@ module Process = Simkit.Process
 module Ensemble = Zk.Ensemble
 module Faultplan = Faults.Faultplan
 module Systems = Scenarios.Systems
+module Figures = Scenarios.Figures
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let no_violations label (r : Systems.chaos_run) =
+let no_violations label (r : Systems.dufs_run) =
   List.iter
     (fun (v : Zk.History.violation) ->
       Printf.printf "%s VIOLATION [%s] %s: %s\n%!" label v.Zk.History.v_kind
@@ -25,31 +26,52 @@ let no_violations label (r : Systems.chaos_run) =
     r.Systems.violations;
   check_int (label ^ ": zero violations") 0 (List.length r.Systems.violations)
 
+(* A chaos point's register overlay: always present. *)
+let audit (r : Systems.dufs_run) =
+  match r.Systems.registers with
+  | Some a -> a
+  | None -> Alcotest.fail "a chaos point without its register overlay"
+
 (* {2 Chaos runs are seed-deterministic and linearizable} *)
 
+let small_shape =
+  { Figures.chaos_shape with
+    servers = 3;
+    clients = 4;
+    registers = 3;
+    heal_at = 6.;
+    post_heal = 4.;
+    events = 6 }
+
 let small_run ?(shards = 1) ~seed () =
-  Systems.chaos_run ~servers:3 ~shards ~clients:4 ~registers:3 ~heal_at:6.
-    ~post_heal:4. ~events:6 ~seed ()
+  Figures.chaos_point ~shape:small_shape ~shards ~seed ()
 
 let test_chaos_deterministic_and_clean () =
   let a = small_run ~seed:5L () in
   let b = small_run ~seed:5L () in
-  check_string "same seed, bit-identical history digest" a.Systems.digest
-    b.Systems.digest;
-  check_int "same seed, same op count" a.Systems.recorded b.Systems.recorded;
-  check_bool "a real workload ran" true (a.Systems.checked > 200);
+  check_string "same seed, bit-identical history digest" a.Systems.history_digest
+    b.Systems.history_digest;
+  check_int "same seed, same op count" a.Systems.history_recorded
+    b.Systems.history_recorded;
+  check_bool "a real workload ran" true (a.Systems.history_checked > 200);
   check_bool "faults actually fired" true (a.Systems.faults_fired >= 6);
   no_violations "chaos" a;
-  check_bool "recovered after heal" true (Float.is_finite a.Systems.recovery_s);
+  check_bool "recovered after heal" true (Float.is_finite (audit a).Systems.recovery_s);
+  check_bool "the durability oracle audited registers" true
+    ((audit a).Systems.audited > 0);
+  check_int "no acked write lost" 0
+    (List.length (audit a).Systems.durability_violations);
+  check_bool "coordination only: no mdtest phase ran" true
+    (a.Systems.results.Mdtest.Runner.rates = []);
   let c = small_run ~seed:6L () in
   check_bool "different seed, different history" true
-    (a.Systems.digest <> c.Systems.digest)
+    (a.Systems.history_digest <> c.Systems.history_digest)
 
 let test_chaos_sharded_clean () =
   let r = small_run ~shards:2 ~seed:7L () in
   no_violations "sharded chaos" r;
-  check_bool "sharded run recorded ops" true (r.Systems.checked > 200);
-  check_bool "sharded run recovered" true (Float.is_finite r.Systems.recovery_s)
+  check_bool "sharded run recorded ops" true (r.Systems.history_checked > 200);
+  check_bool "sharded run recovered" true (Float.is_finite (audit r).Systems.recovery_s)
 
 (* {2 A shard that never recovers: the probe gives up}
 
@@ -65,13 +87,15 @@ let test_probe_gives_up () =
     | Error msg -> Alcotest.failf "plan parse: %s" msg
   in
   let r =
-    Systems.chaos_run ~servers:3 ~clients:2 ~registers:2 ~heal_at:2. ~post_heal:1.
-      ~plan ~seed:3L ()
+    Figures.chaos_point
+      ~shape:
+        { small_shape with clients = 2; registers = 2; heal_at = 2.; post_heal = 1. }
+      ~plan ~shards:1 ~seed:3L ()
   in
-  check_bool "no recovery time" true (Float.is_nan r.Systems.recovery_s);
+  check_bool "no recovery time" true (Float.is_nan (audit r).Systems.recovery_s);
   check_bool "the gate names it" true
     (List.mem "shards=1 seed=3: never recovered after heal"
-       (Scenarios.Figures.chaos_check ~deterministic:true [ r ]))
+       (Figures.chaos_check ~deterministic:true [ ((1, 3L), r) ]))
 
 (* {2 The oracle has teeth}
 
@@ -90,10 +114,10 @@ let teeth_run ~unsafe_no_dedup ~seed =
     | Ok p -> p
     | Error msg -> Alcotest.failf "parse %S: %s" teeth_plan msg
   in
-  Systems.chaos_run ~servers:3 ~shards:1 ~clients:4 ~registers:2 ~heal_at:6.
-    ~post_heal:4. ~think:0.03
+  Figures.chaos_point
+    ~shape:{ small_shape with registers = 2; think = 0.03 }
     ~config_adjust:(fun c -> { c with Ensemble.unsafe_no_dedup })
-    ~plan ~seed ()
+    ~plan ~shards:1 ~seed ()
 
 let test_checker_teeth () =
   (* With dedup on, the same seeds and the same lossy schedule are
@@ -103,14 +127,14 @@ let test_checker_teeth () =
   List.iter (no_violations "dedup on") honest;
   check_bool "lossy schedule exercised the dedup table" true
     (List.exists
-       (fun (r : Systems.chaos_run) -> Zk.Shard_router.dedup_hits r.Systems.router > 0)
+       (fun (r : Systems.dufs_run) -> Zk.Shard_router.dedup_hits r.Systems.router > 0)
        honest);
   let broken =
     List.map (fun seed -> teeth_run ~unsafe_no_dedup:true ~seed) seeds
   in
   check_bool "disabling dedup produces a linearizability violation" true
     (List.exists
-       (fun (r : Systems.chaos_run) -> r.Systems.violations <> [])
+       (fun (r : Systems.dufs_run) -> r.Systems.violations <> [])
        broken)
 
 (* {2 Sharded partition: one shard stalls, the rest keep committing} *)

@@ -213,9 +213,10 @@ let router_with_writes written =
 
 let sharding_row ?(census = 3_951) written =
   ( (2, 4, 16, 64),
-    { (dufs_run ~p99:0.01) with
-      Systems.router = router_with_writes written;
-      logical_znodes_at_stat = census } )
+    Figures.sharding_run
+      { (dufs_run ~p99:0.01) with
+        Systems.router = router_with_writes written;
+        logical_znodes_at_stat = census } )
 
 let test_sharding_census_mismatch () =
   passes "sharding" (Figures.sharding_check [ sharding_row [ 0; 1 ] ]);
@@ -258,34 +259,48 @@ let test_faults_unfired_event () =
 
 (* {2 Chaos} *)
 
-let chaos_run =
-  { Systems.seed = 11L;
-    shards = 1;
-    router =
-      Zk.Shard_router.start (Simkit.Engine.create ()) ~shards:1
-        (Zk.Ensemble.default_config ~servers:3);
-    recorded = 2_000;
-    checked = 1_945;
-    undetermined_ops = 3;
-    violations = [];
-    digest = "d";
-    recovery_s = 0.6;
-    faults_fired = 8;
-    ops_ok = 1_997;
-    ops_err = 3 }
+(* One clean single-shard chaos point, [((shards, seed), run)]. *)
+let chaos_row ?(seed = 11L) ?(checked = 1_945) ?(recovery_s = 0.6)
+    ?(durability_violations = []) () =
+  ( (1, seed),
+    { (dufs_run ~p99:0.01) with
+      Systems.router =
+        Zk.Shard_router.start (Simkit.Engine.create ()) ~shards:1
+          (Zk.Ensemble.default_config ~servers:3);
+      history_recorded = 2_000;
+      history_checked = checked;
+      history_undetermined = 3;
+      faults_fired = 8;
+      registers =
+        Some
+          { Systems.ops_ok = 1_997;
+            audited = 6;
+            durability_violations;
+            recovery_s;
+            replicas_agree = true } } )
 
 let test_chaos_zero_ops_checked () =
-  passes "chaos" (Figures.chaos_check ~deterministic:true [ chaos_run ]);
+  passes "chaos" (Figures.chaos_check ~deterministic:true [ chaos_row () ]);
   names "nothing checked" ~needle:"empty history"
-    (Figures.chaos_check ~deterministic:true [ { chaos_run with checked = 0 } ])
+    (Figures.chaos_check ~deterministic:true [ chaos_row ~checked:0 () ])
+
+let test_chaos_acked_write_lost () =
+  let lost =
+    { Zk.History.v_path = "/d3/r";
+      v_kind = "durability";
+      v_detail = "recovered <absent> but the 1 acked + 0 undetermined writes only allow {3.7}" }
+  in
+  names "one acked write lost"
+    ~needle:"seed=11: 1 acked writes lost or unacked writes resurrected"
+    (Figures.chaos_check ~deterministic:true
+       [ chaos_row ~durability_violations:[ lost ] () ])
 
 (* No run recovered: the gate names every run, and the bench points
    stay finite (a NaN would make Report.emit_json raise before the gate
    could print). *)
 let test_chaos_none_recovered () =
   let runs =
-    [ { chaos_run with recovery_s = Float.nan };
-      { chaos_run with Systems.seed = 12L; recovery_s = Float.nan } ]
+    [ chaos_row ~recovery_s:Float.nan (); chaos_row ~seed:12L ~recovery_s:Float.nan () ]
   in
   let failures = Figures.chaos_check ~deterministic:true runs in
   names "seed 11 unrecovered" ~needle:"seed=11: never recovered after heal" failures;
@@ -298,7 +313,7 @@ let test_chaos_none_recovered () =
             Alcotest.failf "%s point: %s = %f is not finite" p.Report.experiment name v)
         p.Report.phases;
       Alcotest.(check bool) "ops/s finite" true (Float.is_finite p.Report.ops_per_sec))
-    (Figures.chaos_points ~clients:8 ~duration:25. ~deterministic:true runs)
+    (Figures.chaos_points ~shape:Figures.chaos_shape ~deterministic:true runs)
 
 (* {2 Pipeline} *)
 
@@ -306,11 +321,11 @@ let test_chaos_none_recovered () =
    ack 8.5 ms stop-and-wait, 4.25 ms pipelined: 50% better) and one
    clean chaos schedule. *)
 let pipeline_runs ?(piped = [ 0.002; 0.0001; 0.00002; 0.00225; 0.00138 ]) () =
-  [ (("batch16-w1", 64), traced_run tiling);
-    (("batch16-w8", 64), traced_run ~total:0.00575 piped) ]
+  [ (("batch16-w1", 64), Figures.traced (traced_run tiling));
+    (("batch16-w8", 64), Figures.traced (traced_run ~total:0.00575 piped)) ]
 
 let pipeline_check runs =
-  Figures.pipeline_check ~min_improvement:30. ~deterministic:true runs [ chaos_run ]
+  Figures.pipeline_check ~min_improvement:30. ~deterministic:true runs [ chaos_row () ]
 
 let test_pipeline_phases_not_tiling () =
   passes "pipeline" (pipeline_check (pipeline_runs ()));
@@ -326,9 +341,10 @@ let durability_run =
     { (dufs_run ~p99:0.01) with
       Systems.registers =
         Some
-          { Systems.audited = 8;
+          { Systems.ops_ok = 400;
+            audited = 8;
             durability_violations = [];
-            recovered = true;
+            recovery_s = 0.05;
             replicas_agree = true } } )
 
 let durability_check =
@@ -462,7 +478,9 @@ let () =
       ( "chaos",
         [ Alcotest.test_case "no run recovered" `Quick test_chaos_none_recovered;
           Alcotest.test_case "zero ops checked" `Quick
-            test_chaos_zero_ops_checked ] );
+            test_chaos_zero_ops_checked;
+          Alcotest.test_case "acked write lost" `Quick
+            test_chaos_acked_write_lost ] );
       ( "pipeline",
         [ Alcotest.test_case "phases not tiling the total" `Quick
             test_pipeline_phases_not_tiling ] );

@@ -263,10 +263,23 @@ let pipelined_adjust c =
   { c with Ensemble.max_batch = 8; max_inflight_batches = 4 }
 
 let chaos_small ?(shards = 1) ?plan ~seed () =
-  Systems.chaos_run ~servers:3 ~shards ~clients:4 ~registers:3 ~heal_at:6.
-    ~post_heal:4. ~events:6 ~config_adjust:pipelined_adjust ?plan ~seed ()
+  Scenarios.Figures.chaos_point
+    ~shape:
+      { Scenarios.Figures.chaos_shape with
+        servers = 3;
+        clients = 4;
+        registers = 3;
+        heal_at = 6.;
+        post_heal = 4.;
+        events = 6 }
+    ~config_adjust:pipelined_adjust ?plan ~shards ~seed ()
 
-let no_violations label (r : Systems.chaos_run) =
+let recovery_s (r : Systems.dufs_run) =
+  match r.Systems.registers with
+  | Some a -> a.Systems.recovery_s
+  | None -> Alcotest.fail "a chaos point without its register overlay"
+
+let no_violations label (r : Systems.dufs_run) =
   List.iter
     (fun (v : Zk.History.violation) ->
       Printf.printf "%s VIOLATION [%s] %s: %s\n%!" label v.Zk.History.v_kind
@@ -279,19 +292,18 @@ let test_pipelined_chaos_clean () =
     (fun seed ->
       let r = chaos_small ~seed () in
       no_violations (Printf.sprintf "chaos seed %Ld" seed) r;
-      check_bool "a real workload ran" true (r.Systems.checked > 200);
-      check_bool "recovered after heal" true
-        (Float.is_finite r.Systems.recovery_s))
+      check_bool "a real workload ran" true (r.Systems.history_checked > 200);
+      check_bool "recovered after heal" true (Float.is_finite (recovery_s r)))
     [ 21L; 22L; 23L ];
   let r = chaos_small ~shards:2 ~seed:24L () in
   no_violations "sharded pipelined chaos" r;
-  check_bool "sharded run recovered" true (Float.is_finite r.Systems.recovery_s)
+  check_bool "sharded run recovered" true (Float.is_finite (recovery_s r))
 
 let test_pipelined_chaos_deterministic () =
   let a = chaos_small ~seed:25L () in
   let b = chaos_small ~seed:25L () in
   check_string "same seed, bit-identical history under the pipeline"
-    a.Systems.digest b.Systems.digest
+    a.Systems.history_digest b.Systems.history_digest
 
 (* Leader crash with a full proposal window in flight: in-flight and
    queued batches die with the leader; retried writes must land exactly
@@ -307,7 +319,7 @@ let test_leader_crash_mid_window () =
   check_bool "faults fired" true (r.Systems.faults_fired >= 3);
   check_bool "writes committed across the crash" true
     (Zk.Shard_router.writes_committed r.Systems.router > 0);
-  check_bool "recovered" true (Float.is_finite r.Systems.recovery_s)
+  check_bool "recovered" true (Float.is_finite (recovery_s r))
 
 (* {2 Stop-and-wait compatibility}
 
