@@ -48,150 +48,116 @@ let fig7 ?procs_list () =
         ~x_label:"procs" series)
     data
 
-(* {2 Fig. 8} *)
+(* {2 The paper sweep}
 
-let phase_series_label phase = Runner.phase_to_string phase
+   Figs. 8-10 and ablation-cmd read several mdtest phases of the same
+   (system, procs) points. [sweep] runs each [(label, system)]
+   series once at every procs count, prints one figure per phase (titled
+   [title] of the phase's name) from those runs, and returns them as
+   [(label, [(procs, results)])]. *)
 
-let fig8 () =
-  let zk_counts = [ 1; 4; 8 ] in
+let sweep ~title ~procs_list ~phases series =
+  let runs =
+    List.map
+      (fun (label, system) ->
+        ( label,
+          List.map (fun procs -> (procs, Systems.mdtest system ~procs ())) procs_list ))
+      series
+  in
   List.iter
     (fun phase ->
-      let lustre_series =
-        { Report.label = "Basic Lustre";
-          points =
-            List.map
-              (fun procs ->
-                (procs, Runner.rate (Systems.mdtest Systems.Basic_lustre ~procs ()) phase))
-              bar_procs }
-      in
-      let dufs_series =
-        List.map
-          (fun zk_servers ->
-            { Report.label = Printf.sprintf "%d Zookeeper" zk_servers;
-              points =
-                List.map
-                  (fun procs ->
-                    ( procs,
-                      Runner.rate
-                        (Systems.mdtest
-                           (Systems.Dufs
-                              { zk_servers; backends = 2; backend_kind = Systems.Lustre })
-                           ~procs ())
-                        phase ))
-                  bar_procs })
-          zk_counts
-      in
       Report.print_figure
-        ~title:
-          (Printf.sprintf "Fig. 8 — %s vs number of ZooKeeper servers (2 Lustre backends)"
-             (phase_series_label phase))
+        ~title:(title (Runner.phase_to_string phase))
         ~x_label:"procs"
-        (lustre_series :: dufs_series))
-    Runner.all_phases
+        (List.map
+           (fun (label, points) ->
+             { Report.label;
+               points = List.map (fun (procs, r) -> (procs, Runner.rate r phase)) points
+             })
+           runs))
+    phases;
+  runs
+
+let labelled systems =
+  List.map (fun system -> (Systems.system_label system, system)) systems
+
+let dufs_8zk = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
+
+let dufs_8zk_pvfs =
+  Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs }
+
+(* {2 Fig. 8} *)
+
+let fig8 () =
+  ignore
+    (sweep
+       ~title:
+         (Printf.sprintf "Fig. 8 — %s vs number of ZooKeeper servers (2 Lustre backends)")
+       ~procs_list:bar_procs ~phases:Runner.all_phases
+       (("Basic Lustre", Systems.Basic_lustre)
+        :: List.map
+             (fun zk_servers ->
+               ( Printf.sprintf "%d Zookeeper" zk_servers,
+                 Systems.Dufs
+                   { zk_servers; backends = 2; backend_kind = Systems.Lustre } ))
+             [ 1; 4; 8 ]))
 
 (* {2 Fig. 9} *)
 
 let fig9 () =
-  let file_phases = [ Runner.File_create; Runner.File_remove; Runner.File_stat ] in
-  List.iter
-    (fun phase ->
-      let series =
-        { Report.label = "Basic Lustre";
-          points =
-            List.map
-              (fun procs ->
-                (procs, Runner.rate (Systems.mdtest Systems.Basic_lustre ~procs ()) phase))
-              bar_procs }
+  ignore
+    (sweep
+       ~title:(Printf.sprintf "Fig. 9 — %s vs number of backend storages")
+       ~procs_list:bar_procs
+       ~phases:[ Runner.File_create; Runner.File_remove; Runner.File_stat ]
+       (("Basic Lustre", Systems.Basic_lustre)
         :: List.map
              (fun backends ->
-               { Report.label = Printf.sprintf "DUFS %d Lustre backends" backends;
-                 points =
-                   List.map
-                     (fun procs ->
-                       ( procs,
-                         Runner.rate
-                           (Systems.mdtest
-                              (Systems.Dufs
-                                 { zk_servers = 8; backends;
-                                   backend_kind = Systems.Lustre })
-                              ~procs ())
-                           phase ))
-                     bar_procs })
-             [ 2; 4 ]
-      in
-      Report.print_figure
-        ~title:
-          (Printf.sprintf "Fig. 9 — %s vs number of backend storages"
-             (phase_series_label phase))
-        ~x_label:"procs" series)
-    file_phases
+               ( Printf.sprintf "DUFS %d Lustre backends" backends,
+                 Systems.Dufs
+                   { zk_servers = 8; backends; backend_kind = Systems.Lustre } ))
+             [ 2; 4 ]))
 
 (* {2 Fig. 10} *)
 
-let fig10_systems =
-  [ Systems.Basic_lustre;
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre };
-    Systems.Basic_pvfs;
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs } ]
-
 let fig10 () =
-  List.iter
-    (fun phase ->
-      let series =
-        List.map
-          (fun system ->
-            { Report.label = Systems.system_label system;
-              points =
-                List.map
-                  (fun procs ->
-                    (procs, Runner.rate (Systems.mdtest system ~procs ()) phase))
-                  default_procs })
-          fig10_systems
-      in
-      Report.print_figure
-        ~title:
-          (Printf.sprintf "Fig. 10 — %s: DUFS vs Lustre and PVFS2"
-             (phase_series_label phase))
-        ~x_label:"procs" series)
-    Runner.all_phases
+  ignore
+    (sweep
+       ~title:(Printf.sprintf "Fig. 10 — %s: DUFS vs Lustre and PVFS2")
+       ~procs_list:default_procs ~phases:Runner.all_phases
+       (labelled [ Systems.Basic_lustre; dufs_8zk; Systems.Basic_pvfs; dufs_8zk_pvfs ]))
 
 (* {2 Headline ratios (§V-D)} *)
 
-type headline = {
-  dir_create_vs_lustre : float;  (* paper: 1.9 *)
-  dir_create_vs_pvfs : float;    (* paper: 23 *)
-  file_stat_vs_lustre : float;   (* paper: 1.3 *)
-  file_stat_vs_pvfs : float;     (* paper: 3.0 *)
-}
-
-let headline_data ?(procs = 256) () =
-  let rate system phase = Runner.rate (Systems.mdtest system ~procs ()) phase in
-  let dufs_lustre =
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
-  in
-  let dufs_pvfs =
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs }
-  in
-  { dir_create_vs_lustre =
-      rate dufs_lustre Runner.Dir_create /. rate Systems.Basic_lustre Runner.Dir_create;
-    dir_create_vs_pvfs =
-      rate dufs_pvfs Runner.Dir_create /. rate Systems.Basic_pvfs Runner.Dir_create;
-    file_stat_vs_lustre =
-      rate dufs_lustre Runner.File_stat /. rate Systems.Basic_lustre Runner.File_stat;
-    file_stat_vs_pvfs =
-      rate dufs_pvfs Runner.File_stat /. rate Systems.Basic_pvfs Runner.File_stat }
+(* Each of the four ratios, [(label, paper's value, measured)], beats 1
+   and lies within 0.7-1.3x of the paper's value. *)
+let headline_check ratios =
+  List.concat_map
+    (fun (label, paper, x) ->
+      Report.expect
+        (x > 1. && x >= 0.7 *. paper && x <= 1.3 *. paper)
+        "%s: %.2fx, expected > 1 and within [%.2fx, %.2fx]" label x (0.7 *. paper)
+        (1.3 *. paper))
+    ratios
 
 let headline () =
-  let h = headline_data () in
+  let run system = Systems.mdtest system ~procs:256 () in
+  let lustre = run Systems.Basic_lustre and pvfs = run Systems.Basic_pvfs in
+  let dufs_lustre = run dufs_8zk and dufs_pvfs = run dufs_8zk_pvfs in
+  let ratio phase dufs base = Runner.rate dufs phase /. Runner.rate base phase in
+  let ratios =
+    [ ( "directory create: DUFS(2xLustre) / Basic Lustre  (1.9)", 1.9,
+        ratio Runner.Dir_create dufs_lustre lustre );
+      ( "directory create: DUFS(2xPVFS) / Basic PVFS      (23)", 23.,
+        ratio Runner.Dir_create dufs_pvfs pvfs );
+      ( "file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)", 1.3,
+        ratio Runner.File_stat dufs_lustre lustre );
+      ( "file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)", 3.0,
+        ratio Runner.File_stat dufs_pvfs pvfs ) ]
+  in
   Report.print_header "§V-D headline ratios at 256 client processes (paper in parens)";
-  Report.print_ratio ~label:"directory create: DUFS(2xLustre) / Basic Lustre  (1.9)"
-    h.dir_create_vs_lustre;
-  Report.print_ratio ~label:"directory create: DUFS(2xPVFS) / Basic PVFS      (23)"
-    h.dir_create_vs_pvfs;
-  Report.print_ratio ~label:"file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)"
-    h.file_stat_vs_lustre;
-  Report.print_ratio ~label:"file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)"
-    h.file_stat_vs_pvfs
+  List.iter (fun (label, _, x) -> Report.print_ratio ~label x) ratios;
+  Report.gate ~experiment:"headline" (headline_check ratios)
 
 (* {2 Fig. 11 — memory usage} *)
 
@@ -244,8 +210,6 @@ let sessions_with_root engine config ~procs root =
   Process.spawn engine (fun () -> zk_ok (sessions.(0).Zk.Zk_client.create root ~data:""));
   Engine.run engine;
   sessions
-
-let dufs_8zk = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
 
 (* {2 Ablation: mapping strategies} *)
 
@@ -326,7 +290,9 @@ let ablation_cmd_check data =
     (fun (phase, rows) ->
       List.concat_map
         (fun r ->
-          let at = Printf.sprintf "%s at %d procs" (phase_series_label phase) r.procs in
+          let at =
+            Printf.sprintf "%s at %d procs" (Runner.phase_to_string phase) r.procs
+          in
           let ordered rel sign =
             Report.expect (rel r.cmd4 r.cmd2 && rel r.cmd2 r.lustre)
               "%s: CMD 4 %.0f, CMD 2 %.0f, Basic Lustre %.0f ops/s, expected CMD 4 \
@@ -345,36 +311,28 @@ let ablation_cmd () =
   Report.print_header
     "Ablation — DUFS vs Lustre Clustered MDS (CMD): global-lock cost of \
      cross-server updates";
+  let phases = [ Runner.Dir_create; Runner.Dir_stat ] in
+  let runs =
+    sweep ~title:(Printf.sprintf "ablation-cmd — %s") ~procs_list:bar_procs ~phases
+      (labelled
+         [ Systems.Basic_lustre; Systems.Lustre_cmd 2; Systems.Lustre_cmd 4; dufs_8zk ])
+  in
   let row phase procs =
-    let rate system = Runner.rate (Systems.mdtest system ~procs ()) phase in
+    let rate system =
+      Runner.rate (List.assoc procs (List.assoc (Systems.system_label system) runs)) phase
+    in
     { procs; lustre = rate Systems.Basic_lustre; cmd2 = rate (Systems.Lustre_cmd 2);
       cmd4 = rate (Systems.Lustre_cmd 4); dufs = rate dufs_8zk }
   in
-  let data =
-    List.map (fun phase -> (phase, List.map (row phase) bar_procs))
-      [ Runner.Dir_create; Runner.Dir_stat ]
-  in
-  List.iter
-    (fun (phase, rows) ->
-      let series system rate =
-        { Report.label = Systems.system_label system;
-          points = List.map (fun r -> (r.procs, rate r)) rows }
-      in
-      Report.print_figure
-        ~title:(Printf.sprintf "ablation-cmd — %s" (phase_series_label phase))
-        ~x_label:"procs"
-        [ series Systems.Basic_lustre (fun r -> r.lustre);
-          series (Systems.Lustre_cmd 2) (fun r -> r.cmd2);
-          series (Systems.Lustre_cmd 4) (fun r -> r.cmd4);
-          series dufs_8zk (fun r -> r.dufs) ])
-    data;
   print_endline
     "  (CMD shards lookups nicely, but ~1/2 of 2-MDS mutations and ~3/4 of\n\
     \   4-MDS mutations cross servers and serialize on the global lock —\n\
     \   the consistency cost §VI predicts; DUFS replaces that lock with\n\
     \   ZooKeeper's totally-ordered broadcast)";
   flush stdout;
-  Report.gate ~experiment:"ablation-cmd" (ablation_cmd_check data)
+  Report.gate ~experiment:"ablation-cmd"
+    (ablation_cmd_check
+       (List.map (fun phase -> (phase, List.map (row phase) bar_procs)) phases))
 
 (* {2 Ablation: shared vs unique working directories (mdtest -u)} *)
 
@@ -390,7 +348,7 @@ let ablation_unique_check r =
   let ratios system ok claim =
     List.concat_map (fun (phase, shared, unique) ->
         Report.expect (ok (unique /. shared)) "%s %s: unique/shared %.3f, expected %s"
-          system (phase_series_label phase) (unique /. shared) claim)
+          system (Runner.phase_to_string phase) (unique /. shared) claim)
   in
   ratios "Basic Lustre" (fun x -> x >= 1.10) ">= 1.10" r.lustre_rows
   @ ratios "DUFS" (fun x -> Float.abs (x -. 1.) <= 0.02) "within 2% of 1" r.dufs_rows
@@ -623,7 +581,7 @@ let ablation_cache_check r =
       Report.expect
         (Float.abs ((cached /. plain) -. 1.) <= 0.02)
         "mdtest %s: DUFS+cache %.0f ops/s is not within 2%% of DUFS %.0f ops/s"
-        (phase_series_label phase) cached plain)
+        (Runner.phase_to_string phase) cached plain)
     r.mdtest_rows
   @ List.concat_map
       (fun (procs, plain, cached) ->
@@ -638,19 +596,17 @@ let ablation_cache ?(procs = 256) ?(items = 60) ?(hot_procs = [ 64; 256 ]) () =
     "Ablation — client-side metadata cache with lease invalidation";
   (* part 1: mdtest is scan-once, so the cache must be neutral there *)
   let spec = { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
-  let mdtest_row system phase =
-    Runner.rate
-      (Systems.mdtest ~dirs_per_proc:items ~files_per_proc:items system ~procs ())
-      phase
+  let run system =
+    Systems.mdtest ~dirs_per_proc:items ~files_per_proc:items system ~procs ()
   in
+  let plain = run (Systems.Dufs spec) and cached = run (Systems.Dufs_cached spec) in
   Printf.printf "mdtest (each entry touched once per phase, %d procs):\n" procs;
   Printf.printf "  %-14s %14s %14s\n" "phase" "DUFS" "DUFS+cache";
   let mdtest_rows =
     List.map
       (fun phase ->
-        let plain = mdtest_row (Systems.Dufs spec) phase in
-        let cached = mdtest_row (Systems.Dufs_cached spec) phase in
-        Printf.printf "  %-14s %14.0f %14.0f\n" (phase_series_label phase) plain
+        let plain = Runner.rate plain phase and cached = Runner.rate cached phase in
+        Printf.printf "  %-14s %14.0f %14.0f\n" (Runner.phase_to_string phase) plain
           cached;
         (phase, plain, cached))
       [ Runner.Dir_stat; Runner.Dir_create ]
@@ -925,12 +881,6 @@ let breakdown_failures ~ctx trace =
             phases)
     zk_write_ops
 
-let profile_check runs =
-  List.concat_map
-    (fun (procs, (r : Systems.dufs_run)) ->
-      breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) r.Systems.trace)
-    runs
-
 (* One [mdtest-<phase>] point per phase that recorded latency samples. *)
 let mdtest_points ~procs ~config results =
   List.filter_map
@@ -951,6 +901,12 @@ let mdtest_points ~procs ~config results =
 type traced = { results : Runner.results; trace : Obs.Trace.t }
 
 let traced (r : Systems.dufs_run) = { results = r.Systems.results; trace = r.Systems.trace }
+
+let profile_check runs =
+  List.concat_map
+    (fun (procs, r) ->
+      breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) r.trace)
+    runs
 
 (* One [zk-<op>-breakdown] point per traced write kind in [ops]: the
    op's latency block and its quorum-phase means. *)
@@ -990,16 +946,19 @@ let summary_line label (s : Simkit.Stat.Summary.t) =
       max
 
 let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
+  (* each run is reduced to what is printed, emitted and gated on
+     before the next starts *)
   let runs =
     List.map
       (fun procs ->
-        ( procs,
-          Systems.dufs_mdtest ~trace:true ~spec:profile_spec ~shards:1 ~procs () ))
+        let r =
+          Systems.dufs_mdtest ~trace:true ~spec:profile_spec ~shards:1 ~procs ()
+        in
+        (procs, traced r, r.Systems.backend_stations))
       procs_list
   in
   List.iter
-    (fun (procs, (r : Systems.dufs_run)) ->
-      let trace = r.Systems.trace in
+    (fun (procs, { results; trace }, backend_stations) ->
       Report.print_header
         (Printf.sprintf
            "Profile — mdtest over DUFS 2xLustre/8zk, %d procs (span tracing on)"
@@ -1008,13 +967,13 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
         "ops/sec" "samples" "mean_s" "p50_s" "p95_s" "p99_s" "max_s";
       List.iter
         (fun phase ->
-          match Runner.latency_of r.Systems.results phase with
+          match Runner.latency_of results phase with
           | None -> ()
           | Some l ->
             Printf.printf
               "  %-12s %10.0f %8d %10.3g %10.3g %10.3g %10.3g %10.3g\n"
               (Runner.phase_to_string phase)
-              (Runner.rate r.Systems.results phase)
+              (Runner.rate results phase)
               l.Runner.samples l.Runner.mean l.Runner.p50 l.Runner.p95
               l.Runner.p99 l.Runner.max)
         Runner.all_phases;
@@ -1060,19 +1019,19 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
         (fun i (wait, hold) ->
           summary_line (Printf.sprintf "backend[%d] MDS wait_s" i) wait;
           summary_line (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
-        r.Systems.backend_stations)
+        backend_stations)
     runs;
   Option.iter
     (fun path ->
       Report.emit_json ~path
         (List.concat_map
-           (fun (procs, (r : Systems.dufs_run)) ->
-             mdtest_points ~procs ~config:profile_config r.Systems.results
-             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config
-                 (traced r))
+           (fun (procs, run, _) ->
+             mdtest_points ~procs ~config:profile_config run.results
+             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config run)
            runs))
     json_path;
-  Report.gate ~experiment:"profile" (profile_check runs)
+  Report.gate ~experiment:"profile"
+    (profile_check (List.map (fun (procs, run, _) -> (procs, run)) runs))
 
 (* {2 Sharded coordination: N independent ZAB leaders}
 

@@ -1,6 +1,7 @@
 (** One driver per table/figure of the paper's evaluation (§V), plus the
-    extension ablations. Each [figN] function runs the simulations (memoized
-    in {!Systems}) and prints the same rows/series the paper plots;
+    extension ablations. Each [figN] function runs each of its
+    (system, procs) points once and prints the same rows/series the
+    paper plots, every phase read from that one run;
     {!fig11_data} also returns Fig. 11's numbers for tests. Each gated
     experiment's [*_check] is a pure function of its runs, so tests can
     exercise a gate without running the experiment. *)
@@ -23,6 +24,14 @@ val fig10 : unit -> unit
 
 (** {2 §V-D headline ratios at 256 procs} *)
 
+(** Over [(label, paper's value, measured ratio)]: every ratio is > 1
+    and within [[0.7x, 1.3x]] of the paper's value. *)
+val headline_check : (string * float * float) list -> string list
+
+(** DUFS over 2 Lustre / 2 PVFS back-ends vs the native file system:
+    dir-create and file-stat ratios (paper 1.9, 23, 1.3, 3.0).
+    @raise Failure (through {!Mdtest.Report.gate}) if {!headline_check}
+    reports any failure. *)
 val headline : unit -> unit
 
 (** {2 Fig. 11 — memory usage vs created directories} *)
@@ -171,15 +180,12 @@ val profile_spec : Systems.dufs_spec
     queue/batch distributions, and each back-end MDS station's
     wait-vs-service split. With [json_path], also writes the points (the
     BENCH_pr3.json artifact): mdtest points carry the latency block,
-    [zk-<op>-breakdown] points carry the phase durations.
+    [zk-<op>-breakdown] points carry the phase durations. Each run is
+    reduced to its {!traced} results and trace and its back-end stations
+    before the next starts.
     @raise Failure (through {!Mdtest.Report.gate}) if {!profile_check}
     reports any failure. *)
 val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
-
-(** The profile gate, per [(procs, run)]: every traced write kind's
-    quorum phases finite, non-negative, and summing to within 5% of its
-    measured mean latency. *)
-val profile_check : (int * Systems.dufs_run) list -> string list
 
 (** What a sweep of traced runs keeps of each run once the next one
     starts. Dropping the rest drops the run's router, and with it every
@@ -187,6 +193,11 @@ val profile_check : (int * Systems.dufs_run) list -> string list
 type traced = { results : Mdtest.Runner.results; trace : Obs.Trace.t }
 
 val traced : Systems.dufs_run -> traced
+
+(** The profile gate, per [(procs, run)]: every traced write kind's
+    quorum phases finite, non-negative, and summing to within 5% of its
+    measured mean latency. *)
+val profile_check : (int * traced) list -> string list
 
 (** {2 Sharded coordination — N independent ZAB leaders}
 

@@ -132,27 +132,15 @@ let build_system engine system ~procs =
     let _, ops_for_proc, _ = build_dufs engine ~spec ~config ~shards:1 ~cached in
     ops_for_proc
 
-let cache : (string, Mdtest.Runner.results) Hashtbl.t = Hashtbl.create 64
-let reset_cache () = Hashtbl.reset cache
-
 let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system ~procs
     () =
-  let key =
-    Printf.sprintf "%s|%d|%d|%d|%b" (system_label system) procs dirs_per_proc
-      files_per_proc unique
+  let engine = Engine.create () in
+  let ops_for_proc = build_system engine system ~procs in
+  let cfg =
+    Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~unique_working_dirs:unique
+      ~procs ()
   in
-  match Hashtbl.find_opt cache key with
-  | Some results -> results
-  | None ->
-    let engine = Engine.create () in
-    let ops_for_proc = build_system engine system ~procs in
-    let cfg =
-      Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
-        ~unique_working_dirs:unique ~procs ()
-    in
-    let results = Mdtest.Runner.run engine cfg ~ops_for_proc in
-    Hashtbl.replace cache key results;
-    results
+  Mdtest.Runner.run engine cfg ~ops_for_proc
 
 (* {2 Register clients and the write probe}
 

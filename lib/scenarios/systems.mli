@@ -22,8 +22,9 @@ type system =
 val system_label : system -> string
 
 (** [mdtest system ~procs ()] runs the six-phase mdtest workload on a
-    fresh simulation of [system] and returns per-phase throughput.
-    Results are memoized on (system, procs, items, unique). *)
+    fresh simulation of [system] and returns per-phase throughput. Every
+    call runs: an experiment that reads several phases of one point
+    reads them from one result. *)
 val mdtest :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
@@ -142,11 +143,11 @@ type dufs_run = {
 }
 
 (** [dufs_mdtest ~spec ~shards ~procs ()] runs the six-phase mdtest
-    over a fresh [shards]-shard DUFS stack ({!build_dufs}). Not
-    memoized. [procs] client processes share the client nodes with the
-    ensemble (the co-location load factor of {!zk_config}). Every
-    option defaults off, so the plain call is the exactly-comparable
-    baseline of any variant:
+    over a fresh [shards]-shard DUFS stack ({!build_dufs}). [procs]
+    client processes share the client nodes with the ensemble (the
+    co-location load factor of {!zk_config}). Every option defaults off,
+    so the plain call is the exactly-comparable baseline of any variant;
+    with [~shards:1] its [results] equal {!mdtest}'s for [Dufs spec]:
     - [mdtest] (default [true]): [false] runs no mdtest processes and
       builds no back-end mount, so the register overlay is the whole
       load (pass its client count as [procs]); [results] then has no
@@ -198,9 +199,6 @@ val dufs_mdtest :
     ops per client for each of the four basic operations. Returns
     [(op name, ops/sec)] in order create, get, set, delete. *)
 val zk_raw : servers:int -> procs:int -> ?items:int -> unit -> (string * float) list
-
-(** Clear the memo table (tests). *)
-val reset_cache : unit -> unit
 
 (** The coordination-service configuration used for all experiments:
     cost constants from {!Pfs.Costs.Zookeeper} plus the co-located-load

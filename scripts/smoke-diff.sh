@@ -7,10 +7,11 @@
 # example `git archive <rev> | tar -x -C /tmp/parent`). Both trees are
 # built with dune, then every experiment id CI runs except engine-smoke
 # (its metrics are host wall-clock) runs once in each, in its own output
-# directory: the nine other smokes and the six gated ablations CI runs
-# whole. The script diffs each id's stdout and any JSON it writes, after
-# stripping lines that carry host wall time, and exits non-zero if
-# anything differs or either side's run fails. Outputs stay in [out-dir]
+# directory: the nine other smokes, and the six gated ablations and the
+# headline ratios that CI runs whole. The script diffs each id's stdout
+# and any JSON it writes, after stripping lines that carry host wall
+# time, and exits non-zero if anything differs or either side's run
+# fails. Outputs stay in [out-dir]
 # (default: a fresh temporary directory) for inspection.
 set -u
 
@@ -26,7 +27,7 @@ mkdir -p "$out"
 ids="profile-smoke sharding-smoke chaos-smoke sessions-smoke reshard-smoke
   pipeline-smoke durability-smoke ablation-cache-smoke faults-smoke
   ablation-mapping ablation-cmd ablation-unique ablation-async ablation-giga
-  ablation-observers"
+  ablation-observers headline"
 
 status=0
 for side in parent here; do

@@ -160,17 +160,19 @@ let test_skeleton_shape () =
 
 (* {2 Evaluation shapes at reduced scale} *)
 
-let mdtest_rate system ~procs phase =
+(* One point's run; every phase a test reads comes from it. *)
+let mdtest_run system ~procs =
   let results =
     Systems.mdtest ~dirs_per_proc:25 ~files_per_proc:25 system ~procs ()
   in
   check_int
     (Systems.system_label system ^ " run is clean")
     0 results.Runner.errors;
-  Runner.rate results phase
+  results
+
+let mdtest_rate system ~procs phase = Runner.rate (mdtest_run system ~procs) phase
 
 let test_dufs_beats_lustre_at_scale () =
-  Systems.reset_cache ();
   let dufs = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
   let dufs_rate = mdtest_rate dufs ~procs:128 Runner.Dir_create in
   let lustre_rate = mdtest_rate Systems.Basic_lustre ~procs:128 Runner.Dir_create in
@@ -199,10 +201,11 @@ let test_dufs_dwarfs_pvfs () =
 
 let test_more_zk_servers_help_stats_hurt_creates () =
   let dufs n = Systems.Dufs { zk_servers = n; backends = 2; backend_kind = Systems.Lustre } in
-  let stat1 = mdtest_rate (dufs 1) ~procs:64 Runner.Dir_stat in
-  let stat8 = mdtest_rate (dufs 8) ~procs:64 Runner.Dir_stat in
-  let create1 = mdtest_rate (dufs 1) ~procs:64 Runner.Dir_create in
-  let create8 = mdtest_rate (dufs 8) ~procs:64 Runner.Dir_create in
+  let zk1 = mdtest_run (dufs 1) ~procs:64 and zk8 = mdtest_run (dufs 8) ~procs:64 in
+  let stat1 = Runner.rate zk1 Runner.Dir_stat in
+  let stat8 = Runner.rate zk8 Runner.Dir_stat in
+  let create1 = Runner.rate zk1 Runner.Dir_create in
+  let create8 = Runner.rate zk8 Runner.Dir_create in
   check_bool
     (Printf.sprintf "dir-stat scales with servers (%.0f -> %.0f)" stat1 stat8)
     true (stat8 > 1.5 *. stat1);
@@ -218,6 +221,60 @@ let test_more_backends_help_file_stat () =
     (Printf.sprintf "file-stat improves with backends (%.0f -> %.0f)" stat2 stat4)
     true
     (stat4 > 1.3 *. stat2)
+
+(* {2 The two DUFS runners agree}
+
+   [Systems.mdtest (Dufs spec)] and the instrumented one-shard
+   [Systems.dufs_mdtest] build the same stack, so with every option of
+   the latter off their results are equal to the bit. *)
+
+let test_dufs_runners_agree () =
+  List.iter
+    (fun (spec, procs, items) ->
+      let plain =
+        Systems.mdtest ~dirs_per_proc:items ~files_per_proc:items (Systems.Dufs spec)
+          ~procs ()
+      in
+      let run =
+        Systems.dufs_mdtest ~dirs_per_proc:items ~files_per_proc:items ~spec ~shards:1
+          ~procs ()
+      in
+      let what = Systems.system_label (Systems.Dufs spec) in
+      check_bool (what ^ ": rates equal") true
+        (plain.Runner.rates = run.results.Runner.rates);
+      check_bool (what ^ ": latencies equal") true
+        (plain.Runner.latencies = run.results.Runner.latencies);
+      check_int (what ^ ": errors equal") plain.Runner.errors run.results.Runner.errors;
+      check_bool (what ^ ": wall equal") true (plain.Runner.wall = run.results.Runner.wall))
+    [ ({ Systems.zk_servers = 3; backends = 2; backend_kind = Systems.Lustre }, 16, 10);
+      ({ Systems.zk_servers = 5; backends = 2; backend_kind = Systems.Pvfs }, 8, 12) ]
+
+(* {2 Shared state}
+
+   [Obs.Trace.null] and [Obs.Trace.no_wspan] are the only values every
+   run shares. Untraced runs must leave both untouched, so independent
+   runs could share a process. *)
+
+let test_null_trace_untouched () =
+  ignore
+    (Systems.dufs_mdtest ~dirs_per_proc:8 ~files_per_proc:8
+       ~spec:{ Systems.zk_servers = 3; backends = 2; backend_kind = Systems.Lustre }
+       ~shards:2 ~procs:8 ());
+  ignore
+    (Systems.mdtest ~dirs_per_proc:8 ~files_per_proc:8
+       (Systems.Dufs_cached
+          { Systems.zk_servers = 3; backends = 2; backend_kind = Systems.Lustre })
+       ~procs:8 ());
+  Alcotest.(check (list string))
+    "null trace registry empty" []
+    (Obs.Metrics.names (Obs.Trace.metrics Obs.Trace.null));
+  check_bool "null trace off" false (Obs.Trace.enabled Obs.Trace.null);
+  let w = Obs.Trace.no_wspan in
+  check_bool "no_wspan unstamped" true
+    (List.for_all
+       (fun t -> t = Float.neg_infinity)
+       [ w.Obs.Trace.w_sent; w.w_batch; w.w_proposed; w.w_quorum ]
+     && w.w_persist = 0.)
 
 (* {2 Fig. 11 data shape} *)
 
@@ -262,5 +319,10 @@ let () =
             test_more_zk_servers_help_stats_hurt_creates;
           Alcotest.test_case "backends help file stat" `Slow
             test_more_backends_help_file_stat ] );
+      ( "dufs-runners",
+        [ Alcotest.test_case "mdtest equals dufs_mdtest" `Quick test_dufs_runners_agree ] );
+      ( "shared-state",
+        [ Alcotest.test_case "null trace untouched by untraced runs" `Quick
+            test_null_trace_untouched ] );
       ( "memory",
         [ Alcotest.test_case "fig11 shapes" `Quick test_fig11_memory_shapes ] ) ]
