@@ -56,11 +56,14 @@ let span_quantile t name q =
    One [wspan] rides along a coordination write; the layers it crosses
    stamp it (client send, leader batch start, proposal fan-out, quorum
    commit) and the client folds the stamps into the five quorum phases
-   when the reply lands. The stamps tile the op's timeline exactly, so
-   phase durations sum to the measured op latency by construction. *)
+   when the reply lands, plus a [retry] span (first send to last
+   resend) for a retried write. The stamps tile the op's timeline
+   exactly, so the spans sum to the measured op latency by
+   construction. *)
 
 type wspan = {
   mutable w_sent : float;      (* client handed the write to the wire *)
+  mutable w_resent : float;    (* last (re)send: [w_sent] until a retry *)
   mutable w_batch : float;     (* leader started processing its batch *)
   mutable w_persist : float;   (* persist share of the batch sleep (duration) *)
   mutable w_proposed : float;  (* proposals handed to the follower fan-out *)
@@ -72,6 +75,7 @@ let unstamped = Float.neg_infinity
 (* Shared dummy carried by untraced writes: never read back. *)
 let no_wspan =
   { w_sent = unstamped;
+    w_resent = unstamped;
     w_batch = unstamped;
     w_persist = 0.;
     w_proposed = unstamped;
@@ -80,6 +84,7 @@ let no_wspan =
 let wspan t ~now =
   if t.on then
     { w_sent = now;
+      w_resent = now;
       w_batch = unstamped;
       w_persist = 0.;
       w_proposed = unstamped;
@@ -99,14 +104,16 @@ let finish_write t ~op w ~now =
          a span half-stamped (for example a write that fails after its
          retries), and a half-stamped span is not honest data *)
       w.w_sent >= 0.
-      && w.w_batch >= w.w_sent
+      && w.w_batch >= w.w_resent
       && w.w_proposed >= w.w_batch +. w.w_persist
       && w.w_quorum >= w.w_proposed
       && now >= w.w_quorum
     then begin
       let base = "zk." ^ op in
       record_span t (base ^ ".total") (now -. w.w_sent);
-      record_span t (base ^ ".queue-wait") (w.w_batch -. w.w_sent);
+      if w.w_resent > w.w_sent then
+        record_span t (base ^ ".retry") (w.w_resent -. w.w_sent);
+      record_span t (base ^ ".queue-wait") (w.w_batch -. w.w_resent);
       record_span t (base ^ ".propose") (w.w_proposed -. w.w_batch -. w.w_persist);
       record_span t (base ^ ".persist") w.w_persist;
       record_span t (base ^ ".ack") (w.w_quorum -. w.w_proposed);

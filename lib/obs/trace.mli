@@ -46,12 +46,15 @@ val span_quantile : t -> string -> float -> float option
     send time, the leader stamps batch start / persist share / proposal
     fan-out / quorum commit, and the client calls {!finish_write} when
     the reply lands, folding the stamps into the five quorum phases
-    (queue-wait, propose, persist, ack, commit) plus the op total. The
-    stamps tile the op's timeline, so the phase durations sum to the
-    measured op latency by construction. *)
+    (queue-wait, propose, persist, ack, commit) plus the op total. A
+    retried write's client stamps each resend; the time before the last
+    one is its [retry] span, and its queue-wait starts at that resend.
+    The stamps tile the op's timeline, so the retry and phase durations
+    sum to the measured op latency by construction. *)
 
 type wspan = {
   mutable w_sent : float;
+  mutable w_resent : float;  (** last (re)send; [w_sent] until a retry *)
   mutable w_batch : float;
   mutable w_persist : float;  (** duration, not a stamp *)
   mutable w_proposed : float;
@@ -71,10 +74,11 @@ val is_real : wspan -> bool
 (** The five quorum phases, in timeline order. *)
 val phases : string list
 
-(** [finish_write t ~op w ~now] records [zk.<op>.total] and the five
-    [zk.<op>.<phase>] spans. A real span missing stamps or non-monotone
-    (for example a write that failed after its retries) records no phases and bumps
-    the [zk.<op>.dropped] counter instead. Does nothing when the trace is
+(** [finish_write t ~op w ~now] records [zk.<op>.total], the five
+    [zk.<op>.<phase>] spans and, for a retried write, [zk.<op>.retry]. A
+    real span missing stamps or non-monotone (for example a write that
+    failed after its retries) records nothing and bumps the
+    [zk.<op>.dropped] counter instead. Does nothing when the trace is
     off or [w] is {!no_wspan}. *)
 val finish_write : t -> op:string -> wspan -> now:float -> unit
 

@@ -1485,10 +1485,30 @@ let reshard_config_label ~shards ~to_shards ~max_batch =
   Printf.sprintf "reshard=%d->%d|servers=%d|max_batch=%d|backends=8xLustre"
     shards to_shards reshard_servers max_batch
 
-let reshard_p99 (r : Systems.dufs_run) =
+(* What [reshard] keeps of a run once the next one starts: what its
+   table, JSON and gate read. The router, and through it every shard's
+   trees, WAL and history, is garbage from then on. *)
+type reshard_run = {
+  sharded : sharding_run;
+  stats : Zk.Reshard.stats option;
+  window : float;
+  violations : int;
+  history_checked : int;
+  history_recorded : int;
+}
+
+let reshard_run (r : Systems.dufs_run) =
+  { sharded = sharding_run r;
+    stats = r.Systems.reshard;
+    window = r.Systems.reshard_window;
+    violations = List.length r.Systems.violations;
+    history_checked = r.Systems.history_checked;
+    history_recorded = r.Systems.history_recorded }
+
+let reshard_p99 (r : reshard_run) =
   Option.map
     (fun l -> l.Runner.p99)
-    (Runner.latency_of r.Systems.results Runner.File_create)
+    (Runner.latency_of r.sharded.run.results Runner.File_create)
 
 (* Migration pressure may raise a split's file-create p99, but by no
    more than this factor over the no-split baseline at the same scale. *)
@@ -1498,8 +1518,8 @@ let reshard_max_p99_ratio = 12.
    non-empty migration window, move a bounded-load remainder (some keys,
    never a near-full rehash), and keep file-create p99 within
    [reshard_max_p99_ratio] of the no-split [base]line at the same scale. *)
-let reshard_move_check ~ctx ~base (r : Systems.dufs_run) =
-  match r.Systems.reshard with
+let reshard_move_check ~ctx ~base (r : reshard_run) =
+  match r.stats with
   | None -> [ ctx ^ ": controller never finished" ]
   | Some st ->
     let total = st.Zk.Reshard.keys_total
@@ -1514,7 +1534,7 @@ let reshard_move_check ~ctx ~base (r : Systems.dufs_run) =
         Report.expect
           (float_of_int migrated <= 0.9 *. float_of_int total)
           "%s: migrated %d of %d keys, a near-full rehash" ctx migrated total;
-        Report.expect (r.Systems.reshard_window > 0.)
+        Report.expect (r.window > 0.)
           "%s: empty migration window" ctx;
         (match (base, reshard_p99 r) with
          | Some b, Some p when b > 0. ->
@@ -1529,7 +1549,7 @@ let reshard_move_check ~ctx ~base (r : Systems.dufs_run) =
    [reshard_move_check]. *)
 let reshard_check runs =
   List.concat_map
-    (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
+    (fun ((shards, to_shards, procs), (r : reshard_run)) ->
       let ctx =
         Printf.sprintf "reshard %d->%d shards @%d procs" shards to_shards procs
       in
@@ -1540,17 +1560,15 @@ let reshard_check runs =
           runs
       in
       List.concat
-        [ Report.expect (r.Systems.results.Runner.errors = 0)
-            "%s: %d client op errors" ctx r.Systems.results.Runner.errors;
+        [ Report.expect (r.sharded.run.results.Runner.errors = 0)
+            "%s: %d client op errors" ctx r.sharded.run.results.Runner.errors;
           Report.expect
-            (r.Systems.logical_znodes_at_stat
-             = r.Systems.expected_logical_znodes)
-            "%s: census %d <> expected %d" ctx r.Systems.logical_znodes_at_stat
-            r.Systems.expected_logical_znodes;
-          Report.expect (r.Systems.violations = [])
-            "%s: %d linearizability violations" ctx
-            (List.length r.Systems.violations);
-          Report.expect (r.Systems.history_checked > 0)
+            (r.sharded.logical_znodes_at_stat = r.sharded.expected_logical_znodes)
+            "%s: census %d <> expected %d" ctx r.sharded.logical_znodes_at_stat
+            r.sharded.expected_logical_znodes;
+          Report.expect (r.violations = 0)
+            "%s: %d linearizability violations" ctx r.violations;
+          Report.expect (r.history_checked > 0)
             "%s: oracle checked 0 ops" ctx;
           (if to_shards = shards then [] else reshard_move_check ~ctx ~base r) ])
     runs
@@ -1564,9 +1582,10 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       (fun procs ->
         let go ~shards ~to_shards =
           ( (shards, to_shards, procs),
-            Systems.dufs_mdtest ~history_clients:8 ~to_shards
-              ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
-              ~spec ~shards ~procs () )
+            reshard_run
+              (Systems.dufs_mdtest ~history_clients:8 ~to_shards
+                 ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
+                 ~spec ~shards ~procs ()) )
         in
         [ go ~shards:2 ~to_shards:2 (* no-split baseline *);
           go ~shards:2 ~to_shards:4 (* the live split *) ]
@@ -1578,47 +1597,44 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   Printf.printf "%-14s %5s %12s %12s %9s %13s %7s %5s\n" "config" "procs"
     "create/s" "p99 (ms)" "window" "migrated" "stubs" "viol";
   List.iter
-    (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
+    (fun ((shards, to_shards, procs), r) ->
       let label = Printf.sprintf "%d->%d shards" shards to_shards in
       let p99_ms = Option.fold ~none:0. ~some:(fun p -> p *. 1e3) (reshard_p99 r) in
       let migrated =
-        match r.Systems.reshard with
+        match r.stats with
         | Some st ->
           Printf.sprintf "%d/%d" st.Zk.Reshard.keys_migrated
             st.Zk.Reshard.keys_total
         | None -> "-"
       in
       Printf.printf "%-14s %5d %12.0f %12.2f %8.2fs %13s %7d %5d\n" label procs
-        (Runner.rate r.Systems.results Runner.File_create)
-        p99_ms r.Systems.reshard_window migrated r.Systems.live_stubs_at_stat
-        (List.length r.Systems.violations))
+        (Runner.rate r.sharded.run.results Runner.File_create)
+        p99_ms r.window migrated r.sharded.live_stubs_at_stat r.violations)
     runs;
   flush stdout;
   Option.iter
     (fun path ->
       Report.emit_json ~path
         (List.concat_map
-           (fun ((shards, to_shards, procs), (r : Systems.dufs_run)) ->
+           (fun ((shards, to_shards, procs), r) ->
              let config = reshard_config_label ~shards ~to_shards ~max_batch in
              let keys_total, keys_migrated, controller_errors =
-               match r.Systems.reshard with
+               match r.stats with
                | Some st ->
                  (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
                | None -> (0, 0, 0)
              in
-             mdtest_points ~procs ~config r.Systems.results
+             mdtest_points ~procs ~config r.sharded.run.results
              @ [ Report.point ~experiment:"reshard-accounting" ~procs
                    ~config:
                      (Printf.sprintf
                         "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
-                        config r.Systems.expected_logical_znodes
-                        r.Systems.logical_znodes_at_stat
-                        r.Systems.live_stubs_at_stat keys_total keys_migrated
-                        (List.length r.Systems.violations)
-                        r.Systems.history_checked r.Systems.history_recorded
-                        r.Systems.reshard_window controller_errors
-                        r.Systems.results.Runner.errors)
-                   ~ops_per_sec:0.0 ~shards:(shard_stats r) () ])
+                        config r.sharded.expected_logical_znodes
+                        r.sharded.logical_znodes_at_stat r.sharded.live_stubs_at_stat
+                        keys_total keys_migrated r.violations r.history_checked
+                        r.history_recorded r.window controller_errors
+                        r.sharded.run.results.Runner.errors)
+                   ~ops_per_sec:0.0 ~shards:r.sharded.shards () ])
            runs))
     json_path;
   Report.gate ~experiment:"reshard" (reshard_check runs)

@@ -351,12 +351,19 @@ val sessions_smoke : ?json_path:string -> unit -> unit
 val reshard :
   ?procs_list:int list -> ?max_batch:int -> ?json_path:string -> unit -> unit
 
+(** What {!reshard} keeps of a run: what it prints, emits and gates
+    on. *)
+type reshard_run
+
+(** The reduction {!reshard} applies to each run as it finishes. *)
+val reshard_run : Systems.dufs_run -> reshard_run
+
 (** The reshard gate, per [((shards, to_shards, procs), run)]: no client
     or controller errors, an exact logical census, a non-empty
     linearizable history; for a split or merge, a non-empty migration
     window moving some but at most 90% of the keys, and a file-create
     p99 at most 12x the no-split baseline's at the same [procs]. *)
-val reshard_check : ((int * int * int) * Systems.dufs_run) list -> string list
+val reshard_check : ((int * int * int) * reshard_run) list -> string list
 
 (** The CI variant: 64 processes only — the BENCH_pr8_smoke.json
     artifact. Same failure conditions as {!reshard}. *)

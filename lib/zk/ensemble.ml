@@ -528,9 +528,7 @@ let wal_append (s : server) ~start ~done_at ~zxid ~txn ~time ~rid ~close =
    as free: ZooKeeper serializes fuzzy snapshots from a background
    thread off the commit path, and the simulated persist budget already
    covers the log append that actually gates each ack. The snapshot
-   holds the tree's image now and encodes it only if recovery ever reads
-   it; suspending [Ztree.serialize s.tree] instead would encode a later
-   tree. *)
+   holds the tree's image, an immutable value. *)
 let wal_applied t (s : server) zxid =
   Wal.note_commit s.wal zxid;
   if
@@ -539,9 +537,8 @@ let wal_applied t (s : server) zxid =
          (Int64.sub (Wal.frontier s.wal) (Wal.last_snapshot_zxid s.wal))
        >= t.cfg.snapshot_every
   then
-    let img = Ztree.capture s.tree in
     Wal.snapshot s.wal ~zxid:(Ztree.last_zxid s.tree) ~epoch:s.epoch
-      (lazy (Ztree.encode img))
+      (Ztree.capture s.tree)
 
 (* {2 Deferred replies} *)
 
@@ -886,15 +883,15 @@ let leader_handle_batch t (s : server) batch =
          (fun (_, _, _, _, span, _) ->
            if Obs.Trace.is_real span then begin
              (* queue wait, measured where the backlog lives: client
-                send -> leader batch start. Recorded untagged always
+                (last) send -> leader batch start. Recorded untagged always
                 (single-ensemble profiles read this), plus per-shard
                 under the tag so a sharded deployment's balance shows. *)
              Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_sent);
+               (time -. span.Obs.Trace.w_resent);
              if t.tag <> "" then
                Obs.Trace.observe t.trace
                  ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_sent);
+                 (time -. span.Obs.Trace.w_resent);
              span.Obs.Trace.w_batch <- time;
              span.Obs.Trace.w_persist <- persist_dur
            end)
@@ -978,11 +975,11 @@ let leader_enqueue_batch t (s : server) batch =
          (fun (_, _, _, _, span, _) ->
            if Obs.Trace.is_real span then begin
              Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_sent);
+               (time -. span.Obs.Trace.w_resent);
              if t.tag <> "" then
                Obs.Trace.observe t.trace
                  ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_sent);
+                 (time -. span.Obs.Trace.w_resent);
              (* [w_persist] stays 0: the overlapped persist is off the
                 critical path — its residual cost surfaces inside the
                 ack phase, so the five phases still tile the latency *)
@@ -1571,10 +1568,8 @@ let state_transfer t ~from ~target =
       src.applied;
     t.transfer_snaps <- t.transfer_snaps + 1;
     (* write-through: the installed snapshot supersedes dst's whole
-       local log (TRUNC + SNAP); its bytes exist once something reads
-       them *)
-    Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch
-      (lazy (Ztree.encode img))
+       local log (TRUNC + SNAP) *)
+    Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch img
   end;
   let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
   while !zxid <= Ztree.last_zxid src.tree do
@@ -1741,15 +1736,12 @@ let recovery_elect t =
 let recover_local t (s : server) =
   let r = Wal.recover s.wal in
   let stale = s.tree in
-  let tree =
-    match r.Wal.rc_snapshot with
-    | Some payload -> (
-      match Ztree.deserialize ~share:t.share payload with
-      | Ok tree -> tree
-      | Error _ -> Ztree.create ~share:t.share () (* unreachable: checksum-gated *))
-    | None -> Ztree.create ~share:t.share ()
-  in
-  s.tree <- tree;
+  (* members that restore the same snapshot hold one image, so their
+     replays share applies *)
+  s.tree <-
+    (match r.Wal.rc_snapshot with
+     | Some img -> Ztree.restore ~share:t.share img
+     | None -> Ztree.create ~share:t.share ());
   Zxid_tbl.reset s.log;
   Zxid_tbl.reset s.applied;
   List.iter
@@ -1773,9 +1765,9 @@ let recover_local t (s : server) =
   t.recoveries <- t.recoveries + 1;
   let recovery_time =
     (match r.Wal.rc_snapshot with
-     | Some p ->
+     | Some img ->
        (* snapshot load at device speed, one persist per 64 KiB page *)
-       float_of_int ((String.length p / 65536) + 1) *. t.cfg.persist
+       float_of_int ((Ztree.encoded_length img / 65536) + 1) *. t.cfg.persist
      | None -> 0.)
     +. (float_of_int r.Wal.rc_replayed
         *. (t.cfg.persist +. t.cfg.follower_apply))
@@ -1890,7 +1882,6 @@ let wal_truncated t = sum_wal Wal.truncated t
 let wal_tail_dropped t = sum_wal Wal.tail_dropped t
 let snap_loads t = sum_wal Wal.snap_loads t
 let snap_fallbacks t = sum_wal Wal.snap_fallbacks t
-let snap_encodes t = sum_wal Wal.snap_encodes t
 let wal_snapshots t id = Wal.snapshots t.members.(id).wal
 
 let durable_zxid t id =
@@ -1961,6 +1952,7 @@ let rec submit_attempts t ~server ~cep ~rng ~attempt ~attempts ~rid ~span txn =
   match result with
   | Error Zerror.ZOPERATIONTIMEOUT when attempts > 1 ->
     backoff_sleep t rng ~attempt;
+    if Obs.Trace.is_real span then span.Obs.Trace.w_resent <- Engine.now t.engine;
     submit_attempts t ~server ~cep ~rng ~attempt:(attempt + 1)
       ~attempts:(attempts - 1) ~rid ~span txn
   | result -> result
@@ -1970,9 +1962,10 @@ let submit t ~server ~cep ~rng ~attempts ~rid txn =
   let result =
     submit_attempts t ~server ~cep ~rng ~attempt:0 ~attempts ~rid ~span txn
   in
-  (* finish_write rejects half-stamped spans, so a retried or failed-over
-     write drops out of the breakdown instead of skewing it; it counts
-     what it drops under zk.<op>.dropped *)
+  (* finish_write rejects half-stamped spans, so a write that failed, or
+     whose last attempt left no stamps of its own, drops out of the
+     breakdown instead of skewing it; it counts what it drops under
+     zk.<op>.dropped *)
   Obs.Trace.finish_write t.trace ~op:(txn_label txn) span
     ~now:(Engine.now t.engine);
   result

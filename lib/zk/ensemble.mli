@@ -307,11 +307,6 @@ val snap_loads : t -> int
     to the older one. *)
 val snap_fallbacks : t -> int
 
-(** Periodic snapshots whose deferred bytes were encoded because
-    something read them (recovery or [corrupt_snapshot]); snapshots
-    nobody reads cost no encode. *)
-val snap_encodes : t -> int
-
 val wal_snapshots : t -> int -> int
 
 (** Highest zxid on server [id] that would survive a power failure at

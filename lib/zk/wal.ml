@@ -32,16 +32,16 @@
    applied prefix exactly), the epoch stamp, and records installed by a
    leader state transfer.
 
-   Bytes are materialised on first read. [append] keeps only the entry;
-   the payload and its MD5 are computed the first time something reads
-   the disk ([record_valid] during recovery and [durable_zxid], or
-   [corrupt]). The entry is immutable, so the bytes are exactly those
-   an eager encode would have produced, and the checksum verifies the
-   same bytes and selects the same records as an eager one. A snapshot
-   is deferred the same way: the caller takes the tree's immutable image
-   ([Ztree.capture], O(1)) and hands over a suspended encode of it; the
-   bytes and their MD5 are produced the first time recovery's snapshot
-   ladder or [corrupt_snapshot] reads them. *)
+   The fault marks are the bytes' verdict. The model knows which
+   records were torn or rotted, so it keeps those marks instead of the
+   bytes: a record verifies iff it is neither torn nor rotted. Rot
+   flips one mid-payload byte, so a second rot of the same record flips
+   it back and the record verifies again; [r_rotted] toggles the same
+   way. [corrupt] still picks its victims by the MD5 of each record's
+   as-appended encoding, computed on the fly. A snapshot keeps the
+   tree's immutable image ([Ztree.capture], O(1)) and a rot mark; the
+   image is what recovery restores, and its bytes would be
+   [Ztree.encode] of it. *)
 
 type entry = {
   e_zxid : int64;
@@ -55,18 +55,17 @@ type entry = {
 type record = {
   r_entry : entry;
   r_epoch : int;
-  mutable r_payload : string; (* "" until materialised *)
-  mutable r_sum : string; (* MD5 of the payload as appended; "" until then *)
   r_start : float; (* device write issued *)
   r_done : float; (* device write (incl. fsync) complete *)
   mutable r_torn : bool; (* partially written: crash mid-append *)
+  mutable r_rotted : bool; (* one payload byte flipped by bit-rot *)
 }
 
 type snapshot = {
   s_zxid : int64;
   s_epoch : int;
-  mutable s_payload : string Lazy.t; (* Ztree.serialize at [s_zxid] *)
-  mutable s_sum : string; (* "" until first read *)
+  s_image : Ztree.image; (* the tree at [s_zxid] *)
+  mutable s_rotted : bool; (* one payload byte flipped by bit-rot *)
 }
 
 type t = {
@@ -85,7 +84,6 @@ type t = {
   mutable tail_dropped : int; (* un-fsynced records dropped at power-off *)
   mutable snap_loads : int;
   mutable snap_fallbacks : int; (* corrupt snapshot skipped for an older one *)
-  mutable snap_encodes : int; (* deferred snapshot payloads materialised *)
 }
 
 let create () =
@@ -101,8 +99,7 @@ let create () =
     truncated = 0;
     tail_dropped = 0;
     snap_loads = 0;
-    snap_fallbacks = 0;
-    snap_encodes = 0 }
+    snap_fallbacks = 0 }
 
 (* {2 Record encoding} *)
 
@@ -160,28 +157,12 @@ let epoch_at t zxid =
 
 let append t ~epoch ~start ~done_at entry =
   let r =
-    { r_entry = entry; r_epoch = epoch; r_payload = ""; r_sum = "";
-      r_start = start; r_done = done_at; r_torn = false }
+    { r_entry = entry; r_epoch = epoch; r_start = start; r_done = done_at;
+      r_torn = false; r_rotted = false }
   in
   t.records <- r :: t.records;
   Zxid_tbl.replace t.by_zxid entry.e_zxid r;
   t.appended <- t.appended + 1
-
-(* The bytes on the platter, encoded and checksummed on first read. *)
-let record_bytes r =
-  if r.r_sum = "" then begin
-    r.r_payload <- encode ~epoch:r.r_epoch r.r_entry;
-    r.r_sum <- Md5.digest r.r_payload
-  end;
-  r.r_payload
-
-(* A snapshot's bytes as taken, and their MD5, on first read. *)
-let snapshot_sum t s =
-  if s.s_sum = "" then begin
-    if not (Lazy.is_val s.s_payload) then t.snap_encodes <- t.snap_encodes + 1;
-    s.s_sum <- Md5.digest (Lazy.force s.s_payload)
-  end;
-  s.s_sum
 
 let note_commit t zxid = if zxid > t.frontier then t.frontier <- zxid
 let note_epoch t epoch = if epoch > t.epoch then t.epoch <- epoch
@@ -202,8 +183,8 @@ let rebuild_index t =
    place: the cut is by zxid, so every record of a pruned zxid (of any
    epoch) goes and every record of a kept zxid stays — removing the
    pruned zxids leaves exactly the index a rebuild would give. *)
-let snapshot t ~zxid ~epoch payload =
-  let s = { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } in
+let snapshot t ~zxid ~epoch image =
+  let s = { s_zxid = zxid; s_epoch = epoch; s_image = image; s_rotted = false } in
   match t.snaps with
   | [] -> t.snaps <- [ s ]
   | older :: _ ->
@@ -223,10 +204,10 @@ let last_snapshot_zxid t =
    whole local log: everything at or below it is captured by the
    snapshot, everything above it is a stale suffix the leader has
    overruled (ZooKeeper's TRUNC). *)
-let install_snapshot t ~zxid ~epoch payload =
+let install_snapshot t ~zxid ~epoch image =
   t.records <- [];
   Zxid_tbl.reset t.by_zxid;
-  t.snaps <- [ { s_zxid = zxid; s_epoch = epoch; s_payload = payload; s_sum = "" } ];
+  t.snaps <- [ { s_zxid = zxid; s_epoch = epoch; s_image = image; s_rotted = false } ];
   if zxid > t.frontier then t.frontier <- zxid
 
 (* {2 Storage-fault state} *)
@@ -252,22 +233,19 @@ let fsync_extra t = t.fsync_extra
 let tear_tail t =
   match t.records with [] -> false | r :: _ -> r.r_torn <- true; true
 
-(* Deterministic bit-rot: each record decays iff a hash of its checksum
-   falls under [fraction] — reproducible across runs (no RNG draw), yet
-   spread pseudo-randomly over the log. The flipped byte sits mid-
-   payload, so the record parses identically but fails verification. *)
+(* Deterministic bit-rot: each record decays iff a hash of its
+   as-appended checksum falls under [fraction] — reproducible across
+   runs (no RNG draw), yet spread pseudo-randomly over the log. The
+   flipped byte sits mid-payload, so the record parses identically but
+   fails verification; flipping it again restores the bytes. *)
 let corrupt t ~fraction =
   let threshold = int_of_float (fraction *. 65536.) in
   let hit = ref 0 in
   List.iter
     (fun r ->
-      (* the pick needs the as-appended checksum, so read the bytes first *)
-      let payload = record_bytes r in
-      if Md5.to_int r.r_sum land 0xFFFF < threshold then begin
-        let i = String.length payload / 2 in
-        let b = Bytes.of_string payload in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-        r.r_payload <- Bytes.to_string b;
+      let sum = Md5.digest (encode ~epoch:r.r_epoch r.r_entry) in
+      if Md5.to_int sum land 0xFFFF < threshold then begin
+        r.r_rotted <- not r.r_rotted;
         incr hit
       end)
     t.records;
@@ -276,13 +254,7 @@ let corrupt t ~fraction =
 let corrupt_snapshot t =
   match t.snaps with
   | [] -> false
-  | s :: _ ->
-    ignore (snapshot_sum t s : string);
-    let b = Bytes.of_string (Lazy.force s.s_payload) in
-    let i = Bytes.length b / 2 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-    s.s_payload <- Lazy.from_val (Bytes.to_string b);
-    true
+  | s :: _ -> s.s_rotted <- not s.s_rotted; true
 
 (* {2 Crash} *)
 
@@ -314,22 +286,17 @@ let power_off t ~now =
 (* {2 Recovery} *)
 
 type recovered = {
-  rc_snapshot : string option; (* payload to deserialize; None = cold *)
+  rc_snapshot : Ztree.image option; (* None = cold start *)
   rc_snap_zxid : int64;
   rc_replay : entry list; (* (snap, frontier], ascending, contiguous *)
   rc_tail : entry list; (* beyond the frontier: persisted, uncommitted *)
   rc_log_end : int * int64; (* (epoch, zxid) of the last readable record *)
   rc_truncated : int; (* records lost to torn tails / bad checksums *)
   rc_replayed : int;
-  rc_loaded_snapshot : bool;
   rc_snap_fallback : bool;
 }
 
-let record_valid r =
-  if r.r_torn then false
-  else
-    let payload = record_bytes r in
-    Md5.digest payload = r.r_sum
+let record_valid r = not (r.r_torn || r.r_rotted)
 
 (* Walk the log in append order, stop at the first unreadable record,
    and resolve zxid rewinds (epoch changes overwriting an uncommitted
@@ -372,16 +339,14 @@ let recover t =
   let rec pick_snap fallback = function
     | [] -> (None, 0L, fallback)
     | s :: rest ->
-      let sum = snapshot_sum t s in
-      let payload = Lazy.force s.s_payload in
-      if Md5.digest payload = sum then (Some payload, s.s_zxid, fallback)
+      if not s.s_rotted then (Some s.s_image, s.s_zxid, fallback)
       else begin
         t.snap_fallbacks <- t.snap_fallbacks + 1;
         pick_snap true rest
       end
   in
-  let snap_payload, snap_zxid, snap_fallback = pick_snap false t.snaps in
-  if snap_payload <> None then t.snap_loads <- t.snap_loads + 1;
+  let snap_image, snap_zxid, snap_fallback = pick_snap false t.snaps in
+  if Option.is_some snap_image then t.snap_loads <- t.snap_loads + 1;
   (* replay = contiguous records in (snap_zxid, frontier]; a gap means
      lost records (truncated tail or pruned-under-corrupt-snapshots) —
      stop there, the leader diff-sync supplies the rest *)
@@ -421,14 +386,13 @@ let recover t =
     | [] -> (t.epoch, snap_zxid)
   in
   t.replayed <- t.replayed + List.length replay_recs;
-  { rc_snapshot = snap_payload;
+  { rc_snapshot = snap_image;
     rc_snap_zxid = snap_zxid;
     rc_replay = List.map (fun r -> r.r_entry) replay_recs;
     rc_tail = List.map (fun r -> r.r_entry) tail_recs;
     rc_log_end = log_end;
     rc_truncated = bad;
     rc_replayed = List.length replay_recs;
-    rc_loaded_snapshot = snap_payload <> None;
     rc_snap_fallback = snap_fallback }
 
 (* {2 Introspection} *)
@@ -441,7 +405,6 @@ let truncated t = t.truncated
 let tail_dropped t = t.tail_dropped
 let snap_loads t = t.snap_loads
 let snap_fallbacks t = t.snap_fallbacks
-let snap_encodes t = t.snap_encodes
 
 (* Highest zxid whose record has completed its device write at [now]
    and verifies — "what would survive a power failure right now". *)

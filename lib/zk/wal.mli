@@ -1,5 +1,7 @@
 (** Per-server stable storage: a checksummed append-only transaction
-    log plus periodic tree snapshots.
+    log plus periodic tree snapshots, modeled by their fault marks: a
+    record or snapshot verifies iff it is neither torn nor rotted, so
+    no byte is built to find out.
 
     The simulation's persist costs already decide {e when} an append
     reaches the platter (the [persist] sleeps on the stop-and-wait
@@ -39,9 +41,9 @@ val encode : epoch:int -> entry -> string
 (** Append a checksummed record. [start] is when the device write was
     issued, [done_at] when it (and its fsync) completes; a power-off
     before [done_at] loses the record — torn if the write was already
-    in flight, dropped entirely otherwise. The record's bytes and
-    checksum are computed on first read (recovery, {!durable_zxid},
-    {!corrupt}); they are the bytes [encode] gives for the entry. *)
+    in flight, dropped entirely otherwise. The record's bytes would be
+    [encode] of the entry; the log keeps the entry and its fault marks,
+    and builds no bytes. *)
 val append : t -> epoch:int -> start:float -> done_at:float -> entry -> unit
 
 (** The durable apply marker: recovery replays records up to it (the
@@ -64,22 +66,17 @@ val epoch_at : t -> int64 -> int option
 
 (** {2 Snapshots} *)
 
-(** Periodic snapshot of the applied tree at [zxid]. The payload is the
-    [Ztree.serialize] bytes of the tree at [zxid], suspended: it is
-    forced, and its MD5 taken, only when something first reads the
-    snapshot (the {!recover} ladder or {!corrupt_snapshot}); a snapshot
-    nobody reads is never encoded. The suspension must not read live
-    state — take the tree's image first, as in
-    [let img = Ztree.capture tree in lazy (Ztree.encode img)].
-    Keeps the newest two (the older is the bit-rot fallback) and prunes
-    log records at or below the older one. *)
-val snapshot : t -> zxid:int64 -> epoch:int -> string Lazy.t -> unit
+(** Periodic snapshot of the applied tree at [zxid]: its image
+    ([Ztree.capture], immutable), whose bytes would be
+    [Ztree.encode] of it. Keeps the newest two (the older is the
+    bit-rot fallback) and prunes log records at or below the older
+    one. *)
+val snapshot : t -> zxid:int64 -> epoch:int -> Ztree.image -> unit
 
-(** Leader-installed snapshot (SNAP state transfer): supersedes the
-    entire local log, ZooKeeper's TRUNC included. The payload is
-    suspended as in {!snapshot}: the transfer hands over the leader's
-    image, and its bytes are encoded only if something reads them. *)
-val install_snapshot : t -> zxid:int64 -> epoch:int -> string Lazy.t -> unit
+(** Leader-installed snapshot (SNAP state transfer) of the leader's
+    image: supersedes the entire local log, ZooKeeper's TRUNC
+    included. *)
+val install_snapshot : t -> zxid:int64 -> epoch:int -> Ztree.image -> unit
 
 val last_snapshot_zxid : t -> int64
 
@@ -102,17 +99,19 @@ val add_fsync_delay : t -> float -> unit
 
 val fsync_extra : t -> float
 
-(** Tear the newest record (its checksum can never verify again).
-    False if the log is empty. *)
+(** Tear the newest record (it can never verify again). False if the
+    log is empty. *)
 val tear_tail : t -> bool
 
 (** Deterministic bit-rot: flips a byte in roughly [fraction] of the
-    records (selected by a hash of each record's checksum — no RNG
-    draw, reproducible across runs). Returns how many records rotted. *)
+    records (selected by a hash of the MD5 of each record's [encode] —
+    no RNG draw, reproducible across runs). Flipping a rotted record's
+    byte again restores it, so a second rot heals the record. Returns
+    how many records were flipped. *)
 val corrupt : t -> fraction:float -> int
 
-(** Flip a byte mid-payload of the newest snapshot. False if there is
-    no snapshot. *)
+(** Flip a byte mid-payload of the newest snapshot (a second flip
+    restores it). False if there is no snapshot. *)
 val corrupt_snapshot : t -> bool
 
 (** {2 Crash and recovery} *)
@@ -122,8 +121,8 @@ val corrupt_snapshot : t -> bool
 val power_off : t -> now:float -> unit
 
 type recovered = {
-  rc_snapshot : string option;
-      (** payload to [Ztree.deserialize]; [None] = cold start *)
+  rc_snapshot : Ztree.image option;
+      (** image to [Ztree.restore]; [None] = cold start *)
   rc_snap_zxid : int64;
   rc_replay : entry list;
       (** committed records in (snapshot, frontier], ascending and
@@ -138,7 +137,6 @@ type recovered = {
           election compares log ends ZAB-style, epoch first *)
   rc_truncated : int;  (** records lost to torn tails / bad checksums *)
   rc_replayed : int;
-  rc_loaded_snapshot : bool;
   rc_snap_fallback : bool;
       (** newest snapshot failed its checksum; an older one was used *)
 }
@@ -160,10 +158,6 @@ val truncated : t -> int
 val tail_dropped : t -> int
 val snap_loads : t -> int
 val snap_fallbacks : t -> int
-
-(** Deferred snapshot payloads ({!snapshot}) materialised so far. A
-    fault-free run reads no snapshot, so this stays 0. *)
-val snap_encodes : t -> int
 
 (** Highest zxid that would survive a power failure at [now]: its
     record's device write has completed and still verifies. *)

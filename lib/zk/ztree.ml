@@ -69,7 +69,6 @@ type applied = {
 type share = {
   initial : image;
   recent : applied array;
-  mutable decoded : (string * image) option; (* last snapshot decoded *)
   mutable adopted : int;
   mutable computed : int;
 }
@@ -109,8 +108,7 @@ let share () =
     { zxid = 0L; time = 0.; txn = []; pre = initial; post = initial;
       result = Ok []; triggers = [] }
   in
-  { initial; recent = Array.make memo_slots vacant; decoded = None;
-    adopted = 0; computed = 0 }
+  { initial; recent = Array.make memo_slots vacant; adopted = 0; computed = 0 }
 
 let adopted sh = sh.adopted
 let computed sh = sh.computed
@@ -509,14 +507,19 @@ let add_len_str b s =
   Buffer.add_char b ':';
   Buffer.add_string b s
 
+let nibble v i = Int64.to_int (Int64.shift_right_logical v (4 * i)) land 0xf
+
+(* Hex digits of [v] without leading zeros (at least one). *)
+let hex_digits v =
+  let top = ref 15 in
+  while !top > 0 && nibble v !top = 0 do decr top done;
+  !top + 1
+
 (* [Printf "%Lx"] of the IEEE bits: lowercase, no leading zeros. *)
 let add_float_bits b f =
   let v = Int64.bits_of_float f in
-  let nibble i = Int64.to_int (Int64.shift_right_logical v (4 * i)) land 0xf in
-  let top = ref 15 in
-  while !top > 0 && nibble !top = 0 do decr top done;
-  for i = !top downto 0 do
-    Buffer.add_char b "0123456789abcdef".[nibble i]
+  for i = hex_digits v - 1 downto 0 do
+    Buffer.add_char b "0123456789abcdef".[nibble v i]
   done
 
 (* Bytes of a node line besides its path and data: two length prefixes,
@@ -559,6 +562,31 @@ let encode img =
       Buffer.add_char buf '\n')
     img.nodes;
   Buffer.contents buf
+
+(* [String.length (string_of_int n)], sign included. *)
+let rec dec_digits n =
+  if n > -10 && n < 10 then 1 + Bool.to_int (n < 0) else 1 + dec_digits (n / 10)
+
+let dec_digits64 v =
+  let n = Int64.to_int v in
+  if Int64.equal (Int64.of_int n) v then dec_digits n
+  else String.length (Int64.to_string v)
+
+let len_str_length s = dec_digits (String.length s) + 1 + String.length s
+
+(* What [encode] writes, counted field by field. *)
+let encoded_length img =
+  let float_bits f = hex_digits (Int64.bits_of_float f) in
+  Smap.fold
+    (fun path (n : node) acc ->
+      acc + len_str_length path + len_str_length n.data
+      + dec_digits n.version + dec_digits n.cversion + dec_digits n.seq_counter
+      + dec_digits64 n.czxid + dec_digits64 n.mzxid + dec_digits64 n.pzxid
+      + float_bits n.ctime + float_bits n.mtime + dec_digits64 n.ephemeral_owner
+      + 10 (* nine separating spaces and the newline *))
+    img.nodes
+    (String.length "ZTREEv1 " + dec_digits64 img.last_zxid + 1
+     + dec_digits img.count + 1)
 
 let serialize t = encode t.state
 
@@ -651,16 +679,7 @@ let decode s =
   in
   { nodes; count; bytes; last_zxid; ephemerals }
 
-(* A member recovering from the bytes another member of its share
-   decoded last adopts that state, so replays after a whole-ensemble
-   restart can share applies again. *)
-let deserialize ?share s =
-  match share with
-  | Some { decoded = Some (bytes, img); _ } when bytes == s || String.equal bytes s ->
-    Ok (restore ?share img)
-  | _ -> (
-    match decode s with
-    | img ->
-      Option.iter (fun sh -> sh.decoded <- Some (s, img)) share;
-      Ok (restore ?share img)
-    | exception Bad_snapshot msg -> Error ("Ztree.deserialize: " ^ msg))
+let deserialize s =
+  match decode s with
+  | img -> Ok (restore img)
+  | exception Bad_snapshot msg -> Error ("Ztree.deserialize: " ^ msg)

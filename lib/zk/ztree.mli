@@ -44,10 +44,9 @@ type image
     the same image, so each committed txn needs computing once: the first
     member to apply it remembers the outcome, and a member that applies
     the same txn at the same zxid and time to that very image adopts it.
-    The context keeps the last apply per zxid modulo 256 and the last
-    snapshot it decoded; a member that diverged holds a different image
-    and simply computes its own. Contexts never share state with each
-    other. *)
+    The context keeps the last apply per zxid modulo 256; a member that
+    diverged holds a different image and simply computes its own.
+    Contexts never share state with each other. *)
 type share
 
 val share : unit -> share
@@ -159,14 +158,16 @@ val capture : t -> image
 (** The bytes {!serialize} returns for a tree holding the image. *)
 val encode : image -> string
 
+(** [String.length (encode img)], counted without building the bytes. *)
+val encoded_length : image -> int
+
 (** Serialize the whole tree (nodes, data, stats, sequence counters) to a
     self-contained byte string. Watches are not captured.
     [serialize t = encode (capture t)]. *)
 val serialize : t -> string
 
-(** Rebuild a tree from [serialize] output. With [share], bytes equal to
-    those the share decoded last give that decode's image back. *)
-val deserialize : ?share:share -> string -> (t, string) result
+(** Rebuild a tree from [serialize] output. *)
+val deserialize : string -> (t, string) result
 
 (** {2 Field encoders}
 

@@ -144,7 +144,8 @@ let dufs_run ~p99 =
     registers = None }
 
 let reshard_run ?stats ~p99 ~window () =
-  { (dufs_run ~p99) with Systems.reshard = stats; reshard_window = window }
+  Figures.reshard_run
+    { (dufs_run ~p99) with Systems.reshard = stats; reshard_window = window }
 
 let split_stats () =
   let st = Zk.Reshard.fresh_stats () in

@@ -273,7 +273,7 @@ let test_null_trace_untouched () =
   check_bool "no_wspan unstamped" true
     (List.for_all
        (fun t -> t = Float.neg_infinity)
-       [ w.Obs.Trace.w_sent; w.w_batch; w.w_proposed; w.w_quorum ]
+       [ w.Obs.Trace.w_sent; w.w_resent; w.w_batch; w.w_proposed; w.w_quorum ]
      && w.w_persist = 0.)
 
 (* {2 Fig. 11 data shape} *)

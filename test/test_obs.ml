@@ -234,6 +234,46 @@ let test_crash_retry_counts_dropped_spans () =
   check_int "every create either traced or counted" 40
     (Trace.span_count trace "zk.create.total" + dropped)
 
+(* A create whose leader dies before the write reaches it times out,
+   retries once the survivors have elected a new leader, and succeeds.
+   Its span carries the timeout as one [retry] span; queue-wait starts
+   at the resend, so retry plus the five phases is the op's latency. *)
+let test_retry_span_tiles_the_total () =
+  let engine = Engine.create () in
+  let cfg =
+    { (Zk.Ensemble.default_config ~servers:3) with
+      Zk.Ensemble.election_timeout = 0.2;
+      request_timeout = 0.3 }
+  in
+  let trace = Trace.create () in
+  Trace.enable trace;
+  let ensemble = Zk.Ensemble.start ~trace engine cfg in
+  let result = ref None in
+  Process.spawn engine (fun () ->
+      Process.sleep 0.1;
+      let leader = Option.get (Zk.Ensemble.leader_id ensemble) in
+      let s = Zk.Ensemble.session ensemble ~server:((leader + 1) mod 3) () in
+      Zk.Ensemble.crash ensemble leader;
+      result := Some (s.Zk.Zk_client.create "/r" ~data:"x"));
+  Engine.run engine;
+  check_bool "the retried create succeeded" true
+    (match !result with Some (Ok _) -> true | Some (Error _) | None -> false);
+  check_int "one create traced" 1 (Trace.span_count trace "zk.create.total");
+  check_int "with one retry span" 1 (Trace.span_count trace "zk.create.retry");
+  check_int "nothing dropped" 0 (Trace.dropped trace ~op:"create");
+  let span name =
+    match Trace.span_mean trace ("zk.create." ^ name) with
+    | Some m -> m
+    | None -> Alcotest.fail (name ^ ": no sample")
+  in
+  let retry = span "retry" and total = span "total" in
+  check_bool "the retry span covers the timeout" true (retry >= 0.3);
+  let sum = List.fold_left (fun acc p -> acc +. span p) retry Trace.phases in
+  check_bool
+    (Printf.sprintf "retry + phases %.12g = total %.12g" sum total)
+    true
+    (Float.abs (sum -. total) <= 1e-9 *. total)
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -252,4 +292,6 @@ let () =
           Alcotest.test_case "phases telescope to op latency" `Quick
             test_phase_telescoping;
           Alcotest.test_case "crash-leader retries counted as dropped" `Quick
-            test_crash_retry_counts_dropped_spans ] ) ]
+            test_crash_retry_counts_dropped_spans;
+          Alcotest.test_case "a retry span tiles the total" `Quick
+            test_retry_span_tiles_the_total ] ) ]

@@ -80,6 +80,19 @@ let test_encode_golden_bytes () =
 
 let replay_zxids r = List.map (fun e -> e.Wal.e_zxid) r.Wal.rc_replay
 
+(* Distinct snapshot images: the tree holding one node, created at [z]. *)
+let tree_at z =
+  let tree = Ztree.create () in
+  ignore
+    (ok_or_fail "tree_at"
+       (Ztree.apply tree ~zxid:z ~time:0. (entry z).Wal.e_txn));
+  Ztree.capture tree
+
+let tree_at_3 = tree_at 3L
+let tree_at_5 = tree_at 5L
+let tree_at_8 = tree_at 8L
+let empty_image = Ztree.capture (Ztree.create ())
+
 let test_power_off_drops_unfsynced_tail () =
   let w = Wal.create () in
   (* four appends: two fsynced by t=0.3, one mid-write (torn), one still
@@ -136,13 +149,13 @@ let test_snapshot_fallback_ladder () =
     Wal.append w ~epoch:1 ~start:0. ~done_at:0. (entry (Int64.of_int i))
   done;
   Wal.note_commit w 10L;
-  Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
-  Wal.snapshot w ~zxid:8L ~epoch:1 (Lazy.from_val "tree-at-8");
+  Wal.snapshot w ~zxid:5L ~epoch:1 tree_at_5;
+  Wal.snapshot w ~zxid:8L ~epoch:1 tree_at_8;
   check_int "log pruned below the older snapshot" 5 (Wal.records w);
   check_bool "newest snapshot corrupted" true (Wal.corrupt_snapshot w);
   let r = Wal.recover w in
   check_bool "fell back to the older snapshot" true r.Wal.rc_snap_fallback;
-  check_bool "older snapshot loaded" true (r.Wal.rc_snapshot = Some "tree-at-5");
+  check_bool "older snapshot loaded" true (r.Wal.rc_snapshot = Some tree_at_5);
   check_bool "snapshot zxid is the fallback's" true (r.Wal.rc_snap_zxid = 5L);
   check_bool "replay covers (5, 10] from the surviving log" true
     (replay_zxids r = [ 6L; 7L; 8L; 9L; 10L ]);
@@ -179,13 +192,13 @@ let test_zxid_rewind_is_trunc () =
   check_bool "the re-proposed record wins its zxid" true
     (Wal.epoch_at w 4L = Some 2)
 
-(* {2 Bytes materialised on first read}
+(* {2 Reads do not change what the disk holds}
 
-   [append] defers encoding and checksumming until the disk is read.
    Each scenario runs twice: on a log whose every record was read back
    ([durable_zxid]) as soon as it was appended, and on a log never read
    before the fault. Both must select, verify and recover exactly the
-   same records. *)
+   same records, and rot must pick the records an MD5 of their encoded
+   bytes picks. *)
 
 (* Varied entries: multi-op, sets, closes and non-zero times, so the
    payloads (and their checksums) differ in more than the zxid. *)
@@ -257,8 +270,8 @@ let test_recover_same_for_eager_and_lazy () =
      bit-rot lands in the middle *)
   let scenario ~eager =
     let w = fill ~eager ~epoch:(fun i -> if i <= 10 then 1 else 2) 10 in
-    Wal.snapshot w ~zxid:3L ~epoch:1 (Lazy.from_val "tree-at-3");
-    Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
+    Wal.snapshot w ~zxid:3L ~epoch:1 tree_at_3;
+    Wal.snapshot w ~zxid:5L ~epoch:1 tree_at_5;
     for i = 9 to 16 do
       Wal.append w ~epoch:2 ~start:(10. +. float_of_int i)
         ~done_at:(10.5 +. float_of_int i) (varied_entry (Int64.of_int i));
@@ -283,19 +296,19 @@ let test_corrupt_snapshot_same_ladder () =
   let scenario ~read_first =
     let w = fill ~eager:false 10 in
     Wal.note_commit w 10L;
-    Wal.snapshot w ~zxid:5L ~epoch:1 (Lazy.from_val "tree-at-5");
-    Wal.snapshot w ~zxid:8L ~epoch:1 (Lazy.from_val "tree-at-8");
+    Wal.snapshot w ~zxid:5L ~epoch:1 tree_at_5;
+    Wal.snapshot w ~zxid:8L ~epoch:1 tree_at_8;
     if read_first then begin
       let r = Wal.recover w in
       check_bool "clean read loads the newest snapshot" true
-        (r.Wal.rc_snapshot = Some "tree-at-8")
+        (r.Wal.rc_snapshot = Some tree_at_8)
     end;
     check_bool "newest snapshot corrupted" true (Wal.corrupt_snapshot w);
     Wal.recover w
   in
   let r_read = scenario ~read_first:true and r_never = scenario ~read_first:false in
   check_bool "never-read snapshot falls back" true
-    (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some "tree-at-5");
+    (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some tree_at_5);
   check_bool "same ladder either way" true (r_read = r_never);
   (* the same ladder over real tree images, taken the way the ensemble
      takes them, while the tree keeps changing after each snapshot *)
@@ -308,7 +321,7 @@ let test_corrupt_snapshot_same_ladder () =
       ignore (ok_or_fail "apply" (Ztree.apply tree ~zxid:e.Wal.e_zxid ~time:0. e.Wal.e_txn));
       if i = 5 || i = 8 then begin
         let img = Ztree.capture tree in
-        Wal.snapshot w ~zxid:e.Wal.e_zxid ~epoch:1 (lazy (Ztree.encode img));
+        Wal.snapshot w ~zxid:e.Wal.e_zxid ~epoch:1 img;
         serialized := (i, Ztree.serialize tree) :: !serialized
       end
     done;
@@ -316,7 +329,7 @@ let test_corrupt_snapshot_same_ladder () =
     if read_first then begin
       let r = Wal.recover w in
       check_bool "clean read loads the tree at 8" true
-        (r.Wal.rc_snapshot = Some (List.assoc 8 !serialized))
+        (Option.map Ztree.encode r.Wal.rc_snapshot = Some (List.assoc 8 !serialized))
     end;
     check_bool "newest tree image corrupted" true (Wal.corrupt_snapshot w);
     (Wal.recover w, List.assoc 5 !serialized)
@@ -324,7 +337,8 @@ let test_corrupt_snapshot_same_ladder () =
   let r_read, at5 = tree_scenario ~read_first:true in
   let r_never, _ = tree_scenario ~read_first:false in
   check_bool "never-read tree image falls back to the tree at 5" true
-    (r_never.Wal.rc_snap_fallback && r_never.Wal.rc_snapshot = Some at5);
+    (r_never.Wal.rc_snap_fallback
+     && Option.map Ztree.encode r_never.Wal.rc_snapshot = Some at5);
   check_bool "same tree ladder either way" true (r_read = r_never)
 
 (* {2 Incremental index pruning}
@@ -368,7 +382,7 @@ let prop_index_matches_rebuild =
         | Append -> append ()
         | Snapshot ->
           let zxid = Int64.sub !next 1L in
-          Wal.snapshot w ~zxid ~epoch:!epoch (Lazy.from_val "tree");
+          Wal.snapshot w ~zxid ~epoch:!epoch empty_image;
           (match !snaps with
            | older :: _ -> log := List.filter (fun (z, _, _, _) -> z > older) !log
            | [] -> ());
@@ -397,6 +411,283 @@ let prop_index_matches_rebuild =
           (List.init (Int64.to_int !next + 1) Fun.id)
       in
       List.for_all (fun s -> step s; agrees ()) steps)
+
+(* {2 Fault marks agree with checksums}
+
+   The log keeps fault marks where a disk keeps bytes. The reference
+   below keeps the bytes: each record's [Wal.encode] and the MD5 they
+   had when appended, and each snapshot's [Ztree.encode] and its MD5.
+   Bit-rot XOR-flips a mid-payload byte, and a record or snapshot
+   verifies iff it is not torn and its bytes still hash to their MD5.
+   Random runs of appends, epoch rewinds, commits, snapshots,
+   power-offs, tears and repeated rot on one log must read back exactly
+   what the reference reads back, at every step. *)
+
+type ref_record = {
+  rr_entry : Wal.entry;
+  rr_epoch : int;
+  rr_start : float;
+  rr_done : float;
+  rr_sum : string;
+  rr_bytes : Bytes.t;
+  mutable rr_torn : bool;
+}
+
+type ref_snap = {
+  rs_zxid : int64;
+  rs_image : Ztree.image;
+  rs_sum : string;
+  rs_bytes : Bytes.t;
+}
+
+type ref_log = {
+  mutable recs : ref_record list; (* newest first *)
+  mutable snaps : ref_snap list; (* newest first *)
+  mutable frontier : int64;
+  mutable depoch : int;
+}
+
+let flip b =
+  let i = Bytes.length b / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40))
+
+let verifies sum b = Zk.Md5.digest (Bytes.to_string b) = sum
+let rr_zxid r = r.rr_entry.Wal.e_zxid
+let rr_valid r = (not r.rr_torn) && verifies r.rr_sum r.rr_bytes
+
+let ref_append m ~epoch ~start ~done_at e =
+  let bytes = Wal.encode ~epoch e in
+  m.recs <-
+    { rr_entry = e; rr_epoch = epoch; rr_start = start; rr_done = done_at;
+      rr_sum = Zk.Md5.digest bytes; rr_bytes = Bytes.of_string bytes; rr_torn = false }
+    :: m.recs
+
+let ref_snapshot m ~zxid img =
+  let bytes = Ztree.encode img in
+  let s =
+    { rs_zxid = zxid; rs_image = img; rs_sum = Zk.Md5.digest bytes;
+      rs_bytes = Bytes.of_string bytes }
+  in
+  match m.snaps with
+  | [] -> m.snaps <- [ s ]
+  | older :: _ ->
+    m.snaps <- [ s; older ];
+    m.recs <- List.filter (fun r -> rr_zxid r > older.rs_zxid) m.recs
+
+let ref_corrupt m ~fraction =
+  let threshold = int_of_float (fraction *. 65536.) in
+  List.fold_left
+    (fun hit r ->
+      if Zk.Md5.to_int r.rr_sum land 0xFFFF < threshold then begin
+        flip r.rr_bytes;
+        hit + 1
+      end
+      else hit)
+    0 m.recs
+
+let ref_power_off m ~now =
+  let keep, gone = List.partition (fun r -> r.rr_done <= now || r.rr_torn) m.recs in
+  let torn = List.filter (fun r -> r.rr_start < now) gone in
+  List.iter (fun r -> r.rr_torn <- true) torn;
+  m.recs <- torn @ keep
+
+let ref_durable m ~now =
+  List.fold_left
+    (fun acc r -> if r.rr_done <= now && rr_valid r then Int64.max acc (rr_zxid r) else acc)
+    (match m.snaps with [] -> 0L | s :: _ -> s.rs_zxid)
+    m.recs
+
+(* The longest run of [rs] (ascending) that starts at zxid [from] and
+   has no hole, cut where [keep] fails. *)
+let contiguous ~from ~keep rs =
+  let rec go expect acc = function
+    | r :: rest when rr_zxid r = expect && keep r -> go (Int64.succ expect) (r :: acc) rest
+    | _ -> List.rev acc
+  in
+  go from [] rs
+
+(* What [Wal.recover] returns, from the bytes: the readable prefix, its
+   newest record per zxid (a rewind drops everything at or above it),
+   the newest snapshot that verifies, the contiguous committed replay
+   above it and the contiguous tail above the frontier. *)
+let ref_recover m =
+  let rec readable acc = function
+    | r :: rest when rr_valid r -> readable (r :: acc) rest
+    | rest -> (List.rev acc, List.length rest)
+  in
+  let prefix, bad = readable [] (List.rev m.recs) in
+  if bad > 0 then m.recs <- List.rev prefix;
+  let eff =
+    List.fold_left
+      (fun eff r -> List.filter (fun x -> rr_zxid x < rr_zxid r) eff @ [ r ])
+      [] prefix
+  in
+  let snap = List.find_opt (fun s -> verifies s.rs_sum s.rs_bytes) m.snaps in
+  let snap_zxid = match snap with Some s -> s.rs_zxid | None -> 0L in
+  let above = List.filter (fun r -> rr_zxid r > snap_zxid) eff in
+  let replay =
+    contiguous ~from:(Int64.succ snap_zxid) ~keep:(fun r -> rr_zxid r <= m.frontier) above
+  in
+  let replay_end = List.fold_left (fun _ r -> rr_zxid r) snap_zxid replay in
+  let tail =
+    if replay_end = m.frontier then
+      contiguous ~from:(Int64.succ m.frontier) ~keep:(fun _ -> true)
+        (List.filter (fun r -> rr_zxid r > m.frontier) above)
+    else []
+  in
+  let log_end =
+    match List.rev eff with
+    | last :: _ -> (last.rr_epoch, rr_zxid last)
+    | [] -> (m.depoch, snap_zxid)
+  in
+  let entries = List.map (fun r -> r.rr_entry) in
+  let fallback =
+    match m.snaps with s :: _ -> not (verifies s.rs_sum s.rs_bytes) | [] -> false
+  in
+  ( entries replay, entries tail, log_end, bad, snap_zxid,
+    Option.map (fun s -> s.rs_image) snap, fallback )
+
+type rot_step =
+  | R_append
+  | R_rewind of int
+  | R_commit of int
+  | R_snapshot
+  | R_power_off of int
+  | R_tear
+  | R_rot of float
+  | R_rot_snapshot
+  | R_recover
+
+let prop_marks_match_checksums =
+  let gen_step =
+    QCheck2.Gen.(
+      frequency
+        [ (8, pure R_append);
+          (1, map (fun k -> R_rewind k) (int_range 0 4));
+          (3, map (fun k -> R_commit k) (int_range 0 3));
+          (2, pure R_snapshot);
+          (1, map (fun k -> R_power_off k) (int_range 0 3));
+          (1, pure R_tear);
+          (2, map (fun f -> R_rot f) (oneofl [ 0.1; 0.5; 1. ]));
+          (1, pure R_rot_snapshot);
+          (2, pure R_recover) ])
+  in
+  QCheck2.Test.make ~name:"recovery from fault marks = recovery from checksummed bytes"
+    ~count:300 QCheck2.Gen.(list_size (int_range 1 80) gen_step)
+    (fun steps ->
+      let w = Wal.create () in
+      let m = { recs = []; snaps = []; frontier = 0L; depoch = 0 } in
+      let tree = Ztree.create () and tree_zxid = ref 0L in
+      let epoch = ref 1 and next = ref 1L and clock = ref 0. in
+      let append () =
+        let e = { (varied_entry !next) with Wal.e_rcxid = Int64.of_float !clock } in
+        let start = !clock in
+        clock := start +. 1.;
+        Wal.append w ~epoch:!epoch ~start ~done_at:!clock e;
+        ref_append m ~epoch:!epoch ~start ~done_at:!clock e;
+        next := Int64.succ !next
+      in
+      let agrees = function
+        | R_append -> append (); true
+        | R_rewind k ->
+          incr epoch;
+          Wal.note_epoch w !epoch;
+          m.depoch <- !epoch;
+          next := Int64.max 1L (Int64.sub !next (Int64.of_int k));
+          append ();
+          true
+        | R_commit k ->
+          let z = Int64.sub !next (Int64.of_int (k + 1)) in
+          Wal.note_commit w z;
+          if z > m.frontier then m.frontier <- z;
+          true
+        | R_snapshot ->
+          (* a tree that takes one more txn per snapshot stands in for
+             the replica's *)
+          let z = Wal.frontier w in
+          if z > Wal.last_snapshot_zxid w then begin
+            tree_zxid := Int64.succ !tree_zxid;
+            ignore
+              (Ztree.apply tree ~zxid:!tree_zxid ~time:0.
+                 (varied_entry !tree_zxid).Wal.e_txn);
+            let img = Ztree.capture tree in
+            Wal.snapshot w ~zxid:z ~epoch:!epoch img;
+            ref_snapshot m ~zxid:z img
+          end;
+          true
+        | R_power_off k ->
+          let now = !clock -. float_of_int k -. 0.5 in
+          Wal.power_off w ~now;
+          ref_power_off m ~now;
+          clock := !clock +. 10.;
+          true
+        | R_tear ->
+          let torn = Wal.tear_tail w in
+          (match m.recs with r :: _ -> r.rr_torn <- true | [] -> ());
+          torn = (m.recs <> [])
+        | R_rot fraction -> Wal.corrupt w ~fraction = ref_corrupt m ~fraction
+        | R_rot_snapshot ->
+          let rotted = Wal.corrupt_snapshot w in
+          (match m.snaps with s :: _ -> flip s.rs_bytes | [] -> ());
+          rotted = (m.snaps <> [])
+        | R_recover ->
+          let r = Wal.recover w in
+          let replay, tail, log_end, bad, snap_zxid, image, fallback = ref_recover m in
+          r.Wal.rc_replay = replay && r.Wal.rc_tail = tail
+          && r.Wal.rc_log_end = log_end && r.Wal.rc_truncated = bad
+          && r.Wal.rc_snap_zxid = snap_zxid
+          && (match (r.Wal.rc_snapshot, image) with
+              | Some a, Some b -> a == b
+              | None, None -> true
+              | _ -> false)
+          && r.Wal.rc_snap_fallback = fallback
+          && r.Wal.rc_replayed = List.length replay
+      in
+      let consistent () =
+        Wal.records w = List.length m.recs
+        && Wal.durable_zxid w ~now:infinity = ref_durable m ~now:infinity
+        && Wal.durable_zxid w ~now:!clock = ref_durable m ~now:!clock
+      in
+      List.for_all (fun s -> agrees s && consistent ()) (steps @ [ R_recover ]))
+
+(* [encoded_length] counts what [encode] writes, over trees built by
+   random op streams: lengths and counters across digit boundaries,
+   negative and full-width owners, zxids past the native int range,
+   and arbitrary times. *)
+let prop_encoded_length =
+  let open QCheck2.Gen in
+  let path =
+    oneofl [ "/a"; "/a/b"; "/a/b/c"; "/d"; "/d/e"; "/long-name-" ^ String.make 20 'n' ]
+  in
+  let data = map (fun n -> String.make n 'v') (int_range 0 120) in
+  let owner = oneofl [ 0L; 7L; -3L; 0x5eed_0000_0000L; Int64.min_int; Int64.max_int ] in
+  let version = int_range (-1) 2 in
+  let op =
+    frequency
+      [ ( 4,
+          map
+            (fun (((path, data), ephemeral_owner), sequential) ->
+              Txn.Create { path; data; ephemeral_owner; sequential })
+            (pair (pair (pair path data) owner) bool) );
+        (1, map (fun (path, expected_version) -> Txn.Delete { path; expected_version })
+              (pair path version));
+        (2, map (fun (path, data, expected_version) ->
+                 Txn.Set_data { path; data; expected_version })
+              (triple path data version)) ]
+  in
+  let time = oneof [ oneofl [ 0.; -0.25; 1.5; 1e300; Float.min_float ]; float ] in
+  QCheck2.Test.make ~name:"encoded_length = length of encode" ~count:300
+    (pair (oneofl [ 1L; 0x1_0000_0000L; Int64.sub Int64.max_int 1000L ])
+       (list_size (int_range 1 60) (pair (list_size (int_range 1 3) op) time)))
+    (fun (base, txns) ->
+      let tree = Ztree.create () in
+      let ok img = Ztree.encoded_length img = String.length (Ztree.encode img) in
+      ok (Ztree.capture tree)
+      && List.for_all
+           (fun (i, (txn, time)) ->
+             ignore (Ztree.apply tree ~zxid:(Int64.add base (Int64.of_int i)) ~time txn);
+             ok (Ztree.capture tree))
+           (List.mapi (fun i x -> (i, x)) txns))
 
 (* {2 Regression: crash must drop the un-persisted suffix}
 
@@ -600,28 +891,56 @@ let test_double_restart_is_idempotent () =
   check_bool "replica state is a fixed point of recovery" true
     (Ztree.equal_state (Ensemble.tree_of ensemble 2) (Ensemble.tree_of ensemble 0))
 
-(* {2 Snapshots encoded on first read, end to end} *)
+(* {2 No bytes across crash and restart, end to end}
+
+   A snapshot holds the tree's image, and recovery restores that image
+   and replays log entries, so a restart builds no snapshot or record
+   bytes. The files written here carry [big] bytes of data (in the SNAP
+   test, the first file only), so encoding a snapshot that holds one,
+   or a record that creates one, would allocate more than [big]: the
+   checks below bound what a step allocates by it. *)
+
+let big = 256 * 1024
+
+(* Bytes the heap allocated while [f] ran. The major heap's counters
+   are exact only after a major collection, so one brackets [f]. *)
+let allocated f =
+  let words () =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  (words () -. before) *. float_of_int (Sys.word_size / 8)
 
 let test_fault_free_run_encodes_no_snapshot () =
-  let engine, ensemble =
-    make ~servers:3
-      ~config_adjust:(fun c -> { c with Ensemble.snapshot_every = 8 })
-      ()
+  let run ~snapshot_every =
+    let engine, ensemble =
+      make ~servers:3
+        ~config_adjust:(fun c -> { c with Ensemble.snapshot_every })
+        ()
+    in
+    let data = String.make big 'x' in
+    Process.spawn engine (fun () ->
+        let s = Ensemble.session ensemble ~server:0 () in
+        for i = 0 to 29 do
+          ignore
+            (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/f%d" i) ~data))
+        done;
+        Process.sleep 0.05);
+    let bytes = allocated (fun () -> Engine.run engine) in
+    (ensemble, bytes)
   in
-  Process.spawn engine (fun () ->
-      let s = Ensemble.session ensemble ~server:0 () in
-      for i = 0 to 29 do
-        ignore
-          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/f%d" i) ~data:"x"))
-      done;
-      Process.sleep 0.05);
-  Engine.run engine;
+  let ensemble, with_snapshots = run ~snapshot_every:8 in
+  let _, without = run ~snapshot_every:0 in
   List.iter
     (fun id ->
       check_int (Printf.sprintf "server %d took snapshots" id) 2
         (Ensemble.wal_snapshots ensemble id))
     [ 0; 1; 2 ];
-  check_int "no snapshot was ever encoded" 0 (Ensemble.snap_encodes ensemble);
+  check_bool "taking every snapshot cost less than one file's bytes" true
+    (with_snapshots -. without < float_of_int big);
   check_int "no snapshot was loaded" 0 (Ensemble.snap_loads ensemble)
 
 let test_restart_loads_snapshot_taken_before_the_crash () =
@@ -631,26 +950,36 @@ let test_restart_loads_snapshot_taken_before_the_crash () =
         { c with Ensemble.snapshot_every = 8; election_timeout = 0.1 })
       ()
   in
+  let data = String.make big 'x' in
   Process.spawn engine (fun () ->
       let s = Ensemble.session ensemble ~server:0 () in
       let write i =
         ignore
-          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/c%d" i) ~data:"x"))
+          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/c%d" i) ~data))
       in
       for i = 0 to 20 do write i done;
       Process.sleep 0.05;
-      check_int "nothing encoded before the crash" 0 (Ensemble.snap_encodes ensemble);
-      Ensemble.crash ensemble 2;
-      (* the survivors keep a quorum and move on while server 2 is down *)
-      for i = 21 to 26 do write i done;
+      let before = Ztree.fingerprint (Ensemble.tree_of ensemble 2) in
+      let bytes =
+        allocated (fun () ->
+            Ensemble.crash ensemble 2;
+            Ensemble.restart ensemble 2)
+      in
+      check_bool "crash and restart built no snapshot or record bytes" true
+        (bytes < float_of_int big);
+      check_int "the restart rebuilt the pre-crash tree" before
+        (Ztree.fingerprint (Ensemble.tree_of ensemble 2));
+      (* the snapshot's own image, and a replay that adopted the
+         applies its peers computed: a decoded copy would be equal,
+         not identical *)
+      check_bool "and holds its peers' very image" true
+        (Ztree.capture (Ensemble.tree_of ensemble 2)
+         == Ztree.capture (Ensemble.tree_of ensemble 0));
       Process.sleep 0.1;
-      Ensemble.restart ensemble 2;
-      Process.sleep 0.1;
-      for i = 27 to 29 do write i done;
+      for i = 21 to 29 do write i done;
       Process.sleep 0.05);
   Engine.run engine;
   check_int "the restarted server loaded a snapshot" 1 (Ensemble.snap_loads ensemble);
-  check_int "and encoded it on that first read" 1 (Ensemble.snap_encodes ensemble);
   check_bool "the snapshot predates the crash by some writes" true
     (Ensemble.wal_replayed ensemble > 0);
   List.iter
@@ -662,8 +991,8 @@ let test_restart_loads_snapshot_taken_before_the_crash () =
     [ 0; 1 ]
 
 (* A SNAP sync hands the leader's image over: the follower holds the
-   very same value, stays in step with it afterwards, and its WAL
-   encodes the installed snapshot only when a restart reads it. *)
+   very same value and stays in step with it afterwards, and a restart
+   restores the installed image without building its bytes. *)
 let test_snap_sync_hands_over_the_image () =
   let engine, ensemble =
     make ~servers:3
@@ -678,32 +1007,40 @@ let test_snap_sync_hands_over_the_image () =
   let finished = ref false in
   Process.spawn engine (fun () ->
       let s = Ensemble.session ensemble ~server:0 () in
-      let write i =
+      let write ?(data = "x") i =
         ignore
-          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/s%d" i) ~data:"x"))
+          (ok_or_fail "write" (s.Zk_client.create (Printf.sprintf "/s%d" i) ~data))
       in
-      write 0;
+      write ~data:(String.make big 'x') 0;
       Process.sleep 0.05;
       Ensemble.crash ensemble 2;
       (* more than the DIFF threshold while server 2 is down *)
       for i = 1 to 600 do write i done;
       Process.sleep 0.1;
-      Ensemble.restart ensemble 2;
-      Process.sleep 0.1;
+      let transfer = allocated (fun () -> Ensemble.restart ensemble 2) in
       check_int "one SNAP sync" 1 (Ensemble.transfer_snaps ensemble);
       check_bool "server 2 holds the leader's image" true (same_image ());
+      check_bool "the transfer built no snapshot bytes" true
+        (transfer < float_of_int big);
       for i = 601 to 610 do write i done;
       Process.sleep 0.05;
       check_bool "and stays in step with it" true (same_image ());
-      check_int "the transfer encoded nothing" 0 (Ensemble.snap_encodes ensemble);
-      Ensemble.crash ensemble 2;
-      Process.sleep 0.1;
-      Ensemble.restart ensemble 2;
+      let before = Ztree.fingerprint (Ensemble.tree_of ensemble 2) in
+      let restart =
+        allocated (fun () ->
+            Ensemble.crash ensemble 2;
+            Ensemble.restart ensemble 2)
+      in
+      check_bool "the restart built no snapshot or record bytes" true
+        (restart < float_of_int big);
+      check_int "the restart rebuilt the pre-crash tree" before
+        (Ztree.fingerprint (Ensemble.tree_of ensemble 2));
+      check_bool "from the installed image itself" true (same_image ());
       Process.sleep 0.1;
       finished := true);
   Engine.run engine;
   check_bool "the scenario ran to its end" true !finished;
-  check_int "the restart encoded the installed snapshot" 1 (Ensemble.snap_encodes ensemble);
+  check_int "the restart loaded the installed snapshot" 1 (Ensemble.snap_loads ensemble);
   check_int "and recovered the leader's state"
     (Ztree.fingerprint (Ensemble.tree_of ensemble 0))
     (Ztree.fingerprint (Ensemble.tree_of ensemble 2))
@@ -733,7 +1070,9 @@ let () =
             test_recover_same_for_eager_and_lazy;
           Alcotest.test_case "unread snapshot rot falls back" `Quick
             test_corrupt_snapshot_same_ladder;
-          QCheck_alcotest.to_alcotest prop_index_matches_rebuild ] );
+          QCheck_alcotest.to_alcotest prop_index_matches_rebuild;
+          QCheck_alcotest.to_alcotest prop_marks_match_checksums;
+          QCheck_alcotest.to_alcotest prop_encoded_length ] );
       ( "recovery",
         [ Alcotest.test_case "crash drops the un-persisted suffix" `Quick
             test_crash_drops_unpersisted_suffix;
