@@ -191,7 +191,7 @@ let check ~events r =
         "%s: %.0f events/sec below the %.0f floor" r.mix r.events_per_sec
         floor_events_per_sec ]
 
-let run ?(events = 1_000_000) ?quota_s ?json_path () =
+let run ?(events = 1_000_000) ?quota_s () =
   Mdtest.Report.print_header "Engine throughput: wall-clock events/sec per mix";
   let results = run_data ~events ?quota_s () in
   Printf.printf "  %-10s %8s %12s %12s %14s %10s\n" "mix" "actors" "events"
@@ -203,26 +203,18 @@ let run ?(events = 1_000_000) ?quota_s ?json_path () =
         r.minor_words_per_event)
     results;
   flush stdout;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.map
-        (fun r ->
-          Mdtest.Report.point
-            ~experiment:("engine-" ^ r.mix)
-            ~procs:r.actors
-            ~config:
-              (Printf.sprintf "events=%d|queue=calendar+fifo" r.events_executed)
-            ~ops_per_sec:r.events_per_sec
-            ~phases:
-              [ ("events_executed", float_of_int r.events_executed);
-                ("ns_per_event", r.ns_per_event);
-                ("virtual_s", r.virtual_s);
-                ("minor_words_per_event", r.minor_words_per_event) ]
-            ())
-        results
-    in
-    Mdtest.Report.emit_json ~path points);
-  Mdtest.Report.gate ~experiment:"engine"
-    (List.concat_map (check ~events) results)
+  ( List.map
+      (fun r ->
+        Mdtest.Report.point
+          ~experiment:("engine-" ^ r.mix)
+          ~procs:r.actors
+          ~config:(Printf.sprintf "events=%d|queue=calendar+fifo" r.events_executed)
+          ~ops_per_sec:r.events_per_sec
+          ~phases:
+            [ ("events_executed", float_of_int r.events_executed);
+              ("ns_per_event", r.ns_per_event);
+              ("virtual_s", r.virtual_s);
+              ("minor_words_per_event", r.minor_words_per_event) ]
+          ())
+      results,
+    List.concat_map (check ~events) results )

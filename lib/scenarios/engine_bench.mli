@@ -43,10 +43,11 @@ val run_data : ?events:int -> ?quota_s:float -> unit -> result list
     events/sec. *)
 val check : events:int -> result -> string list
 
-(** [run ()] prints the table; with [json_path] also writes the
-    BENCH_pr6.json artifact: one [engine-<mix>] point per mix whose
-    [ops_per_sec] is wall-clock events/sec and whose [phases] block
-    carries [events_executed], [ns_per_event], [virtual_s] and
-    [minor_words_per_event]. Fails through {!Mdtest.Report.gate} when
-    any mix fails {!check}. *)
-val run : ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit
+(** [run ()] prints the table and returns its bench points and the
+    failures of {!check} over every mix. The points (the BENCH_pr6.json
+    artifact) are one [engine-<mix>] point per mix whose [ops_per_sec]
+    is wall-clock events/sec and whose [phases] block carries
+    [events_executed], [ns_per_event], [virtual_s] and
+    [minor_words_per_event]. *)
+val run :
+  ?events:int -> ?quota_s:float -> unit -> Mdtest.Report.bench_point list * string list

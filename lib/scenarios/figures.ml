@@ -157,7 +157,7 @@ let headline () =
   in
   Report.print_header "§V-D headline ratios at 256 client processes (paper in parens)";
   List.iter (fun (label, _, x) -> Report.print_ratio ~label x) ratios;
-  Report.gate ~experiment:"headline" (headline_check ratios)
+  headline_check ratios
 
 (* {2 Fig. 11 — memory usage} *)
 
@@ -276,7 +276,7 @@ let ablation_mapping () =
         r.ring_imbalance (100. *. r.ring_moved))
     rows;
   flush stdout;
-  Report.gate ~experiment:"ablation-mapping" (ablation_mapping_check rows)
+  ablation_mapping_check rows
 
 (* {2 Ablation: DUFS vs hypothetical Lustre Clustered MDS (§VI)} *)
 
@@ -330,9 +330,8 @@ let ablation_cmd () =
     \   the consistency cost §VI predicts; DUFS replaces that lock with\n\
     \   ZooKeeper's totally-ordered broadcast)";
   flush stdout;
-  Report.gate ~experiment:"ablation-cmd"
-    (ablation_cmd_check
-       (List.map (fun phase -> (phase, List.map (row phase) bar_procs)) phases))
+  ablation_cmd_check
+    (List.map (fun phase -> (phase, List.map (row phase) bar_procs)) phases)
 
 (* {2 Ablation: shared vs unique working directories (mdtest -u)} *)
 
@@ -375,8 +374,7 @@ let ablation_unique () =
     "  (Lustre gains from -u because private directories end the DLM lock\n\
     \   ping-pong; DUFS is indifferent — znode creates take no directory lock)";
   flush stdout;
-  Report.gate ~experiment:"ablation-unique"
-    (ablation_unique_check { lustre_rows; dufs_rows })
+  ablation_unique_check { lustre_rows; dufs_rows }
 
 (* {2 Ablation: observers — read capacity without quorum cost} *)
 
@@ -438,7 +436,7 @@ let ablation_observers () =
     "  (observers apply commits and serve reads but never vote: they buy\n\
     \   close to 7-server read capacity at close to 3-server write cost)";
   flush stdout;
-  Report.gate ~experiment:"ablation-observers" (ablation_observers_check rows)
+  ablation_observers_check rows
 
 (* {2 Ablation: GIGA+-style directory indexing (§VI)} *)
 
@@ -542,7 +540,7 @@ let ablation_giga () =
     \   single server loss makes part of the namespace unreachable; DUFS keeps\n\
     \   100% availability while a quorum of coordination servers survives)";
   flush stdout;
-  Report.gate ~experiment:"ablation-giga" (ablation_giga_check { creates; available })
+  ablation_giga_check { creates; available }
 
 (* {2 Ablation: client-side metadata cache} *)
 
@@ -633,8 +631,7 @@ let ablation_cache ?(procs = 256) ?(items = 60) ?(hot_procs = [ 64; 256 ]) () =
     \   visible — the consistency overhead §VI says usually forces client\n\
     \   caching off is carried by the coordination service instead)";
   flush stdout;
-  Report.gate ~experiment:"ablation-cache"
-    (ablation_cache_check { mdtest_rows; hot_rows })
+  ablation_cache_check { mdtest_rows; hot_rows }
 
 (* {2 Ablation: synchronous vs pipelined (async) coordination API} *)
 
@@ -711,7 +708,7 @@ let ablation_async () =
     \   async windows recover the throughput that §V needed 64+ processes\n\
     \   to reach)";
   flush stdout;
-  Report.gate ~experiment:"ablation-async" (ablation_async_check rows)
+  ablation_async_check rows
 
 (* {2 mdtest under declarative fault schedules (failure-path benchmark)} *)
 
@@ -771,7 +768,7 @@ let faults_check runs =
             "%s: no dedup hits under faults" label ])
     runs
 
-let faults ?(procs = faults_procs) ?items ?json_path () =
+let faults ?(procs = faults_procs) ?items () =
   Report.print_header
     (Printf.sprintf
        "Faults — mdtest %d procs over DUFS 2xLustre/5zk while the ensemble \
@@ -808,27 +805,18 @@ let faults ?(procs = faults_procs) ?items ?json_path () =
          else ", MISMATCH"))
     data;
   flush stdout;
-  Option.iter
-    (fun path ->
-      Report.emit_json ~path
-        (List.concat_map
-           (fun (label, _, (r : Systems.dufs_run)) ->
-             List.map
-               (fun phase ->
-                 Report.point
-                   ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                   ~procs
-                   ~config:(label ^ "|zk=5|backends=2xLustre")
-                   ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
-               Runner.all_phases)
-           data))
-    json_path;
-  Report.gate ~experiment:"faults" (faults_check data)
-
-(* The CI variant. At 32 procs and 30 items the file-create phase still
-   outlasts every plan's crash offsets, so each fault lands in the phase
-   its plan names, as in the full run. *)
-let faults_smoke ?json_path () = faults ~procs:32 ~items:30 ?json_path ()
+  ( List.concat_map
+      (fun (label, _, (r : Systems.dufs_run)) ->
+        List.map
+          (fun phase ->
+            Report.point
+              ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+              ~procs
+              ~config:(label ^ "|zk=5|backends=2xLustre")
+              ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
+          Runner.all_phases)
+      data,
+    faults_check data )
 
 (* {2 Span-trace profile: where inside the stack does an op's time go?}
 
@@ -945,7 +933,7 @@ let summary_line label (s : Simkit.Stat.Summary.t) =
       (Simkit.Stat.Summary.mean s)
       max
 
-let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
+let profile ?(procs_list = [ 64; 128; 256 ]) () =
   (* each run is reduced to what is printed, emitted and gated on
      before the next starts *)
   let runs =
@@ -1021,17 +1009,12 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
           summary_line (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
         backend_stations)
     runs;
-  Option.iter
-    (fun path ->
-      Report.emit_json ~path
-        (List.concat_map
-           (fun (procs, run, _) ->
-             mdtest_points ~procs ~config:profile_config run.results
-             @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config run)
-           runs))
-    json_path;
-  Report.gate ~experiment:"profile"
-    (profile_check (List.map (fun (procs, run, _) -> (procs, run)) runs))
+  ( List.concat_map
+      (fun (procs, run, _) ->
+        mdtest_points ~procs ~config:profile_config run.results
+        @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config run)
+      runs,
+    profile_check (List.map (fun (procs, run, _) -> (procs, run)) runs) )
 
 (* {2 Sharded coordination: N independent ZAB leaders}
 
@@ -1143,7 +1126,7 @@ let sharding_check data =
           (String.concat " " (List.map string_of_int writes)))
     data
 
-let sharding ?procs_list ?topologies ?batches ?json_path () =
+let sharding ?procs_list ?topologies ?batches () =
   let data = sharding_data ?procs_list ?topologies ?batches () in
   let label_of (shards, servers, max_batch, _) =
     sharding_config_label ~shards ~servers ~max_batch
@@ -1222,22 +1205,18 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
        sharding_phases
    | _ -> ());
   flush stdout;
-  Option.iter
-    (fun path ->
-      Report.emit_json ~path
-        (List.concat_map
-           (fun ((shards, servers, max_batch, procs), r) ->
-             let config = sharding_config_label ~shards ~servers ~max_batch in
-             mdtest_points ~procs ~config r.run.results
-             @ breakdown_points ~ops:[ "create" ] ~procs ~config r.run
-             @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
-                   ~config:
-                     (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d"
-                        config r.expected_logical_znodes r.live_stubs_at_stat)
-                   ~ops_per_sec:0.0 ~shards:r.shards () ])
-           data))
-    json_path;
-  Report.gate ~experiment:"sharding" (sharding_check data)
+  ( List.concat_map
+      (fun ((shards, servers, max_batch, procs), r) ->
+        let config = sharding_config_label ~shards ~servers ~max_batch in
+        mdtest_points ~procs ~config r.run.results
+        @ breakdown_points ~ops:[ "create" ] ~procs ~config r.run
+        @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
+              ~config:
+                (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d" config
+                   r.expected_logical_znodes r.live_stubs_at_stat)
+              ~ops_per_sec:0.0 ~shards:r.shards () ])
+      data,
+    sharding_check data )
 
 (* {2 Seed sweeps}
 
@@ -1417,7 +1396,7 @@ let chaos_points ~shape ~deterministic results =
             ("deterministic", if deterministic then 1. else 0.) ]
         () ]
 
-let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) ?json_path () =
+let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) () =
   Report.print_header
     (Printf.sprintf
        "Chaos — %d seeded random fault schedules (partitions, loss, delay, \
@@ -1450,23 +1429,7 @@ let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) ?json_path () =
     (Simkit.Stat.percentile recoveries 0.50) (Simkit.Stat.percentile recoveries 0.95)
     (Simkit.Stat.percentile recoveries 1.0) (Array.length recoveries) (List.length results)
     (snd (List.hd runs)) (digest_verdict deterministic);
-  Option.iter
-    (fun path -> Report.emit_json ~path (chaos_points ~shape ~deterministic results))
-    json_path;
-  Report.gate ~experiment:"chaos" (chaos_check ~deterministic results)
-
-let chaos_smoke ?json_path () =
-  chaos
-    ~runs:[ (1, 11L); (4, 12L) ]
-    ~shape:
-      { chaos_shape with clients = 64; registers = 16; heal_at = 8.; post_heal = 6.; events = 8 }
-    ?json_path ()
-
-let engine ?events ?quota_s ?json_path () =
-  Engine_bench.run ?events ?quota_s ?json_path ()
-
-let sessions ?json_path () = ignore (Sessions_bench.run ?json_path ())
-let sessions_smoke ?json_path () = Sessions_bench.smoke ?json_path ()
+  (chaos_points ~shape ~deterministic results, chaos_check ~deterministic results)
 
 (* {2 Elastic resharding — live shard split / merge under mdtest}
 
@@ -1573,7 +1536,7 @@ let reshard_check runs =
           (if to_shards = shards then [] else reshard_move_check ~ctx ~base r) ])
     runs
 
-let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
+let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) () =
   Report.print_header
     "Elastic resharding: live shard split/merge during mdtest file creates";
   let spec = sharding_spec ~servers:reshard_servers in
@@ -1612,34 +1575,27 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
         p99_ms r.window migrated r.sharded.live_stubs_at_stat r.violations)
     runs;
   flush stdout;
-  Option.iter
-    (fun path ->
-      Report.emit_json ~path
-        (List.concat_map
-           (fun ((shards, to_shards, procs), r) ->
-             let config = reshard_config_label ~shards ~to_shards ~max_batch in
-             let keys_total, keys_migrated, controller_errors =
-               match r.stats with
-               | Some st ->
-                 (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
-               | None -> (0, 0, 0)
-             in
-             mdtest_points ~procs ~config r.sharded.run.results
-             @ [ Report.point ~experiment:"reshard-accounting" ~procs
-                   ~config:
-                     (Printf.sprintf
-                        "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
-                        config r.sharded.expected_logical_znodes
-                        r.sharded.logical_znodes_at_stat r.sharded.live_stubs_at_stat
-                        keys_total keys_migrated r.violations r.history_checked
-                        r.history_recorded r.window controller_errors
-                        r.sharded.run.results.Runner.errors)
-                   ~ops_per_sec:0.0 ~shards:r.sharded.shards () ])
-           runs))
-    json_path;
-  Report.gate ~experiment:"reshard" (reshard_check runs)
-
-let reshard_smoke ?json_path () = reshard ~procs_list:[ 64 ] ?json_path ()
+  ( List.concat_map
+      (fun ((shards, to_shards, procs), r) ->
+        let config = reshard_config_label ~shards ~to_shards ~max_batch in
+        let keys_total, keys_migrated, controller_errors =
+          match r.stats with
+          | Some st -> (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
+          | None -> (0, 0, 0)
+        in
+        mdtest_points ~procs ~config r.sharded.run.results
+        @ [ Report.point ~experiment:"reshard-accounting" ~procs
+              ~config:
+                (Printf.sprintf
+                   "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
+                   config r.sharded.expected_logical_znodes
+                   r.sharded.logical_znodes_at_stat r.sharded.live_stubs_at_stat
+                   keys_total keys_migrated r.violations r.history_checked
+                   r.history_recorded r.window controller_errors
+                   r.sharded.run.results.Runner.errors)
+              ~ops_per_sec:0.0 ~shards:r.sharded.shards () ])
+      runs,
+    reshard_check runs )
 
 (* {2 Write pipeline — windowed ZAB proposals vs stop-and-wait}
 
@@ -1707,8 +1663,7 @@ let pipeline_check ~min_improvement ~deterministic runs chaos_results =
   @ chaos_check ~deterministic chaos_results
 
 let pipeline ?(procs_list = [ 64; 128; 256 ])
-    ?(chaos_runs = chaos_runs_default) ?(min_improvement = 30.) ?json_path ()
-    =
+    ?(chaos_runs = chaos_runs_default) ?(min_improvement = 30.) () =
   Report.print_header
     (Printf.sprintf
        "Write pipeline — windowed ZAB proposals (window=%d) vs stop-and-wait, \
@@ -1790,70 +1745,58 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
     total_violations
     (snd (List.hd chaos_runs))
     (digest_verdict deterministic);
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let run_points =
-       List.concat_map
-         (fun ((name, procs), r) ->
-           let config = pipeline_config_label name in
-           mdtest_points ~procs ~config r.results
-           @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
-         runs
-     in
-     let chaos_points =
-       List.map
-         (fun ((shards, seed), (r : Systems.dufs_run)) ->
-           Report.point ~experiment:"pipeline-chaos" ~procs:chaos_shape.clients
-             ~config:
-               (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d" seed shards
-                  chaos_shape.servers pipeline_chaos_window)
-             ~ops_per_sec:
-               (float_of_int (register_audit r).Systems.ops_ok
-                /. (chaos_shape.heal_at +. chaos_shape.post_heal))
-             ~phases:
-               [ ( "violations",
-                   float_of_int (List.length r.Systems.violations) );
-                 ("ops_checked", float_of_int r.Systems.history_checked);
-                 ("undetermined", float_of_int r.Systems.history_undetermined);
-                 ("recovery_s", or_missing (recovery_s r));
-                 ( "dedup_hits",
-                   float_of_int (shard_sum r.Systems.router Zk.Ensemble.dedup_hits) ) ]
-             ())
-         chaos_results
-     in
-     let qa_base, qa_piped, impr =
-       Option.value ~default:(-1., -1., -1.) improvement
-     in
-     let summary =
-       Report.point ~experiment:"pipeline-summary" ~procs:max_procs
-         ~config:
-           (Printf.sprintf
-              "baseline=batch16-w1|pipelined=batch16-w%d|chaos_window=%d|zk=8"
-              pipeline_window pipeline_chaos_window)
-         ~ops_per_sec:0.
-         ~phases:
-           [ ("qw_ack_baseline_s", qa_base);
-             ("qw_ack_pipelined_s", qa_piped);
-             ("improvement_pct", impr);
-             ("min_improvement_pct", min_improvement);
-             ("chaos_runs", float_of_int (List.length chaos_results));
-             ("violations_total", float_of_int total_violations);
-             ("deterministic", if deterministic then 1. else 0.) ]
-         ()
-     in
-     Report.emit_json ~path (run_points @ chaos_points @ [ summary ]));
-  Report.gate ~experiment:"pipeline"
-    (pipeline_check ~min_improvement ~deterministic runs chaos_results)
+  let run_points =
+    List.concat_map
+      (fun ((name, procs), r) ->
+        let config = pipeline_config_label name in
+        mdtest_points ~procs ~config r.results
+        @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
+      runs
+  in
+  let chaos_points =
+    List.map
+      (fun ((shards, seed), (r : Systems.dufs_run)) ->
+        Report.point ~experiment:"pipeline-chaos" ~procs:chaos_shape.clients
+          ~config:
+            (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d" seed shards
+               chaos_shape.servers pipeline_chaos_window)
+          ~ops_per_sec:
+            (float_of_int (register_audit r).Systems.ops_ok
+             /. (chaos_shape.heal_at +. chaos_shape.post_heal))
+          ~phases:
+            [ ( "violations",
+                float_of_int (List.length r.Systems.violations) );
+              ("ops_checked", float_of_int r.Systems.history_checked);
+              ("undetermined", float_of_int r.Systems.history_undetermined);
+              ("recovery_s", or_missing (recovery_s r));
+              ( "dedup_hits",
+                float_of_int (shard_sum r.Systems.router Zk.Ensemble.dedup_hits) ) ]
+          ())
+      chaos_results
+  in
+  let qa_base, qa_piped, impr =
+    Option.value ~default:(-1., -1., -1.) improvement
+  in
+  let summary =
+    Report.point ~experiment:"pipeline-summary" ~procs:max_procs
+      ~config:
+        (Printf.sprintf
+           "baseline=batch16-w1|pipelined=batch16-w%d|chaos_window=%d|zk=8"
+           pipeline_window pipeline_chaos_window)
+      ~ops_per_sec:0.
+      ~phases:
+        [ ("qw_ack_baseline_s", qa_base);
+          ("qw_ack_pipelined_s", qa_piped);
+          ("improvement_pct", impr);
+          ("min_improvement_pct", min_improvement);
+          ("chaos_runs", float_of_int (List.length chaos_results));
+          ("violations_total", float_of_int total_violations);
+          ("deterministic", if deterministic then 1. else 0.) ]
+      ()
+  in
+  ( run_points @ chaos_points @ [ summary ],
+    pipeline_check ~min_improvement ~deterministic runs chaos_results )
 
-(* The CI variant: one scale, two chaos schedules. The 30% acceptance
-   bar is measured on the full run's 256-proc point; the smoke run keeps
-   a softer 10% floor so a genuinely broken pipeline still fails fast
-   without making CI sensitive to the smaller scale's exact split. *)
-let pipeline_smoke ?json_path () =
-  pipeline ~procs_list:[ 64 ]
-    ~chaos_runs:[ (1, 11L); (4, 12L) ]
-    ~min_improvement:10. ?json_path ()
 
 (* {2 Durability — whole-cluster power failures and storage corruption
       over mdtest}
@@ -1966,7 +1909,7 @@ let durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced runs 
 
 let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     ?(procs = 64) ?(reg_clients = 8) ?(ops_per_client = 50)
-    ?(dirs_per_proc = 12) ?(files_per_proc = 12) ?json_path () =
+    ?(dirs_per_proc = 12) ?(files_per_proc = 12) () =
   Report.print_header
     (Printf.sprintf
        "Durability — %d whole-cluster power-failure schedules (plus torn \
@@ -2044,95 +1987,61 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
     dur_violations recoveries per_restart_mean rec_time_max replayed diff_synced
     (total_of Zk.Ensemble.transfer_snaps)
     torn_truncated (List.hd seeds) (digest_verdict deterministic);
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let flag b = if b then 1. else 0. in
-     let points =
-       List.map
-         (fun ((seed, flavor), (r : Systems.dufs_run)) ->
-           let a = register_audit r in
-           let sum f = float_of_int (shard_sum r.Systems.router f) in
-           Report.point ~experiment:"durability" ~procs
-             ~config:
-               (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" seed flavor durability_servers)
-             ~ops_per_sec:(Runner.rate r.Systems.results Runner.File_create)
-             ~phases:
-               [ ("violations", float_of_int (List.length r.Systems.violations));
-                 ( "durability_violations",
-                   float_of_int (List.length a.Systems.durability_violations) );
-                 ("ops_recorded", float_of_int r.Systems.history_recorded);
-                 ("registers_audited", float_of_int a.Systems.audited);
-                 ("undetermined", float_of_int r.Systems.history_undetermined);
-                 ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
-                 ("power_failure_recovered", flag (Float.is_finite a.Systems.recovery_s));
-                 ("replicas_agree", flag a.Systems.replicas_agree);
-                 ("faults_fired", float_of_int r.Systems.faults_fired);
-                 ("wal.appended", sum Zk.Ensemble.wal_appended);
-                 ("wal.replayed", sum Zk.Ensemble.wal_replayed);
-                 ("wal.truncated_records", sum Zk.Ensemble.wal_truncated);
-                 ("wal.tail_dropped", sum Zk.Ensemble.wal_tail_dropped);
-                 ("wal.tail_commits", sum Zk.Ensemble.wal_tail_commits);
-                 ("snap.loads", sum Zk.Ensemble.snap_loads);
-                 ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
-                 ("recovery.count", sum Zk.Ensemble.recoveries);
-                 ( "recovery.time_total_s",
-                   over_shards r.Systems.router Zk.Ensemble.recovery_time_total
-                     ( +. ) 0. );
-                 ("recovery.time_max_s", restart_max r);
-                 ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
-                 ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
-             ())
-         results
-       @ [ Report.point ~experiment:"durability-summary" ~procs
-             ~config:
-               (Printf.sprintf "runs=%d|zk=%d|reg_clients=%d"
-                  (List.length results) durability_servers reg_clients)
-             ~ops_per_sec:0.
-             ~phases:
-               [ ("runs", float_of_int (List.length results));
-                 ("violations_total", float_of_int lin_violations);
-                 ("durability_violations_total", float_of_int dur_violations);
-                 ("power_failures_recovered", float_of_int recovered_runs);
-                 ("replicas_agree_runs", float_of_int agree_runs);
-                 ("wal.replayed_total", float_of_int replayed);
-                 ("wal.truncated_torn_total", float_of_int torn_truncated);
-                 ("transfer.diff_txns_total", float_of_int diff_synced);
-                 ("recovery.count_total", float_of_int recoveries);
-                 ("recovery.per_restart_mean_s", per_restart_mean);
-                 ("recovery.max_s", rec_time_max);
-                 ("deterministic", flag deterministic) ]
-             () ]
-     in
-     Report.emit_json ~path points);
-  Report.gate ~experiment:"durability"
-    (durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced results)
-
-let durability_smoke ?json_path () =
-  durability
-    ~seeds:(List.map Int64.of_int [ 1; 2; 3; 4 ])
-    ~procs:16 ~ops_per_client:30 ~dirs_per_proc:6 ~files_per_proc:6 ?json_path ()
-
-let all () =
-  fig7 ();
-  fig8 ();
-  fig9 ();
-  fig10 ();
-  headline ();
-  fig11 ();
-  ablation_mapping ();
-  ablation_cmd ();
-  ablation_unique ();
-  ablation_async ();
-  ablation_cache ();
-  ablation_giga ();
-  ablation_observers ();
-  faults ();
-  profile ();
-  sharding ();
-  chaos ();
-  engine ();
-  sessions ();
-  reshard ();
-  pipeline ();
-  durability ()
+  let flag b = if b then 1. else 0. in
+  let points =
+    List.map
+      (fun ((seed, flavor), (r : Systems.dufs_run)) ->
+        let a = register_audit r in
+        let sum f = float_of_int (shard_sum r.Systems.router f) in
+        Report.point ~experiment:"durability" ~procs
+          ~config:
+            (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" seed flavor durability_servers)
+          ~ops_per_sec:(Runner.rate r.Systems.results Runner.File_create)
+          ~phases:
+            [ ("violations", float_of_int (List.length r.Systems.violations));
+              ( "durability_violations",
+                float_of_int (List.length a.Systems.durability_violations) );
+              ("ops_recorded", float_of_int r.Systems.history_recorded);
+              ("registers_audited", float_of_int a.Systems.audited);
+              ("undetermined", float_of_int r.Systems.history_undetermined);
+              ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
+              ("power_failure_recovered", flag (Float.is_finite a.Systems.recovery_s));
+              ("replicas_agree", flag a.Systems.replicas_agree);
+              ("faults_fired", float_of_int r.Systems.faults_fired);
+              ("wal.appended", sum Zk.Ensemble.wal_appended);
+              ("wal.replayed", sum Zk.Ensemble.wal_replayed);
+              ("wal.truncated_records", sum Zk.Ensemble.wal_truncated);
+              ("wal.tail_dropped", sum Zk.Ensemble.wal_tail_dropped);
+              ("wal.tail_commits", sum Zk.Ensemble.wal_tail_commits);
+              ("snap.loads", sum Zk.Ensemble.snap_loads);
+              ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
+              ("recovery.count", sum Zk.Ensemble.recoveries);
+              ( "recovery.time_total_s",
+                over_shards r.Systems.router Zk.Ensemble.recovery_time_total
+                  ( +. ) 0. );
+              ("recovery.time_max_s", restart_max r);
+              ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
+              ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
+          ())
+      results
+    @ [ Report.point ~experiment:"durability-summary" ~procs
+          ~config:
+            (Printf.sprintf "runs=%d|zk=%d|reg_clients=%d"
+               (List.length results) durability_servers reg_clients)
+          ~ops_per_sec:0.
+          ~phases:
+            [ ("runs", float_of_int (List.length results));
+              ("violations_total", float_of_int lin_violations);
+              ("durability_violations_total", float_of_int dur_violations);
+              ("power_failures_recovered", float_of_int recovered_runs);
+              ("replicas_agree_runs", float_of_int agree_runs);
+              ("wal.replayed_total", float_of_int replayed);
+              ("wal.truncated_torn_total", float_of_int torn_truncated);
+              ("transfer.diff_txns_total", float_of_int diff_synced);
+              ("recovery.count_total", float_of_int recoveries);
+              ("recovery.per_restart_mean_s", per_restart_mean);
+              ("recovery.max_s", rec_time_max);
+              ("deterministic", flag deterministic) ]
+          () ]
+  in
+  (points, durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced results)

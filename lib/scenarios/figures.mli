@@ -1,8 +1,12 @@
 (** One driver per table/figure of the paper's evaluation (§V), plus the
-    extension ablations. Each [figN] function runs each of its
+    extension ablations, each declared once in {!Experiments.table}.
+    Each [figN] function runs each of its
     (system, procs) points once and prints the same rows/series the
     paper plots, every phase read from that one run;
-    {!fig11_data} also returns Fig. 11's numbers for tests. Each gated
+    {!fig11_data} also returns Fig. 11's numbers for tests. Every other
+    driver prints its table and returns its check failures (empty =
+    pass), after its bench points when it writes a BENCH file; only
+    {!Experiments.run} writes the file and gates the run. Each gated
     experiment's [*_check] is a pure function of its runs, so tests can
     exercise a gate without running the experiment. *)
 
@@ -29,10 +33,9 @@ val fig10 : unit -> unit
 val headline_check : (string * float * float) list -> string list
 
 (** DUFS over 2 Lustre / 2 PVFS back-ends vs the native file system:
-    dir-create and file-stat ratios (paper 1.9, 23, 1.3, 3.0).
-    @raise Failure (through {!Mdtest.Report.gate}) if {!headline_check}
-    reports any failure. *)
-val headline : unit -> unit
+    dir-create and file-stat ratios (paper 1.9, 23, 1.3, 3.0), and the
+    failures of {!headline_check}. *)
+val headline : unit -> string list
 
 (** {2 Fig. 11 — memory usage vs created directories} *)
 
@@ -44,9 +47,8 @@ val fig11 : ?millions:float list -> unit -> unit
 
 (** {2 Extension ablations}
 
-    Each prints its table, then raises [Failure] through
-    {!Mdtest.Report.gate} if its pure [*_check] returns any failure
-    (empty = pass). *)
+    Each prints its table and returns the failures of its pure
+    [*_check] (empty = pass). *)
 
 (** Growing [n] -> [n + 1] back-ends: each strategy's imbalance at [n]
     and fraction of FIDs relocated. *)
@@ -59,7 +61,7 @@ type mapping_row =
 val ablation_mapping_check : mapping_row list -> string list
 
 (** MD5-mod-N vs consistent hashing over 200k FIDs at N = 2, 4, 8. *)
-val ablation_mapping : unit -> unit
+val ablation_mapping : unit -> string list
 
 (** ops/s at [procs]: Basic Lustre, CMD with 2 and 4 MDSes, DUFS. *)
 type cmd_row = { procs : int; lustre : float; cmd2 : float; cmd4 : float; dufs : float }
@@ -71,7 +73,7 @@ val ablation_cmd_check : (Mdtest.Runner.phase * cmd_row list) list -> string lis
 (** DUFS vs a hypothetical Lustre Clustered MDS (CMD, §VI): the global
     lock serializing cross-server updates vs ZooKeeper's ordered
     broadcast, dir-create and dir-stat at 64–256 procs. *)
-val ablation_cmd : unit -> unit
+val ablation_cmd : unit -> string list
 
 (** [(phase, shared ops/s, unique ops/s)] per system at 256 procs. *)
 type unique_ablation = {
@@ -84,7 +86,7 @@ val ablation_unique_check : unique_ablation -> string list
 
 (** Shared vs unique working directories (mdtest -u): isolates the DLM
     lock-contention part of Lustre's decline. *)
-val ablation_unique : unit -> unit
+val ablation_unique : unit -> string list
 
 (** Over [((clients, window), creates/s)]: at 1 client window 16 >= 2.5×
     window 1 and window 4 >= window 1; at 8 clients windows 1, 4 and 16
@@ -93,7 +95,7 @@ val ablation_async_check : ((int * int) * float) list -> string list
 
 (** Synchronous vs pipelined (async) coordination API: what the paper's
     prototype left on the table by using the synchronous API. *)
-val ablation_async : unit -> unit
+val ablation_async : unit -> string list
 
 (** One ablation-cache run: [(phase, DUFS ops/s, DUFS+cache ops/s)]
     for mdtest dir-stat and dir-create, and [(procs, uncached ops/s,
@@ -112,11 +114,9 @@ val ablation_cache_check : cache_ablation -> string list
 (** DUFS with vs without the client-side (lease) metadata cache: mdtest
     dir-stat/dir-create at [procs] (default 256) with [items] dirs and
     files per proc (default 60), and the hot-entry stat loop at each of
-    [hot_procs] (default [[64; 256]]).
-    @raise Failure (through {!Mdtest.Report.gate}) if
-    {!ablation_cache_check} reports any failure. *)
+    [hot_procs] (default [[64; 256]]). *)
 val ablation_cache :
-  ?procs:int -> ?items:int -> ?hot_procs:int list -> unit -> unit
+  ?procs:int -> ?items:int -> ?hot_procs:int list -> unit -> string list
 
 (** Single-directory creates/s per system and procs count, and the
     reachable fraction of a GIGA+ directory after 1 of its 8 servers
@@ -132,7 +132,7 @@ val ablation_giga_check : giga_ablation -> string list
 
 (** GIGA+-style directory indexing vs DUFS vs Lustre on one huge
     directory, and the availability cost of unreplicated partitions. *)
-val ablation_giga : unit -> unit
+val ablation_giga : unit -> string list
 
 (** Over [((voters, observers), (creates/s, gets/s))] for (3, 0), (7, 0)
     and (3, 4): the observers reach >= 0.95× the gets/s of 7 voters and
@@ -140,7 +140,7 @@ val ablation_giga : unit -> unit
 val ablation_observers_check : ((int * int) * (float * float)) list -> string list
 
 (** Non-voting observers: read scaling without write cost. *)
-val ablation_observers : unit -> unit
+val ablation_observers : unit -> string list
 
 (** {2 The failure path — mdtest under declarative fault schedules} *)
 
@@ -156,17 +156,12 @@ val faults_check :
   (string * Faults.Faultplan.t * Systems.dufs_run) list -> string list
 
 (** Print per-phase rates plus the exactly-once invariants (errors,
-    dedup hits, znode census) for each schedule; with [json_path],
-    also write the points in the {!Mdtest.Report.bench_point} schema
-    (the BENCH_pr2.json artifact).
-    @raise Failure (through {!Mdtest.Report.gate}) if {!faults_check}
-    reports any failure. *)
-val faults : ?procs:int -> ?items:int -> ?json_path:string -> unit -> unit
-
-(** The CI variant: 32 processes, 30 dirs and 30 files each — the
-    BENCH_pr2_smoke.json artifact. Same failure conditions as
-    {!faults}. *)
-val faults_smoke : ?json_path:string -> unit -> unit
+    dedup hits, znode census) for each schedule at [procs] processes
+    (default 64) with [items] dirs and files each (default 60); return
+    one [mdtest-<phase>] point per schedule and phase (the BENCH_pr2.json
+    artifact) and the failures of {!faults_check}. *)
+val faults :
+  ?procs:int -> ?items:int -> unit -> Mdtest.Report.bench_point list * string list
 
 (** The DUFS stack every profile run traces: 2 Lustre back-ends, 8
     coordination servers. *)
@@ -178,14 +173,13 @@ val profile_spec : Systems.dufs_spec
     critical-path breakdown of each coordination write kind (with its
     coverage against the measured op latency), read latency, leader
     queue/batch distributions, and each back-end MDS station's
-    wait-vs-service split. With [json_path], also writes the points (the
-    BENCH_pr3.json artifact): mdtest points carry the latency block,
-    [zk-<op>-breakdown] points carry the phase durations. Each run is
-    reduced to its {!traced} results and trace and its back-end stations
-    before the next starts.
-    @raise Failure (through {!Mdtest.Report.gate}) if {!profile_check}
-    reports any failure. *)
-val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
+    wait-vs-service split. Returns the points (the BENCH_pr3.json
+    artifact: mdtest points carry the latency block, [zk-<op>-breakdown]
+    points carry the phase durations) and the failures of
+    {!profile_check}. Each run is reduced to its {!traced} results and
+    trace and its back-end stations before the next starts. *)
+val profile :
+  ?procs_list:int list -> unit -> Mdtest.Report.bench_point list * string list
 
 (** What a sweep of traced runs keeps of each run once the next one
     starts. Dropping the rest drops the run's router, and with it every
@@ -206,8 +200,9 @@ val profile_check : (int * traced) list -> string list
     8-server ensemble vs 2x4 vs 4x2 shards, unbatched and batched.
     Every run is span-traced, so the same run yields throughput, the
     create queue-wait breakdown, per-shard queue-wait/balance, and the
-    per-shard znode accounting ({!sharding_check} fails the run). With [json_path] writes the BENCH_pr4.json
-    artifact: [mdtest-*] points with latency blocks,
+    per-shard znode accounting. Returns the failures of
+    {!sharding_check} and the BENCH_pr4.json points: [mdtest-*] points
+    with latency blocks,
     [zk-create-breakdown] points with phase durations, and
     [sharding-znode-accounting] points whose [shards] block records the
     per-shard balance ([expected_logical] and [live_stubs] ride in the
@@ -217,9 +212,8 @@ val sharding :
   ?procs_list:int list ->
   ?topologies:(int * int) list ->
   ?batches:int list ->
-  ?json_path:string ->
   unit ->
-  unit
+  Mdtest.Report.bench_point list * string list
 
 (** What {!sharding} keeps of a run: what it prints, emits and gates
     on. *)
@@ -284,15 +278,13 @@ val chaos_point :
     recorded/checked, undetermined ops, expired sessions, dedup
     activity, post-heal recovery time, violations), re-runs the first
     schedule to prove bit-identical history digests, and summarizes
-    recovery percentiles. With [json_path] writes the BENCH_pr5.json
-    artifact: one [chaos] point per run (violations, ops checked,
-    recovery and the degradation counters in the [phases] block;
-    [recovery_s = -1] means the run never recovered) plus a
-    [chaos-summary] point with totals and recovery percentiles.
-    @raise Failure (through {!Mdtest.Report.gate}) if {!chaos_check}
-    reports any failure. *)
+    recovery percentiles. Returns {!chaos_points} (the BENCH_pr5.json
+    artifact) and the failures of {!chaos_check}. *)
 val chaos :
-  ?runs:(int * int64) list -> ?shape:chaos_shape -> ?json_path:string -> unit -> unit
+  ?runs:(int * int64) list ->
+  ?shape:chaos_shape ->
+  unit ->
+  Mdtest.Report.bench_point list * string list
 
 (** The chaos gate over [((shards, seed), run)] points: every run has a
     non-empty history, no linearizability or durability-oracle
@@ -306,39 +298,13 @@ val chaos_check :
     seconds of client load: one [chaos] point per run and the
     [chaos-summary] point. Every number is finite: [-1] marks a missing
     recovery time, per run or as a percentile over a sweep in which no
-    run recovered. *)
+    run recovered; [recovery_s = -1] in a [chaos] point means the run
+    never recovered. *)
 val chaos_points :
   shape:chaos_shape ->
   deterministic:bool ->
   ((int * int64) * Systems.dufs_run) list ->
   Mdtest.Report.bench_point list
-
-(** The CI variant: 2 fixed schedules (1-shard and 4-shard) at 64
-    client processes over a shorter window — the BENCH_pr5_smoke.json
-    artifact. Same failure conditions as {!chaos}. *)
-val chaos_smoke : ?json_path:string -> unit -> unit
-
-(** {2 Engine throughput — wall-clock events/sec of the simulator core}
-
-    Delegates to {!Engine_bench.run}: three seeded mixes (timer-heavy,
-    mailbox-heavy, net-fault-heavy) of ~[events] engine events each,
-    timed with bechamel and gated by {!Engine_bench.check}. With [json_path] writes the
-    BENCH_pr6.json artifact. *)
-val engine :
-  ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit
-
-(** {2 Sessions — client-cache coherence at 1k-100k sessions}
-
-    Delegates to {!Sessions_bench.run}: lease-coherent caches over
-    mdtest-stat and readdir-storm read sweeps with a mid-sweep writer,
-    observer read scaling, and the server-state accounting (one lease
-    per session, no watches), gated by {!Sessions_bench.check}. With
-    [json_path] writes the BENCH_pr7.json artifact. *)
-val sessions : ?json_path:string -> unit -> unit
-
-(** The CI variant: 1k sessions, 2 observers — the
-    BENCH_pr7_smoke.json artifact. *)
-val sessions_smoke : ?json_path:string -> unit -> unit
 
 (** {2 Elastic resharding — live shard split/merge under mdtest}
 
@@ -346,10 +312,13 @@ val sessions_smoke : ?json_path:string -> unit -> unit
     2->4 split fired at the file-create barrier, and (at the smallest
     process count) a 4->2 merge — all through
     {!Systems.dufs_mdtest}, with the linearizability oracle on a
-    slice of the client sessions, gated by {!reshard_check}. With
-    [json_path] writes the BENCH_pr8.json artifact. *)
+    slice of the client sessions. Returns the BENCH_pr8.json points and
+    the failures of {!reshard_check}. *)
 val reshard :
-  ?procs_list:int list -> ?max_batch:int -> ?json_path:string -> unit -> unit
+  ?procs_list:int list ->
+  ?max_batch:int ->
+  unit ->
+  Mdtest.Report.bench_point list * string list
 
 (** What {!reshard} keeps of a run: what it prints, emits and gates
     on. *)
@@ -365,10 +334,6 @@ val reshard_run : Systems.dufs_run -> reshard_run
     p99 at most 12x the no-split baseline's at the same [procs]. *)
 val reshard_check : ((int * int * int) * reshard_run) list -> string list
 
-(** The CI variant: 64 processes only — the BENCH_pr8_smoke.json
-    artifact. Same failure conditions as {!reshard}. *)
-val reshard_smoke : ?json_path:string -> unit -> unit
-
 (** {2 Write pipeline — windowed ZAB proposals vs stop-and-wait}
 
     The traced mdtest profile of {!profile}, run once per leader
@@ -377,21 +342,18 @@ val reshard_smoke : ?json_path:string -> unit -> unit
     plus a pipelined proposal window ([batch16-w8],
     [max_inflight_batches = 8]) — followed by a chaos sweep (the PR 5
     seeded schedules) with [max_inflight_batches = 4] on every shard.
-    With [json_path] writes the BENCH_pr9.json artifact: [mdtest-*]
-    points with latency blocks and [zk-<op>-breakdown] points with
+    Returns the failures of {!pipeline_check} and the BENCH_pr9.json
+    points: [mdtest-*] points with latency blocks and [zk-<op>-breakdown] points with
     phase durations per configuration, one [pipeline-chaos] point per
     schedule, and a [pipeline-summary] point carrying the
     queue-wait + ack improvement of the pipelined configuration over
-    the window = 1 baseline at the largest scale.
-    @raise Failure (through {!Mdtest.Report.gate}) if {!pipeline_check}
-    reports any failure. *)
+    the window = 1 baseline at the largest scale. *)
 val pipeline :
   ?procs_list:int list ->
   ?chaos_runs:(int * int64) list ->
   ?min_improvement:float ->
-  ?json_path:string ->
   unit ->
-  unit
+  Mdtest.Report.bench_point list * string list
 
 (** The pipeline gate over the [((variant, procs), run)] profiles and
     the chaos sweep: every run's breakdown passes {!profile_check}'s
@@ -406,10 +368,6 @@ val pipeline_check :
   ((int * int64) * Systems.dufs_run) list ->
   string list
 
-(** The CI variant: 64 processes, 2 chaos schedules, 10% improvement
-    floor — the BENCH_pr9_smoke.json artifact. *)
-val pipeline_smoke : ?json_path:string -> unit -> unit
-
 (** {2 Durability — power failures and storage corruption over mdtest}
 
     Seeded schedules that power-fail the whole coordination ensemble in
@@ -419,13 +377,11 @@ val pipeline_smoke : ?json_path:string -> unit -> unit
     stall). Each run is a {!Systems.dufs_mdtest} with a register
     overlay; the rows re-run the first schedule to prove a
     bit-identical history, and WAL, snapshot, recovery and transfer
-    counters are read from the run's ensembles. With [json_path]
-    writes the BENCH_pr10.json artifact: one [durability] point per
-    schedule (those counters in [phases], dotted
+    counters are read from the run's ensembles. Returns the failures
+    of {!durability_check} and the BENCH_pr10.json points: one
+    [durability] point per schedule (those counters in [phases], dotted
     [wal.*]/[snap.*]/[recovery.*]/[transfer.*] keys) plus a
-    [durability-summary] point.
-    @raise Failure (through {!Mdtest.Report.gate}) if
-    {!durability_check} reports any failure. *)
+    [durability-summary] point. *)
 val durability :
   ?seeds:int64 list ->
   ?procs:int ->
@@ -433,9 +389,8 @@ val durability :
   ?ops_per_client:int ->
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
-  ?json_path:string ->
   unit ->
-  unit
+  Mdtest.Report.bench_point list * string list
 
 (** The durability gate over [((seed, flavor), run)] schedules: every
     run recovers with agreeing replicas, audits at least one register
@@ -452,11 +407,3 @@ val durability_check :
   diff_synced:int ->
   ((int64 * string) * Systems.dufs_run) list ->
   string list
-
-(** The CI variant: 4 schedules (power-failure, torn-tail, WAL bit-rot,
-    snapshot-rot) at 16 processes — the BENCH_pr10_smoke.json artifact.
-    Same failure conditions as {!durability}. *)
-val durability_smoke : ?json_path:string -> unit -> unit
-
-(** Run everything (the full bench suite). *)
-val all : unit -> unit

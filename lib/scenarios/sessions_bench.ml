@@ -288,9 +288,7 @@ let default_cases =
     (10_000, 0);
     (10_000, 6) ]
 
-let smoke_cases = [ (1_000, 2) ]
-
-let run ?(cases = default_cases) ?json_path () =
+let run ?(cases = default_cases) () =
   Report.print_header
     "Sessions: client-cache coherence at 1k-100k sessions (stat + readdir)";
   Printf.printf "  %8s %4s\n" "sessions" "obs";
@@ -302,11 +300,4 @@ let run ?(cases = default_cases) ?json_path () =
         r)
       cases
   in
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     Report.emit_json ~path (List.concat_map points_of results));
-  Report.gate ~experiment:"sessions" (List.concat_map check results);
-  results
-
-let smoke ?json_path () = ignore (run ~cases:smoke_cases ?json_path ())
+  (List.concat_map points_of results, List.concat_map check results)

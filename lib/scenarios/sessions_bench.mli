@@ -45,13 +45,9 @@ val expected_znodes : int
     and no watches. *)
 val check : case_result -> string list
 
-(** [run ?cases ?json_path ()] — each case is
-    [(sessions, observers)]; two {!Mdtest.Report.bench_point}s
-    (stat, readdir) per case land in [json_path]. Fails through
-    {!Mdtest.Report.gate} when any case fails {!check}. *)
+(** [run ?cases ()] runs each [(sessions, observers)] case (default:
+    1k, 10k and 100k sessions with 2 observers, and 10k with 0 and 6)
+    and returns two {!Mdtest.Report.bench_point}s (stat, readdir) per
+    case and the failures of {!check} over every case. *)
 val run :
-  ?cases:(int * int) list -> ?json_path:string -> unit ->
-  case_result list
-
-(** The CI case list: 1k sessions, 2 observers. *)
-val smoke : ?json_path:string -> unit -> unit
+  ?cases:(int * int) list -> unit -> Mdtest.Report.bench_point list * string list

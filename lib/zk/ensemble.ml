@@ -710,6 +710,19 @@ let drain_batch t (s : server) first =
   in
   List.rev (drain [ first ] 1)
 
+(* A retry answered by the dedup table skips the batch its first
+   attempt went through, so its span's leader stamps predate its
+   resend: restamp them from now (no persist; an applied write also
+   reached quorum now), so the breakdown records it as a retry. *)
+let restamp_retry t span ~applied =
+  if Obs.Trace.is_real span then begin
+    let now = Engine.now t.engine in
+    span.Obs.Trace.w_batch <- now;
+    span.Obs.Trace.w_persist <- 0.;
+    span.Obs.Trace.w_proposed <- now;
+    if applied then span.Obs.Trace.w_quorum <- now
+  end
+
 (* The exactly-once gate. A request id the leader has already applied is
    answered from the dedup table (no new zxid, nothing re-applied); one
    that is still in flight re-points the pending write's reply at the
@@ -723,10 +736,11 @@ let dedup_filter t (s : server) batch =
   if t.cfg.unsafe_no_dedup then batch
   else
     List.filter
-      (fun (_, rid, origin, reply, _, _) ->
+      (fun (_, rid, origin, reply, span, _) ->
         match find_applied s rid with
         | Some (zxid, result) ->
           t.dedup_hits <- t.dedup_hits + 1;
+          restamp_retry t span ~applied:true;
           if origin = s.id then reply result
           else
             send t ~src:s.id ~dst:origin
@@ -739,6 +753,7 @@ let dedup_filter t (s : server) batch =
             match Zxid_tbl.find_opt s.pending zxid with
             | Some pw ->
               t.dedup_hits <- t.dedup_hits + 1;
+              restamp_retry t pw.p_span ~applied:false;
               pw.p_origin <- origin;
               pw.p_reply <- reply;
               pw.p_proposed_at <- Engine.now t.engine;

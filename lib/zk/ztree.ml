@@ -587,99 +587,3 @@ let encoded_length img =
     img.nodes
     (String.length "ZTREEv1 " + dec_digits64 img.last_zxid + 1
      + dec_digits img.count + 1)
-
-let serialize t = encode t.state
-
-exception Bad_snapshot of string
-
-let decode s =
-  let pos = ref 0 in
-  let fail msg = raise (Bad_snapshot msg) in
-  let read_line () =
-    match String.index_from_opt s !pos '\n' with
-    | None -> fail "truncated"
-    | Some i ->
-      let line = String.sub s !pos (i - !pos) in
-      pos := i + 1;
-      line
-  in
-  let read_str () =
-    match String.index_from_opt s !pos ':' with
-    | None -> fail "missing length prefix"
-    | Some i ->
-      let len =
-        match int_of_string_opt (String.sub s !pos (i - !pos)) with
-        | Some len when len >= 0 && i + 1 + len <= String.length s -> len
-        | Some _ | None -> fail "bad length prefix"
-      in
-      let str = String.sub s (i + 1) len in
-      pos := i + 1 + len;
-      str
-  in
-  let header = read_line () in
-  let last_zxid =
-    match String.split_on_char ' ' header with
-    | [ "ZTREEv1"; zxid ] ->
-      (match Int64.of_string_opt zxid with Some z -> z | None -> fail "bad zxid")
-    | _ -> fail "bad header"
-  in
-  let count =
-    match int_of_string_opt (read_line ()) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> fail "bad node count"
-  in
-  let parsed parse name x = match parse x with Some v -> v | None -> fail ("bad " ^ name) in
-  let nodes = ref Smap.empty in
-  for _ = 1 to count do
-    let path = read_str () in
-    let data = read_str () in
-    match String.split_on_char ' ' (read_line ()) with
-    | [ ""; v; cv; sq; cz; mz; pz; ct; mt; eo ] ->
-      nodes :=
-        Smap.add path
-          { data;
-            num_kids = 0;
-            version = parsed int_of_string_opt "version" v;
-            cversion = parsed int_of_string_opt "cversion" cv;
-            seq_counter = parsed int_of_string_opt "seq" sq;
-            czxid = parsed Int64.of_string_opt "czxid" cz;
-            mzxid = parsed Int64.of_string_opt "mzxid" mz;
-            pzxid = parsed Int64.of_string_opt "pzxid" pz;
-            ctime = Int64.float_of_bits (parsed Int64.of_string_opt "ctime" ("0x" ^ ct));
-            mtime = Int64.float_of_bits (parsed Int64.of_string_opt "mtime" ("0x" ^ mt));
-            ephemeral_owner = parsed Int64.of_string_opt "owner" eo }
-          !nodes
-    | _ -> fail "bad node record"
-  done;
-  let nodes = !nodes in
-  if Smap.cardinal nodes < count then fail "duplicate path";
-  if not (Smap.mem "/" nodes) then fail "no root";
-  (* child counts from paths; the root's overhead and path are excluded
-     from [bytes] (counted once in [resident_bytes]), its data is not *)
-  let kids = Hashtbl.create count in
-  let bytes, ephemerals =
-    Smap.fold
-      (fun path node (bytes, ephemerals) ->
-        if path <> "/" then begin
-          let parent = Zpath.parent path in
-          if not (Smap.mem parent nodes) then fail ("dangling node " ^ path);
-          Hashtbl.replace kids parent
-            (1 + Option.value (Hashtbl.find_opt kids parent) ~default:0)
-        end;
-        ( bytes + node_bytes path node,
-          ephemeral Sset.add ephemerals ~owner:node.ephemeral_owner path ))
-      nodes
-      (-(znode_overhead_bytes + 1), Owners.empty)
-  in
-  let nodes =
-    Hashtbl.fold
-      (fun path num_kids nodes ->
-        Smap.add path { (Smap.find path nodes) with num_kids } nodes)
-      kids nodes
-  in
-  { nodes; count; bytes; last_zxid; ephemerals }
-
-let deserialize s =
-  match decode s with
-  | img -> Ok (restore img)
-  | exception Bad_snapshot msg -> Error ("Ztree.deserialize: " ^ msg)

@@ -155,19 +155,12 @@ val fingerprint : t -> int
     images and never change this one. *)
 val capture : t -> image
 
-(** The bytes {!serialize} returns for a tree holding the image. *)
+(** The image as a self-contained byte string: nodes, data, stats and
+    sequence counters, in path order. Watches are not captured. *)
 val encode : image -> string
 
 (** [String.length (encode img)], counted without building the bytes. *)
 val encoded_length : image -> int
-
-(** Serialize the whole tree (nodes, data, stats, sequence counters) to a
-    self-contained byte string. Watches are not captured.
-    [serialize t = encode (capture t)]. *)
-val serialize : t -> string
-
-(** Rebuild a tree from [serialize] output. *)
-val deserialize : string -> (t, string) result
 
 (** {2 Field encoders}
 

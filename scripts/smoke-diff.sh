@@ -5,13 +5,12 @@
 #
 # <parent-tree> is a plain copy of the commit to compare against (for
 # example `git archive <rev> | tar -x -C /tmp/parent`). Both trees are
-# built with dune, then every experiment id CI runs except engine-smoke
-# (its metrics are host wall-clock) runs once in each, in its own output
-# directory: the nine other smokes, and the six gated ablations and the
-# headline ratios that CI runs whole. The script diffs each id's stdout
-# and any JSON it writes, after stripping lines that carry host wall
-# time, and exits non-zero if anything differs or either side's run
-# fails. Outputs stay in [out-dir]
+# built with dune, then every experiment id CI runs (this tree's
+# `dufs_bench --list-ci`) except engine-smoke (its metrics are host
+# wall-clock) runs once in each, in its own output directory. The
+# script diffs each id's stdout and any JSON it writes, after stripping
+# lines that carry host wall time, and exits non-zero if anything
+# differs or either side's run fails. Outputs stay in [out-dir]
 # (default: a fresh temporary directory) for inspection.
 set -u
 
@@ -24,12 +23,6 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 out=${2:-$(mktemp -d)}
 mkdir -p "$out"
 
-ids="profile-smoke sharding-smoke chaos-smoke sessions-smoke reshard-smoke
-  pipeline-smoke durability-smoke ablation-cache-smoke faults-smoke
-  ablation-mapping ablation-cmd ablation-unique ablation-async ablation-giga
-  ablation-observers headline"
-
-status=0
 for side in parent here; do
   tree=${!side}
   echo "building $side ($tree)"
@@ -37,6 +30,13 @@ for side in parent here; do
     echo "build failed: $tree (see $out/$side.build.log)" >&2
     exit 2
   fi
+done
+ids=$("$here/_build/default/bin/dufs_bench.exe" --list-ci | grep -v -x engine-smoke)
+[ -n "$ids" ] || { echo "no experiment ids listed" >&2; exit 2; }
+
+status=0
+for side in parent here; do
+  tree=${!side}
   for id in $ids; do
     dir="$out/$side/$id"
     rm -rf "$dir" && mkdir -p "$dir"

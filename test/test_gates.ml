@@ -7,6 +7,7 @@ module Report = Mdtest.Report
 module Runner = Mdtest.Runner
 module Systems = Scenarios.Systems
 module Figures = Scenarios.Figures
+module Experiments = Scenarios.Experiments
 module Sessions_bench = Scenarios.Sessions_bench
 
 let contains ~needle s =
@@ -465,6 +466,109 @@ let test_headline_drifted_ratios () =
     ~needle:"file stat:        DUFS(2xLustre) / Basic Lustre  (1.3): 0.95x"
     (Figures.headline_check (headline_ratios ~stat_lustre:0.95 ()))
 
+(* {2 The experiment table} *)
+
+let test_table_ids () =
+  let ids = List.map (fun (id, _, _) -> id) Experiments.ids in
+  Alcotest.(check int) "ids are unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun (e : Experiments.t) ->
+      Alcotest.(check bool)
+        (e.id ^ ": a smoke is listed as <id>-smoke, and only then")
+        (e.smoke <> None)
+        (List.mem (e.id ^ "-smoke") ids))
+    Experiments.table;
+  Alcotest.(check int) "every id is a row, its smoke, or all"
+    (List.length ids)
+    (1
+    + List.length Experiments.table
+    + List.length (List.filter (fun (e : Experiments.t) -> e.smoke <> None)
+                     Experiments.table));
+  List.iter
+    (fun id -> Alcotest.(check bool) (id ^ ": a CI id is an id") true (List.mem id ids))
+    Experiments.ci_ids
+
+let test_table_bench_files () =
+  let files =
+    List.filter_map
+      (fun (e : Experiments.t) ->
+        Option.map
+          (fun full -> (e.id, full, Experiments.bench_file e ~smoke:true))
+          (Experiments.bench_file e ~smoke:false))
+      Experiments.table
+  in
+  Alcotest.(check (list (triple string string (option string))))
+    "the BENCH files of the rows that write one"
+    (List.map
+       (fun (id, n) ->
+         ( id,
+           Printf.sprintf "BENCH_pr%d.json" n,
+           Some (Printf.sprintf "BENCH_pr%d_smoke.json" n) ))
+       [ ("faults", 2); ("profile", 3); ("sharding", 4); ("chaos", 5);
+         ("engine", 6); ("sessions", 7); ("reshard", 8); ("pipeline", 9);
+         ("durability", 10) ])
+    files
+
+(* [f ()]'s stdout, and its result or exception. *)
+let capture_stdout f =
+  flush stdout;
+  let file = Filename.temp_file "gates" ".out" in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let result = match f () with x -> Ok x | exception e -> Error e in
+  flush stdout;
+  Unix.dup2 saved Unix.stdout;
+  Unix.close saved;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (text, result)
+
+let occurrences ~needle s =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let demo_row ?(gated = true) ?bench ?smoke failures =
+  { Experiments.id = "demo"; doc = "a demo row"; bench; gated;
+    run = (fun () -> ([], failures)); smoke }
+
+let test_runner_gates_by_id () =
+  let out, result = capture_stdout (fun () -> Experiments.run (demo_row [ "broken" ])) in
+  (match result with
+   | Ok () -> Alcotest.fail "the runner passed a failing row"
+   | Error (Failure msg) ->
+     names "runner" ~needle:"demo" [ msg ];
+     names "runner" ~needle:"broken" [ msg ]
+   | Error e -> raise e);
+  names "runner output" ~needle:"GATE FAIL: broken" [ out ];
+  let out, _ = capture_stdout (fun () -> Experiments.run (demo_row [])) in
+  Alcotest.(check int) "a passing gated row prints its gate line once" 1
+    (occurrences ~needle:"gate: demo" out);
+  let out, _ =
+    capture_stdout (fun () -> Experiments.run (demo_row ~gated:false [ "ignored" ]))
+  in
+  Alcotest.(check int) "an ungated row prints no gate line" 0 (occurrences ~needle:"gate" out)
+
+let test_runner_writes_the_smoke_file () =
+  let file = "BENCH_gates_demo_smoke.json" in
+  let point =
+    Report.point ~experiment:"demo" ~procs:1 ~config:"smoke" ~ops_per_sec:1. ()
+  in
+  let row =
+    demo_row ~bench:"BENCH_gates_demo" ~smoke:("demo smoke", fun () -> ([ point ], [])) []
+  in
+  let out, result = capture_stdout (fun () -> Experiments.run ~smoke:true row) in
+  Result.iter_error raise result;
+  names "runner output" ~needle:("wrote " ^ file ^ " (1 bench points)") [ out ];
+  Alcotest.(check bool) "the smoke wrote <stem>_smoke.json" true (Sys.file_exists file);
+  Sys.remove file
+
 let () =
   Alcotest.run "gates"
     [ ( "report",
@@ -531,4 +635,10 @@ let () =
             test_observers_cost_writes ] );
       ( "headline",
         [ Alcotest.test_case "drifted dir-create ratios" `Quick
-            test_headline_drifted_ratios ] ) ]
+            test_headline_drifted_ratios ] );
+      ( "table",
+        [ Alcotest.test_case "ids unique, smokes as <id>-smoke" `Quick test_table_ids;
+          Alcotest.test_case "BENCH file names" `Quick test_table_bench_files;
+          Alcotest.test_case "runner gates by id" `Quick test_runner_gates_by_id;
+          Alcotest.test_case "smoke writes <stem>_smoke.json" `Quick
+            test_runner_writes_the_smoke_file ] ) ]

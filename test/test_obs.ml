@@ -274,6 +274,80 @@ let test_retry_span_tiles_the_total () =
     true
     (Float.abs (sum -. total) <= 1e-9 *. total)
 
+(* The one create of [trace] is traced, not dropped, with one retry
+   span; retry plus the five phases is its latency. *)
+let check_one_traced_retry trace =
+  check_int "nothing dropped" 0 (Trace.dropped trace ~op:"create");
+  check_int "one create traced" 1 (Trace.span_count trace "zk.create.total");
+  check_int "with one retry span" 1 (Trace.span_count trace "zk.create.retry");
+  let span name = Option.get (Trace.span_mean trace ("zk.create." ^ name)) in
+  let sum = List.fold_left (fun acc p -> acc +. span p) (span "retry") Trace.phases in
+  check_bool
+    (Printf.sprintf "retry + phases %.12g = total %.12g" sum (span "total"))
+    true
+    (Float.abs (sum -. span "total") <= 1e-9 *. span "total")
+
+(* The origin follower dies after forwarding a create but before the
+   commit's reply reaches it: the client times out and retries against
+   another server, and the leader answers the retry from its dedup
+   table. The span must be restamped at that answer, so the write is
+   traced as one retry whose phases tile its latency, not dropped as
+   half-stamped. *)
+let test_dedup_answered_retry_is_traced () =
+  let engine = Engine.create () in
+  let cfg =
+    { (Zk.Ensemble.default_config ~servers:5) with
+      Zk.Ensemble.election_timeout = 0.2;
+      request_timeout = 0.3 }
+  in
+  let trace = Trace.create () in
+  Trace.enable trace;
+  let ensemble = Zk.Ensemble.start ~trace engine cfg in
+  let result = ref None in
+  Process.spawn engine (fun () ->
+      let s = Zk.Ensemble.session ensemble ~server:4 () in
+      result := Some (s.Zk.Zk_client.create "/once" ~data:"x"));
+  Engine.schedule engine ~delay:0.0002 (fun () -> Zk.Ensemble.crash ensemble 4);
+  Engine.run engine;
+  check_bool "the retried create succeeded" true
+    (match !result with Some (Ok _) -> true | Some (Error _) | None -> false);
+  check_int "retry answered from the dedup table" 1 (Zk.Ensemble.dedup_hits ensemble);
+  check_one_traced_retry trace
+
+(* The followers die before acking a create, so the leader holds it
+   pending past the client's timeout; the client's retry reaches the
+   leader and is re-pointed at the pending proposal, which commits once
+   the followers are back. The span is restamped at the re-point, so
+   the write is traced as one retry, not dropped. *)
+let test_repointed_retry_is_traced () =
+  let engine = Engine.create () in
+  let cfg =
+    { (Zk.Ensemble.default_config ~servers:3) with
+      Zk.Ensemble.election_timeout = 0.2;
+      request_timeout = 0.3 }
+  in
+  let trace = Trace.create () in
+  Trace.enable trace;
+  let ensemble = Zk.Ensemble.start ~trace engine cfg in
+  let result = ref None in
+  Process.spawn engine (fun () ->
+      Process.sleep 0.1;
+      let leader = Option.get (Zk.Ensemble.leader_id ensemble) in
+      let s = Zk.Ensemble.session ensemble ~server:leader () in
+      List.iter
+        (fun id -> if id <> leader then Zk.Ensemble.crash ensemble id)
+        (Zk.Ensemble.member_ids ensemble);
+      Engine.schedule engine ~delay:0.45 (fun () ->
+          List.iter
+            (fun id -> if id <> leader then Zk.Ensemble.restart ensemble id)
+            (Zk.Ensemble.member_ids ensemble));
+      result := Some (s.Zk.Zk_client.create "/pending" ~data:"x"));
+  Engine.run engine;
+  check_bool "the retried create succeeded" true
+    (match !result with Some (Ok _) -> true | Some (Error _) | None -> false);
+  check_int "retry re-pointed at the pending proposal" 1 (Zk.Ensemble.dedup_hits ensemble);
+  check_one_traced_retry trace
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -294,4 +368,8 @@ let () =
           Alcotest.test_case "crash-leader retries counted as dropped" `Quick
             test_crash_retry_counts_dropped_spans;
           Alcotest.test_case "a retry span tiles the total" `Quick
-            test_retry_span_tiles_the_total ] ) ]
+            test_retry_span_tiles_the_total;
+          Alcotest.test_case "a dedup-answered retry is traced" `Quick
+            test_dedup_answered_retry_is_traced;
+          Alcotest.test_case "a re-pointed retry is traced" `Quick
+            test_repointed_retry_is_traced ] ) ]

@@ -322,7 +322,7 @@ let test_corrupt_snapshot_same_ladder () =
       if i = 5 || i = 8 then begin
         let img = Ztree.capture tree in
         Wal.snapshot w ~zxid:e.Wal.e_zxid ~epoch:1 img;
-        serialized := (i, Ztree.serialize tree) :: !serialized
+        serialized := (i, Ztree.encode img) :: !serialized
       end
     done;
     Wal.note_commit w 10L;

@@ -504,58 +504,6 @@ let test_bulk_readdir_watch_variant () =
 
 (* {2 Snapshots} *)
 
-let build_rich_tree () =
-  let tree = Ztree.create () in
-  let zxid = ref 0L in
-  let next () = zxid := Int64.add !zxid 1L; !zxid in
-  ignore (ok_or_fail "a" (Ztree.apply tree ~zxid:(next ()) ~time:1.5 [ create_op ~data:"alpha" "/a" ]));
-  ignore (ok_or_fail "a/b" (Ztree.apply tree ~zxid:(next ()) ~time:2.5 [ create_op ~data:"beta\nwith|newline: stuff" "/a/b" ]));
-  ignore (ok_or_fail "eph" (Ztree.apply tree ~zxid:(next ()) ~time:3. [ create_op ~ephemeral:42L "/e" ]));
-  ignore (ok_or_fail "seq" (Ztree.apply tree ~zxid:(next ()) ~time:4. [ create_op ~sequential:true "/a/s-" ]));
-  ignore
-    (ok_or_fail "set"
-       (Ztree.apply tree ~zxid:(next ()) ~time:5.
-          [ Txn.Set_data { path = "/a"; data = "alpha2"; expected_version = 0 } ]));
-  (tree, next)
-
-let test_snapshot_roundtrip () =
-  let tree, _ = build_rich_tree () in
-  match Ztree.deserialize (Ztree.serialize tree) with
-  | Error msg -> Alcotest.fail msg
-  | Ok restored ->
-    check_bool "equal state" true (Ztree.equal_state tree restored);
-    check_int "same fingerprint" (Ztree.fingerprint tree) (Ztree.fingerprint restored);
-    check_int "same node count" (Ztree.node_count tree) (Ztree.node_count restored);
-    check_bool "same last zxid" true (Ztree.last_zxid tree = Ztree.last_zxid restored);
-    check_int "same byte accounting" (Ztree.resident_bytes tree)
-      (Ztree.resident_bytes restored);
-    (* stats survive *)
-    let _, stat = ok_or_fail "get" (Ztree.get restored "/a") in
-    check_int "version" 1 stat.Ztree.version;
-    check_int "cversion" 2 stat.Ztree.cversion;
-    (* ephemerals tracking survives *)
-    check_int "ephemerals rebuilt" 1 (List.length (Ztree.ephemerals_of restored ~owner:42L))
-
-let test_snapshot_restored_tree_keeps_working () =
-  let tree, _ = build_rich_tree () in
-  let restored = Result.get_ok (Ztree.deserialize (Ztree.serialize tree)) in
-  let zxid = Int64.add (Ztree.last_zxid restored) 1L in
-  (* sequential counter continues where it left off *)
-  (* /a's child-sequence counter was 2 (children b and s-0000000001) *)
-  (match ok_or_fail "seq" (apply_one restored ~zxid (create_op ~sequential:true "/a/s-")) with
-  | [ Txn.Created path ] -> check_string "counter continued" "/a/s-0000000002" path
-  | _ -> Alcotest.fail "shape");
-  (* mutation on the restored tree does not affect the original *)
-  check_bool "original untouched" false (Ztree.equal_state tree restored)
-
-let test_snapshot_rejects_garbage () =
-  List.iter
-    (fun s ->
-      match Ztree.deserialize s with
-      | Ok _ -> Alcotest.failf "accepted %S" s
-      | Error _ -> ())
-    [ ""; "nonsense"; "ZTREEv1 abc\n1\n"; "ZTREEv1 5\n"; "ZTREEv1 5\n2\n1:/0: 0 0 0 1 1 1 0 0 0\n" ]
-
 (* The snapshot payload is what the WAL checksums and what a restarted
    server reads back, so its bytes are a stored format: pinned here for a
    tree with a sequential child, an ephemeral, a rewritten node and
@@ -572,7 +520,7 @@ let test_snapshot_golden_bytes () =
      2:/a8:new\ndata 1 2 2 1 4 3 3fe0000000000000 400e000000000000 0\n\
      4:/a/e3:eph 0 0 0 3 3 3 4000000000000000 4000000000000000 99\n\
      15:/a/s-00000000000: 0 0 0 2 2 2 3ff4000000000000 3ff4000000000000 0\n"
-    (Ztree.serialize tree)
+    (Ztree.encode (Ztree.capture tree))
 
 let prop_float_bits_match_printf =
   QCheck2.Test.make ~name:"add_float_bits is Printf %Lx of the bits" ~count:1000
@@ -582,45 +530,10 @@ let prop_float_bits_match_printf =
       Ztree.add_float_bits b f;
       Buffer.contents b = Printf.sprintf "%Lx" (Int64.bits_of_float f))
 
-let prop_snapshot_roundtrip =
-  let gen_ops =
-    QCheck2.Gen.(
-      list_size (int_range 1 50)
-        (oneof
-           [ map (fun (a, sub) -> `Create ("/" ^ a ^ (if sub then "/x" else "")))
-               (pair (oneofl [ "p"; "q"; "r" ]) bool);
-             map (fun a -> `Delete ("/" ^ a)) (oneofl [ "p"; "q"; "p/x" ]);
-             map (fun (a, d) -> `Set ("/" ^ a, d))
-               (pair (oneofl [ "p"; "q"; "r" ]) (string_size (int_range 0 12))) ]))
-  in
-  QCheck2.Test.make ~name:"snapshot roundtrip preserves state for random trees"
-    ~count:200 gen_ops (fun ops ->
-      let tree = Ztree.create () in
-      let zxid = ref 0L in
-      List.iter
-        (fun op ->
-          zxid := Int64.add !zxid 1L;
-          ignore
-            (match op with
-            | `Create path -> Ztree.apply tree ~zxid:!zxid ~time:0. [ create_op path ]
-            | `Delete path ->
-              Ztree.apply tree ~zxid:!zxid ~time:0.
-                [ Txn.Delete { path; expected_version = -1 } ]
-            | `Set (path, data) ->
-              Ztree.apply tree ~zxid:!zxid ~time:0.
-                [ Txn.Set_data { path; data; expected_version = -1 } ]))
-        ops;
-      match Ztree.deserialize (Ztree.serialize tree) with
-      | Ok restored ->
-        Ztree.equal_state tree restored
-        && Ztree.fingerprint tree = Ztree.fingerprint restored
-        && Ztree.resident_bytes tree = Ztree.resident_bytes restored
-      | Error _ -> false)
-
 (* A snapshot freezes the tree when taken and is encoded later, after
    the live tree has moved on. [freeze] takes a snapshot and returns its
    deferred bytes; whatever ops run before they are read, the bytes must
-   be those [serialize] gave at the moment of freezing. *)
+   be those the tree encoded to at the moment of freezing. *)
 let prop_frozen_snapshot ~name ~count freeze =
   let gen_path =
     QCheck2.Gen.(
@@ -662,14 +575,9 @@ let prop_frozen_snapshot ~name ~count freeze =
       in
       apply_where (fun i -> i < k);
       let deferred = freeze tree in
-      let bytes_k = Ztree.serialize tree and fingerprint_k = Ztree.fingerprint tree in
+      let bytes_k = Ztree.encode (Ztree.capture tree) in
       apply_where (fun i -> i >= k);
-      let bytes = deferred () in
-      bytes = bytes_k
-      &&
-      match Ztree.deserialize bytes with
-      | Ok restored -> Ztree.fingerprint restored = fingerprint_k
-      | Error _ -> false)
+      deferred () = bytes_k)
 
 let prop_capture_stays_frozen =
   prop_frozen_snapshot ~name:"encode of a capture is serialize at capture time" ~count:300
@@ -677,13 +585,13 @@ let prop_capture_stays_frozen =
       let img = Ztree.capture tree in
       fun () -> Ztree.encode img)
 
-(* Suspending [serialize] of the live tree, instead of encoding a
-   capture, encodes whatever tree exists when the bytes are first read:
+(* Suspending the capture and encoding of the live tree, instead of
+   encoding a capture taken at once, encodes whatever tree exists when the bytes are first read:
    the property above must catch it. *)
 let test_lazy_serialize_is_not_frozen () =
   let lazy_serialize =
     prop_frozen_snapshot ~name:"suspended serialize" ~count:300 (fun tree ->
-        let bytes = lazy (Ztree.serialize tree) in
+        let bytes = lazy (Ztree.encode (Ztree.capture tree)) in
         fun () -> Lazy.force bytes)
   in
   match QCheck2.Test.check_exn ~rand:(Random.State.make [| 19 |]) lazy_serialize with
@@ -793,16 +701,14 @@ let prop_children_with_data_reads_child_nodes =
             Ztree.children_with_data tree path = children_with_data_by_lookup tree path)
           (all_paths tree "/")
       in
-      match Ztree.deserialize (Ztree.serialize tree) with
-      | Error _ -> false
-      | Ok restored ->
-        agree tree && agree restored
-        && Ztree.fingerprint tree = Ztree.fingerprint restored
-        && List.for_all
-             (fun path ->
-               Ztree.children_with_data tree path
-               = Ztree.children_with_data restored path)
-             (all_paths tree "/"))
+      let restored = Ztree.restore (Ztree.capture tree) in
+      agree tree && agree restored
+      && Ztree.fingerprint tree = Ztree.fingerprint restored
+      && List.for_all
+           (fun path ->
+             Ztree.children_with_data tree path
+             = Ztree.children_with_data restored path)
+           (all_paths tree "/"))
 
 (* {2 Memory model} *)
 
@@ -980,7 +886,7 @@ let test_zxid_tbl_copy_is_independent () =
 (* {2 Shared apply}
 
    Members of one share that hold the same image adopt each other's
-   applies; a member that lags, diverges or is restored from bytes
+   applies; a member that lags, diverges or is restored from an image
    computes its own. Either way every member must end exactly where a
    private tree applying the same stream ends. *)
 
@@ -1027,7 +933,7 @@ let gen_shared_txn =
 
 (* One step: a txn, then each member's move: 0-4 stay behind, 5-7 catch
    up, 8 catch up through decoded (equal, not identical) txns, 9 catch
-   up, then restore from its own bytes. *)
+   up, then restore from its own image. *)
 let gen_shared_stream =
   QCheck2.Gen.(
     pair (int_range 2 4)
@@ -1076,19 +982,19 @@ let prop_shared_apply_matches_private =
                 if move = 9 then begin
                   let m = members.(j) in
                   let old = !m in
-                  let restored = Result.get_ok (Ztree.deserialize (Ztree.serialize old)) in
-                  m := Ztree.restore ~share (Ztree.capture restored);
+                  m := Ztree.restore ~share (Ztree.capture old);
                   Ztree.migrate_watches ~from:old ~into:!m
                 end
               end)
             moves)
         steps;
       Array.iteri (fun j _ -> catch_up j ~upto:n ~decoded:false) members;
-      let bytes = Ztree.serialize !private_tree in
+      let encode t = Ztree.encode (Ztree.capture t) in
+      let bytes = encode !private_tree in
       !ok
       && Array.for_all
            (fun m ->
-             Ztree.serialize !m = bytes
+             encode !m = bytes
              && Ztree.fingerprint !m = Ztree.fingerprint !private_tree
              && Ztree.resident_bytes !m = Ztree.resident_bytes !private_tree
              && Ztree.node_count !m = Ztree.node_count !private_tree)
@@ -1148,7 +1054,8 @@ let test_shares_never_cross () =
   check_bool "same share: adopted" true (Ztree.capture a == Ztree.capture a');
   check_bool "other share: its own apply" true (Ztree.capture a != Ztree.capture b);
   check_int "nothing adopted across shares" 0 (Ztree.adopted s2);
-  check_bool "same content" true (Ztree.serialize a = Ztree.serialize b)
+  check_bool "same content" true
+    (Ztree.encode (Ztree.capture a) = Ztree.encode (Ztree.capture b))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -1204,13 +1111,8 @@ let () =
           Alcotest.test_case "watch variant arms child + parent watches" `Quick
             test_bulk_readdir_watch_variant ] );
       ( "snapshot",
-        [ Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "restored tree keeps working" `Quick
-            test_snapshot_restored_tree_keeps_working;
-          Alcotest.test_case "rejects garbage" `Quick test_snapshot_rejects_garbage;
-          Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
+        [ Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
           qc prop_float_bits_match_printf;
-          qc prop_snapshot_roundtrip;
           qc prop_capture_stays_frozen;
           Alcotest.test_case "suspended serialize is not frozen" `Quick
             test_lazy_serialize_is_not_frozen ] );
