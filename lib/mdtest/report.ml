@@ -63,6 +63,11 @@ let point ~experiment ~procs ~config ~ops_per_sec ?latency ?(phases = [])
     ?(shards = []) () =
   { experiment; procs; config; ops_per_sec; latency; phases; shards }
 
+let phase p name =
+  match List.assoc_opt name p.phases with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "Report.phase: %s has no %s" p.experiment name)
+
 let latency_of_runner (l : Runner.latency) =
   { samples = l.Runner.samples;
     mean_s = l.Runner.mean;

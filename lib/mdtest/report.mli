@@ -72,6 +72,10 @@ val point :
   unit ->
   bench_point
 
+(** [phase p name] is the value of [p]'s phase [name].
+    @raise Invalid_argument when [p] has no such phase. *)
+val phase : bench_point -> string -> float
+
 val latency_of_runner : Runner.latency -> latency_stats
 
 (** Write [points] to [path] as a JSON array, one object per line, then

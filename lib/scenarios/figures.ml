@@ -1220,33 +1220,34 @@ let sharding ?procs_list ?topologies ?batches () =
 
 (* {2 Seed sweeps}
 
-   The fault experiments share one loop and one run record: each seeded
-   point is a {!Systems.dufs_mdtest} run with a register overlay. The
-   loop runs each point, prints its row and then its linearizability
-   and durability violations, and runs the first point again — the
-   same seed must reproduce a bit-identical history. *)
+   The fault experiments share one loop: each seeded point is a
+   {!Systems.dufs_mdtest} run with a register overlay, reduced to its
+   bench point as soon as it finishes. The loop prints the run's row
+   from that point, then its linearizability and durability violations,
+   and runs the first point again — the same seed must reproduce a
+   bit-identical history. Rows, totals, summaries and gates read the
+   points; no run outlives its reduction. *)
 
 let register_audit (r : Systems.dufs_run) =
   match r.Systems.registers with
   | Some a -> a
   | None -> invalid_arg "a fault-sweep run without its register overlay"
 
-let seed_sweep ~run ~print points =
-  let results =
-    List.map
-      (fun p ->
-        let r = run p in
-        print p r;
-        List.iter
-          (fun (v : Zk.History.violation) ->
-            Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
-              v.Zk.History.v_path v.Zk.History.v_detail)
-          (r.Systems.violations @ (register_audit r).Systems.durability_violations);
-        (p, r))
-      points
+let seed_sweep ~run ~point ~print keys =
+  let reduce k =
+    let r = run k in
+    let p = point k r in
+    print k p;
+    List.iter
+      (fun (v : Zk.History.violation) ->
+        Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
+          v.Zk.History.v_path v.Zk.History.v_detail)
+      (r.Systems.violations @ (register_audit r).Systems.durability_violations);
+    (r.Systems.history_digest, (k, p))
   in
-  let again = run (List.hd points) in
-  (results, again.Systems.history_digest = (snd (List.hd results)).Systems.history_digest)
+  let digest, p = reduce (List.hd keys) in
+  let rest = List.map (fun k -> snd (reduce k)) (List.tl keys) in
+  (p :: rest, (run (List.hd keys)).Systems.history_digest = digest)
 
 let digest_verdict deterministic =
   if deterministic then "identical" else "DIFFERS (nondeterminism!)"
@@ -1256,10 +1257,35 @@ let over_shards router f op init =
   Array.fold_left (fun acc e -> op acc (f e)) init (Zk.Shard_router.ensembles router)
 
 let shard_sum router f = over_shards router f ( + ) 0
+let flag b = if b then 1. else 0.
 
 (* A bench point holds finite numbers only; -1 marks one that is
-   missing (a run that never recovered, a sweep with no recovery). *)
+   missing (a run that never recovered, a sweep with no recovery) and
+   prints as the nan it stands for. *)
 let or_missing x = if Float.is_finite x then x else -1.
+let missing_as_nan x = if x = -1. then Float.nan else x
+
+(* One phase folded over a sweep's points. *)
+let fold_phase op init name points =
+  List.fold_left (fun acc (_, p) -> op acc (Report.phase p name)) init points
+
+let phase_total name points = fold_phase ( +. ) 0. name points
+
+(* A sweep's table, one column per phase: [(header, phase, format)],
+   each header right-aligned to its format's width. *)
+type column = string * string * (float -> string, unit, string) format
+
+let column_header (cols : column list) =
+  String.concat ""
+    (List.map
+       (fun (h, _, fmt) -> Printf.sprintf " %*s" (String.length (Printf.sprintf fmt 0.)) h)
+       cols)
+
+let column_cells (cols : column list) p =
+  String.concat ""
+    (List.map
+       (fun (_, name, fmt) -> " " ^ Printf.sprintf fmt (missing_as_nan (Report.phase p name)))
+       cols)
 
 (* {2 Chaos — randomized network fault schedules + linearizability oracle}
 
@@ -1325,76 +1351,77 @@ let chaos_runs_default =
   List.map (fun s -> (1, Int64.of_int s)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
   @ List.map (fun s -> (4, Int64.of_int s)) [ 101; 102; 103; 104; 105; 106; 107; 108 ]
 
+let chaos_reduce ~shape (shards, seed) (r : Systems.dufs_run) =
+  let a = register_audit r in
+  let sum f = float_of_int (shard_sum r.Systems.router f) in
+  Report.point ~experiment:"chaos" ~procs:shape.clients
+    ~config:(Printf.sprintf "seed=%Ld|shards=%d|zk=%d" seed shards shape.servers)
+    ~ops_per_sec:(float_of_int a.Systems.ops_ok /. (shape.heal_at +. shape.post_heal))
+    ~phases:
+      [ ("violations", float_of_int (List.length r.Systems.violations));
+        ( "durability_violations",
+          float_of_int (List.length a.Systems.durability_violations) );
+        ("ops_checked", float_of_int r.Systems.history_checked);
+        ("ops_recorded", float_of_int r.Systems.history_recorded);
+        ("undetermined", float_of_int r.Systems.history_undetermined);
+        ("recovery_s", or_missing a.Systems.recovery_s);
+        ("sessions_expired", sum Zk.Ensemble.sessions_expired);
+        ("dedup_hits", sum Zk.Ensemble.dedup_hits);
+        ("dedup_evictions", sum Zk.Ensemble.dedup_evictions);
+        ("writes_failed_fast", sum Zk.Ensemble.writes_failed_fast);
+        ("stale_reads_served", sum Zk.Ensemble.stale_reads_served) ]
+    ()
+
+let chaos_columns : column list =
+  [ ("recorded", "ops_recorded", "%9.0f");
+    ("checked", "ops_checked", "%8.0f");
+    ("undet", "undetermined", "%7.0f");
+    ("expired", "sessions_expired", "%7.0f");
+    ("dedup_hits", "dedup_hits", "%11.0f");
+    ("evictions", "dedup_evictions", "%11.0f");
+    ("recovery", "recovery_s", "%8.2fs");
+    ("violations", "violations", "%10.0f") ]
+
 (* One chaos schedule's verdict: a clean, non-empty history, no acked
    write lost and a recovery after heal. Shared by [chaos] and
    [pipeline]'s sweep. *)
-let chaos_run_check ((shards, seed), (r : Systems.dufs_run)) =
-  let ctx = Printf.sprintf "shards=%d seed=%Ld" shards seed in
-  let a = register_audit r in
+let chaos_run_check ((shards, seed), p) =
+  let ctx = Printf.sprintf "shards=%d seed=%Ld" shards seed and phase = Report.phase p in
   List.concat
-    [ Report.expect (r.Systems.violations = [])
-        "%s: %d linearizability violations" ctx
-        (List.length r.Systems.violations);
-      Report.expect (a.Systems.durability_violations = [])
-        "%s: %d acked writes lost or unacked writes resurrected" ctx
-        (List.length a.Systems.durability_violations);
-      Report.expect (r.Systems.history_checked > 0)
+    [ Report.expect (phase "violations" = 0.)
+        "%s: %.0f linearizability violations" ctx (phase "violations");
+      Report.expect (phase "durability_violations" = 0.)
+        "%s: %.0f acked writes lost or unacked writes resurrected" ctx
+        (phase "durability_violations");
+      Report.expect (phase "ops_checked" > 0.)
         "%s: empty history, the checker saw nothing" ctx;
-      Report.expect
-        (Float.is_finite a.Systems.recovery_s)
-        "%s: never recovered after heal" ctx ]
+      Report.expect (phase "recovery_s" <> -1.) "%s: never recovered after heal" ctx ]
 
-let chaos_check ~deterministic results =
-  List.concat_map chaos_run_check results
+let chaos_check ~deterministic points =
+  List.concat_map chaos_run_check points
   @ Report.expect deterministic
       "identical seed produced a different history"
 
-let recovery_s r = (register_audit r).Systems.recovery_s
-
-(* The finished recoveries of a sweep. *)
-let chaos_recoveries results =
-  Array.of_list (List.filter Float.is_finite (List.map (fun (_, r) -> recovery_s r) results))
-
-let chaos_points ~shape ~deterministic results =
-  let duration = shape.heal_at +. shape.post_heal in
-  let total f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
-  let total_checked = total (fun (r : Systems.dufs_run) -> r.Systems.history_checked) in
-  let recoveries = chaos_recoveries results in
-  List.map
-    (fun ((shards, seed), (r : Systems.dufs_run)) ->
-      let sum = shard_sum r.Systems.router in
-      Report.point ~experiment:"chaos" ~procs:shape.clients
-        ~config:(Printf.sprintf "seed=%Ld|shards=%d|zk=%d" seed shards shape.servers)
-        ~ops_per_sec:(float_of_int (register_audit r).Systems.ops_ok /. duration)
-        ~phases:
-          [ ("violations", float_of_int (List.length r.Systems.violations));
-            ("ops_checked", float_of_int r.Systems.history_checked);
-            ("ops_recorded", float_of_int r.Systems.history_recorded);
-            ("undetermined", float_of_int r.Systems.history_undetermined);
-            ("recovery_s", or_missing (recovery_s r));
-            ("sessions_expired", float_of_int (sum Zk.Ensemble.sessions_expired));
-            ("dedup_hits", float_of_int (sum Zk.Ensemble.dedup_hits));
-            ("dedup_evictions", float_of_int (sum Zk.Ensemble.dedup_evictions));
-            ("writes_failed_fast", float_of_int (sum Zk.Ensemble.writes_failed_fast));
-            ("stale_reads_served", float_of_int (sum Zk.Ensemble.stale_reads_served)) ]
-        ())
-    results
-  @ [ Report.point ~experiment:"chaos-summary" ~procs:shape.clients
-        ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length results) shape.servers)
-        ~ops_per_sec:(float_of_int total_checked /. duration)
-        ~phases:
-          [ ( "violations_total",
-              float_of_int
-                (total (fun (r : Systems.dufs_run) -> List.length r.Systems.violations))
-            );
-            ("ops_checked_total", float_of_int total_checked);
-            ("recovery_p50_s", or_missing (Simkit.Stat.percentile recoveries 0.50));
-            ("recovery_p95_s", or_missing (Simkit.Stat.percentile recoveries 0.95));
-            ("recovery_max_s", or_missing (Simkit.Stat.percentile recoveries 1.0));
-            ("runs_recovered", float_of_int (Array.length recoveries));
-            ("runs", float_of_int (List.length results));
-            ("deterministic", if deterministic then 1. else 0.) ]
-        () ]
+let chaos_summary ~shape ~deterministic points =
+  let checked = phase_total "ops_checked" points in
+  let recoveries =
+    List.map (fun (_, p) -> Report.phase p "recovery_s") points
+    |> List.filter (( <> ) (-1.)) |> Array.of_list
+  in
+  let pct q = or_missing (Simkit.Stat.percentile recoveries q) in
+  Report.point ~experiment:"chaos-summary" ~procs:shape.clients
+    ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length points) shape.servers)
+    ~ops_per_sec:(checked /. (shape.heal_at +. shape.post_heal))
+    ~phases:
+      [ ("violations_total", phase_total "violations" points);
+        ("ops_checked_total", checked);
+        ("recovery_p50_s", pct 0.50);
+        ("recovery_p95_s", pct 0.95);
+        ("recovery_max_s", pct 1.0);
+        ("runs_recovered", float_of_int (Array.length recoveries));
+        ("runs", float_of_int (List.length points));
+        ("deterministic", flag deterministic) ]
+    ()
 
 let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) () =
   Report.print_header
@@ -1403,33 +1430,24 @@ let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) () =
         duplication, crashes) over %d-server-per-shard ensembles, %d clients; \
         Wing-Gong linearizability check over every recorded history"
        (List.length runs) shape.servers shape.clients);
-  Printf.printf "%6s %7s %9s %8s %7s %7s %11s %11s %9s %8s\n" "shards" "seed"
-    "recorded" "checked" "undet" "expired" "dedup_hits" "evictions" "recovery"
-    "violations";
-  let results, deterministic =
+  Printf.printf "%6s %7s%s\n" "shards" "seed" (column_header chaos_columns);
+  let points, deterministic =
     seed_sweep
       ~run:(fun (shards, seed) -> chaos_point ~shape ~shards ~seed ())
-      ~print:(fun (shards, seed) (r : Systems.dufs_run) ->
-        let sum = shard_sum r.Systems.router in
-        Printf.printf "%6d %7Ld %9d %8d %7d %7d %11d %11d %8.2fs %10d\n%!" shards seed
-          r.Systems.history_recorded r.Systems.history_checked
-          r.Systems.history_undetermined (sum Zk.Ensemble.sessions_expired)
-          (sum Zk.Ensemble.dedup_hits) (sum Zk.Ensemble.dedup_evictions)
-          (recovery_s r)
-          (List.length r.Systems.violations))
+      ~point:(chaos_reduce ~shape)
+      ~print:(fun (shards, seed) p ->
+        Printf.printf "%6d %7Ld%s\n%!" shards seed (column_cells chaos_columns p))
       runs
   in
-  let total f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
-  let recoveries = chaos_recoveries results in
+  let summary = chaos_summary ~shape ~deterministic points in
+  let s name = missing_as_nan (Report.phase summary name) in
   Printf.printf
-    "\ntotal: %d ops checked, %d violations; recovery p50=%.2fs p95=%.2fs \
-     max=%.2fs (%d/%d runs recovered); seed %Ld re-run digest %s\n%!"
-    (total (fun (r : Systems.dufs_run) -> r.Systems.history_checked))
-    (total (fun (r : Systems.dufs_run) -> List.length r.Systems.violations))
-    (Simkit.Stat.percentile recoveries 0.50) (Simkit.Stat.percentile recoveries 0.95)
-    (Simkit.Stat.percentile recoveries 1.0) (Array.length recoveries) (List.length results)
+    "\ntotal: %.0f ops checked, %.0f violations; recovery p50=%.2fs p95=%.2fs \
+     max=%.2fs (%.0f/%.0f runs recovered); seed %Ld re-run digest %s\n%!"
+    (s "ops_checked_total") (s "violations_total") (s "recovery_p50_s")
+    (s "recovery_p95_s") (s "recovery_max_s") (s "runs_recovered") (s "runs")
     (snd (List.hd runs)) (digest_verdict deterministic);
-  (chaos_points ~shape ~deterministic results, chaos_check ~deterministic results)
+  (List.map snd points @ [ summary ], chaos_check ~deterministic points)
 
 (* {2 Elastic resharding — live shard split / merge under mdtest}
 
@@ -1643,7 +1661,7 @@ let pipeline_improvement runs ~procs =
     Some (base, piped, 100. *. (base -. piped) /. base)
   | _ -> None
 
-let pipeline_check ~min_improvement ~deterministic runs chaos_results =
+let pipeline_check ~min_improvement ~deterministic runs chaos_points =
   let max_procs = List.fold_left (fun acc ((_, p), _) -> max acc p) 0 runs in
   List.concat_map
     (fun ((name, procs), r) ->
@@ -1660,7 +1678,7 @@ let pipeline_check ~min_improvement ~deterministic runs chaos_results =
      | None ->
        [ Printf.sprintf "missing the %d-proc batch16 runs for the improvement gate"
            max_procs ])
-  @ chaos_check ~deterministic chaos_results
+  @ chaos_check ~deterministic chaos_points
 
 let pipeline ?(procs_list = [ 64; 128; 256 ])
     ?(chaos_runs = chaos_runs_default) ?(min_improvement = 30.) () =
@@ -1721,27 +1739,24 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
       Zk.Ensemble.max_batch = 8;
       max_inflight_batches = pipeline_chaos_window }
   in
-  let chaos_results, deterministic =
+  let chaos_points, deterministic =
     seed_sweep
       ~run:(fun (shards, seed) ->
         chaos_point ~config_adjust:chaos_adjust ~shards ~seed ())
-      ~print:(fun (shards, seed) (r : Systems.dufs_run) ->
+      ~point:(chaos_reduce ~shape:chaos_shape)
+      ~print:(fun (shards, seed) p ->
+        let phase = Report.phase p in
         Printf.printf
-          "    shards=%d seed=%-4Ld checked=%-6d violations=%d \
+          "    shards=%d seed=%-4Ld checked=%-6.0f violations=%.0f \
            recovery=%.2fs\n%!"
-          shards seed r.Systems.history_checked
-          (List.length r.Systems.violations)
-          (recovery_s r))
+          shards seed (phase "ops_checked") (phase "violations")
+          (missing_as_nan (phase "recovery_s")))
       chaos_runs
   in
-  let total_violations =
-    List.fold_left
-      (fun acc (_, (r : Systems.dufs_run)) -> acc + List.length r.Systems.violations)
-      0 chaos_results
-  in
+  let total_violations = phase_total "violations" chaos_points in
   Printf.printf
-    "  chaos total: %d schedules, %d violations; seed %Ld re-run digest %s\n%!"
-    (List.length chaos_results)
+    "  chaos total: %d schedules, %.0f violations; seed %Ld re-run digest %s\n%!"
+    (List.length chaos_points)
     total_violations
     (snd (List.hd chaos_runs))
     (digest_verdict deterministic);
@@ -1753,26 +1768,15 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
         @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
       runs
   in
-  let chaos_points =
-    List.map
-      (fun ((shards, seed), (r : Systems.dufs_run)) ->
-        Report.point ~experiment:"pipeline-chaos" ~procs:chaos_shape.clients
-          ~config:
-            (Printf.sprintf "seed=%Ld|shards=%d|zk=%d|window=%d" seed shards
-               chaos_shape.servers pipeline_chaos_window)
-          ~ops_per_sec:
-            (float_of_int (register_audit r).Systems.ops_ok
-             /. (chaos_shape.heal_at +. chaos_shape.post_heal))
-          ~phases:
-            [ ( "violations",
-                float_of_int (List.length r.Systems.violations) );
-              ("ops_checked", float_of_int r.Systems.history_checked);
-              ("undetermined", float_of_int r.Systems.history_undetermined);
-              ("recovery_s", or_missing (recovery_s r));
-              ( "dedup_hits",
-                float_of_int (shard_sum r.Systems.router Zk.Ensemble.dedup_hits) ) ]
-          ())
-      chaos_results
+  (* A [pipeline-chaos] point is the schedule's [chaos] point under
+     its own name, with the five phases its BENCH file has always
+     carried. *)
+  let pipeline_chaos_point (_, (p : Report.bench_point)) =
+    let keep = [ "violations"; "ops_checked"; "undetermined"; "recovery_s"; "dedup_hits" ] in
+    { p with
+      Report.experiment = "pipeline-chaos";
+      config = Printf.sprintf "%s|window=%d" p.Report.config pipeline_chaos_window;
+      phases = List.filter (fun (name, _) -> List.mem name keep) p.Report.phases }
   in
   let qa_base, qa_piped, impr =
     Option.value ~default:(-1., -1., -1.) improvement
@@ -1789,13 +1793,13 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
           ("qw_ack_pipelined_s", qa_piped);
           ("improvement_pct", impr);
           ("min_improvement_pct", min_improvement);
-          ("chaos_runs", float_of_int (List.length chaos_results));
-          ("violations_total", float_of_int total_violations);
-          ("deterministic", if deterministic then 1. else 0.) ]
+          ("chaos_runs", float_of_int (List.length chaos_points));
+          ("violations_total", total_violations);
+          ("deterministic", flag deterministic) ]
       ()
   in
-  ( run_points @ chaos_points @ [ summary ],
-    pipeline_check ~min_improvement ~deterministic runs chaos_results )
+  ( run_points @ List.map pipeline_chaos_point chaos_points @ [ summary ],
+    pipeline_check ~min_improvement ~deterministic runs chaos_points )
 
 
 (* {2 Durability — whole-cluster power failures and storage corruption
@@ -1876,36 +1880,112 @@ let durability_registers ~clients ~ops_per_client =
 
 let is_torn = function "torn-tail" | "wal-bit-rot" | "torn+snap-rot" -> true | _ -> false
 
+(* WAL records truncated by the torn/bit-rot schedules of a sweep. *)
+let torn_truncated points =
+  List.fold_left
+    (fun acc ((_, flavor), p) ->
+      if is_torn flavor then acc +. Report.phase p "wal.truncated_records" else acc)
+    0. points
+
 (* Every schedule recovers with agreeing replicas, a non-empty audit and
    zero oracle violations; across the sweep the torn/bit-rot schedules
-   truncate something ([torn_truncated] WAL records: the storage faults
-   have teeth), recovery is mostly local (WAL-replayed transactions
-   outnumber leader diff-syncs), and the first schedule replays
-   bit-identically. *)
-let durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced runs =
+   truncate something (the storage faults have teeth), recovery is
+   mostly local (WAL-replayed transactions outnumber leader
+   diff-syncs), and the first schedule replays bit-identically. *)
+let durability_check ~deterministic points =
+  let replayed = phase_total "wal.replayed" points
+  and diff_synced = phase_total "transfer.diff_txns" points in
   List.concat_map
-    (fun ((seed, flavor), (r : Systems.dufs_run)) ->
-      let ctx = Printf.sprintf "seed=%Ld %s" seed flavor in
-      let a = register_audit r in
+    (fun ((seed, flavor), p) ->
+      let ctx = Printf.sprintf "seed=%Ld %s" seed flavor and phase = Report.phase p in
       List.concat
         [ Report.expect
-            (Float.is_finite a.Systems.recovery_s)
+            (phase "power_failure_recovered" = 1.)
             "%s: whole-cluster power failure never recovered" ctx;
-          Report.expect a.Systems.replicas_agree "%s: recovered replicas disagree" ctx;
-          Report.expect (r.Systems.violations = [])
-            "%s: %d linearizability violations" ctx
-            (List.length r.Systems.violations);
-          Report.expect (a.Systems.durability_violations = [])
-            "%s: %d acked writes lost or unacked writes resurrected" ctx
-            (List.length a.Systems.durability_violations);
-          Report.expect (a.Systems.audited > 0)
+          Report.expect (phase "replicas_agree" = 1.) "%s: recovered replicas disagree" ctx;
+          Report.expect (phase "violations" = 0.)
+            "%s: %.0f linearizability violations" ctx (phase "violations");
+          Report.expect (phase "durability_violations" = 0.)
+            "%s: %.0f acked writes lost or unacked writes resurrected" ctx
+            (phase "durability_violations");
+          Report.expect (phase "registers_audited" > 0.)
             "%s: the durability oracle audited 0 registers" ctx ])
-    runs
-  @ Report.expect (torn_truncated > 0)
+    points
+  @ Report.expect (torn_truncated points > 0.)
       "torn/bit-rot schedules truncated nothing (no teeth)"
   @ Report.expect (diff_synced < replayed)
-      "recovery not mostly local (diff-sync %d >= WAL replay %d)" diff_synced replayed
+      "recovery not mostly local (diff-sync %.0f >= WAL replay %.0f)" diff_synced replayed
   @ Report.expect deterministic "identical seed produced a different history"
+
+let durability_reduce ~procs (seed, flavor) (r : Systems.dufs_run) =
+  let a = register_audit r in
+  let sum f = float_of_int (shard_sum r.Systems.router f) in
+  Report.point ~experiment:"durability" ~procs
+    ~config:(Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" seed flavor durability_servers)
+    ~ops_per_sec:(Runner.rate r.Systems.results Runner.File_create)
+    ~phases:
+      [ ("violations", float_of_int (List.length r.Systems.violations));
+        ( "durability_violations",
+          float_of_int (List.length a.Systems.durability_violations) );
+        ("ops_recorded", float_of_int r.Systems.history_recorded);
+        ("registers_audited", float_of_int a.Systems.audited);
+        ("undetermined", float_of_int r.Systems.history_undetermined);
+        ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
+        ("power_failure_recovered", flag (Float.is_finite a.Systems.recovery_s));
+        ("replicas_agree", flag a.Systems.replicas_agree);
+        ("faults_fired", float_of_int r.Systems.faults_fired);
+        ("wal.appended", sum Zk.Ensemble.wal_appended);
+        ("wal.replayed", sum Zk.Ensemble.wal_replayed);
+        ("wal.truncated_records", sum Zk.Ensemble.wal_truncated);
+        ("wal.tail_dropped", sum Zk.Ensemble.wal_tail_dropped);
+        ("wal.tail_commits", sum Zk.Ensemble.wal_tail_commits);
+        ("snap.loads", sum Zk.Ensemble.snap_loads);
+        ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
+        ("recovery.count", sum Zk.Ensemble.recoveries);
+        ( "recovery.time_total_s",
+          over_shards r.Systems.router Zk.Ensemble.recovery_time_total ( +. ) 0. );
+        ( "recovery.time_max_s",
+          over_shards r.Systems.router Zk.Ensemble.recovery_time_max Float.max 0. );
+        ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
+        ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
+    ()
+
+let durability_columns : column list =
+  [ ("recorded", "ops_recorded", "%9.0f");
+    ("audited", "registers_audited", "%7.0f");
+    ("undet", "undetermined", "%6.0f");
+    ("mderr", "mdtest_errors", "%7.0f");
+    ("replayed", "wal.replayed", "%8.0f");
+    ("truncated", "wal.truncated_records", "%9.0f");
+    ("snaps", "snap.loads", "%6.0f");
+    ("falls", "snap.corrupt_fallbacks", "%6.0f");
+    ("diff", "transfer.diff_txns", "%6.0f");
+    ("rectime", "recovery.time_max_s", "%6.3fs");
+    ("lin", "violations", "%5.0f");
+    ("dur", "durability_violations", "%5.0f") ]
+
+let durability_summary ~procs ~reg_clients ~deterministic points =
+  let total name = phase_total name points in
+  let recoveries = total "recovery.count" in
+  Report.point ~experiment:"durability-summary" ~procs
+    ~config:(Printf.sprintf "runs=%d|zk=%d|reg_clients=%d" (List.length points)
+               durability_servers reg_clients)
+    ~ops_per_sec:0.
+    ~phases:
+      [ ("runs", float_of_int (List.length points));
+        ("violations_total", total "violations");
+        ("durability_violations_total", total "durability_violations");
+        ("power_failures_recovered", total "power_failure_recovered");
+        ("replicas_agree_runs", total "replicas_agree");
+        ("wal.replayed_total", total "wal.replayed");
+        ("wal.truncated_torn_total", torn_truncated points);
+        ("transfer.diff_txns_total", total "transfer.diff_txns");
+        ("recovery.count_total", recoveries);
+        ( "recovery.per_restart_mean_s",
+          if recoveries = 0. then 0. else total "recovery.time_total_s" /. recoveries );
+        ("recovery.max_s", fold_phase Float.max 0. "recovery.time_max_s" points);
+        ("deterministic", flag deterministic) ]
+    ()
 
 let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     ?(procs = 64) ?(reg_clients = 8) ?(ops_per_client = 50)
@@ -1917,9 +1997,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
         %d-proc mdtest over %d-server ensembles; checksummed-WAL recovery \
         + durability oracle"
        (List.length seeds) procs durability_servers);
-  Printf.printf "%5s %14s %9s %7s %6s %7s %8s %9s %6s %6s %6s %7s %5s %5s\n"
-    "seed" "flavor" "recorded" "audited" "undet" "mderr" "replayed" "truncated"
-    "snaps" "falls" "diff" "rectime" "lin" "dur";
+  Printf.printf "%5s %14s%s\n" "seed" "flavor" (column_header durability_columns);
   let registers = durability_registers ~clients:reg_clients ~ops_per_client in
   let run (seed, flavor) =
     let plan = durability_plan ~servers:durability_servers ~seed ~flavor in
@@ -1927,121 +2005,28 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
       ~config_adjust:(durability_config ~seed) ~registers ~spec:durability_spec
       ~shards:1 ~procs ()
   in
-  let restart_max (r : Systems.dufs_run) =
-    over_shards r.Systems.router Zk.Ensemble.recovery_time_max Float.max 0.
+  let print (seed, flavor) p =
+    Printf.printf "%5Ld %14s%s%s%s\n%!" seed flavor
+      (column_cells durability_columns p)
+      (if Report.phase p "power_failure_recovered" = 1. then "" else "  NOT-RECOVERED")
+      (if Report.phase p "replicas_agree" = 1. then "" else "  REPLICAS-DISAGREE")
   in
-  let print (seed, flavor) (r : Systems.dufs_run) =
-    let a = register_audit r and sum = shard_sum r.Systems.router in
-    Printf.printf
-      "%5Ld %14s %9d %7d %6d %7d %8d %9d %6d %6d %6d %6.3fs %5d %5d%s\n%!"
-      seed flavor r.Systems.history_recorded a.Systems.audited
-      r.Systems.history_undetermined r.Systems.results.Runner.errors
-      (sum Zk.Ensemble.wal_replayed) (sum Zk.Ensemble.wal_truncated)
-      (sum Zk.Ensemble.snap_loads) (sum Zk.Ensemble.snap_fallbacks)
-      (sum Zk.Ensemble.transfer_diff_txns) (restart_max r)
-      (List.length r.Systems.violations)
-      (List.length a.Systems.durability_violations)
-      ((if Float.is_finite a.Systems.recovery_s then "" else "  NOT-RECOVERED")
-       ^ if a.Systems.replicas_agree then "" else "  REPLICAS-DISAGREE")
-  in
-  let results, deterministic =
-    seed_sweep ~run ~print
+  let points, deterministic =
+    seed_sweep ~run ~point:(durability_reduce ~procs) ~print
       (List.mapi
          (fun i seed -> (seed, durability_flavors.(i mod Array.length durability_flavors)))
          seeds)
   in
-  let count f = List.length (List.filter f results) in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  (* the sweep's counters, over every run's shards *)
-  let ensembles =
-    List.concat_map
-      (fun (_, (r : Systems.dufs_run)) ->
-        Array.to_list (Zk.Shard_router.ensembles r.Systems.router))
-      results
-  in
-  let over f op init = List.fold_left (fun acc e -> op acc (f e)) init ensembles in
-  let total_of f = over f ( + ) 0 in
-  let lin_violations =
-    total (fun (_, (r : Systems.dufs_run)) -> List.length r.Systems.violations)
-  and dur_violations =
-    total (fun (_, r) -> List.length (register_audit r).Systems.durability_violations)
-  and recovered_runs = count (fun (_, r) -> Float.is_finite (recovery_s r))
-  and agree_runs = count (fun (_, r) -> (register_audit r).Systems.replicas_agree)
-  and torn_truncated =
-    total (fun ((_, flavor), (r : Systems.dufs_run)) ->
-        if is_torn flavor then shard_sum r.Systems.router Zk.Ensemble.wal_truncated else 0)
-  and replayed = total_of Zk.Ensemble.wal_replayed
-  and diff_synced = total_of Zk.Ensemble.transfer_diff_txns
-  and recoveries = total_of Zk.Ensemble.recoveries
-  and rec_time_max = over Zk.Ensemble.recovery_time_max Float.max 0. in
-  let per_restart_mean =
-    if recoveries = 0 then 0.
-    else over Zk.Ensemble.recovery_time_total ( +. ) 0. /. float_of_int recoveries
-  in
+  let summary = durability_summary ~procs ~reg_clients ~deterministic points in
+  let s = Report.phase summary in
   Printf.printf
-    "\ntotal: %d runs (%d recovered, %d replicas-agree), %d lin + %d \
-     durability violations; %d recoveries, per-restart recovery mean=%.3fs \
-     max=%.3fs; wal replayed %d vs leader diff-sync %d txns (+%d SNAP); \
-     truncated %d under torn/bit-rot; seed %Ld re-run digest %s\n%!"
-    (List.length results) recovered_runs agree_runs lin_violations
-    dur_violations recoveries per_restart_mean rec_time_max replayed diff_synced
-    (total_of Zk.Ensemble.transfer_snaps)
-    torn_truncated (List.hd seeds) (digest_verdict deterministic);
-  let flag b = if b then 1. else 0. in
-  let points =
-    List.map
-      (fun ((seed, flavor), (r : Systems.dufs_run)) ->
-        let a = register_audit r in
-        let sum f = float_of_int (shard_sum r.Systems.router f) in
-        Report.point ~experiment:"durability" ~procs
-          ~config:
-            (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" seed flavor durability_servers)
-          ~ops_per_sec:(Runner.rate r.Systems.results Runner.File_create)
-          ~phases:
-            [ ("violations", float_of_int (List.length r.Systems.violations));
-              ( "durability_violations",
-                float_of_int (List.length a.Systems.durability_violations) );
-              ("ops_recorded", float_of_int r.Systems.history_recorded);
-              ("registers_audited", float_of_int a.Systems.audited);
-              ("undetermined", float_of_int r.Systems.history_undetermined);
-              ("mdtest_errors", float_of_int r.Systems.results.Runner.errors);
-              ("power_failure_recovered", flag (Float.is_finite a.Systems.recovery_s));
-              ("replicas_agree", flag a.Systems.replicas_agree);
-              ("faults_fired", float_of_int r.Systems.faults_fired);
-              ("wal.appended", sum Zk.Ensemble.wal_appended);
-              ("wal.replayed", sum Zk.Ensemble.wal_replayed);
-              ("wal.truncated_records", sum Zk.Ensemble.wal_truncated);
-              ("wal.tail_dropped", sum Zk.Ensemble.wal_tail_dropped);
-              ("wal.tail_commits", sum Zk.Ensemble.wal_tail_commits);
-              ("snap.loads", sum Zk.Ensemble.snap_loads);
-              ("snap.corrupt_fallbacks", sum Zk.Ensemble.snap_fallbacks);
-              ("recovery.count", sum Zk.Ensemble.recoveries);
-              ( "recovery.time_total_s",
-                over_shards r.Systems.router Zk.Ensemble.recovery_time_total
-                  ( +. ) 0. );
-              ("recovery.time_max_s", restart_max r);
-              ("transfer.diff_txns", sum Zk.Ensemble.transfer_diff_txns);
-              ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
-          ())
-      results
-    @ [ Report.point ~experiment:"durability-summary" ~procs
-          ~config:
-            (Printf.sprintf "runs=%d|zk=%d|reg_clients=%d"
-               (List.length results) durability_servers reg_clients)
-          ~ops_per_sec:0.
-          ~phases:
-            [ ("runs", float_of_int (List.length results));
-              ("violations_total", float_of_int lin_violations);
-              ("durability_violations_total", float_of_int dur_violations);
-              ("power_failures_recovered", float_of_int recovered_runs);
-              ("replicas_agree_runs", float_of_int agree_runs);
-              ("wal.replayed_total", float_of_int replayed);
-              ("wal.truncated_torn_total", float_of_int torn_truncated);
-              ("transfer.diff_txns_total", float_of_int diff_synced);
-              ("recovery.count_total", float_of_int recoveries);
-              ("recovery.per_restart_mean_s", per_restart_mean);
-              ("recovery.max_s", rec_time_max);
-              ("deterministic", flag deterministic) ]
-          () ]
-  in
-  (points, durability_check ~deterministic ~torn_truncated ~replayed ~diff_synced results)
+    "\ntotal: %.0f runs (%.0f recovered, %.0f replicas-agree), %.0f lin + %.0f \
+     durability violations; %.0f recoveries, per-restart recovery mean=%.3fs \
+     max=%.3fs; wal replayed %.0f vs leader diff-sync %.0f txns (+%.0f SNAP); \
+     truncated %.0f under torn/bit-rot; seed %Ld re-run digest %s\n%!"
+    (s "runs") (s "power_failures_recovered") (s "replicas_agree_runs")
+    (s "violations_total") (s "durability_violations_total") (s "recovery.count_total")
+    (s "recovery.per_restart_mean_s") (s "recovery.max_s") (s "wal.replayed_total")
+    (s "transfer.diff_txns_total") (phase_total "transfer.snaps" points)
+    (s "wal.truncated_torn_total") (List.hd seeds) (digest_verdict deterministic);
+  (List.map snd points @ [ summary ], durability_check ~deterministic points)

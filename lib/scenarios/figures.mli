@@ -272,39 +272,41 @@ val chaos_point :
   unit ->
   Systems.dufs_run
 
+(** A chaos run, keyed [(shards, seed)], reduced to its [chaos] bench
+    point, the one record of the run: oracle violations, ops checked,
+    [recovery_s] ([-1] if the run never recovered) and the shards'
+    counters; ops/s over [shape]'s [heal_at + post_heal] seconds. *)
+val chaos_reduce :
+  shape:chaos_shape -> int * int64 -> Systems.dufs_run -> Mdtest.Report.bench_point
+
 (** [chaos ()] runs one {!chaos_point} per [(shards, seed)] entry of
     [runs] (default: 12 single-shard + 8 four-shard schedules) at
-    [shape] (default {!chaos_shape}), prints a per-run table (ops
-    recorded/checked, undetermined ops, expired sessions, dedup
-    activity, post-heal recovery time, violations), re-runs the first
-    schedule to prove bit-identical history digests, and summarizes
-    recovery percentiles. Returns {!chaos_points} (the BENCH_pr5.json
-    artifact) and the failures of {!chaos_check}. *)
+    [shape] (default {!chaos_shape}), reduces each run by
+    {!chaos_reduce} and prints its row from that point, re-runs the
+    first schedule to prove bit-identical history digests, and prints
+    the {!chaos_summary} totals. Returns those points (the
+    BENCH_pr5.json artifact) and the failures of {!chaos_check}. *)
 val chaos :
   ?runs:(int * int64) list ->
   ?shape:chaos_shape ->
   unit ->
   Mdtest.Report.bench_point list * string list
 
-(** The chaos gate over [((shards, seed), run)] points: every run has a
+(** The chaos gate over {!chaos_reduce} points: every run has a
     non-empty history, no linearizability or durability-oracle
     violation and a recovery after the closing heal, and the re-run of
-    the first schedule was [deterministic].
-    @raise Invalid_argument on a run without its register overlay. *)
+    the first schedule was [deterministic]. *)
 val chaos_check :
-  deterministic:bool -> ((int * int64) * Systems.dufs_run) list -> string list
+  deterministic:bool -> ((int * int64) * Mdtest.Report.bench_point) list -> string list
 
-(** [chaos]'s bench points over [shape]'s [heal_at + post_heal] virtual
-    seconds of client load: one [chaos] point per run and the
-    [chaos-summary] point. Every number is finite: [-1] marks a missing
-    recovery time, per run or as a percentile over a sweep in which no
-    run recovered; [recovery_s = -1] in a [chaos] point means the run
-    never recovered. *)
-val chaos_points :
+(** The [chaos-summary] point over {!chaos_reduce} points: totals, and
+    recovery percentiles and [runs_recovered] over the runs that
+    recovered ([-1] percentiles when none did). *)
+val chaos_summary :
   shape:chaos_shape ->
   deterministic:bool ->
-  ((int * int64) * Systems.dufs_run) list ->
-  Mdtest.Report.bench_point list
+  ((int * int64) * Mdtest.Report.bench_point) list ->
+  Mdtest.Report.bench_point
 
 (** {2 Elastic resharding — live shard split/merge under mdtest}
 
@@ -345,7 +347,9 @@ val reshard_check : ((int * int * int) * reshard_run) list -> string list
     Returns the failures of {!pipeline_check} and the BENCH_pr9.json
     points: [mdtest-*] points with latency blocks and [zk-<op>-breakdown] points with
     phase durations per configuration, one [pipeline-chaos] point per
-    schedule, and a [pipeline-summary] point carrying the
+    schedule (its {!chaos_reduce} point renamed, [|window=4] appended
+    to its config, five of its phases kept), and a [pipeline-summary]
+    point carrying the
     queue-wait + ack improvement of the pipelined configuration over
     the window = 1 baseline at the largest scale. *)
 val pipeline :
@@ -359,13 +363,13 @@ val pipeline :
     the chaos sweep: every run's breakdown passes {!profile_check}'s
     tiling test and has traced creates, the pipelined create
     queue-wait + ack at the largest scale beats the window = 1 baseline
-    by at least [min_improvement] percent (default 30), and the sweep
-    passes {!chaos_check}. *)
+    by at least [min_improvement] percent (default 30), and the sweep's
+    {!chaos_reduce} points pass {!chaos_check}. *)
 val pipeline_check :
   min_improvement:float ->
   deterministic:bool ->
   ((string * int) * traced) list ->
-  ((int * int64) * Systems.dufs_run) list ->
+  ((int * int64) * Mdtest.Report.bench_point) list ->
   string list
 
 (** {2 Durability — power failures and storage corruption over mdtest}
@@ -375,13 +379,13 @@ val pipeline_check :
     flavors on one member's disk (none, torn tail, WAL bit-rot,
     snapshot corruption, torn+snapshot, fail-slow + post-restart
     stall). Each run is a {!Systems.dufs_mdtest} with a register
-    overlay; the rows re-run the first schedule to prove a
-    bit-identical history, and WAL, snapshot, recovery and transfer
-    counters are read from the run's ensembles. Returns the failures
-    of {!durability_check} and the BENCH_pr10.json points: one
-    [durability] point per schedule (those counters in [phases], dotted
-    [wal.*]/[snap.*]/[recovery.*]/[transfer.*] keys) plus a
-    [durability-summary] point. *)
+    overlay, reduced as it finishes to its [durability] point: oracle
+    verdicts and the ensembles' WAL, snapshot, recovery and transfer
+    counters in [phases] (dotted [wal.*]/[snap.*]/[recovery.*]/[transfer.*]
+    keys); rows, totals and the [durability-summary] point read those
+    points, and the first schedule re-runs to prove a bit-identical
+    history. Returns the BENCH_pr10.json points and the failures of
+    {!durability_check}. *)
 val durability :
   ?seeds:int64 list ->
   ?procs:int ->
@@ -392,18 +396,11 @@ val durability :
   unit ->
   Mdtest.Report.bench_point list * string list
 
-(** The durability gate over [((seed, flavor), run)] schedules: every
+(** The durability gate over [((seed, flavor), point)] schedules: every
     run recovers with agreeing replicas, audits at least one register
     and finds no linearizability or durability-oracle violation; over
-    the sweep the torn/bit-rot schedules truncated [torn_truncated > 0]
-    WAL records, leader diff-syncs shipped fewer transactions
-    ([diff_synced]) than local WAL replay recovered ([replayed]), and
-    the re-run was [deterministic].
-    @raise Invalid_argument on a run without its register overlay. *)
+    the sweep the flavors that tear or rot the WAL truncated some
+    records, leader diff-syncs shipped fewer transactions than local
+    WAL replay recovered, and the re-run was [deterministic]. *)
 val durability_check :
-  deterministic:bool ->
-  torn_truncated:int ->
-  replayed:int ->
-  diff_synced:int ->
-  ((int64 * string) * Systems.dufs_run) list ->
-  string list
+  deterministic:bool -> ((int64 * string) * Mdtest.Report.bench_point) list -> string list

@@ -1,27 +1,31 @@
 #!/usr/bin/env bash
-# Byte-diff the CI experiment smokes of this tree against another tree.
+# Byte-diff experiment runs of this tree against another tree.
 #
-#   scripts/smoke-diff.sh <parent-tree> [out-dir]
+#   scripts/smoke-diff.sh <parent-tree> [out-dir] [id...]
 #
 # <parent-tree> is a plain copy of the commit to compare against (for
 # example `git archive <rev> | tar -x -C /tmp/parent`). Both trees are
-# built with dune, then every experiment id CI runs (this tree's
-# `dufs_bench --list-ci`) except engine-smoke (its metrics are host
-# wall-clock) runs once in each, in its own output directory. The
-# script diffs each id's stdout and any JSON it writes, after stripping
-# lines that carry host wall time, and exits non-zero if anything
-# differs or either side's run fails. Outputs stay in [out-dir]
-# (default: a fresh temporary directory) for inspection.
+# built with dune, then each given experiment id runs once in each, in
+# its own output directory. With no ids, the script runs every id CI
+# runs (this tree's `dufs_bench --list-ci`) except engine-smoke (its
+# metrics are host wall-clock); full runs are diffed the same way, e.g.
+# `scripts/smoke-diff.sh <parent-tree> <out-dir> chaos pipeline
+# durability`. The script diffs each id's stdout and any JSON it
+# writes, after stripping lines that carry host wall time, and exits
+# non-zero if anything differs or either side's run fails. Outputs stay
+# in [out-dir] (default: a fresh temporary directory; pass an empty
+# string for one when naming ids) for inspection.
 set -u
 
 if [ $# -lt 1 ] || [ ! -d "$1" ]; then
-  echo "usage: $0 <parent-tree> [out-dir]" >&2
+  echo "usage: $0 <parent-tree> [out-dir] [id...]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
 here=$(cd "$(dirname "$0")/.." && pwd)
 out=${2:-$(mktemp -d)}
 mkdir -p "$out"
+shift $(( $# < 2 ? $# : 2 ))
 
 for side in parent here; do
   tree=${!side}
@@ -31,7 +35,11 @@ for side in parent here; do
     exit 2
   fi
 done
-ids=$("$here/_build/default/bin/dufs_bench.exe" --list-ci | grep -v -x engine-smoke)
+if [ $# -gt 0 ]; then
+  ids="$*"
+else
+  ids=$("$here/_build/default/bin/dufs_bench.exe" --list-ci | grep -v -x engine-smoke)
+fi
 [ -n "$ids" ] || { echo "no experiment ids listed" >&2; exit 2; }
 
 status=0

@@ -86,16 +86,17 @@ let test_probe_gives_up () =
     | Ok p -> p
     | Error msg -> Alcotest.failf "plan parse: %s" msg
   in
-  let r =
-    Figures.chaos_point
-      ~shape:
-        { small_shape with clients = 2; registers = 2; heal_at = 2.; post_heal = 1. }
-      ~plan ~shards:1 ~seed:3L ()
+  let shape =
+    { small_shape with clients = 2; registers = 2; heal_at = 2.; post_heal = 1. }
   in
+  let r = Figures.chaos_point ~shape ~plan ~shards:1 ~seed:3L () in
   check_bool "no recovery time" true (Float.is_nan (audit r).Systems.recovery_s);
+  let point = Figures.chaos_reduce ~shape (1, 3L) r in
+  check_bool "the point marks it missing" true
+    (Mdtest.Report.phase point "recovery_s" = -1.);
   check_bool "the gate names it" true
     (List.mem "shards=1 seed=3: never recovered after heal"
-       (Figures.chaos_check ~deterministic:true [ ((1, 3L), r) ]))
+       (Figures.chaos_check ~deterministic:true [ ((1, 3L), point) ]))
 
 (* {2 The oracle has teeth}
 

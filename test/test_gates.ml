@@ -261,25 +261,28 @@ let test_faults_unfired_event () =
 
 (* {2 Chaos} *)
 
-(* One clean single-shard chaos point, [((shards, seed), run)]. *)
+(* One clean single-shard chaos point, [((shards, seed), point)], as
+   {!Figures.chaos_reduce} builds it; [recovery_s = -1.] marks a run
+   that never recovered. *)
 let chaos_row ?(seed = 11L) ?(checked = 1_945) ?(recovery_s = 0.6)
-    ?(durability_violations = []) () =
+    ?(durability_violations = 0) () =
   ( (1, seed),
-    { (dufs_run ~p99:0.01) with
-      Systems.router =
-        Zk.Shard_router.start (Simkit.Engine.create ()) ~shards:1
-          (Zk.Ensemble.default_config ~servers:3);
-      history_recorded = 2_000;
-      history_checked = checked;
-      history_undetermined = 3;
-      faults_fired = 8;
-      registers =
-        Some
-          { Systems.ops_ok = 1_997;
-            audited = 6;
-            durability_violations;
-            recovery_s;
-            replicas_agree = true } } )
+    Report.point ~experiment:"chaos" ~procs:8
+      ~config:(Printf.sprintf "seed=%Ld|shards=1|zk=3" seed)
+      ~ops_per_sec:79.88
+      ~phases:
+        [ ("violations", 0.);
+          ("durability_violations", float_of_int durability_violations);
+          ("ops_checked", float_of_int checked);
+          ("ops_recorded", 2_000.);
+          ("undetermined", 3.);
+          ("recovery_s", recovery_s);
+          ("sessions_expired", 0.);
+          ("dedup_hits", 12.);
+          ("dedup_evictions", 0.);
+          ("writes_failed_fast", 4.);
+          ("stale_reads_served", 9.) ]
+      () )
 
 let test_chaos_zero_ops_checked () =
   passes "chaos" (Figures.chaos_check ~deterministic:true [ chaos_row () ]);
@@ -287,35 +290,54 @@ let test_chaos_zero_ops_checked () =
     (Figures.chaos_check ~deterministic:true [ chaos_row ~checked:0 () ])
 
 let test_chaos_acked_write_lost () =
-  let lost =
-    { Zk.History.v_path = "/d3/r";
-      v_kind = "durability";
-      v_detail = "recovered <absent> but the 1 acked + 0 undetermined writes only allow {3.7}" }
-  in
   names "one acked write lost"
     ~needle:"seed=11: 1 acked writes lost or unacked writes resurrected"
-    (Figures.chaos_check ~deterministic:true
-       [ chaos_row ~durability_violations:[ lost ] () ])
+    (Figures.chaos_check ~deterministic:true [ chaos_row ~durability_violations:1 () ])
 
-(* No run recovered: the gate names every run, and the bench points
-   stay finite (a NaN would make Report.emit_json raise before the gate
+let all_finite (p : Report.bench_point) =
+  List.iter
+    (fun (name, v) ->
+      if not (Float.is_finite v) then
+        Alcotest.failf "%s point: %s = %f is not finite" p.Report.experiment name v)
+    p.Report.phases;
+  Alcotest.(check bool) "ops/s finite" true (Float.is_finite p.Report.ops_per_sec)
+
+(* No run recovered: the gate names every run, and the summary point
+   stays finite (a NaN would make Report.emit_json raise before the gate
    could print). *)
 let test_chaos_none_recovered () =
   let runs =
-    [ chaos_row ~recovery_s:Float.nan (); chaos_row ~seed:12L ~recovery_s:Float.nan () ]
+    [ chaos_row ~recovery_s:(-1.) (); chaos_row ~seed:12L ~recovery_s:(-1.) () ]
   in
   let failures = Figures.chaos_check ~deterministic:true runs in
   names "seed 11 unrecovered" ~needle:"seed=11: never recovered after heal" failures;
   names "seed 12 unrecovered" ~needle:"seed=12: never recovered after heal" failures;
-  List.iter
-    (fun (p : Report.bench_point) ->
-      List.iter
-        (fun (name, v) ->
-          if not (Float.is_finite v) then
-            Alcotest.failf "%s point: %s = %f is not finite" p.Report.experiment name v)
-        p.Report.phases;
-      Alcotest.(check bool) "ops/s finite" true (Float.is_finite p.Report.ops_per_sec))
-    (Figures.chaos_points ~shape:Figures.chaos_shape ~deterministic:true runs)
+  let summary = Figures.chaos_summary ~shape:Figures.chaos_shape ~deterministic:true runs in
+  all_finite summary;
+  Alcotest.(check (float 0.)) "no percentile: -1" (-1.)
+    (Report.phase summary "recovery_p50_s");
+  Alcotest.(check (float 0.)) "no run recovered" 0. (Report.phase summary "runs_recovered")
+
+(* Recovered runs mixed with unrecovered ones: the percentiles and
+   [runs_recovered] cover the three recovered runs only, and the -1
+   markers are neither a recovery time nor a recovered run. *)
+let test_chaos_mixed_recoveries () =
+  let runs =
+    List.mapi
+      (fun i recovery_s -> chaos_row ~seed:(Int64.of_int (11 + i)) ~recovery_s ())
+      [ 0.6; -1.; 2.0; 1.2; -1. ]
+  in
+  let summary = Figures.chaos_summary ~shape:Figures.chaos_shape ~deterministic:true runs in
+  all_finite summary;
+  let phase name expected =
+    Alcotest.(check (float 0.)) name expected (Report.phase summary name)
+  in
+  phase "recovery_p50_s" 1.2;
+  phase "recovery_p95_s" 2.0;
+  phase "recovery_max_s" 2.0;
+  phase "runs_recovered" 3.;
+  phase "runs" 5.;
+  phase "ops_checked_total" (5. *. 1_945.)
 
 (* {2 Pipeline} *)
 
@@ -338,31 +360,47 @@ let test_pipeline_phases_not_tiling () =
 
 (* {2 Durability} *)
 
-let durability_run =
-  ( (2L, "torn-tail"),
-    { (dufs_run ~p99:0.01) with
-      Systems.registers =
-        Some
-          { Systems.ops_ok = 400;
-            audited = 8;
-            durability_violations = [];
-            recovery_s = 0.05;
-            replicas_agree = true } } )
+(* One clean schedule's point, [((seed, flavor), point)], as
+   {!Figures.durability} reduces a run. *)
+let durability_row ?(seed = 2L) ?(flavor = "torn-tail") ?(audited = 8) ?(truncated = 12)
+    () =
+  ( (seed, flavor),
+    Report.point ~experiment:"durability" ~procs:64
+      ~config:(Printf.sprintf "seed=%Ld|flavor=%s|zk=5" seed flavor)
+      ~ops_per_sec:7_023.6
+      ~phases:
+        [ ("violations", 0.);
+          ("durability_violations", 0.);
+          ("ops_recorded", 400.);
+          ("registers_audited", float_of_int audited);
+          ("undetermined", 0.);
+          ("mdtest_errors", 0.);
+          ("power_failure_recovered", 1.);
+          ("replicas_agree", 1.);
+          ("faults_fired", 7.);
+          ("wal.replayed", 4_000.);
+          ("wal.truncated_records", float_of_int truncated);
+          ("transfer.diff_txns", 40.) ]
+      () )
 
-let durability_check =
-  Figures.durability_check ~deterministic:true ~torn_truncated:12 ~replayed:4_000
-    ~diff_synced:40
+let durability_check = Figures.durability_check ~deterministic:true
 
 let test_durability_zero_registers_audited () =
-  passes "durability" (durability_check [ durability_run ]);
-  let label, r = durability_run in
+  passes "durability" (durability_check [ durability_row () ]);
   names "nothing audited" ~needle:"audited 0 registers"
+    (durability_check [ durability_row ~audited:0 () ])
+
+(* Truncation counts as teeth only under a flavor that tears or rots the
+   WAL: records truncated by a plain power failure do not. *)
+let test_durability_untorn_truncation () =
+  passes "torn-tail truncated"
     (durability_check
-       [ ( label,
-           { r with
-             Systems.registers =
-               Option.map (fun a -> { a with Systems.audited = 0 }) r.Systems.registers
-           } ) ])
+       [ durability_row ~seed:1L ~flavor:"power-failure" ~truncated:0 ();
+         durability_row ~truncated:12 () ]);
+  names "only power-failure truncated" ~needle:"truncated nothing (no teeth)"
+    (durability_check
+       [ durability_row ~seed:1L ~flavor:"power-failure" ~truncated:12 ();
+         durability_row ~truncated:0 () ])
 
 (* {2 The other extension ablations, at the numbers they print} *)
 
@@ -609,13 +647,17 @@ let () =
           Alcotest.test_case "zero ops checked" `Quick
             test_chaos_zero_ops_checked;
           Alcotest.test_case "acked write lost" `Quick
-            test_chaos_acked_write_lost ] );
+            test_chaos_acked_write_lost;
+          Alcotest.test_case "mixed recoveries" `Quick
+            test_chaos_mixed_recoveries ] );
       ( "pipeline",
         [ Alcotest.test_case "phases not tiling the total" `Quick
             test_pipeline_phases_not_tiling ] );
       ( "durability",
         [ Alcotest.test_case "zero registers audited" `Quick
-            test_durability_zero_registers_audited ] );
+            test_durability_zero_registers_audited;
+          Alcotest.test_case "only an untorn flavor truncated" `Quick
+            test_durability_untorn_truncation ] );
       ( "mapping",
         [ Alcotest.test_case "ring relocates like mod-N" `Quick
             test_mapping_ring_moves_like_mod ] );

@@ -202,13 +202,13 @@ let test_mid_lease_migration_leases () =
 
 (* {2 The flip fires server-side watches}
 
-   Watches stay a server feature ({!Zk.Recipes} arms them), so the flip
-   must fire the ones parked on the old owner: a data watch on a child,
-   a child watch on the directory, and an exists-watch on an absent
-   child. Each is armed raw, through a routed session, and each must
-   have fired by the time the split returns — before any write lands
-   through the new owner. Directories the split leaves in place keep
-   their watches armed. *)
+   Watches stay a server feature ({!Zk.Zk_client.handle} exposes
+   them), so the flip must fire the ones parked on the old owner: a
+   data watch on a child, a child watch on the directory, and an
+   exists-watch on an absent child. Each is armed raw, through a
+   routed session, and each must have fired by the time the split
+   returns — before any write lands through the new owner. Directories
+   the split leaves in place keep their watches armed. *)
 
 let test_split_fires_server_watches () =
   let engine = Engine.create () in
