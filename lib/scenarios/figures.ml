@@ -710,6 +710,93 @@ let ablation_async () =
   flush stdout;
   ablation_async_check rows
 
+(* {2 A DUFS run is its bench points}
+
+   The drivers from here on reduce each {!Systems.dufs_mdtest} run to
+   its bench points the moment it finishes: one [mdtest-<phase>] point
+   per phase, one [zk-<op>-breakdown] point per traced write kind and,
+   where a driver prints or gates on more, one accounting point whose
+   phases carry it. Tables, ratios and gates read those points only, so
+   no run's router or trace outlives its reduction. *)
+
+(* One [mdtest-<phase>] point per phase that recorded latency samples. *)
+let mdtest_points ~procs ~config results =
+  List.filter_map
+    (fun phase ->
+      Option.map
+        (fun l ->
+          Report.point
+            ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+            ~procs ~config
+            ~ops_per_sec:(Runner.rate results phase)
+            ~latency:(Report.latency_of_runner l) ())
+        (Runner.latency_of results phase))
+    Runner.all_phases
+
+let zk_write_ops = [ "create"; "delete"; "set"; "multi" ]
+
+(* One [zk-<op>-breakdown] point per write kind in [ops] that [r]
+   traced: the op's latency block and the mean of each quorum phase. *)
+let breakdown_points ~ops ~procs ~config (r : Systems.dufs_run) =
+  let trace = r.Systems.trace and wall = r.Systems.results.Runner.wall in
+  List.filter_map
+    (fun op ->
+      let name = "zk." ^ op ^ ".total" in
+      let mean p = Obs.Trace.span_mean trace ("zk." ^ op ^ "." ^ p) in
+      Option.map
+        (fun total ->
+          let count = Obs.Trace.span_count trace name in
+          let q p = Option.value ~default:total (Obs.Trace.span_quantile trace name p) in
+          Report.point
+            ~experiment:("zk-" ^ op ^ "-breakdown")
+            ~procs ~config
+            ~ops_per_sec:(if wall > 0. then float_of_int count /. wall else 0.)
+            ~latency:
+              { Report.samples = count;
+                mean_s = total;
+                p50_s = q 0.5;
+                p95_s = q 0.95;
+                p99_s = q 0.99;
+                max_s = Option.value ~default:total (Obs.Trace.span_max trace name) }
+            ~phases:
+              (List.map (fun p -> (p, Option.value ~default:0. (mean p))) Obs.Trace.phases)
+            ())
+        (mean "total"))
+    ops
+
+let run_points ~ops ~procs ~config (r : Systems.dufs_run) =
+  mdtest_points ~procs ~config r.Systems.results @ breakdown_points ~ops ~procs ~config r
+
+let find_point experiment points =
+  List.find_opt (fun (p : Report.bench_point) -> p.Report.experiment = experiment) points
+
+(* The accounting point every run of a driver makes. *)
+let the_point experiment points =
+  match find_point experiment points with
+  | Some p -> p
+  | None -> invalid_arg (experiment ^ ": a run without its accounting point")
+
+let mdtest_point points phase = find_point ("mdtest-" ^ Runner.phase_to_string phase) points
+
+let mdtest_rate points phase =
+  Option.fold ~none:0. ~some:(fun (p : Report.bench_point) -> p.Report.ops_per_sec)
+    (mdtest_point points phase)
+
+(* [(count, mean total, quorum-phase means)] of [op]'s breakdown point;
+   [None] if the run traced no such op. *)
+let breakdown points op =
+  Option.bind (find_point ("zk-" ^ op ^ "-breakdown") points) (fun p ->
+      Option.map
+        (fun (l : Report.latency_stats) -> (l.Report.samples, l.Report.mean_s, p.Report.phases))
+        p.Report.latency)
+
+let flag b = if b then 1. else 0.
+
+(* The logical census at the file-stat barrier, as accounting phases. *)
+let census_phases (r : Systems.dufs_run) =
+  [ ("expected_logical", float_of_int r.Systems.expected_logical_znodes);
+    ("logical", float_of_int r.Systems.logical_znodes_at_stat) ]
+
 (* {2 mdtest under declarative fault schedules (failure-path benchmark)} *)
 
 let faults_spec = { Systems.zk_servers = 5; backends = 2; backend_kind = Systems.Lustre }
@@ -730,45 +817,49 @@ let fault_plans =
      "crash=1@dir-create+0.05;restart=1@dir-create+1.5;\
       crash=2@file-create+0.05;restart=2@file-create+1.5") ]
 
-(* [(label, plan, run)]: one [Systems.dufs_mdtest] run per schedule at
-   [procs] processes with [items] dirs and files each, headed by the
-   exactly-comparable fault-free baseline (empty plan). *)
-let faults_data ?(procs = faults_procs) ?(items = 60) () =
-  let parse label text =
-    match Faults.Faultplan.parse text with
-    | Ok plan -> plan
-    | Error msg -> failwith (Printf.sprintf "fault plan %s: %s" label msg)
-  in
-  let run label plan =
-    ( label,
-      plan,
-      Systems.dufs_mdtest ~dirs_per_proc:items ~files_per_proc:items ~plan
-        ~spec:faults_spec ~shards:1 ~procs () )
-  in
-  run "fault-free" []
-  :: List.map (fun (label, text) -> run label (parse label text)) fault_plans
+(* A faults run's points: one [mdtest-<phase>] rate per phase and its
+   [faults-accounting] point. *)
+let faults_points ~procs ~label ~plan (r : Systems.dufs_run) =
+  let config = label ^ "|zk=5|backends=2xLustre" in
+  List.map
+    (fun phase ->
+      Report.point
+        ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+        ~procs ~config
+        ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
+    Runner.all_phases
+  @ [ Report.point ~experiment:"faults-accounting" ~procs ~config ~ops_per_sec:0.
+        ~phases:
+          (List.map
+             (fun (k, v) -> (k, float_of_int v))
+             [ ("client_errors", r.Systems.results.Runner.errors);
+               ("dedup_hits", r.Systems.dedup_hits);
+               ("faults_fired", r.Systems.faults_fired);
+               ("plan_events", List.length plan) ]
+          @ census_phases r)
+        () ]
 
 (* Every run is error-free with an exact census, every event of its plan
    fired, and a faulted plan's retried writes were answered from the
    dedup table (exactly-once, not a second apply). *)
 let faults_check runs =
   List.concat_map
-    (fun (label, plan, (r : Systems.dufs_run)) ->
-      let events = List.length plan in
+    (fun (label, points) ->
+      let a = Report.phase (the_point "faults-accounting" points) in
       List.concat
-        [ Report.expect (r.Systems.results.Runner.errors = 0)
-            "%s: %d client op errors" label r.Systems.results.Runner.errors;
+        [ Report.expect (a "client_errors" = 0.)
+            "%s: %.0f client op errors" label (a "client_errors");
           Report.expect
-            (r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes)
-            "%s: census %d <> expected %d" label r.Systems.logical_znodes_at_stat
-            r.Systems.expected_logical_znodes;
-          Report.expect (r.Systems.faults_fired = events)
-            "%s: %d of %d fault events fired" label r.Systems.faults_fired events;
-          Report.expect (events = 0 || r.Systems.dedup_hits > 0)
+            (a "logical" = a "expected_logical")
+            "%s: census %.0f <> expected %.0f" label (a "logical") (a "expected_logical");
+          Report.expect (a "faults_fired" = a "plan_events")
+            "%s: %.0f of %.0f fault events fired" label (a "faults_fired")
+            (a "plan_events");
+          Report.expect (a "plan_events" = 0. || a "dedup_hits" > 0.)
             "%s: no dedup hits under faults" label ])
     runs
 
-let faults ?(procs = faults_procs) ?items () =
+let faults ?(procs = faults_procs) ?(items = 60) () =
   Report.print_header
     (Printf.sprintf
        "Faults — mdtest %d procs over DUFS 2xLustre/5zk while the ensemble \
@@ -778,45 +869,45 @@ let faults ?(procs = faults_procs) ?items () =
     (fun (label, text) -> Printf.printf "  %-20s %s\n" label text)
     fault_plans;
   print_newline ();
-  let data = faults_data ~procs ?items () in
+  (* one run per schedule, headed by the exactly-comparable fault-free
+     baseline (empty plan) *)
+  let run label plan =
+    ( label,
+      faults_points ~procs ~label ~plan
+        (Systems.dufs_mdtest ~dirs_per_proc:items ~files_per_proc:items ~plan
+           ~spec:faults_spec ~shards:1 ~procs ()) )
+  in
+  let data =
+    run "fault-free" []
+    :: List.map
+         (fun (label, text) ->
+           match Faults.Faultplan.parse text with
+           | Ok plan -> run label plan
+           | Error msg -> failwith (Printf.sprintf "fault plan %s: %s" label msg))
+         fault_plans
+  in
   Printf.printf "%-14s" "ops/sec";
-  List.iter (fun (label, _, _) -> Printf.printf " %20s" label) data;
+  List.iter (fun (label, _) -> Printf.printf " %20s" label) data;
   print_newline ();
   List.iter
     (fun phase ->
       Printf.printf "%-14s" (Runner.phase_to_string phase);
-      List.iter
-        (fun (_, _, (r : Systems.dufs_run)) ->
-          Printf.printf " %20.0f" (Runner.rate r.Systems.results phase))
-        data;
+      List.iter (fun (_, points) -> Printf.printf " %20.0f" (mdtest_rate points phase)) data;
       print_newline ())
     Runner.all_phases;
   print_newline ();
   List.iter
-    (fun (label, _, (r : Systems.dufs_run)) ->
+    (fun (label, points) ->
+      let a = Report.phase (the_point "faults-accounting" points) in
       Printf.printf
-        "%-20s errors=%d  dedup_hits=%d  faults_fired=%d  znodes@file-stat=%d \
-         (expected %d%s)\n"
-        label r.Systems.results.Runner.errors r.Systems.dedup_hits
-        r.Systems.faults_fired r.Systems.logical_znodes_at_stat
-        r.Systems.expected_logical_znodes
-        (if r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes
-         then ", exact"
-         else ", MISMATCH"))
+        "%-20s errors=%.0f  dedup_hits=%.0f  faults_fired=%.0f  znodes@file-stat=%.0f \
+         (expected %.0f%s)\n"
+        label (a "client_errors") (a "dedup_hits") (a "faults_fired") (a "logical")
+        (a "expected_logical")
+        (if a "logical" = a "expected_logical" then ", exact" else ", MISMATCH"))
     data;
   flush stdout;
-  ( List.concat_map
-      (fun (label, _, (r : Systems.dufs_run)) ->
-        List.map
-          (fun phase ->
-            Report.point
-              ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-              ~procs
-              ~config:(label ^ "|zk=5|backends=2xLustre")
-              ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
-          Runner.all_phases)
-      data,
-    faults_check data )
+  (List.concat_map snd data, faults_check data)
 
 (* {2 Span-trace profile: where inside the stack does an op's time go?}
 
@@ -829,32 +920,14 @@ let profile_spec =
   { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
 
 let profile_config = "profile|zk=8|backends=2xLustre"
-let zk_write_ops = [ "create"; "delete"; "set"; "multi" ]
-
-(* Mean duration of each quorum phase of [op], with the op count and the
-   exact total mean; [None] if no such op was traced. *)
-let quorum_breakdown trace op =
-  let base = "zk." ^ op in
-  match Obs.Trace.span_mean trace (base ^ ".total") with
-  | None -> None
-  | Some total ->
-    let phases =
-      List.map
-        (fun p ->
-          ( p,
-            Option.value ~default:0.
-              (Obs.Trace.span_mean trace (base ^ "." ^ p)) ))
-        Obs.Trace.phases
-    in
-    Some (Obs.Trace.span_count trace (base ^ ".total"), total, phases)
 
 (* Quorum phases must tile each traced write: per op, every phase mean
    finite and non-negative, and their sum within 5% of the measured
    mean latency. *)
-let breakdown_failures ~ctx trace =
+let breakdown_failures ~ctx points =
   List.concat_map
     (fun op ->
-      match quorum_breakdown trace op with
+      match breakdown points op with
       | None -> []
       | Some (_count, total, phases) ->
         let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
@@ -869,152 +942,109 @@ let breakdown_failures ~ctx trace =
             phases)
     zk_write_ops
 
-(* One [mdtest-<phase>] point per phase that recorded latency samples. *)
-let mdtest_points ~procs ~config results =
-  List.filter_map
-    (fun phase ->
-      Option.map
-        (fun l ->
-          Report.point
-            ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-            ~procs ~config
-            ~ops_per_sec:(Runner.rate results phase)
-            ~latency:(Report.latency_of_runner l) ())
-        (Runner.latency_of results phase))
-    Runner.all_phases
-
-(* What a sweep of traced runs keeps of each run once the next one
-   starts: its results and its trace. The run's router, and through it
-   every shard's trees, WAL and sessions, is garbage from then on. *)
-type traced = { results : Runner.results; trace : Obs.Trace.t }
-
-let traced (r : Systems.dufs_run) = { results = r.Systems.results; trace = r.Systems.trace }
-
 let profile_check runs =
   List.concat_map
-    (fun (procs, r) ->
-      breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) r.trace)
+    (fun (procs, points) -> breakdown_failures ~ctx:(Printf.sprintf "%d procs" procs) points)
     runs
 
-(* One [zk-<op>-breakdown] point per traced write kind in [ops]: the
-   op's latency block and its quorum-phase means. *)
-let breakdown_points ~ops ~procs ~config { results; trace } =
-  let wall = results.Runner.wall in
-  List.filter_map
-    (fun op ->
-      Option.map
-        (fun (count, total, phases) ->
-          let name = "zk." ^ op ^ ".total" in
-          let q p =
-            Option.value ~default:total (Obs.Trace.span_quantile trace name p)
-          in
-          Report.point
-            ~experiment:("zk-" ^ op ^ "-breakdown")
-            ~procs ~config
-            ~ops_per_sec:(if wall > 0. then float_of_int count /. wall else 0.)
-            ~latency:
-              { Report.samples = count;
-                mean_s = total;
-                p50_s = q 0.5;
-                p95_s = q 0.95;
-                p99_s = q 0.99;
-                max_s =
-                  Option.value ~default:total (Obs.Trace.span_max trace name) }
-            ~phases ())
-        (quorum_breakdown trace op))
-    ops
+(* A summary as the [<label>.count], [.mean] and [.max] phases; an
+   empty one reads 0 on all three. *)
+let summary_phases label s =
+  [ (label ^ ".count", float_of_int (Simkit.Stat.Summary.count s));
+    (label ^ ".mean", Simkit.Stat.Summary.mean s);
+    (label ^ ".max", Option.value ~default:0. (Simkit.Stat.Summary.max s)) ]
 
-let summary_line label (s : Simkit.Stat.Summary.t) =
-  match Simkit.Stat.Summary.max s with
-  | None -> Printf.printf "  %-28s (no samples)\n" label
-  | Some max ->
-    Printf.printf "  %-28s count=%-7d mean=%.3g  max=%.3g\n" label
-      (Simkit.Stat.Summary.count s)
-      (Simkit.Stat.Summary.mean s)
-      max
+(* What [profile] prints of a run beyond its mdtest and breakdown
+   points: zk read latency, the leader's and every shard's gauges, and
+   each back-end MDS station's wait and hold. *)
+let profile_accounting ~procs (r : Systems.dufs_run) =
+  let trace = r.Systems.trace in
+  let metrics = Obs.Trace.metrics trace and read = "zk.read.total" in
+  (* every shard tags its instruments zk.shard<i>.*; list them too so
+     the per-shard queue wait is visible in the same breakdown *)
+  let gauges =
+    [ "zk.leader.queue_depth"; "zk.leader.batch_size" ]
+    @ List.filter
+        (fun n -> String.length n > 8 && String.sub n 0 8 = "zk.shard")
+        (Obs.Metrics.names metrics)
+  in
+  Report.point ~experiment:"profile-accounting" ~procs ~config:profile_config
+    ~ops_per_sec:0.
+    ~phases:
+      ([ ("zk.read.samples", float_of_int (Obs.Trace.span_count trace read));
+         ("zk.read.mean_s", Option.value ~default:0. (Obs.Trace.span_mean trace read));
+         ( "zk.read.p99_s",
+           Option.value ~default:0. (Obs.Trace.span_quantile trace read 0.99) ) ]
+      @ List.concat_map
+          (fun name ->
+            Option.fold ~none:[] ~some:(summary_phases name)
+              (Obs.Metrics.summary_opt metrics name))
+          gauges
+      @ List.concat
+          (List.mapi
+             (fun i (wait, hold) ->
+               summary_phases (Printf.sprintf "backend[%d] MDS wait_s" i) wait
+               @ summary_phases (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
+             (Array.to_list r.Systems.backend_stations)))
+    ()
+
+let print_profile (procs, points) =
+  Report.print_header
+    (Printf.sprintf "Profile — mdtest over DUFS 2xLustre/8zk, %d procs (span tracing on)"
+       procs);
+  Printf.printf "  %-12s %10s %8s %10s %10s %10s %10s %10s\n" "phase" "ops/sec" "samples"
+    "mean_s" "p50_s" "p95_s" "p99_s" "max_s";
+  List.iter
+    (fun phase ->
+      match mdtest_point points phase with
+      | Some { Report.ops_per_sec; latency = Some l; _ } ->
+        Printf.printf "  %-12s %10.0f %8d %10.3g %10.3g %10.3g %10.3g %10.3g\n"
+          (Runner.phase_to_string phase) ops_per_sec l.Report.samples l.Report.mean_s
+          l.Report.p50_s l.Report.p95_s l.Report.p99_s l.Report.max_s
+      | Some _ | None -> ())
+    Runner.all_phases;
+  Printf.printf "\n  quorum write phases (mean seconds per op):\n";
+  Printf.printf "  %-8s %8s %10s" "op" "count" "total_s";
+  List.iter (fun p -> Printf.printf " %10s" p) Obs.Trace.phases;
+  Printf.printf " %10s %9s\n" "phase_sum" "coverage";
+  List.iter
+    (fun op ->
+      match breakdown points op with
+      | None -> ()
+      | Some (count, total, phases) ->
+        let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
+        Printf.printf "  %-8s %8d %10.3g" op count total;
+        List.iter (fun (_, m) -> Printf.printf " %10.3g" m) phases;
+        Printf.printf " %10.3g %8.2f%%\n" sum (100. *. sum /. total))
+    zk_write_ops;
+  print_newline ();
+  let p = the_point "profile-accounting" points in
+  let a = Report.phase p in
+  if a "zk.read.samples" > 0. then
+    Printf.printf "  zk reads: count=%.0f  mean=%.3g  p99=%.3g\n" (a "zk.read.samples")
+      (a "zk.read.mean_s") (a "zk.read.p99_s");
+  List.iter
+    (fun (name, count) ->
+      match Filename.chop_suffix_opt ~suffix:".count" name with
+      | None -> ()
+      | Some label when count = 0. -> Printf.printf "  %-28s (no samples)\n" label
+      | Some label ->
+        Printf.printf "  %-28s count=%-7.0f mean=%.3g  max=%.3g\n" label count
+          (a (label ^ ".mean")) (a (label ^ ".max")))
+    p.Report.phases
 
 let profile ?(procs_list = [ 64; 128; 256 ]) () =
-  (* each run is reduced to what is printed, emitted and gated on
-     before the next starts *)
   let runs =
     List.map
       (fun procs ->
-        let r =
-          Systems.dufs_mdtest ~trace:true ~spec:profile_spec ~shards:1 ~procs ()
-        in
-        (procs, traced r, r.Systems.backend_stations))
+        let r = Systems.dufs_mdtest ~trace:true ~spec:profile_spec ~shards:1 ~procs () in
+        ( procs,
+          run_points ~ops:zk_write_ops ~procs ~config:profile_config r
+          @ [ profile_accounting ~procs r ] ))
       procs_list
   in
-  List.iter
-    (fun (procs, { results; trace }, backend_stations) ->
-      Report.print_header
-        (Printf.sprintf
-           "Profile — mdtest over DUFS 2xLustre/8zk, %d procs (span tracing on)"
-           procs);
-      Printf.printf "  %-12s %10s %8s %10s %10s %10s %10s %10s\n" "phase"
-        "ops/sec" "samples" "mean_s" "p50_s" "p95_s" "p99_s" "max_s";
-      List.iter
-        (fun phase ->
-          match Runner.latency_of results phase with
-          | None -> ()
-          | Some l ->
-            Printf.printf
-              "  %-12s %10.0f %8d %10.3g %10.3g %10.3g %10.3g %10.3g\n"
-              (Runner.phase_to_string phase)
-              (Runner.rate results phase)
-              l.Runner.samples l.Runner.mean l.Runner.p50 l.Runner.p95
-              l.Runner.p99 l.Runner.max)
-        Runner.all_phases;
-      Printf.printf "\n  quorum write phases (mean seconds per op):\n";
-      Printf.printf "  %-8s %8s %10s" "op" "count" "total_s";
-      List.iter (fun p -> Printf.printf " %10s" p) Obs.Trace.phases;
-      Printf.printf " %10s %9s\n" "phase_sum" "coverage";
-      List.iter
-        (fun op ->
-          match quorum_breakdown trace op with
-          | None -> ()
-          | Some (count, total, phases) ->
-            let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
-            let coverage = 100. *. sum /. total in
-            Printf.printf "  %-8s %8d %10.3g" op count total;
-            List.iter (fun (_, m) -> Printf.printf " %10.3g" m) phases;
-            Printf.printf " %10.3g %8.2f%%\n" sum coverage)
-        zk_write_ops;
-      print_newline ();
-      (match Obs.Trace.span_mean trace "zk.read.total" with
-       | None -> ()
-       | Some mean ->
-         Printf.printf
-           "  zk reads: count=%d  mean=%.3g  p99=%.3g\n"
-           (Obs.Trace.span_count trace "zk.read.total")
-           mean
-           (Option.value ~default:0.
-              (Obs.Trace.span_quantile trace "zk.read.total" 0.99)));
-      let metrics = Obs.Trace.metrics trace in
-      List.iter
-        (fun name ->
-          match Obs.Metrics.summary_opt metrics name with
-          | Some s -> summary_line name s
-          | None -> ())
-        ([ "zk.leader.queue_depth"; "zk.leader.batch_size" ]
-         (* every shard tags its instruments zk.shard<i>.*; list them too
-            so the per-shard queue wait is visible in the same
-            breakdown *)
-         @ List.filter
-             (fun n -> String.length n > 8 && String.sub n 0 8 = "zk.shard")
-             (Obs.Metrics.names metrics));
-      Array.iteri
-        (fun i (wait, hold) ->
-          summary_line (Printf.sprintf "backend[%d] MDS wait_s" i) wait;
-          summary_line (Printf.sprintf "backend[%d] MDS hold_s" i) hold)
-        backend_stations)
-    runs;
-  ( List.concat_map
-      (fun (procs, run, _) ->
-        mdtest_points ~procs ~config:profile_config run.results
-        @ breakdown_points ~ops:zk_write_ops ~procs ~config:profile_config run)
-      runs,
-    profile_check (List.map (fun (procs, run, _) -> (procs, run)) runs) )
+  List.iter print_profile runs;
+  (List.concat_map snd runs, profile_check runs)
 
 (* {2 Sharded coordination: N independent ZAB leaders}
 
@@ -1041,20 +1071,12 @@ let sharding_config_label ~shards ~servers ~max_batch =
   Printf.sprintf "shards=%dx%d|max_batch=%d|backends=8xLustre" shards servers
     max_batch
 
-let shard_queue_wait_mean trace i =
-  match
-    Obs.Metrics.summary_opt (Obs.Trace.metrics trace)
-      (Printf.sprintf "zk.shard%d.queue_wait" i)
-  with
-  | Some s when Simkit.Stat.Summary.count s > 0 ->
-    Some (Simkit.Stat.Summary.mean s)
-  | Some _ | None -> None
-
 (* Per-shard balance at the file-stat census; queue waits are [None]
    on an untraced run. *)
 let shard_stats (r : Systems.dufs_run) =
   let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router
-  and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router in
+  and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router
+  and metrics = Obs.Trace.metrics r.Systems.trace in
   Array.to_list
     (Array.mapi
        (fun i znodes ->
@@ -1062,44 +1084,13 @@ let shard_stats (r : Systems.dufs_run) =
            znodes;
            writes_committed = writes.(i);
            dedup_hits = hits.(i);
-           queue_wait_mean_s = shard_queue_wait_mean r.Systems.trace i })
+           queue_wait_mean_s =
+             Option.bind
+               (Obs.Metrics.summary_opt metrics (Printf.sprintf "zk.shard%d.queue_wait" i))
+               (fun s ->
+                 if Simkit.Stat.Summary.count s > 0 then Some (Simkit.Stat.Summary.mean s)
+                 else None) })
        r.Systems.per_shard_znodes)
-
-(* What [sharding] keeps of a run: its results and trace, the per-shard
-   balance and the census. *)
-type sharding_run = {
-  run : traced;
-  shards : Report.shard_stat list;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-  live_stubs_at_stat : int;
-}
-
-let sharding_run (r : Systems.dufs_run) =
-  { run = traced r;
-    shards = shard_stats r;
-    logical_znodes_at_stat = r.Systems.logical_znodes_at_stat;
-    expected_logical_znodes = r.Systems.expected_logical_znodes;
-    live_stubs_at_stat = r.Systems.live_stubs_at_stat }
-
-(* [((shards, servers_per_shard, max_batch, procs), run)] for each
-   combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
-let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
-    ?(batches = sharding_batches) () =
-  List.concat_map
-    (fun (shards, servers) ->
-      List.concat_map
-        (fun max_batch ->
-          List.map
-            (fun procs ->
-              ( (shards, servers, max_batch, procs),
-                sharding_run
-                  (Systems.dufs_mdtest ~trace:true
-                     ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
-                     ~spec:(sharding_spec ~servers) ~shards ~procs ()) ))
-            procs_list)
-        batches)
-    topologies
 
 let sharding_phases =
   [ Runner.Dir_create; Runner.File_create; Runner.Dir_stat; Runner.File_stat ]
@@ -1109,25 +1100,53 @@ let sharding_phases =
    shard must actually have served writes. *)
 let sharding_check data =
   List.concat_map
-    (fun ((shards, servers, max_batch, procs), r) ->
+    (fun ((shards, servers, max_batch, procs), points) ->
       let ctx =
         Printf.sprintf "%s procs=%d"
           (sharding_config_label ~shards ~servers ~max_batch)
           procs
       in
-      let writes = List.map (fun s -> s.Report.writes_committed) r.shards in
+      let p = the_point "sharding-znode-accounting" points in
+      let a = Report.phase p in
+      let writes = List.map (fun s -> s.Report.writes_committed) p.Report.shards in
       Report.expect
-        (r.logical_znodes_at_stat = r.expected_logical_znodes)
-        "%s: logical znodes %d, expected %d" ctx r.logical_znodes_at_stat
-        r.expected_logical_znodes
+        (a "logical" = a "expected_logical")
+        "%s: logical znodes %.0f, expected %.0f" ctx (a "logical") (a "expected_logical")
       @ Report.expect
           (List.for_all (fun w -> w > 0) writes)
           "%s: a shard committed no writes (%s)" ctx
           (String.concat " " (List.map string_of_int writes)))
     data
 
-let sharding ?procs_list ?topologies ?batches () =
-  let data = sharding_data ?procs_list ?topologies ?batches () in
+(* [procs_list] x [topologies] (shards, servers per shard) x [batches],
+   defaults 64/128/256 x 1x8/2x4/4x2 x batch 1/16. *)
+let sharding ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
+    ?(batches = sharding_batches) () =
+  let data =
+    List.concat_map
+      (fun (shards, servers) ->
+        List.concat_map
+          (fun max_batch ->
+            List.map
+              (fun procs ->
+                let config = sharding_config_label ~shards ~servers ~max_batch in
+                let r =
+                  Systems.dufs_mdtest ~trace:true
+                    ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
+                    ~spec:(sharding_spec ~servers) ~shards ~procs ()
+                in
+                ( (shards, servers, max_batch, procs),
+                  run_points ~ops:[ "create" ] ~procs ~config r
+                  @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
+                        ~config:
+                          (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d" config
+                             r.Systems.expected_logical_znodes r.Systems.live_stubs_at_stat)
+                        ~ops_per_sec:0.0
+                        ~phases:(census_phases r) ~shards:(shard_stats r) () ] ))
+              procs_list)
+          batches)
+      topologies
+  in
   let label_of (shards, servers, max_batch, _) =
     sharding_config_label ~shards ~servers ~max_batch
   in
@@ -1149,9 +1168,8 @@ let sharding ?procs_list ?topologies ?batches () =
              { Report.label = sharding_config_label ~shards:s ~servers:v ~max_batch:b;
                points =
                  List.filter_map
-                   (fun ((s', v', b', procs), r) ->
-                     if (s', v', b') = (s, v, b) then
-                       Some (procs, Runner.rate r.run.results phase)
+                   (fun ((s', v', b', procs), points) ->
+                     if (s', v', b') = (s, v, b) then Some (procs, mdtest_rate points phase)
                      else None)
                    data })
            by_config))
@@ -1163,19 +1181,21 @@ let sharding ?procs_list ?topologies ?batches () =
   Printf.printf "  %-44s %6s %12s %14s  %s\n" "config" "procs" "create_qw_s"
     "znodes@stat" "per-shard [znodes qw_s]";
   List.iter
-    (fun (key, r) ->
+    (fun (key, points) ->
       let _, _, _, procs = key in
       let qw =
-        Option.value ~default:Float.nan
-          (Obs.Trace.span_mean r.run.trace "zk.create.queue-wait")
+        match breakdown points "create" with
+        | Some (_, _, phases) -> List.assoc "queue-wait" phases
+        | None -> Float.nan
       in
-      Printf.printf "  %-44s %6d %12.3g %7d/%-6d " (label_of key) procs qw
-        r.logical_znodes_at_stat r.expected_logical_znodes;
+      let p = the_point "sharding-znode-accounting" points in
+      Printf.printf "  %-44s %6d %12.3g %7.0f/%-6.0f " (label_of key) procs qw
+        (Report.phase p "logical") (Report.phase p "expected_logical");
       List.iter
         (fun s ->
           Printf.printf " [%d: %d %.3g]" s.Report.shard s.Report.znodes
             (Option.value ~default:Float.nan s.Report.queue_wait_mean_s))
-        r.shards;
+        p.Report.shards;
       print_newline ())
     data;
   (* headline ratios at the largest scale: most shards vs single
@@ -1196,8 +1216,7 @@ let sharding ?procs_list ?topologies ?batches () =
           max_shards max_batch max_procs);
      List.iter
        (fun phase ->
-         let b = Runner.rate base.run.results phase
-         and s = Runner.rate best.run.results phase in
+         let b = mdtest_rate base phase and s = mdtest_rate best phase in
          Report.print_ratio
            ~label:(Printf.sprintf "%s: %d shards / 1 ensemble"
                      (Runner.phase_to_string phase) max_shards)
@@ -1205,18 +1224,7 @@ let sharding ?procs_list ?topologies ?batches () =
        sharding_phases
    | _ -> ());
   flush stdout;
-  ( List.concat_map
-      (fun ((shards, servers, max_batch, procs), r) ->
-        let config = sharding_config_label ~shards ~servers ~max_batch in
-        mdtest_points ~procs ~config r.run.results
-        @ breakdown_points ~ops:[ "create" ] ~procs ~config r.run
-        @ [ Report.point ~experiment:"sharding-znode-accounting" ~procs
-              ~config:
-                (Printf.sprintf "%s|expected_logical=%d|live_stubs=%d" config
-                   r.expected_logical_znodes r.live_stubs_at_stat)
-              ~ops_per_sec:0.0 ~shards:r.shards () ])
-      data,
-    sharding_check data )
+  (List.concat_map snd data, sharding_check data)
 
 (* {2 Seed sweeps}
 
@@ -1257,7 +1265,6 @@ let over_shards router f op init =
   Array.fold_left (fun acc e -> op acc (f e)) init (Zk.Shard_router.ensembles router)
 
 let shard_sum router f = over_shards router f ( + ) 0
-let flag b = if b then 1. else 0.
 
 (* A bench point holds finite numbers only; -1 marks one that is
    missing (a run that never recovered, a sweep with no recovery) and
@@ -1466,30 +1473,41 @@ let reshard_config_label ~shards ~to_shards ~max_batch =
   Printf.sprintf "reshard=%d->%d|servers=%d|max_batch=%d|backends=8xLustre"
     shards to_shards reshard_servers max_batch
 
-(* What [reshard] keeps of a run once the next one starts: what its
-   table, JSON and gate read. The router, and through it every shard's
-   trees, WAL and history, is garbage from then on. *)
-type reshard_run = {
-  sharded : sharding_run;
-  stats : Zk.Reshard.stats option;
-  window : float;
-  violations : int;
-  history_checked : int;
-  history_recorded : int;
-}
+(* A reshard run's points: its [mdtest-*] points and its
+   [reshard-accounting] point, whose config string spells out every
+   phase but [controller_finished]. *)
+let reshard_points ~shards ~to_shards ~max_batch ~procs (r : Systems.dufs_run) =
+  let config = reshard_config_label ~shards ~to_shards ~max_batch in
+  let stat f = float_of_int (Option.fold ~none:0 ~some:f r.Systems.reshard) in
+  let n = float_of_int in
+  let phases =
+    census_phases r
+    @ [ ("live_stubs", n r.Systems.live_stubs_at_stat);
+        ("keys_total", stat (fun st -> st.Zk.Reshard.keys_total));
+        ("keys_migrated", stat (fun st -> st.Zk.Reshard.keys_migrated));
+        ("violations", n (List.length r.Systems.violations));
+        ("history_checked", n r.Systems.history_checked);
+        ("history_recorded", n r.Systems.history_recorded);
+        ("window_s", r.Systems.reshard_window);
+        ("controller_errors", stat (fun st -> st.Zk.Reshard.errors));
+        ("client_errors", n r.Systems.results.Runner.errors) ]
+  in
+  mdtest_points ~procs ~config r.Systems.results
+  @ [ Report.point ~experiment:"reshard-accounting" ~procs
+        ~config:
+          (String.concat "|"
+             (config
+              :: List.map
+                   (fun (k, v) ->
+                     Printf.sprintf (if k = "window_s" then "%s=%.4f" else "%s=%.0f") k v)
+                   phases))
+        ~ops_per_sec:0.0
+        ~phases:(phases @ [ ("controller_finished", flag (r.Systems.reshard <> None)) ])
+        ~shards:(shard_stats r) () ]
 
-let reshard_run (r : Systems.dufs_run) =
-  { sharded = sharding_run r;
-    stats = r.Systems.reshard;
-    window = r.Systems.reshard_window;
-    violations = List.length r.Systems.violations;
-    history_checked = r.Systems.history_checked;
-    history_recorded = r.Systems.history_recorded }
-
-let reshard_p99 (r : reshard_run) =
-  Option.map
-    (fun l -> l.Runner.p99)
-    (Runner.latency_of r.sharded.run.results Runner.File_create)
+let reshard_p99 points =
+  Option.bind (mdtest_point points Runner.File_create) (fun p ->
+      Option.map (fun l -> l.Report.p99_s) p.Report.latency)
 
 (* Migration pressure may raise a split's file-create p99, but by no
    more than this factor over the no-split baseline at the same scale. *)
@@ -1499,25 +1517,24 @@ let reshard_max_p99_ratio = 12.
    non-empty migration window, move a bounded-load remainder (some keys,
    never a near-full rehash), and keep file-create p99 within
    [reshard_max_p99_ratio] of the no-split [base]line at the same scale. *)
-let reshard_move_check ~ctx ~base (r : reshard_run) =
-  match r.stats with
-  | None -> [ ctx ^ ": controller never finished" ]
-  | Some st ->
-    let total = st.Zk.Reshard.keys_total
-    and migrated = st.Zk.Reshard.keys_migrated in
+let reshard_move_check ~ctx ~base points =
+  let a = Report.phase (the_point "reshard-accounting" points) in
+  if a "controller_finished" = 0. then [ ctx ^ ": controller never finished" ]
+  else
+    let total = a "keys_total" and migrated = a "keys_migrated" in
     List.concat
-      [ Report.expect (st.Zk.Reshard.errors = 0) "%s: %d controller errors" ctx
-          st.Zk.Reshard.errors;
+      [ Report.expect (a "controller_errors" = 0.) "%s: %.0f controller errors" ctx
+          (a "controller_errors");
         Report.expect
-          (migrated > 0 && migrated < total)
-          "%s: migrated %d of %d keys, not a bounded-load remainder" ctx
+          (migrated > 0. && migrated < total)
+          "%s: migrated %.0f of %.0f keys, not a bounded-load remainder" ctx
           migrated total;
         Report.expect
-          (float_of_int migrated <= 0.9 *. float_of_int total)
-          "%s: migrated %d of %d keys, a near-full rehash" ctx migrated total;
-        Report.expect (r.window > 0.)
+          (migrated <= 0.9 *. total)
+          "%s: migrated %.0f of %.0f keys, a near-full rehash" ctx migrated total;
+        Report.expect (a "window_s" > 0.)
           "%s: empty migration window" ctx;
-        (match (base, reshard_p99 r) with
+        (match (base, reshard_p99 points) with
          | Some b, Some p when b > 0. ->
            Report.expect
              (p <= reshard_max_p99_ratio *. b)
@@ -1530,7 +1547,7 @@ let reshard_move_check ~ctx ~base (r : reshard_run) =
    [reshard_move_check]. *)
 let reshard_check runs =
   List.concat_map
-    (fun ((shards, to_shards, procs), (r : reshard_run)) ->
+    (fun ((shards, to_shards, procs), points) ->
       let ctx =
         Printf.sprintf "reshard %d->%d shards @%d procs" shards to_shards procs
       in
@@ -1540,18 +1557,18 @@ let reshard_check runs =
             if s = t && p = procs then reshard_p99 b else None)
           runs
       in
+      let a = Report.phase (the_point "reshard-accounting" points) in
       List.concat
-        [ Report.expect (r.sharded.run.results.Runner.errors = 0)
-            "%s: %d client op errors" ctx r.sharded.run.results.Runner.errors;
+        [ Report.expect (a "client_errors" = 0.)
+            "%s: %.0f client op errors" ctx (a "client_errors");
           Report.expect
-            (r.sharded.logical_znodes_at_stat = r.sharded.expected_logical_znodes)
-            "%s: census %d <> expected %d" ctx r.sharded.logical_znodes_at_stat
-            r.sharded.expected_logical_znodes;
-          Report.expect (r.violations = 0)
-            "%s: %d linearizability violations" ctx r.violations;
-          Report.expect (r.history_checked > 0)
+            (a "logical" = a "expected_logical")
+            "%s: census %.0f <> expected %.0f" ctx (a "logical") (a "expected_logical");
+          Report.expect (a "violations" = 0.)
+            "%s: %.0f linearizability violations" ctx (a "violations");
+          Report.expect (a "history_checked" > 0.)
             "%s: oracle checked 0 ops" ctx;
-          (if to_shards = shards then [] else reshard_move_check ~ctx ~base r) ])
+          (if to_shards = shards then [] else reshard_move_check ~ctx ~base points) ])
     runs
 
 let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) () =
@@ -1563,7 +1580,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) () =
       (fun procs ->
         let go ~shards ~to_shards =
           ( (shards, to_shards, procs),
-            reshard_run
+            reshard_points ~shards ~to_shards ~max_batch ~procs
               (Systems.dufs_mdtest ~history_clients:8 ~to_shards
                  ~config_adjust:(fun c -> { c with Zk.Ensemble.max_batch })
                  ~spec ~shards ~procs ()) )
@@ -1578,42 +1595,21 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) () =
   Printf.printf "%-14s %5s %12s %12s %9s %13s %7s %5s\n" "config" "procs"
     "create/s" "p99 (ms)" "window" "migrated" "stubs" "viol";
   List.iter
-    (fun ((shards, to_shards, procs), r) ->
-      let label = Printf.sprintf "%d->%d shards" shards to_shards in
-      let p99_ms = Option.fold ~none:0. ~some:(fun p -> p *. 1e3) (reshard_p99 r) in
-      let migrated =
-        match r.stats with
-        | Some st ->
-          Printf.sprintf "%d/%d" st.Zk.Reshard.keys_migrated
-            st.Zk.Reshard.keys_total
-        | None -> "-"
-      in
-      Printf.printf "%-14s %5d %12.0f %12.2f %8.2fs %13s %7d %5d\n" label procs
-        (Runner.rate r.sharded.run.results Runner.File_create)
-        p99_ms r.window migrated r.sharded.live_stubs_at_stat r.violations)
+    (fun ((shards, to_shards, procs), points) ->
+      let a = Report.phase (the_point "reshard-accounting" points) in
+      let p99_ms = Option.fold ~none:0. ~some:(fun p -> p *. 1e3) (reshard_p99 points) in
+      Printf.printf "%-14s %5d %12.0f %12.2f %8.2fs %13s %7.0f %5.0f\n"
+        (Printf.sprintf "%d->%d shards" shards to_shards)
+        procs
+        (mdtest_rate points Runner.File_create)
+        p99_ms (a "window_s")
+        (if a "controller_finished" = 1. then
+           Printf.sprintf "%.0f/%.0f" (a "keys_migrated") (a "keys_total")
+         else "-")
+        (a "live_stubs") (a "violations"))
     runs;
   flush stdout;
-  ( List.concat_map
-      (fun ((shards, to_shards, procs), r) ->
-        let config = reshard_config_label ~shards ~to_shards ~max_batch in
-        let keys_total, keys_migrated, controller_errors =
-          match r.stats with
-          | Some st -> (st.Zk.Reshard.keys_total, st.keys_migrated, st.Zk.Reshard.errors)
-          | None -> (0, 0, 0)
-        in
-        mdtest_points ~procs ~config r.sharded.run.results
-        @ [ Report.point ~experiment:"reshard-accounting" ~procs
-              ~config:
-                (Printf.sprintf
-                   "%s|expected_logical=%d|logical=%d|live_stubs=%d|keys_total=%d|keys_migrated=%d|violations=%d|history_checked=%d|history_recorded=%d|window_s=%.4f|controller_errors=%d|client_errors=%d"
-                   config r.sharded.expected_logical_znodes
-                   r.sharded.logical_znodes_at_stat r.sharded.live_stubs_at_stat
-                   keys_total keys_migrated r.violations r.history_checked
-                   r.history_recorded r.window controller_errors
-                   r.sharded.run.results.Runner.errors)
-              ~ops_per_sec:0.0 ~shards:r.sharded.shards () ])
-      runs,
-    reshard_check runs )
+  (List.concat_map snd runs, reshard_check runs)
 
 (* {2 Write pipeline — windowed ZAB proposals vs stop-and-wait}
 
@@ -1651,10 +1647,8 @@ let qw_ack phases =
    two batch16 variants at [procs]; [None] if either is missing. *)
 let pipeline_improvement runs ~procs =
   let qa name =
-    Option.bind (List.assoc_opt (name, procs) runs) (fun r ->
-        Option.map
-          (fun (_, _, phases) -> qw_ack phases)
-          (quorum_breakdown r.trace "create"))
+    Option.bind (List.assoc_opt (name, procs) runs) (fun points ->
+        Option.map (fun (_, _, phases) -> qw_ack phases) (breakdown points "create"))
   in
   match (qa "batch16-w1", qa "batch16-w8") with
   | Some base, Some piped when base > 0. ->
@@ -1664,12 +1658,10 @@ let pipeline_improvement runs ~procs =
 let pipeline_check ~min_improvement ~deterministic runs chaos_points =
   let max_procs = List.fold_left (fun acc ((_, p), _) -> max acc p) 0 runs in
   List.concat_map
-    (fun ((name, procs), r) ->
+    (fun ((name, procs), points) ->
       let ctx = Printf.sprintf "%s @%d procs" name procs in
-      breakdown_failures ~ctx r.trace
-      @ Report.expect
-          (quorum_breakdown r.trace "create" <> None)
-          "%s: no traced creates" ctx)
+      breakdown_failures ~ctx points
+      @ Report.expect (breakdown points "create" <> None) "%s: no traced creates" ctx)
     runs
   @ (match pipeline_improvement runs ~procs:max_procs with
      | Some (_, _, impr) ->
@@ -1698,7 +1690,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                 max_inflight_batches = window }
             in
             ( (name, procs),
-              traced
+              run_points ~ops:zk_write_ops ~procs ~config:(pipeline_config_label name)
                 (Systems.dufs_mdtest ~trace:true ~config_adjust ~spec:profile_spec
                    ~shards:1 ~procs ()) ))
           pipeline_variants)
@@ -1708,13 +1700,13 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   List.iter (fun p -> Printf.printf " %9s" p) Obs.Trace.phases;
   Printf.printf " %9s %9s\n" "qw+ack" "coverage";
   List.iter
-    (fun ((name, procs), r) ->
-      match quorum_breakdown r.trace "create" with
+    (fun ((name, procs), points) ->
+      match breakdown points "create" with
       | None -> ()
       | Some (_count, total, phases) ->
         let sum = List.fold_left (fun acc (_, m) -> acc +. m) 0. phases in
         Printf.printf "%-12s %5d %10.0f %9.3g" name procs
-          (Runner.rate r.results Runner.File_create)
+          (mdtest_rate points Runner.File_create)
           total;
         List.iter (fun (_, m) -> Printf.printf " %9.3g" m) phases;
         Printf.printf " %9.3g %8.2f%%\n%!" (qw_ack phases) (100. *. sum /. total))
@@ -1760,14 +1752,6 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
     total_violations
     (snd (List.hd chaos_runs))
     (digest_verdict deterministic);
-  let run_points =
-    List.concat_map
-      (fun ((name, procs), r) ->
-        let config = pipeline_config_label name in
-        mdtest_points ~procs ~config r.results
-        @ breakdown_points ~ops:zk_write_ops ~procs ~config r)
-      runs
-  in
   (* A [pipeline-chaos] point is the schedule's [chaos] point under
      its own name, with the five phases its BENCH file has always
      carried. *)
@@ -1798,9 +1782,8 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
           ("deterministic", flag deterministic) ]
       ()
   in
-  ( run_points @ List.map pipeline_chaos_point chaos_points @ [ summary ],
+  ( List.concat_map snd runs @ List.map pipeline_chaos_point chaos_points @ [ summary ],
     pipeline_check ~min_improvement ~deterministic runs chaos_points )
-
 
 (* {2 Durability — whole-cluster power failures and storage corruption
       over mdtest}

@@ -6,9 +6,11 @@
     {!fig11_data} also returns Fig. 11's numbers for tests. Every other
     driver prints its table and returns its check failures (empty =
     pass), after its bench points when it writes a BENCH file; only
-    {!Experiments.run} writes the file and gates the run. Each gated
-    experiment's [*_check] is a pure function of its runs, so tests can
-    exercise a gate without running the experiment. *)
+    {!Experiments.run} writes the file and gates the run. A driver over
+    {!Systems.dufs_mdtest} runs keeps each run only as its bench points,
+    reduced as the run finishes, and prints its tables from them; each
+    gated experiment's [*_check] is a pure function of those points, so
+    tests can exercise a gate without running the experiment. *)
 
 (** {2 Fig. 7 — raw ZooKeeper op throughput vs ensemble size} *)
 
@@ -149,17 +151,19 @@ val fault_plans : (string * string) list
     sub-quorum leader loss with delayed recovery, and rolling follower
     crash/restart. Parseable with {!Faults.Faultplan.parse}. *)
 
-(** The faults gate, per [(label, plan, run)]: the run is error-free,
-    its logical census is exact, every event of its plan fired, and a
-    non-empty plan produced dedup hits. *)
-val faults_check :
-  (string * Faults.Faultplan.t * Systems.dufs_run) list -> string list
+(** The faults gate, per [(label, points)] run: its [faults-accounting]
+    point has no client errors, an exact logical census, every event of
+    its plan fired, and dedup hits if the plan is non-empty. *)
+val faults_check : (string * Mdtest.Report.bench_point list) list -> string list
 
-(** Print per-phase rates plus the exactly-once invariants (errors,
-    dedup hits, znode census) for each schedule at [procs] processes
-    (default 64) with [items] dirs and files each (default 60); return
-    one [mdtest-<phase>] point per schedule and phase (the BENCH_pr2.json
-    artifact) and the failures of {!faults_check}. *)
+(** Run the fault-free baseline and each of {!fault_plans} at [procs]
+    processes (default 64) with [items] dirs and files each (default
+    60), and print per-phase rates plus the exactly-once invariants.
+    Each run keeps one rate-only [mdtest-<phase>] point per phase and a
+    [faults-accounting] point ([client_errors], [dedup_hits],
+    [faults_fired], [plan_events], [expected_logical], [logical]);
+    returns them (the BENCH_pr2.json artifact) and the failures of
+    {!faults_check}. *)
 val faults :
   ?procs:int -> ?items:int -> unit -> Mdtest.Report.bench_point list * string list
 
@@ -173,25 +177,18 @@ val profile_spec : Systems.dufs_spec
     critical-path breakdown of each coordination write kind (with its
     coverage against the measured op latency), read latency, leader
     queue/batch distributions, and each back-end MDS station's
-    wait-vs-service split. Returns the points (the BENCH_pr3.json
-    artifact: mdtest points carry the latency block, [zk-<op>-breakdown]
-    points carry the phase durations) and the failures of
-    {!profile_check}. Each run is reduced to its {!traced} results and
-    trace and its back-end stations before the next starts. *)
+    wait-vs-service split. Each run keeps its [mdtest-<phase>] points
+    (latency block), [zk-<op>-breakdown] points (quorum-phase means) and
+    a [profile-accounting] point ([zk.read.*] and each summary's
+    [<name>.count/.mean/.max]). Returns them (the BENCH_pr3.json
+    artifact) and the failures of {!profile_check}. *)
 val profile :
   ?procs_list:int list -> unit -> Mdtest.Report.bench_point list * string list
 
-(** What a sweep of traced runs keeps of each run once the next one
-    starts. Dropping the rest drops the run's router, and with it every
-    shard's trees, WAL and sessions. *)
-type traced = { results : Mdtest.Runner.results; trace : Obs.Trace.t }
-
-val traced : Systems.dufs_run -> traced
-
-(** The profile gate, per [(procs, run)]: every traced write kind's
-    quorum phases finite, non-negative, and summing to within 5% of its
-    measured mean latency. *)
-val profile_check : (int * traced) list -> string list
+(** The profile gate, per [(procs, points)] run: every
+    [zk-<op>-breakdown] point's quorum phases finite, non-negative, and
+    summing to within 5% of its mean latency. *)
+val profile_check : (int * Mdtest.Report.bench_point list) list -> string list
 
 (** {2 Sharded coordination — N independent ZAB leaders}
 
@@ -200,14 +197,13 @@ val profile_check : (int * traced) list -> string list
     8-server ensemble vs 2x4 vs 4x2 shards, unbatched and batched.
     Every run is span-traced, so the same run yields throughput, the
     create queue-wait breakdown, per-shard queue-wait/balance, and the
-    per-shard znode accounting. Returns the failures of
-    {!sharding_check} and the BENCH_pr4.json points: [mdtest-*] points
-    with latency blocks,
-    [zk-create-breakdown] points with phase durations, and
-    [sharding-znode-accounting] points whose [shards] block records the
-    per-shard balance ([expected_logical] and [live_stubs] ride in the
-    config string for external validation). *)
-
+    per-shard znode accounting. Each run keeps its [mdtest-*] points
+    with latency blocks, its [zk-create-breakdown] point and a
+    [sharding-znode-accounting] point: its [shards] block records the
+    per-shard balance, its [logical] and [expected_logical] phases the
+    census ([expected_logical] and [live_stubs] also ride in the config
+    string). Returns them (the BENCH_pr4.json points) and the failures
+    of {!sharding_check}. *)
 val sharding :
   ?procs_list:int list ->
   ?topologies:(int * int) list ->
@@ -215,23 +211,11 @@ val sharding :
   unit ->
   Mdtest.Report.bench_point list * string list
 
-(** What {!sharding} keeps of a run: what it prints, emits and gates
-    on. *)
-type sharding_run = {
-  run : traced;
-  shards : Mdtest.Report.shard_stat list;
-      (** per-shard balance at the file-stat census *)
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-  live_stubs_at_stat : int;
-}
-
-(** The reduction {!sharding} applies to each run as it finishes. *)
-val sharding_run : Systems.dufs_run -> sharding_run
-
-(** The sharding gate over the runs of {!sharding}: the logical znode
-    census exact on every run, and every shard committed writes. *)
-val sharding_check : ((int * int * int * int) * sharding_run) list -> string list
+(** The sharding gate, per [((shards, servers, max_batch, procs),
+    points)] run: the logical znode census exact, and every shard
+    committed writes. *)
+val sharding_check :
+  ((int * int * int * int) * Mdtest.Report.bench_point list) list -> string list
 
 (** {2 Chaos — randomized network fault schedules + linearizability
     oracle} *)
@@ -315,43 +299,40 @@ val chaos_summary :
     process count) a 4->2 merge — all through
     {!Systems.dufs_mdtest}, with the linearizability oracle on a
     slice of the client sessions. Returns the BENCH_pr8.json points and
-    the failures of {!reshard_check}. *)
+    the failures of {!reshard_check}. Each run keeps its [mdtest-*]
+    points and a [reshard-accounting] point whose phases carry its
+    census, keys, stubs, violations, history counts, window, errors and
+    [controller_finished] (1 when the controller ran to completion). *)
 val reshard :
   ?procs_list:int list ->
   ?max_batch:int ->
   unit ->
   Mdtest.Report.bench_point list * string list
 
-(** What {!reshard} keeps of a run: what it prints, emits and gates
-    on. *)
-type reshard_run
-
-(** The reduction {!reshard} applies to each run as it finishes. *)
-val reshard_run : Systems.dufs_run -> reshard_run
-
-(** The reshard gate, per [((shards, to_shards, procs), run)]: no client
-    or controller errors, an exact logical census, a non-empty
-    linearizable history; for a split or merge, a non-empty migration
+(** The reshard gate, per [((shards, to_shards, procs), points)] run,
+    from its [reshard-accounting] point: no client errors, an exact
+    logical census, a non-empty linearizable history; for a split or
+    merge, a finished controller without errors, a non-empty migration
     window moving some but at most 90% of the keys, and a file-create
     p99 at most 12x the no-split baseline's at the same [procs]. *)
-val reshard_check : ((int * int * int) * reshard_run) list -> string list
+val reshard_check :
+  ((int * int * int) * Mdtest.Report.bench_point list) list -> string list
 
 (** {2 Write pipeline — windowed ZAB proposals vs stop-and-wait}
-
     The traced mdtest profile of {!profile}, run once per leader
     write-path configuration — classic unbatched stop-and-wait
     ([batch1-w1]), group commit alone ([batch16-w1]), and group commit
     plus a pipelined proposal window ([batch16-w8],
     [max_inflight_batches = 8]) — followed by a chaos sweep (the PR 5
     seeded schedules) with [max_inflight_batches = 4] on every shard.
-    Returns the failures of {!pipeline_check} and the BENCH_pr9.json
-    points: [mdtest-*] points with latency blocks and [zk-<op>-breakdown] points with
-    phase durations per configuration, one [pipeline-chaos] point per
-    schedule (its {!chaos_reduce} point renamed, [|window=4] appended
-    to its config, five of its phases kept), and a [pipeline-summary]
-    point carrying the
+    Each profile run keeps its [mdtest-*] points with latency blocks
+    and its [zk-<op>-breakdown] points with phase durations. Returns
+    them, one [pipeline-chaos] point per schedule (its {!chaos_reduce}
+    point renamed, [|window=4] appended to its config, five of its
+    phases kept) and a [pipeline-summary] point carrying the
     queue-wait + ack improvement of the pipelined configuration over
-    the window = 1 baseline at the largest scale. *)
+    the window = 1 baseline at the largest scale (the BENCH_pr9.json
+    points), and the failures of {!pipeline_check}. *)
 val pipeline :
   ?procs_list:int list ->
   ?chaos_runs:(int * int64) list ->
@@ -359,16 +340,17 @@ val pipeline :
   unit ->
   Mdtest.Report.bench_point list * string list
 
-(** The pipeline gate over the [((variant, procs), run)] profiles and
-    the chaos sweep: every run's breakdown passes {!profile_check}'s
-    tiling test and has traced creates, the pipelined create
-    queue-wait + ack at the largest scale beats the window = 1 baseline
-    by at least [min_improvement] percent (default 30), and the sweep's
-    {!chaos_reduce} points pass {!chaos_check}. *)
+(** The pipeline gate over the [((variant, procs), points)] profiles
+    and the chaos sweep: every run's breakdown points pass
+    {!profile_check}'s tiling test and it has a [zk-create-breakdown]
+    point, the pipelined create queue-wait + ack at the largest scale
+    beats the window = 1 baseline by at least [min_improvement] percent
+    (default 30), and the sweep's {!chaos_reduce} points pass
+    {!chaos_check}. *)
 val pipeline_check :
   min_improvement:float ->
   deterministic:bool ->
-  ((string * int) * traced) list ->
+  ((string * int) * Mdtest.Report.bench_point list) list ->
   ((int * int64) * Mdtest.Report.bench_point) list ->
   string list
 

@@ -5,7 +5,6 @@
 
 module Report = Mdtest.Report
 module Runner = Mdtest.Runner
-module Systems = Scenarios.Systems
 module Figures = Scenarios.Figures
 module Experiments = Scenarios.Experiments
 module Sessions_bench = Scenarios.Sessions_bench
@@ -113,54 +112,33 @@ let test_cache_ablation_small_speedup () =
 
 (* {2 Reshard} *)
 
-let results ~p99 =
-  let l =
-    { Runner.samples = 3_840; mean = p99 /. 4.; p50 = p99 /. 4.;
-      p95 = p99 /. 2.; p99; max = p99 }
-  in
-  { Runner.rates = [ (Runner.File_create, 20_000.) ];
-    latencies = [ (Runner.File_create, l) ];
-    errors = 0;
-    wall = 1. }
+(* A run's [mdtest-file-create] point, whose p99 is [p99]. *)
+let file_create ~config ~p99 =
+  Report.point ~experiment:"mdtest-file-create" ~procs:64 ~config ~ops_per_sec:20_000.
+    ~latency:
+      { Report.samples = 3_840; mean_s = p99 /. 4.; p50_s = p99 /. 4.;
+        p95_s = p99 /. 2.; p99_s = p99; max_s = p99 }
+    ()
 
-(* A clean one-run record: error-free, exact census, clean history. *)
-let dufs_run ~p99 =
-  { Systems.results = results ~p99;
-    router = Zk.Shard_router.local ~shards:2 ();
-    trace = Obs.Trace.null;
-    backend_stations = [||];
-    faults_fired = 0;
-    dedup_hits = 0;
-    per_shard_znodes = [| 2_002; 2_014 |];
-    live_stubs_at_stat = 63;
-    logical_znodes_at_stat = 3_951;
-    expected_logical_znodes = 3_951;
-    reshard = None;
-    reshard_window = 0.;
-    history_recorded = 4_548;
-    history_checked = 4_548;
-    history_undetermined = 0;
-    history_digest = "d";
-    violations = [];
-    registers = None }
-
-let reshard_run ?stats ~p99 ~window () =
-  Figures.reshard_run
-    { (dufs_run ~p99) with Systems.reshard = stats; reshard_window = window }
-
-let split_stats () =
-  let st = Zk.Reshard.fresh_stats () in
-  st.Zk.Reshard.shards_before <- 2;
-  st.Zk.Reshard.shards_after <- 4;
-  st.Zk.Reshard.keys_total <- 3_952;
-  st.Zk.Reshard.keys_migrated <- 2_727;
-  st
+(* A clean reshard run's points: error-free, exact census, clean
+   history; a [finished] controller migrated [migrated] of 3 952 keys. *)
+let reshard_run ?(finished = true) ?(migrated = 0) ~p99 ~window () =
+  let config = "reshard" in
+  [ file_create ~config ~p99;
+    Report.point ~experiment:"reshard-accounting" ~procs:64 ~config ~ops_per_sec:0.
+      ~phases:
+        [ ("expected_logical", 3_951.); ("logical", 3_951.); ("live_stubs", 63.);
+          ("keys_total", if finished then 3_952. else 0.);
+          ("keys_migrated", float_of_int migrated); ("violations", 0.);
+          ("history_checked", 4_548.); ("history_recorded", 4_548.);
+          ("window_s", window); ("controller_errors", 0.); ("client_errors", 0.);
+          ("controller_finished", if finished then 1. else 0.) ]
+      () ]
 
 (* The no-split baseline and a live 2->4 split at the same scale. *)
-let reshard_pair ?(split_p99 = 0.030) ?(window = 5.87) () =
-  [ ((2, 2, 64), reshard_run ~p99:0.005 ~window:0. ());
-    ( (2, 4, 64),
-      reshard_run ~stats:(split_stats ()) ~p99:split_p99 ~window () ) ]
+let reshard_pair ?(split_p99 = 0.030) ?(window = 5.87) ?finished () =
+  [ ((2, 2, 64), reshard_run ~finished:false ~p99:0.005 ~window:0. ());
+    ((2, 4, 64), reshard_run ?finished ~migrated:2_727 ~p99:split_p99 ~window ()) ]
 
 let test_reshard_p99_above_baseline () =
   passes "split p99 6x baseline" (Figures.reshard_check (reshard_pair ()));
@@ -171,83 +149,82 @@ let test_reshard_empty_window () =
   names "zero-length migration" ~needle:"empty migration window"
     (Figures.reshard_check (reshard_pair ~window:0. ()))
 
+let test_reshard_controller_unfinished () =
+  names "split without a finished controller"
+    ~needle:"reshard 2->4 shards @64 procs: controller never finished"
+    (Figures.reshard_check (reshard_pair ~finished:false ()))
+
 (* {2 Profile: quorum phases must tile each traced write} *)
 
-(* A traced run whose create spans record [total] and the five quorum
-   phases [phases] (in {!Obs.Trace.phases} order). *)
-let traced_run ?(total = 0.010) phases =
-  let t = Obs.Trace.create () in
-  Obs.Trace.enable t;
-  Obs.Trace.record_span t "zk.create.total" total;
-  List.iter2
-    (fun p d -> Obs.Trace.record_span t ("zk.create." ^ p) d)
-    Obs.Trace.phases phases;
-  Figures.traced { (dufs_run ~p99:0.01) with Systems.trace = t }
+(* A run's [zk-create-breakdown] point: mean latency [total] and the
+   five quorum-phase means [phases] (in {!Obs.Trace.phases} order). *)
+let create_breakdown ?(total = 0.010) phases =
+  [ Report.point ~experiment:"zk-create-breakdown" ~procs:64 ~config:"profile"
+      ~ops_per_sec:100.
+      ~latency:
+        { Report.samples = 1; mean_s = total; p50_s = total; p95_s = total;
+          p99_s = total; max_s = total }
+      ~phases:(List.combine Obs.Trace.phases phases) () ]
 
 (* queue-wait, propose, persist, ack, commit: sums to 10 ms *)
 let tiling = [ 0.004; 0.0001; 0.00002; 0.0045; 0.00138 ]
 let not_tiling = [ 0.008; 0.0001; 0.00002; 0.0045; 0.00138 ]
 
 let test_profile_phases_not_tiling () =
-  passes "profile" (Figures.profile_check [ (64, traced_run tiling) ]);
+  passes "profile" (Figures.profile_check [ (64, create_breakdown tiling) ]);
   names "phases 40% over the total" ~needle:"128 procs, zk.create: phase sum 0.014"
-    (Figures.profile_check [ (64, traced_run tiling); (128, traced_run not_tiling) ])
+    (Figures.profile_check
+       [ (64, create_breakdown tiling); (128, create_breakdown not_tiling) ])
 
 (* {2 Sharding} *)
 
-(* A 2-shard deployment in which each shard of [written] committed one
-   create. *)
-let router_with_writes written =
-  let engine = Simkit.Engine.create () in
-  let router =
-    Zk.Shard_router.start engine ~shards:2 (Zk.Ensemble.default_config ~servers:3)
-  in
-  Simkit.Process.spawn engine (fun () ->
-      List.iter
-        (fun i ->
-          let s = Zk.Shard_router.backend_session router i in
-          match s.Zk.Zk_client.create (Printf.sprintf "/w%d" i) ~data:"" with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "shard %d: %s" i (Zk.Zerror.to_string e))
-        written);
-  Simkit.Engine.run engine;
-  router
-
-let sharding_row ?(census = 3_951) written =
+(* A 2x4-shard run whose shards committed [writes] writes each. *)
+let sharding_row ?(census = 3_951) writes =
   ( (2, 4, 16, 64),
-    Figures.sharding_run
-      { (dufs_run ~p99:0.01) with
-        Systems.router = router_with_writes written;
-        logical_znodes_at_stat = census } )
+    [ Report.point ~experiment:"sharding-znode-accounting" ~procs:64 ~config:"sharding"
+        ~ops_per_sec:0.
+        ~phases:[ ("logical", float_of_int census); ("expected_logical", 3_951.) ]
+        ~shards:
+          (List.mapi
+             (fun shard writes_committed ->
+               { Report.shard; znodes = 2_000; writes_committed; dedup_hits = 0;
+                 queue_wait_mean_s = None })
+             writes)
+        () ] )
 
 let test_sharding_census_mismatch () =
-  passes "sharding" (Figures.sharding_check [ sharding_row [ 0; 1 ] ]);
+  passes "sharding" (Figures.sharding_check [ sharding_row [ 1; 1 ] ]);
   names "census one short" ~needle:"procs=64: logical znodes 3950, expected 3951"
-    (Figures.sharding_check [ sharding_row ~census:3_950 [ 0; 1 ] ])
+    (Figures.sharding_check [ sharding_row ~census:3_950 [ 1; 1 ] ])
 
 let test_sharding_idle_shard () =
   names "shard 1 idle" ~needle:"a shard committed no writes (1 0)"
-    (Figures.sharding_check [ sharding_row [ 0 ] ])
+    (Figures.sharding_check [ sharding_row [ 1; 0 ] ])
 
 (* {2 Faults} *)
 
+(* A run's [faults-accounting] point under a plan of [events] events. *)
+let faults_run ?(census = 3_951) ?(fired = 0) ?(dedup_hits = 0) ~events label =
+  ( label,
+    [ Report.point ~experiment:"faults-accounting" ~procs:64 ~config:label
+        ~ops_per_sec:0.
+        ~phases:
+          [ ("client_errors", 0.); ("dedup_hits", float_of_int dedup_hits);
+            ("faults_fired", float_of_int fired); ("plan_events", float_of_int events);
+            ("logical", float_of_int census); ("expected_logical", 3_951.) ]
+        () ] )
+
 (* The fault-free baseline and the quorum-loss schedule, whose four
    events all fired and whose retries hit the dedup table. *)
-let faults_runs ?(census = 3_951) ?(fired = 4) () =
+let faults_runs ?census ?(fired = 4) () =
   let text = List.assoc "leader-quorum-loss" Figures.fault_plans in
-  let plan =
+  let events =
     match Faults.Faultplan.parse text with
-    | Ok plan -> plan
+    | Ok plan -> List.length plan
     | Error msg -> Alcotest.failf "plan: %s" msg
   in
-  let base = dufs_run ~p99:0.01 in
-  [ ("fault-free", [], base);
-    ( "leader-quorum-loss",
-      plan,
-      { base with
-        Systems.faults_fired = fired;
-        dedup_hits = 64;
-        logical_znodes_at_stat = census } ) ]
+  [ faults_run ~events:0 "fault-free";
+    faults_run ?census ~fired ~dedup_hits:64 ~events "leader-quorum-loss" ]
 
 let test_faults_passing () = passes "faults" (Figures.faults_check (faults_runs ()))
 
@@ -344,9 +321,10 @@ let test_chaos_mixed_recoveries () =
 (* The two batch16 profiles the improvement gate compares (queue-wait +
    ack 8.5 ms stop-and-wait, 4.25 ms pipelined: 50% better) and one
    clean chaos schedule. *)
-let pipeline_runs ?(piped = [ 0.002; 0.0001; 0.00002; 0.00225; 0.00138 ]) () =
-  [ (("batch16-w1", 64), traced_run tiling);
-    (("batch16-w8", 64), traced_run ~total:0.00575 piped) ]
+let pipeline_runs ?(total = 0.00575) ?(piped = [ 0.002; 0.0001; 0.00002; 0.00225; 0.00138 ])
+    () =
+  [ (("batch16-w1", 64), create_breakdown tiling);
+    (("batch16-w8", 64), create_breakdown ~total piped) ]
 
 let pipeline_check runs =
   Figures.pipeline_check ~min_improvement:30. ~deterministic:true runs [ chaos_row () ]
@@ -357,6 +335,19 @@ let test_pipeline_phases_not_tiling () =
     ~needle:"batch16-w8 @64 procs, zk.create: phase sum"
     (pipeline_check
        (pipeline_runs ~piped:[ 0.002; 0.0001; 0.00002; 0.00225; 0.00338 ] ()))
+
+(* Queue-wait + ack 7.65 ms pipelined against 8.5 ms: 10% better. *)
+let test_pipeline_small_improvement () =
+  names "10% against a 30% floor" ~needle:"queue-wait+ack improved only 10.0% (< 30%)"
+    (pipeline_check
+       (pipeline_runs ~total:0.00915 ~piped:[ 0.0036; 0.0001; 0.00002; 0.00405; 0.00138 ]
+          ()))
+
+let test_pipeline_no_traced_creates () =
+  names "a run without a create breakdown" ~needle:"batch1-w1 @64 procs: no traced creates"
+    (pipeline_check
+       ((("batch1-w1", 64), [ file_create ~config:"pipeline" ~p99:0.01 ])
+        :: pipeline_runs ()))
 
 (* {2 Durability} *)
 
@@ -628,7 +619,9 @@ let () =
         [ Alcotest.test_case "p99 above 12x baseline" `Quick
             test_reshard_p99_above_baseline;
           Alcotest.test_case "empty migration window" `Quick
-            test_reshard_empty_window ] );
+            test_reshard_empty_window;
+          Alcotest.test_case "controller never finished" `Quick
+            test_reshard_controller_unfinished ] );
       ( "profile",
         [ Alcotest.test_case "phases not tiling the total" `Quick
             test_profile_phases_not_tiling ] );
@@ -652,7 +645,11 @@ let () =
             test_chaos_mixed_recoveries ] );
       ( "pipeline",
         [ Alcotest.test_case "phases not tiling the total" `Quick
-            test_pipeline_phases_not_tiling ] );
+            test_pipeline_phases_not_tiling;
+          Alcotest.test_case "improvement under the floor" `Quick
+            test_pipeline_small_improvement;
+          Alcotest.test_case "no traced creates" `Quick
+            test_pipeline_no_traced_creates ] );
       ( "durability",
         [ Alcotest.test_case "zero registers audited" `Quick
             test_durability_zero_registers_audited;
