@@ -65,8 +65,9 @@ type reply = (Txn.result_item list, Zerror.t) result -> unit
    client stamps every write once and reuses the stamp across timeout
    retries, so the leader can recognize a resubmission of a transaction
    it already committed and return the original result instead of
-   applying it twice. *)
-type rid = {
+   applying it twice. The WAL's type: an entry holds the client's rid
+   itself, so no replica rebuilds one to apply or replay it. *)
+type rid = Wal.rid = {
   rsession : int64;
   rcxid : int64;
 }
@@ -84,18 +85,20 @@ module Rid_tbl = Hashtbl.Make (struct
     ((Int64.to_int r.rsession * 65599) + Int64.to_int r.rcxid) land max_int
 end)
 
-(* A committed entry carries [close_of = Some owner] when it is the
-   cleanup transaction of a Close_session: every replica that applies it
-   also evicts that session's dedup entries (the session can never retry
-   again, so keeping its results would grow leader state without bound). *)
-type entry = int64 * Txn.t * float * rid * int64 option
+(* A transaction travels and rests as one [Wal.entry], built by the
+   leader when it assigns the zxid: its pending write, every proposal,
+   inform and fetch answer, each follower's [proposals], every member's
+   [log] and every WAL record point at that one immutable value. An
+   entry carries [e_close = Some owner] when it is the cleanup
+   transaction of a Close_session: every replica that applies it also
+   evicts that session's dedup entries (the session can never retry
+   again, so keeping its results would grow leader state without
+   bound). *)
 
 type role = Leader | Follower | Observer | Down
 
 type pending_write = {
-  p_txn : Txn.t;
-  p_time : float;
-  p_rid : rid;
+  p_entry : Wal.entry;
   (* a timed-out retry of a still-in-flight write re-points the reply
      (and its route home) at the retry's continuation *)
   mutable p_origin : int;
@@ -113,7 +116,6 @@ type pending_write = {
      so the leader's vote only counts once the overlapped persist
      completes. *)
   mutable p_self_acked : bool;
-  p_close : int64 option;
   p_span : Obs.Trace.wspan;
 }
 
@@ -126,7 +128,7 @@ type applied_result = (Txn.result_item list, Zerror.t) result
    is busy ahead of it and not a tick longer. Entry and span lists are
    kept reversed (append at head) and reversed once at fan-out. *)
 type pbatch = {
-  mutable b_entries : entry list;        (* reversed *)
+  mutable b_entries : Wal.entry list;    (* reversed *)
   mutable b_spans : Obs.Trace.wspan list; (* reversed, parallel to b_entries *)
   mutable b_cpu : float;                 (* summed leader CPU for the batch *)
   mutable b_count : int;
@@ -146,7 +148,7 @@ type msg =
       span : Obs.Trace.wspan;
     }
   | Read of { exec : server -> unit; refuse : Zerror.t -> unit }
-  | Propose_batch of { epoch : int; entries : entry list; committed_upto : int64 }
+  | Propose_batch of { epoch : int; entries : Wal.entry list; committed_upto : int64 }
     (* one leader->follower round carries a whole group-committed batch;
        a singleton batch is exactly the classic per-txn PROPOSAL.
        [committed_upto] piggybacks the leader's commit frontier (every
@@ -156,7 +158,7 @@ type msg =
        leaving the standalone Commit_batch in charge there. *)
   | Ack_batch of { epoch : int; zxids : int64 list; from : int }
   | Commit_batch of { epoch : int; zxids : int64 list }
-  | Inform_batch of { epoch : int; entries : entry list }
+  | Inform_batch of { epoch : int; entries : Wal.entry list }
     (* ZAB INFORM: commit + payload, sent to non-voting observers *)
   | Deliver_reply of {
       epoch : int;
@@ -188,13 +190,13 @@ and server = {
   mutable role : role;
   mutable epoch : int;
   mutable tree : Ztree.t;
-  log : (Txn.t * float * rid * int64 option) Zxid_tbl.t
-    (* committed txns, by zxid *);
+  log : Wal.entry Zxid_tbl.t (* committed txns, by zxid *);
   (* request id -> (zxid, result) of every txn this replica has applied:
      the dedup table behind exactly-once writes. Replicated implicitly —
      each replica records entries as it applies the same committed
      sequence — so it survives leader failover. One row per session,
-     indexed by cxid: both are dense counters. *)
+     indexed by cxid: both are dense counters. The zxid is the entry's
+     own box. *)
   applied : (int64 * applied_result) Zxid_tbl.t Zxid_tbl.t;
   inbox : msg Mailbox.t;
   (* leader state *)
@@ -218,7 +220,7 @@ and server = {
   mutable persist_until : float;
   mutable proposer_wake : unit Simkit.Process.waiter option;
   (* follower state *)
-  proposals : (Txn.t * float * rid * int64 option) Zxid_tbl.t;
+  proposals : Wal.entry Zxid_tbl.t;
   committed : unit Zxid_tbl.t;
   (* highest zxid this follower knows committed via a piggybacked
      frontier (0L = none this epoch); zxids <= it apply without an
@@ -506,6 +508,15 @@ let apply_txn (s : server) ~zxid ~time txn =
    | Error _ -> ());
   result
 
+(* A replica's apply of a committed entry: tree, dedup row (keyed by the
+   entry's own rid, holding the entry's own zxid box) and, for a
+   session close, the session's eviction. *)
+let apply_entry t (s : server) (e : Wal.entry) =
+  let rid = e.Wal.e_rid in
+  record_applied s rid
+    (e.Wal.e_zxid, apply_txn s ~zxid:e.Wal.e_zxid ~time:e.Wal.e_time e.Wal.e_txn);
+  note_close_applied t s ~rid e.Wal.e_close
+
 (* {2 Stable-storage hooks}
 
    Everything that reaches a server's WAL goes through these helpers.
@@ -513,15 +524,17 @@ let apply_txn (s : server) ~zxid ~time txn =
    wiring them into the hot paths leaves fault-free schedules
    bit-identical. *)
 
-let wal_entry ~zxid ~txn ~time ~(rid : rid) ~close : Wal.entry =
-  { Wal.e_zxid = zxid; e_txn = txn; e_time = time;
-    e_rsession = rid.rsession; e_rcxid = rid.rcxid; e_close = close }
-
 (* Append at a persist point; [start]/[done_at] bracket the device
    write so a power-off inside the window loses or tears the record. *)
-let wal_append (s : server) ~start ~done_at ~zxid ~txn ~time ~rid ~close =
-  Wal.append s.wal ~epoch:s.epoch ~start ~done_at
-    (wal_entry ~zxid ~txn ~time ~rid ~close)
+let wal_append (s : server) ~start ~done_at entry =
+  Wal.append s.wal ~epoch:s.epoch ~start ~done_at entry
+
+(* Append unless this epoch already logged the zxid: a re-proposal is
+   re-acked idempotently, and so is the disk. *)
+let wal_append_once (s : server) ~start ~done_at (e : Wal.entry) =
+  match Wal.epoch_at s.wal e.Wal.e_zxid with
+  | Some epoch when epoch = s.epoch -> ()
+  | _ -> wal_append s ~start ~done_at e
 
 (* Mark [zxid] durably applied and roll a snapshot once the replay
    distance exceeds the configured cadence. Snapshot writing is modeled
@@ -571,7 +584,7 @@ let try_commit t (s : server) =
         let zxid = s.next_commit in
         Zxid_tbl.remove s.pending zxid;
         s.next_commit <- Int64.add zxid 1L;
-        take ((zxid, pw) :: acc)
+        take (pw :: acc)
       | Some _ | None -> List.rev acc
     in
     match take [] with
@@ -589,36 +602,38 @@ let try_commit t (s : server) =
       (if Obs.Trace.enabled t.trace then
          let now = Engine.now t.engine in
          List.iter
-           (fun (_, pw) ->
+           (fun pw ->
              if Obs.Trace.is_real pw.p_span then
                pw.p_span.Obs.Trace.w_quorum <- now)
            ready);
       let results =
         List.map
-          (fun (zxid, pw) ->
+          (fun pw ->
+            let e = pw.p_entry in
+            let zxid = e.Wal.e_zxid and rid = e.Wal.e_rid in
             (* each txn applies individually: a failing txn returns its
                error to its own caller without touching its batch
                neighbours (and does not consume the zxid in the tree) *)
             let result =
               if Ztree.last_zxid s.tree < zxid then
-                apply_txn s ~zxid ~time:pw.p_time pw.p_txn
+                apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn
               else
                 (* already applied (state transfer raced ahead): answer
                    from the dedup table rather than re-applying *)
-                match find_applied s pw.p_rid with
+                match find_applied s rid with
                 | Some (_, result) -> result
                 | None -> Ok []
             in
-            record_applied s pw.p_rid (zxid, result);
-            Rid_tbl.remove s.pending_rids pw.p_rid;
-            Zxid_tbl.replace s.log zxid (pw.p_txn, pw.p_time, pw.p_rid, pw.p_close);
-            note_close_applied t s ~rid:pw.p_rid pw.p_close;
+            record_applied s rid (zxid, result);
+            Rid_tbl.remove s.pending_rids rid;
+            Zxid_tbl.replace s.log zxid e;
+            note_close_applied t s ~rid e.Wal.e_close;
             wal_applied t s zxid;
             t.commits <- t.commits + 1;
-            (zxid, pw, result))
+            (pw, result))
           ready
       in
-      let zxids = List.map (fun (zxid, _, _) -> zxid) results in
+      let zxids = List.map (fun (pw, _) -> pw.p_entry.Wal.e_zxid) results in
       (* Commit piggybacking: while a proposal is still queued to go
          out, its Propose_batch will carry a frontier >= this commit on
          the same FIFO links — the standalone fan-out would be pure
@@ -636,11 +651,7 @@ let try_commit t (s : server) =
       (match t.observer_peers with
        | [] -> ()
        | observers ->
-         let entries =
-           List.map
-             (fun (zxid, pw, _) -> (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
-             results
-         in
+         let entries = List.map (fun (pw, _) -> pw.p_entry) results in
          List.iter
            (fun (peer : server) ->
              send t ~src:s.id ~dst:peer.id (Inform_batch { epoch = s.epoch; entries }))
@@ -652,13 +663,13 @@ let try_commit t (s : server) =
         if pipelined t then Int64.sub s.next_commit 1L else 0L
       in
       List.iter
-        (fun (zxid, pw, result) ->
+        (fun (pw, result) ->
           if pw.p_origin = s.id then pw.p_reply result
           else
             send t ~src:s.id ~dst:pw.p_origin
               (Deliver_reply
-                 { epoch = s.epoch; zxid; result; reply = pw.p_reply;
-                   committed_upto }))
+                 { epoch = s.epoch; zxid = pw.p_entry.Wal.e_zxid; result;
+                   reply = pw.p_reply; committed_upto }))
         results
   end
 
@@ -765,9 +776,7 @@ let dedup_filter t (s : server) batch =
                 (fun (peer : server) ->
                   send t ~src:s.id ~dst:peer.id
                     (Propose_batch
-                       { epoch = s.epoch;
-                         entries =
-                           [ (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) ];
+                       { epoch = s.epoch; entries = [ pw.p_entry ];
                          committed_upto = 0L }))
                 t.follower_peers;
               false
@@ -798,9 +807,7 @@ let repropose_stalled_head t (s : server) =
   | Some pw
     when Engine.now t.engine -. pw.p_proposed_at > t.cfg.request_timeout ->
     pw.p_proposed_at <- Engine.now t.engine;
-    let entries =
-      [ (s.next_commit, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) ]
-    in
+    let entries = [ pw.p_entry ] in
     List.iter
       (fun (peer : server) ->
         send t ~src:s.id ~dst:peer.id
@@ -818,14 +825,14 @@ let repropose_stalled_head t (s : server) =
    replays stay byte-identical.
 
    The scan runs per leader message, so it is skipped when no entry can
-   be stale. Every [p_proposed_at] is at least its entry's [p_time]: both
+   be stale. Every [p_proposed_at] is at least its entry's [e_time]: both
    are stamped with the current time when the entry is built, and the
    stamp only moves forward. Zxids are assigned in arrival order, so the
-   lowest pending zxid has the smallest [p_time], and if even that entry
+   lowest pending zxid has the smallest [e_time], and if even that entry
    is younger than the timeout, every entry is. *)
 let may_have_stalled t (s : server) ~now =
   match Option.bind (Zxid_tbl.min_key s.pending) (Zxid_tbl.find_opt s.pending) with
-  | Some oldest -> now -. oldest.p_time > t.cfg.request_timeout
+  | Some oldest -> now -. oldest.p_entry.Wal.e_time > t.cfg.request_timeout
   | None -> false
 
 let repropose_stalled t (s : server) =
@@ -836,9 +843,8 @@ let repropose_stalled t (s : server) =
       if not (may_have_stalled t s ~now) then []
       else
         Zxid_tbl.fold
-          (fun zxid pw acc ->
-            if now -. pw.p_proposed_at > t.cfg.request_timeout then
-              (zxid, pw) :: acc
+          (fun _ pw acc ->
+            if now -. pw.p_proposed_at > t.cfg.request_timeout then pw :: acc
             else acc)
           s.pending []
     in
@@ -848,9 +854,9 @@ let repropose_stalled t (s : server) =
     | stalled ->
       let entries =
         List.map
-          (fun (zxid, pw) ->
+          (fun pw ->
             pw.p_proposed_at <- now;
-            (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
+            pw.p_entry)
           stalled
       in
       List.iter
@@ -876,6 +882,22 @@ let refuse_fast t (s : server) ~origin ~reply =
      starve the repair that unwedges the commit path — so each refused
      write doubles as a repair attempt. *)
   repropose_stalled t s
+
+(* Give a drained write the next zxid: build its entry, the one value
+   every replica will hold for it, and register it pending. *)
+let new_pending (s : server) ~time ~txn ~rid ~origin ~reply ~span ~close
+    ~self_acked =
+  let zxid = s.next_zxid in
+  s.next_zxid <- Int64.add zxid 1L;
+  let entry =
+    { Wal.e_zxid = zxid; e_txn = txn; e_time = time; e_rid = rid;
+      e_close = close }
+  in
+  Zxid_tbl.replace s.pending zxid
+    { p_entry = entry; p_origin = origin; p_reply = reply; p_acked = [];
+      p_proposed_at = time; p_self_acked = self_acked; p_span = span };
+  Rid_tbl.replace s.pending_rids rid zxid;
+  entry
 
 let leader_handle_batch t (s : server) batch =
   match dedup_filter t s batch with
@@ -929,17 +951,12 @@ let leader_handle_batch t (s : server) batch =
       let entries =
         List.map
           (fun (txn, rid, origin, reply, span, close) ->
-            let zxid = s.next_zxid in
-            s.next_zxid <- Int64.add zxid 1L;
-            Zxid_tbl.replace s.pending zxid
-              { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
-                p_reply = reply; p_acked = []; p_proposed_at = time;
-                p_self_acked = true (* persist already paid above *);
-                p_close = close; p_span = span };
-            Rid_tbl.replace s.pending_rids rid zxid;
-            wal_append s ~start:time ~done_at:persisted_at ~zxid ~txn ~time
-              ~rid ~close;
-            (zxid, txn, time, rid, close))
+            let entry =
+              new_pending s ~time ~txn ~rid ~origin ~reply ~span ~close
+                ~self_acked:true (* persist already paid above *)
+            in
+            wal_append s ~start:time ~done_at:persisted_at entry;
+            entry)
           batch
       in
       let followers = t.follower_peers in
@@ -1004,15 +1021,11 @@ let leader_enqueue_batch t (s : server) batch =
      end);
     List.iter
       (fun (txn, rid, origin, reply, span, close) ->
-        let zxid = s.next_zxid in
-        s.next_zxid <- Int64.add zxid 1L;
-        Zxid_tbl.replace s.pending zxid
-          { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
-            p_reply = reply; p_acked = []; p_proposed_at = time;
-            p_self_acked = false (* counts only after the overlapped persist *);
-            p_close = close; p_span = span };
-        Rid_tbl.replace s.pending_rids rid zxid;
-        let entry = (zxid, txn, time, rid, close) in
+        let entry =
+          new_pending s ~time ~txn ~rid ~origin ~reply ~span ~close
+            ~self_acked:false (* counts only after the overlapped persist *)
+        in
+        let zxid = entry.Wal.e_zxid in
         let cpu = leader_service t txn in
         (* Queue exposes no tail peek; fold to it — the queue is at most
            a few batches deep (window + backlog) *)
@@ -1085,19 +1098,15 @@ let rec proposer_loop t (s : server) =
          (* the WAL records the overlapped window: a crash before
             [done_at] loses these appends even though the batch was
             already proposed (and possibly acked by followers) *)
-         List.iter
-           (fun (zxid, txn, time, rid, close) ->
-             wal_append s ~start:now ~done_at ~zxid ~txn ~time ~rid ~close)
-           entries;
-         let zxids = List.map (fun (z, _, _, _, _) -> z) entries in
+         List.iter (wal_append s ~start:now ~done_at) entries;
          Engine.schedule t.engine ~delay:(done_at -. now) (fun () ->
              if s.role = Leader && s.epoch = epoch0 then begin
                List.iter
-                 (fun z ->
-                   match Zxid_tbl.find_opt s.pending z with
+                 (fun (e : Wal.entry) ->
+                   match Zxid_tbl.find_opt s.pending e.Wal.e_zxid with
                    | Some pw -> pw.p_self_acked <- true
                    | None -> ())
-                 zxids;
+                 entries;
                try_commit t s
              end)
        end
@@ -1117,16 +1126,13 @@ let rec follower_apply_ready t (s : server) =
   then
     match Zxid_tbl.find_opt s.proposals s.next_apply with
     | None -> ()  (* proposal not yet received (cleared by election) *)
-    | Some (txn, time, rid, close) ->
+    | Some e ->
       let zxid = s.next_apply in
       Zxid_tbl.remove s.committed zxid;
       Zxid_tbl.remove s.proposals zxid;
       s.next_apply <- Int64.add zxid 1L;
-      if Ztree.last_zxid s.tree < zxid then begin
-        record_applied s rid (zxid, apply_txn s ~zxid ~time txn);
-        note_close_applied t s ~rid close
-      end;
-      Zxid_tbl.replace s.log zxid (txn, time, rid, close);
+      if Ztree.last_zxid s.tree < zxid then apply_entry t s e;
+      Zxid_tbl.replace s.log zxid e;
       wal_applied t s zxid;
       follower_apply_ready t s
 
@@ -1137,21 +1143,17 @@ let rec follower_apply_ready t (s : server) =
 let rec observer_apply_ready t (s : server) =
   match Zxid_tbl.find_opt s.proposals s.next_apply with
   | None -> ()
-  | Some (txn, time, rid, close) ->
+  | Some e ->
     let zxid = s.next_apply in
     Zxid_tbl.remove s.proposals zxid;
     s.next_apply <- Int64.add zxid 1L;
     if Ztree.last_zxid s.tree < zxid then begin
-      record_applied s rid (zxid, apply_txn s ~zxid ~time txn);
-      note_close_applied t s ~rid close;
-      Zxid_tbl.replace s.log zxid (txn, time, rid, close);
+      apply_entry t s e;
+      Zxid_tbl.replace s.log zxid e;
       (* observers have no ack round: the inform itself doubles as the
          txn-log append (already committed, so it lands at the frontier) *)
-      (match Wal.epoch_at s.wal zxid with
-       | Some e when e = s.epoch -> ()
-       | _ ->
-         let now = Engine.now t.engine in
-         wal_append s ~start:now ~done_at:now ~zxid ~txn ~time ~rid ~close);
+      let now = Engine.now t.engine in
+      wal_append_once s ~start:now ~done_at:now e;
       wal_applied t s zxid
     end;
     observer_apply_ready t s
@@ -1253,18 +1255,12 @@ let handle t (s : server) msg =
         let persisted_at = Engine.now t.engine in
         s.fresh_at <- persisted_at;
         List.iter
-          (fun (zxid, txn, time, rid, close) ->
-            Zxid_tbl.replace s.proposals zxid (txn, time, rid, close);
-            (* log the proposal before acking (ZAB's accept-then-ack);
-               re-proposals already logged this epoch are not re-appended
-               — the re-ack is idempotent and so is the disk *)
-            match Wal.epoch_at s.wal zxid with
-            | Some e when e = epoch -> ()
-            | _ ->
-              wal_append s ~start:issued_at ~done_at:persisted_at ~zxid ~txn
-                ~time ~rid ~close)
+          (fun (e : Wal.entry) ->
+            Zxid_tbl.replace s.proposals e.Wal.e_zxid e;
+            (* log the proposal before acking (ZAB's accept-then-ack) *)
+            wal_append_once s ~start:issued_at ~done_at:persisted_at e)
           entries;
-        let zxids = List.map (fun (zxid, _, _, _, _) -> zxid) entries in
+        let zxids = List.map (fun (e : Wal.entry) -> e.Wal.e_zxid) entries in
         send t ~src:s.id ~dst:t.leader (Ack_batch { epoch; zxids; from = s.id });
         (* A lossy link can strand an earlier proposal: if every
            follower missed that batch, it never gathers a quorum, and
@@ -1340,14 +1336,14 @@ let handle t (s : server) msg =
            an observer that skipped the gap would diverge silently and
            keep serving reads from the wrong tree. *)
         List.iter
-          (fun (zxid, txn, time, rid, close) ->
-            if zxid >= s.next_apply then
-              Zxid_tbl.replace s.proposals zxid (txn, time, rid, close))
+          (fun (e : Wal.entry) ->
+            if e.Wal.e_zxid >= s.next_apply then
+              Zxid_tbl.replace s.proposals e.Wal.e_zxid e)
           entries;
         observer_apply_ready t s;
         let hi =
           List.fold_left
-            (fun acc (zxid, _, _, _, _) -> Int64.max acc zxid)
+            (fun acc (e : Wal.entry) -> Int64.max acc e.Wal.e_zxid)
             0L entries
         in
         if s.next_apply <= hi then
@@ -1374,13 +1370,12 @@ let handle t (s : server) msg =
         let z = ref upto in
         while !z >= from_zxid do
           (match Zxid_tbl.find_opt s.log !z with
-           | Some (txn, time, rid, close) ->
-             entries := (!z, txn, time, rid, close) :: !entries;
+           | Some e ->
+             entries := e :: !entries;
              commits := !z :: !commits
            | None -> (
              match Zxid_tbl.find_opt s.pending !z with
-             | Some pw when not observer ->
-               entries := (!z, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: !entries
+             | Some pw when not observer -> entries := pw.p_entry :: !entries
              | Some _ | None -> ()));
           z := Int64.sub !z 1L
         done;
@@ -1544,9 +1539,9 @@ let state_transfer t ~from ~target =
     || (dst_z > 0L
         &&
         match Zxid_tbl.find_opt src.log dst_z with
-        | Some (txn, _, _, _) -> (
+        | Some committed -> (
           match Wal.entry_at dst.wal dst_z with
-          | Some e -> e.Wal.e_txn <> txn
+          | Some e -> e.Wal.e_txn <> committed.Wal.e_txn
           | None -> false (* snapshot-covered prefix: consistent *))
         | None ->
           (* unknown at src: fine if committed long ago (src pruned it),
@@ -1589,18 +1584,12 @@ let state_transfer t ~from ~target =
   let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
   while !zxid <= Ztree.last_zxid src.tree do
     (match Zxid_tbl.find_opt src.log !zxid with
-     | Some (txn, time, rid, close) ->
-       record_applied dst rid
-         (!zxid, apply_txn dst ~zxid:!zxid ~time txn);
-       note_close_applied t dst ~rid close;
-       Zxid_tbl.replace dst.log !zxid (txn, time, rid, close);
+     | Some e ->
+       apply_entry t dst e;
+       Zxid_tbl.replace dst.log !zxid e;
        t.transfer_diff_txns <- t.transfer_diff_txns + 1;
        (* write-through: a diff-synced txn lands on dst's disk too *)
-       (match Wal.epoch_at dst.wal !zxid with
-        | Some e when e = dst.epoch -> ()
-        | _ ->
-          wal_append dst ~start:now ~done_at:now ~zxid:!zxid ~txn ~time ~rid
-            ~close);
+       wal_append_once dst ~start:now ~done_at:now e;
        wal_applied t dst !zxid
      | None -> ());
     zxid := Int64.add !zxid 1L
@@ -1686,14 +1675,9 @@ let elect t =
 let commit_recovered_tail t (s : server) =
   List.iter
     (fun (e : Wal.entry) ->
-      let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
-      if Ztree.last_zxid s.tree < zxid then begin
-        record_applied s rid
-          (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
-        note_close_applied t s ~rid e.Wal.e_close
-      end;
-      Zxid_tbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close);
+      if Ztree.last_zxid s.tree < zxid then apply_entry t s e;
+      Zxid_tbl.replace s.log zxid e;
       wal_applied t s zxid;
       t.wal_tail_commits <- t.wal_tail_commits + 1)
     s.recovered_tail;
@@ -1761,14 +1745,9 @@ let recover_local t (s : server) =
   Zxid_tbl.reset s.applied;
   List.iter
     (fun (e : Wal.entry) ->
-      let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
       let zxid = e.Wal.e_zxid in
-      if Ztree.last_zxid s.tree < zxid then begin
-        record_applied s rid
-          (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
-        note_close_applied t s ~rid e.Wal.e_close
-      end;
-      Zxid_tbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close))
+      if Ztree.last_zxid s.tree < zxid then apply_entry t s e;
+      Zxid_tbl.replace s.log zxid e)
     r.Wal.rc_replay;
   (* watches migrate only once the tree is fully rebuilt: comparing
      against the half-replayed tree would fire spurious events for
@@ -1840,10 +1819,7 @@ let restart t id =
       if not (is_observer_id t id) then begin
         (* the fold runs in ascending zxid order: reverse once *)
         let entries =
-          Zxid_tbl.fold
-            (fun zxid pw acc ->
-              (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: acc)
-            leader.pending []
+          Zxid_tbl.fold (fun _ pw acc -> pw.p_entry :: acc) leader.pending []
         in
         match List.rev entries with
         | [] -> ()

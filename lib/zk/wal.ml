@@ -43,12 +43,16 @@
    image is what recovery restores, and its bytes would be
    [Ztree.encode] of it. *)
 
+type rid = {
+  rsession : int64;
+  rcxid : int64;
+}
+
 type entry = {
   e_zxid : int64;
   e_txn : Txn.t;
   e_time : float;
-  e_rsession : int64;
-  e_rcxid : int64;
+  e_rid : rid;
   e_close : int64 option;
 }
 
@@ -139,8 +143,8 @@ let encode ~epoch (e : entry) =
   field b (Int64.to_string e.e_zxid);
   Buffer.add_char b ' ';
   Ztree.add_float_bits b e.e_time;
-  field b (Int64.to_string e.e_rsession);
-  field b (Int64.to_string e.e_rcxid);
+  field b (Int64.to_string e.e_rid.rsession);
+  field b (Int64.to_string e.e_rid.rcxid);
   field b (match e.e_close with None -> "-" | Some o -> Int64.to_string o);
   field b (string_of_int (List.length e.e_txn));
   Buffer.add_char b '\n';

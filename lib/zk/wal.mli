@@ -17,15 +17,25 @@
 
 type t
 
-(** One logged transaction, exactly the tuple the replication protocol
-    carries: enough to rebuild the tree, the committed log and the
-    exactly-once dedup table on replay. *)
+(** A write's session-scoped request id (ZooKeeper's session id plus
+    client xid): the key of the exactly-once dedup table. *)
+type rid = {
+  rsession : int64;
+  rcxid : int64;
+}
+
+(** One committed-or-proposed transaction, the value the replication
+    protocol carries: enough to rebuild the tree, the committed log and
+    the exactly-once dedup table on replay. It is immutable, and the
+    leader builds it once when it assigns the zxid: proposals, every
+    member's committed log and every member's WAL record point at that
+    one value. [e_close = Some owner] marks the cleanup transaction of
+    [owner]'s session close. *)
 type entry = {
   e_zxid : int64;
   e_txn : Txn.t;
   e_time : float;
-  e_rsession : int64;
-  e_rcxid : int64;
+  e_rid : rid;
   e_close : int64 option;
 }
 

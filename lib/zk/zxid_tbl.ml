@@ -1,6 +1,11 @@
 (* An array window over dense int64 keys: [slots.(i)] holds the binding
-   of key [base + i]. Live bindings occupy indices [lo, hi]; an empty
-   table has [lo > hi] and every slot [None].
+   of key [base + i], the value itself with no [Some] box. A slot with
+   no binding holds [empty], a block private to this module that no
+   caller's value can be physically equal to, so [== empty] is the
+   emptiness test whatever ['a] is ([unit] and [int] included). Slots
+   are [Obj.t], so a ['a = float] table is an array of pointers to
+   boxed floats, never a flat float array. Live bindings occupy indices
+   [lo, hi]; an empty table has [lo > hi] and every slot [empty].
 
    A key outside the window re-lays the live range [lo, hi] and the new
    key out, once: in place when the combined span fits in half the
@@ -13,23 +18,25 @@
 
 type 'a t = {
   mutable base : int64;
-  mutable slots : 'a option array;
+  mutable slots : Obj.t array;
   mutable lo : int;
   mutable hi : int;
   mutable size : int;
   initial : int;
 }
 
+let empty : Obj.t = Obj.repr (ref ())
+
 let create n =
   let n = max n 1 in
-  { base = 0L; slots = Array.make n None; lo = 0; hi = -1; size = 0;
+  { base = 0L; slots = Array.make n empty; lo = 0; hi = -1; size = 0;
     initial = n }
 
 let length t = t.size
 let capacity t = Array.length t.slots
 
 let reset t =
-  t.slots <- Array.make t.initial None;
+  t.slots <- Array.make t.initial empty;
   t.base <- 0L;
   t.lo <- 0;
   t.hi <- -1;
@@ -43,11 +50,14 @@ let index t key =
 
 let find_opt t key =
   let i = index t key in
-  if i < 0 then None else Array.unsafe_get t.slots i
+  if i < 0 then None
+  else
+    let v = Array.unsafe_get t.slots i in
+    if v == empty then None else Some (Obj.obj v)
 
 let mem t key =
   let i = index t key in
-  i >= 0 && Option.is_some (Array.unsafe_get t.slots i)
+  i >= 0 && Array.unsafe_get t.slots i != empty
 
 (* Move the live range so that [key] gets a slot. *)
 let relayout t key =
@@ -68,12 +78,12 @@ let relayout t key =
     (* clear the vacated slots the blit did not overwrite *)
     if shift < 0 then
       let from = Int.max t.lo (t.hi + shift + 1) in
-      Array.fill t.slots from (t.hi - from + 1) None
+      Array.fill t.slots from (t.hi - from + 1) empty
     else if shift > 0 then
-      Array.fill t.slots t.lo (Int.min live shift) None
+      Array.fill t.slots t.lo (Int.min live shift) empty
   end
   else begin
-    let slots = Array.make cap' None in
+    let slots = Array.make cap' empty in
     Array.blit t.slots t.lo slots (t.lo + shift) live;
     t.slots <- slots
   end;
@@ -88,33 +98,33 @@ let replace t key v =
     t.lo <- 0;
     t.hi <- 0;
     t.size <- 1;
-    Array.unsafe_set t.slots 0 (Some v)
+    Array.unsafe_set t.slots 0 (Obj.repr v)
   end
   else begin
     if index t key < 0 then relayout t key;
     let i = index t key in
-    if Option.is_none (Array.unsafe_get t.slots i) then begin
+    if Array.unsafe_get t.slots i == empty then begin
       t.size <- t.size + 1;
       if i < t.lo then t.lo <- i;
       if i > t.hi then t.hi <- i
     end;
-    Array.unsafe_set t.slots i (Some v)
+    Array.unsafe_set t.slots i (Obj.repr v)
   end
 
 let remove t key =
   let i = index t key in
-  if i >= 0 && Option.is_some (Array.unsafe_get t.slots i) then begin
-    Array.unsafe_set t.slots i None;
+  if i >= 0 && Array.unsafe_get t.slots i != empty then begin
+    Array.unsafe_set t.slots i empty;
     t.size <- t.size - 1;
     if t.size = 0 then begin
       t.lo <- 0;
       t.hi <- -1
     end
     else begin
-      while Option.is_none (Array.unsafe_get t.slots t.lo) do
+      while Array.unsafe_get t.slots t.lo == empty do
         t.lo <- t.lo + 1
       done;
-      while Option.is_none (Array.unsafe_get t.slots t.hi) do
+      while Array.unsafe_get t.slots t.hi == empty do
         t.hi <- t.hi - 1
       done
     end
@@ -129,18 +139,16 @@ let max_key t =
 let iter f t =
   let slots = t.slots and base = t.base in
   for i = t.lo to t.hi do
-    match Array.unsafe_get slots i with
-    | Some v -> f (Int64.add base (Int64.of_int i)) v
-    | None -> ()
+    let v = Array.unsafe_get slots i in
+    if v != empty then f (Int64.add base (Int64.of_int i)) (Obj.obj v)
   done
 
 let fold f t init =
   let slots = t.slots and base = t.base in
   let acc = ref init in
   for i = t.lo to t.hi do
-    match Array.unsafe_get slots i with
-    | Some v -> acc := f (Int64.add base (Int64.of_int i)) v !acc
-    | None -> ()
+    let v = Array.unsafe_get slots i in
+    if v != empty then acc := f (Int64.add base (Int64.of_int i)) (Obj.obj v) !acc
   done;
   !acc
 

@@ -10,6 +10,12 @@
     Keys must therefore be dense: a few keys far apart cost memory in
     proportion to their distance.
 
+    A slot holds its value itself, not an option: an empty slot holds a
+    sentinel private to the module, compared by physical equality, so
+    a binding costs one array word and no allocation of its own, for
+    any value type ([unit], [int] and [float] included). [find_opt]
+    allocates the [Some] it returns.
+
     [iter] and [fold] visit bindings in ascending key order. *)
 
 type 'a t

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating perfbench pairs: this tree against another tree.
 #
-#   scripts/perf-pairs.sh <parent-tree> <workload> [pairs] [seed] [seconds]
+#   scripts/perf-pairs.sh <parent-tree> <workload> [pairs] [seed] [seconds] [metric]
 #
 # <parent-tree> is a plain copy of the commit to compare against (for
 # example `git archive <rev> | tar -x -C /tmp/parent`). Both trees'
@@ -12,16 +12,19 @@
 # both sides alike.
 #
 # Prints, per end-to-end metric of BENCHMARK.json, each side's median
-# and quartiles; how many pairs this tree won on host_us_per_op (lower
-# is better); and whether every modeled metric (all but host_* and
-# setup_s), `attempted` and `failed` are bit-identical over every run.
+# and quartiles; how many pairs this tree won on [metric] (default
+# host_us_per_op; any end-to-end metric of BENCHMARK.json, whose
+# `better` field says which direction wins) and the median gap in that
+# direction against the parent's inter-quartile range; and whether
+# every modeled metric (all but host_* and setup_s), `attempted` and
+# `failed` are bit-identical over every run.
 # Each run's JSON line stays in $PERF_PAIRS_OUT (default: a fresh
 # temporary directory). Exits non-zero if a run fails or the modeled
 # metrics differ.
 set -uo pipefail
 
 if [ $# -lt 2 ] || [ ! -d "$1" ]; then
-  echo "usage: $0 <parent-tree> <workload> [pairs] [seed] [seconds]" >&2
+  echo "usage: $0 <parent-tree> <workload> [pairs] [seed] [seconds] [metric]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -30,6 +33,17 @@ workload=$2
 pairs=${3:-10}
 seed=${4:-7}
 seconds=${5:-30}
+metric=${6:-host_us_per_op}
+if ! python3 - "$here/BENCHMARK.json" "$metric" <<'EOF'
+import json, sys
+names = [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]]
+if sys.argv[2] not in names:
+    sys.exit(f"unknown metric {sys.argv[2]}; BENCHMARK.json's end-to-end metrics: "
+             + ", ".join(names))
+EOF
+then
+  exit 2
+fi
 out=${PERF_PAIRS_OUT:-$(mktemp -d)}
 mkdir -p "$out"
 
@@ -57,16 +71,15 @@ for i in $(seq 1 "$pairs"); do
   echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$out" "$pairs" "$here/BENCHMARK.json" "$workload" "$seed" <<'EOF'
+python3 - "$out" "$pairs" "$here/BENCHMARK.json" "$workload" "$seed" "$metric" <<'EOF'
 import json, sys
 
-out, pairs, bench, workload, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+out, pairs, bench, workload, seed, metric = (
+    sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6])
 runs = {side: [json.load(open(f"{out}/{side}.{i}.json")) for i in range(1, pairs + 1)]
         for side in ("parent", "here")}
-try:
-    names = [m["name"] for m in json.load(open(bench))["end_to_end"]]
-except (OSError, KeyError, ValueError):
-    names = list(runs["here"][0]["metrics"])
+end_to_end = {m["name"]: m for m in json.load(open(bench))["end_to_end"]}
+names = list(end_to_end)
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -98,12 +111,16 @@ for name in names:
     change = f"{100 * (hm - pm) / pm:+.1f}%" if pm else "-"
     print(f"{name:<16} {p1:11.5g} {pm:11.5g} {p3:11.5g}  {h1:11.5g} {hm:11.5g} {h3:11.5g} {change:>8}")
 
-host = "host_us_per_op"
-wins = sum(value(h, host) < value(p, host) for p, h in zip(runs["parent"], runs["here"]))
-p1, pm, p3 = quartiles([value(r, host) for r in runs["parent"]])
-_, hm, _ = quartiles([value(r, host) for r in runs["here"]])
-print(f"{host}: here lower in {wins}/{pairs} pairs; median gap {pm - hm:.4g} us, "
-      f"parent inter-quartile range {p3 - p1:.4g} us")
+# signed so that a positive gap is a gain for this tree
+sign = 1 if end_to_end[metric]["better"] == "lower" else -1
+unit = end_to_end[metric]["unit"]
+wins = sum(sign * (value(p, metric) - value(h, metric)) > 0
+           for p, h in zip(runs["parent"], runs["here"]))
+p1, pm, p3 = quartiles([value(r, metric) for r in runs["parent"]])
+_, hm, _ = quartiles([value(r, metric) for r in runs["here"]])
+print(f"{metric}: here {end_to_end[metric]['better']} in {wins}/{pairs} pairs; "
+      f"median gap {sign * (pm - hm):.4g} {unit}, "
+      f"parent inter-quartile range {p3 - p1:.4g} {unit}")
 
 def modeled(run):
     return (run["correct"], run["attempted"], run["failed"],

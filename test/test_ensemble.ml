@@ -872,6 +872,48 @@ let test_read_throughput_increases_with_servers () =
     (Printf.sprintf "8-server reads (%.0f/s) faster than 1-server (%.0f/s)" r8 r1)
     true (r8 > 2. *. r1)
 
+(* {2 Memory} *)
+
+(* What a committed write costs each replica in host memory, marginal
+   over a run: its WAL record, its dedup row and its [log] slot. The
+   entry itself is one value per ensemble, built by the leader and
+   pointed at by every member, so a member's share stays near its own
+   record and table slots. Both ends of the window lie below
+   [snapshot_every], so no snapshot prunes the log in between.
+
+   The bound sits under what a shallow per-follower copy of the entry
+   costs: 24.9 words shared, 29.7 with a follower copy, 34.5 with a
+   follower copy that also boxes its own zxid and rid, and 44.7 with
+   the per-member tuples and records that the entry replaced. *)
+let committed_words_per_member ~servers ~from ~upto =
+  let engine, ensemble = make ~servers () in
+  let session = Ensemble.session ensemble () in
+  let sets n =
+    Process.spawn engine (fun () ->
+        for _ = 1 to n do
+          ignore (ok_or_fail "set" (session.Zk_client.set "/k" ~data:"v"))
+        done);
+    Engine.run engine
+  in
+  let words () =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr ensemble)
+  in
+  Process.spawn engine (fun () ->
+      ignore (ok_or_fail "create" (session.Zk_client.create "/k" ~data:"v")));
+  Engine.run engine;
+  sets (from - 1);
+  let before = words () in
+  sets (upto - from);
+  let after = words () in
+  float_of_int (after - before) /. float_of_int ((upto - from) * servers)
+
+let test_committed_write_unit_cost () =
+  let per = committed_words_per_member ~servers:5 ~from:200 ~upto:2_200 in
+  check_bool
+    (Printf.sprintf "%.1f words per member per committed write, at most 27" per)
+    true (per <= 27.)
+
 (* {2 Session close} *)
 
 (* The close txn deletes the session's ephemerals deepest first and,
@@ -970,7 +1012,9 @@ let () =
         [ Alcotest.test_case "writes slow down with ensemble size" `Quick
             test_write_throughput_decreases_with_servers;
           Alcotest.test_case "reads speed up with ensemble size" `Quick
-            test_read_throughput_increases_with_servers ] );
+            test_read_throughput_increases_with_servers;
+          Alcotest.test_case "committed write costs <= 27 words/member" `Quick
+            test_committed_write_unit_cost ] );
       ( "sessions",
         [ Alcotest.test_case "close deletes ephemerals in path order" `Quick
             test_close_deletes_ephemerals_in_path_order ] ) ]

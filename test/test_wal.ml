@@ -37,8 +37,7 @@ let entry z =
           { path = Printf.sprintf "/n%Ld" z; data = Printf.sprintf "d%Ld" z;
             ephemeral_owner = 0L; sequential = false } ];
     e_time = 0.;
-    e_rsession = 1L;
-    e_rcxid = z;
+    e_rid = { rsession = 1L; rcxid = z };
     e_close = None }
 
 (* The record payload is the checksummed on-disk format: its bytes, and
@@ -59,13 +58,12 @@ let test_encode_golden_bytes () =
           Txn.Set_data { path = "/dufs/a"; data = "x y\nz"; expected_version = 3 };
           Txn.Check { path = "/dufs"; expected_version = 0 } ];
       e_time = 1.5;
-      e_rsession = 7L;
-      e_rcxid = 12L;
+      e_rid = { rsession = 7L; rcxid = 12L };
       e_close = None }
   in
   let e2 =
-    { Wal.e_zxid = 9L; e_txn = []; e_time = -0.25; e_rsession = -3L; e_rcxid = 0L;
-      e_close = Some 42L }
+    { Wal.e_zxid = 9L; e_txn = []; e_time = -0.25;
+      e_rid = { rsession = -3L; rcxid = 0L }; e_close = Some 42L }
   in
   check_string "ops record"
     "W1 3 4294967338 3ff8000000000000 7 12 - 5\n\
@@ -216,8 +214,7 @@ let varied_entry z =
                ephemeral_owner = Int64.of_int (i mod 2); sequential = i mod 5 = 0 };
            Txn.Check { path = "/"; expected_version = -1 } ]);
     e_time = float_of_int i *. 0.125;
-    e_rsession = Int64.of_int (1 + (i mod 4));
-    e_rcxid = z;
+    e_rid = { rsession = Int64.of_int (1 + (i mod 4)); rcxid = z };
     e_close = (if i mod 11 = 0 then Some 3L else None) }
 
 (* Record [i] (zxid [i]) finishes its device write at [float i]. *)
@@ -371,7 +368,7 @@ let prop_index_matches_rebuild =
       let epoch = ref 1 and next = ref 1L and clock = ref 0. and seq = ref 0L in
       let append () =
         seq := Int64.add !seq 1L;
-        let e = { (entry !next) with Wal.e_rcxid = !seq } in
+        let e = { (entry !next) with Wal.e_rid = { rsession = 1L; rcxid = !seq } } in
         let start = !clock in
         clock := start +. 1.;
         Wal.append w ~epoch:!epoch ~start ~done_at:!clock e;
@@ -580,7 +577,8 @@ let prop_marks_match_checksums =
       let tree = Ztree.create () and tree_zxid = ref 0L in
       let epoch = ref 1 and next = ref 1L and clock = ref 0. in
       let append () =
-        let e = { (varied_entry !next) with Wal.e_rcxid = Int64.of_float !clock } in
+        let e = varied_entry !next in
+        let e = { e with Wal.e_rid = { e.Wal.e_rid with rcxid = Int64.of_float !clock } } in
         let start = !clock in
         clock := start +. 1.;
         Wal.append w ~epoch:!epoch ~start ~done_at:!clock e;

@@ -883,6 +883,28 @@ let test_zxid_tbl_copy_is_independent () =
   check_int "original length" 2 (Zxid_tbl.length t);
   check_int "copy length" 4 (Zxid_tbl.length c)
 
+(* A slot holds its value itself, and an empty slot a private block:
+   no value is mistaken for an empty slot, whether it is an immediate
+   the sentinel could be ([()], [None], [0]) or a float, which a flat
+   float array would unbox. *)
+let test_zxid_tbl_holds_any_value () =
+  let units = Zxid_tbl.create 2 in
+  Zxid_tbl.replace units 1L ();
+  Zxid_tbl.replace units 3L ();
+  check_bool "unit bound" true (Zxid_tbl.find_opt units 3L = Some ());
+  check_bool "gap unbound" false (Zxid_tbl.mem units 2L);
+  check_int "unit length" 2 (Zxid_tbl.length units);
+  let options = Zxid_tbl.create 2 in
+  Zxid_tbl.replace options 7L None;
+  Zxid_tbl.replace options 8L (Some 0);
+  check_bool "None bound" true (Zxid_tbl.find_opt options 7L = Some None);
+  check_bool "max key" true (Zxid_tbl.max_key options = Some 8L);
+  let floats = Zxid_tbl.create 1 in
+  List.iter (fun k -> Zxid_tbl.replace floats k (Int64.to_float k +. 0.5)) [ 4L; 6L; 40L ];
+  Zxid_tbl.remove floats 6L;
+  check_bool "floats ascend" true
+    (Zxid_tbl.fold (fun k v acc -> (k, v) :: acc) floats [] = [ (40L, 40.5); (4L, 4.5) ])
+
 (* {2 Shared apply}
 
    Members of one share that hold the same image adopt each other's
@@ -1127,7 +1149,9 @@ let () =
       ( "zxid-tbl",
         [ qc prop_zxid_tbl_model;
           Alcotest.test_case "copy is independent" `Quick
-            test_zxid_tbl_copy_is_independent ] );
+            test_zxid_tbl_copy_is_independent;
+          Alcotest.test_case "holds any value type" `Quick
+            test_zxid_tbl_holds_any_value ] );
       ( "shared-apply",
         [ Alcotest.test_case "members in step share one image" `Quick
             test_members_in_step_share_one_image;
