@@ -77,7 +77,6 @@ let mount ~coord ~backends ?client_id ?(layout = Physical.default_layout)
 
 let backend_count t = Array.length t.backends
 let orphan_notes t = List.rev t.orphan_notes
-let layout t = t.layout
 let strategy t = t.strategy
 let files_created t = Fid.Gen.generated t.fid_gen
 let locate t fid = Mapping.locate t.strategy ~backends:(Array.length t.backends) fid

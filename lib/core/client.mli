@@ -23,8 +23,8 @@ type t
            formatted ({!Physical.format}) with the same layout.
     @param strategy  the deterministic mapping: {!Mapping.Md5_mod} (the
            paper's function, default) or {!Mapping.Consistent} with a ring
-           whose node ids index into [backends] (§VII future work; lets
-           {!Rebalancer} grow the back-end set with bounded relocation).
+           whose node ids index into [backends] (§VII future work: growing
+           the back-end set relocates only about 1/(N+1) of the files).
     @param zroot     znode subtree holding the virtual namespace.
     @param clock     timestamp source for directory metadata.
     @param delay     charged [overhead] seconds per operation
@@ -53,7 +53,6 @@ val mount :
 val ops : t -> Fuselike.Vfs.ops
 
 val backend_count : t -> int
-val layout : t -> Physical.layout
 val strategy : t -> Mapping.strategy
 
 (** FIDs generated by this instance so far. *)

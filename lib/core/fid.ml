@@ -108,7 +108,6 @@ module Gen = struct
   type nonrec t = { gen_client_id : int64; mutable next_counter : int64 }
 
   let create ~client_id = { gen_client_id = client_id; next_counter = 0L }
-  let client_id t = t.gen_client_id
   let generated t = t.next_counter
 
   let next t =

@@ -47,7 +47,6 @@ module Gen : sig
   type t
 
   val create : client_id:int64 -> t
-  val client_id : t -> int64
 
   (** Number of FIDs generated so far. *)
   val generated : t -> int64

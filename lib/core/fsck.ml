@@ -112,9 +112,9 @@ let scan ~coord ~backends ?(layout = Physical.default_layout)
             | Some (vpath, fid, expected) ->
               (* A claimed file on the wrong back-end. If its home copy
                  is missing, the namespace pass already reported it as
-                 misplaced; if the home copy is also present — a
-                 rebalance that died between the dst write and the src
-                 unlink — nothing else will report it. *)
+                 misplaced; if the home copy is also present — a copy
+                 whose source unlink never happened — nothing else will
+                 report it. *)
               if Vfs.exists backends.(expected) (Physical.path layout fid) then
                 issues :=
                   Double_presence { vpath; fid; expected; extra = backend }

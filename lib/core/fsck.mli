@@ -19,8 +19,9 @@ type issue =
       (** physical file not referenced by any znode *)
   | Double_presence of { vpath : string; fid : Fid.t; expected : int; extra : int }
       (** physical file present on its mapped back-end {e and} a second
-          one — a rebalance that died between the destination write and
-          the source unlink (see {!Rebalancer.execute}'s [note]) *)
+          one — a copy of the file to another back-end whose source
+          unlink never happened, e.g. a migration between back-ends that
+          died between its copy and its unlink *)
   | Undecodable_meta of { vpath : string; data : string }
       (** znode data field is not a valid DUFS payload *)
 

@@ -1,5 +1,5 @@
 (** Walking the DUFS virtual namespace stored in the coordination
-    service — shared by {!Fsck} and {!Rebalancer}. *)
+    service, for {!Fsck}. *)
 
 type entry = {
   vpath : string;   (** virtual path as the user sees it *)

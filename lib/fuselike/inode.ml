@@ -20,11 +20,3 @@ let kind_to_string = function
 
 let equal_kind (a : kind) (b : kind) = a = b
 
-let make ~kind ~ino ~mode ~now =
-  let nlink = match kind with Directory -> 2 | Regular | Symlink -> 1 in
-  { kind; ino; mode; uid = 0; gid = 0; size = 0L; nlink;
-    atime = now; mtime = now; ctime = now }
-
-let pp fmt a =
-  Format.fprintf fmt "{%s ino=%Ld mode=%o size=%Ld nlink=%d}"
-    (kind_to_string a.kind) a.ino a.mode a.size a.nlink

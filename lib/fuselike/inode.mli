@@ -17,8 +17,3 @@ type attr = {
 
 val kind_to_string : kind -> string
 val equal_kind : kind -> kind -> bool
-
-(** A fresh attribute record with the given fields and times set to [now]. *)
-val make : kind:kind -> ino:int64 -> mode:int -> now:float -> attr
-
-val pp : Format.formatter -> attr -> unit

@@ -55,7 +55,6 @@ let create engine ?config () =
   Hashtbl.replace t.partitions 0 { radix = 0; entries = Hashtbl.create 64 };
   t
 
-let config t = t.cfg
 let owner t p = p mod t.cfg.servers
 let partition_count t = Hashtbl.length t.partitions
 let total_entries t = t.entry_count

@@ -28,7 +28,6 @@ val default_config : servers:int -> config
 type t
 
 val create : Simkit.Engine.t -> ?config:config -> unit -> t
-val config : t -> config
 
 (** {2 Clients}
 

@@ -20,8 +20,6 @@ type config = {
           sharing the leaf directories (ablation for lock contention) *)
 }
 
-val default_tree : tree
-
 (** @raise Invalid_argument if [procs < 1], or if the shared tree (no
     [unique_working_dirs]) has no leaves: [fan_out < 1] or [depth < 1]. *)
 val config :

@@ -5,7 +5,6 @@ module Gauge = struct
 
   let create () = { value = 0. }
   let set t v = t.value <- v
-  let add t v = t.value <- t.value +. v
   let value t = t.value
 end
 

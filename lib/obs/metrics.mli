@@ -11,9 +11,7 @@
 module Gauge : sig
   type t
 
-  val create : unit -> t
   val set : t -> float -> unit
-  val add : t -> float -> unit
   val value : t -> float
 end
 

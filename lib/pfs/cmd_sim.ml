@@ -51,7 +51,6 @@ let create engine ?config () =
     global_lock = Resource.create ~capacity:1 ();
     lock_acquisitions = 0 }
 
-let config t = t.cfg
 let local_ops t = t.fs_ops
 let global_lock_acquisitions t = t.lock_acquisitions
 

@@ -37,7 +37,6 @@ val default_config : mds_count:int -> config
 type t
 
 val create : Simkit.Engine.t -> ?config:config -> unit -> t
-val config : t -> config
 val client : t -> client_id:int -> Fuselike.Vfs.ops
 val local_ops : t -> Fuselike.Vfs.ops
 

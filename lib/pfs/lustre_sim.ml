@@ -67,7 +67,6 @@ let create engine ?config () =
     lock_owners = Hashtbl.create 1024;
     revokes = 0 }
 
-let config t = t.cfg
 let local_ops t = t.fs_ops
 let lock_revokes t = t.revokes
 let mds_served t = Mdserver.served t.mds

@@ -35,7 +35,6 @@ type t
 (** One filesystem instance (its own MDS, OSS and namespace). *)
 val create : Simkit.Engine.t -> ?config:config -> unit -> t
 
-val config : t -> config
 
 (** [client t ~client_id] — simulation-mode ops for one client process;
     every call charges network + MDS/OSS time to the calling process.

@@ -23,9 +23,6 @@ val create :
     latency. Returns [f]'s result. *)
 val request : t -> service:float -> ?extra:float -> (unit -> 'a) -> 'a
 
-(** Requests currently queued or in service. *)
-val load : t -> int
-
 (** Total requests served. *)
 val served : t -> int
 

@@ -58,7 +58,6 @@ let create engine ?config () =
           Mdserver.create engine ~threads:cfg.server_threads ~thrash:cfg.thrash
             ~net_latency:cfg.net_latency ()) }
 
-let config t = t.cfg
 let local_ops t = t.fs_ops
 let served_per_server t = Array.map Mdserver.served t.servers
 let wait_summaries t = Array.map Mdserver.wait_summary t.servers

@@ -28,7 +28,6 @@ val backend_config : unit -> config
 type t
 
 val create : Simkit.Engine.t -> ?config:config -> unit -> t
-val config : t -> config
 val client : t -> client_id:int -> Fuselike.Vfs.ops
 val local_ops : t -> Fuselike.Vfs.ops
 

@@ -5,14 +5,14 @@ module Net = Simkit.Net
 module Rng = Simkit.Rng
 
 type result = {
-  mix : string;
-  actors : int;
-  events_executed : int;
-  virtual_s : float;
-  ns_per_event : float;
-  events_per_sec : float;
-  minor_words_per_event : float;
-  deterministic : bool;
+  mix : string;              (* timer / mailbox / net *)
+  actors : int;              (* concurrent timers / workers / flows *)
+  events_executed : int;     (* engine events per run (deterministic) *)
+  virtual_s : float;         (* final virtual clock of one run *)
+  ns_per_event : float;      (* wall nanoseconds per engine event *)
+  events_per_sec : float;    (* wall-clock engine throughput *)
+  minor_words_per_event : float;  (* the zero-alloc-quiet-path meter *)
+  deterministic : bool;      (* a second run replayed the same digest *)
 }
 
 (* Every mix returns (executed events, final virtual clock) — the replay
@@ -93,7 +93,7 @@ let net_mix ~flows ~events () =
   let e = Engine.create () in
   let net = Net.create ~default_latency:(Net.Uniform_lat (2e-4, 8e-4)) ~seed:0x9e7a1L e in
   let n_eps = 24 in
-  let eps = Array.init n_eps (fun i -> Net.endpoint net (Printf.sprintf "ep%d" i)) in
+  let eps = Array.init n_eps (fun _ -> Net.endpoint net) in
   Net.set_drop net 0.02;
   Net.set_duplicate net 0.01;
   Net.set_reorder net ~p:0.05 ~window:2e-3;

@@ -15,39 +15,21 @@
       partition churn) through {!Simkit.Net} — the chaos-run event
       profile.
 
-    Each mix is fully seeded and allocation-profiled: [run_data] also
+    Each mix is fully seeded and allocation-profiled: {!run} also
     re-runs every mix once and records whether the replay digest
     (executed events, final virtual clock) agrees — engine speed work is
     gated on determinism. Wall time comes from a [bechamel] monotonic-clock OLS
     fit over whole-mix runs. *)
 
-type result = {
-  mix : string;              (** mix name: timer / mailbox / net *)
-  actors : int;              (** concurrent timers / workers / flows *)
-  events_executed : int;     (** engine events per run (deterministic) *)
-  virtual_s : float;         (** final virtual clock of one run *)
-  ns_per_event : float;      (** wall nanoseconds per engine event *)
-  events_per_sec : float;    (** wall-clock engine throughput *)
-  minor_words_per_event : float;
-      (** minor-heap allocation per event — the zero-alloc-quiet-path
-          regression meter *)
-  deterministic : bool;      (** a second run replayed the same digest *)
-}
-
-(** Run every mix at [events] target events (default 1_000_000) with a
-    [quota_s]-second bechamel quota per mix (default 2.0). *)
-val run_data : ?events:int -> ?quota_s:float -> unit -> result list
-
-(** One mix's gate failures (empty = pass): a deterministic replay, at
-    least the [events] requested, and at least 250 000 wall-clock
-    events/sec. *)
-val check : events:int -> result -> string list
-
-(** [run ()] prints the table and returns its bench points and the
-    failures of {!check} over every mix. The points (the BENCH_pr6.json
-    artifact) are one [engine-<mix>] point per mix whose [ops_per_sec]
-    is wall-clock events/sec and whose [phases] block carries
-    [events_executed], [ns_per_event], [virtual_s] and
+(** [run ?events ?quota_s ()] runs every mix at [events] target events
+    (default 1_000_000) with a [quota_s]-second bechamel quota per mix
+    (default 2.0), prints the table and returns its bench points and
+    the gate failures over every mix: each mix must replay
+    deterministically, execute at least the [events] requested and
+    reach at least 250 000 wall-clock events/sec. The points (the
+    BENCH_pr6.json artifact) are one [engine-<mix>] point per mix whose
+    [ops_per_sec] is wall-clock events/sec and whose [phases] block
+    carries [events_executed], [ns_per_event], [virtual_s] and
     [minor_words_per_event]. *)
 val run :
   ?events:int -> ?quota_s:float -> unit -> Mdtest.Report.bench_point list * string list

@@ -33,10 +33,6 @@ type case_result = {
   violations : int;
 }
 
-val run_case :
-  sessions:int -> observers:int -> seed:int64 -> unit ->
-  case_result
-
 (** The znodes every case's namespace holds: root, dirs, files. *)
 val expected_znodes : int
 

@@ -9,7 +9,6 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   default_latency : latency;
-  mutable names : string array;
   mutable follows : int array;  (* endpoint -> endpoint whose side it shares *)
   mutable count : int;
   (* fault state *)
@@ -46,7 +45,6 @@ let create ?(default_latency = Fixed 0.) ~seed engine =
     { engine;
       rng = Rng.create ~seed;
       default_latency;
-      names = Array.make 8 "";
       follows = Array.make 8 0;
       count = 0;
       sides = None;
@@ -65,19 +63,14 @@ let create ?(default_latency = Fixed 0.) ~seed engine =
   refresh_quiet t;
   t
 
-let endpoint ?follow t name =
-  if t.count = Array.length t.names then begin
-    let grow a fill =
-      let b = Array.make (2 * Array.length a) fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.names <- grow t.names "";
-    t.follows <- grow t.follows 0
+let endpoint ?follow t =
+  if t.count = Array.length t.follows then begin
+    let b = Array.make (2 * t.count) 0 in
+    Array.blit t.follows 0 b 0 t.count;
+    t.follows <- b
   end;
   let e = t.count in
   t.count <- e + 1;
-  t.names.(e) <- name;
   (match follow with
    | Some f when f < 0 || f >= e ->
      invalid_arg (Printf.sprintf "Net.endpoint: cannot follow %d" f)
@@ -88,10 +81,6 @@ let endpoint ?follow t name =
 let check t e op =
   if e < 0 || e >= t.count then
     invalid_arg (Printf.sprintf "Net.%s: unknown endpoint %d" op e)
-
-let name t e =
-  check t e "name";
-  t.names.(e)
 
 (* A follower chain is one hop deep by construction ([endpoint] only
    lets a fresh endpoint follow an existing one, and servers follow

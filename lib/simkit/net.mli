@@ -30,12 +30,10 @@ type latency =
 
 val create : ?default_latency:latency -> seed:int64 -> Engine.t -> t
 
-(** [endpoint t name] registers a new endpoint. [follow] makes it share
-    the partition side of an existing endpoint (re-evaluated at every
-    send, so re-partitioning moves followers with their server). *)
-val endpoint : ?follow:endpoint -> t -> string -> endpoint
-
-val name : t -> endpoint -> string
+(** [endpoint t] registers a new endpoint. [follow] makes it share the
+    partition side of an existing endpoint (re-evaluated at every send,
+    so re-partitioning moves followers with their server). *)
+val endpoint : ?follow:endpoint -> t -> endpoint
 
 (** [send t ~src ~dst deliver] delivers [deliver] at the destination
     after a latency sampled from the network's model, unless the

@@ -16,7 +16,6 @@ let create ~capacity () =
     wait = Stat.Summary.create ();
     hold = Stat.Summary.create () }
 
-let capacity t = t.capacity
 let in_use t = t.in_use
 let queue_length t = Queue.length t.waiters
 let wait_summary t = t.wait

@@ -10,18 +10,14 @@ type t
     @raise Invalid_argument if [capacity < 1]. *)
 val create : capacity:int -> unit -> t
 
-val capacity : t -> int
-
 (** Number of slots currently held. *)
 val in_use : t -> int
 
 (** Number of processes parked waiting for a slot. *)
 val queue_length : t -> int
 
-(** Acquire one slot, parking FIFO if none is free. Process context only. *)
-val acquire : t -> unit
-
-(** Release one slot previously acquired; wakes the oldest waiter, if any.
+(** Release one held slot; wakes the oldest waiter, if any. {!with_slot}
+    and {!serve} pair it with their acquire.
     @raise Invalid_argument if the resource is not held. *)
 val release : t -> unit
 

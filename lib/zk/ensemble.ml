@@ -26,7 +26,6 @@ type config = {
   stale_read_after : float;
   serve_stale_reads : bool;
   fail_fast_after : float;
-  unsafe_no_dedup : bool;
   lease_ttl : float;
   max_inflight_batches : int;
   snapshot_every : int;
@@ -54,7 +53,6 @@ let default_config ~servers =
     stale_read_after = infinity;
     serve_stale_reads = true;
     fail_fast_after = infinity;
-    unsafe_no_dedup = false;
     lease_ttl = 5.0;
     max_inflight_batches = 1;
     snapshot_every = 4096 }
@@ -303,8 +301,6 @@ type t = {
   mutable transfer_snaps : int;
 }
 
-let config t = t.cfg
-let trace t = t.trace
 let net t = t.net
 let leader_id t = if t.members.(t.leader).role = Leader then Some t.leader else None
 
@@ -315,9 +311,6 @@ let alive_ids t =
           (Seq.filter (fun s -> s.role <> Down) (Array.to_seq t.members))))
 
 let tree_of t id = t.members.(id).tree
-
-let server_resident_bytes t id =
-  Memory_model.server_resident_bytes t.members.(id).tree
 
 let reads_served t id = t.members.(id).reads
 let writes_committed t = t.commits
@@ -738,53 +731,47 @@ let restamp_retry t span ~applied =
    answered from the dedup table (no new zxid, nothing re-applied); one
    that is still in flight re-points the pending write's reply at the
    retry, so the eventual commit answers the attempt the client is
-   actually waiting on instead of producing a second proposal.
-
-   [unsafe_no_dedup] disables the gate — it exists only so tests can
-   demonstrate that the linearizability checker catches the double-apply
-   this filter prevents. *)
+   actually waiting on instead of producing a second proposal. *)
 let dedup_filter t (s : server) batch =
-  if t.cfg.unsafe_no_dedup then batch
-  else
-    List.filter
-      (fun (_, rid, origin, reply, span, _) ->
-        match find_applied s rid with
-        | Some (zxid, result) ->
-          t.dedup_hits <- t.dedup_hits + 1;
-          restamp_retry t span ~applied:true;
-          if origin = s.id then reply result
-          else
-            send t ~src:s.id ~dst:origin
-              (Deliver_reply
-                 { epoch = s.epoch; zxid; result; reply; committed_upto = 0L });
-          false
-        | None -> (
-          match Rid_tbl.find_opt s.pending_rids rid with
-          | Some zxid -> (
-            match Zxid_tbl.find_opt s.pending zxid with
-            | Some pw ->
-              t.dedup_hits <- t.dedup_hits + 1;
-              restamp_retry t pw.p_span ~applied:false;
-              pw.p_origin <- origin;
-              pw.p_reply <- reply;
-              pw.p_proposed_at <- Engine.now t.engine;
-              (* the retry proves the original propose round may have
-                 been lost: re-propose so a write stalled by a lossy
-                 link can still reach quorum (duplicate proposals and
-                 acks are idempotent) *)
-              List.iter
-                (fun (peer : server) ->
-                  send t ~src:s.id ~dst:peer.id
-                    (Propose_batch
-                       { epoch = s.epoch; entries = [ pw.p_entry ];
-                         committed_upto = 0L }))
-                t.follower_peers;
-              false
-            | None ->
-              Rid_tbl.remove s.pending_rids rid;
-              true)
-          | None -> true))
-      batch
+  List.filter
+    (fun (_, rid, origin, reply, span, _) ->
+      match find_applied s rid with
+      | Some (zxid, result) ->
+        t.dedup_hits <- t.dedup_hits + 1;
+        restamp_retry t span ~applied:true;
+        if origin = s.id then reply result
+        else
+          send t ~src:s.id ~dst:origin
+            (Deliver_reply
+               { epoch = s.epoch; zxid; result; reply; committed_upto = 0L });
+        false
+      | None -> (
+        match Rid_tbl.find_opt s.pending_rids rid with
+        | Some zxid -> (
+          match Zxid_tbl.find_opt s.pending zxid with
+          | Some pw ->
+            t.dedup_hits <- t.dedup_hits + 1;
+            restamp_retry t pw.p_span ~applied:false;
+            pw.p_origin <- origin;
+            pw.p_reply <- reply;
+            pw.p_proposed_at <- Engine.now t.engine;
+            (* the retry proves the original propose round may have
+               been lost: re-propose so a write stalled by a lossy
+               link can still reach quorum (duplicate proposals and
+               acks are idempotent) *)
+            List.iter
+              (fun (peer : server) ->
+                send t ~src:s.id ~dst:peer.id
+                  (Propose_batch
+                     { epoch = s.epoch; entries = [ pw.p_entry ];
+                       committed_upto = 0L }))
+              t.follower_peers;
+            false
+          | None ->
+            Rid_tbl.remove s.pending_rids rid;
+            true)
+        | None -> true))
+    batch
 
 (* Graceful degradation under quorum loss: when the leader has pending
    writes and has not committed anything for [fail_fast_after] seconds,
@@ -1480,11 +1467,10 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
     Net.create ~default_latency:(Net.Fixed cfg.net_latency) ~seed:(Rng.next master)
       engine
   in
-  let prefix = if tag = "" then "" else tag ^ "/" in
   let eps =
     Array.init
       (cfg.servers + cfg.observers)
-      (fun i -> Net.endpoint net (Printf.sprintf "%ss%d" prefix i))
+      (fun _ -> Net.endpoint net)
   in
   let t =
     { engine; cfg; trace; tag; members; share; net; eps; session_rng = master;
@@ -2000,9 +1986,7 @@ let session t ?server () =
   t.next_session <- Int64.add session_id 1L;
   (* the session's own network endpoint: it sits on its home server's
      side of any partition, so cutting a server off strands its clients *)
-  let cep =
-    Net.endpoint ~follow:t.eps.(home) t.net (Printf.sprintf "c%Ld" session_id)
-  in
+  let cep = Net.endpoint ~follow:t.eps.(home) t.net in
   let rng = Rng.split t.session_rng in
   (* ZooKeeper's cxid: one monotone stamp per client request; retries of
      the same request keep the stamp *)

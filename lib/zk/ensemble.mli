@@ -74,10 +74,6 @@ type config = {
           pending writes and no commit for this long, new writes are
           refused immediately with ZCONNECTIONLOSS instead of queueing;
           [infinity] (the default) queues forever *)
-  unsafe_no_dedup : bool;
-      (** disables the exactly-once dedup filter. Exists only so tests
-          can prove the linearizability checker catches the resulting
-          double-applies; never enable it otherwise. *)
   lease_ttl : float;
       (** duration (virtual seconds) of the leases granted by the
           handle's [lease_*] reads: within it a client may serve the
@@ -122,8 +118,6 @@ type t
     sharded deployment's per-shard balance shows up in the same trace. *)
 val start : ?trace:Obs.Trace.t -> ?tag:string -> Simkit.Engine.t -> config -> t
 
-val config : t -> config
-val trace : t -> Obs.Trace.t
 
 (** The ensemble's fault-injectable network (for counters and tests;
     prefer the wrappers below for fault control). *)
@@ -213,7 +207,6 @@ val member_ids : t -> int list
 (** {2 Introspection (tests, benches)} *)
 
 val tree_of : t -> int -> Ztree.t
-val server_resident_bytes : t -> int -> int
 
 (** Committed-write and read counters per server, for load checks. *)
 val reads_served : t -> int -> int
@@ -235,7 +228,9 @@ val piggybacked_commits : t -> int
     retry of a write that actually committed — the classic
     timeout-during-failover window — returns the original result
     exactly once instead of failing with ZNODEEXISTS/ZNONODE or, worse,
-    applying twice. *)
+    applying twice. The filter is always on: no configuration turns it
+    off, and [test/mutants/dedup-disabled.mutant] checks that the chaos
+    tests' linearizability checker catches a build without it. *)
 val dedup_hits : t -> int
 
 (** Dedup-table entries evicted because their session closed or expired

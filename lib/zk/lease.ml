@@ -48,7 +48,6 @@ let create ~now ~ttl =
     revoked = 0;
     expired = 0 }
 
-let ttl t = t.ttl
 
 let grant t ~session ~dir ~notify =
   let now = t.now () in

@@ -35,8 +35,6 @@ type revocation = {
     in virtual seconds. *)
 val create : now:(unit -> float) -> ttl:float -> t
 
-val ttl : t -> float
-
 (** [grant t ~session ~dir ~notify] records (or refreshes) [session]'s
     interest in directory [dir] and returns the new deadline
     [now () +. ttl]. Counted as a renewal when a live interest existed,

@@ -37,42 +37,11 @@
    from stubs on src) reflects physical reality. *)
 
 type stats = {
-  mutable shards_before : int;
-  mutable shards_after : int;
   mutable keys_total : int;      (* keys assigned when the plan was cut *)
   mutable keys_migrated : int;   (* the bounded-load remainder *)
-  mutable batches : int;
-  mutable znodes_copied : int;   (* fresh creates on dst *)
-  mutable znodes_retired : int;  (* deletes on src *)
-  mutable stubs_promoted : int;  (* dst stub became the primary *)
-  mutable stubs_demoted : int;   (* src primary became a stub *)
-  mutable reconciled : int;      (* straggler fixes after freeze *)
   mutable ephemerals_flattened : int;
   mutable errors : int;          (* unexpected per-node failures *)
 }
-
-let fresh_stats () =
-  { shards_before = 0;
-    shards_after = 0;
-    keys_total = 0;
-    keys_migrated = 0;
-    batches = 0;
-    znodes_copied = 0;
-    znodes_retired = 0;
-    stubs_promoted = 0;
-    stubs_demoted = 0;
-    reconciled = 0;
-    ephemerals_flattened = 0;
-    errors = 0 }
-
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>shards %d -> %d@,keys %d migrated of %d (%d batches)@,\
-     copied %d retired %d promoted %d demoted %d reconciled %d@,\
-     ephemerals flattened %d errors %d@]"
-    s.shards_before s.shards_after s.keys_migrated s.keys_total s.batches
-    s.znodes_copied s.znodes_retired s.stubs_promoted s.stubs_demoted
-    s.reconciled s.ephemerals_flattened s.errors
 
 (* split a list into chunks of [n] (last may be short) *)
 let chunks n xs =
@@ -85,14 +54,12 @@ let chunks n xs =
   go [] [] 0 xs
 
 let run ?(drain = 0.02) ?(batch = 64) t ~to_shards () =
-  let rs = fresh_stats () in
+  let rs = { keys_total = 0; keys_migrated = 0; ephemerals_flattened = 0; errors = 0 } in
   let router_stats = Shard_router.stats t in
   let pl = Shard_router.placement t in
-  rs.shards_before <- Shard_router.placement_shards pl;
   if to_shards > Shard_router.shard_count t then
     Shard_router.add_shards t (to_shards - Shard_router.shard_count t);
   let moves = Shard_router.prepare_reshard pl ~shards:to_shards in
-  rs.shards_after <- to_shards;
   rs.keys_total <- Shard_router.keys_assigned pl;
   rs.keys_migrated <- List.length moves;
   (* The controller's own per-shard sessions, opened on demand. *)
@@ -153,11 +120,10 @@ let run ?(drain = 0.02) ?(batch = 64) t ~to_shards () =
         (Printf.sprintf "reshard: ephemeral %s flattened to persistent" path)
     end;
     match (session dst).Zk_client.create path ~data with
-    | Ok _ -> rs.znodes_copied <- rs.znodes_copied + 1
+    | Ok _ -> ()
     | Error Zerror.ZNODEEXISTS ->
       (match (session dst).Zk_client.set path ~data with
        | Ok () ->
-         rs.stubs_promoted <- rs.stubs_promoted + 1;
          router_stats.Shard_router.stub_deletes <-
            router_stats.Shard_router.stub_deletes + 1
        | Error e -> fail "promote %s: %s" path (Zerror.to_string e))
@@ -173,26 +139,21 @@ let run ?(drain = 0.02) ?(batch = 64) t ~to_shards () =
     List.iter
       (fun ((name, data, _) as child) ->
         match find name copied with
-        | None ->
-          rs.reconciled <- rs.reconciled + 1;
-          copy_child dst key child
-        | Some (_, data0, _) when data0 <> data ->
-          rs.reconciled <- rs.reconciled + 1;
-          (match (session dst).Zk_client.set (Zpath.concat key name) ~data with
-           | Ok () -> ()
-           | Error e ->
-             fail "reconcile set %s/%s: %s" key name (Zerror.to_string e))
+        | None -> copy_child dst key child
+        | Some (_, data0, _) when data0 <> data -> (
+          match (session dst).Zk_client.set (Zpath.concat key name) ~data with
+          | Ok () -> ()
+          | Error e ->
+            fail "reconcile set %s/%s: %s" key name (Zerror.to_string e))
         | Some _ -> ())
       current;
     List.iter
       (fun (name, _, _) ->
-        if find name current = None then begin
-          rs.reconciled <- rs.reconciled + 1;
+        if find name current = None then
           match (session dst).Zk_client.delete (Zpath.concat key name) with
           | Ok () | Error Zerror.ZNONODE -> ()
           | Error e ->
-            fail "reconcile delete %s/%s: %s" key name (Zerror.to_string e)
-        end)
+            fail "reconcile delete %s/%s: %s" key name (Zerror.to_string e))
       copied
   in
   (* Remove src's copies: a child whose own children still live on src
@@ -213,15 +174,13 @@ let run ?(drain = 0.02) ?(batch = 64) t ~to_shards () =
         if has_children then begin
           match h.Zk_client.set path ~data:"" with
           | Ok () ->
-            rs.stubs_demoted <- rs.stubs_demoted + 1;
             router_stats.Shard_router.stub_creates <-
               router_stats.Shard_router.stub_creates + 1
           | Error e -> fail "demote %s: %s" path (Zerror.to_string e)
         end
         else
           match h.Zk_client.delete path with
-          | Ok () -> rs.znodes_retired <- rs.znodes_retired + 1
-          | Error Zerror.ZNONODE -> ()
+          | Ok () | Error Zerror.ZNONODE -> ()
           | Error e -> fail "retire %s: %s" path (Zerror.to_string e))
       current;
     (* src's key node: once childless it is a pure stub (the primary
@@ -262,7 +221,6 @@ let run ?(drain = 0.02) ?(batch = 64) t ~to_shards () =
   in
   List.iter
     (fun group ->
-      rs.batches <- rs.batches + 1;
       List.iter (fun (key, _, _) -> Shard_router.begin_migration pl key) group;
       if drain > 0. then Simkit.Process.sleep drain;
       (* one drain covers the whole batch; keys then move one at a time *)

@@ -19,16 +19,8 @@
     [~drain:0.] and it runs synchronously. *)
 
 type stats = {
-  mutable shards_before : int;
-  mutable shards_after : int;
   mutable keys_total : int;      (** keys assigned when the plan was cut *)
   mutable keys_migrated : int;   (** the bounded-load remainder *)
-  mutable batches : int;
-  mutable znodes_copied : int;   (** fresh creates on the new owners *)
-  mutable znodes_retired : int;  (** deletes on the old owners *)
-  mutable stubs_promoted : int;  (** dst stub became the primary *)
-  mutable stubs_demoted : int;   (** src primary became a stub *)
-  mutable reconciled : int;      (** straggler fixes after freeze *)
   mutable ephemerals_flattened : int;
       (** ephemeral children copied as persistent (logged as orphan
           notes for Fsck-style review) *)
@@ -36,27 +28,22 @@ type stats = {
                                      noted via [note_failure]) *)
 }
 
-val fresh_stats : unit -> stats
-val pp : Format.formatter -> stats -> unit
-
-(** [run ?drain ?batch t ~to_shards ()] moves the deployment to
-    [to_shards] shards, booting new backends as needed (a merge leaves
-    the drained backends in place, empty). [drain] (default 0.02 sim
-    seconds) is slept once per batch after the write barrier so writes
-    issued before it commit on the old owner; [batch] (default 64)
-    bounds how many keys share one drain — keys still migrate one at a
-    time.
-    @raise Invalid_argument if [to_shards < 1] or a migration is open. *)
-val run :
-  ?drain:float -> ?batch:int -> Shard_router.t -> to_shards:int -> unit ->
-  stats
-
-(** {!run} that insists the count grows. *)
+(** [split ?drain ?batch t ~to_shards ()] grows the deployment to
+    [to_shards] shards, booting the new backends. [drain] (default 0.02
+    sim seconds) is slept once per batch after the write barrier so
+    writes issued before it commit on the old owner; [batch] (default
+    64) bounds how many keys share one drain — keys still migrate one
+    at a time.
+    @raise Invalid_argument if the count does not grow or a migration
+    is open. *)
 val split :
   ?drain:float -> ?batch:int -> Shard_router.t -> to_shards:int -> unit ->
   stats
 
-(** {!run} that insists the count shrinks. *)
+(** {!split}'s procedure for a count that shrinks; the drained
+    backends stay in place, empty.
+    @raise Invalid_argument if the count does not shrink, [to_shards < 1]
+    or a migration is open. *)
 val merge :
   ?drain:float -> ?batch:int -> Shard_router.t -> to_shards:int -> unit ->
   stats

@@ -108,15 +108,14 @@ let make_placement ?(eps = 0.) ~shards () =
       (fun key ->
         failwith
           (Printf.sprintf
-             "Shard_router: op on migrating key %s with no block hook \
-              (install one with set_block_hook)" key)) }
+             "Shard_router: op on migrating key %s outside a simulated \
+              deployment (only start lets parked ops wait)" key)) }
 
 let placement_ring p = p.p_ring
 let placement_shards p = p.p_shards
 let placement_loads p = Array.copy p.loads
 let keys_assigned p = p.total
 let assigned_shard p key = Hashtbl.find_opt p.assigned key
-let set_block_hook p hook = p.block_hook <- hook
 
 (* The bounded-load assignment, shared by first-touch placement and the
    reshard replay. The cap is the ceil formula alone: for any [total]
@@ -196,8 +195,6 @@ let freeze_migration p key =
 let finish_migration p key ~dst =
   Hashtbl.replace p.assigned key dst;
   Hashtbl.remove p.migrations key
-
-let migrating p key = Hashtbl.mem p.migrations key
 
 (* Park until the key's migration (if any) completes. Writes park for
    the whole migration; reads only once the copy is frozen — before
@@ -547,7 +544,7 @@ let start ?trace engine ~shards cfg =
   let placement = make_placement ~shards () in
   (* parked router ops poll at sub-RPC granularity, so the migration
      window, not the poll, dominates their added latency *)
-  set_block_hook placement (fun _key -> Simkit.Process.sleep 0.0005);
+  placement.block_hook <- (fun _key -> Simkit.Process.sleep 0.0005);
   let boot i =
     (* each shard owns its own network and jitter streams; distinct
        seeds keep their randomness independent while the whole
@@ -610,7 +607,6 @@ let session t () =
 
 let shard_count t = Array.length t.backends
 let stats t = t.stats
-let ring t = t.placement.p_ring
 let placement t = t.placement
 let home_shard t path = home_of t.placement path
 

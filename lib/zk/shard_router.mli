@@ -44,10 +44,11 @@
     at a time through a prepare/copy/flip/retire state machine built on
     {!prepare_reshard}, {!begin_migration}, {!freeze_migration} and
     {!finish_migration}. While a key migrates, the router parks writes
-    to it (and, once frozen, reads too) in a poll loop driven by the
-    {!set_block_hook} callback, so in-flight client ops are routed to
-    the old owner pre-flip and to the new one post-flip. DESIGN.md §10
-    documents the protocol and its flip-ordering guarantees. *)
+    to it (and, once frozen, reads too) in a poll loop that sleeps
+    between polls on a {!start}ed deployment, so in-flight client ops
+    are routed to the old owner pre-flip and to the new one post-flip.
+    DESIGN.md §10 documents the protocol and its flip-ordering
+    guarantees. *)
 
 type stats = {
   mutable cross_shard_multis : int;
@@ -142,14 +143,6 @@ val freeze_migration : placement -> string -> unit
 (** Flip [key] to [dst] and release every parked op. *)
 val finish_migration : placement -> string -> dst:int -> unit
 
-val migrating : placement -> string -> bool
-
-(** Install the poll hook parked ops spin on (a simulation deployment
-    installs a short [Process.sleep]; {!start} does this itself). The
-    default hook raises — an immediate-mode deployment must never leave
-    a migration open across a client call. *)
-val set_block_hook : placement -> (string -> unit) -> unit
-
 (** {2 Deployments} *)
 
 type t
@@ -207,7 +200,6 @@ val make_ring : shards:int -> Consistent_hash.t
 
 val shard_count : t -> int
 val stats : t -> stats
-val ring : t -> Consistent_hash.t
 val placement : t -> placement
 
 (** The shard holding [path]'s primary copy. *)

@@ -27,6 +27,3 @@ type result_item =
 
 (** Path touched by an op (the requested path, pre-sequential-suffix). *)
 val op_path : op -> string
-
-val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> t -> unit

@@ -29,10 +29,6 @@ let validate p =
     if !bad then Error Zerror.ZBADARGUMENTS else Ok ()
   end
 
-let join = function
-  | [] -> "/"
-  | comps -> "/" ^ String.concat "/" comps
-
 let parent p =
   match String.rindex_opt p '/' with
   | None | Some 0 -> "/"

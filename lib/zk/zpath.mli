@@ -8,8 +8,6 @@
     (the root). *)
 val validate : string -> (unit, Zerror.t) result
 
-val split : string -> string list
-val join : string list -> string
 val parent : string -> string
 val basename : string -> string
 val concat : string -> string -> string

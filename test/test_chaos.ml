@@ -2,8 +2,9 @@
    replicated (and sharded) coordination service, with the Wing–Gong
    linearizability checker as the oracle. Covers: determinism (same
    seed ⇒ bit-identical history digest), zero violations on small
-   chaos runs, the oracle's teeth (disabling exactly-once dedup must
-   produce violations the checker catches), and the sharded-partition
+   chaos runs, a lossy plan whose retries hit the dedup table (the
+   half of the oracle's teeth that stays a test; the other half is a
+   mutant, test/mutants/dedup-disabled.mutant), and the sharded-partition
    scenario — one shard's leader partitioned from its quorum stalls
    that shard only, heals, and the znode accounting comes out exact. *)
 
@@ -98,45 +99,36 @@ let test_probe_gives_up () =
     (List.mem "shards=1 seed=3: never recovered after heal"
        (Figures.chaos_check ~deterministic:true [ ((1, 3L), point) ]))
 
-(* {2 The oracle has teeth}
+(* {2 The lossy plan exercises the dedup table}
 
    Under a lossy network, client retries are answered by the dedup
-   table exactly once. With the filter disabled ([unsafe_no_dedup]) a
-   retried create/delete whose first attempt committed is applied
-   again, so the client observes ZNODEEXISTS/ZNONODE for an operation
-   no other client can explain — the checker must call that out, on a
-   schedule where the honest configuration checks out clean. *)
+   table exactly once, so the same lossy schedule checks out clean while
+   its retries hit the table. This is the honest half of the oracle's
+   teeth: [test/mutants/dedup-disabled.mutant] skips the filter, and a
+   retried create/delete whose first attempt committed is then applied
+   again — the client observes ZNODEEXISTS/ZNONODE for an operation no
+   other client can explain, and the checker here (and in the 4-shard
+   case) must call that out. *)
 
-let teeth_plan = "drop=0.3@1;heal@6"
+let lossy_plan = "drop=0.3@1;heal@6"
 
-let teeth_run ~unsafe_no_dedup ~seed =
+let lossy_run ~seed =
   let plan =
-    match Faultplan.parse teeth_plan with
+    match Faultplan.parse lossy_plan with
     | Ok p -> p
-    | Error msg -> Alcotest.failf "parse %S: %s" teeth_plan msg
+    | Error msg -> Alcotest.failf "parse %S: %s" lossy_plan msg
   in
   Figures.chaos_point
     ~shape:{ small_shape with registers = 2; think = 0.03 }
-    ~config_adjust:(fun c -> { c with Ensemble.unsafe_no_dedup })
     ~plan ~shards:1 ~seed ()
 
-let test_checker_teeth () =
-  (* With dedup on, the same seeds and the same lossy schedule are
-     clean — so any violation below is the double-apply, not the plan. *)
-  let seeds = [ 1L; 2L; 3L ] in
-  let honest = List.map (fun seed -> teeth_run ~unsafe_no_dedup:false ~seed) seeds in
-  List.iter (no_violations "dedup on") honest;
+let test_lossy_plan_dedups () =
+  let runs = List.map (fun seed -> lossy_run ~seed) [ 1L; 2L; 3L ] in
+  List.iter (no_violations "dedup on") runs;
   check_bool "lossy schedule exercised the dedup table" true
     (List.exists
        (fun (r : Systems.dufs_run) -> Zk.Shard_router.dedup_hits r.Systems.router > 0)
-       honest);
-  let broken =
-    List.map (fun seed -> teeth_run ~unsafe_no_dedup:true ~seed) seeds
-  in
-  check_bool "disabling dedup produces a linearizability violation" true
-    (List.exists
-       (fun (r : Systems.dufs_run) -> r.Systems.violations <> [])
-       broken)
+       runs)
 
 (* {2 Sharded partition: one shard stalls, the rest keep committing} *)
 
@@ -246,8 +238,8 @@ let () =
           Alcotest.test_case "probe gives up on a shard below quorum" `Quick
             test_probe_gives_up ] );
       ( "oracle",
-        [ Alcotest.test_case "teeth: no-dedup double-applies are caught"
-            `Quick test_checker_teeth ] );
+        [ Alcotest.test_case "lossy plan: dedup hits, no violations" `Quick
+            test_lossy_plan_dedups ] );
       ( "sharded-partition",
         [ Alcotest.test_case "one shard stalls, others commit, exact accounting"
             `Quick test_sharded_partition_progress_and_accounting ] ) ]

@@ -911,7 +911,7 @@ module Net = Simkit.Net
 let mk_net ?default_latency () =
   let e = Engine.create () in
   let n = Net.create ?default_latency ~seed:7L e in
-  let a = Net.endpoint n "a" and b = Net.endpoint n "b" in
+  let a = Net.endpoint n and b = Net.endpoint n in
   (e, n, a, b)
 
 (* Count deliveries of [k] messages a->b after running to quiescence. *)
@@ -941,7 +941,7 @@ let test_net_partition_and_heal () =
 
 let test_net_partition_unnamed_reaches_everyone () =
   let e, n, a, b = mk_net () in
-  let c = Net.endpoint n "c" in
+  let c = Net.endpoint n in
   Net.partition n [ [ a ]; [ b ] ];
   (* [c] is in no group: it reaches (and is reached by) both sides,
      while the named groups stay cut off from each other *)
@@ -959,7 +959,7 @@ let test_net_oneway_block () =
 
 let test_net_follow_rides_partition () =
   let e, n, a, b = mk_net () in
-  let client = Net.endpoint ~follow:a n "client" in
+  let client = Net.endpoint ~follow:a n in
   Net.partition n [ [ a ]; [ b ] ];
   check_int "follower reaches its server" 2
     (deliveries e n ~src:client ~dst:a 2);
@@ -1001,7 +1001,7 @@ let test_net_quiet_draws_no_randomness () =
   let trace knobs =
     let e = Engine.create () in
     let n = Net.create ~seed:99L e in
-    let a = Net.endpoint n "a" and b = Net.endpoint n "b" in
+    let a = Net.endpoint n and b = Net.endpoint n in
     if knobs then Net.set_drop n 0.0; (* setting a zero knob changes nothing *)
     let log = Buffer.create 64 in
     for i = 1 to 20 do

@@ -1,7 +1,6 @@
 (* Tests for the operational tooling: namespace scanning, the fsck
-   consistency checker with injected corruption, the rebalancer (the
-   §VII future-work machinery), and mapping-strategy selection in the
-   client. *)
+   consistency checker with injected corruption, and mapping-strategy
+   selection in the client. *)
 
 module Vfs = Fuselike.Vfs
 module Errno = Fuselike.Errno
@@ -9,7 +8,6 @@ module Memfs = Fuselike.Memfs
 module Client = Dufs.Client
 module Physical = Dufs.Physical
 module Fsck = Dufs.Fsck
-module Rebalancer = Dufs.Rebalancer
 module Namespace = Dufs.Namespace
 module Mapping = Dufs.Mapping
 module Fid = Dufs.Fid
@@ -159,6 +157,34 @@ let test_fsck_detects_misplaced () =
     (ok_fs "read back" (mount_ops.(home).Vfs.read path ~off:0 ~len:1024) = contents);
   check_bool "clean after repair" true (Fsck.is_clean (scan_report coord mount_ops))
 
+let test_fsck_detects_double_presence () =
+  let _, coord, _, fs, mount_ops = make () in
+  populate fs;
+  (* copy one physical file to the other back-end and keep the home
+     copy: a migration that died between its copy and its unlink *)
+  let files = ok_zk "files" (Namespace.files coord ~zroot:"/dufs") in
+  let vpath, fid = List.hd files in
+  let path = Physical.path Physical.default_layout fid in
+  let home, _ = Option.get (find_physical mount_ops fid) in
+  let extra = (home + 1) mod 2 in
+  let contents = ok_fs "read" (mount_ops.(home).Vfs.read path ~off:0 ~len:1024) in
+  ok_fs "create copy" (mount_ops.(extra).Vfs.create path ~mode:0o644);
+  ignore (ok_fs "write copy" (mount_ops.(extra).Vfs.write path ~off:0 contents));
+  let report = scan_report coord mount_ops in
+  (match report.Fsck.issues with
+  | [ Fsck.Double_presence { vpath = v; fid = f; expected; extra = x } ] ->
+    check_bool "right file" true (v = vpath && Fid.equal f fid);
+    check_int "home" home expected;
+    check_int "extra" extra x
+  | issues ->
+    Alcotest.failf "expected 1 double presence, got %d issues" (List.length issues));
+  let stats = Fsck.repair ~backends:mount_ops report in
+  check_int "deduplicated" 1 stats.Fsck.deduplicated;
+  check_bool "stale copy gone" false (Vfs.exists mount_ops.(extra) path);
+  check_bool "home copy kept" true
+    (ok_fs "read back" (mount_ops.(home).Vfs.read path ~off:0 ~len:1024) = contents);
+  check_bool "clean after repair" true (Fsck.is_clean (scan_report coord mount_ops))
+
 let test_fsck_detects_undecodable_meta () =
   let _, coord, _, fs, mount_ops = make () in
   populate fs;
@@ -228,150 +254,6 @@ let test_create_rollback_failure_flags_orphan () =
   check_int "repair recreates the physical" 1 stats.Fsck.recreated;
   check_bool "clean after repair" true
     (Fsck.is_clean (ok_zk "rescan" (Fsck.scan ~coord:real ~backends:mounts ())))
-
-(* {2 Rebalancer} *)
-
-let test_rebalance_md5_grow () =
-  let _, coord, _, fs, mount_ops = make ~backends:2 () in
-  populate fs;
-  (* grow 2 -> 3 under the paper's mod-N mapping: most files move *)
-  let moves, new_strategy =
-    ok_zk "plan"
-      (Rebalancer.plan_add_backend ~coord ~strategy:Mapping.Md5_mod ~backends_before:2 ())
-  in
-  check_bool "mod-N moves many files" true (List.length moves > 5);
-  (match new_strategy with
-  | Mapping.Md5_mod -> ()
-  | Mapping.Consistent _ -> Alcotest.fail "strategy should stay Md5_mod");
-  (* add the new mount and execute *)
-  let extra = Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ()) in
-  ok_fs "format extra" (Physical.format Physical.default_layout extra);
-  let all = Array.append mount_ops [| extra |] in
-  let stats = ok_fs "execute" (Rebalancer.execute ~backends:all moves) in
-  check_int "all planned moves done" (List.length moves) stats.Rebalancer.moved;
-  check_bool "bytes moved" true (stats.Rebalancer.bytes_moved > 0L);
-  (* the system is consistent under the *new* mapping *)
-  let report =
-    ok_zk "fsck under new mapping" (Fsck.scan ~coord ~backends:all ())
-  in
-  check_bool "clean after rebalance" true (Fsck.is_clean report)
-
-let test_rebalance_consistent_moves_less () =
-  let ring = Zk.Consistent_hash.create [ 0; 1 ] in
-  let strategy = Mapping.Consistent ring in
-  let _, coord, _, fs, mount_ops = make ~backends:2 ~strategy () in
-  populate fs;
-  let moves_ch, new_strategy =
-    ok_zk "plan ch" (Rebalancer.plan_add_backend ~coord ~strategy ~backends_before:2 ())
-  in
-  let moves_md5, _ =
-    ok_zk "plan md5"
-      (Rebalancer.plan_add_backend ~coord ~strategy:Mapping.Md5_mod ~backends_before:2 ())
-  in
-  (* consistent hashing must relocate fewer files than mod-N; with only 20
-     files allow equality but not more *)
-  check_bool
-    (Printf.sprintf "ch moves %d <= md5 moves %d" (List.length moves_ch)
-       (List.length moves_md5))
-    true
-    (List.length moves_ch <= List.length moves_md5);
-  (* execute the consistent-hash plan and verify with fsck under the new ring *)
-  let extra = Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ()) in
-  ok_fs "format extra" (Physical.format Physical.default_layout extra);
-  let all = Array.append mount_ops [| extra |] in
-  let stats = ok_fs "execute" (Rebalancer.execute ~backends:all moves_ch) in
-  check_int "moves executed" (List.length moves_ch) stats.Rebalancer.moved;
-  let report =
-    ok_zk "fsck" (Fsck.scan ~coord ~backends:all ~strategy:new_strategy ())
-  in
-  check_bool "clean under new ring" true (Fsck.is_clean report)
-
-let test_rebalance_data_survives () =
-  let _, coord, _, fs, mount_ops = make ~backends:2 () in
-  populate fs;
-  let moves, _ =
-    ok_zk "plan"
-      (Rebalancer.plan_add_backend ~coord ~strategy:Mapping.Md5_mod ~backends_before:2 ())
-  in
-  let extra = Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ()) in
-  ok_fs "format extra" (Physical.format Physical.default_layout extra);
-  let all = Array.append mount_ops [| extra |] in
-  ignore (ok_fs "execute" (Rebalancer.execute ~backends:all moves));
-  (* remount a client over 3 backends: every file's contents intact *)
-  let client2 = Client.mount ~coord ~backends:all ~client_id:99L () in
-  let fs2 = Client.ops client2 in
-  for i = 0 to 19 do
-    let path = Printf.sprintf "/proj/f%02d" i in
-    Alcotest.(check string)
-      (path ^ " contents intact")
-      (Printf.sprintf "data-%02d" i)
-      (ok_fs "read" (fs2.Vfs.read path ~off:0 ~len:64))
-  done
-
-let test_rebalance_empty_plan () =
-  let _, coord, _, _, mount_ops = make () in
-  (* identical mappings -> nothing to move *)
-  let moves =
-    ok_zk "plan"
-      (Rebalancer.plan ~coord
-         ~old_locate:(Mapping.md5_mod ~backends:2)
-         ~new_locate:(Mapping.md5_mod ~backends:2)
-         ())
-  in
-  check_int "no moves" 0 (List.length moves);
-  let stats = ok_fs "execute" (Rebalancer.execute ~backends:mount_ops moves) in
-  check_int "nothing moved" 0 stats.Rebalancer.moved
-
-let test_rebalance_crash_window_is_recorded_and_repaired () =
-  (* regression: a move that dies between the destination write and the
-     source unlink used to leave the file on both back-ends with no
-     record anywhere — execute noted nothing and fsck's physicals pass
-     skipped claimed-but-elsewhere files as "already reported" even when
-     the home copy was present too *)
-  let _, coord, _, fs, mount_ops = make ~backends:2 () in
-  populate fs;
-  let moves, _ =
-    ok_zk "plan"
-      (Rebalancer.plan_add_backend ~coord ~strategy:Mapping.Md5_mod ~backends_before:2 ())
-  in
-  check_bool "plan is non-empty" true (moves <> []);
-  let extra = Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ()) in
-  ok_fs "format extra" (Physical.format Physical.default_layout extra);
-  (* the source back-ends refuse the unlink: the copy commits on dst,
-     the delete never happens — the crash window made permanent *)
-  let failing ops = { ops with Vfs.unlink = (fun _ -> Error Errno.EIO) } in
-  let crippled = Array.append (Array.map failing mount_ops) [| extra |] in
-  let notes = ref [] in
-  (match
-     Rebalancer.execute ~backends:crippled ~note:(fun m -> notes := m :: !notes)
-       moves
-   with
-  | Ok _ -> Alcotest.fail "execute should stop on the unlink error"
-  | Error Errno.EIO -> ()
-  | Error e -> Alcotest.failf "unexpected error: %s" (Errno.to_string e));
-  let mentions needle m =
-    let nl = String.length needle and ml = String.length m in
-    let rec go i = i + nl <= ml && (String.sub m i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "write-ahead intent noted" true
-    (List.exists (mentions "move in flight") !notes);
-  check_bool "double presence noted" true
-    (List.exists (mentions "double presence") !notes);
-  (* fsck over the healthy mounts sees exactly one doubled file (the
-     remaining planned moves never started, so they are merely
-     misplaced under the new mapping) *)
-  let all = Array.append mount_ops [| extra |] in
-  let report = ok_zk "scan" (Fsck.scan ~coord ~backends:all ()) in
-  let doubled =
-    List.filter (function Fsck.Double_presence _ -> true | _ -> false)
-      report.Fsck.issues
-  in
-  check_int "one double presence" 1 (List.length doubled);
-  let stats = Fsck.repair ~backends:all report in
-  check_int "stale copy removed" 1 stats.Fsck.deduplicated;
-  check_bool "clean after repair" true
-    (Fsck.is_clean (ok_zk "rescan" (Fsck.scan ~coord ~backends:all ())))
 
 (* {2 Client-side cache} *)
 
@@ -821,14 +703,8 @@ let () =
             test_fsck_detects_undecodable_meta;
           Alcotest.test_case "create rollback failure flags orphan" `Quick
             test_create_rollback_failure_flags_orphan ] );
-      ( "rebalancer",
-        [ Alcotest.test_case "md5 grow" `Quick test_rebalance_md5_grow;
-          Alcotest.test_case "consistent hashing moves less" `Quick
-            test_rebalance_consistent_moves_less;
-          Alcotest.test_case "data survives" `Quick test_rebalance_data_survives;
-          Alcotest.test_case "empty plan" `Quick test_rebalance_empty_plan;
-          Alcotest.test_case "crash window recorded and repaired" `Quick
-            test_rebalance_crash_window_is_recorded_and_repaired ] );
+      ( "fsck-dedup",
+        [ Alcotest.test_case "double presence" `Quick test_fsck_detects_double_presence ] );
       ( "cache",
         [ Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "remote invalidation" `Quick test_cache_remote_invalidation;
