@@ -1,16 +1,7 @@
 module Stat = Simkit.Stat
 
-module Gauge = struct
-  type t = { mutable value : float }
-
-  let create () = { value = 0. }
-  let set t v = t.value <- v
-  let value t = t.value
-end
-
 type metric =
   | Counter of Stat.Counter.t
-  | Gauge of Gauge.t
   | Summary of Stat.Summary.t
   | Latency of Stat.Latency.t
 
@@ -28,7 +19,6 @@ let register t name metric =
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Summary _ -> "summary"
   | Latency _ -> "latency"
 
@@ -51,13 +41,6 @@ let counter t name =
       let c = Stat.Counter.create () in
       (c, Counter c))
     ~cast:(function Counter c -> Some c | _ -> None)
-
-let gauge t name =
-  get_or_create t name
-    ~make:(fun () ->
-      let g = Gauge.create () in
-      (g, Gauge g))
-    ~cast:(function Gauge g -> Some g | _ -> None)
 
 let summary t name =
   get_or_create t name

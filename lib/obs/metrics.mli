@@ -1,4 +1,4 @@
-(** Named metric registry: counters, gauges, summaries and latency
+(** Named metric registry: counters, summaries and latency
     distributions, get-or-created by name. Reporters read instruments
     back by name ({!counter_opt}, {!summary_opt}, {!latency_opt}) and
     format them themselves.
@@ -8,13 +8,6 @@
     touches the simulation engine, so instrumented runs stay
     deterministic. *)
 
-module Gauge : sig
-  type t
-
-  val set : t -> float -> unit
-  val value : t -> float
-end
-
 type t
 
 val create : unit -> t
@@ -23,7 +16,6 @@ val create : unit -> t
     registered as a different instrument kind. *)
 val counter : t -> string -> Simkit.Stat.Counter.t
 
-val gauge : t -> string -> Gauge.t
 val summary : t -> string -> Simkit.Stat.Summary.t
 
 (** Every sample kept: exact mean, max and percentiles. *)

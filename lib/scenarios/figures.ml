@@ -955,14 +955,15 @@ let summary_phases label s =
     (label ^ ".max", Option.value ~default:0. (Simkit.Stat.Summary.max s)) ]
 
 (* What [profile] prints of a run beyond its mdtest and breakdown
-   points: zk read latency, the leader's and every shard's gauges, and
-   each back-end MDS station's wait and hold. *)
+   points: zk read latency, the leaders' queue-depth and batch-size
+   summaries (every shard's too), and each back-end MDS station's wait
+   and hold. *)
 let profile_accounting ~procs (r : Systems.dufs_run) =
   let trace = r.Systems.trace in
   let metrics = Obs.Trace.metrics trace and read = "zk.read.total" in
   (* every shard tags its instruments zk.shard<i>.*; list them too so
      the per-shard queue wait is visible in the same breakdown *)
-  let gauges =
+  let summaries =
     [ "zk.leader.queue_depth"; "zk.leader.batch_size" ]
     @ List.filter
         (fun n -> String.length n > 8 && String.sub n 0 8 = "zk.shard")
@@ -979,7 +980,7 @@ let profile_accounting ~procs (r : Systems.dufs_run) =
           (fun name ->
             Option.fold ~none:[] ~some:(summary_phases name)
               (Obs.Metrics.summary_opt metrics name))
-          gauges
+          summaries
       @ List.concat
           (List.mapi
              (fun i (wait, hold) ->

@@ -412,7 +412,6 @@ let dufs_mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(mdtest = true)
      Process.spawn engine (probe_from (Engine.now engine) load);
      Engine.run engine
    | _ -> ());
-  if trace then Zk.Shard_router.publish router (Obs.Trace.metrics tr);
   let violations = Zk.History.check ~max_states:check_budget hist in
   let registers =
     Option.map

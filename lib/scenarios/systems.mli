@@ -116,9 +116,10 @@ type dufs_run = {
   router : Zk.Shard_router.t;
   trace : Obs.Trace.t;
       (** spans recorded during the run: [dufs.<op>] client root spans,
-          [zk.<op>.<phase>] quorum phases, leader queue/batch gauges and
-          the router's [publish]ed per-shard gauges; {!Obs.Trace.null}
-          (records nothing) on an untraced run *)
+          [zk.<op>.<phase>] quorum phases, and the leaders' queue-depth,
+          batch-size and queue-wait summaries, each shard's also under
+          [zk.shard<i>.*]; {!Obs.Trace.null} (records nothing) on an
+          untraced run *)
   backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
       (** per back-end metadata station: (handler-queue wait, in-service
           hold) time summaries *)

@@ -262,7 +262,7 @@ type t = {
   cfg : config;
   trace : Obs.Trace.t;
   (* metric-name prefix for per-shard instruments ("" = unsharded); a
-     tagged ensemble additionally records its gauges and queue-wait
+     tagged ensemble also records its leader summaries and queue-wait
      under [zk.<tag>.*] so a sharded deployment's balance is visible. *)
   tag : string;
   members : server array;
@@ -512,22 +512,16 @@ let apply_entry t (s : server) (e : Wal.entry) =
 
 (* {2 Stable-storage hooks}
 
-   Everything that reaches a server's WAL goes through these helpers.
-   They are pure state updates — no events, no sleeps, no RNG — so
-   wiring them into the hot paths leaves fault-free schedules
-   bit-identical. *)
-
-(* Append at a persist point; [start]/[done_at] bracket the device
-   write so a power-off inside the window loses or tears the record. *)
-let wal_append (s : server) ~start ~done_at entry =
-  Wal.append s.wal ~epoch:s.epoch ~start ~done_at entry
+   The WAL and these helpers are pure state updates — no events, no
+   sleeps, no RNG — so wiring them into the hot paths leaves fault-free
+   schedules bit-identical. *)
 
 (* Append unless this epoch already logged the zxid: a re-proposal is
    re-acked idempotently, and so is the disk. *)
 let wal_append_once (s : server) ~start ~done_at (e : Wal.entry) =
   match Wal.epoch_at s.wal e.Wal.e_zxid with
   | Some epoch when epoch = s.epoch -> ()
-  | _ -> wal_append s ~start ~done_at e
+  | _ -> Wal.append s.wal ~epoch:s.epoch ~start ~done_at e
 
 (* Mark [zxid] durably applied and roll a snapshot once the replay
    distance exceeds the configured cadence. Snapshot writing is modeled
@@ -537,14 +531,9 @@ let wal_append_once (s : server) ~start ~done_at (e : Wal.entry) =
    holds the tree's image, an immutable value. *)
 let wal_applied t (s : server) zxid =
   Wal.note_commit s.wal zxid;
-  if
-    t.cfg.snapshot_every > 0
-    && Int64.to_int
-         (Int64.sub (Wal.frontier s.wal) (Wal.last_snapshot_zxid s.wal))
-       >= t.cfg.snapshot_every
-  then
-    Wal.snapshot s.wal ~zxid:(Ztree.last_zxid s.tree) ~epoch:s.epoch
-      (Ztree.capture s.tree)
+  let distance = Int64.sub (Wal.frontier s.wal) (Wal.last_snapshot_zxid s.wal) in
+  if t.cfg.snapshot_every > 0 && Int64.to_int distance >= t.cfg.snapshot_every then
+    Wal.snapshot s.wal ~zxid:(Ztree.last_zxid s.tree) ~epoch:s.epoch (Ztree.capture s.tree)
 
 (* {2 Deferred replies} *)
 
@@ -886,41 +875,39 @@ let new_pending (s : server) ~time ~txn ~rid ~origin ~reply ~span ~close
   Rid_tbl.replace s.pending_rids rid zxid;
   entry
 
+(* Record [v] under [name], [zk.<rest>] (single-ensemble profiles read
+   it), and in a tagged ensemble under [zk.<tag>.<rest>] too, so a
+   sharded deployment's balance shows. Observations and stamps are pure
+   accumulator writes: a traced run sleeps exactly as long as an
+   untraced one. *)
+let observe t name v =
+  Obs.Trace.observe t.trace name v;
+  if t.tag <> "" then
+    Obs.Trace.observe t.trace ("zk." ^ t.tag ^ String.sub name 2 (String.length name - 2)) v
+
+(* Stamp a batch's start at the leader on each traced write: its queue
+   wait, measured where the backlog lives (client (last) send -> batch
+   start), and its persist share of the batch sleep. *)
+let stamp_batch t batch ~time ~persist =
+  List.iter
+    (fun (_, _, _, _, span, _) ->
+      if Obs.Trace.is_real span then begin
+        observe t "zk.queue_wait" (time -. span.Obs.Trace.w_resent);
+        span.Obs.Trace.w_batch <- time;
+        span.Obs.Trace.w_persist <- persist
+      end)
+    batch
+
 let leader_handle_batch t (s : server) batch =
   match dedup_filter t s batch with
   | [] -> ()
   | batch ->
     let time = Engine.now t.engine in
-    (* Stamping and gauge observations are pure accumulator writes: the
-       traced run sleeps exactly as long as the untraced one. *)
-    (if Obs.Trace.enabled t.trace then begin
-       let depth = float_of_int (Mailbox.length s.inbox)
-       and size = float_of_int (List.length batch) in
-       Obs.Trace.observe t.trace "zk.leader.queue_depth" depth;
-       Obs.Trace.observe t.trace "zk.leader.batch_size" size;
-       if t.tag <> "" then begin
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.queue_depth") depth;
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.batch_size") size
-       end;
-       let persist_dur = svc t t.cfg.persist in
-       List.iter
-         (fun (_, _, _, _, span, _) ->
-           if Obs.Trace.is_real span then begin
-             (* queue wait, measured where the backlog lives: client
-                (last) send -> leader batch start. Recorded untagged always
-                (single-ensemble profiles read this), plus per-shard
-                under the tag so a sharded deployment's balance shows. *)
-             Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_resent);
-             if t.tag <> "" then
-               Obs.Trace.observe t.trace
-                 ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_resent);
-             span.Obs.Trace.w_batch <- time;
-             span.Obs.Trace.w_persist <- persist_dur
-           end)
-         batch
-     end);
+    if Obs.Trace.enabled t.trace then begin
+      observe t "zk.leader.queue_depth" (float_of_int (Mailbox.length s.inbox));
+      observe t "zk.leader.batch_size" (float_of_int (List.length batch));
+      stamp_batch t batch ~time ~persist:(svc t t.cfg.persist)
+    end;
     let cpu =
       List.fold_left
         (fun acc (txn, _, _, _, _, _) -> acc +. leader_service t txn)
@@ -942,7 +929,7 @@ let leader_handle_batch t (s : server) batch =
               new_pending s ~time ~txn ~rid ~origin ~reply ~span ~close
                 ~self_acked:true (* persist already paid above *)
             in
-            wal_append s ~start:time ~done_at:persisted_at entry;
+            Wal.append s.wal ~epoch:s.epoch ~start:time ~done_at:persisted_at entry;
             entry)
           batch
       in
@@ -985,27 +972,13 @@ let leader_enqueue_batch t (s : server) batch =
   | [] -> ()
   | batch ->
     let time = Engine.now t.engine in
-    (if Obs.Trace.enabled t.trace then begin
-       let depth = float_of_int (Mailbox.length s.inbox) in
-       Obs.Trace.observe t.trace "zk.leader.queue_depth" depth;
-       if t.tag <> "" then
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.queue_depth") depth;
-       List.iter
-         (fun (_, _, _, _, span, _) ->
-           if Obs.Trace.is_real span then begin
-             Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_resent);
-             if t.tag <> "" then
-               Obs.Trace.observe t.trace
-                 ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_resent);
-             (* [w_persist] stays 0: the overlapped persist is off the
-                critical path — its residual cost surfaces inside the
-                ack phase, so the five phases still tile the latency *)
-             span.Obs.Trace.w_batch <- time
-           end)
-         batch
-     end);
+    if Obs.Trace.enabled t.trace then begin
+      observe t "zk.leader.queue_depth" (float_of_int (Mailbox.length s.inbox));
+      (* no persist share: the overlapped persist is off the critical
+         path — its residual cost surfaces inside the ack phase, so the
+         five phases still tile the latency *)
+      stamp_batch t batch ~time ~persist:0.
+    end;
     List.iter
       (fun (txn, rid, origin, reply, span, close) ->
         let entry =
@@ -1056,11 +1029,7 @@ let rec proposer_loop t (s : server) =
          let committed_upto = Int64.sub s.next_commit 1L in
          (if Obs.Trace.enabled t.trace then begin
             let now = Engine.now t.engine in
-            let size = float_of_int b.b_count in
-            Obs.Trace.observe t.trace "zk.leader.batch_size" size;
-            if t.tag <> "" then
-              Obs.Trace.observe t.trace
-                ("zk." ^ t.tag ^ ".leader.batch_size") size;
+            observe t "zk.leader.batch_size" (float_of_int b.b_count);
             List.iter
               (fun (span : Obs.Trace.wspan) ->
                 if Obs.Trace.is_real span then span.Obs.Trace.w_proposed <- now)
@@ -1085,7 +1054,7 @@ let rec proposer_loop t (s : server) =
          (* the WAL records the overlapped window: a crash before
             [done_at] loses these appends even though the batch was
             already proposed (and possibly acked by followers) *)
-         List.iter (wal_append s ~start:now ~done_at) entries;
+         List.iter (Wal.append s.wal ~epoch:s.epoch ~start:now ~done_at) entries;
          Engine.schedule t.engine ~delay:(done_at -. now) (fun () ->
              if s.role = Leader && s.epoch = epoch0 then begin
                List.iter

@@ -114,8 +114,9 @@ type t
     is pure accumulator bookkeeping — it never sleeps or schedules, so a
     traced run's simulated clock is identical to an untraced run's.
     A [tag] (e.g. ["shard2"]) makes the ensemble additionally record its
-    leader gauges and per-write queue wait under [zk.<tag>.*], so a
-    sharded deployment's per-shard balance shows up in the same trace. *)
+    leader queue-depth and batch-size summaries and per-write queue wait
+    under [zk.<tag>.*], so a sharded deployment's per-shard balance
+    shows up in the same trace. *)
 val start : ?trace:Obs.Trace.t -> ?tag:string -> Simkit.Engine.t -> config -> t
 
 

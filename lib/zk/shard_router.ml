@@ -649,25 +649,3 @@ let dedup_hits_by_shard t =
 
 let dedup_hits t = Array.fold_left ( + ) 0 (dedup_hits_by_shard t)
 
-let publish t metrics =
-  let set name v = Obs.Metrics.Gauge.set (Obs.Metrics.gauge metrics name) v in
-  let counts = node_counts t
-  and writes = writes_committed_by_shard t
-  and hits = dedup_hits_by_shard t in
-  Array.iteri
-    (fun i n ->
-      set (Printf.sprintf "zk.shard%d.znodes" i) (float_of_int n);
-      set
-        (Printf.sprintf "zk.shard%d.writes_committed" i)
-        (float_of_int writes.(i));
-      set (Printf.sprintf "zk.shard%d.dedup_hits" i) (float_of_int hits.(i)))
-    counts;
-  let s = t.stats in
-  set "zk.router.cross_shard_multis" (float_of_int s.cross_shard_multis);
-  set "zk.router.cross_shard_deletes" (float_of_int s.cross_shard_deletes);
-  set "zk.router.stub_creates" (float_of_int s.stub_creates);
-  set "zk.router.stub_deletes" (float_of_int s.stub_deletes);
-  set "zk.router.rollbacks" (float_of_int s.rollbacks);
-  set "zk.router.rollback_failures" (float_of_int s.rollback_failures);
-  set "zk.router.orphan_notes_total" (float_of_int s.orphan_notes_total);
-  set "zk.router.live_stubs" (float_of_int (live_stubs s))

@@ -224,12 +224,3 @@ val writes_committed : t -> int
 val writes_committed_by_shard : t -> int array
 val dedup_hits : t -> int
 val dedup_hits_by_shard : t -> int array
-
-(** [publish t metrics] snapshots the per-shard balance into gauges:
-    [zk.shard<i>.znodes], [zk.shard<i>.writes_committed],
-    [zk.shard<i>.dedup_hits], and router counters
-    [zk.router.cross_shard_multis], [zk.router.cross_shard_deletes],
-    [zk.router.stub_creates], [zk.router.stub_deletes],
-    [zk.router.rollbacks], [zk.router.rollback_failures],
-    [zk.router.orphan_notes_total], [zk.router.live_stubs]. *)
-val publish : t -> Obs.Metrics.t -> unit

@@ -11,8 +11,13 @@
     [Ensemble.restart] can recover locally — latest valid snapshot,
     WAL-suffix replay, truncate at the first bad checksum — before
     asking the leader for only the genuinely missing remainder.
-    DESIGN.md §12 documents the record format and the crash/fsync
-    semantics, including the three zero-latency durability points
+
+    A record's payload is the leader's shared {!entry}; the log keeps a
+    pointer to it per txn, and one row of unboxed storage (epoch, zxid
+    range, device times) per fsync: consecutive appends with the same
+    [epoch], [start] and [done_at] and ascending zxids are one fsync.
+    DESIGN.md §12 documents the record format, the record model, the
+    crash/fsync semantics and the three zero-latency durability points
     (apply marker, epoch stamp, state-transfer installs). *)
 
 type t
@@ -52,8 +57,10 @@ val encode : epoch:int -> entry -> string
     issued, [done_at] when it (and its fsync) completes; a power-off
     before [done_at] loses the record — torn if the write was already
     in flight, dropped entirely otherwise. The record's bytes would be
-    [encode] of the entry; the log keeps the entry and its fault marks,
-    and builds no bytes. *)
+    [encode] of the entry; the log keeps the entry, its fsync's row and
+    its fault marks, and builds no bytes. A group commit passes one
+    [start]/[done_at] pair for its whole batch, so the batch is one
+    row. *)
 val append : t -> epoch:int -> start:float -> done_at:float -> entry -> unit
 
 (** The durable apply marker: recovery replays records up to it (the

@@ -18,8 +18,10 @@
 # direction against the parent's inter-quartile range; and whether
 # every modeled metric (all but host_* and setup_s), `attempted` and
 # `failed` are bit-identical over every run.
-# Each run's JSON line stays in $PERF_PAIRS_OUT (default: a fresh
-# temporary directory). Exits non-zero if a run fails or the modeled
+# Each run's whole stdout and stderr, ending with an `exit <code>` line,
+# stay in $PERF_PAIRS_OUT/<side>.<i>.log (default: a fresh temporary
+# directory), and its JSON line in <side>.<i>.json; a failed run prints
+# its log's last 20 lines. Exits non-zero if a run fails or the modeled
 # metrics differ.
 set -uo pipefail
 
@@ -56,11 +58,15 @@ for side in parent here; do
 done
 
 run() {
-  local side=$1 i=$2 tree=${!1}
-  if ! (cd "$tree" && ./_build/default/perfbench/main.exe --workload "$workload" \
-          --seed "$seed" --seconds "$seconds" --trace 0) \
-       | tail -n 1 >"$out/$side.$i.json"; then
-    echo "$side run $i failed (see $out/$side.$i.json)" >&2
+  local side=$1 i=$2 tree=${!1} log="$out/$1.$2.log" code
+  (cd "$tree" && ./_build/default/perfbench/main.exe --workload "$workload" \
+     --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1
+  code=$?
+  echo "exit $code" >>"$log"
+  grep '^{' "$log" | tail -n 1 >"$out/$side.$i.json"
+  if [ "$code" -ne 0 ] || [ ! -s "$out/$side.$i.json" ]; then
+    echo "$side run $i failed with exit $code; last 20 lines of $log:" >&2
+    tail -n 20 "$log" >&2
     exit 1
   fi
 }
@@ -95,6 +101,9 @@ def value(run, name):
     return None if m is None else m["value"]
 
 print(f"perf-pairs: {workload} seed {seed}, {pairs} alternating pairs")
+for side in ("parent", "here"):
+    codes = [open(f"{out}/{side}.{i}.log").read().split()[-1] for i in range(1, pairs + 1)]
+    print(f"{side} exit codes: {' '.join(codes)}")
 print(f"{'metric':<16} {'parent q1 / median / q3':>35}  {'here q1 / median / q3':>35} {'median':>8}")
 for name in names:
     cols = []

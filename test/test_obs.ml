@@ -186,11 +186,11 @@ let test_phase_telescoping () =
       check_bool (op ^ ": every phase nonnegative") true
         (List.for_all (fun p -> mean (base ^ "." ^ p) >= 0.) Trace.phases))
     [ "create"; "delete" ];
-  (* group commit visible in the leader gauges *)
+  (* group commit visible in the leader batch-size summary *)
   let batch =
     match Metrics.summary_opt (Trace.metrics trace) "zk.leader.batch_size" with
     | Some s -> s
-    | None -> Alcotest.fail "no batch-size gauge"
+    | None -> Alcotest.fail "no batch-size summary"
   in
   check_bool "batches observed" true (Stat.Summary.count batch > 0);
   check_bool "some batching happened (max_batch=8, 4 writers)" true
