@@ -11,7 +11,6 @@ type t = {
   coord : Zk_client.handle;
   backends : Vfs.ops array;
   layout : Physical.layout;
-  strategy : Mapping.strategy;
   zroot : string;
   clock : unit -> float;
   delay : float -> unit;
@@ -37,18 +36,10 @@ let errno_of_zerror = function
   | Zerror.ZOPERATIONTIMEOUT -> Errno.EIO
 
 let mount ~coord ~backends ?client_id ?(layout = Physical.default_layout)
-    ?(strategy = Mapping.Md5_mod) ?(zroot = "/dufs") ?(clock = fun () -> 0.)
+    ?(zroot = "/dufs") ?(clock = fun () -> 0.)
     ?(delay = fun _ -> ()) ?(overhead = default_overhead)
     ?(trace = Obs.Trace.null) () =
   if Array.length backends = 0 then invalid_arg "Client.mount: no backends";
-  (match strategy with
-  | Mapping.Md5_mod -> ()
-  | Mapping.Consistent ring ->
-    if
-      List.exists
-        (fun node -> node < 0 || node >= Array.length backends)
-        (Zk.Consistent_hash.nodes ring)
-    then invalid_arg "Client.mount: ring node outside the backend range");
   let client_id =
     match client_id with Some id -> id | None -> coord.Zk_client.session_id
   in
@@ -56,7 +47,6 @@ let mount ~coord ~backends ?client_id ?(layout = Physical.default_layout)
     { coord;
       backends;
       layout;
-      strategy;
       zroot;
       clock;
       delay;
@@ -77,9 +67,8 @@ let mount ~coord ~backends ?client_id ?(layout = Physical.default_layout)
 
 let backend_count t = Array.length t.backends
 let orphan_notes t = List.rev t.orphan_notes
-let strategy t = t.strategy
 let files_created t = Fid.Gen.generated t.fid_gen
-let locate t fid = Mapping.locate t.strategy ~backends:(Array.length t.backends) fid
+let locate t fid = Mapping.md5_mod ~backends:(Array.length t.backends) fid
 
 (* FUSE channel buffers + ZooKeeper client library + mapping tables; none
    of it grows with the namespace (the client is stateless, §IV-I). *)

@@ -21,10 +21,6 @@ type t
            defaults to the coordination session id.
     @param layout    physical-path layout; back-ends must have been
            formatted ({!Physical.format}) with the same layout.
-    @param strategy  the deterministic mapping: {!Mapping.Md5_mod} (the
-           paper's function, default) or {!Mapping.Consistent} with a ring
-           whose node ids index into [backends] (§VII future work: growing
-           the back-end set relocates only about 1/(N+1) of the files).
     @param zroot     znode subtree holding the virtual namespace.
     @param clock     timestamp source for directory metadata.
     @param delay     charged [overhead] seconds per operation
@@ -40,7 +36,6 @@ val mount :
   backends:Fuselike.Vfs.ops array ->
   ?client_id:int64 ->
   ?layout:Physical.layout ->
-  ?strategy:Mapping.strategy ->
   ?zroot:string ->
   ?clock:(unit -> float) ->
   ?delay:(float -> unit) ->
@@ -53,7 +48,6 @@ val mount :
 val ops : t -> Fuselike.Vfs.ops
 
 val backend_count : t -> int
-val strategy : t -> Mapping.strategy
 
 (** FIDs generated by this instance so far. *)
 val files_created : t -> int64
@@ -64,7 +58,8 @@ val files_created : t -> int64
     first. *)
 val orphan_notes : t -> string list
 
-(** Back-end index a FID maps to (exposed for tests and examples). *)
+(** Back-end index a FID maps to: the paper's {!Mapping.md5_mod} over
+    the mounted back-ends (exposed for tests and examples). *)
 val locate : t -> Fid.t -> int
 
 (** Modelled resident bytes of the client process — bounded regardless of

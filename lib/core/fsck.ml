@@ -61,12 +61,12 @@ let physical_files (ops : Vfs.ops) layout =
   walk "/" 0 []
 
 let scan ~coord ~backends ?(layout = Physical.default_layout)
-    ?(strategy = Mapping.Md5_mod) ?(zroot = "/dufs") () =
+    ?(zroot = "/dufs") () =
   match Namespace.scan coord ~zroot with
   | Error _ as e -> e
   | Ok entries ->
     let n = Array.length backends in
-    let locate fid = Mapping.locate strategy ~backends:n fid in
+    let locate fid = Mapping.md5_mod ~backends:n fid in
     let issues = ref [] in
     let files = ref 0 and dirs = ref 0 in
     (* fids the namespace claims, with their expected location *)

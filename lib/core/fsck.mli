@@ -40,7 +40,6 @@ val scan :
   coord:Zk.Zk_client.handle ->
   backends:Fuselike.Vfs.ops array ->
   ?layout:Physical.layout ->
-  ?strategy:Mapping.strategy ->
   ?zroot:string ->
   unit ->
   (report, Zk.Zerror.t) result

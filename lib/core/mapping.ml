@@ -1,15 +1,6 @@
-type strategy =
-  | Md5_mod
-  | Consistent of Zk.Consistent_hash.t
-
 let md5_mod ~backends fid =
   if backends < 1 then invalid_arg "Mapping.md5_mod: backends < 1";
   Zk.Md5.to_int (Zk.Md5.digest (Fid.to_bytes fid)) mod backends
-
-let locate strategy ~backends fid =
-  match strategy with
-  | Md5_mod -> md5_mod ~backends fid
-  | Consistent ring -> Zk.Consistent_hash.lookup ring (Fid.to_bytes fid)
 
 let imbalance locate_fid ~backends fids =
   if backends < 1 then invalid_arg "Mapping.imbalance: backends < 1";

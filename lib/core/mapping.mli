@@ -3,22 +3,13 @@
 
     Every DUFS client evaluates the same pure function, so no coordination
     is needed for the FID → back-end step. The paper's function is
-    [MD5(fid) mod N]; the consistent-hashing strategy is the paper's
-    stated future work (§VII), included here as an extension that keeps
-    relocation bounded when back-ends are added or removed. *)
-
-type strategy =
-  | Md5_mod                      (** the paper's mapping *)
-  | Consistent of Zk.Consistent_hash.t
+    [MD5(fid) mod N]. Consistent hashing, the paper's stated future work
+    (§VII), lives in {!Zk.Consistent_hash}; the [ablation-mapping]
+    experiment compares the two, and no client places files with it. *)
 
 (** [md5_mod ~backends fid] is [MD5(fid) mod backends], in [0, backends).
     @raise Invalid_argument if [backends < 1]. *)
 val md5_mod : backends:int -> Fid.t -> int
-
-(** [locate strategy ~backends fid] — back-end index under either
-    strategy. For [Consistent], the ring's node ids must lie in
-    [0, backends). *)
-val locate : strategy -> backends:int -> Fid.t -> int
 
 (** Largest/smallest bucket-count ratio over [fids]; 1.0 is perfectly
     fair. Used by fairness tests and the mapping ablation bench. *)

@@ -1,35 +1,3 @@
-type series = {
-  label : string;
-  points : (int * float) list;
-}
-
-let print_header title =
-  Printf.printf "\n=== %s ===\n%!" title
-
-let print_figure ~title ~x_label ?(unit_label = "ops/sec") series =
-  print_header title;
-  let xs =
-    List.sort_uniq compare (List.concat_map (fun s -> List.map fst s.points) series)
-  in
-  let width = 24 in
-  Printf.printf "%-10s" x_label;
-  List.iter (fun s -> Printf.printf " %*s" width s.label) series;
-  Printf.printf "   [%s]\n" unit_label;
-  List.iter
-    (fun x ->
-      Printf.printf "%-10d" x;
-      List.iter
-        (fun s ->
-          match List.assoc_opt x s.points with
-          | Some v -> Printf.printf " %*.0f" width v
-          | None -> Printf.printf " %*s" width "-")
-        series;
-      print_newline ())
-    xs;
-  flush stdout
-
-let print_ratio ~label v = Printf.printf "  %-58s %8.2fx\n%!" label v
-
 (* {2 Machine-readable bench points} *)
 
 type latency_stats = {
@@ -157,6 +125,62 @@ let emit_json ~path points =
   output_string oc "]\n";
   close_out oc;
   Printf.printf "\nwrote %s (%d bench points)\n%!" path (List.length points)
+
+(* {2 Rendering} *)
+
+let print_header title =
+  Printf.printf "\n=== %s ===\n%!" title
+
+let print_figure ~title experiment points =
+  print_header title;
+  let points = List.filter (fun p -> p.experiment = experiment) points in
+  let configs =
+    List.fold_left
+      (fun seen p -> if List.mem p.config seen then seen else seen @ [ p.config ])
+      [] points
+  in
+  let width = 24 in
+  Printf.printf "%-10s" "procs";
+  List.iter (fun config -> Printf.printf " %*s" width config) configs;
+  Printf.printf "   [ops/sec]\n";
+  List.iter
+    (fun procs ->
+      Printf.printf "%-10d" procs;
+      List.iter
+        (fun config ->
+          match List.find_opt (fun p -> p.procs = procs && p.config = config) points with
+          | Some p -> Printf.printf " %*.0f" width p.ops_per_sec
+          | None -> Printf.printf " %*s" width "-")
+        configs;
+      print_newline ())
+    (List.sort_uniq compare (List.map (fun p -> p.procs) points));
+  flush stdout
+
+let print_ratio ~label v = Printf.printf "  %-58s %8.2fx\n%!" label v
+
+let or_missing x = if Float.is_finite x then x else -1.
+let missing_as_nan x = if x = -1. then Float.nan else x
+
+type column = string * string * (float -> string, unit, string) format
+
+let column_header (cols : column list) =
+  String.concat ""
+    (List.map
+       (fun (h, _, fmt) -> Printf.sprintf " %*s" (String.length (Printf.sprintf fmt 0.)) h)
+       cols)
+
+let column_cells (cols : column list) p =
+  String.concat ""
+    (List.map
+       (fun (_, name, fmt) -> " " ^ Printf.sprintf fmt (missing_as_nan (phase p name)))
+       cols)
+
+let print_rows key cols points =
+  List.iter (fun p -> print_endline (key p ^ column_cells cols p)) points
+
+let print_table (header, key) cols points =
+  print_endline (header ^ column_header cols);
+  print_rows key cols points
 
 (* {2 Experiment gates} *)
 

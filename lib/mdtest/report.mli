@@ -1,20 +1,5 @@
-(** Plain-text table/series rendering shared by the benchmark drivers,
-    matching the shape of the paper's figures: one series per system
-    configuration, one row per x value (client-process count). *)
-
-type series = {
-  label : string;
-  points : (int * float) list;  (** (x, ops per second) *)
-}
-
-(** Render a figure: title, x-axis label, series rendered as columns. *)
-val print_figure :
-  title:string -> x_label:string -> ?unit_label:string -> series list -> unit
-
-(** One labelled scalar row (for headline ratios). *)
-val print_ratio : label:string -> float -> unit
-
-val print_header : string -> unit
+(** Bench points, the one result shape of every experiment driver, and
+    their plain-text rendering, JSON files and gates. *)
 
 (** {2 Machine-readable bench points}
 
@@ -83,6 +68,46 @@ val latency_of_runner : Runner.latency -> latency_stats
     @raise Invalid_argument on NaN/infinite values — a bench file is
     either honest JSON or an error, never silently poisoned. *)
 val emit_json : path:string -> bench_point list -> unit
+
+(** {2 Rendering} *)
+
+val print_header : string -> unit
+
+(** [print_figure ~title experiment points] renders [experiment]'s
+    points in the shape of the paper's figures: ops/s with one column
+    per config, in the order the configs first appear, and one row per
+    procs count; [-] where a config has no point. *)
+val print_figure : title:string -> string -> bench_point list -> unit
+
+(** One labelled scalar row (for headline ratios). *)
+val print_ratio : label:string -> float -> unit
+
+(** A point holds finite numbers only: [or_missing x] is [x], or -1
+    when [x] is nan or infinite, the mark of a missing value (a run that
+    never recovered). [missing_as_nan] reads the mark back as nan. *)
+val or_missing : float -> float
+
+val missing_as_nan : float -> float
+
+(** A table's value column: [(header, phase, format)]. The header is
+    right-aligned to the format's width; each cell is the point's phase
+    under the format, a missing value printing as nan. *)
+type column = string * string * (float -> string, unit, string) format
+
+(** The header cells of a table's columns, each after a space. *)
+val column_header : column list -> string
+
+(** One point's cells under the columns, each after a space. *)
+val column_cells : column list -> bench_point -> string
+
+(** [print_rows key cols points] prints one row per point: [key p],
+    then its cells. *)
+val print_rows : (bench_point -> string) -> column list -> bench_point list -> unit
+
+(** [print_table (header, key) cols points] prints the header line,
+    [header] then the column headers, and then {!print_rows}. *)
+val print_table :
+  string * (bench_point -> string) -> column list -> bench_point list -> unit
 
 (** {2 Experiment gates}
 

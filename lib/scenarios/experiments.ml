@@ -1,7 +1,9 @@
 (* The experiment table: every experiment [dufs_bench] runs, declared
-   once with its id and doc line, its BENCH file, its full run and its
-   CI smoke shape. Drivers return their bench points and check
-   failures; [run] alone writes the file and gates the run. *)
+   once with its id and doc line, its BENCH file, whether it is gated,
+   its full run and its CI smoke shape. Every driver returns its bench
+   points and check failures; [run] alone writes the file and gates the
+   run. The paper figures (fig7-fig11) are the ungated rows: they print
+   their series and write nothing. *)
 
 open Figures
 module Report = Mdtest.Report
@@ -19,52 +21,45 @@ type t = {
 
 let row ?bench ?smoke ?(gated = true) id doc run = { id; doc; bench; gated; run; smoke }
 
-(* A paper figure: it prints its series, and writes and checks nothing. *)
-let figure id doc f = row ~gated:false id doc (fun () -> f (); ([], []))
-
-(* An experiment that checks its results and writes no BENCH file. *)
-let checked ?smoke id doc f =
-  let outcome f () = ([], f ()) in
-  row ?smoke:(Option.map (fun (d, f) -> (d, outcome f)) smoke) id doc (outcome f)
-
 (* The smokes' two chaos schedules, one single-shard and one 4-shard. *)
 let smoke_chaos_runs = [ (1, 11L); (4, 12L) ]
 
 let table =
-  [ figure "fig7" "ZooKeeper raw op throughput vs ensemble size" (fun () -> fig7 ());
-    figure "fig8" "DUFS op throughput vs number of ZooKeeper servers" fig8;
-    figure "fig9" "DUFS file ops with 2 vs 4 Lustre backends" fig9;
-    figure "fig10" "DUFS vs Basic Lustre and Basic PVFS2" fig10;
-    checked "headline" "§V-D headline ratios at 256 procs" headline;
-    figure "fig11" "memory usage vs directories created" (fun () -> fig11 ());
-    checked "ablation-mapping"
+  [ row ~gated:false "fig7" "ZooKeeper raw op throughput vs ensemble size" (fun () ->
+        fig7 ());
+    row ~gated:false "fig8" "DUFS op throughput vs number of ZooKeeper servers" fig8;
+    row ~gated:false "fig9" "DUFS file ops with 2 vs 4 Lustre backends" fig9;
+    row ~gated:false "fig10" "DUFS vs Basic Lustre and Basic PVFS2" fig10;
+    row "headline" "§V-D headline ratios at 256 procs" headline;
+    row ~gated:false "fig11" "memory usage vs directories created" (fun () -> fig11 ());
+    row "ablation-mapping"
       "MD5-mod-N vs consistent hashing; gated: mod-N relocates ~N/(N+1) of \
        FIDs on grow, the ring ~1/(N+1), both balanced"
       ablation_mapping;
-    checked "ablation-cmd"
+    row "ablation-cmd"
       "DUFS vs hypothetical Lustre Clustered MDS; gated: more MDSes speed \
        dir-stat and slow dir-create, DUFS beats both CMD variants"
       ablation_cmd;
-    checked "ablation-unique"
+    row "ablation-unique"
       "shared vs unique working directories (mdtest -u); gated: Lustre gains \
        >= 10%, DUFS within 2%"
       ablation_unique;
-    checked "ablation-async"
+    row "ablation-async"
       "synchronous vs pipelined coordination API; gated: window 16 >= 2.5x \
        window 1 at 1 client, flat at 8"
       ablation_async;
-    checked "ablation-cache"
+    row "ablation-cache"
       "client-side metadata cache with lease invalidation; gated: DUFS+cache \
        within 2% of DUFS on mdtest, hot stat loop >= 20x"
       (fun () -> ablation_cache ())
       ~smoke:
         ( "ablation-cache at 64 procs, 12 dirs and 12 files per proc",
           fun () -> ablation_cache ~procs:64 ~items:12 ~hot_procs:[ 64 ] () );
-    checked "ablation-giga"
+    row "ablation-giga"
       "GIGA+ directory indexing vs DUFS vs Lustre; gated: GIGA+ >= 10x both, \
        partly unavailable after a crash"
       ablation_giga;
-    checked "ablation-observers"
+    row "ablation-observers"
       "non-voting observers: reads scale, writes unaffected; gated: 3 voters + \
        4 observers keep 95% of 7 voters' gets and 3 voters' creates"
       ablation_observers;

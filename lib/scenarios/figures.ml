@@ -8,75 +8,103 @@ let bar_procs = [ 64; 128; 256 ]
 let zk_ok = function Ok _ -> () | Error e -> failwith (Zk.Zerror.to_string e)
 let errno_ok = function Ok () -> () | Error e -> failwith (Fuselike.Errno.to_string e)
 
+(* {2 Every experiment is its bench points}
+
+   Each driver reduces every run to bench points as it finishes, then
+   prints, checks and returns those points only. A figure
+   ({!Report.print_figure}) plots one experiment's ops/s by procs, one
+   series per config; a table ({!Report.print_table}) one row per
+   point, a key column and then its phases. *)
+
+(* The one point of [points] that [keep] picks. *)
+let pick what keep points =
+  match List.find_opt keep points with
+  | Some p -> p
+  | None -> invalid_arg (what ^ ": no such point")
+
+let find_point experiment points =
+  List.find_opt (fun (p : Report.bench_point) -> p.experiment = experiment) points
+
+(* The accounting point every run of a driver makes. *)
+let the_point experiment =
+  pick experiment (fun (p : Report.bench_point) -> p.experiment = experiment)
+
+let at_config config = pick config (fun (p : Report.bench_point) -> p.config = config)
+let flag b = if b then 1. else 0.
+
+(* A table row's point: its numbers are its phases. *)
+let row_point experiment ~procs config phases =
+  Report.point ~experiment ~procs ~config ~ops_per_sec:0. ~phases ()
+
+(* One rate-only [mdtest-<phase>] point per phase of [phases]. *)
+let rate_points ~procs ~config phases results =
+  List.map
+    (fun phase ->
+      Report.point
+        ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+        ~procs ~config ~ops_per_sec:(Runner.rate results phase) ())
+    phases
+
+(* The key column of a table keyed by each point's config. *)
+let config_key header width =
+  (Printf.sprintf "%-*s" width header, fun (p : Report.bench_point) ->
+    Printf.sprintf "%-*s" width p.config)
+
 (* {2 Fig. 7} *)
 
 let fig7_servers = [ 1; 4; 8 ]
+let fig7_ops = [ "zoo_create"; "zoo_delete"; "zoo_set"; "zoo_get" ]
 
-(* [(op, [(servers, [(procs, rate)])])] *)
-let fig7_data ?(procs_list = default_procs) () =
-  let runs =
-    List.map
+(* One point per (op, servers, procs), its config the series label. *)
+let fig7 ?(procs_list = default_procs) () =
+  let points =
+    List.concat_map
       (fun servers ->
-        ( servers,
-          List.map (fun procs -> (procs, Systems.zk_raw ~servers ~procs ())) procs_list ))
+        let config =
+          Printf.sprintf "%d zk server%s" servers (if servers > 1 then "s" else "")
+        in
+        List.concat_map
+          (fun procs ->
+            let rates = Systems.zk_raw ~servers ~procs () in
+            List.map
+              (fun op ->
+                Report.point ~experiment:op ~procs ~config
+                  ~ops_per_sec:(List.assoc op rates) ())
+              fig7_ops)
+          procs_list)
       fig7_servers
   in
-  List.map
-    (fun op ->
-      ( op,
-        List.map
-          (fun (servers, by_procs) ->
-            ( servers,
-              List.map (fun (procs, rates) -> (procs, List.assoc op rates)) by_procs ))
-          runs ))
-    [ "zoo_create"; "zoo_delete"; "zoo_set"; "zoo_get" ]
-
-let fig7 ?procs_list () =
-  let data = fig7_data ?procs_list () in
   List.iter
-    (fun (op, by_servers) ->
-      let series =
-        List.map
-          (fun (servers, points) ->
-            { Report.label = Printf.sprintf "%d zk server%s" servers
-                  (if servers > 1 then "s" else "");
-              points })
-          by_servers
-      in
+    (fun op ->
       Report.print_figure
         ~title:(Printf.sprintf "Fig. 7 — ZooKeeper %s() throughput" op)
-        ~x_label:"procs" series)
-    data
+        op points)
+    fig7_ops;
+  (points, [])
 
 (* {2 The paper sweep}
 
    Figs. 8-10 and ablation-cmd read several mdtest phases of the same
-   (system, procs) points. [sweep] runs each [(label, system)]
-   series once at every procs count, prints one figure per phase (titled
-   [title] of the phase's name) from those runs, and returns them as
-   [(label, [(procs, results)])]. *)
+   (system, procs) points. [sweep] runs each [(label, system)] series
+   once at every procs count, keeps each run as its [mdtest-<phase>]
+   points of [phases] (config: the label), prints one figure per phase
+   (titled [title] of the phase's name) and returns the points. *)
 
 let sweep ~title ~procs_list ~phases series =
-  let runs =
-    List.map
-      (fun (label, system) ->
-        ( label,
-          List.map (fun procs -> (procs, Systems.mdtest system ~procs ())) procs_list ))
+  let points =
+    List.concat_map
+      (fun (config, system) ->
+        List.concat_map
+          (fun procs -> rate_points ~procs ~config phases (Systems.mdtest system ~procs ()))
+          procs_list)
       series
   in
   List.iter
     (fun phase ->
-      Report.print_figure
-        ~title:(title (Runner.phase_to_string phase))
-        ~x_label:"procs"
-        (List.map
-           (fun (label, points) ->
-             { Report.label;
-               points = List.map (fun (procs, r) -> (procs, Runner.rate r phase)) points
-             })
-           runs))
+      let name = Runner.phase_to_string phase in
+      Report.print_figure ~title:(title name) ("mdtest-" ^ name) points)
     phases;
-  runs
+  points
 
 let labelled systems =
   List.map (fun system -> (Systems.system_label system, system)) systems
@@ -89,79 +117,84 @@ let dufs_8zk_pvfs =
 (* {2 Fig. 8} *)
 
 let fig8 () =
-  ignore
-    (sweep
-       ~title:
-         (Printf.sprintf "Fig. 8 — %s vs number of ZooKeeper servers (2 Lustre backends)")
-       ~procs_list:bar_procs ~phases:Runner.all_phases
-       (("Basic Lustre", Systems.Basic_lustre)
-        :: List.map
-             (fun zk_servers ->
-               ( Printf.sprintf "%d Zookeeper" zk_servers,
-                 Systems.Dufs
-                   { zk_servers; backends = 2; backend_kind = Systems.Lustre } ))
-             [ 1; 4; 8 ]))
+  ( sweep
+      ~title:
+        (Printf.sprintf "Fig. 8 — %s vs number of ZooKeeper servers (2 Lustre backends)")
+      ~procs_list:bar_procs ~phases:Runner.all_phases
+      (("Basic Lustre", Systems.Basic_lustre)
+       :: List.map
+            (fun zk_servers ->
+              ( Printf.sprintf "%d Zookeeper" zk_servers,
+                Systems.Dufs { zk_servers; backends = 2; backend_kind = Systems.Lustre } ))
+            [ 1; 4; 8 ]),
+    [] )
 
 (* {2 Fig. 9} *)
 
 let fig9 () =
-  ignore
-    (sweep
-       ~title:(Printf.sprintf "Fig. 9 — %s vs number of backend storages")
-       ~procs_list:bar_procs
-       ~phases:[ Runner.File_create; Runner.File_remove; Runner.File_stat ]
-       (("Basic Lustre", Systems.Basic_lustre)
-        :: List.map
-             (fun backends ->
-               ( Printf.sprintf "DUFS %d Lustre backends" backends,
-                 Systems.Dufs
-                   { zk_servers = 8; backends; backend_kind = Systems.Lustre } ))
-             [ 2; 4 ]))
+  ( sweep
+      ~title:(Printf.sprintf "Fig. 9 — %s vs number of backend storages")
+      ~procs_list:bar_procs
+      ~phases:[ Runner.File_create; Runner.File_remove; Runner.File_stat ]
+      (("Basic Lustre", Systems.Basic_lustre)
+       :: List.map
+            (fun backends ->
+              ( Printf.sprintf "DUFS %d Lustre backends" backends,
+                Systems.Dufs { zk_servers = 8; backends; backend_kind = Systems.Lustre } ))
+            [ 2; 4 ]),
+    [] )
 
 (* {2 Fig. 10} *)
 
 let fig10 () =
-  ignore
-    (sweep
-       ~title:(Printf.sprintf "Fig. 10 — %s: DUFS vs Lustre and PVFS2")
-       ~procs_list:default_procs ~phases:Runner.all_phases
-       (labelled [ Systems.Basic_lustre; dufs_8zk; Systems.Basic_pvfs; dufs_8zk_pvfs ]))
+  ( sweep
+      ~title:(Printf.sprintf "Fig. 10 — %s: DUFS vs Lustre and PVFS2")
+      ~procs_list:default_procs ~phases:Runner.all_phases
+      (labelled [ Systems.Basic_lustre; dufs_8zk; Systems.Basic_pvfs; dufs_8zk_pvfs ]),
+    [] )
 
 (* {2 Headline ratios (§V-D)} *)
 
-(* Each of the four ratios, [(label, paper's value, measured)], beats 1
-   and lies within 0.7-1.3x of the paper's value. *)
-let headline_check ratios =
+(* Each point's [ratio] beats 1 and lies within 0.7-1.3x of its
+   [paper] value. *)
+let headline_check points =
   List.concat_map
-    (fun (label, paper, x) ->
+    (fun (p : Report.bench_point) ->
+      let paper = Report.phase p "paper" and x = Report.phase p "ratio" in
       Report.expect
         (x > 1. && x >= 0.7 *. paper && x <= 1.3 *. paper)
-        "%s: %.2fx, expected > 1 and within [%.2fx, %.2fx]" label x (0.7 *. paper)
+        "%s: %.2fx, expected > 1 and within [%.2fx, %.2fx]" p.config x (0.7 *. paper)
         (1.3 *. paper))
-    ratios
+    points
 
 let headline () =
   let run system = Systems.mdtest system ~procs:256 () in
   let lustre = run Systems.Basic_lustre and pvfs = run Systems.Basic_pvfs in
   let dufs_lustre = run dufs_8zk and dufs_pvfs = run dufs_8zk_pvfs in
-  let ratio phase dufs base = Runner.rate dufs phase /. Runner.rate base phase in
-  let ratios =
-    [ ( "directory create: DUFS(2xLustre) / Basic Lustre  (1.9)", 1.9,
-        ratio Runner.Dir_create dufs_lustre lustre );
-      ( "directory create: DUFS(2xPVFS) / Basic PVFS      (23)", 23.,
-        ratio Runner.Dir_create dufs_pvfs pvfs );
-      ( "file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)", 1.3,
-        ratio Runner.File_stat dufs_lustre lustre );
-      ( "file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)", 3.0,
-        ratio Runner.File_stat dufs_pvfs pvfs ) ]
+  let ratio label paper phase dufs base =
+    row_point "headline" ~procs:256 label
+      [ ("paper", paper); ("ratio", Runner.rate dufs phase /. Runner.rate base phase) ]
+  in
+  let points =
+    [ ratio "directory create: DUFS(2xLustre) / Basic Lustre  (1.9)" 1.9 Runner.Dir_create
+        dufs_lustre lustre;
+      ratio "directory create: DUFS(2xPVFS) / Basic PVFS      (23)" 23. Runner.Dir_create
+        dufs_pvfs pvfs;
+      ratio "file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)" 1.3 Runner.File_stat
+        dufs_lustre lustre;
+      ratio "file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)" 3.0 Runner.File_stat
+        dufs_pvfs pvfs ]
   in
   Report.print_header "§V-D headline ratios at 256 client processes (paper in parens)";
-  List.iter (fun (label, _, x) -> Report.print_ratio ~label x) ratios;
-  headline_check ratios
+  List.iter
+    (fun (p : Report.bench_point) ->
+      Report.print_ratio ~label:p.config (Report.phase p "ratio"))
+    points;
+  (points, headline_check points)
 
 (* {2 Fig. 11 — memory usage} *)
 
-let fig11_data ?(millions = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]) () =
+let fig11 ?(millions = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]) () =
   let zk = Zk.Zk_local.create () in
   let session = Zk.Zk_local.session zk in
   zk_ok (session.Zk.Zk_client.create "/m" ~data:"");
@@ -175,33 +208,37 @@ let fig11_data ?(millions = [ 0.5; 1.0; 1.5; 2.0; 2.5 ]) () =
   let dir_meta = Dufs.Meta.encode (Dufs.Meta.dir ~mode:0o755 ~ctime:0.) in
   let created = ref 0 in
   let mib = Zk.Memory_model.to_mib in
-  List.map
-    (fun m ->
-      let target = int_of_float (m *. 1e6) in
-      while !created < target do
-        zk_ok
-          (session.Zk.Zk_client.create (Printf.sprintf "/m/d%08d" !created) ~data:dir_meta);
-        incr created
-      done;
-      ( m,
-        mib (Zk.Zk_local.server_resident_bytes zk),
-        mib (Dufs.Client.resident_bytes dufs),
-        mib (Fuselike.Passthrough.resident_bytes passthrough) ))
-    (List.sort compare millions)
-
-let fig11 ?millions () =
-  let rows = fig11_data ?millions () in
+  let points =
+    List.map
+      (fun m ->
+        let target = int_of_float (m *. 1e6) in
+        while !created < target do
+          zk_ok
+            (session.Zk.Zk_client.create (Printf.sprintf "/m/d%08d" !created) ~data:dir_meta);
+          incr created
+        done;
+        row_point "fig11" ~procs:1 (Printf.sprintf "dirs=%gM" m)
+          [ ("millions", m);
+            ("zookeeper_mib", mib (Zk.Zk_local.server_resident_bytes zk));
+            ("dufs_mib", mib (Dufs.Client.resident_bytes dufs));
+            ("fuse_mib", mib (Fuselike.Passthrough.resident_bytes passthrough)) ])
+      (List.sort compare millions)
+  in
   Report.print_header "Fig. 11 — resident memory vs millions of directories created";
-  Printf.printf "%-12s %14s %14s %14s   [MiB]\n" "dirs (M)" "Zookeeper" "DUFS"
-    "Dummy FUSE";
-  List.iter
-    (fun (m, zk_mb, dufs_mb, fuse_mb) ->
-      Printf.printf "%-12.1f %14.0f %14.1f %14.1f\n" m zk_mb dufs_mb fuse_mb)
-    rows;
-  flush stdout
+  let cols : Report.column list =
+    [ ("Zookeeper", "zookeeper_mib", "%14.0f"); ("DUFS", "dufs_mib", "%14.1f");
+      ("Dummy FUSE", "fuse_mib", "%14.1f") ]
+  in
+  print_endline
+    (Printf.sprintf "%-12s" "dirs (M)" ^ Report.column_header cols ^ "   [MiB]");
+  Report.print_rows
+    (fun p -> Printf.sprintf "%-12.1f" (Report.phase p "millions"))
+    cols points;
+  (points, [])
 
-(* {2 Extension ablations}: each runs, prints, then gates on a pure
-   [*_check] of the claim its printed footnote makes. *)
+(* {2 Extension ablations}: each runs, prints its table from its
+   points, then gates on a pure [*_check] of the claim its printed
+   footnote makes. *)
 
 (* An ensemble with one session per process and the znode [root]. *)
 let sessions_with_root engine config ~procs root =
@@ -213,28 +250,36 @@ let sessions_with_root engine config ~procs root =
 
 (* {2 Ablation: mapping strategies} *)
 
-type mapping_row =
-  { n : int; mod_imbalance : float; mod_moved : float;
-    ring_imbalance : float; ring_moved : float }
+let mapping_mod = "MD5 mod N (paper)"
+let mapping_ring = "consistent hashing (§VII)"
 
 (* Growing N -> N+1 back-ends, MD5 mod N moves nearly the N/(N+1) of
    FIDs a fresh hash would, the ring about the 1/(N+1) share the new
    node takes; both keep the load even. *)
-let ablation_mapping_check rows =
+let ablation_mapping_check points =
   List.concat_map
-    (fun r ->
-      let n = float_of_int r.n in
+    (fun (p : Report.bench_point) ->
+      let n = Report.phase p "n" in
+      let at config =
+        Report.phase
+          (pick config
+             (fun (q : Report.bench_point) -> q.config = config && Report.phase q "n" = n)
+             points)
+      in
+      let md = at mapping_mod and ring = at mapping_ring in
       List.concat
-        [ Report.expect (r.mod_moved >= 0.95 *. n /. (n +. 1.))
-            "N=%d: MD5 mod N relocated %.1f%% of FIDs, expected >= %.1f%%" r.n
-            (100. *. r.mod_moved) (95. *. n /. (n +. 1.));
-          Report.expect (r.ring_moved <= 1.5 /. (n +. 1.) && r.ring_moved < r.mod_moved)
-            "N=%d: consistent hashing relocated %.1f%% of FIDs, expected <= %.1f%% \
-             and less than MD5 mod N" r.n (100. *. r.ring_moved) (150. /. (n +. 1.));
-          Report.expect (r.mod_imbalance <= 1.3 && r.ring_imbalance <= 1.3)
-            "N=%d: imbalance %.3f (MD5 mod N) / %.3f (consistent hashing), \
-             expected <= 1.3" r.n r.mod_imbalance r.ring_imbalance ])
-    rows
+        [ Report.expect (md "relocated_pct" >= 95. *. n /. (n +. 1.))
+            "N=%.0f: MD5 mod N relocated %.1f%% of FIDs, expected >= %.1f%%" n
+            (md "relocated_pct") (95. *. n /. (n +. 1.));
+          Report.expect
+            (ring "relocated_pct" <= 150. /. (n +. 1.)
+             && ring "relocated_pct" < md "relocated_pct")
+            "N=%.0f: consistent hashing relocated %.1f%% of FIDs, expected <= %.1f%% \
+             and less than MD5 mod N" n (ring "relocated_pct") (150. /. (n +. 1.));
+          Report.expect (md "imbalance" <= 1.3 && ring "imbalance" <= 1.3)
+            "N=%.0f: imbalance %.3f (MD5 mod N) / %.3f (consistent hashing), \
+             expected <= 1.3" n (md "imbalance") (ring "imbalance") ])
+    (List.filter (fun (p : Report.bench_point) -> p.config = mapping_mod) points)
 
 let ablation_mapping () =
   Report.print_header
@@ -247,134 +292,144 @@ let ablation_mapping () =
       (List.init 8 Fun.id)
   in
   let keys = List.map Dufs.Fid.to_bytes fids in
-  let rows =
-    List.map
+  let point strategy n imbalance moved =
+    row_point "ablation-mapping" ~procs:8 strategy
+      [ ("n", float_of_int n); ("imbalance", imbalance); ("relocated_pct", 100. *. moved) ]
+  in
+  let points =
+    List.concat_map
       (fun n ->
         let before = Dufs.Mapping.md5_mod ~backends:n in
         let after = Dufs.Mapping.md5_mod ~backends:(n + 1) in
         let moved = List.filter (fun fid -> before fid <> after fid) fids in
         let ring = Zk.Consistent_hash.create (List.init n Fun.id) in
-        { n;
-          mod_imbalance = Dufs.Mapping.imbalance before ~backends:n fids;
-          mod_moved = float_of_int (List.length moved) /. float_of_int (List.length fids);
-          ring_imbalance =
-            Dufs.Mapping.imbalance
-              (fun fid -> Zk.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
-              ~backends:n fids;
-          ring_moved =
-            Zk.Consistent_hash.relocated ~before:ring
-              ~after:(Zk.Consistent_hash.add_node ring n) keys })
+        [ point mapping_mod n
+            (Dufs.Mapping.imbalance before ~backends:n fids)
+            (float_of_int (List.length moved) /. float_of_int (List.length fids));
+          point mapping_ring n
+            (Dufs.Mapping.imbalance
+               (fun fid -> Zk.Consistent_hash.lookup ring (Dufs.Fid.to_bytes fid))
+               ~backends:n fids)
+            (Zk.Consistent_hash.relocated ~before:ring
+               ~after:(Zk.Consistent_hash.add_node ring n) keys) ])
       [ 2; 4; 8 ]
   in
-  Printf.printf "%-28s %12s %12s %18s\n" "strategy" "N" "imbalance"
-    "relocated N->N+1";
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "MD5 mod N (paper)" r.n
-        r.mod_imbalance (100. *. r.mod_moved);
-      Printf.printf "%-28s %12d %12.3f %17.1f%%\n" "consistent hashing (§VII)" r.n
-        r.ring_imbalance (100. *. r.ring_moved))
-    rows;
-  flush stdout;
-  ablation_mapping_check rows
+  Report.print_table (config_key "strategy" 28)
+    [ ("N", "n", "%12.0f"); ("imbalance", "imbalance", "%12.3f");
+      ("relocated N->N+1", "relocated_pct", "%17.1f%%") ]
+    points;
+  (points, ablation_mapping_check points)
 
 (* {2 Ablation: DUFS vs hypothetical Lustre Clustered MDS (§VI)} *)
 
-type cmd_row = { procs : int; lustre : float; cmd2 : float; cmd4 : float; dufs : float }
+let cmd_phases = [ Runner.Dir_create; Runner.Dir_stat ]
 
 (* More metadata servers shard lookups, so dir-stat rises with the MDS
    count; more mutations cross servers onto the global lock, so
    dir-create falls with it. DUFS beats both CMD variants on both. *)
-let ablation_cmd_check data =
+let ablation_cmd_check points =
+  let rates =
+    List.map
+      (fun (p : Report.bench_point) -> ((p.experiment, p.procs, p.config), p.ops_per_sec))
+      points
+  in
   List.concat_map
-    (fun (phase, rows) ->
+    (fun phase ->
+      let phase_name = Runner.phase_to_string phase in
       List.concat_map
-        (fun r ->
-          let at =
-            Printf.sprintf "%s at %d procs" (Runner.phase_to_string phase) r.procs
+        (fun procs ->
+          let rate system =
+            List.assoc ("mdtest-" ^ phase_name, procs, Systems.system_label system) rates
           in
+          let lustre = rate Systems.Basic_lustre and dufs = rate dufs_8zk in
+          let cmd2 = rate (Systems.Lustre_cmd 2) and cmd4 = rate (Systems.Lustre_cmd 4) in
+          let at = Printf.sprintf "%s at %d procs" phase_name procs in
           let ordered rel sign =
-            Report.expect (rel r.cmd4 r.cmd2 && rel r.cmd2 r.lustre)
+            Report.expect (rel cmd4 cmd2 && rel cmd2 lustre)
               "%s: CMD 4 %.0f, CMD 2 %.0f, Basic Lustre %.0f ops/s, expected CMD 4 \
-               %s CMD 2 %s Basic Lustre" at r.cmd4 r.cmd2 r.lustre sign sign
+               %s CMD 2 %s Basic Lustre" at cmd4 cmd2 lustre sign sign
           in
           (match phase with
            | Runner.Dir_stat -> ordered ( > ) ">"
            | _ -> ordered ( < ) "<")
-          @ Report.expect (r.dufs > Float.max r.cmd2 r.cmd4)
-              "%s: DUFS %.0f ops/s does not beat CMD 2 (%.0f) and CMD 4 (%.0f)" at
-              r.dufs r.cmd2 r.cmd4)
-        rows)
-    data
+          @ Report.expect (dufs > Float.max cmd2 cmd4)
+              "%s: DUFS %.0f ops/s does not beat CMD 2 (%.0f) and CMD 4 (%.0f)" at dufs cmd2
+              cmd4)
+        (List.sort_uniq compare (List.map (fun ((_, procs, _), _) -> procs) rates)))
+    cmd_phases
 
 let ablation_cmd () =
   Report.print_header
     "Ablation — DUFS vs Lustre Clustered MDS (CMD): global-lock cost of \
      cross-server updates";
-  let phases = [ Runner.Dir_create; Runner.Dir_stat ] in
-  let runs =
-    sweep ~title:(Printf.sprintf "ablation-cmd — %s") ~procs_list:bar_procs ~phases
+  let points =
+    sweep ~title:(Printf.sprintf "ablation-cmd — %s") ~procs_list:bar_procs
+      ~phases:cmd_phases
       (labelled
          [ Systems.Basic_lustre; Systems.Lustre_cmd 2; Systems.Lustre_cmd 4; dufs_8zk ])
-  in
-  let row phase procs =
-    let rate system =
-      Runner.rate (List.assoc procs (List.assoc (Systems.system_label system) runs)) phase
-    in
-    { procs; lustre = rate Systems.Basic_lustre; cmd2 = rate (Systems.Lustre_cmd 2);
-      cmd4 = rate (Systems.Lustre_cmd 4); dufs = rate dufs_8zk }
   in
   print_endline
     "  (CMD shards lookups nicely, but ~1/2 of 2-MDS mutations and ~3/4 of\n\
     \   4-MDS mutations cross servers and serialize on the global lock —\n\
     \   the consistency cost §VI predicts; DUFS replaces that lock with\n\
     \   ZooKeeper's totally-ordered broadcast)";
-  flush stdout;
-  ablation_cmd_check
-    (List.map (fun phase -> (phase, List.map (row phase) bar_procs)) phases)
+  (points, ablation_cmd_check points)
 
 (* {2 Ablation: shared vs unique working directories (mdtest -u)} *)
 
-type unique_ablation = {
-  lustre_rows : (Runner.phase * float * float) list;
-  dufs_rows : (Runner.phase * float * float) list;
-}
+let unique_phases = [ Runner.Dir_create; Runner.File_create ]
 
 (* Private directories end Lustre's DLM lock ping-pong, so -u gains it
    at least 10%; znode creates take no directory lock, so DUFS moves by
    at most 2%. *)
-let ablation_unique_check r =
-  let ratios system ok claim =
-    List.concat_map (fun (phase, shared, unique) ->
-        Report.expect (ok (unique /. shared)) "%s %s: unique/shared %.3f, expected %s"
-          system (Runner.phase_to_string phase) (unique /. shared) claim)
+let ablation_unique_check points =
+  let ratios name system ok claim =
+    let config = Systems.system_label system in
+    let mode unique =
+      Report.phase
+        (pick config
+           (fun (p : Report.bench_point) ->
+             p.config = config && Report.phase p "unique" = flag unique)
+           points)
+    in
+    List.concat_map
+      (fun phase ->
+        let phase = Runner.phase_to_string phase in
+        let x = mode true phase /. mode false phase in
+        Report.expect (ok x) "%s %s: unique/shared %.3f, expected %s" name phase x claim)
+      unique_phases
   in
-  ratios "Basic Lustre" (fun x -> x >= 1.10) ">= 1.10" r.lustre_rows
-  @ ratios "DUFS" (fun x -> Float.abs (x -. 1.) <= 0.02) "within 2% of 1" r.dufs_rows
+  ratios "Basic Lustre" Systems.Basic_lustre (fun x -> x >= 1.10) ">= 1.10"
+  @ ratios "DUFS" dufs_8zk (fun x -> Float.abs (x -. 1.) <= 0.02) "within 2% of 1"
 
 let ablation_unique () =
   Report.print_header
     "Ablation — shared leaf dirs vs unique per-process dirs (mdtest -u), 256 procs";
-  Printf.printf "%-22s %-10s %14s %14s\n" "system" "mode" "dir-create/s" "file-create/s";
-  let rows system label =
-    let shared = Systems.mdtest system ~procs:256 () in
-    let unique = Systems.mdtest ~unique:true system ~procs:256 () in
-    List.iter
-      (fun (mode, r) ->
-        Printf.printf "%-22s %-10s %14.0f %14.0f\n" label mode
-          (Runner.rate r Runner.Dir_create) (Runner.rate r Runner.File_create))
-      [ ("shared", shared); ("unique", unique) ];
-    List.map
-      (fun phase -> (phase, Runner.rate shared phase, Runner.rate unique phase))
-      [ Runner.Dir_create; Runner.File_create ]
+  let points =
+    List.concat_map
+      (fun system ->
+        List.map
+          (fun unique ->
+            let r = Systems.mdtest ~unique system ~procs:256 () in
+            row_point "ablation-unique" ~procs:256 (Systems.system_label system)
+              (("unique", flag unique)
+               :: List.map
+                    (fun ph -> (Runner.phase_to_string ph, Runner.rate r ph))
+                    unique_phases))
+          [ false; true ])
+      [ Systems.Basic_lustre; dufs_8zk ]
   in
-  let lustre_rows = rows Systems.Basic_lustre "Basic Lustre" in
-  let dufs_rows = rows dufs_8zk "DUFS 2xLustre/8zk" in
+  Report.print_table
+    ( Printf.sprintf "%-22s %-10s" "system" "mode",
+      fun p ->
+        Printf.sprintf "%-22s %-10s" p.config
+          (if Report.phase p "unique" = 1. then "unique" else "shared") )
+    [ ("dir-create/s", "dir-create", "%14.0f"); ("file-create/s", "file-create", "%14.0f") ]
+    points;
   print_endline
     "  (Lustre gains from -u because private directories end the DLM lock\n\
     \   ping-pong; DUFS is indifferent — znode creates take no directory lock)";
-  flush stdout;
-  ablation_unique_check { lustre_rows; dufs_rows }
+  (points, ablation_unique_check points)
 
 (* {2 Ablation: observers — read capacity without quorum cost} *)
 
@@ -398,45 +453,45 @@ let observer_rates ~servers ~observers ~procs =
   in
   (writes, reads)
 
+let observer_label (voters, observers) =
+  if observers = 0 then Printf.sprintf "%d voters" voters
+  else Printf.sprintf "%d voters + %d observers" voters observers
+
 (* Observers serve reads but never vote: 3 voters + 4 observers keep 95%
    of 7 voters' gets/s and of 3 voters' creates/s, while 7 voters pay a
    larger quorum on every create. *)
-let ablation_observers_check rows =
-  let creates_3, _ = List.assoc (3, 0) rows in
-  let creates_7, gets_7 = List.assoc (7, 0) rows in
-  let creates_obs, gets_obs = List.assoc (3, 4) rows in
+let ablation_observers_check points =
+  let ensemble shape = Report.phase (at_config (observer_label shape) points) in
+  let v3 = ensemble (3, 0) and v7 = ensemble (7, 0) and obs = ensemble (3, 4) in
   List.concat
-    [ Report.expect (gets_obs >= 0.95 *. gets_7)
-        "3 voters + 4 observers: %.0f gets/s, below 95%% of 7 voters' %.0f"
-        gets_obs gets_7;
-      Report.expect (creates_obs >= 0.95 *. creates_3)
+    [ Report.expect (obs "gets" >= 0.95 *. v7 "gets")
+        "3 voters + 4 observers: %.0f gets/s, below 95%% of 7 voters' %.0f" (obs "gets")
+        (v7 "gets");
+      Report.expect (obs "creates" >= 0.95 *. v3 "creates")
         "3 voters + 4 observers: %.0f creates/s, below 95%% of 3 voters' %.0f"
-        creates_obs creates_3;
-      Report.expect (creates_7 < creates_3)
-        "7 voters: %.0f creates/s, not below 3 voters' %.0f" creates_7 creates_3 ]
+        (obs "creates") (v3 "creates");
+      Report.expect (v7 "creates" < v3 "creates")
+        "7 voters: %.0f creates/s, not below 3 voters' %.0f" (v7 "creates") (v3 "creates") ]
 
 let ablation_observers () =
   Report.print_header
     "Ablation — non-voting observers: read capacity without quorum cost (256 procs)";
-  let rows =
+  let points =
     List.map
-      (fun (servers, observers) ->
-        ((servers, observers), observer_rates ~servers ~observers ~procs:256))
+      (fun (voters, observers) ->
+        let creates, gets = observer_rates ~servers:voters ~observers ~procs:256 in
+        row_point "ablation-observers" ~procs:256
+          (observer_label (voters, observers))
+          [ ("creates", creates); ("gets", gets) ])
       [ (3, 0); (7, 0); (3, 4) ]
   in
-  Printf.printf "%-28s %14s %14s\n" "ensemble" "creates/s" "gets/s";
-  List.iter
-    (fun ((voters, observers), (writes, reads)) ->
-      Printf.printf "%-28s %14.0f %14.0f\n"
-        (if observers = 0 then Printf.sprintf "%d voters" voters
-         else Printf.sprintf "%d voters + %d observers" voters observers)
-        writes reads)
-    rows;
+  Report.print_table (config_key "ensemble" 28)
+    [ ("creates/s", "creates", "%14.0f"); ("gets/s", "gets", "%14.0f") ]
+    points;
   print_endline
     "  (observers apply commits and serve reads but never vote: they buy\n\
     \   close to 7-server read capacity at close to 3-server write cost)";
-  flush stdout;
-  ablation_observers_check rows
+  (points, ablation_observers_check points)
 
 (* {2 Ablation: GIGA+-style directory indexing (§VI)} *)
 
@@ -484,35 +539,47 @@ let giga_single_dir_rate ~procs variant =
   Mdtest.Runner.closed_loop engine ~procs ~items:100 (fun ~proc ~item ->
       create proc (Printf.sprintf "f%d_%d" proc item))
 
-type giga_ablation = {
-  creates : ([ `Lustre | `Dufs | `Giga of int ] * (int * float) list) list;
-  available : float;
-}
+let giga_label = function
+  | `Lustre -> "Basic Lustre (DLM lock)"
+  | `Dufs -> "DUFS 8zk"
+  | `Giga servers -> Printf.sprintf "GIGA+ %d servers" servers
 
 (* GIGA+ has no shared state, so 8 servers insert at least as fast as 4,
    and 4 at least 10x faster than DUFS or Lustre; but its partitions are
    unreplicated, so one crash leaves part, not all or none, of the
-   directory reachable. *)
-let ablation_giga_check r =
-  let rate variant procs = List.assoc procs (List.assoc variant r.creates) in
+   directory reachable. Each system's point has its creates/s per
+   ["<n> procs"] phase. *)
+let ablation_giga_check points =
+  let rate config column = Report.phase (at_config config points) column in
   List.concat_map
     (fun (procs, _) ->
-      let giga4 = rate (`Giga 4) procs and giga8 = rate (`Giga 8) procs in
-      let best = Float.max (rate `Lustre procs) (rate `Dufs procs) in
+      let giga4 = rate (giga_label (`Giga 4)) procs
+      and giga8 = rate (giga_label (`Giga 8)) procs in
+      let best = Float.max (rate (giga_label `Lustre) procs) (rate (giga_label `Dufs) procs) in
       Report.expect (giga8 >= giga4 && giga4 >= 10. *. best)
-        "%d procs: GIGA+ 8 servers %.0f, 4 servers %.0f creates/s, expected 8 >= 4 \
+        "%s: GIGA+ 8 servers %.0f, 4 servers %.0f creates/s, expected 8 >= 4 \
          >= 10x the better of DUFS and Lustre (%.0f)" procs giga8 giga4 best)
-    (List.assoc `Lustre r.creates)
-  @ Report.expect (r.available > 0. && r.available < 1.)
-      "availability after losing 1 of 8 GIGA+ servers is %.1f%%, expected \
-       strictly between 0 and 100%%" (100. *. r.available)
+    (at_config (giga_label `Lustre) points).phases
+  @
+  let available =
+    Report.phase (the_point "ablation-giga-availability" points) "available"
+  in
+  Report.expect (available > 0. && available < 1.)
+    "availability after losing 1 of 8 GIGA+ servers is %.1f%%, expected \
+     strictly between 0 and 100%%" (100. *. available)
 
 let ablation_giga () =
   Report.print_header
     "Ablation — creates in ONE huge directory: GIGA+ indexing vs DUFS vs Lustre";
+  let procs_list = [ 64; 256 ] in
+  let column procs = Printf.sprintf "%d procs" procs in
   let creates =
     List.map
-      (fun v -> (v, List.map (fun p -> (p, giga_single_dir_rate ~procs:p v)) [ 64; 256 ]))
+      (fun variant ->
+        row_point "ablation-giga" ~procs:256 (giga_label variant)
+          (List.map
+             (fun procs -> (column procs, giga_single_dir_rate ~procs variant))
+             procs_list))
       [ `Lustre; `Dufs; `Giga 4; `Giga 8 ]
   in
   (* the price §VI points out: unreplicated partitions *)
@@ -521,17 +588,11 @@ let ablation_giga () =
   in
   Gigaplus.Giga.crash_server t 0;
   let available = Gigaplus.Giga.available_fraction t in
-  Printf.printf "%-26s %14s %14s   [creates/s]\n" "system" "64 procs" "256 procs";
-  List.iter
-    (fun (variant, points) ->
-      Printf.printf "%-26s"
-        (match variant with
-         | `Lustre -> "Basic Lustre (DLM lock)"
-         | `Dufs -> "DUFS 8zk"
-         | `Giga servers -> Printf.sprintf "GIGA+ %d servers" servers);
-      List.iter (fun (_, rate) -> Printf.printf " %14.0f" rate) points;
-      print_newline ())
-    creates;
+  let cols : Report.column list =
+    List.map (fun procs -> (column procs, column procs, ("%14.0f" : _ format))) procs_list
+  and header, key = config_key "system" 26 in
+  print_endline (header ^ Report.column_header cols ^ "   [creates/s]");
+  Report.print_rows key cols creates;
   Printf.printf
     "availability after losing 1 of 8 GIGA+ servers: %.1f%% of the directory\n"
     (100. *. available);
@@ -539,8 +600,12 @@ let ablation_giga () =
     "  (GIGA+ out-scales both on pure insert rate — no shared state — but a\n\
     \   single server loss makes part of the namespace unreachable; DUFS keeps\n\
     \   100% availability while a quorum of coordination servers survives)";
-  flush stdout;
-  ablation_giga_check { creates; available }
+  let points =
+    creates
+    @ [ row_point "ablation-giga-availability" ~procs:1 "servers=8|crashed=1"
+          [ ("available", available) ] ]
+  in
+  (points, ablation_giga_check points)
 
 (* {2 Ablation: client-side metadata cache} *)
 
@@ -565,29 +630,23 @@ let cache_stat_rate ~procs ~cached =
   Mdtest.Runner.closed_loop engine ~procs ~items:300 (fun ~proc ~item ->
       ignore (sessions.(proc).Zk.Zk_client.get (Printf.sprintf "/hot%d" ((proc + item) mod 10))))
 
-type cache_ablation = {
-  mdtest_rows : (Runner.phase * float * float) list;
-  hot_rows : (int * float * float) list;
-}
-
 (* mdtest is scan-once, so the cache must be neutral there: within 2%
    of uncached DUFS. The hot loop re-references, so the cache must pay
    off by at least 20x at every scale. *)
-let ablation_cache_check r =
+let ablation_cache_check points =
   List.concat_map
-    (fun (phase, plain, cached) ->
-      Report.expect
-        (Float.abs ((cached /. plain) -. 1.) <= 0.02)
-        "mdtest %s: DUFS+cache %.0f ops/s is not within 2%% of DUFS %.0f ops/s"
-        (Runner.phase_to_string phase) cached plain)
-    r.mdtest_rows
-  @ List.concat_map
-      (fun (procs, plain, cached) ->
+    (fun (p : Report.bench_point) ->
+      let a = Report.phase p in
+      if p.experiment = "ablation-cache-mdtest" then
         Report.expect
-          (cached /. plain >= 20.)
-          "hot-entry stat loop at %d procs: %.1fx speedup, expected >= 20x"
-          procs (cached /. plain))
-      r.hot_rows
+          (Float.abs ((a "cached" /. a "uncached") -. 1.) <= 0.02)
+          "mdtest %s: DUFS+cache %.0f ops/s is not within 2%% of DUFS %.0f ops/s" p.config
+          (a "cached") (a "uncached")
+      else
+        Report.expect (a "speedup" >= 20.)
+          "hot-entry stat loop at %d procs: %.1fx speedup, expected >= 20x" p.procs
+          (a "speedup"))
+    points
 
 let ablation_cache ?(procs = 256) ?(items = 60) ?(hot_procs = [ 64; 256 ]) () =
   Report.print_header
@@ -598,40 +657,42 @@ let ablation_cache ?(procs = 256) ?(items = 60) ?(hot_procs = [ 64; 256 ]) () =
     Systems.mdtest ~dirs_per_proc:items ~files_per_proc:items system ~procs ()
   in
   let plain = run (Systems.Dufs spec) and cached = run (Systems.Dufs_cached spec) in
-  Printf.printf "mdtest (each entry touched once per phase, %d procs):\n" procs;
-  Printf.printf "  %-14s %14s %14s\n" "phase" "DUFS" "DUFS+cache";
-  let mdtest_rows =
+  let mdtest =
     List.map
       (fun phase ->
-        let plain = Runner.rate plain phase and cached = Runner.rate cached phase in
-        Printf.printf "  %-14s %14.0f %14.0f\n" (Runner.phase_to_string phase) plain
-          cached;
-        (phase, plain, cached))
+        row_point "ablation-cache-mdtest" ~procs (Runner.phase_to_string phase)
+          [ ("uncached", Runner.rate plain phase); ("cached", Runner.rate cached phase) ])
       [ Runner.Dir_stat; Runner.Dir_create ]
   in
-  print_endline
-    "  (neutral, as expected: a scan-once workload has no re-references,\n\
-    \   and a leased read costs exactly one visit, like an uncached one)";
   (* part 2: re-reference workload — where client caching pays off *)
-  Printf.printf "\nhot-entry stat loop (10 shared dirs re-stat'd 300x per client):\n";
-  Printf.printf "  %-8s %16s %16s %10s\n" "procs" "uncached (op/s)" "cached (op/s)"
-    "speedup";
-  let hot_rows =
+  let hot =
     List.map
       (fun procs ->
         let plain = cache_stat_rate ~procs ~cached:false in
         let cached = cache_stat_rate ~procs ~cached:true in
-        Printf.printf "  %-8d %16.0f %16.0f %9.1fx\n" procs plain cached
-          (cached /. plain);
-        (procs, plain, cached))
+        row_point "ablation-cache-hot" ~procs "hot-stat"
+          [ ("uncached", plain); ("cached", cached); ("speedup", cached /. plain) ])
       hot_procs
   in
+  Printf.printf "mdtest (each entry touched once per phase, %d procs):\n" procs;
+  Report.print_table
+    (Printf.sprintf "  %-14s" "phase", fun p -> Printf.sprintf "  %-14s" p.config)
+    [ ("DUFS", "uncached", "%14.0f"); ("DUFS+cache", "cached", "%14.0f") ]
+    mdtest;
+  print_endline
+    "  (neutral, as expected: a scan-once workload has no re-references,\n\
+    \   and a leased read costs exactly one visit, like an uncached one)";
+  Printf.printf "\nhot-entry stat loop (10 shared dirs re-stat'd 300x per client):\n";
+  Report.print_table
+    (Printf.sprintf "  %-8s" "procs", fun p -> Printf.sprintf "  %-8d" p.procs)
+    [ ("uncached (op/s)", "uncached", "%16.0f"); ("cached (op/s)", "cached", "%16.0f");
+      ("speedup", "speedup", "%9.1fx") ]
+    hot;
   print_endline
     "  (hits are served locally; lease revocations keep remote updates\n\
     \   visible — the consistency overhead §VI says usually forces client\n\
     \   caching off is carried by the coordination service instead)";
-  flush stdout;
-  ablation_cache_check { mdtest_rows; hot_rows }
+  (mdtest @ hot, ablation_cache_check (mdtest @ hot))
 
 (* {2 Ablation: synchronous vs pipelined (async) coordination API} *)
 
@@ -670,8 +731,15 @@ let pipelined_create_rate ~servers ~clients ~per_client ~window =
 (* One synchronous client leaves the write pipeline idle: a window of 16
    recovers at least 2.5x of it, and a window of 4 loses nothing. Eight
    clients saturate the pipeline, so the window moves nothing (2%). *)
-let ablation_async_check rows =
-  let rate clients window = List.assoc (clients, window) rows in
+let ablation_async_check points =
+  let rate clients window =
+    let config = Printf.sprintf "window=%d" window in
+    Report.phase
+      (pick config
+         (fun (p : Report.bench_point) -> p.procs = clients && p.config = config)
+         points)
+      "creates"
+  in
   let saturated = List.map (rate 8) [ 1; 4; 16 ] in
   let lo = List.fold_left Float.min infinity saturated in
   let hi = List.fold_left Float.max 0. saturated in
@@ -688,36 +756,36 @@ let ablation_async_check rows =
 let ablation_async () =
   Report.print_header
     "Ablation — synchronous API (paper §IV-D) vs pipelined async API, creates";
-  let rows =
+  let points =
     List.concat_map
       (fun clients ->
         List.map
           (fun window ->
-            ( (clients, window),
-              pipelined_create_rate ~servers:8 ~clients ~per_client:200 ~window ))
+            row_point "ablation-async" ~procs:clients (Printf.sprintf "window=%d" window)
+              [ ("window", float_of_int window);
+                ( "creates",
+                  pipelined_create_rate ~servers:8 ~clients ~per_client:200 ~window ) ])
           [ 1; 4; 16 ])
       [ 1; 2; 8 ]
   in
-  Printf.printf "%-34s %10s %14s\n" "configuration" "window" "creates/s";
-  List.iter
-    (fun ((clients, window), rate) ->
-      Printf.printf "%2d clients / 8 zk servers %10d %14.0f\n" clients window rate)
-    rows;
+  Report.print_table
+    ( Printf.sprintf "%-34s" "configuration",
+      fun p -> Printf.sprintf "%2d clients / 8 zk servers" p.procs )
+    [ ("window", "window", "%10.0f"); ("creates/s", "creates", "%14.0f") ]
+    points;
   print_endline
     "  (few synchronous clients cannot saturate the write pipeline —\n\
     \   async windows recover the throughput that §V needed 64+ processes\n\
     \   to reach)";
-  flush stdout;
-  ablation_async_check rows
+  (points, ablation_async_check points)
 
 (* {2 A DUFS run is its bench points}
 
-   The drivers from here on reduce each {!Systems.dufs_mdtest} run to
-   its bench points the moment it finishes: one [mdtest-<phase>] point
-   per phase, one [zk-<op>-breakdown] point per traced write kind and,
-   where a driver prints or gates on more, one accounting point whose
-   phases carry it. Tables, ratios and gates read those points only, so
-   no run's router or trace outlives its reduction. *)
+   The drivers from here on keep each {!Systems.dufs_mdtest} run as one
+   [mdtest-<phase>] point per phase, one [zk-<op>-breakdown] point per
+   traced write kind and, where a driver prints or gates on more, one
+   accounting point whose phases carry it, so no run's router or trace
+   outlives its reduction. *)
 
 (* One [mdtest-<phase>] point per phase that recorded latency samples. *)
 let mdtest_points ~procs ~config results =
@@ -767,15 +835,6 @@ let breakdown_points ~ops ~procs ~config (r : Systems.dufs_run) =
 let run_points ~ops ~procs ~config (r : Systems.dufs_run) =
   mdtest_points ~procs ~config r.Systems.results @ breakdown_points ~ops ~procs ~config r
 
-let find_point experiment points =
-  List.find_opt (fun (p : Report.bench_point) -> p.Report.experiment = experiment) points
-
-(* The accounting point every run of a driver makes. *)
-let the_point experiment points =
-  match find_point experiment points with
-  | Some p -> p
-  | None -> invalid_arg (experiment ^ ": a run without its accounting point")
-
 let mdtest_point points phase = find_point ("mdtest-" ^ Runner.phase_to_string phase) points
 
 let mdtest_rate points phase =
@@ -789,8 +848,6 @@ let breakdown points op =
       Option.map
         (fun (l : Report.latency_stats) -> (l.Report.samples, l.Report.mean_s, p.Report.phases))
         p.Report.latency)
-
-let flag b = if b then 1. else 0.
 
 (* The logical census at the file-stat barrier, as accounting phases. *)
 let census_phases (r : Systems.dufs_run) =
@@ -821,13 +878,7 @@ let fault_plans =
    [faults-accounting] point. *)
 let faults_points ~procs ~label ~plan (r : Systems.dufs_run) =
   let config = label ^ "|zk=5|backends=2xLustre" in
-  List.map
-    (fun phase ->
-      Report.point
-        ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-        ~procs ~config
-        ~ops_per_sec:(Runner.rate r.Systems.results phase) ())
-    Runner.all_phases
+  rate_points ~procs ~config Runner.all_phases r.Systems.results
   @ [ Report.point ~experiment:"faults-accounting" ~procs ~config ~ops_per_sec:0.
         ~phases:
           (List.map
@@ -1154,26 +1205,12 @@ let sharding ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
   (* throughput, one figure per op of interest *)
   List.iter
     (fun phase ->
-      let by_config =
-        List.sort_uniq compare
-          (List.map (fun ((s, v, b, _), _) -> (s, v, b)) data)
-      in
+      let name = Runner.phase_to_string phase in
       Report.print_figure
         ~title:
-          (Printf.sprintf "Sharding — mdtest %s, %d coordination servers total"
-             (Runner.phase_to_string phase)
-             (match by_config with (s, v, _) :: _ -> s * v | [] -> 0))
-        ~x_label:"procs"
-        (List.map
-           (fun (s, v, b) ->
-             { Report.label = sharding_config_label ~shards:s ~servers:v ~max_batch:b;
-               points =
-                 List.filter_map
-                   (fun ((s', v', b', procs), points) ->
-                     if (s', v', b') = (s, v, b) then Some (procs, mdtest_rate points phase)
-                     else None)
-                   data })
-           by_config))
+          (Printf.sprintf "Sharding — mdtest %s, %d coordination servers total" name
+             (match topologies with (s, v) :: _ -> s * v | [] -> 0))
+        ("mdtest-" ^ name) (List.concat_map snd data))
     sharding_phases;
   (* the backlog itself: mean queue-wait per coordination write, overall
      and per shard, plus the znode balance and accounting *)
@@ -1267,33 +1304,11 @@ let over_shards router f op init =
 
 let shard_sum router f = over_shards router f ( + ) 0
 
-(* A bench point holds finite numbers only; -1 marks one that is
-   missing (a run that never recovered, a sweep with no recovery) and
-   prints as the nan it stands for. *)
-let or_missing x = if Float.is_finite x then x else -1.
-let missing_as_nan x = if x = -1. then Float.nan else x
-
 (* One phase folded over a sweep's points. *)
 let fold_phase op init name points =
   List.fold_left (fun acc (_, p) -> op acc (Report.phase p name)) init points
 
 let phase_total name points = fold_phase ( +. ) 0. name points
-
-(* A sweep's table, one column per phase: [(header, phase, format)],
-   each header right-aligned to its format's width. *)
-type column = string * string * (float -> string, unit, string) format
-
-let column_header (cols : column list) =
-  String.concat ""
-    (List.map
-       (fun (h, _, fmt) -> Printf.sprintf " %*s" (String.length (Printf.sprintf fmt 0.)) h)
-       cols)
-
-let column_cells (cols : column list) p =
-  String.concat ""
-    (List.map
-       (fun (_, name, fmt) -> " " ^ Printf.sprintf fmt (missing_as_nan (Report.phase p name)))
-       cols)
 
 (* {2 Chaos — randomized network fault schedules + linearizability oracle}
 
@@ -1372,7 +1387,7 @@ let chaos_reduce ~shape (shards, seed) (r : Systems.dufs_run) =
         ("ops_checked", float_of_int r.Systems.history_checked);
         ("ops_recorded", float_of_int r.Systems.history_recorded);
         ("undetermined", float_of_int r.Systems.history_undetermined);
-        ("recovery_s", or_missing a.Systems.recovery_s);
+        ("recovery_s", Report.or_missing a.Systems.recovery_s);
         ("sessions_expired", sum Zk.Ensemble.sessions_expired);
         ("dedup_hits", sum Zk.Ensemble.dedup_hits);
         ("dedup_evictions", sum Zk.Ensemble.dedup_evictions);
@@ -1380,7 +1395,7 @@ let chaos_reduce ~shape (shards, seed) (r : Systems.dufs_run) =
         ("stale_reads_served", sum Zk.Ensemble.stale_reads_served) ]
     ()
 
-let chaos_columns : column list =
+let chaos_columns : Report.column list =
   [ ("recorded", "ops_recorded", "%9.0f");
     ("checked", "ops_checked", "%8.0f");
     ("undet", "undetermined", "%7.0f");
@@ -1416,7 +1431,7 @@ let chaos_summary ~shape ~deterministic points =
     List.map (fun (_, p) -> Report.phase p "recovery_s") points
     |> List.filter (( <> ) (-1.)) |> Array.of_list
   in
-  let pct q = or_missing (Simkit.Stat.percentile recoveries q) in
+  let pct q = Report.or_missing (Simkit.Stat.percentile recoveries q) in
   Report.point ~experiment:"chaos-summary" ~procs:shape.clients
     ~config:(Printf.sprintf "runs=%d|zk=%d" (List.length points) shape.servers)
     ~ops_per_sec:(checked /. (shape.heal_at +. shape.post_heal))
@@ -1438,17 +1453,17 @@ let chaos ?(runs = chaos_runs_default) ?(shape = chaos_shape) () =
         duplication, crashes) over %d-server-per-shard ensembles, %d clients; \
         Wing-Gong linearizability check over every recorded history"
        (List.length runs) shape.servers shape.clients);
-  Printf.printf "%6s %7s%s\n" "shards" "seed" (column_header chaos_columns);
+  Printf.printf "%6s %7s%s\n" "shards" "seed" (Report.column_header chaos_columns);
   let points, deterministic =
     seed_sweep
       ~run:(fun (shards, seed) -> chaos_point ~shape ~shards ~seed ())
       ~point:(chaos_reduce ~shape)
       ~print:(fun (shards, seed) p ->
-        Printf.printf "%6d %7Ld%s\n%!" shards seed (column_cells chaos_columns p))
+        Printf.printf "%6d %7Ld%s\n%!" shards seed (Report.column_cells chaos_columns p))
       runs
   in
   let summary = chaos_summary ~shape ~deterministic points in
-  let s name = missing_as_nan (Report.phase summary name) in
+  let s name = Report.missing_as_nan (Report.phase summary name) in
   Printf.printf
     "\ntotal: %.0f ops checked, %.0f violations; recovery p50=%.2fs p95=%.2fs \
      max=%.2fs (%.0f/%.0f runs recovered); seed %Ld re-run digest %s\n%!"
@@ -1743,7 +1758,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
           "    shards=%d seed=%-4Ld checked=%-6.0f violations=%.0f \
            recovery=%.2fs\n%!"
           shards seed (phase "ops_checked") (phase "violations")
-          (missing_as_nan (phase "recovery_s")))
+          (Report.missing_as_nan (phase "recovery_s")))
       chaos_runs
   in
   let total_violations = phase_total "violations" chaos_points in
@@ -1934,7 +1949,7 @@ let durability_reduce ~procs (seed, flavor) (r : Systems.dufs_run) =
         ("transfer.snaps", sum Zk.Ensemble.transfer_snaps) ]
     ()
 
-let durability_columns : column list =
+let durability_columns : Report.column list =
   [ ("recorded", "ops_recorded", "%9.0f");
     ("audited", "registers_audited", "%7.0f");
     ("undet", "undetermined", "%6.0f");
@@ -1981,7 +1996,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
         %d-proc mdtest over %d-server ensembles; checksummed-WAL recovery \
         + durability oracle"
        (List.length seeds) procs durability_servers);
-  Printf.printf "%5s %14s%s\n" "seed" "flavor" (column_header durability_columns);
+  Printf.printf "%5s %14s%s\n" "seed" "flavor" (Report.column_header durability_columns);
   let registers = durability_registers ~clients:reg_clients ~ops_per_client in
   let run (seed, flavor) =
     let plan = durability_plan ~servers:durability_servers ~seed ~flavor in
@@ -1991,7 +2006,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   in
   let print (seed, flavor) p =
     Printf.printf "%5Ld %14s%s%s%s\n%!" seed flavor
-      (column_cells durability_columns p)
+      (Report.column_cells durability_columns p)
       (if Report.phase p "power_failure_recovered" = 1. then "" else "  NOT-RECOVERED")
       (if Report.phase p "replicas_agree" = 1. then "" else "  REPLICAS-DISAGREE")
   in

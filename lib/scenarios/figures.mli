@@ -1,148 +1,134 @@
 (** One driver per table/figure of the paper's evaluation (§V), plus the
     extension ablations, each declared once in {!Experiments.table}.
-    Each [figN] function runs each of its
-    (system, procs) points once and prints the same rows/series the
-    paper plots, every phase read from that one run;
-    {!fig11_data} also returns Fig. 11's numbers for tests. Every other
-    driver prints its table and returns its check failures (empty =
-    pass), after its bench points when it writes a BENCH file; only
-    {!Experiments.run} writes the file and gates the run. A driver over
-    {!Systems.dufs_mdtest} runs keeps each run only as its bench points,
-    reduced as the run finishes, and prints its tables from them; each
-    gated experiment's [*_check] is a pure function of those points, so
-    tests can exercise a gate without running the experiment. *)
+    Every driver reduces each run to {!Mdtest.Report.bench_point}s as it
+    finishes, prints its figures or tables from those points and
+    returns them with its check failures (empty = pass); only
+    {!Experiments.run} writes a BENCH file and gates a run. A figure
+    plots one experiment's ops/s by procs, one series per config, as the
+    paper does; a table prints one row per point. Each gated
+    experiment's [*_check] is a pure function of its points, so tests
+    exercise a gate without running the experiment. *)
 
-(** {2 Fig. 7 — raw ZooKeeper op throughput vs ensemble size} *)
+(** {2 The paper's figures and headline}
 
-val fig7 : ?procs_list:int list -> unit -> unit
+    Each runs its (system, procs) points once and keeps one point per
+    plotted op or phase: Fig. 7 one [zoo_<op>] point per ensemble size
+    (config ["<n> zk server(s)"]), Figs. 8-10 one [mdtest-<phase>]
+    point per system (config: its series label). *)
 
-(** {2 Fig. 8 — DUFS vs #ZooKeeper servers (2 Lustre back-ends)} *)
+(** Fig. 7 — raw ZooKeeper op throughput vs ensemble size, at
+    [procs_list] (default 16/64/128/256). *)
+val fig7 :
+  ?procs_list:int list -> unit -> Mdtest.Report.bench_point list * string list
 
-val fig8 : unit -> unit
+(** Fig. 8 — DUFS vs #ZooKeeper servers (2 Lustre back-ends). *)
+val fig8 : unit -> Mdtest.Report.bench_point list * string list
 
-(** {2 Fig. 9 — DUFS with 2 vs 4 Lustre back-ends (file ops)} *)
+(** Fig. 9 — DUFS with 2 vs 4 Lustre back-ends (file ops). *)
+val fig9 : unit -> Mdtest.Report.bench_point list * string list
 
-val fig9 : unit -> unit
+(** Fig. 10 — DUFS vs Basic Lustre and Basic PVFS2, 6 ops. *)
+val fig10 : unit -> Mdtest.Report.bench_point list * string list
 
-(** {2 Fig. 10 — DUFS vs Basic Lustre and Basic PVFS2, 6 ops} *)
+(** Over [headline] points: every [ratio] phase is > 1 and within
+    [[0.7x, 1.3x]] of the point's [paper] phase. *)
+val headline_check : Mdtest.Report.bench_point list -> string list
 
-val fig10 : unit -> unit
+(** §V-D: DUFS over 2 Lustre / 2 PVFS back-ends vs the native file
+    system at 256 procs, one [headline] point per dir-create and
+    file-stat ratio (paper 1.9, 23, 1.3, 3.0; config: the printed
+    label), and the failures of {!headline_check}. *)
+val headline : unit -> Mdtest.Report.bench_point list * string list
 
-(** {2 §V-D headline ratios at 256 procs} *)
-
-(** Over [(label, paper's value, measured ratio)]: every ratio is > 1
-    and within [[0.7x, 1.3x]] of the paper's value. *)
-val headline_check : (string * float * float) list -> string list
-
-(** DUFS over 2 Lustre / 2 PVFS back-ends vs the native file system:
-    dir-create and file-stat ratios (paper 1.9, 23, 1.3, 3.0), and the
-    failures of {!headline_check}. *)
-val headline : unit -> string list
-
-(** {2 Fig. 11 — memory usage vs created directories} *)
-
-val fig11_data :
-  ?millions:float list -> unit -> (float * float * float * float) list
-(** [(millions of dirs, zookeeper MB, dufs MB, dummy-fuse MB)] *)
-
-val fig11 : ?millions:float list -> unit -> unit
+(** Fig. 11 — memory usage vs created directories: one [fig11] point
+    per size in [millions] (default 0.5 to 2.5), its phases [millions],
+    [zookeeper_mib], [dufs_mib] and [fuse_mib]. *)
+val fig11 :
+  ?millions:float list -> unit -> Mdtest.Report.bench_point list * string list
 
 (** {2 Extension ablations}
 
-    Each prints its table and returns the failures of its pure
-    [*_check] (empty = pass). *)
+    Each prints its table from its points, one row per point, and
+    returns them with the failures of its pure [*_check] (empty =
+    pass), which reads only points. *)
 
-(** Growing [n] -> [n + 1] back-ends: each strategy's imbalance at [n]
-    and fraction of FIDs relocated. *)
-type mapping_row =
-  { n : int; mod_imbalance : float; mod_moved : float;
-    ring_imbalance : float; ring_moved : float }
-
-(** MD5 mod N relocates >= 0.95·n/(n+1), consistent hashing <= 1.5/(n+1)
-    and less than MD5 mod N; both imbalances <= 1.3. *)
-val ablation_mapping_check : mapping_row list -> string list
+(** Over one [ablation-mapping] point per strategy (config) and [n], with
+    phases [n], [imbalance] and [relocated_pct] (growing [n] -> [n + 1]
+    back-ends): MD5 mod N relocates >= 95·n/(n+1)%, consistent hashing
+    <= 150/(n+1)% and less than MD5 mod N; both imbalances <= 1.3. *)
+val ablation_mapping_check : Mdtest.Report.bench_point list -> string list
 
 (** MD5-mod-N vs consistent hashing over 200k FIDs at N = 2, 4, 8. *)
-val ablation_mapping : unit -> string list
+val ablation_mapping : unit -> Mdtest.Report.bench_point list * string list
 
-(** ops/s at [procs]: Basic Lustre, CMD with 2 and 4 MDSes, DUFS. *)
-type cmd_row = { procs : int; lustre : float; cmd2 : float; cmd4 : float; dufs : float }
-
-(** Per [(phase, rows)]: dir-stat ranks CMD 4 > CMD 2 > Basic Lustre,
-    any other phase (dir-create) the reverse; DUFS beats both CMDs. *)
-val ablation_cmd_check : (Mdtest.Runner.phase * cmd_row list) list -> string list
+(** Over the sweep's [mdtest-dir-create] and [mdtest-dir-stat] points
+    (configs: the {!Systems.system_label}s of Basic Lustre, CMD 2, CMD 4
+    and DUFS 2xLustre/8zk): at every procs count dir-stat ranks CMD 4 >
+    CMD 2 > Basic Lustre, dir-create the reverse; DUFS beats both
+    CMDs. *)
+val ablation_cmd_check : Mdtest.Report.bench_point list -> string list
 
 (** DUFS vs a hypothetical Lustre Clustered MDS (CMD, §VI): the global
     lock serializing cross-server updates vs ZooKeeper's ordered
     broadcast, dir-create and dir-stat at 64–256 procs. *)
-val ablation_cmd : unit -> string list
+val ablation_cmd : unit -> Mdtest.Report.bench_point list * string list
 
-(** [(phase, shared ops/s, unique ops/s)] per system at 256 procs. *)
-type unique_ablation = {
-  lustre_rows : (Mdtest.Runner.phase * float * float) list;
-  dufs_rows : (Mdtest.Runner.phase * float * float) list;
-}
+(** Over one [ablation-unique] point per system (config: its label) and
+    mode ([unique] 1 under -u), with [dir-create] and [file-create]
+    ops/s: Lustre's unique/shared ratio >= 1.10, DUFS's within ±2%. *)
+val ablation_unique_check : Mdtest.Report.bench_point list -> string list
 
-(** Lustre's unique/shared ratio >= 1.10, DUFS's within ±2% of 1. *)
-val ablation_unique_check : unique_ablation -> string list
+(** Shared vs unique working directories (mdtest -u) at 256 procs:
+    isolates the DLM lock-contention part of Lustre's decline. *)
+val ablation_unique : unit -> Mdtest.Report.bench_point list * string list
 
-(** Shared vs unique working directories (mdtest -u): isolates the DLM
-    lock-contention part of Lustre's decline. *)
-val ablation_unique : unit -> string list
-
-(** Over [((clients, window), creates/s)]: at 1 client window 16 >= 2.5×
-    window 1 and window 4 >= window 1; at 8 clients windows 1, 4 and 16
-    are within 2% of each other. *)
-val ablation_async_check : ((int * int) * float) list -> string list
+(** Over one [ablation-async] point per clients count (procs) and window
+    (config [window=<w>]), with [creates]/s: at 1 client window 16 >=
+    2.5× window 1 and window 4 >= window 1; at 8 clients windows 1, 4
+    and 16 are within 2%. *)
+val ablation_async_check : Mdtest.Report.bench_point list -> string list
 
 (** Synchronous vs pipelined (async) coordination API: what the paper's
     prototype left on the table by using the synchronous API. *)
-val ablation_async : unit -> string list
+val ablation_async : unit -> Mdtest.Report.bench_point list * string list
 
-(** One ablation-cache run: [(phase, DUFS ops/s, DUFS+cache ops/s)]
-    for mdtest dir-stat and dir-create, and [(procs, uncached ops/s,
-    cached ops/s)] for the hot-entry stat loop. *)
-type cache_ablation = {
-  mdtest_rows : (Mdtest.Runner.phase * float * float) list;
-  hot_rows : (int * float * float) list;
-}
-
-(** The cache ablation's gate failures (empty = pass): every mdtest row
-    has DUFS+cache within ±2% of DUFS (a scan-once workload gains
-    nothing and must lose nothing), and every hot-loop row has a cached
-    speedup of at least 20×. *)
-val ablation_cache_check : cache_ablation -> string list
+(** Over [ablation-cache-mdtest] points (config: the phase) and
+    [ablation-cache-hot] points (procs: the hot loop's), each with
+    [uncached] and [cached] ops/s: every mdtest point's within ±2% of
+    each other (a scan-once workload must gain and lose nothing), every
+    hot point's [speedup] at least 20×. *)
+val ablation_cache_check : Mdtest.Report.bench_point list -> string list
 
 (** DUFS with vs without the client-side (lease) metadata cache: mdtest
     dir-stat/dir-create at [procs] (default 256) with [items] dirs and
     files per proc (default 60), and the hot-entry stat loop at each of
     [hot_procs] (default [[64; 256]]). *)
 val ablation_cache :
-  ?procs:int -> ?items:int -> ?hot_procs:int list -> unit -> string list
+  ?procs:int ->
+  ?items:int ->
+  ?hot_procs:int list ->
+  unit ->
+  Mdtest.Report.bench_point list * string list
 
-(** Single-directory creates/s per system and procs count, and the
-    reachable fraction of a GIGA+ directory after 1 of its 8 servers
-    crashes. *)
-type giga_ablation = {
-  creates : ([ `Lustre | `Dufs | `Giga of int ] * (int * float) list) list;
-  available : float;
-}
-
-(** At every procs count: GIGA+ 8 servers >= 4 servers >= 10× the better
-    of DUFS and Lustre; 0 < availability < 1. *)
-val ablation_giga_check : giga_ablation -> string list
+(** Over one [ablation-giga] point per system, with single-directory
+    creates/s per ["<procs> procs"] phase, and the
+    [ablation-giga-availability] point: at every procs count GIGA+ 8
+    servers >= 4 servers >= 10× the better of DUFS and Lustre; 0 <
+    [available] < 1. *)
+val ablation_giga_check : Mdtest.Report.bench_point list -> string list
 
 (** GIGA+-style directory indexing vs DUFS vs Lustre on one huge
     directory, and the availability cost of unreplicated partitions. *)
-val ablation_giga : unit -> string list
+val ablation_giga : unit -> Mdtest.Report.bench_point list * string list
 
-(** Over [((voters, observers), (creates/s, gets/s))] for (3, 0), (7, 0)
-    and (3, 4): the observers reach >= 0.95× the gets/s of 7 voters and
-    the creates/s of 3 voters; 7 voters create more slowly than 3. *)
-val ablation_observers_check : ((int * int) * (float * float)) list -> string list
+(** Over the [ablation-observers] points of 3 voters, 7 voters and 3
+    voters + 4 observers (configs), with [creates] and [gets]/s: the
+    observers keep >= 0.95× the gets/s of 7 voters and the creates/s of
+    3 voters; 7 voters create more slowly than 3. *)
+val ablation_observers_check : Mdtest.Report.bench_point list -> string list
 
 (** Non-voting observers: read scaling without write cost. *)
-val ablation_observers : unit -> string list
+val ablation_observers : unit -> Mdtest.Report.bench_point list * string list
 
 (** {2 The failure path — mdtest under declarative fault schedules} *)
 

@@ -1,12 +1,11 @@
-type t = {
+(* A one-shot broadcast gate: processes that [wait] park until [open_];
+   afterwards [wait] returns at once. Each barrier cycle is one gate. *)
+type gate = {
   mutable opened : bool;
   waiters : (unit -> unit) Queue.t;
 }
 
-let create () = { opened = false; waiters = Queue.create () }
-
-let create_gate = create
-let is_open t = t.opened
+let create_gate () = { opened = false; waiters = Queue.create () }
 
 let wait t =
   if not t.opened then
@@ -20,10 +19,10 @@ let open_ t =
   end
 
 module Barrier = struct
-  type nonrec t = {
+  type t = {
     parties : int;
     mutable arrived : int;
-    mutable gate : t;
+    mutable gate : gate;
   }
 
   let create ~parties () =

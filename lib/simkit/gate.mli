@@ -1,14 +1,4 @@
-(** One-shot broadcast gates and reusable cyclic barriers. *)
-
-type t
-
-(** A closed gate. Processes that [wait] park until [open_] is called;
-    afterwards [wait] returns immediately. *)
-val create : unit -> t
-
-val wait : t -> unit
-val open_ : t -> unit
-val is_open : t -> bool
+(** Reusable cyclic barriers. *)
 
 module Barrier : sig
   type t

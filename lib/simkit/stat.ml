@@ -45,19 +45,6 @@ module Summary = struct
       if v > 0. then sqrt v else 0.
 end
 
-module Throughput = struct
-  type t = { started : float; mutable ops : int }
-
-  let start ~at = { started = at; ops = 0 }
-  let record t = t.ops <- t.ops + 1
-  let record_n t n = t.ops <- t.ops + n
-  let ops t = t.ops
-
-  let rate t ~now =
-    let dt = now -. t.started in
-    if dt <= 0. then 0. else float_of_int t.ops /. dt
-end
-
 let percentile samples q =
   if not (q > 0. && q <= 1.) then invalid_arg "Stat.percentile: q outside (0, 1]";
   match Array.length samples with

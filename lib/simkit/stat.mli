@@ -34,20 +34,6 @@ module Summary : sig
   val stddev : t -> float
 end
 
-(** Throughput over an interval of the virtual clock. *)
-module Throughput : sig
-  type t
-
-  val start : at:float -> t
-  val record : t -> unit
-  val record_n : t -> int -> unit
-  val ops : t -> int
-
-  (** Completed operations per second between [start] and [now].
-      0. if no time has elapsed. *)
-  val rate : t -> now:float -> float
-end
-
 (** [percentile samples q] is the exact nearest-rank percentile: the
     smallest sample with at least a fraction [q] of all samples at or
     below it (so [q = 1.] is the maximum). [samples] need not be sorted

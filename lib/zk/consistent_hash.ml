@@ -24,7 +24,6 @@ let create ?(replicas = 64) node_ids =
     invalid_arg "Consistent_hash.create: duplicate node ids";
   build ~replicas node_ids
 
-let nodes t = t.node_ids
 
 let lookup t key =
   let h = Md5.to_int (Md5.digest key) in

@@ -9,8 +9,6 @@ type t
     [replicas < 1]. *)
 val create : ?replicas:int -> int list -> t
 
-val nodes : t -> int list
-
 (** [lookup t key] — the node owning [key] (first virtual point clockwise
     of MD5(key)). *)
 val lookup : t -> string -> int

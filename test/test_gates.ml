@@ -1,7 +1,8 @@
 (* The experiment gates: each experiment's checks are a pure function
-   from its results to failure messages, and Report.gate fails the run once,
-   naming every failure. Every test feeds a passing result (which must
-   yield no failure) and a doctored copy (whose failure must be named). *)
+   from its bench points to failure messages, and Report.gate fails the
+   run once, naming every failure. Every test feeds synthetic points: a
+   passing set (which must yield no failure) and a doctored copy (whose
+   failure must be named). *)
 
 module Report = Mdtest.Report
 module Runner = Mdtest.Runner
@@ -83,32 +84,33 @@ let test_sessions_empty_history () =
 
 (* {2 Ablation: client cache} *)
 
-let cache_ablation =
-  { Figures.mdtest_rows =
-      [ (Runner.Dir_stat, 158_509., 158_509.);
-        (Runner.Dir_create, 5_473., 5_473.) ];
-    hot_rows = [ (64, 187_573., 5_442_177.); (256, 158_691., 4_726_736.) ] }
+(* The ablation's points: dir-stat and dir-create (uncached, cached)
+   ops/s, then the hot loop's (procs, uncached, cached). *)
+let cache_points ?(dir_create_cached = 5_473.) ?(hot_256_cached = 4_726_736.) () =
+  let point experiment ~procs ~config uncached cached more =
+    Report.point ~experiment ~procs ~config ~ops_per_sec:0.
+      ~phases:([ ("uncached", uncached); ("cached", cached) ] @ more) ()
+  in
+  let mdtest config uncached cached =
+    point "ablation-cache-mdtest" ~procs:256 ~config uncached cached []
+  and hot procs uncached cached =
+    point "ablation-cache-hot" ~procs ~config:"hot-stat" uncached cached
+      [ ("speedup", cached /. uncached) ]
+  in
+  [ mdtest "dir-stat" 158_509. 158_509.; mdtest "dir-create" 5_473. dir_create_cached;
+    hot 64 187_573. 5_442_177.; hot 256 158_691. hot_256_cached ]
 
 let test_cache_ablation_not_neutral () =
-  passes "ablation-cache" (Figures.ablation_cache_check cache_ablation);
-  let with_create cached =
-    { cache_ablation with
-      Figures.mdtest_rows =
-        [ (Runner.Dir_stat, 158_509., 158_509.);
-          (Runner.Dir_create, 5_473., cached) ] }
-  in
+  passes "ablation-cache" (Figures.ablation_cache_check (cache_points ()));
   names "cache 3% slower on dir-create" ~needle:"not within 2% of DUFS"
-    (Figures.ablation_cache_check (with_create 5_300.));
+    (Figures.ablation_cache_check (cache_points ~dir_create_cached:5_300. ()));
   names "cache 3% faster on dir-create" ~needle:"not within 2% of DUFS"
-    (Figures.ablation_cache_check (with_create 5_650.))
+    (Figures.ablation_cache_check (cache_points ~dir_create_cached:5_650. ()))
 
 let test_cache_ablation_small_speedup () =
-  passes "ablation-cache" (Figures.ablation_cache_check cache_ablation);
+  passes "ablation-cache" (Figures.ablation_cache_check (cache_points ()));
   names "19x at 256 procs" ~needle:"at 256 procs: 19.0x speedup"
-    (Figures.ablation_cache_check
-       { cache_ablation with
-         Figures.hot_rows =
-           [ (64, 187_573., 5_442_177.); (256, 158_691., 3_015_129.) ] })
+    (Figures.ablation_cache_check (cache_points ~hot_256_cached:3_015_129. ()))
 
 (* {2 Reshard} *)
 
@@ -395,81 +397,126 @@ let test_durability_untorn_truncation () =
 
 (* {2 The other extension ablations, at the numbers they print} *)
 
-let mapping_rows =
-  [ { Figures.n = 2; mod_imbalance = 1.005; mod_moved = 0.666;
-      ring_imbalance = 1.114; ring_moved = 0.328 };
-    { Figures.n = 4; mod_imbalance = 1.016; mod_moved = 0.800;
-      ring_imbalance = 1.209; ring_moved = 0.171 };
-    { Figures.n = 8; mod_imbalance = 1.031; mod_moved = 0.889;
-      ring_imbalance = 1.198; ring_moved = 0.114 } ]
+(* The printed rows, MD5 mod N's and the ring's per N, as points;
+   [ring_like_mod] makes the ring relocate as many FIDs as MD5 mod N. *)
+let mapping_points ?(ring_like_mod = false) () =
+  let point config n imbalance relocated_pct =
+    Report.point ~experiment:"ablation-mapping" ~procs:8 ~config ~ops_per_sec:0.
+      ~phases:
+        [ ("n", float_of_int n); ("imbalance", imbalance);
+          ("relocated_pct", relocated_pct) ]
+      ()
+  in
+  List.concat_map
+    (fun (n, mod_imbalance, mod_moved, ring_imbalance, ring_moved) ->
+      [ point "MD5 mod N (paper)" n mod_imbalance mod_moved;
+        point "consistent hashing (§VII)" n ring_imbalance
+          (if ring_like_mod then mod_moved else ring_moved) ])
+    [ (2, 1.005, 66.6, 1.114, 32.8); (4, 1.016, 80.0, 1.209, 17.1);
+      (8, 1.031, 88.9, 1.198, 11.4) ]
 
 let test_mapping_ring_moves_like_mod () =
-  passes "ablation-mapping" (Figures.ablation_mapping_check mapping_rows);
+  passes "ablation-mapping" (Figures.ablation_mapping_check (mapping_points ()));
   names "ring relocating like mod-N" ~needle:"N=4: consistent hashing relocated 80.0%"
-    (Figures.ablation_mapping_check
-       (List.map (fun r -> { r with Figures.ring_moved = r.Figures.mod_moved })
-          mapping_rows))
+    (Figures.ablation_mapping_check (mapping_points ~ring_like_mod:true ()))
 
-let cmd_rows ~dir_stat_cmd4 =
-  let row procs lustre cmd2 cmd4 dufs = { Figures.procs; lustre; cmd2; cmd4; dufs } in
-  [ ( Runner.Dir_create,
-      [ row 64 5_042. 1_718. 1_137. 6_474.; row 128 4_182. 1_704. 1_137. 6_103.;
-        row 256 3_128. 1_712. 1_133. 5_473. ] );
-    ( Runner.Dir_stat,
-      [ row 64 31_687. 65_244. 136_762. 186_562.;
-        row 128 25_060. 52_722. 107_912. 176_442.;
-        row 256 17_671. 38_190. dir_stat_cmd4 158_509. ] ) ]
+(* The sweep's [mdtest-<phase>] points for Basic Lustre, CMD 2, CMD 4
+   and DUFS at each procs count. *)
+let cmd_points ~dir_stat_cmd4 =
+  let systems =
+    Scenarios.Systems.
+      [ Basic_lustre; Lustre_cmd 2; Lustre_cmd 4;
+        Dufs { zk_servers = 8; backends = 2; backend_kind = Lustre } ]
+  in
+  let phase phase rows =
+    List.concat_map
+      (fun (procs, rates) ->
+        List.map2
+          (fun system ops_per_sec ->
+            Report.point ~experiment:("mdtest-" ^ phase) ~procs
+              ~config:(Scenarios.Systems.system_label system) ~ops_per_sec ())
+          systems rates)
+      rows
+  in
+  phase "dir-create"
+    [ (64, [ 5_042.; 1_718.; 1_137.; 6_474. ]); (128, [ 4_182.; 1_704.; 1_137.; 6_103. ]);
+      (256, [ 3_128.; 1_712.; 1_133.; 5_473. ]) ]
+  @ phase "dir-stat"
+      [ (64, [ 31_687.; 65_244.; 136_762.; 186_562. ]);
+        (128, [ 25_060.; 52_722.; 107_912.; 176_442. ]);
+        (256, [ 17_671.; 38_190.; dir_stat_cmd4; 158_509. ]) ]
 
 let test_cmd_more_mds_slower_stat () =
-  passes "ablation-cmd" (Figures.ablation_cmd_check (cmd_rows ~dir_stat_cmd4:86_578.));
+  passes "ablation-cmd" (Figures.ablation_cmd_check (cmd_points ~dir_stat_cmd4:86_578.));
   names "CMD 4 dir-stat below CMD 2" ~needle:"dir-stat at 256 procs: CMD 4 30000"
-    (Figures.ablation_cmd_check (cmd_rows ~dir_stat_cmd4:30_000.))
+    (Figures.ablation_cmd_check (cmd_points ~dir_stat_cmd4:30_000.))
 
-let unique_ablation ~dufs_unique_create =
-  { Figures.lustre_rows =
-      [ (Runner.Dir_create, 3_128., 3_637.); (Runner.File_create, 4_580., 5_769.) ];
-    dufs_rows =
-      [ (Runner.Dir_create, 5_473., dufs_unique_create);
-        (Runner.File_create, 5_471., 5_471.) ] }
+(* Shared and unique (dir-create, file-create) ops/s per system. *)
+let unique_points ~dufs_unique_create =
+  let point config unique dir_create file_create =
+    Report.point ~experiment:"ablation-unique" ~procs:256 ~config ~ops_per_sec:0.
+      ~phases:
+        [ ("unique", if unique then 1. else 0.); ("dir-create", dir_create);
+          ("file-create", file_create) ]
+      ()
+  in
+  [ point "Basic Lustre" false 3_128. 4_580.; point "Basic Lustre" true 3_637. 5_769.;
+    point "DUFS 2xLustre/8zk" false 5_473. 5_471.;
+    point "DUFS 2xLustre/8zk" true dufs_unique_create 5_471. ]
 
 let test_unique_dufs_gains () =
   passes "ablation-unique"
-    (Figures.ablation_unique_check (unique_ablation ~dufs_unique_create:5_473.));
+    (Figures.ablation_unique_check (unique_points ~dufs_unique_create:5_473.));
   names "DUFS 5% faster with -u" ~needle:"DUFS dir-create: unique/shared 1.050"
-    (Figures.ablation_unique_check (unique_ablation ~dufs_unique_create:5_746.65))
+    (Figures.ablation_unique_check (unique_points ~dufs_unique_create:5_746.65))
 
-let async_rows ~one_client_w16 =
-  [ ((1, 1), 2_563.); ((1, 4), 6_693.); ((1, 16), one_client_w16);
-    ((2, 1), 3_530.); ((2, 4), 7_092.); ((2, 16), 7_106.);
-    ((8, 1), 7_080.); ((8, 4), 7_080.); ((8, 16), 7_080.) ]
+let async_points ~one_client_w16 =
+  List.map
+    (fun ((clients, window), creates) ->
+      Report.point ~experiment:"ablation-async" ~procs:clients
+        ~config:(Printf.sprintf "window=%d" window) ~ops_per_sec:0.
+        ~phases:[ ("window", float_of_int window); ("creates", creates) ] ())
+    [ ((1, 1), 2_563.); ((1, 4), 6_693.); ((1, 16), one_client_w16);
+      ((2, 1), 3_530.); ((2, 4), 7_092.); ((2, 16), 7_106.);
+      ((8, 1), 7_080.); ((8, 4), 7_080.); ((8, 16), 7_080.) ]
 
 let test_async_window_does_not_help () =
-  passes "ablation-async" (Figures.ablation_async_check (async_rows ~one_client_w16:7_109.));
+  passes "ablation-async" (Figures.ablation_async_check (async_points ~one_client_w16:7_109.));
   names "window 16 no better than 1" ~needle:"window 16 gives 1.00x"
-    (Figures.ablation_async_check (async_rows ~one_client_w16:2_563.))
+    (Figures.ablation_async_check (async_points ~one_client_w16:2_563.))
 
-let giga_ablation ~available =
-  { Figures.creates =
-      [ (`Lustre, [ (64, 7_017.); (256, 4_573.) ]);
-        (`Dufs, [ (64, 6_706.); (256, 5_669.) ]);
-        (`Giga 4, [ (64, 232_389.); (256, 239_700.) ]);
-        (`Giga 8, [ (64, 315_738.); (256, 455_354.) ]) ];
-    available }
+let giga_points ~available =
+  List.map
+    (fun (config, r64, r256) ->
+      Report.point ~experiment:"ablation-giga" ~procs:256 ~config ~ops_per_sec:0.
+        ~phases:[ ("64 procs", r64); ("256 procs", r256) ] ())
+    [ ("Basic Lustre (DLM lock)", 7_017., 4_573.); ("DUFS 8zk", 6_706., 5_669.);
+      ("GIGA+ 4 servers", 232_389., 239_700.); ("GIGA+ 8 servers", 315_738., 455_354.) ]
+  @ [ Report.point ~experiment:"ablation-giga-availability" ~procs:1 ~config:"giga"
+        ~ops_per_sec:0. ~phases:[ ("available", available) ] () ]
 
 let test_giga_fully_available () =
-  passes "ablation-giga" (Figures.ablation_giga_check (giga_ablation ~available:0.87));
+  passes "ablation-giga" (Figures.ablation_giga_check (giga_points ~available:0.87));
   names "nothing lost with a server" ~needle:"is 100.0%"
-    (Figures.ablation_giga_check (giga_ablation ~available:1.))
+    (Figures.ablation_giga_check (giga_points ~available:1.))
 
-let observer_rows ~observed_creates =
-  [ ((3, 0), (8_817., 59_035.)); ((7, 0), (6_105., 137_133.));
-    ((3, 4), (observed_creates, 137_133.)) ]
+(* (creates/s, gets/s) of 3 voters, 7 voters and 3 voters + 4 observers. *)
+let observer_points ?(observed_gets = 137_133.) ~observed_creates () =
+  List.map
+    (fun (config, creates, gets) ->
+      Report.point ~experiment:"ablation-observers" ~procs:256 ~config ~ops_per_sec:0.
+        ~phases:[ ("creates", creates); ("gets", gets) ] ())
+    [ ("3 voters", 8_817., 59_035.); ("7 voters", 6_105., 137_133.);
+      ("3 voters + 4 observers", observed_creates, observed_gets) ]
 
 let test_observers_cost_writes () =
   passes "ablation-observers"
-    (Figures.ablation_observers_check (observer_rows ~observed_creates:8_817.));
+    (Figures.ablation_observers_check (observer_points ~observed_creates:8_817. ()));
   names "observers at 7-voter write cost" ~needle:"6105 creates/s, below 95%"
-    (Figures.ablation_observers_check (observer_rows ~observed_creates:6_105.))
+    (Figures.ablation_observers_check (observer_points ~observed_creates:6_105. ()));
+  names "observers at 3-voter read capacity" ~needle:"59035 gets/s, below 95% of 7 voters'"
+    (Figures.ablation_observers_check
+       (observer_points ~observed_gets:59_035. ~observed_creates:8_817. ()))
 
 (* {2 Headline} *)
 
@@ -477,10 +524,14 @@ let test_observers_cost_writes () =
    value each is held to; [lustre] and [pvfs] replace the two
    dir-create ratios, [stat_lustre] file stat over Lustre. *)
 let headline_ratios ?(lustre = 1.75) ?(pvfs = 25.19) ?(stat_lustre = 1.25) () =
-  [ ("directory create: DUFS(2xLustre) / Basic Lustre  (1.9)", 1.9, lustre);
-    ("directory create: DUFS(2xPVFS) / Basic PVFS      (23)", 23., pvfs);
-    ("file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)", 1.3, stat_lustre);
-    ("file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)", 3.0, 2.28) ]
+  List.map
+    (fun (config, paper, ratio) ->
+      Report.point ~experiment:"headline" ~procs:256 ~config ~ops_per_sec:0.
+        ~phases:[ ("paper", paper); ("ratio", ratio) ] ())
+    [ ("directory create: DUFS(2xLustre) / Basic Lustre  (1.9)", 1.9, lustre);
+      ("directory create: DUFS(2xPVFS) / Basic PVFS      (23)", 23., pvfs);
+      ("file stat:        DUFS(2xLustre) / Basic Lustre  (1.3)", 1.3, stat_lustre);
+      ("file stat:        DUFS(2xPVFS) / Basic PVFS      (3.0)", 3.0, 2.28) ]
 
 (* The drift a prototype of the legacy write path's removal caused:
    dir-create 2.98x over Lustre and 42.9x over PVFS. *)

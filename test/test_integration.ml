@@ -279,9 +279,11 @@ let test_null_trace_untouched () =
 (* {2 Fig. 11 data shape} *)
 
 let test_fig11_memory_shapes () =
-  let rows = Scenarios.Figures.fig11_data ~millions:[ 0.05; 0.1 ] () in
-  match rows with
-  | [ (_, zk1, dufs1, fuse1); (_, zk2, dufs2, fuse2) ] ->
+  let points, failures = Scenarios.Figures.fig11 ~millions:[ 0.05; 0.1 ] () in
+  Alcotest.(check (list string)) "a figure checks nothing" [] failures;
+  let mib p = List.map (Mdtest.Report.phase p) [ "zookeeper_mib"; "dufs_mib"; "fuse_mib" ] in
+  match List.map mib points with
+  | [ [ zk1; dufs1; fuse1 ]; [ zk2; dufs2; fuse2 ] ] ->
     check_bool "zookeeper memory grows linearly" true (zk2 > zk1 +. 10.);
     check_bool "dufs client flat" true (abs_float (dufs2 -. dufs1) < 0.01);
     check_bool "dummy fuse flat" true (abs_float (fuse2 -. fuse1) < 0.01);

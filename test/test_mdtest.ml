@@ -213,14 +213,17 @@ let test_unique_mode_isolates_procs () =
     done
   done
 
-(* {2 Report series} *)
+(* {2 Report figures} *)
 
 let test_report_series_shape () =
-  (* print_figure must tolerate missing points; smoke-test via a series
-     with uneven x coverage (output goes to stdout, checked not to raise) *)
-  Report.print_figure ~title:"test figure" ~x_label:"procs"
-    [ { Report.label = "full"; points = [ (1, 10.); (2, 20.) ] };
-      { Report.label = "partial"; points = [ (2, 99.) ] } ];
+  (* print_figure must tolerate missing points; smoke-test via configs
+     with uneven procs coverage (output goes to stdout, checked not to
+     raise) *)
+  Report.print_figure ~title:"test figure" "demo"
+    (List.map
+       (fun (config, procs, ops_per_sec) ->
+         Report.point ~experiment:"demo" ~procs ~config ~ops_per_sec ())
+       [ ("full", 1, 10.); ("full", 2, 20.); ("partial", 2, 99.) ]);
   Report.print_ratio ~label:"some ratio" 1.5;
   Report.print_header "done"
 

@@ -616,34 +616,7 @@ let test_take_head_if () =
     (Mailbox.take_head_if mb (fun x -> x = 1));
   Alcotest.(check (list int)) "rest untouched" [ 2; 3 ] (drain mb)
 
-(* {2 Gates and barriers} *)
-
-let test_gate () =
-  let e = Engine.create () in
-  let g = Gate.create () in
-  let passed = ref 0 in
-  for _ = 1 to 3 do
-    Process.spawn e (fun () ->
-        Gate.wait g;
-        incr passed)
-  done;
-  Process.spawn e (fun () ->
-      Process.sleep 1.;
-      Gate.open_ g);
-  Engine.run e;
-  check_int "all released" 3 !passed;
-  check_bool "stays open" true (Gate.is_open g)
-
-let test_gate_wait_after_open () =
-  let e = Engine.create () in
-  let g = Gate.create () in
-  Gate.open_ g;
-  let ok = ref false in
-  Process.spawn e (fun () ->
-      Gate.wait g;
-      ok := true);
-  Engine.run e;
-  check_bool "immediate pass" true !ok
+(* {2 Barriers} *)
 
 let test_barrier_synchronizes () =
   let e = Engine.create () in
@@ -763,14 +736,6 @@ let test_latency_empty () =
   let l = Stat.Latency.create () in
   check_int "no samples" 0 (Stat.Summary.count (Stat.Latency.summary l));
   check_bool "quantile of empty is nan" true (Float.is_nan (Stat.Latency.quantile l 0.5))
-
-let test_throughput () =
-  let th = Stat.Throughput.start ~at:10. in
-  Stat.Throughput.record th;
-  Stat.Throughput.record_n th 9;
-  check_int "ops" 10 (Stat.Throughput.ops th);
-  check_float "rate" 5. (Stat.Throughput.rate th ~now:12.);
-  check_float "zero interval" 0. (Stat.Throughput.rate th ~now:10.)
 
 let test_schedule_at_absolute () =
   let e = Engine.create () in
@@ -1087,9 +1052,7 @@ let () =
           Alcotest.test_case "quiet net draws no randomness" `Quick
             test_net_quiet_draws_no_randomness ] );
       ( "gate",
-        [ Alcotest.test_case "broadcast" `Quick test_gate;
-          Alcotest.test_case "wait after open" `Quick test_gate_wait_after_open;
-          Alcotest.test_case "barrier synchronizes" `Quick test_barrier_synchronizes;
+        [ Alcotest.test_case "barrier synchronizes" `Quick test_barrier_synchronizes;
           Alcotest.test_case "barrier cyclic" `Quick test_barrier_cyclic ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -1111,8 +1074,7 @@ let () =
           Alcotest.test_case "latency empty" `Quick test_latency_empty;
           Alcotest.test_case "rng int rejection sampling" `Quick test_rng_int_rejection;
           Alcotest.test_case "resource wait/hold summaries" `Quick
-            test_resource_wait_hold_summaries;
-          Alcotest.test_case "throughput" `Quick test_throughput ] );
+            test_resource_wait_hold_summaries ] );
       ( "edges",
         [ Alcotest.test_case "schedule_at absolute" `Quick test_schedule_at_absolute;
           Alcotest.test_case "rng uniform and pick" `Quick test_rng_uniform_and_pick;

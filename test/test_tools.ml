@@ -1,6 +1,5 @@
-(* Tests for the operational tooling: namespace scanning, the fsck
-   consistency checker with injected corruption, and mapping-strategy
-   selection in the client. *)
+(* Tests for the operational tooling: namespace scanning and the fsck
+   consistency checker with injected corruption. *)
 
 module Vfs = Fuselike.Vfs
 module Errno = Fuselike.Errno
@@ -9,7 +8,6 @@ module Client = Dufs.Client
 module Physical = Dufs.Physical
 module Fsck = Dufs.Fsck
 module Namespace = Dufs.Namespace
-module Mapping = Dufs.Mapping
 module Fid = Dufs.Fid
 
 let check_int = Alcotest.(check int)
@@ -23,7 +21,7 @@ let ok_zk label = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" label (Zk.Zerror.to_string e)
 
-let make ?(backends = 2) ?strategy () =
+let make ?(backends = 2) () =
   let service = Zk.Zk_local.create () in
   let mounts = Array.init backends (fun _ -> Memfs.create ~clock:(fun () -> 0.) ()) in
   let mount_ops = Array.map Memfs.ops mounts in
@@ -31,7 +29,7 @@ let make ?(backends = 2) ?strategy () =
     (fun ops -> ok_fs "format" (Physical.format Physical.default_layout ops))
     mount_ops;
   let coord = Zk.Zk_local.session service in
-  let client = Client.mount ~coord ?strategy ~backends:mount_ops () in
+  let client = Client.mount ~coord ~backends:mount_ops () in
   (service, coord, client, Client.ops client, mount_ops)
 
 let populate fs =
@@ -408,39 +406,6 @@ let test_cache_dufs_end_to_end () =
   | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e));
   ignore (ok_fs "c1 sees /e" (fs1.Vfs.getattr "/e"))
 
-(* {2 Client strategy selection} *)
-
-let test_client_consistent_strategy_placement () =
-  let ring = Zk.Consistent_hash.create [ 0; 1; 2 ] in
-  let _, _, client, fs, mount_ops = make ~backends:3 ~strategy:(Mapping.Consistent ring) () in
-  for i = 0 to 59 do
-    ok_fs "create" (fs.Vfs.create (Printf.sprintf "/f%02d" i) ~mode:0o644)
-  done;
-  (* the physical placement follows the ring, not mod-N *)
-  check_int "all placed" 60
-    (Array.fold_left (fun acc m -> acc + (m.Vfs.statfs ()).Vfs.files) 0 mount_ops);
-  (match Client.strategy client with
-  | Mapping.Consistent _ -> ()
-  | Mapping.Md5_mod -> Alcotest.fail "strategy lost");
-  let gen = Fid.Gen.create ~client_id:1234L in
-  let fid = Fid.Gen.next gen in
-  check_int "locate follows the ring"
-    (Zk.Consistent_hash.lookup ring (Fid.to_bytes fid))
-    (Client.locate client fid)
-
-let test_client_rejects_bad_ring () =
-  let ring = Zk.Consistent_hash.create [ 0; 5 ] in
-  Alcotest.check_raises "node out of range"
-    (Invalid_argument "Client.mount: ring node outside the backend range") (fun () ->
-      let service = Zk.Zk_local.create () in
-      ignore
-        (Client.mount
-           ~coord:(Zk.Zk_local.session service)
-           ~backends:
-             (Array.init 2 (fun _ ->
-                  Memfs.ops (Memfs.create ~clock:(fun () -> 0.) ())))
-           ~strategy:(Mapping.Consistent ring) ()))
-
 (* {2 Cache against an exact-LRU model}
 
    The cache wraps a local session whose revocation channel the test
@@ -716,10 +681,6 @@ let () =
           Alcotest.test_case "queue stays bounded" `Quick
             test_cache_queue_stays_bounded;
           Alcotest.test_case "dufs end-to-end" `Quick test_cache_dufs_end_to_end ] );
-      ( "strategy",
-        [ Alcotest.test_case "consistent placement" `Quick
-            test_client_consistent_strategy_placement;
-          Alcotest.test_case "rejects bad ring" `Quick test_client_rejects_bad_ring ] );
       ( "cache-lru",
         [ QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
           QCheck_alcotest.to_alcotest prop_store_matches_lru_model;
